@@ -33,14 +33,15 @@ package aamgo
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
 	"aamgo/internal/dyn"
 	"aamgo/internal/exec"
-	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
+	"aamgo/internal/query"
 	"aamgo/internal/run"
 	"aamgo/internal/serve"
 	"aamgo/internal/shard"
@@ -112,15 +113,15 @@ const (
 const (
 	// EngineAAM is the paper's machine: one AAM runtime (sim or native per
 	// Config.Runtime), operators isolated by Config.Mechanism.
-	EngineAAM = "aam"
+	EngineAAM = query.EngineAAM
 	// EngineShard is the shard-parallel executor (internal/shard): real
 	// goroutines, coalesced cross-shard batches, per-shard counters.
-	EngineShard = "shard"
+	EngineShard = query.EngineShard
 	// EngineGBLAS is the vectorized GraphBLAS engine (internal/gblas):
 	// frontiers as sparse vectors, push = SpMSpV, pull = masked SpMV over
 	// the CSR, direction-optimized with the same Beamer heuristic as
 	// EngineShard. Covers BFS, SSSP and PageRank.
-	EngineGBLAS = "gblas"
+	EngineGBLAS = query.EngineGBLAS
 )
 
 // Engines lists the valid Config.Engine values.
@@ -136,11 +137,6 @@ type Config struct {
 	// "native" (real goroutines and wall-clock time). It only shapes
 	// EngineAAM runs; the shard and gblas engines are always native.
 	Runtime string
-	// Backend is the former name of Runtime.
-	//
-	// Deprecated: set Runtime instead. When Runtime is empty, Backend is
-	// read as before, so existing code compiles and behaves identically.
-	Backend string
 	// Machine is the simulated machine profile: "bgq" (Blue Gene/Q node,
 	// 64 threads), "has-c" (Haswell commodity box, 8 threads), or
 	// "has-p" (Haswell-EP server, 24 threads). Default "has-c".
@@ -190,25 +186,16 @@ type Config struct {
 }
 
 func (c Config) resolve() (exec.MachineProfile, Config, error) {
-	// Runtime wins over the deprecated Backend alias; afterwards the two
-	// fields agree, so old code reading Backend still sees the truth.
-	if c.Runtime == "" {
-		c.Runtime = c.Backend
-	}
 	if c.Runtime == "" {
 		c.Runtime = run.Sim
 	}
-	c.Backend = c.Runtime
 	switch c.Engine {
 	case "", EngineAAM, EngineShard, EngineGBLAS:
 	default:
 		return exec.MachineProfile{}, c, fmt.Errorf("aamgo: unknown engine %q (valid: aam, shard, gblas)", c.Engine)
 	}
-	if c.Engine == EngineAAM && c.Shards > 1 {
-		return exec.MachineProfile{}, c, fmt.Errorf("aamgo: Engine=aam conflicts with Shards=%d (the aam engine is unsharded)", c.Shards)
-	}
-	if c.Engine == EngineGBLAS && c.Shards > 1 {
-		return exec.MachineProfile{}, c, fmt.Errorf("aamgo: Engine=gblas conflicts with Shards=%d (the gblas engine is unsharded)", c.Shards)
+	if (c.Engine == EngineAAM || c.Engine == EngineGBLAS) && c.Shards > 1 {
+		return exec.MachineProfile{}, c, fmt.Errorf("aamgo: Engine=%s conflicts with Shards=%d (the %[1]s engine is unsharded)", c.Engine, c.Shards)
 	}
 	if c.Engine == EngineShard && c.Shards < 2 {
 		c.Shards = 2
@@ -236,31 +223,6 @@ func (c Config) resolve() (exec.MachineProfile, Config, error) {
 		c.Seed = 1
 	}
 	return prof, c, nil
-}
-
-// engineSelected returns the effective engine after resolve: the explicit
-// Engine, else EngineShard when Shards > 1 (the historical implicit
-// selection), else EngineAAM.
-func (c Config) engineSelected() string {
-	if c.Engine != "" {
-		return c.Engine
-	}
-	if c.Shards > 1 {
-		return EngineShard
-	}
-	return EngineAAM
-}
-
-// sharded maps the façade Config onto the shard executor: C becomes the
-// coalescing batch size, Mechanism the per-shard isolation, Part the
-// vertex distribution.
-func (c Config) sharded() shard.Config {
-	return shard.Config{
-		Shards:    c.Shards,
-		BatchSize: c.C,
-		Mechanism: c.Mechanism,
-		Part:      c.Part,
-	}
 }
 
 // predictM applies the sampling-based M prediction for graph g when
@@ -298,8 +260,68 @@ type RunInfo struct {
 	Stats   Stats
 }
 
-func info(res exec.Result) RunInfo {
+func info(res *exec.Result) RunInfo {
 	return RunInfo{Elapsed: time.Duration(res.Elapsed), Stats: res.Stats}
+}
+
+// run is the one dispatch behind the registry-backed façades below:
+// validate, resolve the engine, run the named algorithm's descriptor on
+// it and report the engine's own clock (plus counters on the aam engine).
+func (c Config) run(name string, g *Graph, a query.Args) (query.Result, RunInfo, error) {
+	d := query.Lookup(name)
+	if d.Weighted && g.Weights == nil {
+		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: %s needs edge weights (use Builder.WithWeights)", d.Title)
+	}
+	// Seed 0 (the Config zero value) selects the identity priority order
+	// of the sharded coloring, which reproduces the sequential greedy
+	// coloring exactly; any other seed is a Luby-style random order.
+	a.Seed = uint64(c.Seed)
+	prof, c, err := c.resolve()
+	if err != nil {
+		return query.Result{}, RunInfo{}, err
+	}
+	sourced := slices.ContainsFunc(d.Params, func(p query.Param) bool { return p.Name == "src" })
+	if sourced && (a.Src < 0 || a.Src >= g.N) {
+		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: %s source %d out of range [0,%d)", d.Title, a.Src, g.N)
+	}
+	// The explicit Engine, else the historical implicit selection: shard
+	// when Shards > 1, aam otherwise.
+	eng := c.Engine
+	if eng == "" {
+		eng = EngineAAM
+		if c.Shards > 1 {
+			eng = EngineShard
+		}
+	}
+	if d.Engines[eng] == nil {
+		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: %v", d.NotImplemented(eng, d.Title))
+	}
+	if eng == EngineAAM && d.PredictM {
+		c = c.predictM(g, &prof)
+	}
+	res, err := d.Run(eng, g, a, c.env(&prof))
+	if err != nil {
+		return query.Result{}, RunInfo{}, err
+	}
+	switch {
+	case res.AAM != nil:
+		return res, info(res.AAM), nil
+	case res.Shard != nil:
+		return res, RunInfo{Elapsed: res.Shard.Elapsed}, nil
+	default:
+		return res, RunInfo{Elapsed: res.GBLAS.Elapsed}, nil
+	}
+}
+
+// env maps the resolved Config onto what the registry's run funcs read;
+// for the shard executor C becomes the coalescing batch size, Mechanism
+// the per-shard isolation and Part the vertex distribution.
+func (c Config) env(prof *exec.MachineProfile) query.Env {
+	return query.Env{
+		Runtime: c.Runtime, Profile: prof, Nodes: c.Nodes, Threads: c.Threads, Seed: c.Seed,
+		AAM:   c.engine(prof),
+		Shard: shard.Config{Shards: c.Shards, BatchSize: c.C, Mechanism: c.Mechanism, Part: c.Part},
+	}
 }
 
 // BFSResult carries the BFS tree: Parents[v] is the parent of v (source's
@@ -314,40 +336,8 @@ type BFSResult struct {
 // parents may differ between engines (each picks one valid previous-level
 // parent per vertex).
 func BFS(g *Graph, src int, c Config) (BFSResult, error) {
-	prof, c, err := c.resolve()
-	if err != nil {
-		return BFSResult{}, err
-	}
-	if src < 0 || src >= g.N {
-		return BFSResult{}, fmt.Errorf("aamgo: BFS source %d out of range [0,%d)", src, g.N)
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		res, err := shard.BFS(g, src, c.sharded())
-		if err != nil {
-			return BFSResult{}, err
-		}
-		return BFSResult{Parents: res.Parents, RunInfo: RunInfo{Elapsed: res.Elapsed}}, nil
-	case EngineGBLAS:
-		parents, _, res, err := gblas.EngineBFS(g, src)
-		if err != nil {
-			return BFSResult{}, err
-		}
-		return BFSResult{Parents: parents, RunInfo: RunInfo{Elapsed: res.Elapsed}}, nil
-	}
-	c = c.predictM(g, &prof)
-	b := algo.NewBFS(g, c.Nodes, algo.BFSConfig{
-		Mode:         algo.BFSAAM,
-		Engine:       c.engine(&prof),
-		VisitedCheck: true,
-	})
-	m := run.New(c.Backend, exec.Config{
-		Nodes: c.Nodes, ThreadsPerNode: c.Threads,
-		MemWords: b.MemWords(), Profile: &prof,
-		Handlers: b.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(b.Body(src))
-	return BFSResult{Parents: b.Parents(m), RunInfo: info(res)}, nil
+	res, ri, err := c.run("bfs", g, query.Args{Src: src})
+	return BFSResult{Parents: res.Parents, RunInfo: ri}, err
 }
 
 // PageRank runs the vertex-centric PageRank on the engine Config.Engine
@@ -355,32 +345,8 @@ func BFS(g *Graph, src int, c Config) (BFSResult, error) {
 // Q24.40 fixed point on every engine, so the vector is bit-identical
 // across engines.
 func PageRank(g *Graph, damping float64, iterations int, c Config) ([]float64, RunInfo, error) {
-	prof, c, err := c.resolve()
-	if err != nil {
-		return nil, RunInfo{}, err
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		res, err := shard.PageRank(g, damping, iterations, c.sharded())
-		if err != nil {
-			return nil, RunInfo{}, err
-		}
-		return res.Ranks, RunInfo{Elapsed: res.Elapsed}, nil
-	case EngineGBLAS:
-		ranks, res := gblas.EnginePageRank(g, damping, iterations)
-		return ranks, RunInfo{Elapsed: res.Elapsed}, nil
-	}
-	c = c.predictM(g, &prof)
-	p := algo.NewPageRank(g, c.Nodes, algo.PRConfig{
-		Damping: damping, Iterations: iterations, Engine: c.engine(&prof),
-	})
-	m := run.New(c.Backend, exec.Config{
-		Nodes: c.Nodes, ThreadsPerNode: c.Threads,
-		MemWords: p.MemWords(), Profile: &prof,
-		Handlers: p.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(p.Body())
-	return p.Ranks(m), info(res), nil
+	res, ri, err := c.run("pagerank", g, query.Args{Damping: damping, Iters: iterations})
+	return res.Ranks, ri, err
 }
 
 // SymmetricWeight returns a deterministic symmetric edge-weight function
@@ -396,104 +362,26 @@ var AttachSymmetricWeights = graph.AttachSymmetricWeights
 // the total forest weight and per-vertex component labels. The graph must
 // carry edge weights (Builder.WithWeights).
 func MST(g *Graph, c Config) (weight uint64, components []int32, ri RunInfo, err error) {
-	if g.Weights == nil {
-		return 0, nil, RunInfo{}, fmt.Errorf("aamgo: MST needs edge weights (use Builder.WithWeights)")
-	}
-	prof, c, err := c.resolve()
-	if err != nil {
-		return 0, nil, RunInfo{}, err
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		res, err := shard.MST(g, c.sharded())
-		if err != nil {
-			return 0, nil, RunInfo{}, err
-		}
-		return res.Weight, res.Labels, RunInfo{Elapsed: res.Elapsed}, nil
-	case EngineGBLAS:
-		return 0, nil, RunInfo{}, fmt.Errorf("aamgo: engine gblas does not implement MST (use aam or shard)")
-	}
-	b := algo.NewBoruvka(g)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: 1, ThreadsPerNode: c.Threads,
-		MemWords: b.MemWords(), Profile: &prof,
-		Handlers: b.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(b.Body(c.engine(&prof)))
-	return b.Weight(m), b.Components(m), info(res), nil
+	res, ri, err := c.run("mst", g, query.Args{})
+	return res.Weight, res.Labels, ri, err
 }
 
 // Coloring runs Boman et al.'s distributed coloring heuristic and returns
 // the per-vertex colors (0-based) and the number of colors used.
 func Coloring(g *Graph, c Config) ([]int32, int, RunInfo, error) {
-	rawSeed := c.Seed
-	prof, c, err := c.resolve()
-	if err != nil {
-		return nil, 0, RunInfo{}, err
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		// Seed 0 (the Config zero value) selects the identity priority
-		// order, which reproduces the sequential greedy coloring exactly;
-		// any other seed is a Luby-style random order.
-		res, err := shard.Coloring(g, uint64(rawSeed), c.sharded())
-		if err != nil {
-			return nil, 0, RunInfo{}, err
-		}
-		return res.Colors, res.Used, RunInfo{Elapsed: res.Elapsed}, nil
-	case EngineGBLAS:
-		return nil, 0, RunInfo{}, fmt.Errorf("aamgo: engine gblas does not implement Coloring (use aam or shard)")
-	}
-	col := algo.NewColoring(g)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: 1, ThreadsPerNode: c.Threads,
-		MemWords: col.MemWords(), Profile: &prof,
-		Handlers: col.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(col.Body(c.engine(&prof), 0))
-	colors, used := col.Colors(m)
-	return colors, used, info(res), nil
+	res, ri, err := c.run("coloring", g, query.Args{})
+	return res.Colors, res.Used, ri, err
 }
 
 // SSSP runs single-source shortest paths over the graph's edge weights on
 // the engine Config.Engine selects (chaotic relaxation on aam,
-// delta-stepping on shard, min-plus frontier rounds on gblas — the
-// distance vector is the unique Bellman fixed point, hence identical) and
-// returns the distance vector (MaxUint64 for unreachable vertices).
+// delta-stepping with an auto-selected delta on shard, min-plus frontier
+// rounds on gblas — the distance vector is the unique Bellman fixed
+// point, hence identical) and returns the distance vector (MaxUint64 for
+// unreachable vertices).
 func SSSP(g *Graph, src int, c Config) ([]uint64, RunInfo, error) {
-	if g.Weights == nil {
-		return nil, RunInfo{}, fmt.Errorf("aamgo: SSSP needs edge weights (use Builder.WithWeights)")
-	}
-	prof, c, err := c.resolve()
-	if err != nil {
-		return nil, RunInfo{}, err
-	}
-	if src < 0 || src >= g.N {
-		return nil, RunInfo{}, fmt.Errorf("aamgo: SSSP source %d out of range [0,%d)", src, g.N)
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		res, err := shard.SSSP(g, src, 0, c.sharded()) // auto-selected delta
-		if err != nil {
-			return nil, RunInfo{}, err
-		}
-		return res.Dists, RunInfo{Elapsed: res.Elapsed}, nil
-	case EngineGBLAS:
-		dists, res, err := gblas.EngineSSSP(g, src)
-		if err != nil {
-			return nil, RunInfo{}, err
-		}
-		return dists, RunInfo{Elapsed: res.Elapsed}, nil
-	}
-	c = c.predictM(g, &prof)
-	s := algo.NewSSSP(g, c.Nodes)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: c.Nodes, ThreadsPerNode: c.Threads,
-		MemWords: s.MemWords(), Profile: &prof,
-		Handlers: s.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(s.Body(src, c.engine(&prof)))
-	return s.Dists(m), info(res), nil
+	res, ri, err := c.run("sssp", g, query.Args{Src: src})
+	return res.Dists, ri, err
 }
 
 // MaxFlow computes the maximum s→t flow over the graph's edge weights
@@ -520,12 +408,7 @@ func MaxFlow(g *Graph, s, t int, c Config) (uint64, RunInfo, error) {
 	}
 	c = c.predictM(g, &prof)
 	f := algo.NewMaxFlow(g)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: 1, ThreadsPerNode: c.Threads,
-		MemWords: f.MemWords(), Profile: &prof,
-		Handlers: f.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(f.Body(s, t, c.engine(&prof)))
+	m, res := c.env(&prof).RunAAM(1, f, f.Body(s, t, c.engine(&prof)))
 	return f.Value(m), info(res), nil
 }
 
@@ -540,40 +423,15 @@ func Connected(g *Graph, s, t int, c Config) (bool, RunInfo, error) {
 		return false, RunInfo{}, fmt.Errorf("aamgo: engine %s does not implement Connected (use aam)", c.Engine)
 	}
 	st := algo.NewSTConn(g, c.Nodes)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: c.Nodes, ThreadsPerNode: c.Threads,
-		MemWords: st.MemWords(), Profile: &prof,
-		Handlers: st.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(st.Body(s, t, c.engine(&prof)))
+	m, res := c.env(&prof).RunAAM(c.Nodes, st, st.Body(s, t, c.engine(&prof)))
 	return st.Connected(m), info(res), nil
 }
 
 // Components labels connected components and returns the per-vertex label
 // vector (labels are representative vertex ids).
 func Components(g *Graph, c Config) ([]int32, RunInfo, error) {
-	prof, c, err := c.resolve()
-	if err != nil {
-		return nil, RunInfo{}, err
-	}
-	switch c.engineSelected() {
-	case EngineShard:
-		res, err := shard.Components(g, c.sharded())
-		if err != nil {
-			return nil, RunInfo{}, err
-		}
-		return res.Labels, RunInfo{Elapsed: res.Elapsed}, nil
-	case EngineGBLAS:
-		return nil, RunInfo{}, fmt.Errorf("aamgo: engine gblas does not implement Components (use aam or shard)")
-	}
-	cc := algo.NewCC(g, c.Nodes)
-	m := run.New(c.Backend, exec.Config{
-		Nodes: c.Nodes, ThreadsPerNode: c.Threads,
-		MemWords: cc.MemWords(), Profile: &prof,
-		Handlers: cc.Handlers(nil), Seed: c.Seed,
-	})
-	res := m.Run(cc.Body(c.engine(&prof)))
-	return cc.Labels(m), info(res), nil
+	res, ri, err := c.run("cc", g, query.Args{})
+	return res.Labels, ri, err
 }
 
 // Sharded execution (internal/shard): BFS, PageRank, connected

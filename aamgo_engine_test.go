@@ -1,11 +1,14 @@
 package aamgo_test
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"aamgo"
+	"aamgo/internal/algo"
+	"aamgo/internal/query"
 )
 
 // patchify re-packs g into the patched slack-CSR layout (Ends != nil) with
@@ -41,42 +44,111 @@ func patchify(g *aamgo.Graph, slack int) *aamgo.Graph {
 	return out
 }
 
-// levelsFromParents recovers BFS depths from a parent vector: engines may
-// legitimately pick different previous-level parents, but the depth of
-// every vertex is unique, so levels are the cross-engine invariant.
-func levelsFromParents(t *testing.T, parents []int64, src int) []int64 {
-	t.Helper()
-	levels := make([]int64, len(parents))
-	for v := range levels {
-		levels[v] = -1
-	}
-	levels[src] = 0
-	chain := make([]int, 0, 64)
-	for v := range parents {
-		if levels[v] >= 0 || parents[v] < 0 {
-			continue
-		}
-		chain = chain[:0]
-		u := v
-		for levels[u] < 0 {
-			chain = append(chain, u)
-			u = int(parents[u])
-			if len(chain) > len(parents) {
-				t.Fatalf("parent cycle at vertex %d", v)
-			}
-		}
-		base := levels[u]
-		for i := len(chain) - 1; i >= 0; i-- {
-			base++
-			levels[chain[i]] = base
+// canonLabels rewrites a component labeling to min-vertex-id labels, the
+// one canonical form: engines may pick different representatives (the aam
+// engine reports "a representative vertex id", the shard engine the
+// minimum), but the partition they induce is the cross-engine invariant.
+func canonLabels(labels []int32) []int32 {
+	min := map[int32]int32{}
+	for v, l := range labels {
+		if _, ok := min[l]; !ok {
+			min[l] = int32(v) // first (smallest) vertex carrying the label
 		}
 	}
-	return levels
+	out := make([]int32, len(labels))
+	for v, l := range labels {
+		out[v] = min[l]
+	}
+	return out
 }
 
-// TestCrossEngineEquivalence is the engine contract in one matrix: for
-// every engine and graph shape (including the patched slack-CSR layout),
-// BFS levels, SSSP distances and PageRank rank bits are identical.
+// facades attaches, by registry name, how the test drives the typed
+// façade function and which sequential reference or validity checker its
+// answer must satisfy. check returns the value every engine must agree on
+// bit for bit (nil when validity is all the engines share).
+var facades = map[string]func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (agree any, err error){
+	"bfs": func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (any, error) {
+		res, err := aamgo.BFS(g, src, c)
+		if err != nil {
+			return nil, err
+		}
+		ref := algo.SeqBFS(g, src)
+		if err := algo.ValidateBFSTree(g, src, res.Parents, ref); err != nil {
+			t.Error(err)
+		}
+		// Engines may legitimately pick different previous-level parents, but
+		// the depth of every vertex is unique.
+		depths := algo.BFSDepths(g, src, res.Parents)
+		if !slices.Equal(depths, ref) {
+			t.Error("BFS levels diverge from the sequential reference")
+		}
+		return depths, nil
+	},
+	"pagerank": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
+		ranks, _, err := aamgo.PageRank(g, 0.85, 10, c)
+		if err != nil {
+			return nil, err
+		}
+		for v, want := range algo.SeqPageRank(g, 0.85, 10) {
+			if d := ranks[v] - want; d > 1e-6 || d < -1e-6 {
+				t.Errorf("rank[%d] = %v, sequential reference %v", v, ranks[v], want)
+				break
+			}
+		}
+		return ranks, nil // rank bits are identical across engines
+	},
+	"sssp": func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (any, error) {
+		dists, _, err := aamgo.SSSP(g, src, c)
+		if err == nil && !slices.Equal(dists, algo.SeqSSSP(g, src)) {
+			t.Error("SSSP distances diverge from the sequential reference")
+		}
+		return dists, err
+	},
+	"cc": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
+		labels, _, err := aamgo.Components(g, c)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Equal(canonLabels(labels), algo.SeqComponents(g)) {
+			t.Error("component partition diverges from the sequential reference")
+		}
+		return canonLabels(labels), nil
+	},
+	"mst": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
+		weight, labels, _, err := aamgo.MST(g, c)
+		if err != nil {
+			return nil, err
+		}
+		if want := algo.SeqMSTWeight(g); weight != want {
+			t.Errorf("forest weight %d, sequential reference %d", weight, want)
+		}
+		if !slices.Equal(canonLabels(labels), algo.SeqComponents(g)) {
+			t.Error("forest components diverge from the sequential reference")
+		}
+		return weight, nil
+	},
+	"coloring": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
+		colors, used, _, err := aamgo.Coloring(g, c)
+		if err != nil {
+			return nil, err
+		}
+		if !algo.ValidColoring(g, colors) {
+			t.Error("coloring is not proper")
+		}
+		if max := int(slices.Max(colors)); max != used-1 {
+			t.Errorf("%d colors reported, largest color is %d", used, max)
+		}
+		return nil, nil // the aam and shard heuristics color differently
+	},
+}
+
+// TestCrossEngineEquivalence is the engine contract in one matrix driven
+// by the registry: for every algorithm, engine and graph shape (including
+// the patched slack-CSR layout) the answer satisfies the sequential
+// reference or validity checker and is bit-identical across engines (BFS
+// levels, SSSP distances, PageRank rank bits, component partitions, forest
+// weight) — or the engine returns the exact not-implemented error. A new
+// descriptor without a facades entry fails the test.
 func TestCrossEngineEquivalence(t *testing.T) {
 	kronW := aamgo.AttachSymmetricWeights(aamgo.Kronecker(8, 8, 3), 5)
 	roadW := aamgo.AttachSymmetricWeights(aamgo.RoadGrid(16, 16, 0.1, 4), 6)
@@ -89,54 +161,49 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		{"road", roadW, 0},
 		{"kron-patched", patchify(kronW, 3), maxDeg(kronW)},
 	}
-	engines := []struct {
-		name string
-		cfg  aamgo.Config
-	}{
-		{"aam", aamgo.Config{Engine: aamgo.EngineAAM}},
-		{"shard", aamgo.Config{Engine: aamgo.EngineShard, Shards: 4}},
-		{"gblas", aamgo.Config{Engine: aamgo.EngineGBLAS}},
+	configs := map[string]aamgo.Config{
+		aamgo.EngineAAM:   {Engine: aamgo.EngineAAM},
+		aamgo.EngineShard: {Engine: aamgo.EngineShard, Shards: 4},
+		aamgo.EngineGBLAS: {Engine: aamgo.EngineGBLAS},
 	}
-	for _, gc := range graphs {
-		var wantLevels []int64
-		var wantDists []uint64
-		var wantRanks []float64
-		for _, ec := range engines {
-			t.Run(gc.name+"/"+ec.name, func(t *testing.T) {
-				bfs, err := aamgo.BFS(gc.g, gc.src, ec.cfg)
-				if err != nil {
-					t.Fatal(err)
+	for _, d := range query.Registry {
+		call, ok := facades[d.Name]
+		if !ok {
+			t.Errorf("registry entry %q has no façade check attached", d.Name)
+			continue
+		}
+		for _, gc := range graphs {
+			var want any
+			for _, eng := range aamgo.Engines {
+				cfg, ok := configs[eng]
+				if !ok {
+					t.Fatalf("engine %q has no test config", eng)
 				}
-				levels := levelsFromParents(t, bfs.Parents, gc.src)
-				dists, _, err := aamgo.SSSP(gc.g, gc.src, ec.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ranks, _, err := aamgo.PageRank(gc.g, 0.85, 10, ec.cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if wantLevels == nil {
-					wantLevels, wantDists, wantRanks = levels, dists, ranks
-					return
-				}
-				if !slices.Equal(levels, wantLevels) {
-					t.Fatal("BFS levels diverge from the aam engine")
-				}
-				if !slices.Equal(dists, wantDists) {
-					t.Fatal("SSSP distances diverge from the aam engine")
-				}
-				if !slices.Equal(ranks, wantRanks) {
-					t.Fatal("PageRank rank bits diverge from the aam engine")
-				}
-			})
+				t.Run(d.Name+"/"+gc.name+"/"+eng, func(t *testing.T) {
+					got, err := call(t, gc.g, gc.src, cfg)
+					if d.Engines[eng] == nil {
+						if wantErr := "aamgo: " + d.NotImplemented(eng, d.Title).Error(); err == nil || err.Error() != wantErr {
+							t.Fatalf("error %v, want %q", err, wantErr)
+						}
+						return
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+					} else if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s answer diverges from the %s engine's", d.Title, aamgo.Engines[0])
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestRuntimeBackendTransition proves the Backend→Runtime rename is a
-// no-op for existing code: the deprecated field still selects the machine
-// backend, and Runtime wins when both are set.
+// TestRuntimeBackendTransition, now that the deprecated Backend alias is
+// gone: Config.Runtime alone picks the machine backend, and the empty
+// value is the deterministic simulator.
 func TestRuntimeBackendTransition(t *testing.T) {
 	g := kron(t)
 	src := maxDeg(g)
@@ -144,21 +211,12 @@ func TestRuntimeBackendTransition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Old-style code: only the deprecated Backend field set.
-	old, err := aamgo.BFS(g, src, aamgo.Config{Backend: "sim"})
+	def, err := aamgo.BFS(g, src, aamgo.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(old.Parents, ref.Parents) || old.Elapsed != ref.Elapsed {
-		t.Fatal("Backend alias and Runtime disagree on the sim engine")
-	}
-	// Runtime takes precedence over a conflicting Backend value.
-	both, err := aamgo.BFS(g, src, aamgo.Config{Runtime: "sim", Backend: "native"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(both.Parents, ref.Parents) || both.Elapsed != ref.Elapsed {
-		t.Fatal("Runtime did not win over the deprecated Backend alias")
+	if !slices.Equal(def.Parents, ref.Parents) || def.Elapsed != ref.Elapsed {
+		t.Fatal("the default runtime is not the sim runtime")
 	}
 }
 

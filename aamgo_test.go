@@ -228,7 +228,7 @@ func TestSSSPFacade(t *testing.T) {
 func TestNativeBackendFacade(t *testing.T) {
 	g := aamgo.Kronecker(8, 6, 5)
 	src := maxDeg(g)
-	res, err := aamgo.BFS(g, src, aamgo.Config{Backend: "native", Threads: 4})
+	res, err := aamgo.BFS(g, src, aamgo.Config{Runtime: "native", Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

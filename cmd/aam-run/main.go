@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"aamgo"
+	"aamgo/internal/aam"
 )
 
 func main() {
@@ -63,19 +64,9 @@ func main() {
 		fail(err)
 	}
 
-	mechanism := aamgo.HTM
-	switch *mech {
-	case "htm":
-	case "atomic":
-		mechanism = aamgo.Atomic
-	case "lock":
-		mechanism = aamgo.Lock
-	case "occ":
-		mechanism = aamgo.Optimistic
-	case "flatcomb":
-		mechanism = aamgo.FlatCombining
-	default:
-		fail(fmt.Errorf("unknown mechanism %q", *mech))
+	mechanism, err := aam.MechanismByName(*mech)
+	if err != nil {
+		fail(err)
 	}
 	if *rt == "" {
 		*rt = *backend

@@ -60,6 +60,7 @@ import (
 	"syscall"
 	"time"
 
+	"aamgo/internal/aam"
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
 	"aamgo/internal/serve"
@@ -157,9 +158,9 @@ func main() {
 			fatal("loading graph", "err", err)
 		}
 	}
-	mechanism, ok := serve.MechByName(*mech)
-	if !ok {
-		fatal("unknown mechanism", "mech", *mech)
+	mechanism, err := aam.MechanismByName(*mech)
+	if err != nil {
+		fatal("bad -mech", "err", err)
 	}
 	srv, err := serve.New(g, serve.Config{
 		Mechanism:     mechanism,

@@ -22,6 +22,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,6 +30,7 @@ import (
 	"aamgo/internal/algo"
 	"aamgo/internal/graph"
 	"aamgo/internal/obs"
+	"aamgo/internal/query"
 	"aamgo/internal/shard"
 )
 
@@ -37,7 +39,7 @@ func main() {
 		join    = flag.String("join", "", "worker mode: coordinator address to join")
 		listen  = flag.String("listen", "", "coordinator mode: address to listen on")
 		workers = flag.Int("workers", 2, "coordinator: worker processes to wait for")
-		algos   = flag.String("algos", "bfs,pagerank", "coordinator: comma-separated algorithms (bfs,pagerank,cc,sssp,mst,coloring)")
+		algos   = flag.String("algos", "bfs,pagerank", "coordinator: comma-separated algorithms ("+strings.Join(shard.JobNames(), ",")+")")
 		check   = flag.Bool("check", false, "coordinator: re-run in-process and diff results bit for bit")
 		metrics = flag.String("metrics", "", "serve /metrics and /healthz on this address")
 		metOut  = flag.String("metrics-out", "", "coordinator: write the final /metrics exposition to this file")
@@ -93,9 +95,21 @@ func main() {
 		}
 	}
 
-	mechanism, err := parseMech(*mech)
+	mechanism, err := aam.MechanismByName(*mech)
 	if err != nil {
 		fail(err)
+	}
+	// Reject a misspelt algorithm before any worker is waited for, not
+	// mid-round: the valid names are the wire job table.
+	var names []string
+	for _, name := range strings.Split(*algos, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		if !slices.Contains(shard.JobNames(), name) {
+			fail(fmt.Errorf("unknown algorithm %q (valid: %s)", name, strings.Join(shard.JobNames(), ", ")))
+		}
+		names = append(names, name)
 	}
 	cfg := shard.Config{
 		Shards: *shards, Workers: *sw, BatchSize: *batch, Mechanism: mechanism,
@@ -130,94 +144,29 @@ func main() {
 	}
 	fmt.Printf("coordinator: %d workers joined, cluster is %d ranks\n", *workers, *workers+1)
 
+	// The CLI's one parameter set, in the registry's terms: SSSP takes the
+	// auto-selected delta and coloring the identity priority order.
+	args := query.Args{Src: source, Iters: *iter, Damping: *damp}
+	env := query.Env{Shard: cfg, Cluster: c}
 	failed := false
 	for round := 0; round < *repeat; round++ {
 		if *repeat > 1 {
 			fmt.Printf("--- round %d/%d (workers live: %d)\n", round+1, *repeat, c.LiveWorkers())
 		}
-		for _, name := range strings.Split(*algos, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
+		for _, name := range names {
+			d := query.Lookup(name)
+			in := g
+			if d.Weighted {
+				in = wg
 			}
-			var (
-				stats shard.Stats
-				diff  string
-				err   error
-			)
+			var diff string
 			t0 := time.Now()
-			switch name {
-			case "bfs":
-				var dres, sres shard.BFSResult
-				dres, err = c.BFS(g, source, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.BFS(g, source, cfg); err == nil {
-							diff = diffInt32s("depth", algo.BFSDepths(g, source, dres.Parents), algo.BFSDepths(g, source, sres.Parents))
-						}
-					}
+			dres, err := d.Run(query.EngineCluster, in, args, env)
+			if err == nil && *check {
+				var sres query.Result
+				if sres, err = d.Run(query.EngineShard, in, args, env); err == nil {
+					diff = diffs[name](in, source, dres, sres)
 				}
-			case "pagerank":
-				var dres, sres shard.PRResult
-				dres, err = c.PageRank(g, *damp, *iter, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.PageRank(g, *damp, *iter, cfg); err == nil {
-							diff = diffFloat64s("rank", dres.Ranks, sres.Ranks)
-						}
-					}
-				}
-			case "cc":
-				var dres, sres shard.CCResult
-				dres, err = c.Components(g, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.Components(g, cfg); err == nil {
-							diff = diffInt32s("label", dres.Labels, sres.Labels)
-						}
-					}
-				}
-			case "sssp":
-				var dres, sres shard.SSSPResult
-				dres, err = c.SSSP(wg, source, 0, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.SSSP(wg, source, 0, cfg); err == nil {
-							diff = diffUint64s("dist", dres.Dists, sres.Dists)
-						}
-					}
-				}
-			case "mst":
-				var dres, sres shard.MSTResult
-				dres, err = c.MST(wg, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.MST(wg, cfg); err == nil {
-							diff = diffInt32s("label", dres.Labels, sres.Labels)
-							if diff == "" && dres.Weight != sres.Weight {
-								diff = fmt.Sprintf("forest weight %d vs %d in-process", dres.Weight, sres.Weight)
-							}
-						}
-					}
-				}
-			case "coloring":
-				var dres, sres shard.ColoringResult
-				dres, err = c.Coloring(g, 0, cfg)
-				if err == nil {
-					stats = dres.Totals()
-					if *check {
-						if sres, err = shard.Coloring(g, 0, cfg); err == nil {
-							diff = diffInt32s("color", dres.Colors, sres.Colors)
-						}
-					}
-				}
-			default:
-				err = fmt.Errorf("unknown algorithm %q", name)
 			}
 			elapsed := time.Since(t0)
 			switch {
@@ -232,6 +181,7 @@ func main() {
 				if *check {
 					status = "ok (matches in-process)"
 				}
+				stats := dres.Shard.Totals()
 				fmt.Printf("%-9s %-22s %8v  wire: %d batches, %d bytes\n",
 					name, status, elapsed.Round(time.Millisecond), stats.WireBatchesSent, stats.WireBytesSent)
 			}
@@ -273,22 +223,6 @@ func serveMetrics(addr string) {
 	go http.Serve(ln, mux)
 }
 
-func parseMech(s string) (aam.Mechanism, error) {
-	switch s {
-	case "htm":
-		return aam.MechHTM, nil
-	case "atomic":
-		return aam.MechAtomic, nil
-	case "lock":
-		return aam.MechLock, nil
-	case "occ":
-		return aam.MechOptimistic, nil
-	case "flatcomb":
-		return aam.MechFlatCombining, nil
-	}
-	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
 func maxDeg(g *graph.Graph) int {
 	best, bd := 0, -1
 	for v := 0; v < g.N; v++ {
@@ -299,25 +233,34 @@ func maxDeg(g *graph.Graph) int {
 	return best
 }
 
-func diffInt32s(what string, dist, inproc []int32) string {
-	for v := range dist {
-		if dist[v] != inproc[v] {
-			return fmt.Sprintf("%s[%d] = %d distributed vs %d in-process", what, v, dist[v], inproc[v])
+// diffs attaches the -check comparison to each job of the wire table:
+// "" when the distributed result matches the in-process one bit for bit.
+var diffs = map[string]func(g *graph.Graph, src int, dist, inproc query.Result) string{
+	"bfs": func(g *graph.Graph, src int, dist, inproc query.Result) string {
+		// Parents race benignly; depth vectors are the invariant.
+		return diffSlices("depth", algo.BFSDepths(g, src, dist.Parents), algo.BFSDepths(g, src, inproc.Parents))
+	},
+	"pagerank": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
+		return diffSlices("rank", dist.Ranks, inproc.Ranks)
+	},
+	"cc": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
+		return diffSlices("label", dist.Labels, inproc.Labels)
+	},
+	"sssp": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
+		return diffSlices("dist", dist.Dists, inproc.Dists)
+	},
+	"mst": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
+		if diff := diffSlices("label", dist.Labels, inproc.Labels); diff != "" || dist.Weight == inproc.Weight {
+			return diff
 		}
-	}
-	return ""
+		return fmt.Sprintf("forest weight %d vs %d in-process", dist.Weight, inproc.Weight)
+	},
+	"coloring": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
+		return diffSlices("color", dist.Colors, inproc.Colors)
+	},
 }
 
-func diffUint64s(what string, dist, inproc []uint64) string {
-	for v := range dist {
-		if dist[v] != inproc[v] {
-			return fmt.Sprintf("%s[%d] = %d distributed vs %d in-process", what, v, dist[v], inproc[v])
-		}
-	}
-	return ""
-}
-
-func diffFloat64s(what string, dist, inproc []float64) string {
+func diffSlices[T comparable](what string, dist, inproc []T) string {
 	for v := range dist {
 		if dist[v] != inproc[v] {
 			return fmt.Sprintf("%s[%d] = %v distributed vs %v in-process", what, v, dist[v], inproc[v])

@@ -56,7 +56,7 @@ func main() {
 
 	// The same traversal on the native backend: real goroutines, real
 	// atomics, and a software TM standing in for HTM.
-	res, err := aamgo.BFS(g, src, aamgo.Config{Backend: "native", Threads: 4, M: 16})
+	res, err := aamgo.BFS(g, src, aamgo.Config{Runtime: "native", Threads: 4, M: 16})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,8 @@
 package aam
 
 import (
+	"fmt"
+
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
 )
@@ -53,6 +55,17 @@ func (m Mechanism) String() string {
 	default:
 		return "mechanism(?)"
 	}
+}
+
+// MechanismByName is the inverse of String: it resolves the wire names
+// used by CLI flags and ?mech=.
+func MechanismByName(name string) (Mechanism, error) {
+	for m := MechHTM; m <= MechFlatCombining; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mechanism %q (want htm, atomic, lock, occ or flatcomb)", name)
 }
 
 // Op is one registered operator. Semantics flags follow §3.2: Return

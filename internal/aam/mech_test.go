@@ -234,3 +234,14 @@ func TestAllMechanismsAgreeUnderContention(t *testing.T) {
 		}
 	}
 }
+
+func TestMechanismByName(t *testing.T) {
+	for _, name := range []string{"htm", "atomic", "lock", "occ", "flatcomb"} {
+		if m, err := aam.MechanismByName(name); err != nil || m.String() != name {
+			t.Fatalf("MechanismByName(%q) = %v, %v", name, m, err)
+		}
+	}
+	if _, err := aam.MechanismByName("tsx"); err == nil {
+		t.Fatal("unknown mechanism resolved")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aamgo/internal/obs"
+	"aamgo/internal/query"
 )
 
 // endpointMetrics are the per-endpoint instruments, prebuilt at server
@@ -19,35 +20,28 @@ type endpointMetrics struct {
 	query bool
 }
 
-// queryEndpoints are the endpoints whose latency percentiles /stats
-// reports and whose spans the slowlog retains.
-var queryEndpoints = map[string]bool{
-	"graph": true, "bfs": true, "cc": true, "pagerank": true,
-	"sssp": true, "mst": true, "coloring": true,
-}
-
 // initMetrics builds the server's registry: per-endpoint instruments plus
 // scrape-time bridges over the counters the server already maintains.
 // The graph's own dyn series are registered by the caller (New).
-func (s *Server) initMetrics(endpoints []string) {
-	s.ep = make(map[string]*endpointMetrics, len(endpoints))
-	for _, name := range endpoints {
+func (s *Server) initMetrics(routes []route) {
+	s.ep = make(map[string]*endpointMetrics, len(routes))
+	for _, rt := range routes {
 		em := &endpointMetrics{
-			lat:   s.reg.Histogram(fmt.Sprintf("aam_serve_request_latency_ns{endpoint=%q}", name)),
-			query: queryEndpoints[name],
+			lat:   s.reg.Histogram(fmt.Sprintf("aam_serve_request_latency_ns{endpoint=%q}", rt.name)),
+			query: rt.query,
 		}
 		for c := 2; c <= 5; c++ {
-			em.status[c] = s.reg.Counter(fmt.Sprintf("aam_serve_requests_by_status_total{endpoint=%q,class=\"%dxx\"}", name, c))
+			em.status[c] = s.reg.Counter(fmt.Sprintf("aam_serve_requests_by_status_total{endpoint=%q,class=\"%dxx\"}", rt.name, c))
 		}
-		s.ep[name] = em
+		s.ep[rt.name] = em
 	}
 
 	// Per-engine query latency: one histogram per execution engine, fed by
 	// whichever endpoint resolved a query to that engine. The engine labels
 	// cut across the endpoint labels above — "is gblas slower than shard on
 	// this workload" is one scrape, not a per-endpoint join.
-	s.engLat = make(map[string]*obs.Histogram, 4)
-	for _, eng := range []string{engAAM, engShard, engGBLAS, engCluster} {
+	s.engLat = make(map[string]*obs.Histogram, len(query.Engines))
+	for _, eng := range query.Engines {
 		s.engLat[eng] = s.reg.Histogram(fmt.Sprintf("aam_serve_query_latency_ns{engine=%q}", eng))
 	}
 

@@ -56,7 +56,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,12 +66,11 @@ import (
 	"time"
 
 	"aamgo/internal/aam"
-	"aamgo/internal/algo"
 	"aamgo/internal/dyn"
 	"aamgo/internal/exec"
-	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
 	"aamgo/internal/obs"
+	"aamgo/internal/query"
 	"aamgo/internal/run"
 	"aamgo/internal/shard"
 	"aamgo/internal/stats"
@@ -207,6 +208,15 @@ type Server struct {
 	draining atomic.Bool // Drain called: pool admits no new work
 }
 
+// route is one row of the daemon's route table; query marks the analytics
+// endpoints, whose spans feed the slowlog and whose percentiles surface in
+// /stats.
+type route struct {
+	path, name string
+	h          http.HandlerFunc
+	query      bool
+}
+
 // New builds a server over g.
 func New(g *dyn.Graph, cfg Config) (*Server, error) {
 	cfg, prof, err := cfg.resolve()
@@ -231,41 +241,34 @@ func New(g *dyn.Graph, cfg Config) (*Server, error) {
 	s.reg = obs.NewRegistry()
 	s.slow = newSlowlog(cfg.SlowlogK)
 	s.log = cfg.Logger
-	s.initMetrics([]string{
-		"edges", "vertices", "graph", "bfs", "cc", "pagerank",
-		"sssp", "mst", "coloring", "stats", "metrics", "slowlog",
-	})
+	// GET endpoints whose body is a pure function of (epoch, params) — /graph
+	// plus one route per registry entry — run behind the epoch-keyed cache:
+	// ETag short-circuit, then LRU replay, then singleflight-collapsed
+	// computation inside the worker pool. /stats, /metrics and
+	// /debug/slowlog are uncacheable live reads (no ETag, Cache-Control:
+	// no-store), so a poller can never observe counters frozen behind a
+	// 304; the last two also bypass the worker pool, like pprof — they must
+	// answer exactly when every pool slot is busy.
+	routes := []route{
+		{"/edges", "edges", s.pooled(s.handleEdges), false},
+		{"/vertices", "vertices", s.pooled(s.handleVertices), false},
+		{"/graph", "graph", s.cachedGET(s.pooled(s.handleGraph)), true},
+	}
+	for _, d := range query.Registry {
+		routes = append(routes, route{"/query/" + d.Name, d.Name, s.cachedGET(s.pooled(s.handleQuery(d))), true})
+	}
+	routes = append(routes,
+		route{"/stats", "stats", s.pooled(s.handleStats), false},
+		route{"/metrics", "metrics", s.handleMetrics, false},
+		route{"/debug/slowlog", "slowlog", s.handleSlowlog, false})
+	s.initMetrics(routes)
 	g.RegisterMetrics(s.reg)
 	if cfg.WAL != nil {
 		cfg.WAL.RegisterMetrics(s.reg)
 	}
-	s.mux.HandleFunc("/edges", s.instrumented("edges", s.pooled(s.handleEdges)))
-	s.mux.HandleFunc("/vertices", s.instrumented("vertices", s.pooled(s.handleVertices)))
-	// GET endpoints whose body is a pure function of (epoch, params) run
-	// behind the epoch-keyed cache: ETag short-circuit, then LRU replay,
-	// then singleflight-collapsed computation inside the worker pool.
-	for _, ep := range []struct {
-		path, name string
-		h          http.HandlerFunc
-	}{
-		{"/graph", "graph", s.handleGraph},
-		{"/query/bfs", "bfs", s.handleBFS},
-		{"/query/cc", "cc", s.handleCC},
-		{"/query/pagerank", "pagerank", s.handlePageRank},
-		{"/query/sssp", "sssp", s.handleSSSP},
-		{"/query/mst", "mst", s.handleMST},
-		{"/query/coloring", "coloring", s.handleColoring},
-	} {
-		s.mux.HandleFunc(ep.path, s.instrumented(ep.name, s.cachedGET(s.pooled(ep.h))))
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.path, s.instrumented(rt.name, rt.h))
 	}
-	// /stats, /metrics and /debug/slowlog are uncacheable live reads:
-	// no ETag, Cache-Control: no-store, so a poller can never observe
-	// counters frozen behind a 304. /metrics and /debug/slowlog also
-	// bypass the worker pool (like pprof) — they must answer exactly when
-	// every pool slot is busy.
-	s.mux.HandleFunc("/stats", s.instrumented("stats", s.pooled(s.handleStats)))
-	s.mux.HandleFunc("/metrics", s.instrumented("metrics", s.handleMetrics))
-	s.mux.HandleFunc("/debug/slowlog", s.instrumented("slowlog", s.handleSlowlog))
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -523,13 +526,7 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 
 // txConfig derives the per-request transaction config, honoring ?mech=.
 func (s *Server) txConfig(r *http.Request) (dyn.TxConfig, error) {
-	mech := s.cfg.Mechanism
-	if name := r.URL.Query().Get("mech"); name != "" {
-		var ok bool
-		if mech, ok = MechByName(name); !ok {
-			return dyn.TxConfig{}, fmt.Errorf("unknown mechanism %q (want htm, atomic, lock, occ or flatcomb)", name)
-		}
-	}
+	mech, err := s.queryMech(r.URL.Query())
 	return dyn.TxConfig{
 		Mechanism: mech,
 		Backend:   s.cfg.Backend,
@@ -538,118 +535,92 @@ func (s *Server) txConfig(r *http.Request) (dyn.TxConfig, error) {
 		M:         s.cfg.M,
 		C:         s.cfg.C,
 		Seed:      s.cfg.Seed,
-	}, nil
+	}, err
 }
 
-// Wire names of the query engines (?engine=).
-const (
-	engAAM     = "aam"
-	engShard   = "shard"
-	engGBLAS   = "gblas"
-	engCluster = "cluster"
-)
-
-// queryMech resolves ?mech= against the server default. Unlike the old
-// sharded-only parsing, an unknown mechanism is a 400 on every query path
-// — nothing falls through silently.
-func (s *Server) queryMech(r *http.Request) (aam.Mechanism, error) {
-	mech := s.cfg.Mechanism
-	if name := r.URL.Query().Get("mech"); name != "" {
-		var ok bool
-		if mech, ok = MechByName(name); !ok {
-			return 0, fmt.Errorf("unknown mechanism %q (want htm, atomic, lock, occ or flatcomb)", name)
-		}
+// queryMech resolves ?mech= against the server default. An unknown
+// mechanism is a 400 on every path — nothing falls through silently.
+func (s *Server) queryMech(q url.Values) (aam.Mechanism, error) {
+	if name := q.Get("mech"); name != "" {
+		return aam.MechanismByName(name)
 	}
-	return mech, nil
-}
-
-// shardCfg derives a sharded-executor config from ?shards= (and ?mech=,
-// ?part=). shards == 0 means the single-runtime path. The upper bound
-// mirrors the executor's own sanity cap (64 shards per processor), so
-// every value the endpoint accepts is one the executor will run.
-func (s *Server) shardCfg(r *http.Request) (shard.Config, int, error) {
-	mech, err := s.queryMech(r)
-	if err != nil {
-		return shard.Config{}, 0, err
-	}
-	v := r.URL.Query().Get("shards")
-	if v == "" {
-		if p := r.URL.Query().Get("part"); p != "" {
-			return shard.Config{}, 0, fmt.Errorf("part only applies to the sharded path (add ?shards=N)")
-		}
-		// Single-runtime path: the resolved mechanism still rides along so
-		// the aam engine honors ?mech= too.
-		return shard.Config{Mechanism: mech}, 0, nil
-	}
-	maxShards := 64 * runtime.GOMAXPROCS(0)
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 || n > maxShards {
-		return shard.Config{}, 0, fmt.Errorf("bad shards %q (want 1..%d on this server)", v, maxShards)
-	}
-	part := shard.PartBlock
-	if name := r.URL.Query().Get("part"); name != "" {
-		var ok bool
-		if part, ok = shard.PartByName(name); !ok {
-			return shard.Config{}, 0, fmt.Errorf("unknown partition %q (want block or edge)", name)
-		}
-		// shards=1 takes the single-runtime path below, where the
-		// partition choice would be silently dropped — reject it like the
-		// missing-?shards= case above.
-		if n <= 1 {
-			return shard.Config{}, 0, fmt.Errorf("part only applies to the sharded path (want shards >= 2)")
-		}
-	}
-	return shard.Config{Shards: n, BatchSize: s.cfg.C, Mechanism: mech, Part: part}, n, nil
+	return s.cfg.Mechanism, nil
 }
 
 // querySel resolves the engine axis of one query request — ?engine=
-// against ?shards=/?mech=/?part= — and stamps the effective engine into
-// the request's trace span. Unknown and conflicting combinations are
-// errors (the handler answers 400); an absent ?engine= preserves the
-// historical behavior: shard when ?shards=N (N > 1), aam otherwise.
-func (s *Server) querySel(r *http.Request) (string, shard.Config, int, error) {
-	scfg, shards, err := s.shardCfg(r)
+// against ?shards=/?mech=/?part= — into the effective engine and the
+// sharded-executor config, and stamps the engine into the request's trace
+// span. Unknown and conflicting combinations are errors (the handler
+// answers 400); an absent ?engine= preserves the historical behavior:
+// shard when ?shards=N (N > 1), aam otherwise. Shards == 0 in the config
+// means the single-runtime path, where the resolved mechanism still rides
+// along so the aam engine honors ?mech= too. The ?shards= upper bound
+// mirrors the executor's own sanity cap (64 shards per processor), so
+// every value the endpoint accepts is one the executor will run.
+func (s *Server) querySel(r *http.Request, q url.Values) (string, shard.Config, error) {
+	mech, err := s.queryMech(q)
 	if err != nil {
-		return "", scfg, 0, err
+		return "", shard.Config{}, err
 	}
-	eng := ""
-	switch name := r.URL.Query().Get("engine"); name {
+	scfg := shard.Config{Mechanism: mech}
+	if v := q.Get("shards"); v == "" {
+		if q.Get("part") != "" {
+			return "", scfg, fmt.Errorf("part only applies to the sharded path (add ?shards=N)")
+		}
+	} else {
+		maxShards := 64 * runtime.GOMAXPROCS(0)
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 || n > maxShards {
+			return "", scfg, fmt.Errorf("bad shards %q (want 1..%d on this server)", v, maxShards)
+		}
+		scfg.Shards, scfg.BatchSize = n, s.cfg.C
+		if name := q.Get("part"); name != "" {
+			var ok bool
+			if scfg.Part, ok = shard.PartByName(name); !ok {
+				return "", scfg, fmt.Errorf("unknown partition %q (want block or edge)", name)
+			}
+			// shards=1 takes the single-runtime path, where the partition
+			// choice would be silently dropped — reject it like a missing
+			// ?shards=.
+			if n <= 1 {
+				return "", scfg, fmt.Errorf("part only applies to the sharded path (want shards >= 2)")
+			}
+		}
+	}
+	eng := q.Get("engine")
+	switch eng {
 	case "":
-		eng = engAAM
-		if shards > 1 {
-			eng = engShard
+		eng = query.EngineAAM
+		if scfg.Shards > 1 {
+			eng = query.EngineShard
 		}
-	case engAAM:
-		if shards > 1 {
-			return "", scfg, 0, fmt.Errorf("engine=aam conflicts with shards=%d (the aam engine is unsharded)", shards)
+	case query.EngineAAM:
+		if scfg.Shards > 1 {
+			return "", scfg, fmt.Errorf("engine=aam conflicts with shards=%d (the aam engine is unsharded)", scfg.Shards)
 		}
-		eng = engAAM
-	case engShard:
-		if shards < 2 {
-			return "", scfg, 0, fmt.Errorf("engine=shard needs ?shards=N with N >= 2")
+	case query.EngineShard:
+		if scfg.Shards < 2 {
+			return "", scfg, fmt.Errorf("engine=shard needs ?shards=N with N >= 2")
 		}
-		eng = engShard
-	case engGBLAS:
-		if r.URL.Query().Get("shards") != "" {
-			return "", scfg, 0, fmt.Errorf("engine=gblas conflicts with ?shards= (the gblas engine is unsharded)")
+	case query.EngineGBLAS:
+		if q.Get("shards") != "" {
+			return "", scfg, fmt.Errorf("engine=gblas conflicts with ?shards= (the gblas engine is unsharded)")
 		}
-		if r.URL.Query().Get("mech") != "" {
-			return "", scfg, 0, fmt.Errorf("mech does not apply to the gblas engine")
+		if q.Get("mech") != "" {
+			return "", scfg, fmt.Errorf("mech does not apply to the gblas engine")
 		}
-		eng = engGBLAS
-	case engCluster:
-		if shards < 2 {
-			return "", scfg, 0, fmt.Errorf("engine=cluster needs ?shards=N with N >= 2")
+	case query.EngineCluster:
+		if scfg.Shards < 2 {
+			return "", scfg, fmt.Errorf("engine=cluster needs ?shards=N with N >= 2")
 		}
 		if s.cluster.Load() == nil {
-			return "", scfg, 0, fmt.Errorf("engine=cluster needs an attached worker cluster (start the daemon with -cluster-listen)")
+			return "", scfg, fmt.Errorf("engine=cluster needs an attached worker cluster (start the daemon with -cluster-listen)")
 		}
-		eng = engCluster
 	default:
-		return "", scfg, 0, fmt.Errorf("unknown engine %q (want aam, shard, gblas or cluster)", name)
+		return "", scfg, fmt.Errorf("unknown engine %q (want aam, shard, gblas or cluster)", eng)
 	}
 	spanOf(r).Engine = eng
-	return eng, scfg, shards, nil
+	return eng, scfg, nil
 }
 
 // clusterInfo reports how a cluster-routed query was executed; it is
@@ -661,30 +632,41 @@ type clusterInfo struct {
 	Fallback string `json:"fallback,omitempty"`
 }
 
-// runSharded executes one sharded query body. On the shard engine it is
-// just local(). On the cluster engine it routes the job to the attached
-// worker cluster and, when the cluster cannot answer — detached, closed,
-// poisoned, or the distributed run failed even after its retries — it
-// degrades gracefully: the same query runs in-process via local() and the
-// response body and trace span record the fallback instead of surfacing
-// a 5xx to a caller whose query the server can still answer.
-func (s *Server) runSharded(r *http.Request, eng string, dist func(*shard.Cluster) error, local func() error) (*clusterInfo, error) {
-	if eng != engCluster {
-		return nil, local()
+// run executes one query on its engine. On the cluster engine it routes
+// the job to the attached worker cluster and, when the cluster cannot
+// answer — detached, closed, poisoned, or the distributed run failed even
+// after its retries — it degrades gracefully: the same query runs on the
+// in-process shard engine and the response body and trace span record the
+// fallback instead of surfacing a 5xx to a caller whose query the server
+// can still answer.
+func (s *Server) run(r *http.Request, d *query.Descriptor, eng string, g *graph.Graph, a query.Args, scfg shard.Config) (query.Result, *clusterInfo, error) {
+	prof := s.prof
+	env := query.Env{
+		Runtime: s.cfg.Backend, Profile: &prof, Nodes: 1, Threads: s.cfg.Threads, Seed: s.cfg.Seed,
+		AAM:   aam.Config{M: s.cfg.M, C: s.cfg.C, Mechanism: scfg.Mechanism},
+		Shard: scfg,
+	}
+	if scfg.Mechanism == aam.MechHTM {
+		env.AAM.HTM = s.prof.HTMVariant("")
+	}
+	if eng != query.EngineCluster {
+		res, err := d.Run(eng, g, a, env)
+		return res, nil, err
 	}
 	info := &clusterInfo{}
-	if c := s.cluster.Load(); c == nil {
+	if env.Cluster = s.cluster.Load(); env.Cluster == nil {
 		info.Fallback = "no cluster attached"
-	} else if err := dist(c); err != nil {
+	} else if res, err := d.Run(eng, g, a, env); err != nil {
 		info.Fallback = err.Error()
 	} else {
 		info.Used = true
-		info.Ranks = c.LiveWorkers() + 1
-		return info, nil
+		info.Ranks = env.Cluster.LiveWorkers() + 1
+		return res, info, nil
 	}
 	s.fallbacks.Add(1)
 	spanOf(r).Fallback = info.Fallback
-	return info, local()
+	res, err := d.Run(query.EngineShard, g, a, env)
+	return res, info, err
 }
 
 // shardSummary renders the messaging counters of a sharded run and
@@ -731,18 +713,6 @@ func (s *Server) writeQuery(w http.ResponseWriter, r *http.Request, out map[stri
 		out["trace"] = sp.traceView()
 	}
 	s.writeJSON(w, http.StatusOK, out)
-}
-
-// MechByName resolves the wire names of the five isolation mechanisms.
-func MechByName(name string) (aam.Mechanism, bool) {
-	for _, m := range []aam.Mechanism{
-		aam.MechHTM, aam.MechAtomic, aam.MechLock, aam.MechOptimistic, aam.MechFlatCombining,
-	} {
-		if m.String() == name {
-			return m, true
-		}
-	}
-	return 0, false
 }
 
 type edgesRequest struct {
@@ -863,322 +833,209 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// engineCfg shapes the single-runtime AAM engine; mech is the ?mech=
-// resolved mechanism (shardCfg carries it even on the unsharded path).
-func (s *Server) engineCfg(mech aam.Mechanism) aam.Config {
-	cfg := aam.Config{M: s.cfg.M, C: s.cfg.C, Mechanism: mech}
-	if cfg.Mechanism == aam.MechHTM {
-		cfg.HTM = s.prof.HTMVariant("")
-	}
-	return cfg
+// attachment is what the daemon adds to one registry descriptor, looked
+// up by name: how a Result becomes the response body, and the two cases it
+// answers without running an engine.
+type attachment struct {
+	// summarise writes the algorithm's own body keys from res over an
+	// n-vertex graph; full asks for the per-vertex vector too.
+	summarise func(out map[string]any, n int, a query.Args, res query.Result, full bool)
+	// live, when set, answers the aam engine from state the dynamic graph
+	// maintains incrementally; it returns the snapshot that state is of.
+	live func(g *dyn.Graph, out map[string]any, full bool) *dyn.Snapshot
+	// skipEmpty lists the engines on which the empty graph is answered from
+	// the zero Result, without running.
+	skipEmpty []string
 }
 
-func (s *Server) machine(memWords int, handlers []exec.HandlerFunc) exec.Machine {
-	prof := s.prof
-	return run.New(s.cfg.Backend, exec.Config{
-		Nodes: 1, ThreadsPerNode: s.cfg.Threads,
-		MemWords: memWords, Profile: &prof,
-		Handlers: handlers, Seed: s.cfg.Seed,
-	})
+var attachments = map[string]attachment{
+	"bfs":      {summarise: summariseBFS},
+	"cc":       {summarise: summariseCC, live: liveCC},
+	"pagerank": {summarise: summarisePageRank},
+	"sssp":     {summarise: summariseSSSP},
+	"mst":      {summarise: summariseMST, skipEmpty: []string{query.EngineAAM, query.EngineShard, query.EngineCluster}},
+	// The sharded executor colors the empty graph itself.
+	"coloring": {summarise: summariseColoring, skipEmpty: []string{query.EngineAAM}},
 }
 
-func (s *Server) handleBFS(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
+// handleQuery is the one query handler: parameter decode and engine
+// selection (both before the O(V+E) freeze — invalid requests must not pay
+// it), one consistent snapshot, the run, and the body keys every algorithm
+// shares; the descriptor's attachment fills in the rest.
+func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
+	att, ok := attachments[d.Name]
+	if !ok {
+		panic("serve: no attachment for registry entry " + d.Name)
 	}
-	snap := s.g.Snapshot() // one consistent cut; writers continue concurrently
-	src, err := strconv.Atoi(r.URL.Query().Get("src"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad src: %v", err)
-		return
-	}
-	if src < 0 || src >= snap.N() {
-		s.fail(w, http.StatusBadRequest, "src %d out of range [0,%d)", src, snap.N())
-		return
-	}
-	eng, scfg, _, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f := s.timedFreeze(r, snap)
-	switch eng {
-	case engShard, engCluster:
-		t0 := time.Now()
-		var res shard.BFSResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.BFS(f, src, scfg); return },
-			func() (e error) { res, e = shard.BFS(f, src, scfg); return })
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			s.fail(w, http.StatusMethodNotAllowed, "use GET")
+			return
+		}
+		q := r.URL.Query()
+		full := q.Get("full") == "1"
+		snap := s.g.Snapshot() // one consistent cut; writers continue concurrently
+		args, err := d.Decode(q.Get, snap.N())
+		var eng string
+		var scfg shard.Config
+		if err == nil {
+			eng, scfg, err = s.querySel(r, q)
+		}
+		if err == nil && d.Engines[eng] == nil {
+			err = d.NotImplemented(eng, strings.ToLower(d.Title))
+		}
+		if err == nil {
+			err = d.Check(eng, q.Get, args, snap.N())
+		}
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		s.queries.Add(1)
-		reached := 0
-		for _, p := range res.Parents {
-			if p >= 0 {
-				reached++
-			}
-		}
-		out := map[string]any{
-			"src":          src,
-			"engine":       eng,
-			"epoch":        snap.Epoch(),
-			"n":            f.N,
-			"reached":      reached,
-			"levels":       res.Levels,
-			"sharded":      s.shardSummary(r, scfg, res.Result),
-			"wall_time_ns": time.Since(t0).Nanoseconds(),
-		}
-		if cl != nil {
-			out["cluster"] = cl
-		}
-		if r.URL.Query().Get("full") == "1" {
-			out["parents"] = res.Parents
-		}
-		s.writeQuery(w, r, out)
-		return
-	case engGBLAS:
+		out := map[string]any{"engine": eng, "n": snap.N()}
 		t0 := time.Now()
-		parents, _, res, err := gblas.EngineBFS(f, src)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
+		if eng == query.EngineAAM && att.live != nil {
+			snap = att.live(s.g, out, full)
+			out["n"] = snap.N()
+			out["wall_time_ns"] = time.Since(t0).Nanoseconds()
+		} else if f := s.timedFreeze(r, snap); f.N == 0 && slices.Contains(att.skipEmpty, eng) {
+			att.summarise(out, 0, args, query.Result{}, false)
+		} else {
+			if d.Weighted {
+				// The dynamic graph stores no weights: the same wseed over the
+				// same epoch synthesizes the same ones, so answers reproduce.
+				f = graph.AttachSymmetricWeights(f, args.WSeed)
+			}
+			t0 = time.Now()
+			res, cl, err := s.run(r, d, eng, f, args, scfg)
+			if err != nil {
+				s.fail(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			switch {
+			case res.AAM != nil:
+				out["machine_time_ns"] = int64(res.AAM.Elapsed)
+			case res.Shard != nil:
+				out["sharded"] = s.shardSummary(r, scfg, *res.Shard)
+			}
+			out["wall_time_ns"] = time.Since(t0).Nanoseconds()
+			if cl != nil {
+				out["cluster"] = cl
+			}
+			att.summarise(out, f.N, args, res, full)
 		}
 		s.queries.Add(1)
-		reached := 0
-		for _, p := range parents {
-			if p >= 0 {
-				reached++
-			}
-		}
-		out := map[string]any{
-			"src":     src,
-			"engine":  eng,
-			"epoch":   snap.Epoch(),
-			"n":       f.N,
-			"reached": reached,
-			// Steps counts frontier expansions including the final empty
-			// one, so depth matches the sharded response's "levels".
-			"levels": res.Steps - 1,
-			"gblas": map[string]any{
-				"push_steps": res.PushSteps,
-				"pull_steps": res.PullSteps,
-			},
-			"wall_time_ns": time.Since(t0).Nanoseconds(),
-		}
-		if r.URL.Query().Get("full") == "1" {
-			out["parents"] = parents
-		}
+		out["epoch"] = snap.Epoch()
 		s.writeQuery(w, r, out)
-		return
 	}
-	b := algo.NewBFS(f, 1, algo.BFSConfig{
-		Mode: algo.BFSAAM, Engine: s.engineCfg(scfg.Mechanism), VisitedCheck: true,
-	})
-	m := s.machine(b.MemWords(), b.Handlers(nil))
-	t0 := time.Now()
-	res := m.Run(b.Body(src))
-	parents := b.Parents(m)
-	s.queries.Add(1)
+}
 
+// liveCC serves the incrementally maintained component labels — no AAM
+// machine runs. One atomic view: count, labels and epoch belong to the
+// same state.
+func liveCC(g *dyn.Graph, out map[string]any, full bool) *dyn.Snapshot {
+	snap, count, labels := g.ComponentView(full)
+	out["components"] = count
+	if labels != nil {
+		out["labels"] = labels
+	}
+	return snap
+}
+
+func summariseBFS(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
+	out["src"] = a.Src
 	reached := 0
-	for _, p := range parents {
+	for _, p := range res.Parents {
 		if p >= 0 {
 			reached++
 		}
 	}
-	out := map[string]any{
-		"src":             src,
-		"engine":          eng,
-		"epoch":           snap.Epoch(),
-		"n":               f.N,
-		"reached":         reached,
-		"machine_time_ns": int64(res.Elapsed),
-		"wall_time_ns":    time.Since(t0).Nanoseconds(),
+	out["reached"] = reached
+	if res.AAM == nil {
+		out["levels"] = res.Steps
 	}
-	if r.URL.Query().Get("full") == "1" {
-		out["parents"] = parents
+	if res.GBLAS != nil {
+		out["gblas"] = map[string]any{"push_steps": res.GBLAS.PushSteps, "pull_steps": res.GBLAS.PullSteps}
 	}
-	s.writeQuery(w, r, out)
+	if full {
+		out["parents"] = res.Parents
+	}
 }
 
-func (s *Server) handleCC(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
+func summariseCC(out map[string]any, _ int, _ query.Args, res query.Result, full bool) {
+	out["components"] = distinct(res.Labels)
+	if res.Shard != nil {
+		out["rounds"] = res.Steps
 	}
-	eng, scfg, _, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+	if full {
+		out["labels"] = res.Labels
 	}
-	if eng == engGBLAS {
-		s.fail(w, http.StatusBadRequest, "engine gblas does not implement components (use aam or shard)")
-		return
+}
+
+func summarisePageRank(out map[string]any, _ int, a query.Args, res query.Result, _ bool) {
+	delete(out, "n") // the one body that has never carried the vertex count
+	out["iters"] = a.Iters
+	out["damping"] = a.Damping
+	out["top"] = topRanked(res.Ranks, a.Top)
+}
+
+func summariseSSSP(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
+	out["src"] = a.Src
+	out["wseed"] = a.WSeed
+	if res.Shard != nil {
+		out["buckets"] = res.Steps
+		out["delta"] = res.Delta
 	}
-	if eng == engShard || eng == engCluster {
-		snap := s.g.Snapshot()
-		t0 := time.Now()
-		f := s.timedFreeze(r, snap)
-		var res shard.CCResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.Components(f, scfg); return },
-			func() (e error) { res, e = shard.Components(f, scfg); return })
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
+	if res.GBLAS != nil {
+		out["gblas"] = map[string]any{"rounds": res.GBLAS.Steps}
+	}
+	reached := 0
+	for _, d := range res.Dists {
+		if d != ^uint64(0) {
+			reached++
 		}
-		s.queries.Add(1)
-		distinct := map[int32]struct{}{}
-		for _, l := range res.Labels {
-			distinct[l] = struct{}{}
-		}
-		out := map[string]any{
-			"components":   len(distinct),
-			"engine":       eng,
-			"n":            snap.N(),
-			"epoch":        snap.Epoch(),
-			"rounds":       res.Rounds,
-			"sharded":      s.shardSummary(r, scfg, res.Result),
-			"wall_time_ns": time.Since(t0).Nanoseconds(),
-		}
-		if cl != nil {
-			out["cluster"] = cl
-		}
-		if r.URL.Query().Get("full") == "1" {
-			out["labels"] = res.Labels
-		}
-		s.writeQuery(w, r, out)
-		return
 	}
-	// The unsharded path serves the incrementally maintained labels — no
-	// AAM machine runs, so an explicit ?mech= would be silently dropped.
-	if r.URL.Query().Get("mech") != "" {
-		s.fail(w, http.StatusBadRequest, "mech only applies to the sharded components query (add ?shards=N)")
-		return
+	out["reached"] = reached
+	if full {
+		out["dists"] = signedDists(res.Dists)
 	}
-	t0 := time.Now()
-	// One atomic view: count, labels and epoch belong to the same state.
-	snap, count, labels := s.g.ComponentView(r.URL.Query().Get("full") == "1")
-	s.queries.Add(1)
-	out := map[string]any{
-		"components":   count,
-		"engine":       eng,
-		"n":            snap.N(),
-		"epoch":        snap.Epoch(),
-		"wall_time_ns": time.Since(t0).Nanoseconds(),
+}
+
+func summariseMST(out map[string]any, n int, a query.Args, res query.Result, full bool) {
+	out["wseed"] = a.WSeed
+	out["weight"] = res.Weight
+	comps := distinct(res.Labels)
+	out["components"] = comps
+	out["edges"] = n - comps // a spanning forest, on every engine
+	if res.Shard != nil {
+		out["rounds"] = res.Steps
 	}
-	if labels != nil {
-		out["labels"] = labels
+	if full {
+		out["labels"] = res.Labels
 	}
-	s.writeQuery(w, r, out)
+}
+
+func summariseColoring(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
+	out["colors"] = res.Used
+	if res.Shard != nil {
+		out["rounds"] = res.Steps
+		out["seed"] = a.Seed
+	}
+	if full {
+		out["per_vertex"] = res.Colors
+	}
+}
+
+func distinct(labels []int32) int {
+	seen := map[int32]struct{}{}
+	for _, l := range labels {
+		seen[l] = struct{}{}
+	}
+	return len(seen)
 }
 
 type rankedVertex struct {
 	V    int     `json:"v"`
 	Rank float64 `json:"rank"`
-}
-
-func (s *Server) handlePageRank(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	q := r.URL.Query()
-	iters, damping, top := 10, 0.85, 10
-	var err error
-	if v := q.Get("iters"); v != "" {
-		if iters, err = strconv.Atoi(v); err != nil || iters < 1 || iters > 1000 {
-			s.fail(w, http.StatusBadRequest, "bad iters %q", v)
-			return
-		}
-	}
-	if v := q.Get("damping"); v != "" {
-		if damping, err = strconv.ParseFloat(v, 64); err != nil || damping <= 0 || damping >= 1 {
-			s.fail(w, http.StatusBadRequest, "bad damping %q", v)
-			return
-		}
-	}
-	if v := q.Get("top"); v != "" {
-		if top, err = strconv.Atoi(v); err != nil || top < 1 {
-			s.fail(w, http.StatusBadRequest, "bad top %q", v)
-			return
-		}
-	}
-	eng, scfg, _, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	snap := s.g.Snapshot()
-	f := s.timedFreeze(r, snap)
-	// Validate an explicit top against the graph size on *every* path:
-	// topRanked clamps defensively, but a request for more vertices than
-	// the graph has is a caller error, not a truncation.
-	if q.Get("top") != "" && top > f.N {
-		s.fail(w, http.StatusBadRequest, "top %d out of range [1,%d]", top, f.N)
-		return
-	}
-	switch eng {
-	case engShard, engCluster:
-		t0 := time.Now()
-		var res shard.PRResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.PageRank(f, damping, iters, scfg); return },
-			func() (e error) { res, e = shard.PageRank(f, damping, iters, scfg); return })
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.queries.Add(1)
-		out := map[string]any{
-			"iters":        iters,
-			"damping":      damping,
-			"engine":       eng,
-			"epoch":        snap.Epoch(),
-			"top":          topRanked(res.Ranks, top),
-			"sharded":      s.shardSummary(r, scfg, res.Result),
-			"wall_time_ns": time.Since(t0).Nanoseconds(),
-		}
-		if cl != nil {
-			out["cluster"] = cl
-		}
-		s.writeQuery(w, r, out)
-		return
-	case engGBLAS:
-		t0 := time.Now()
-		ranks, _ := gblas.EnginePageRank(f, damping, iters)
-		s.queries.Add(1)
-		s.writeQuery(w, r, map[string]any{
-			"iters":        iters,
-			"damping":      damping,
-			"engine":       eng,
-			"epoch":        snap.Epoch(),
-			"top":          topRanked(ranks, top),
-			"wall_time_ns": time.Since(t0).Nanoseconds(),
-		})
-		return
-	}
-	p := algo.NewPageRank(f, 1, algo.PRConfig{
-		Damping: damping, Iterations: iters, Engine: s.engineCfg(scfg.Mechanism),
-	})
-	m := s.machine(p.MemWords(), p.Handlers(nil))
-	t0 := time.Now()
-	res := m.Run(p.Body())
-	ranks := p.Ranks(m)
-	s.queries.Add(1)
-
-	s.writeQuery(w, r, map[string]any{
-		"iters":           iters,
-		"damping":         damping,
-		"engine":          eng,
-		"epoch":           snap.Epoch(),
-		"top":             topRanked(ranks, top),
-		"machine_time_ns": int64(res.Elapsed),
-		"wall_time_ns":    time.Since(t0).Nanoseconds(),
-	})
 }
 
 // topRanked returns the top vertices by rank, descending.
@@ -1198,296 +1055,14 @@ func topRanked(ranks []float64, top int) []rankedVertex {
 	return best
 }
 
-// weightedView attaches deterministic symmetric edge weights to a frozen
-// snapshot (the dynamic graph stores none): the same wseed over the same
-// epoch yields the same weights, so SSSP and MST queries are reproducible.
-func weightedView(f *graph.Graph, wseed uint64) *graph.Graph {
-	return graph.AttachSymmetricWeights(f, wseed)
-}
-
-// uintParam parses an optional non-negative integer query parameter.
-func uintParam(r *http.Request, name string, def uint64) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 63)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, v)
-	}
-	return n, nil
-}
-
-// signedDists maps the uint64 distance vector to JSON-friendly int64s
-// (-1 = unreachable).
+// signedDists maps the uint64 distance vector to JSON-friendly int64s:
+// the unreachable marker MaxUint64 wraps to -1.
 func signedDists(dists []uint64) []int64 {
 	out := make([]int64, len(dists))
 	for i, d := range dists {
-		if d == ^uint64(0) {
-			out[i] = -1
-		} else {
-			out[i] = int64(d)
-		}
+		out[i] = int64(d)
 	}
 	return out
-}
-
-func (s *Server) handleSSSP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	// Validate every parameter before freezing: materializing the CSR is
-	// O(V+E) and invalid requests must not pay it.
-	snap := s.g.Snapshot()
-	src, err := strconv.Atoi(r.URL.Query().Get("src"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "bad src: %v", err)
-		return
-	}
-	// Graph-size validation happens here, on every path: the sharded
-	// executor re-checks, but the single-runtime algorithm would panic.
-	if src < 0 || src >= snap.N() {
-		s.fail(w, http.StatusBadRequest, "src %d out of range [0,%d)", src, snap.N())
-		return
-	}
-	wseed, err := uintParam(r, "wseed", 1)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	delta, err := uintParam(r, "delta", 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, scfg, _, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	f := s.timedFreeze(r, snap)
-	wg := weightedView(f, wseed)
-	out := map[string]any{
-		"src":    src,
-		"engine": eng,
-		"epoch":  snap.Epoch(),
-		"n":      f.N,
-		"wseed":  wseed,
-	}
-	var dists []uint64
-	switch eng {
-	case engShard, engCluster:
-		t0 := time.Now()
-		var res shard.SSSPResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.SSSP(wg, src, delta, scfg); return },
-			func() (e error) { res, e = shard.SSSP(wg, src, delta, scfg); return })
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		dists = res.Dists
-		out["buckets"] = res.Buckets
-		out["delta"] = res.Delta
-		out["sharded"] = s.shardSummary(r, scfg, res.Result)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-		if cl != nil {
-			out["cluster"] = cl
-		}
-	case engGBLAS:
-		if r.URL.Query().Get("delta") != "" {
-			s.fail(w, http.StatusBadRequest, "delta only applies to the sharded delta-stepping SSSP")
-			return
-		}
-		t0 := time.Now()
-		res, eres, err := gblas.EngineSSSP(wg, src)
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		dists = res
-		out["gblas"] = map[string]any{"rounds": eres.Steps}
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-	default:
-		a := algo.NewSSSP(wg, 1)
-		m := s.machine(a.MemWords(), a.Handlers(nil))
-		t0 := time.Now()
-		res := m.Run(a.Body(src, s.engineCfg(scfg.Mechanism)))
-		dists = a.Dists(m)
-		out["machine_time_ns"] = int64(res.Elapsed)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-	}
-	s.queries.Add(1)
-	reached := 0
-	for _, d := range dists {
-		if d != ^uint64(0) {
-			reached++
-		}
-	}
-	out["reached"] = reached
-	if r.URL.Query().Get("full") == "1" {
-		out["dists"] = signedDists(dists)
-	}
-	s.writeQuery(w, r, out)
-}
-
-func (s *Server) handleMST(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	wseed, err := uintParam(r, "wseed", 1)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, scfg, shards, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eng == engGBLAS {
-		s.fail(w, http.StatusBadRequest, "engine gblas does not implement mst (use aam or shard)")
-		return
-	}
-	snap := s.g.Snapshot()
-	f := s.timedFreeze(r, snap)
-	out := map[string]any{
-		"n":      f.N,
-		"engine": eng,
-		"epoch":  snap.Epoch(),
-		"wseed":  wseed,
-	}
-	if f.N == 0 {
-		out["weight"] = 0
-		out["edges"] = 0
-		out["components"] = 0
-		s.queries.Add(1)
-		s.writeQuery(w, r, out)
-		return
-	}
-	wg := weightedView(f, wseed)
-	var labels []int32
-	if shards > 1 {
-		t0 := time.Now()
-		var res shard.MSTResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.MST(wg, scfg); return },
-			func() (e error) { res, e = shard.MST(wg, scfg); return })
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		labels = res.Labels
-		out["weight"] = res.Weight
-		out["edges"] = res.Edges
-		out["rounds"] = res.Rounds
-		out["sharded"] = s.shardSummary(r, scfg, res.Result)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-		if cl != nil {
-			out["cluster"] = cl
-		}
-	} else {
-		b := algo.NewBoruvka(wg)
-		m := s.machine(b.MemWords(), b.Handlers(nil))
-		t0 := time.Now()
-		res := m.Run(b.Body(s.engineCfg(scfg.Mechanism)))
-		labels = b.Components(m)
-		out["weight"] = b.Weight(m)
-		out["machine_time_ns"] = int64(res.Elapsed)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-	}
-	distinct := map[int32]struct{}{}
-	for _, l := range labels {
-		distinct[l] = struct{}{}
-	}
-	out["components"] = len(distinct)
-	if _, ok := out["edges"]; !ok {
-		out["edges"] = f.N - len(distinct)
-	}
-	s.queries.Add(1)
-	if r.URL.Query().Get("full") == "1" {
-		out["labels"] = labels
-	}
-	s.writeQuery(w, r, out)
-}
-
-func (s *Server) handleColoring(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
-	seed, err := uintParam(r, "seed", 0)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, scfg, shards, err := s.querySel(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if eng == engGBLAS {
-		s.fail(w, http.StatusBadRequest, "engine gblas does not implement coloring (use aam or shard)")
-		return
-	}
-	// The priority seed orders the sharded Jones-Plassmann coloring; the
-	// single-runtime Boman algorithm has no such knob, so an explicit
-	// seed without ?shards= would be silently ignored — reject it.
-	if r.URL.Query().Get("seed") != "" && shards <= 1 {
-		s.fail(w, http.StatusBadRequest, "seed only applies to the sharded coloring (add ?shards=N)")
-		return
-	}
-	snap := s.g.Snapshot()
-	f := s.timedFreeze(r, snap)
-	out := map[string]any{
-		"n":      f.N,
-		"epoch":  snap.Epoch(),
-		"engine": eng,
-	}
-	var colors []int32
-	if shards > 1 {
-		t0 := time.Now()
-		var res shard.ColoringResult
-		cl, err := s.runSharded(r, eng,
-			func(c *shard.Cluster) (e error) { res, e = c.Coloring(f, seed, scfg); return },
-			func() (e error) { res, e = shard.Coloring(f, seed, scfg); return })
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		colors = res.Colors
-		out["colors"] = res.Used
-		out["rounds"] = res.Rounds
-		out["seed"] = seed
-		out["sharded"] = s.shardSummary(r, scfg, res.Result)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-		if cl != nil {
-			out["cluster"] = cl
-		}
-	} else {
-		if f.N == 0 {
-			out["colors"] = 0
-			s.queries.Add(1)
-			s.writeQuery(w, r, out)
-			return
-		}
-		c := algo.NewColoring(f)
-		m := s.machine(c.MemWords(), c.Handlers(nil))
-		t0 := time.Now()
-		res := m.Run(c.Body(s.engineCfg(scfg.Mechanism), 0))
-		var used int
-		colors, used = c.Colors(m)
-		out["colors"] = used
-		out["machine_time_ns"] = int64(res.Elapsed)
-		out["wall_time_ns"] = time.Since(t0).Nanoseconds()
-	}
-	s.queries.Add(1)
-	if r.URL.Query().Get("full") == "1" {
-		out["per_vertex"] = colors
-	}
-	s.writeQuery(w, r, out)
 }
 
 type statsResponse struct {

@@ -277,17 +277,6 @@ func TestConcurrentTraffic(t *testing.T) {
 	}
 }
 
-func TestMechByName(t *testing.T) {
-	for _, name := range []string{"htm", "atomic", "lock", "occ", "flatcomb"} {
-		if m, ok := MechByName(name); !ok || m.String() != name {
-			t.Fatalf("MechByName(%q) = %v, %v", name, m, ok)
-		}
-	}
-	if _, ok := MechByName("tsx"); ok {
-		t.Fatal("unknown mechanism resolved")
-	}
-}
-
 func TestShardedQueries(t *testing.T) {
 	base := graph.Community(200, 10, 4, 0.05, 9)
 	ts, g := newTestServer(t, base, Config{C: 8})

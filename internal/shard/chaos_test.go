@@ -392,8 +392,8 @@ func TestClusterRetriesExhaust(t *testing.T) {
 func init() {
 	// test-desync runs a deliberately divergent op registry on worker
 	// ranks: the collective check words cannot match the coordinator's.
-	jobRunners["test-desync"] = func(g *graph.Graph, params []uint64, cfg Config) error {
-		return runDesyncJob(g, "beta", cfg)
+	jobRunners["test-desync"] = func(g *graph.Graph, params []uint64, cfg Config) (any, error) {
+		return nil, runDesyncJob(g, "beta", cfg)
 	}
 }
 

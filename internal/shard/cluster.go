@@ -2,9 +2,11 @@ package shard
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -102,35 +104,38 @@ type jobSpec struct {
 	G        *graph.Graph
 }
 
-// jobRunners maps job names to SPMD entry points; every rank — the
-// coordinator through Cluster.run's closure, workers through this table
-// — must execute the same driver. Tests register extra runners (the
-// package is internal, so the table is package-private).
-var jobRunners = map[string]func(g *graph.Graph, params []uint64, cfg Config) error{
-	"bfs": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := BFS(g, int(int64(p[0])), cfg)
-		return err
+// jobRunners is the wire job table: the name shipped in the job frame →
+// the SPMD driver every rank — the coordinator through clusterJob,
+// workers through runJob — runs over the frame's packed parameters. Each
+// driver unpacks what the Cluster method of the same name packs (ints as
+// two's-complement words, floats as IEEE bits). Tests register extra
+// runners (the package is internal, so the table is package-private).
+var jobRunners = map[string]func(g *graph.Graph, p []uint64, cfg Config) (any, error){
+	"bfs":      func(g *graph.Graph, p []uint64, cfg Config) (any, error) { return BFS(g, int(int64(p[0])), cfg) },
+	"cc":       func(g *graph.Graph, _ []uint64, cfg Config) (any, error) { return Components(g, cfg) },
+	"sssp":     func(g *graph.Graph, p []uint64, cfg Config) (any, error) { return SSSP(g, int(int64(p[0])), p[1], cfg) },
+	"mst":      func(g *graph.Graph, _ []uint64, cfg Config) (any, error) { return MST(g, cfg) },
+	"coloring": func(g *graph.Graph, p []uint64, cfg Config) (any, error) { return Coloring(g, p[0], cfg) },
+	"pagerank": func(g *graph.Graph, p []uint64, cfg Config) (any, error) {
+		return PageRank(g, math.Float64frombits(p[0]), int(int64(p[1])), cfg)
 	},
-	"pagerank": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := PageRank(g, math.Float64frombits(p[0]), int(int64(p[1])), cfg)
+}
+
+// JobNames lists the wire job table in sorted order.
+func JobNames() []string { return slices.Sorted(maps.Keys(jobRunners)) }
+
+// clusterJob runs the named job across the cluster — the packed
+// parameters ride the job frame to the workers — and returns the typed
+// result of the coordinator's own rank. The nil *Cluster is the in-process
+// engine: the same driver over the same packed parameters, no workers.
+func clusterJob[R any](c *Cluster, name string, g *graph.Graph, cfg Config, params ...uint64) (R, error) {
+	var res any
+	err := c.run(name, params, cfg, g, func(cfg Config) (err error) {
+		res, err = jobRunners[name](g, params, cfg)
 		return err
-	},
-	"cc": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := Components(g, cfg)
-		return err
-	},
-	"sssp": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := SSSP(g, int(int64(p[0])), p[1], cfg)
-		return err
-	},
-	"mst": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := MST(g, cfg)
-		return err
-	},
-	"coloring": func(g *graph.Graph, p []uint64, cfg Config) error {
-		_, err := Coloring(g, p[0], cfg)
-		return err
-	},
+	})
+	typed, _ := res.(R) // the zero R alongside a non-nil err
+	return typed, err
 }
 
 // ClusterOptions tunes the coordinator's failure handling. The zero
@@ -177,7 +182,8 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 
 // Cluster is the coordinator's handle: rank 0 of a coordinator + N
 // workers machine. Job submission is serialized (runMu); membership
-// changes (evictions, rejoins) happen concurrently under mu.
+// changes (evictions, rejoins) happen concurrently under mu. The nil
+// *Cluster has no workers: its algorithm methods run in-process.
 type Cluster struct {
 	opts     ClusterOptions
 	ln       net.Listener
@@ -320,8 +326,16 @@ func (c *Cluster) handleJoin(conn net.Conn) {
 		return
 	}
 	c.mu.Lock()
-	c.peers[r] = l
 	c.claimed[r] = false
+	if c.closed {
+		// Close ran mid-handshake and never saw this link: say its bye, or
+		// the worker idles on the session for ever.
+		c.mu.Unlock()
+		l.writeFrame(ftBye, nil)
+		conn.Close()
+		return
+	}
+	c.peers[r] = l
 	c.mu.Unlock()
 	metClusterRejoins.Inc()
 	c.updateRankGauges()
@@ -488,6 +502,9 @@ func (c *Cluster) awaitCapacity(want int, grace time.Duration) {
 // returns immediately and the cluster stays usable. Only a fingerprint
 // desync (ranks running divergent code) poisons the cluster.
 func (c *Cluster) run(name string, params []uint64, cfg Config, g *graph.Graph, fn func(cfg Config) error) error {
+	if c == nil {
+		return fn(cfg)
+	}
 	c.runMu.Lock()
 	defer c.runMu.Unlock()
 	if err := c.Err(); err != nil {
@@ -590,13 +607,7 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 		n.detachExec()
 	}()
 
-	for r := 1; r < jobRanks; r++ {
-		patchJobRank(payload, r)
-		l := jobLinks[r]
-		if err := l.writeFrame(ftJob, payload); err != nil {
-			panic(netFailure{err: fmt.Errorf("shard: job send to rank %d: %w", l.peer, err), rank: l.peer})
-		}
-	}
+	broadcastJob(jobLinks[1:], payload)
 	runCfg := cfg
 	tcp := &tcpTransport{node: n}
 	if c.opts.Chaos != nil {
@@ -605,6 +616,29 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 		runCfg.transport = tcp
 	}
 	return fn(runCfg), false
+}
+
+// broadcastJob writes the job frame to every worker of the attempt. On
+// each link it must precede the attempt's batches — a worker early-buffers
+// batches from its job frame on and drops them before it — but a fast rank
+// can have its job, start, and flush toward a peer whose job frame is
+// still unwritten, and the read loop would relay that batch ahead of it.
+// Holding every link's write lock across the broadcast makes it wait.
+func broadcastJob(links []*link, payload []byte) {
+	for _, l := range links {
+		l.wmu.Lock()
+	}
+	defer func() {
+		for _, l := range links {
+			l.wmu.Unlock()
+		}
+	}()
+	for i, l := range links {
+		patchJobRank(payload, i+1)
+		if err := l.writeHeld(ftJob, payload); err != nil {
+			panic(netFailure{err: fmt.Errorf("shard: job send to rank %d: %w", l.peer, err), rank: l.peer})
+		}
+	}
 }
 
 // abortSurvivors cancels the attempt named nonce on every rank of the
@@ -660,71 +694,34 @@ func awaitAbortAck(l *link, nonce uint64, to time.Duration) bool {
 // BFS runs the distributed direction-optimizing BFS; results are
 // bit-identical (per-vertex levels) to the in-process engine.
 func (c *Cluster) BFS(g *graph.Graph, src int, cfg Config) (BFSResult, error) {
-	var res BFSResult
-	err := c.run("bfs", []uint64{uint64(int64(src))}, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = BFS(g, src, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[BFSResult](c, "bfs", g, cfg, uint64(int64(src)))
 }
 
 // PageRank runs the distributed fixed-point PageRank; rank bits are
 // identical to the in-process engine.
 func (c *Cluster) PageRank(g *graph.Graph, damping float64, iterations int, cfg Config) (PRResult, error) {
-	var res PRResult
-	params := []uint64{math.Float64bits(damping), uint64(int64(iterations))}
-	err := c.run("pagerank", params, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = PageRank(g, damping, iterations, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[PRResult](c, "pagerank", g, cfg, math.Float64bits(damping), uint64(int64(iterations)))
 }
 
 // Components runs the distributed min-label connected components.
 func (c *Cluster) Components(g *graph.Graph, cfg Config) (CCResult, error) {
-	var res CCResult
-	err := c.run("cc", nil, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = Components(g, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[CCResult](c, "cc", g, cfg)
 }
 
 // SSSP runs the distributed delta-stepping SSSP; distance bits are
 // identical to the in-process engine.
 func (c *Cluster) SSSP(g *graph.Graph, src int, delta uint64, cfg Config) (SSSPResult, error) {
-	var res SSSPResult
-	err := c.run("sssp", []uint64{uint64(int64(src)), delta}, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = SSSP(g, src, delta, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[SSSPResult](c, "sssp", g, cfg, uint64(int64(src)), delta)
 }
 
 // MST runs the distributed Borůvka MST.
 func (c *Cluster) MST(g *graph.Graph, cfg Config) (MSTResult, error) {
-	var res MSTResult
-	err := c.run("mst", nil, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = MST(g, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[MSTResult](c, "mst", g, cfg)
 }
 
 // Coloring runs the distributed Jones–Plassmann coloring.
 func (c *Cluster) Coloring(g *graph.Graph, seed uint64, cfg Config) (ColoringResult, error) {
-	var res ColoringResult
-	err := c.run("coloring", []uint64{seed}, cfg, g, func(cfg Config) error {
-		var err error
-		res, err = Coloring(g, seed, cfg)
-		return err
-	})
-	return res, err
+	return clusterJob[ColoringResult](c, "coloring", g, cfg, seed)
 }
 
 // Close releases the cluster: workers get a clean bye (their JoinCluster
@@ -874,8 +871,11 @@ func (n *node) runJob(payload []byte) (err error, fatal bool) {
 	}()
 	cfg := spec.Cfg // already normalized by the coordinator's run()
 	cfg.transport = &tcpTransport{node: n}
-	n.startJob(spec.Nonce, spec.JobRank, spec.JobRanks, shardOwners(cfg.Shards, spec.JobRanks), nil, cfg.CollTimeout)
-	return runner(spec.G, spec.Params, cfg), false
+	if !n.startJob(spec.Nonce, spec.JobRank, spec.JobRanks, shardOwners(cfg.Shards, spec.JobRanks), nil, cfg.CollTimeout) {
+		return nil, false // superseded by a newer job frame
+	}
+	_, err = runner(spec.G, spec.Params, cfg)
+	return err, false
 }
 
 func putU32(b []byte, v uint32) {

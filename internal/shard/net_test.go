@@ -225,7 +225,9 @@ func TestWireCountersOnTCP(t *testing.T) {
 func init() {
 	// test-relay is the distributed twin of TestDrainDeliversLateChainedSpawns:
 	// registered here so worker ranks can run it by name.
-	jobRunners["test-relay"] = runRelayJob
+	jobRunners["test-relay"] = func(g *graph.Graph, params []uint64, cfg Config) (any, error) {
+		return nil, runRelayJob(g, params, cfg)
+	}
 }
 
 // runRelayJob seeds chained cross-shard relay operators (each commit spawns

@@ -444,10 +444,15 @@ type node struct {
 	// job config so all ranks share one failure-detection clock.
 	collTimeout time.Duration
 
-	mu     sync.Mutex
-	ex     *Executor // current job's executor (nil between jobs)
-	owners []int     // current job's shard→rank map (nil between jobs)
-	early  [][]byte  // batches that arrived before attachExec
+	mu sync.Mutex
+	// routeNonce names the attempt the routing state below belongs to. A
+	// worker's read loop opens it on the job frame (arm); the driver side —
+	// possibly still unwinding the previous job — touches routing state
+	// only while routeNonce is its own jobNonce.
+	routeNonce uint64
+	ex         *Executor // current job's executor (nil between jobs)
+	owners     []int     // current job's shard→rank map (nil between jobs)
+	early      [][]byte  // batches that arrived before attachExec
 	// armed gates batch routing: set when a job attempt starts, cleared
 	// on abort/detach. Batch frames of a dead attempt that are still in
 	// flight land here disarmed and are dropped by design — the retry
@@ -496,34 +501,47 @@ func (n *node) routeLink(r int) *link {
 
 // startJob arms routing and quiescence accounting for one job attempt.
 // On the coordinator it must run before the job broadcast: relayable
-// frames can arrive the moment a worker has the job. Early-held frames
-// are kept — on a worker they belong to this very attempt (quiescence
-// guarantees the previous job left nothing in flight; aborts and
-// detachExec cleared the rest).
-func (n *node) startJob(nonce uint64, jobRank, jobRanks int, owners []int, jobLinks []*link, collTO time.Duration) {
+// frames can arrive the moment a worker has the job. On a worker the read
+// loop already opened the attempt's routing state (arm); frames held
+// early since then belong to this very attempt and are kept. It reports
+// false when a newer job frame has superseded the attempt — the
+// coordinator has moved on, so the job must not run.
+func (n *node) startJob(nonce uint64, jobRank, jobRanks int, owners []int, jobLinks []*link, collTO time.Duration) bool {
 	n.mu.Lock()
+	if n.rank != 0 && n.routeNonce != nonce {
+		n.mu.Unlock()
+		return false
+	}
 	n.jobRank = jobRank
 	n.jobRanks = jobRanks
 	n.jobNonce = nonce
 	n.jobLinks = jobLinks
 	n.collTimeout = collTO
+	n.routeNonce = nonce
 	n.owners = owners
 	n.armed = true
 	n.mu.Unlock()
 	n.sentWire.Store(0)
 	n.recvWire.Store(0)
+	return true
 }
 
-// arm opens batch routing before the attempt's owners are known: the
-// worker read loop calls it on ftJob receipt, so relayed batches of the
-// new attempt that beat runJob's startJob are early-buffered instead of
-// dropped. Stale-attempt frames cannot be confused in: the coordinator
-// only sends a new job after every survivor acknowledged the previous
-// attempt's abort, and the ack is FIFO-ordered behind the dead
-// attempt's last frame.
-func (n *node) arm() {
+// arm opens batch routing for attempt nonce before its owners are known:
+// the worker read loop calls it on ftJob receipt, so batches of the new
+// attempt that beat runJob's startJob are early-buffered, not dropped. The
+// coordinator sends a job only once the previous one completed (or every
+// survivor acknowledged its abort) and the one coordinator link is FIFO,
+// so every frame of the previous attempt has been routed by now: its
+// routing state is retired here, not by the driver's detachExec, which may
+// run only after the new attempt's first batches arrived. A duplicated job
+// frame (nonce not newer) changes nothing.
+func (n *node) arm(nonce uint64) {
 	n.mu.Lock()
-	n.armed = true
+	if nonce > n.routeNonce {
+		n.routeNonce = nonce
+		n.ex, n.owners, n.early = nil, nil, nil
+		n.armed = true
+	}
 	n.mu.Unlock()
 }
 
@@ -532,6 +550,10 @@ func (n *node) arm() {
 // while this rank is still decoding the graph).
 func (n *node) attachExec(ex *Executor) {
 	n.mu.Lock()
+	if n.routeNonce != n.jobNonce { // superseded: the frames held are not ours
+		n.mu.Unlock()
+		return
+	}
 	n.ex = ex
 	early := n.early
 	n.early = nil
@@ -544,13 +566,16 @@ func (n *node) attachExec(ex *Executor) {
 }
 
 // detachExec ends the job attempt and disarms batch routing; frames of
-// the attempt still in flight are dropped on arrival.
+// the attempt still in flight are dropped on arrival. A worker whose read
+// loop has already opened the next attempt (arm) leaves that state alone.
 func (n *node) detachExec() {
 	n.mu.Lock()
-	n.ex = nil
-	n.owners = nil
-	n.early = nil
-	n.armed = false
+	if n.routeNonce == n.jobNonce {
+		n.ex = nil
+		n.owners = nil
+		n.early = nil
+		n.armed = false
+	}
 	n.mu.Unlock()
 }
 
@@ -814,6 +839,11 @@ func newLink(conn net.Conn) *link {
 func (l *link) writeFrame(ft frameType, payload []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
+	return l.writeHeld(ft, payload)
+}
+
+// writeHeld is writeFrame for a caller that already holds wmu.
+func (l *link) writeHeld(ft frameType, payload []byte) error {
 	if l.chaos != nil {
 		return l.chaos.write(l, ft, payload)
 	}
@@ -885,10 +915,11 @@ func (n *node) readLoop(l *link) {
 		case ftColl, ftCollRes:
 			l.collCh <- payload
 		case ftJob:
-			if n.rank != 0 {
-				// Arm routing now: relayed batches of this attempt may land
-				// before serveJobs gets to startJob (they early-buffer).
-				n.arm()
+			if n.rank != 0 && len(payload) >= jobPrologueLen {
+				// Arm routing now: batches of this attempt may land before
+				// serveJobs gets to startJob (they early-buffer). A shorter
+				// payload is rejected by runJob's decode.
+				n.arm(getU64(payload))
 			}
 			select {
 			case l.jobCh <- payload:
