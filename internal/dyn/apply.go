@@ -2,7 +2,6 @@ package dyn
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"aamgo/internal/aam"
@@ -385,9 +384,7 @@ func compact(s *Snapshot) *Snapshot {
 	flat := s.materialize()
 	if flat != s.base {
 		// Fresh arrays (not shared with any published view): sort in place.
-		for v := 0; v < flat.N; v++ {
-			slices.Sort(flat.Neighbors(v))
-		}
+		sortSegments(flat)
 	}
 	return &Snapshot{
 		epoch: s.epoch,

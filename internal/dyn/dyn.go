@@ -32,6 +32,7 @@ package dyn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -421,10 +422,11 @@ func NewEmpty(n int) *Graph {
 }
 
 // sortedBase enforces the per-vertex sorted-adjacency invariant every
-// snapshot base carries (HasEdge/Degree binary-search against it). Graphs
-// that already satisfy it — every generator in internal/graph and every
-// compacted base — are returned unchanged; otherwise the adjacency is
-// copied and sorted segment by segment.
+// snapshot base carries (HasEdge/Degree binary-search against it). Only the
+// generators that build with Dedup (RoadGrid, Community) emit sorted
+// segments and only compaction leaves them sorted; such a base is returned
+// unchanged. Any other — every Kronecker graph, a checkpoint taken with
+// deltas outstanding — is copied and the copy sorted segment by segment.
 func sortedBase(base *graph.Graph) *graph.Graph {
 	sorted := true
 	for v := 0; v < base.N && sorted; v++ {
@@ -433,12 +435,39 @@ func sortedBase(base *graph.Graph) *graph.Graph {
 	if sorted {
 		return base
 	}
-	adj := slices.Clone(base.Adj)
-	out := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: adj}
-	for v := 0; v < out.N; v++ {
-		slices.Sort(out.Neighbors(v))
-	}
+	out := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: slices.Clone(base.Adj)}
+	sortSegments(out)
 	return out
+}
+
+// sortSegments sorts every adjacency segment of the flat graph g in place
+// on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph).
+// They claim runs of vertices that each hold about the same number of arcs,
+// several per worker, so neither a hub's segment nor a worker that loses
+// its processor for a while holds up the rest.
+func sortSegments(g *graph.Graph) {
+	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
+	runs := int64(8 * workers)
+	bound := func(r int64) int { // the first vertex at or past r/runs of the arcs
+		v, _ := slices.BinarySearch(g.Offsets, r*int64(len(g.Adj))/runs)
+		return v
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for r := next.Add(1); r <= runs; r = next.Add(1) {
+			for v, hi := bound(r-1), bound(r); v < hi; v++ {
+				slices.Sort(g.Neighbors(v))
+			}
+		}
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
 }
 
 // Snapshot returns the current immutable view.

@@ -3,6 +3,7 @@ package dyn
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -338,6 +339,39 @@ func TestSortedBaseInvariant(t *testing.T) {
 	}
 	if !s.HasEdge(1, 20) || !s.HasEdge(0, 40) {
 		t.Fatal("membership lost across compaction")
+	}
+}
+
+// TestSortedBaseWorkers: on 1, 2, 3 and 8 workers sortedBase sorts every
+// segment of a skewed base — a hub holding half the arcs, so several runs
+// fall inside one segment, with isolated vertices first and last — exactly
+// as a serial pass does, and leaves the caller's arrays alone.
+func TestSortedBaseWorkers(t *testing.T) {
+	b := graph.NewBuilder(3000)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 120_000; i++ { // 480k arcs: enough for eight workers
+		b.AddEdge(1500, int32(1+rng.Intn(2998)))
+		b.AddEdge(int32(1+rng.Intn(2998)), int32(1+rng.Intn(2998)))
+	}
+	base := b.Build()
+	orig := slices.Clone(base.Adj)
+	want := slices.Clone(base.Adj)
+	for v := 0; v < base.N; v++ {
+		slices.Sort(want[base.Offsets[v]:base.Offsets[v+1]])
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := sortedBase(base)
+		if !slices.Equal(got.Adj, want) || !slices.Equal(got.Offsets, base.Offsets) {
+			t.Fatalf("GOMAXPROCS %d: segments differ from a serial sort", procs)
+		}
+		if !slices.Equal(base.Adj, orig) {
+			t.Fatalf("GOMAXPROCS %d: the caller's adjacency was sorted in place", procs)
+		}
+		if again := sortedBase(got); again != got {
+			t.Fatalf("GOMAXPROCS %d: a sorted base was copied", procs)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Kronecker generates a Graph500-style R-MAT/Kronecker graph with 2^scale
@@ -14,33 +15,105 @@ func Kronecker(scale int, edgeFactor int, seed int64) *Graph {
 	return KroneckerABC(scale, edgeFactor, 0.57, 0.19, 0.19, seed)
 }
 
-// KroneckerABC is Kronecker with explicit initiator probabilities.
+// KroneckerABC is Kronecker with explicit initiator probabilities. The
+// graph is a function of the seed alone: its edges are the ones a plain loop
+// over one rand.New(rand.NewSource(seed)) draws — Perm, then per bit one
+// Float64 and, in the lower half, a second — with the drawing moved to a
+// second goroutine (rmatStream).
 func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 	n := 1 << uint(scale)
 	m := edgeFactor * n
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(n)
+	src := rand.NewSource(seed)
+	perm := make([]int32, n)
+	for i, p := range rand.New(src).Perm(n) {
+		perm[i] = int32(p)
+	}
 	bld := NewBuilder(n)
-	ab := a + b
-	cNorm := c / (1 - ab)
+	bld.edges = make([]Edge, 0, m)
+
+	next, stop := rmatStream(src, a+b, a, c/(1-a-b), 2*scale)
+	defer stop()
+	var vals []uint8
 	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for bit := 0; bit < scale; bit++ {
-			r := rng.Float64()
-			if r < ab {
-				if r >= a {
-					v |= 1 << uint(bit)
-				}
-			} else {
-				u |= 1 << uint(bit)
-				if rng.Float64() >= cNorm {
-					v |= 1 << uint(bit)
-				}
-			}
+		if len(vals) < 2*scale {
+			vals = next(vals)
 		}
-		bld.AddEdge(int32(perm[u]), int32(perm[v]))
+		u, v, i := 0, 0, 0
+		for bit := 0; bit < scale; bit++ {
+			// Branch-free (a value's quadrant is a coin toss the predictor
+			// loses), and i, the only loop-carried value, is one load and
+			// one add away from its successor.
+			q, q2 := int(vals[i]), int(vals[i+1])
+			lower := q & 1
+			right := q>>1&1 | q2>>1&2 // bit 0 if the edge stays up, bit 1 if it goes down
+			u |= lower << uint(bit)
+			v |= (right >> uint(lower) & 1) << uint(bit)
+			i += 1 + lower
+		}
+		vals = vals[i:]
+		bld.edges = append(bld.edges, Edge{perm[u], perm[v]})
 	}
 	return bld.Build()
+}
+
+// rmatStream draws the value stream of (*rand.Rand).Float64 over src —
+// float64(src.Int63())/(1<<63), redrawn on 1 — on a goroutine of its own.
+// Of a value r it keeps the comparisons the R-MAT descent can make with it:
+// bit 0, r ≥ ab (lower half, and the bit draws a second value); bit 1, r ≥ a
+// (upper half, right quadrant); bit 2, r ≥ cNorm (lower half, right
+// quadrant, r being the second value). They come in recycled chunks of 16k,
+// so the channel costs nothing per value and the chunks stay in L1:
+// next(rest) returns the following chunk with rest, the at most keep values
+// the caller has left, in front of it. The producer runs ahead of the caller
+// and what it draws past the caller's last value is lost, so src must be
+// private to the call. stop ends the producer and waits for it.
+func rmatStream(src rand.Source, ab, a, cNorm float64, keep int) (next func(rest []uint8) []uint8, stop func()) {
+	const chunks = 3 // one being read, one ready, one being filled
+	free := make(chan []uint8, chunks)
+	full := make(chan []uint8, chunks) // room for all, so no send ever blocks
+	done := make(chan struct{})
+	cur := make([]uint8, keep+16<<10)
+	for i := 1; i < chunks; i++ {
+		free <- slices.Clone(cur)
+	}
+	ge := func(r, t float64) uint8 {
+		if r >= t {
+			return 1
+		}
+		return 0
+	}
+	go func() {
+		defer close(full)
+		for {
+			select {
+			case <-done:
+				return
+			case buf := <-free:
+				for i := keep; i < len(buf); i++ {
+					r := float64(src.Int63()) / (1 << 63)
+					for r == 1 {
+						r = float64(src.Int63()) / (1 << 63)
+					}
+					buf[i] = ge(r, ab) | ge(r, a)<<1 | ge(r, cNorm)<<2
+				}
+				full <- buf
+			}
+		}
+	}()
+	next = func(rest []uint8) []uint8 {
+		buf := <-full
+		at := keep - len(rest)
+		copy(buf[at:], rest) // rest is the tail of cur: out before cur goes back
+		free <- cur
+		cur = buf
+		return buf[at:]
+	}
+	stop = func() {
+		close(done)
+		for range full {
+		}
+	}
+	return next, stop
 }
 
 // ErdosRenyi generates an undirected G(n, p) graph by geometric skipping,
@@ -84,6 +157,7 @@ func RoadGrid(w, h int, dropFrac float64, seed int64) *Graph {
 	n := w * h
 	rng := rand.New(rand.NewSource(seed))
 	bld := NewBuilder(n)
+	bld.edges = make([]Edge, 0, 2*n) // 2.02 per cell at most, less what is dropped
 	id := func(x, y int) int32 { return int32(y*w + x) }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

@@ -236,49 +236,51 @@ func (b *Builder) AddEdge(u, v int32) {
 // NumAdded returns the number of edges added so far.
 func (b *Builder) NumAdded() int { return len(b.edges) }
 
-// Build produces the CSR graph via counting sort.
+// Build produces the CSR graph by a counting sort of the arcs on their
+// source, straight from the edge list: an adjacency segment lists its
+// neighbours in the order the edges were added. With Dedup each segment is
+// then sorted and its repeats dropped.
 func (b *Builder) Build() *Graph {
-	type arc struct{ u, v int32 }
-	arcs := make([]arc, 0, len(b.edges)*2)
+	g := &Graph{N: b.n, Directed: b.directed, Offsets: make([]int64, b.n+1)}
+	keep := func(e Edge) bool { return e.U != e.V || b.selfLoops }
 	for _, e := range b.edges {
-		if e.U == e.V && !b.selfLoops {
-			continue
-		}
-		arcs = append(arcs, arc{e.U, e.V})
-		if !b.directed {
-			arcs = append(arcs, arc{e.V, e.U})
-		}
-	}
-	if b.dedup {
-		slices.SortFunc(arcs, func(a, b arc) int {
-			if a.u != b.u {
-				return int(a.u) - int(b.u)
-			}
-			return int(a.v) - int(b.v)
-		})
-		uniq := arcs[:0]
-		for i, a := range arcs {
-			if i == 0 || a != arcs[i-1] {
-				uniq = append(uniq, a)
+		if keep(e) {
+			g.Offsets[e.U+1]++
+			if !b.directed {
+				g.Offsets[e.V+1]++
 			}
 		}
-		arcs = uniq
-	}
-
-	g := &Graph{N: b.n, Directed: b.directed}
-	g.Offsets = make([]int64, b.n+1)
-	for _, a := range arcs {
-		g.Offsets[a.u+1]++
 	}
 	for v := 0; v < b.n; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
 	}
-	g.Adj = make([]int32, len(arcs))
-	cursor := make([]int64, b.n)
-	for _, a := range arcs {
-		pos := g.Offsets[a.u] + cursor[a.u]
-		g.Adj[pos] = a.v
-		cursor[a.u]++
+	// Offsets[v] is the cursor of v's segment while the arcs are scattered
+	// and ends up at the segment's end: the start of v+1's.
+	g.Adj = make([]int32, g.Offsets[b.n])
+	for _, e := range b.edges {
+		if keep(e) {
+			g.Adj[g.Offsets[e.U]] = e.V
+			g.Offsets[e.U]++
+			if !b.directed {
+				g.Adj[g.Offsets[e.V]] = e.U
+				g.Offsets[e.V]++
+			}
+		}
+	}
+	copy(g.Offsets[1:], g.Offsets)
+	g.Offsets[0] = 0
+	if b.dedup {
+		// Segments only shrink, so packing them leftwards in place never
+		// overwrites an arc not yet read.
+		var w int64
+		for v := 0; v < b.n; v++ {
+			seg := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+			slices.Sort(seg)
+			g.Offsets[v] = w
+			w += int64(copy(g.Adj[w:], slices.Compact(seg)))
+		}
+		g.Offsets[b.n] = w
+		g.Adj = g.Adj[:w]
 	}
 	if b.withWeight != nil {
 		g.Weights = make([]uint32, len(g.Adj))

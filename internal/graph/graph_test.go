@@ -2,8 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestBuilderCSRBasics(t *testing.T) {
@@ -342,5 +347,133 @@ func TestDegreeHistogram(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatalf("histogram covers %d vertices, want 3", total)
+	}
+}
+
+// buildOracle is Build as it was before it lost its intermediate arc array
+// and its global sort: expand every edge into arcs, sort and unique them
+// all under Dedup, then counting-sort on the source with a separate cursor.
+func buildOracle(b *Builder) *Graph {
+	type arc struct{ u, v int32 }
+	arcs := make([]arc, 0, len(b.edges)*2)
+	for _, e := range b.edges {
+		if e.U == e.V && !b.selfLoops {
+			continue
+		}
+		arcs = append(arcs, arc{e.U, e.V})
+		if !b.directed {
+			arcs = append(arcs, arc{e.V, e.U})
+		}
+	}
+	if b.dedup {
+		slices.SortFunc(arcs, func(a, b arc) int {
+			if a.u != b.u {
+				return int(a.u) - int(b.u)
+			}
+			return int(a.v) - int(b.v)
+		})
+		uniq := arcs[:0]
+		for i, a := range arcs {
+			if i == 0 || a != arcs[i-1] {
+				uniq = append(uniq, a)
+			}
+		}
+		arcs = uniq
+	}
+
+	g := &Graph{N: b.n, Directed: b.directed}
+	g.Offsets = make([]int64, b.n+1)
+	for _, a := range arcs {
+		g.Offsets[a.u+1]++
+	}
+	for v := 0; v < b.n; v++ {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	g.Adj = make([]int32, len(arcs))
+	cursor := make([]int64, b.n)
+	for _, a := range arcs {
+		pos := g.Offsets[a.u] + cursor[a.u]
+		g.Adj[pos] = a.v
+		cursor[a.u]++
+	}
+	if b.withWeight != nil {
+		g.Weights = make([]uint32, len(g.Adj))
+		for v := 0; v < b.n; v++ {
+			base := g.Offsets[v]
+			for i, w := range g.Neighbors(v) {
+				g.Weights[base+int64(i)] = b.withWeight(int32(v), w)
+			}
+		}
+	}
+	return g
+}
+
+// TestBuildMatchesOracle: for seeded random edge lists and three shaped
+// ones, under every combination of the four builder settings, Build equals
+// the oracle array for array.
+func TestBuildMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	type input struct {
+		name  string
+		n     int
+		edges []Edge
+	}
+	inputs := []input{{name: "empty", n: 0}, {name: "empty/n=1000", n: 1000}}
+	for _, n := range []int{1, 2, 1000} {
+		for _, m := range []int{1, 3 * n, 20 * n} {
+			in := input{name: fmt.Sprintf("random/n=%d/m=%d", n, m), n: n}
+			for i := 0; i < m; i++ {
+				in.edges = append(in.edges, Edge{int32(rng.Intn(n)), int32(rng.Intn(n))})
+			}
+			inputs = append(inputs, in)
+		}
+	}
+	loops := input{name: "self-loops", n: 50}
+	for i := 0; i < 200; i++ {
+		v := int32(rng.Intn(loops.n))
+		loops.edges = append(loops.edges, Edge{v, v})
+	}
+	hub := input{name: "hub", n: 1000}
+	for i := 0; i < 10_000; i++ {
+		hub.edges = append(hub.edges, Edge{7, int32(rng.Intn(4))}, Edge{int32(rng.Intn(hub.n)), 7})
+	}
+	inputs = append(inputs, loops, hub)
+
+	for _, in := range inputs {
+		for mask := 0; mask < 16; mask++ {
+			b := NewBuilder(in.n)
+			b.directed, b.dedup, b.selfLoops = mask&1 != 0, mask&2 != 0, mask&4 != 0
+			if mask&8 != 0 {
+				b.WithWeights(SymmetricWeight(5))
+			}
+			for _, e := range in.edges {
+				b.AddEdge(e.U, e.V)
+			}
+			want, got := buildOracle(b), b.Build()
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s mask %04b: %v", in.name, mask, err)
+			}
+			if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
+				!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
+				t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3): Build differs from the oracle", in.name, mask)
+			}
+		}
+	}
+}
+
+// TestKroneckerLeavesNoGoroutine: the producer goroutine of the generator's
+// pipeline ends with the call, however far ahead of the caller it had run.
+func TestKroneckerLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		Kronecker(8, 1+i%20, int64(i))
+	}
+	// The call waits for the producer's last statement, not for the
+	// runtime to retire it, so give the last one a moment.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before 200 Kronecker calls, %d after", before, after)
 	}
 }

@@ -51,7 +51,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		edges    []Edge
 		weights  []uint32
 		haveW    bool
-		maxID    int32
+		maxID    int64
+		maxLine  int // the line maxID is on
 	)
 	lineNo := 0
 	for sc.Scan() {
@@ -64,11 +65,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if strings.Contains(line, "aamgo") {
 				for _, f := range strings.Fields(line) {
 					if v, ok := strings.CutPrefix(f, "n="); ok {
-						x, err := strconv.Atoi(v)
-						if err != nil {
-							return nil, fmt.Errorf("graph: line %d: bad n=: %v", lineNo, err)
+						x, err := strconv.ParseInt(v, 10, 32)
+						if err != nil || x < 0 {
+							return nil, fmt.Errorf("graph: line %d: bad n=%s: want a vertex count", lineNo, v)
 						}
-						n = x
+						n = int(x)
 					}
 					if v, ok := strings.CutPrefix(f, "directed="); ok {
 						directed = v == "true"
@@ -89,12 +90,12 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
-		edges = append(edges, Edge{int32(u), int32(v)})
-		if int32(u) > maxID {
-			maxID = int32(u)
+		if u < 0 || v < 0 {
+			return nil, fmt.Errorf("graph: line %d: negative vertex id in %q", lineNo, line)
 		}
-		if int32(v) > maxID {
-			maxID = int32(v)
+		edges = append(edges, Edge{int32(u), int32(v)})
+		if max(u, v) > maxID {
+			maxID, maxLine = max(u, v), lineNo
 		}
 		if len(fields) >= 3 {
 			w, err := strconv.ParseUint(fields[2], 10, 32)
@@ -112,6 +113,8 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	}
 	if n < 0 {
 		n = int(maxID) + 1
+	} else if len(edges) > 0 && maxID >= int64(n) {
+		return nil, fmt.Errorf("graph: line %d: vertex id %d out of range, header says n=%d", maxLine, maxID, n)
 	}
 	wmap := make(map[[2]int32]uint32, len(edges))
 	bld := NewBuilder(n)
