@@ -264,7 +264,7 @@ func splitBatch(batch []Mutation, n int) (edgeMuts []Mutation, newN int, err err
 type folder struct {
 	g                *Graph
 	ns               *Snapshot
-	cw               *cow
+	cw               cow
 	seenAdd, seenDel map[[2]int32]bool
 	res              *BatchResult
 }
@@ -273,7 +273,7 @@ func newFolder(g *Graph, ns *Snapshot, res *BatchResult) *folder {
 	return &folder{
 		g:       g,
 		ns:      ns,
-		cw:      newCow(),
+		cw:      cow{},
 		seenAdd: make(map[[2]int32]bool),
 		seenDel: make(map[[2]int32]bool),
 		res:     res,
@@ -306,12 +306,11 @@ func (f *folder) fold(m Mutation) {
 }
 
 func (f *folder) finish() (touched []int32) {
-	for v := range f.cw.adds {
-		touched = append(touched, v)
-	}
-	for v := range f.cw.dels {
-		if !f.cw.adds[v] {
-			touched = append(touched, v)
+	for p, bits := range f.cw {
+		for i, b := range bits {
+			if b != 0 {
+				touched = append(touched, p<<pageBits+int32(i))
+			}
 		}
 	}
 	// Incremental CC: union committed inserts (cheap even when a delete
@@ -386,15 +385,7 @@ func compact(s *Snapshot) *Snapshot {
 		// Fresh arrays (not shared with any published view): sort in place.
 		sortSegments(flat)
 	}
-	return &Snapshot{
-		epoch: s.epoch,
-		n:     s.n,
-		base:  flat,
-		adds:  make([][]int32, s.n),
-		dels:  make([][]int32, s.n),
-		arcs:  s.arcs,
-		mat:   s.mat,
-	}
+	return &Snapshot{epoch: s.epoch, n: s.n, base: flat, pages: newPages(s.n), arcs: s.arcs, mat: s.mat}
 }
 
 // run executes the edge mutations on a single-node abstract machine and
@@ -500,7 +491,7 @@ func (a *applier) scanCost(u int32) int {
 	if int(u) >= a.pre.n {
 		return 1
 	}
-	d := len(a.pre.adds[u])
+	d := len(a.pre.delta(int(u)).adds)
 	if int(u) < a.pre.base.N {
 		d += a.pre.base.Degree(int(u))
 	}

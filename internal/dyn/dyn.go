@@ -18,9 +18,10 @@
 //     operator reads and writes the version words of both endpoints,
 //     reproducing the conflict structure of concurrent adjacency updates.
 //   - Readers never block writers: Snapshot returns an immutable
-//     epoch-stamped view built with per-vertex copy-on-write, and Freeze
-//     materializes it into a plain *graph.Graph so the static analytics in
-//     internal/algo run unchanged against a consistent cut of the graph.
+//     epoch-stamped view built with copy-on-write (of delta pages and of
+//     the per-vertex lists in them), and Freeze materializes it into a
+//     plain *graph.Graph so the static analytics in internal/algo run
+//     unchanged against a consistent cut of the graph.
 //   - Connected components are maintained incrementally: edge inserts
 //     union a disjoint-set forest in O(α), deletions mark it dirty and the
 //     next query recomputes from the current snapshot.
@@ -98,12 +99,10 @@ type Snapshot struct {
 	epoch uint64
 	n     int
 	base  *graph.Graph
-	// adds[v] lists arcs v→w inserted since the base was built; dels[v]
-	// lists base neighbors deleted since (each entry removes every
-	// parallel copy). Both are nil for untouched vertices. Vertices
-	// v >= base.N have only adds.
-	adds [][]int32
-	dels [][]int32
+	// pages[v>>pageBits] holds the delta cell of v; a nil page means none
+	// of its vertices carries a delta. Always ⌈n/pageSize⌉ entries. Pages
+	// are shared between epochs and never written once published.
+	pages []*page
 
 	arcs    int64 // exact arc count of the merged view
 	addArcs int64 // arcs carried by adds
@@ -114,6 +113,36 @@ type Snapshot struct {
 	mat *matState
 
 	frozen atomic.Pointer[graph.Graph]
+}
+
+// The delta table is paged so that an epoch pays for what it changes, not
+// for n: clone copies one pointer per page and a batch copies a page the
+// first time it writes into it. With pages of S cells an epoch that touches
+// t pages copies 8n/S + 48St bytes, least at S = √(n/6t): 74 for a 16-edge
+// batch (t ≤ 32) on a million vertices, where 64 makes it 128 KB of
+// pointers and at most 96 KB of pages.
+const (
+	pageBits = 6
+	pageSize = 1 << pageBits
+)
+
+// cell is the delta of one vertex v: adds lists arcs v→w inserted since the
+// base was built; dels lists base neighbors deleted since (each entry
+// removes every parallel copy). Both are nil for an untouched vertex.
+// Vertices v >= base.N have only adds.
+type cell struct{ adds, dels []int32 }
+
+type page [pageSize]cell
+
+func newPages(n int) []*page { return make([]*page, (n+pageSize-1)>>pageBits) }
+
+// delta returns the delta cell of v (the read accessor; own is the write
+// accessor).
+func (s *Snapshot) delta(v int) cell {
+	if p := s.pages[v>>pageBits]; p != nil {
+		return p[v&(pageSize-1)]
+	}
+	return cell{}
 }
 
 // Epoch returns the snapshot's epoch (one per applied batch).
@@ -176,10 +205,11 @@ func (s *Snapshot) HasEdge(u, v int32) bool {
 	if int(u) < 0 || int(u) >= s.n || int(v) < 0 || int(v) >= s.n {
 		return false
 	}
-	if containsArc(s.adds[u], v) {
+	d := s.delta(int(u))
+	if containsArc(d.adds, v) {
 		return true
 	}
-	if int(u) < s.base.N && !containsArc(s.dels[u], v) {
+	if int(u) < s.base.N && !containsArc(d.dels, v) {
 		return sortedContainsArc(s.base.Neighbors(int(u)), v)
 	}
 	return false
@@ -187,10 +217,11 @@ func (s *Snapshot) HasEdge(u, v int32) bool {
 
 // Degree returns the merged out-degree of v.
 func (s *Snapshot) Degree(v int) int {
-	d := int64(len(s.adds[v]))
+	c := s.delta(v)
+	d := int64(len(c.adds))
 	if v < s.base.N {
 		d += int64(s.base.Degree(v))
-		for _, w := range s.dels[v] {
+		for _, w := range c.dels {
 			d -= sortedCountArc(s.base.Neighbors(v), w)
 		}
 	}
@@ -200,15 +231,15 @@ func (s *Snapshot) Degree(v int) int {
 // AppendNeighbors appends the merged adjacency of v to dst and returns the
 // extended slice (allocation-free when dst has capacity).
 func (s *Snapshot) AppendNeighbors(dst []int32, v int) []int32 {
+	d := s.delta(v)
 	if v < s.base.N {
-		del := s.dels[v]
 		for _, w := range s.base.Neighbors(v) {
-			if !containsArc(del, w) {
+			if !containsArc(d.dels, w) {
 				dst = append(dst, w)
 			}
 		}
 	}
-	return append(dst, s.adds[v]...)
+	return append(dst, d.adds...)
 }
 
 // Freeze materializes the snapshot as a static CSR graph usable with every
@@ -368,36 +399,70 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	if base.Directed {
 		return nil, fmt.Errorf("dyn: base graph must be undirected")
 	}
-	if err := base.Validate(); err != nil {
-		return nil, fmt.Errorf("dyn: invalid base: %w", err)
-	}
 	// A patched-layout base (e.g. an incrementally frozen snapshot fed
-	// back in) is packed flat first: the snapshot base must be a plain
-	// CSR whose Offsets are the vertex bounds.
-	base = base.Flat()
-	g := &Graph{}
-	snap := &Snapshot{
-		epoch: epoch,
-		n:     base.N,
-		base:  sortedBase(&graph.Graph{N: base.N, Offsets: base.Offsets, Adj: base.Adj}),
-		adds:  make([][]int32, base.N),
-		dels:  make([][]int32, base.N),
-		arcs:  base.NumEdges(),
+	// back in) is checked and packed flat first: the snapshot base must be
+	// a plain CSR whose Offsets are the vertex bounds.
+	if base.Ends != nil {
+		if err := base.Validate(); err != nil {
+			return nil, fmt.Errorf("dyn: invalid base: %w", err)
+		}
+		base = base.Flat()
 	}
+	uf, sorted, ok := sweepBase(base)
+	if !ok {
+		return nil, fmt.Errorf("dyn: invalid base: %w", base.Validate())
+	}
+	// Every snapshot base carries per-vertex sorted adjacency (HasEdge and
+	// Degree binary-search it). The generators that build with Dedup
+	// (RoadGrid, Community) and compaction emit it and are adopted as they
+	// are; any other base — every Kronecker graph, a checkpoint taken with
+	// deltas outstanding — is copied and the copy sorted.
+	flat := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: base.Adj}
+	if !sorted {
+		flat.Adj = slices.Clone(base.Adj)
+		sortSegments(flat)
+	}
+	g := &Graph{uf: uf, histApply: obs.NewHistogram()}
+	snap := &Snapshot{epoch: epoch, n: base.N, base: flat, pages: newPages(base.N), arcs: int64(len(base.Adj))}
 	g.mat = newMatState(snap)
 	snap.mat = g.mat
-	g.histApply = obs.NewHistogram()
 	g.cur.Store(snap)
 	g.cum.Epoch = epoch
-	g.uf = newUnionFind(base.N)
-	for v := 0; v < base.N; v++ {
-		for _, w := range base.Neighbors(v) {
+	return g, nil
+}
+
+// sweepBase walks a flat base once. It makes every check graph.Validate
+// makes of one — the offsets before any segment is sliced, each arc's range
+// before the arc reaches union — and reports ok = false where Validate
+// returns an error (the caller has Validate word it). From the same walk
+// come the union-find over the base's edges and whether every segment is
+// sorted.
+func sweepBase(base *graph.Graph) (uf *unionFind, sorted, ok bool) {
+	n, off, adj := base.N, base.Offsets, base.Adj
+	if n < 0 || len(off) != n+1 || off[0] != 0 || off[n] != int64(len(adj)) ||
+		base.Weights != nil && len(base.Weights) != len(adj) {
+		return nil, false, false
+	}
+	for v := 0; v < n; v++ {
+		if off[v] > off[v+1] {
+			return nil, false, false
+		}
+	}
+	uf, sorted = newUnionFind(n), true
+	for v := 0; v < n; v++ {
+		prev := int32(0)
+		for _, w := range adj[off[v]:off[v+1]] {
+			if uint32(w) >= uint32(n) {
+				return nil, false, false
+			}
+			sorted = sorted && prev <= w
+			prev = w
 			if int32(v) < w {
-				g.uf.union(v, int(w))
+				uf.union(v, int(w))
 			}
 		}
 	}
-	return g, nil
+	return uf, sorted, true
 }
 
 // NewEmpty returns a dynamic graph of n isolated vertices.
@@ -407,37 +472,13 @@ func NewEmpty(n int) *Graph {
 	}
 	g := &Graph{}
 	base := &graph.Graph{N: n, Offsets: make([]int64, n+1)}
-	snap := &Snapshot{
-		n:    n,
-		base: base,
-		adds: make([][]int32, n),
-		dels: make([][]int32, n),
-	}
+	snap := &Snapshot{n: n, base: base, pages: newPages(n)}
 	g.mat = newMatState(snap)
 	snap.mat = g.mat
 	g.histApply = obs.NewHistogram()
 	g.cur.Store(snap)
 	g.uf = newUnionFind(n)
 	return g
-}
-
-// sortedBase enforces the per-vertex sorted-adjacency invariant every
-// snapshot base carries (HasEdge/Degree binary-search against it). Only the
-// generators that build with Dedup (RoadGrid, Community) emit sorted
-// segments and only compaction leaves them sorted; such a base is returned
-// unchanged. Any other — every Kronecker graph, a checkpoint taken with
-// deltas outstanding — is copied and the copy sorted segment by segment.
-func sortedBase(base *graph.Graph) *graph.Graph {
-	sorted := true
-	for v := 0; v < base.N && sorted; v++ {
-		sorted = slices.IsSorted(base.Neighbors(v))
-	}
-	if sorted {
-		return base
-	}
-	out := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: slices.Clone(base.Adj)}
-	sortSegments(out)
-	return out
 }
 
 // sortSegments sorts every adjacency segment of the flat graph g in place
@@ -519,70 +560,88 @@ type BatchResult struct {
 	Stats stats.Total
 }
 
-// clone produces a mutable copy of s for the next epoch with capacity for
-// newN vertices. Per-vertex slices stay shared until copyVertex detaches
-// them.
+// clone produces a mutable copy of s for the next epoch with room for newN
+// vertices. Pages stay shared until own copies them.
 func (s *Snapshot) clone(newN int) *Snapshot {
 	ns := &Snapshot{
 		epoch:   s.epoch + 1,
 		n:       newN,
 		base:    s.base,
-		adds:    make([][]int32, newN),
-		dels:    make([][]int32, newN),
+		pages:   newPages(newN),
 		arcs:    s.arcs,
 		addArcs: s.addArcs,
 		delArcs: s.delArcs,
 		mat:     s.mat,
 	}
-	copy(ns.adds, s.adds)
-	copy(ns.dels, s.dels)
+	copy(ns.pages, s.pages)
 	return ns
 }
 
-// cow tracks which per-vertex delta slices have already been detached from
-// the previous snapshot's backing arrays during one batch, so repeated
-// mutations of the same vertex append in place instead of re-copying.
-type cow struct {
-	adds, dels map[int32]bool
+// cow records what one batch has made private to the snapshot it builds: a
+// page has an entry once the batch has copied it, and the entry holds, per
+// cell, which of the two lists no longer share a backing array with a
+// published snapshot — so repeated mutations of one vertex append in place
+// instead of re-copying. The cells with a bit set are the batch's touched
+// vertices.
+type cow map[int32]*[pageSize]uint8
+
+const ownAdds, ownDels = 1, 2
+
+// own returns v's cell in ns for writing, with the batch's ownership bits
+// for it; the first write into a page copies the page.
+func (ns *Snapshot) own(v int32, c cow) (*cell, *uint8) {
+	p, i := v>>pageBits, v&(pageSize-1)
+	bits := c[p]
+	if bits == nil {
+		bits = new([pageSize]uint8)
+		c[p] = bits
+		private := new(page)
+		if shared := ns.pages[p]; shared != nil {
+			*private = *shared
+		}
+		ns.pages[p] = private
+	}
+	return &ns.pages[p][i], &bits[i]
 }
 
-func newCow() *cow { return &cow{adds: make(map[int32]bool), dels: make(map[int32]bool)} }
-
-// insertArc adds the arc u→v to the delta structures of ns (copy-on-write
-// with respect to the previous snapshot's backing arrays).
-func (ns *Snapshot) insertArc(u, v int32, c *cow) {
-	if !c.adds[u] {
-		ns.adds[u] = detach(ns.adds[u])
-		c.adds[u] = true
+// insertArc adds the arc u→v to the delta of u in ns.
+func (ns *Snapshot) insertArc(u, v int32, c cow) {
+	d, owned := ns.own(u, c)
+	if *owned&ownAdds == 0 {
+		d.adds = detach(d.adds)
+		*owned |= ownAdds
 	}
-	ns.adds[u] = append(ns.adds[u], v)
+	d.adds = append(d.adds, v)
 	ns.arcs++
 	ns.addArcs++
 }
 
 // deleteArc removes every copy of the arc u→v from ns and returns how many
 // arcs disappeared.
-func (ns *Snapshot) deleteArc(u, v int32, c *cow) int64 {
+func (ns *Snapshot) deleteArc(u, v int32, c cow) int64 {
 	var removed int64
-	if n := countArc(ns.adds[u], v); n > 0 {
-		kept := make([]int32, 0, len(ns.adds[u])-int(n))
-		for _, w := range ns.adds[u] {
+	cur := ns.delta(int(u))
+	if n := countArc(cur.adds, v); n > 0 {
+		kept := make([]int32, 0, len(cur.adds)-int(n))
+		for _, w := range cur.adds {
 			if w != v {
 				kept = append(kept, w)
 			}
 		}
-		ns.adds[u] = kept // fresh backing array, now private to the batch
-		c.adds[u] = true
+		d, owned := ns.own(u, c)
+		d.adds = kept // fresh backing array, now private to the batch
+		*owned |= ownAdds
 		ns.addArcs -= n
 		removed += n
 	}
-	if int(u) < ns.base.N && !containsArc(ns.dels[u], v) {
+	if int(u) < ns.base.N && !containsArc(cur.dels, v) {
 		if n := sortedCountArc(ns.base.Neighbors(int(u)), v); n > 0 {
-			if !c.dels[u] {
-				ns.dels[u] = detach(ns.dels[u])
-				c.dels[u] = true
+			d, owned := ns.own(u, c)
+			if *owned&ownDels == 0 {
+				d.dels = detach(d.dels)
+				*owned |= ownDels
 			}
-			ns.dels[u] = append(ns.dels[u], v)
+			d.dels = append(d.dels, v)
 			ns.delArcs += n
 			removed += n
 		}

@@ -389,6 +389,15 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 }
 
+func mustNew(tb testing.TB, base *graph.Graph) *Graph {
+	tb.Helper()
+	g, err := New(base)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func mustApply(t *testing.T, g *Graph, batch []Mutation) BatchResult {
 	t.Helper()
 	res, err := g.Apply(batch, TxConfig{})

@@ -342,7 +342,7 @@ func TestSortedBaseInvariant(t *testing.T) {
 	}
 }
 
-// TestSortedBaseWorkers: on 1, 2, 3 and 8 workers sortedBase sorts every
+// TestSortedBaseWorkers: on 1, 2, 3 and 8 workers New sorts every
 // segment of a skewed base — a hub holding half the arcs, so several runs
 // fall inside one segment, with isolated vertices first and last — exactly
 // as a serial pass does, and leaves the caller's arrays alone.
@@ -362,14 +362,14 @@ func TestSortedBaseWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := sortedBase(base)
+		got := mustNew(t, base).Snapshot().base
 		if !slices.Equal(got.Adj, want) || !slices.Equal(got.Offsets, base.Offsets) {
 			t.Fatalf("GOMAXPROCS %d: segments differ from a serial sort", procs)
 		}
 		if !slices.Equal(base.Adj, orig) {
 			t.Fatalf("GOMAXPROCS %d: the caller's adjacency was sorted in place", procs)
 		}
-		if again := sortedBase(got); again != got {
+		if again := mustNew(t, got).Snapshot().base; &again.Adj[0] != &got.Adj[0] {
 			t.Fatalf("GOMAXPROCS %d: a sorted base was copied", procs)
 		}
 	}

@@ -169,6 +169,9 @@ func (g *Graph) Validate() error {
 		}
 		return nil
 	}
+	if g.N < 0 { // N == -1 and no offsets
+		return fmt.Errorf("graph: negative vertex count %d", g.N)
+	}
 	if g.Offsets[0] != 0 {
 		return fmt.Errorf("graph: offsets[0] = %d, want 0", g.Offsets[0])
 	}
