@@ -33,6 +33,7 @@ package dyn
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -485,7 +486,9 @@ func NewEmpty(n int) *Graph {
 // on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph).
 // They claim runs of vertices that each hold about the same number of arcs,
 // several per worker, so neither a hub's segment nor a worker that loses
-// its processor for a while holds up the rest.
+// its processor for a while holds up the rest. The arcs must have been
+// range-checked (sweepBase, or a base that passed it plus checked deltas):
+// sortIDs orders them by the bits an id below g.N can have.
 func sortSegments(g *graph.Graph) {
 	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
 	runs := int64(8 * workers)
@@ -497,9 +500,10 @@ func sortSegments(g *graph.Graph) {
 	var wg sync.WaitGroup
 	work := func() {
 		defer wg.Done()
+		var tmp []int32
 		for r := next.Add(1); r <= runs; r = next.Add(1) {
 			for v, hi := bound(r-1), bound(r); v < hi; v++ {
-				slices.Sort(g.Neighbors(v))
+				tmp = sortIDs(g.Neighbors(v), g.N, tmp)
 			}
 		}
 	}
@@ -509,6 +513,52 @@ func sortSegments(g *graph.Graph) {
 	}
 	work()
 	wg.Wait()
+}
+
+// radixCut is the segment length from which counting passes beat
+// slices.Sort: below it the count tables cost more than the comparisons.
+const radixCut = 96
+
+// sortIDs sorts seg, ids in [0, n), and returns the scratch tmp, grown when
+// seg needed more. A sorted segment — every one a compaction did not touch —
+// costs one scan; a long one is sorted least digit first in ⌈bits(n)/11⌉
+// counting passes of equal width (two of 9 bits at n = 2^18).
+func sortIDs(seg []int32, n int, tmp []int32) []int32 {
+	switch {
+	case slices.IsSorted(seg):
+		return tmp
+	case len(seg) < radixCut:
+		slices.Sort(seg)
+		return tmp
+	}
+	if len(tmp) < len(seg) {
+		tmp = make([]int32, len(seg))
+	}
+	width := bits.Len(uint(n - 1))
+	digit := (width + (width+10)/11 - 1) / ((width + 10) / 11)
+	var count [1 << 11]int32
+	from, to := seg, tmp[:len(seg)]
+	for shift := 0; shift < width; shift += digit {
+		c := count[:1<<digit]
+		clear(c)
+		for _, w := range from {
+			c[int(w)>>shift&(len(c)-1)]++
+		}
+		sum := int32(0)
+		for d, k := range c {
+			c[d], sum = sum, sum+k
+		}
+		for _, w := range from {
+			d := int(w) >> shift & (len(c) - 1)
+			to[c[d]] = w
+			c[d]++
+		}
+		from, to = to, from
+	}
+	if &from[0] != &seg[0] {
+		copy(seg, from)
+	}
+	return tmp
 }
 
 // Snapshot returns the current immutable view.

@@ -1,0 +1,116 @@
+package dyn
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"aamgo/internal/graph"
+)
+
+// segmentFills are the orders a segment reaches sortSegments in: a
+// generator's (random), a multigraph's (few distinct ids), a compaction's
+// (the sorted base run, then the batch's adds; or untouched) and the worst
+// case of an insertion sort.
+var segmentFills = []struct {
+	name string
+	fill func(seg []int32, n int, rng *rand.Rand)
+}{
+	{"random", func(seg []int32, n int, rng *rand.Rand) {
+		for i := range seg {
+			seg[i] = int32(rng.Intn(n))
+		}
+	}},
+	{"duplicates", func(seg []int32, n int, rng *rand.Rand) {
+		few := []int32{0, int32(n - 1), int32(rng.Intn(n))}
+		for i := range seg {
+			seg[i] = few[rng.Intn(len(few))]
+		}
+	}},
+	{"sorted-run-then-tail", func(seg []int32, n int, rng *rand.Rand) {
+		for i := range seg {
+			seg[i] = int32(rng.Intn(n))
+		}
+		slices.Sort(seg[:len(seg)-min(len(seg), 5)])
+	}},
+	{"sorted", func(seg []int32, n int, rng *rand.Rand) {
+		for i := range seg {
+			seg[i] = int32(rng.Intn(n))
+		}
+		slices.Sort(seg)
+	}},
+	{"descending", func(seg []int32, n int, rng *rand.Rand) {
+		for i := range seg {
+			seg[i] = int32((len(seg) - 1 - i) % n)
+		}
+	}},
+}
+
+// TestSortSegments compares sortSegments with slices.Sort segment by
+// segment: lengths on both sides of radixCut and a hub long enough for a
+// second worker, vertex counts that give one, two and uneven digits, every
+// fill above, on one and on two workers.
+func TestSortSegments(t *testing.T) {
+	lengths := []int{0, 1, 2, radixCut - 1, radixCut, radixCut + 1, 0, 70_000, 3 * radixCut, 1}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{1, 2, 10, 1000, 2048, 2049, 1 << 18} {
+			for _, f := range segmentFills {
+				rng := rand.New(rand.NewSource(int64(n)))
+				g := &graph.Graph{N: max(n, len(lengths)), Offsets: []int64{0}}
+				for _, l := range lengths {
+					seg := make([]int32, l)
+					f.fill(seg, n, rng)
+					g.Adj = append(g.Adj, seg...)
+					g.Offsets = append(g.Offsets, int64(len(g.Adj)))
+				}
+				for len(g.Offsets) <= g.N {
+					g.Offsets = append(g.Offsets, int64(len(g.Adj)))
+				}
+				want := slices.Clone(g.Adj)
+				for v := range lengths {
+					slices.Sort(want[g.Offsets[v]:g.Offsets[v+1]])
+				}
+				sortSegments(g)
+				if !slices.Equal(g.Adj, want) {
+					t.Fatalf("GOMAXPROCS %d, ids below %d, %s: segments differ from slices.Sort", procs, n, f.name)
+				}
+			}
+		}
+	}
+}
+
+// TestSortIDs calls the segment sort directly with id ranges no test graph
+// can have (31 bits: three passes of 11) and with scratch it must grow, may
+// reuse and must not read.
+func TestSortIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var tmp []int32
+	for _, n := range []int{math.MaxInt32, 1<<23 + 5, 1 << 12, 1<<11 + 1, 3} {
+		for _, l := range []int{radixCut, 1000, 5000, radixCut + 1} {
+			seg := make([]int32, l)
+			for i := range seg {
+				seg[i] = int32(rng.Intn(n))
+			}
+			seg[0], seg[l-1] = int32(n-1), 0
+			want := slices.Clone(seg)
+			slices.Sort(want)
+			for i := range tmp {
+				tmp[i] = -1 // what an earlier, longer segment left behind
+			}
+			tmp = sortIDs(seg, n, tmp)
+			if !slices.Equal(seg, want) {
+				t.Fatalf("ids below %d, %d of them: sortIDs differs from slices.Sort", n, l)
+			}
+			if len(tmp) < l {
+				t.Fatalf("scratch of %d returned after a segment of %d", len(tmp), l)
+			}
+		}
+	}
+	if got := sortIDs([]int32{2, 1}, 3, nil); got != nil {
+		t.Fatalf("a short segment allocated %d ids of scratch", len(got))
+	}
+}

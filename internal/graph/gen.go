@@ -1,9 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // Kronecker generates a Graph500-style R-MAT/Kronecker graph with 2^scale
@@ -18,102 +18,102 @@ func Kronecker(scale int, edgeFactor int, seed int64) *Graph {
 // KroneckerABC is Kronecker with explicit initiator probabilities. The
 // graph is a function of the seed alone: its edges are the ones a plain loop
 // over one rand.New(rand.NewSource(seed)) draws — Perm, then per bit one
-// Float64 and, in the lower half, a second — with the drawing moved to a
-// second goroutine (rmatStream).
+// Float64 and, in the lower half, a second. The values after Perm are not
+// drawn through the source, though: its next lfLen outputs are its whole
+// state, and rmatEdges continues the stream from them.
 func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
+	if scale < 0 || scale > 30 || edgeFactor < 0 {
+		panic(fmt.Sprintf("graph: Kronecker scale %d outside [0,30] or edge factor %d negative", scale, edgeFactor))
+	}
 	n := 1 << uint(scale)
-	m := edgeFactor * n
-	src := rand.NewSource(seed)
+	src := rand.NewSource(seed).(rand.Source64)
 	perm := make([]int32, n)
 	for i, p := range rand.New(src).Perm(n) {
 		perm[i] = int32(p)
 	}
-	bld := NewBuilder(n)
-	bld.edges = make([]Edge, 0, m)
-
-	next, stop := rmatStream(src, a+b, a, c/(1-a-b), 2*scale)
-	defer stop()
-	var vals []uint8
-	for e := 0; e < m; e++ {
-		if len(vals) < 2*scale {
-			vals = next(vals)
-		}
-		u, v, i := 0, 0, 0
-		for bit := 0; bit < scale; bit++ {
-			// Branch-free (a value's quadrant is a coin toss the predictor
-			// loses), and i, the only loop-carried value, is one load and
-			// one add away from its successor.
-			q, q2 := int(vals[i]), int(vals[i+1])
-			lower := q & 1
-			right := q>>1&1 | q2>>1&2 // bit 0 if the edge stays up, bit 1 if it goes down
-			u |= lower << uint(bit)
-			v |= (right >> uint(lower) & 1) << uint(bit)
-			i += 1 + lower
-		}
-		vals = vals[i:]
-		bld.edges = append(bld.edges, Edge{perm[u], perm[v]})
+	state := make([]uint64, lfLen)
+	for i := range state {
+		state[i] = src.Uint64()
 	}
+	bld := NewBuilder(n)
+	bld.edges = rmatEdges(state, perm, scale, edgeFactor*n, a+b, a, c/(1-a-b))
 	return bld.Build()
 }
 
-// rmatStream draws the value stream of (*rand.Rand).Float64 over src —
-// float64(src.Int63())/(1<<63), redrawn on 1 — on a goroutine of its own.
-// Of a value r it keeps the comparisons the R-MAT descent can make with it:
-// bit 0, r ≥ ab (lower half, and the bit draws a second value); bit 1, r ≥ a
-// (upper half, right quadrant); bit 2, r ≥ cNorm (lower half, right
-// quadrant, r being the second value). They come in recycled chunks of 16k,
-// so the channel costs nothing per value and the chunks stay in L1:
-// next(rest) returns the following chunk with rest, the at most keep values
-// the caller has left, in front of it. The producer runs ahead of the caller
-// and what it draws past the caller's last value is lost, so src must be
-// private to the call. stop ends the producer and waits for it.
-func rmatStream(src rand.Source, ab, a, cNorm float64, keep int) (next func(rest []uint8) []uint8, stop func()) {
-	const chunks = 3 // one being read, one ready, one being filled
-	free := make(chan []uint8, chunks)
-	full := make(chan []uint8, chunks) // room for all, so no send ever blocks
-	done := make(chan struct{})
-	cur := make([]uint8, keep+16<<10)
-	for i := 1; i < chunks; i++ {
-		free <- slices.Clone(cur)
+// math/rand's seeded source is the additive lagged-Fibonacci generator
+// x[n] = x[n-lfLen] + x[n-lfTap] mod 2^64 and returns x[n] itself, so any
+// lfLen consecutive outputs determine the rest. lfBlock values are computed
+// at a time: they and the bytes made of them stay in L1.
+const lfLen, lfTap, lfBlock = 607, 273, 2048
+
+// lfAdvance returns the next lfBlock values of the stream whose next lfLen
+// values are vals[lfBlock:], and leaves the lfLen after those in that place.
+func lfAdvance(vals []uint64) []uint64 {
+	copy(vals, vals[lfBlock:lfBlock+lfLen])
+	for i := lfLen; i < lfLen+lfBlock; i++ {
+		vals[i] = vals[i-lfLen] + vals[i-lfTap]
 	}
-	ge := func(r, t float64) uint8 {
-		if r >= t {
-			return 1
-		}
-		return 0
+	return vals[:lfBlock]
+}
+
+// floatThreshold returns the least x with float64(x)/(1<<63) >= t, or 1<<63
+// when no x below that has it (t > 1, NaN): for x < 1<<63, x >=
+// floatThreshold(t) is the comparison (*rand.Rand).Float64() >= t makes of
+// the source's x. The division is exact and the conversion monotone, so
+// there is one such bound, at most a rounding step (512) under ceil(t·2^63).
+func floatThreshold(t float64) uint64 {
+	s := t * (1 << 63)
+	if !(s <= 1<<63) {
+		return 1 << 63
 	}
-	go func() {
-		defer close(full)
-		for {
-			select {
-			case <-done:
-				return
-			case buf := <-free:
-				for i := keep; i < len(buf); i++ {
-					r := float64(src.Int63()) / (1 << 63)
-					for r == 1 {
-						r = float64(src.Int63()) / (1 << 63)
-					}
-					buf[i] = ge(r, ab) | ge(r, a)<<1 | ge(r, cNorm)<<2
-				}
-				full <- buf
+	x := uint64(math.Ceil(max(s, 0)))
+	for x > 0 && float64(x-1) >= s {
+		x--
+	}
+	return x
+}
+
+// rmatEdges draws m R-MAT edges over 2^scale vertices from the stream that
+// continues state, lfLen consecutive outputs of a math/rand source, and
+// labels them through perm. A value is one step of a machine whose state is
+// one bit, second (the value is the second draw of a lower-half bit), and
+// whose output is one byte per descended bit — bit 0 the half, bit 1 the
+// side — stored always and kept by advancing: nothing the next value waits
+// for is loaded or branched on. Every scale bytes are then packed into an
+// edge.
+func rmatEdges(state []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
+	// x < t ⇔ (x-t)>>63 = 1 for x < 1<<63 ≥ t.
+	tAB, tOne := floatThreshold(ab), floatThreshold(1)
+	tSide := [2]uint64{floatThreshold(a), floatThreshold(cNorm)}
+	edges := make([]Edge, 0, m)
+	vals := make([]uint64, lfBlock+lfLen)
+	copy(vals[lfBlock:], state)
+	bits := make([]uint8, scale+lfBlock) // the bytes of an unfinished edge, then a block's
+	have, second := 0, uint64(0)
+	for {
+		done := 0
+		for ; len(edges) < m && have-done >= scale; done += scale {
+			u, v := 0, 0
+			for i := done + scale - 1; i >= done; i-- { // high bit first: constant shifts
+				u, v = u<<1|int(bits[i]&1), v<<1|int(bits[i]>>1)
 			}
+			edges = append(edges, Edge{perm[u], perm[v]})
 		}
-	}()
-	next = func(rest []uint8) []uint8 {
-		buf := <-full
-		at := keep - len(rest)
-		copy(buf[at:], rest) // rest is the tail of cur: out before cur goes back
-		free <- cur
-		cur = buf
-		return buf[at:]
-	}
-	stop = func() {
-		close(done)
-		for range full {
+		if len(edges) == m {
+			return edges
+		}
+		have = copy(bits, bits[done:have])
+		for _, x := range lfAdvance(vals) {
+			x &= 1<<63 - 1
+			if x >= tOne {
+				continue // Float64 draws again on 1
+			}
+			upper := (x - tAB) >> 63
+			bits[have] = uint8(second | ((x-tSide[second])>>63^1)<<1)
+			have += int(second | upper)
+			second = (second | upper) ^ 1
 		}
 	}
-	return next, stop
 }
 
 // ErdosRenyi generates an undirected G(n, p) graph by geometric skipping,

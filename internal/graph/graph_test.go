@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestBuilderCSRBasics(t *testing.T) {
@@ -458,25 +456,6 @@ func TestBuildMatchesOracle(t *testing.T) {
 				t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3): Build differs from the oracle", in.name, mask)
 			}
 		}
-	}
-}
-
-// TestKroneckerLeavesNoGoroutine: the producer goroutine of the generator's
-// pipeline ends with the call, however far ahead of the caller it had run.
-func TestKroneckerLeavesNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 200; i++ {
-		Kronecker(8, 1+i%20, int64(i))
-	}
-	// The call waits for the producer's last statement, not for the
-	// runtime to retire it, so give the last one a moment.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	// Fewer is no leak: a goroutine of an earlier test may have been
-	// retiring when before was read.
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before 200 Kronecker calls, %d after", before, after)
 	}
 }
 

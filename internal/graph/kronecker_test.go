@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -8,15 +9,24 @@ import (
 
 // kroneckerPlain is the definition of KroneckerABC, written the way its doc
 // comment words it: one rand.Rand over the seed draws the label permutation
-// and then, edge by edge and bit by bit, one Float64 that picks the half
-// and, in the lower half, a second that picks the side.
+// and then the edges.
 func kroneckerPlain(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 	n := 1 << uint(scale)
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(n)
-	ab, cNorm := a+b, c/(1-a-b)
 	bld := NewBuilder(n)
-	for e := 0; e < edgeFactor*n; e++ {
+	for _, e := range plainEdges(rng, perm, scale, edgeFactor*n, a, b, c) {
+		bld.AddEdge(e.U, e.V)
+	}
+	return bld.Build()
+}
+
+// plainEdges draws m R-MAT edges edge by edge and bit by bit: one Float64
+// picks the half and, in the lower half, a second picks the side.
+func plainEdges(rng *rand.Rand, perm []int, scale, m int, a, b, c float64) []Edge {
+	ab, cNorm := a+b, c/(1-a-b)
+	edges := make([]Edge, 0, m)
+	for e := 0; e < m; e++ {
 		u, v := 0, 0
 		for bit := 0; bit < scale; bit++ {
 			if r := rng.Float64(); r >= ab {
@@ -28,9 +38,9 @@ func kroneckerPlain(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 				v |= 1 << uint(bit)
 			}
 		}
-		bld.AddEdge(int32(perm[u]), int32(perm[v]))
+		edges = append(edges, Edge{int32(perm[u]), int32(perm[v])})
 	}
-	return bld.Build()
+	return edges
 }
 
 // TestKroneckerMatchesPlainLoop holds KroneckerABC to its definition array
@@ -71,6 +81,116 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 	} {
 		if !slices.Equal(c.got.Offsets, c.want.Offsets) || !slices.Equal(c.got.Adj, c.want.Adj) {
 			t.Fatal("Kronecker or WebGraph differs from the plain loop over its initiator")
+		}
+	}
+}
+
+// lfSource is the recurrence of math/rand's seeded source one value at a
+// time, continuing from any lfLen values: a rand.Source64 a test can plant
+// values in.
+type lfSource struct {
+	x    []uint64
+	next int
+}
+
+func (s *lfSource) Uint64() uint64 {
+	if s.next == len(s.x) {
+		s.x = append(s.x, s.x[s.next-lfLen]+s.x[s.next-lfTap])
+	}
+	s.next++
+	return s.x[s.next-1]
+}
+func (s *lfSource) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
+func (s *lfSource) Seed(int64)   {}
+
+// TestLaggedFibonacciMatchesMathRand is the tripwire for the fact
+// KroneckerABC rests on: the lfLen outputs that follow any use of a seeded
+// math/rand source are its state, and x[n] = x[n-lfLen] + x[n-lfTap]
+// continues it. Go promises the seeded stream of math/rand (v1) will not
+// change; should a release break that promise, this test fails and
+// KroneckerABC must draw through the source again — there is no runtime
+// fallback.
+func TestLaggedFibonacciMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{1, 7, 12345} {
+		src, twin := rand.NewSource(seed).(rand.Source64), rand.NewSource(seed).(rand.Source64)
+		rand.New(src).Perm(1000)
+		rand.New(twin).Perm(1000)
+		vals := make([]uint64, lfBlock+lfLen)
+		for i := range vals[lfBlock:] {
+			vals[lfBlock+i] = src.Uint64()
+		}
+		one := &lfSource{x: slices.Clone(vals[lfBlock:])}
+		for n := 0; n < 2<<20; {
+			for _, x := range lfAdvance(vals) {
+				if want, single := twin.Uint64(), one.Uint64(); x != want || single != want {
+					t.Fatalf("seed %d: value %d after Perm is %#x (lfAdvance) / %#x (lfSource), math/rand draws %#x", seed, n, x, single, want)
+				}
+				n++
+			}
+		}
+	}
+}
+
+// TestFloatThreshold: x >= floatThreshold(t) is Float64() >= t for the x the
+// source returned, on both sides of the bound and at the ends of the range.
+func TestFloatThreshold(t *testing.T) {
+	const top = 1<<63 - 1
+	for _, th := range []float64{0, 5e-324, 0.19, 0.57, 0.76, 0.8, 1 - 0x1p-53, 1, 1.5, math.Inf(1), math.NaN(), -1, math.Inf(-1), 0x1p-63, 0x1p-62, 1 - 0x1p-52, 1 - 0x1p-43} {
+		bound := floatThreshold(th)
+		if bound > 1<<63 {
+			t.Fatalf("floatThreshold(%v) = %d, past 1<<63", th, bound)
+		}
+		check := func(x uint64) {
+			if x > top {
+				return
+			}
+			if got, want := x >= bound, float64(x)/(1<<63) >= th; got != want {
+				t.Fatalf("t = %v, bound %d: x = %d compares %v, float64(x)/(1<<63) >= t is %v", th, bound, x, got, want)
+			}
+		}
+		check(0)
+		check(top)
+		for d := uint64(0); d <= 2048; d++ {
+			if bound >= d {
+				check(bound - d)
+			}
+			check(bound + d)
+		}
+	}
+	if got := floatThreshold(1); got != 1<<63-512 {
+		t.Fatalf("floatThreshold(1) = %d: Float64 draws again from 1<<63-512 (round half to even) up", got)
+	}
+}
+
+// TestRMATEdgesRedraws plants, in the state rmatEdges starts from, values
+// that convert to 1.0 — Float64 draws again on those — as a first draw, as
+// a second draw, twice in a row and with bit 63 set, and next to them the
+// largest value that is kept.
+func TestRMATEdgesRedraws(t *testing.T) {
+	const scale, m = 7, 400 // some 3500 values: the state and more than a block past it
+	for _, seed := range []int64{1, 7, 12345} {
+		src := rand.NewSource(seed).(rand.Source64)
+		perm := rand.New(src).Perm(1 << scale)
+		state := make([]uint64, lfLen)
+		for i := range state {
+			state[i] = src.Uint64()
+		}
+		for i, x := range map[int]uint64{0: 1<<63 - 512, 5: 1<<63 - 1, 6: 1<<64 - 1, 7: 1<<64 - 300, 40: 1<<63 - 513, 41: 1<<63 - 512, 99: 1<<64 - 513, 606: 1<<63 - 1} {
+			state[i] = x
+		}
+		// And one that the block generator computes, lfLen values after
+		// state[5]: 2^63-1 + 2^63-511 = 2^64-512, 1.0 again under the mask.
+		state[5+lfLen-lfTap] = 1<<63 - 511
+		perm32 := make([]int32, len(perm))
+		for i, p := range perm {
+			perm32[i] = int32(p)
+		}
+		for _, in := range [][3]float64{{0.57, 0.19, 0.19}, {0, 0, 0.5}, {0.9, 0.3, 0.1}} {
+			want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in[0], in[1], in[2])
+			got := rmatEdges(state, perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]))
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d initiator %v: rmatEdges differs from the plain loop over the same planted state", seed, in)
+			}
 		}
 	}
 }
