@@ -37,6 +37,10 @@ func main() {
 		list      = flag.Bool("list", false, "list Table 1 graph ids and exit")
 	)
 	flag.Parse()
+	if err := checkGenFlags(*scale, *deg); err != nil {
+		fmt.Fprintln(os.Stderr, "aam-graphgen:", err)
+		os.Exit(2) // a usage error, as the flag package exits on one
+	}
 
 	if *list {
 		for _, s := range graph.Table1Specs {
@@ -126,6 +130,18 @@ func describe(g *aamgo.Graph) {
 	}
 	fmt.Fprintf(os.Stderr, "graph: |V|=%d |E|=%d d̄=%.2f maxdeg=%d degree-histogram-buckets=%d\n",
 		g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree(), top+1)
+}
+
+// checkGenFlags rejects a -scale or -deg no generator takes: the library
+// words its own check of them as a panic.
+func checkGenFlags(scale, deg int) error {
+	if scale < 0 || scale > 30 {
+		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
+	}
+	if deg < 0 {
+		return fmt.Errorf("-deg %d: want 0 or more", deg)
+	}
+	return nil
 }
 
 func fail(err error) {

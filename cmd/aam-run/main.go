@@ -58,6 +58,10 @@ func main() {
 		damp = flag.Float64("damping", 0.85, "pagerank damping")
 	)
 	flag.Parse()
+	if err := checkGenFlags(*scale, *deg); err != nil {
+		fmt.Fprintln(os.Stderr, "aam-run:", err)
+		os.Exit(2) // a usage error, as the flag package exits on one
+	}
 
 	g, err := buildGraph(*load, *graphKind, *scale, *deg, *n, *p, *seed, *algoName)
 	if err != nil {
@@ -254,6 +258,18 @@ func intSqrt(n int) int {
 		r++
 	}
 	return r
+}
+
+// checkGenFlags rejects a -scale or -deg no generator takes: the library
+// words its own check of them as a panic.
+func checkGenFlags(scale, deg int) error {
+	if scale < 0 || scale > 30 {
+		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
+	}
+	if deg < 0 {
+		return fmt.Errorf("-deg %d: want 0 or more", deg)
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -95,6 +95,10 @@ func main() {
 		clNum    = flag.Int("cluster-workers", 2, "worker processes to wait for on -cluster-listen")
 	)
 	flag.Parse()
+	if err := checkGenFlags(*scale, *ef); err != nil {
+		fmt.Fprintln(os.Stderr, "aam-serve:", err)
+		os.Exit(2) // a usage error, as the flag package exits on one
+	}
 
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -254,6 +258,18 @@ func main() {
 	}
 	srv.LogFinalStats()
 	logger.Info("stopped")
+}
+
+// checkGenFlags rejects a -scale or -ef no generator takes: the library
+// words its own check of them as a panic, and load shifts by scale before that.
+func checkGenFlags(scale, ef int) error {
+	if scale < 0 || scale > 30 {
+		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
+	}
+	if ef < 0 {
+		return fmt.Errorf("-ef %d: want 0 or more", ef)
+	}
+	return nil
 }
 
 // load reads or generates the initial graph and wraps it as a dyn.Graph.

@@ -67,6 +67,10 @@ func main() {
 		rejoinGrace = flag.Duration("rejoin-grace", 0, "coordinator: wait this long for evicted ranks to be replaced before a retry shrinks the rank set (0 = default 2s)")
 	)
 	flag.Parse()
+	if err := checkGenFlags(*scale, *deg); err != nil {
+		fmt.Fprintln(os.Stderr, "aam-worker:", err)
+		os.Exit(2) // a usage error, as the flag package exits on one
+	}
 
 	if (*join == "") == (*listen == "") {
 		fail(errors.New("need exactly one of -join (worker) or -listen (coordinator)"))
@@ -267,6 +271,18 @@ func diffSlices[T comparable](what string, dist, inproc []T) string {
 		}
 	}
 	return ""
+}
+
+// checkGenFlags rejects a -scale or -deg no generator takes: the library
+// words its own check of them as a panic.
+func checkGenFlags(scale, deg int) error {
+	if scale < 0 || scale > 30 {
+		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
+	}
+	if deg < 0 {
+		return fmt.Errorf("-deg %d: want 0 or more", deg)
+	}
+	return nil
 }
 
 func fail(err error) {

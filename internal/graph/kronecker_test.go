@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -192,5 +193,24 @@ func TestRMATEdgesRedraws(t *testing.T) {
 				t.Fatalf("seed %d initiator %v: rmatEdges differs from the plain loop over the same planted state", seed, in)
 			}
 		}
+	}
+}
+
+// TestKroneckerRejectsArguments: a scale that cannot be shifted by or whose
+// ids pass int32, and a negative edge factor, panic with the library's own
+// words, as AddEdge does on a bad endpoint.
+func TestKroneckerRejectsArguments(t *testing.T) {
+	for _, c := range [][2]int{{-1, 16}, {31, 1}, {32, 0}, {64, 1}, {4, -1}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "graph: Kronecker scale") {
+					t.Errorf("scale %d, edge factor %d: want the worded panic, got %q", c[0], c[1], msg)
+				}
+			}()
+			WebGraph(c[0], c[1], 1)
+		}()
+	}
+	if g := Kronecker(0, 3, 1); g.N != 1 || g.NumEdges() != 0 {
+		t.Errorf("scale 0: want one vertex and its self-loops dropped, got %d vertices, %d arcs", g.N, g.NumEdges())
 	}
 }
