@@ -535,7 +535,8 @@ func sortIDs(seg []int32, n int, tmp []int32) []int32 {
 		tmp = make([]int32, len(seg))
 	}
 	width := bits.Len(uint(n - 1))
-	digit := (width + (width+10)/11 - 1) / ((width + 10) / 11)
+	passes := (width + 10) / 11
+	digit := (width + passes - 1) / passes
 	var count [1 << 11]int32
 	from, to := seg, tmp[:len(seg)]
 	for shift := 0; shift < width; shift += digit {

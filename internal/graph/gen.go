@@ -82,7 +82,7 @@ func floatThreshold(t float64) uint64 {
 // for is loaded or branched on. Every scale bytes are then packed into an
 // edge.
 func rmatEdges(state []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
-	// x < t ⇔ (x-t)>>63 = 1 for x < 1<<63 ≥ t.
+	// For x < 1<<63 and a bound t ≤ 1<<63, (x-t)>>63 is 1 if x < t, else 0.
 	tAB, tOne := floatThreshold(ab), floatThreshold(1)
 	tSide := [2]uint64{floatThreshold(a), floatThreshold(cNorm)}
 	edges := make([]Edge, 0, m)
