@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -20,7 +21,7 @@ func Kronecker(scale int, edgeFactor int, seed int64) *Graph {
 // over one rand.New(rand.NewSource(seed)) draws — Perm, then per bit one
 // Float64 and, in the lower half, a second. The values after Perm are not
 // drawn through the source, though: its next lfLen outputs are its whole
-// state, and rmatEdges continues the stream from them.
+// state (lfStream), and rmatEdges continues the stream from them.
 func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 	if scale < 0 || scale > 30 || edgeFactor < 0 {
 		panic(fmt.Sprintf("graph: Kronecker scale %d outside [0,30] or edge factor %d negative", scale, edgeFactor))
@@ -31,12 +32,8 @@ func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 	for i, p := range rand.New(src).Perm(n) {
 		perm[i] = int32(p)
 	}
-	state := make([]uint64, lfLen)
-	for i := range state {
-		state[i] = src.Uint64()
-	}
 	bld := NewBuilder(n)
-	bld.edges = rmatEdges(state, perm, scale, edgeFactor*n, a+b, a, c/(1-a-b))
+	bld.edges = rmatEdges(lfStream(src), perm, scale, edgeFactor*n, a+b, a, c/(1-a-b))
 	return bld.Build()
 }
 
@@ -45,6 +42,16 @@ func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 // lfLen consecutive outputs determine the rest. lfBlock values are computed
 // at a time: they and the bytes made of them stay in L1.
 const lfLen, lfTap, lfBlock = 607, 273, 2048
+
+// lfStream reads the next lfLen outputs of src into the buffer lfAdvance
+// continues them in.
+func lfStream(src rand.Source64) []uint64 {
+	vals := make([]uint64, lfBlock+lfLen)
+	for i := range vals[lfBlock:] {
+		vals[lfBlock+i] = src.Uint64()
+	}
+	return vals
+}
 
 // lfAdvance returns the next lfBlock values of the stream whose next lfLen
 // values are vals[lfBlock:], and leaves the lfLen after those in that place.
@@ -73,21 +80,18 @@ func floatThreshold(t float64) uint64 {
 	return x
 }
 
-// rmatEdges draws m R-MAT edges over 2^scale vertices from the stream that
-// continues state, lfLen consecutive outputs of a math/rand source, and
-// labels them through perm. A value is one step of a machine whose state is
-// one bit, second (the value is the second draw of a lower-half bit), and
-// whose output is one byte per descended bit — bit 0 the half, bit 1 the
-// side — stored always and kept by advancing: nothing the next value waits
-// for is loaded or branched on. Every scale bytes are then packed into an
-// edge.
-func rmatEdges(state []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
+// rmatEdges draws m R-MAT edges over 2^scale vertices from the stream vals
+// (an lfStream) holds and labels them through perm. A value is one step of a
+// machine whose state is one bit, second (the value is the second draw of a
+// lower-half bit), and whose output is one byte per descended bit — bit 0 the
+// half, bit 1 the side — stored always and kept by advancing: nothing the next
+// value waits for is loaded or branched on. Every scale bytes are then packed
+// into an edge.
+func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
 	// For x < 1<<63 and a bound t ≤ 1<<63, (x-t)>>63 is 1 if x < t, else 0.
 	tAB, tOne := floatThreshold(ab), floatThreshold(1)
 	tSide := [2]uint64{floatThreshold(a), floatThreshold(cNorm)}
 	edges := make([]Edge, 0, m)
-	vals := make([]uint64, lfBlock+lfLen)
-	copy(vals[lfBlock:], state)
 	bits := make([]uint8, scale+lfBlock) // the bytes of an unfinished edge, then a block's
 	have, second := 0, uint64(0)
 	for {
@@ -152,27 +156,68 @@ func ErdosRenyi(n int, p float64, seed int64) *Graph {
 
 // RoadGrid generates a road-network proxy: a w×h lattice with a fraction of
 // edges removed and a few diagonal shortcuts, giving degree ≈ 2–4 and a
-// very large diameter — the regime of roadNet-CA/TX/PA in Table 1.
+// very large diameter — the regime of roadNet-CA/TX/PA in Table 1. The graph
+// is the one a plain loop over rand.New(rand.NewSource(seed)) draws: per cell
+// in row-major order a Float64 each for the edge right and the edge down (kept
+// when ≥ dropFrac) and for the diagonal (kept when < 0.02), where they exist.
 func RoadGrid(w, h int, dropFrac float64, seed int64) *Graph {
-	n := w * h
-	rng := rand.New(rand.NewSource(seed))
-	bld := NewBuilder(n)
-	bld.edges = make([]Edge, 0, 2*n) // 2.02 per cell at most, less what is dropped
-	id := func(x, y int) int32 { return int32(y*w + x) }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w && rng.Float64() >= dropFrac {
-				bld.AddEdge(id(x, y), id(x+1, y))
+	if w < 0 || h < 0 || w > 0 && h > math.MaxInt32/w {
+		panic(fmt.Sprintf("graph: road grid %d×%d: negative side or more than 2^31-1 vertices", w, h))
+	}
+	return roadGridCSR(w, h, dropFrac, lfStream(rand.NewSource(seed).(rand.Source64)))
+}
+
+// roadGridCSR is RoadGrid over the stream vals (an lfStream) holds. Vertex
+// v = y·w+x has at most the neighbours v-w-1, v-w, v-1, v+1, v+w, v+w+1, each
+// through one edge, so pass one draws, keeps a cell's three bits (1 right, 2
+// down, 4 diagonal) at cells[w+1+v] and counts arcs, and pass two writes each
+// segment ascending from the bits of the cell and of those up-left, up and
+// left of it: no edge list, no sort. Off the grid those read 0: cells starts
+// with a zero row, and a last column or row never has the bit that would wrap.
+func roadGridCSR(w, h int, dropFrac float64, vals []uint64) *Graph {
+	tDrop, tDiag, tOne := floatThreshold(dropFrac), floatThreshold(0.02), floatThreshold(1)
+	var blk []uint64
+	draw := func() uint64 { // the x behind the next Float64, which draws again on 1
+		for {
+			if len(blk) == 0 {
+				blk = lfAdvance(vals)
 			}
-			if y+1 < h && rng.Float64() >= dropFrac {
-				bld.AddEdge(id(x, y), id(x, y+1))
-			}
-			if x+1 < w && y+1 < h && rng.Float64() < 0.02 {
-				bld.AddEdge(id(x, y), id(x+1, y+1))
+			x := blk[0] & (1<<63 - 1)
+			if blk = blk[1:]; x < tOne {
+				return x
 			}
 		}
 	}
-	return bld.Dedup().Build()
+	n, arcs := w*h, 0
+	cells := make([]uint8, w+1+n)
+	for y, c := 0, cells[w+1:]; y < h; y, c = y+1, c[w:] {
+		for x := 0; x < w; x++ {
+			var f uint64 // (x-t)>>63 is x < t: neither passes 1<<63
+			if x+1 < w {
+				f = (draw()-tDrop)>>63 ^ 1
+			}
+			if y+1 < h {
+				f |= ((draw()-tDrop)>>63 ^ 1) << 1
+			}
+			if x+1 < w && y+1 < h {
+				f |= (draw() - tDiag) >> 63 << 2
+			}
+			c[x] = uint8(f)
+			arcs += 2 * bits.OnesCount64(f)
+		}
+	}
+	offs, adj := make([]int64, n+1), make([]int32, arcs+5)
+	for v, j := 0, 0; v < n; v++ {
+		upLeft, up, left, here := int(cells[v]), int(cells[v+1]), int(cells[v+w]), int(cells[v+w+1])
+		adj[j], j = int32(v-w-1), j+upLeft>>2 // a slot is stored to, then kept by advancing
+		adj[j], j = int32(v-w), j+up>>1&1
+		adj[j], j = int32(v-1), j+left&1
+		adj[j], j = int32(v+1), j+here&1
+		adj[j], j = int32(v+w), j+here>>1&1
+		adj[j], j = int32(v+w+1), j+here>>2
+		offs[v+1] = int64(j)
+	}
+	return &Graph{N: n, Offsets: offs, Adj: adj[:arcs:arcs]}
 }
 
 // BarabasiAlbert generates a social-network proxy by preferential

@@ -116,10 +116,7 @@ func TestLaggedFibonacciMatchesMathRand(t *testing.T) {
 		src, twin := rand.NewSource(seed).(rand.Source64), rand.NewSource(seed).(rand.Source64)
 		rand.New(src).Perm(1000)
 		rand.New(twin).Perm(1000)
-		vals := make([]uint64, lfBlock+lfLen)
-		for i := range vals[lfBlock:] {
-			vals[lfBlock+i] = src.Uint64()
-		}
+		vals := lfStream(src)
 		one := &lfSource{x: slices.Clone(vals[lfBlock:])}
 		for n := 0; n < 2<<20; {
 			for _, x := range lfAdvance(vals) {
@@ -188,7 +185,7 @@ func TestRMATEdgesRedraws(t *testing.T) {
 		}
 		for _, in := range [][3]float64{{0.57, 0.19, 0.19}, {0, 0, 0.5}, {0.9, 0.3, 0.1}} {
 			want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in[0], in[1], in[2])
-			got := rmatEdges(state, perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]))
+			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]))
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d initiator %v: rmatEdges differs from the plain loop over the same planted state", seed, in)
 			}

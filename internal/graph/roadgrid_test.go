@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -46,5 +47,44 @@ func TestRoadGridMatchesPlainLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRoadGridRedraws plants, in the state roadGridCSR starts from, values
+// that convert to 1.0 — Float64 draws again on those — where a right, a down
+// and a diagonal draw fall, twice in a row and with bit 63 set, and next to
+// them the largest value that is kept.
+func TestRoadGridRedraws(t *testing.T) {
+	for _, seed := range []int64{1, 7, 12345} {
+		src := rand.NewSource(seed).(rand.Source64)
+		state := make([]uint64, lfLen)
+		for i := range state {
+			state[i] = src.Uint64()
+		}
+		for i, x := range map[int]uint64{0: 1<<63 - 512, 4: 1<<63 - 1, 5: 1<<64 - 1, 8: 1<<64 - 300, 40: 1<<63 - 513, 41: 1<<63 - 512, 99: 1<<64 - 513, 606: 1<<63 - 1} {
+			state[i] = x
+		}
+		// And one that the block generator computes, lfLen values after
+		// state[4]: 2^63-1 + 2^63-511 = 2^64-512, 1.0 again under the mask.
+		state[4+lfLen-lfTap] = 1<<63 - 511
+		for _, drop := range []float64{0, 0.1, 1} { // 40×30: more values than the state and a block after it
+			want := roadGridPlain(40, 30, drop, rand.New(&lfSource{x: slices.Clone(state)}))
+			if got := roadGridCSR(40, 30, drop, lfStream(&lfSource{x: slices.Clone(state)})); !sameCSR(got, want) {
+				t.Fatalf("seed %d dropFrac %v: roadGridCSR differs from the plain loop over the same planted state", seed, drop)
+			}
+		}
+	}
+}
+
+// TestRoadGridAllocatesItsCSR: the arrays of the graph, a flag byte per cell
+// and 64 KB for the stream block, the flag row above the grid and headers —
+// no edge list, whose 8 bytes per edge would double this.
+func TestRoadGridAllocatesItsCSR(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := RoadGrid(256, 256, 0.1, 1)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(g.Adj)+8*(g.N+1)+g.N+64<<10); got > limit {
+		t.Fatalf("RoadGrid(256,256) allocated %d bytes, more than the %d its CSR and flags take", got, limit)
 	}
 }
