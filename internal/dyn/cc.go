@@ -8,19 +8,18 @@ package dyn
 // workloads) O(α) per update while staying exactly as correct as a
 // from-scratch recompute.
 
-// unionFind is a growable disjoint-set forest with path halving and union
-// by size, tracking the live component count.
+// unionFind is a growable disjoint-set forest with path splitting and union
+// by size, tracking the live component count. A root holds minus the size of
+// its set, any other vertex its parent: a find ends on the size's cache line.
 type unionFind struct {
 	parent []int32
-	size   []int32
 	comps  int
 }
 
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int32, n), size: make([]int32, n), comps: n}
+	uf := &unionFind{parent: make([]int32, n), comps: n}
 	for i := range uf.parent {
-		uf.parent[i] = int32(i)
-		uf.size[i] = 1
+		uf.parent[i] = -1
 	}
 	return uf
 }
@@ -28,34 +27,40 @@ func newUnionFind(n int) *unionFind {
 // grow appends singletons up to n vertices.
 func (uf *unionFind) grow(n int) {
 	for i := len(uf.parent); i < n; i++ {
-		uf.parent = append(uf.parent, int32(i))
-		uf.size = append(uf.size, 1)
+		uf.parent = append(uf.parent, -1)
 		uf.comps++
 	}
 }
 
 func (uf *unionFind) find(v int) int {
 	r := int32(v)
-	for uf.parent[r] != r {
-		uf.parent[r] = uf.parent[uf.parent[r]]
-		r = uf.parent[r]
+	for p := uf.parent[r]; p >= 0; r, p = p, uf.parent[p] {
+		if gp := uf.parent[p]; gp >= 0 {
+			uf.parent[r] = gp
+		}
 	}
 	return int(r)
 }
 
-// union merges the sets of a and b; it reports whether a merge happened.
-func (uf *unionFind) union(a, b int) bool {
-	ra, rb := int32(uf.find(a)), int32(uf.find(b))
+// link merges the sets of the roots ra and rb, the smaller into the larger,
+// and returns the root of the result and whether they were two sets.
+func (uf *unionFind) link(ra, rb int32) (int32, bool) {
 	if ra == rb {
-		return false
+		return ra, false
 	}
-	if uf.size[ra] < uf.size[rb] {
+	if uf.parent[ra] > uf.parent[rb] {
 		ra, rb = rb, ra
 	}
+	uf.parent[ra] += uf.parent[rb]
 	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
 	uf.comps--
-	return true
+	return ra, true
+}
+
+// union merges the sets of a and b; it reports whether a merge happened.
+func (uf *unionFind) union(a, b int) bool {
+	_, merged := uf.link(int32(uf.find(a)), int32(uf.find(b)))
+	return merged
 }
 
 // rebuildCC reconstructs the forest from snapshot s. Caller holds g.mu.

@@ -451,7 +451,7 @@ func sweepBase(base *graph.Graph) (uf *unionFind, sorted, ok bool) {
 	}
 	uf, sorted = newUnionFind(n), true
 	for v := 0; v < n; v++ {
-		prev := int32(0)
+		prev, rv := int32(0), int32(uf.find(v)) // v's root across the segment: link returns the set's next one
 		for _, w := range adj[off[v]:off[v+1]] {
 			if uint32(w) >= uint32(n) {
 				return nil, false, false
@@ -459,7 +459,7 @@ func sweepBase(base *graph.Graph) (uf *unionFind, sorted, ok bool) {
 			sorted = sorted && prev <= w
 			prev = w
 			if int32(v) < w {
-				uf.union(v, int(w))
+				rv, _ = uf.link(rv, int32(uf.find(int(w))))
 			}
 		}
 	}
