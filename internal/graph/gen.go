@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -86,22 +87,26 @@ func floatThreshold(t float64) uint64 {
 // lower-half bit), and whose output is one byte per descended bit — bit 0 the
 // half, bit 1 the side — stored always and kept by advancing: nothing the next
 // value waits for is loaded or branched on. Every scale bytes are then packed
-// into an edge.
+// into an edge, eight to a multiplication.
 func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
 	// For x < 1<<63 and a bound t ≤ 1<<63, (x-t)>>63 is 1 if x < t, else 0.
 	tAB, tOne := floatThreshold(ab), floatThreshold(1)
 	tSide := [2]uint64{floatThreshold(a), floatThreshold(cNorm)}
 	edges := make([]Edge, 0, m)
-	bits := make([]uint8, scale+lfBlock) // the bytes of an unfinished edge, then a block's
+	bits := make([]uint8, scale+lfBlock+8) // the bytes of an unfinished edge, then a block's; packing reads 8 at a time
 	have, second := 0, uint64(0)
 	for {
 		done := 0
 		for ; len(edges) < m && have-done >= scale; done += scale {
-			u, v := 0, 0
-			for i := done + scale - 1; i >= done; i-- { // high bit first: constant shifts
-				u, v = u<<1|int(bits[i]&1), v<<1|int(bits[i]>>1)
+			// Bit 0 of byte i times 1<<(7·(8-i)) is bit 56+i, and no two of
+			// the 64 partial products share a bit: nothing carries into it.
+			u, v := uint64(0), uint64(0)
+			for i := 0; i < scale; i += 8 {
+				x := binary.LittleEndian.Uint64(bits[done+i:])
+				u |= x & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
+				v |= x >> 1 & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
 			}
-			edges = append(edges, Edge{perm[u], perm[v]})
+			edges = append(edges, Edge{perm[u&(1<<scale-1)], perm[v&(1<<scale-1)]}) // less what was read of the next edge
 		}
 		if len(edges) == m {
 			return edges

@@ -62,7 +62,7 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 		{"thresholds-at-2^-53", 0x1p-53, 0x1p-53, 1 - 0x1p-52},
 	}
 	for _, in := range initiators {
-		for _, scale := range []int{0, 1, 5, 11} {
+		for _, scale := range []int{0, 1, 5, 8, 9, 11} { // 8|9: where an edge takes a second 8-byte word to pack
 			for _, ef := range []int{0, 1, 16} {
 				for _, seed := range []int64{1, 7, 12345} {
 					want := kroneckerPlain(scale, ef, in.a, in.b, in.c, seed)
@@ -75,10 +75,13 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 			}
 		}
 	}
-	// The two public shorthands are the first two initiators.
+	// The two public shorthands are the first two initiators; 16|17 is where
+	// an edge takes a third word to pack.
 	for _, c := range []struct{ got, want *Graph }{
 		{Kronecker(9, 8, 3), kroneckerPlain(9, 8, 0.57, 0.19, 0.19, 3)},
 		{WebGraph(9, 8, 3), kroneckerPlain(9, 8, 0.65, 0.15, 0.15, 3)},
+		{Kronecker(16, 1, 3), kroneckerPlain(16, 1, 0.57, 0.19, 0.19, 3)},
+		{WebGraph(17, 1, 3), kroneckerPlain(17, 1, 0.65, 0.15, 0.15, 3)},
 	} {
 		if !slices.Equal(c.got.Offsets, c.want.Offsets) || !slices.Equal(c.got.Adj, c.want.Adj) {
 			t.Fatal("Kronecker or WebGraph differs from the plain loop over its initiator")
