@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"aamgo"
@@ -37,7 +38,7 @@ func main() {
 		list      = flag.Bool("list", false, "list Table 1 graph ids and exit")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*scale, *deg); err != nil {
+	if err := checkGenFlags(*kind, *scale, *deg, *n); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-graphgen:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
@@ -132,14 +133,22 @@ func describe(g *aamgo.Graph) {
 		g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree(), top+1)
 }
 
-// checkGenFlags rejects a -scale or -deg no generator takes: the library
-// words its own check of them as a panic.
-func checkGenFlags(scale, deg int) error {
+// checkGenFlags rejects a -scale, -deg or -n no generator takes: the library
+// words its own check of them as a panic. A road grid rounds -n up to a
+// square, and 46340² is the largest that 32-bit ids number.
+func checkGenFlags(kind string, scale, deg, n int) error {
 	if scale < 0 || scale > 30 {
 		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
 	}
 	if deg < 0 {
 		return fmt.Errorf("-deg %d: want 0 or more", deg)
+	}
+	limit := math.MaxInt32
+	if kind == "road" {
+		limit = 46340 * 46340
+	}
+	if n < 0 || n > limit {
+		return fmt.Errorf("-n %d: want 0 to %d (32-bit ids)", n, limit)
 	}
 	return nil
 }

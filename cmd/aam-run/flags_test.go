@@ -22,11 +22,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestGeneratorFlagsAreUsageErrors: a -scale or -deg no generator takes ends
+// TestGeneratorFlagsAreUsageErrors: a -scale, -deg or -n no generator takes ends
 // aam-run with a worded usage error and status 2 before anything shifts by
 // it, allocates by it or hands it to the library — not with a panic.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-graph", "kron", "-scale", "-1"}, {"-scale", "32"}, {"-algo", "cc", "-deg", "-1"}} {
+	for _, args := range [][]string{{"-graph", "kron", "-scale", "-1"}, {"-scale", "32"}, {"-algo", "cc", "-deg", "-1"},
+		{"-graph", "er", "-n", "-5"}, {"-graph", "road", "-n", "3000000000"}, {"-graph", "road", "-n", "2147483647"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
@@ -40,9 +41,12 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 			t.Errorf("%v: want a message naming %s and no panic, got\n%s", args, bad, out)
 		}
 	}
-	for _, ok := range [][2]int{{0, 0}, {30, 0}, {10, 8}} {
-		if err := checkGenFlags(ok[0], ok[1]); err != nil {
-			t.Errorf("scale %d, edge factor %d rejected: %v", ok[0], ok[1], err)
+	for _, ok := range []struct {
+		kind          string
+		scale, deg, n int
+	}{{"kron", 0, 0, 0}, {"kron", 30, 0, 4096}, {"er", 10, 8, 1<<31 - 1}, {"road", 10, 8, 46340 * 46340}} {
+		if err := checkGenFlags(ok.kind, ok.scale, ok.deg, ok.n); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
 		}
 	}
 }

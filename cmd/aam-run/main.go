@@ -58,7 +58,7 @@ func main() {
 		damp = flag.Float64("damping", 0.85, "pagerank damping")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*scale, *deg); err != nil {
+	if err := checkGenFlags(*graphKind, *scale, *deg, *n); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-run:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
@@ -260,14 +260,22 @@ func intSqrt(n int) int {
 	return r
 }
 
-// checkGenFlags rejects a -scale or -deg no generator takes: the library
-// words its own check of them as a panic.
-func checkGenFlags(scale, deg int) error {
+// checkGenFlags rejects a -scale, -deg or -n no generator takes: the library
+// words its own check of them as a panic. A road grid rounds -n up to a
+// square, and 46340² is the largest that 32-bit ids number.
+func checkGenFlags(kind string, scale, deg, n int) error {
 	if scale < 0 || scale > 30 {
 		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
 	}
 	if deg < 0 {
 		return fmt.Errorf("-deg %d: want 0 or more", deg)
+	}
+	limit := math.MaxInt32
+	if kind == "road" {
+		limit = 46340 * 46340
+	}
+	if n < 0 || n > limit {
+		return fmt.Errorf("-n %d: want 0 to %d (32-bit ids)", n, limit)
 	}
 	return nil
 }

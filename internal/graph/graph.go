@@ -206,10 +206,13 @@ type Builder struct {
 	withWeight func(u, v int32) uint32
 }
 
-// NewBuilder returns a Builder for n vertices. By default the graph is
-// undirected (each edge stored both ways), self-loops are dropped, and
-// parallel edges are kept (as in the Graph500 generator).
+// NewBuilder returns a Builder for n vertices (it panics unless int32 ids can
+// number them). By default the graph is undirected (each edge stored both
+// ways), self-loops are dropped, and parallel edges are kept (as in Graph500).
 func NewBuilder(n int) *Builder {
+	if n < 0 || n > 1<<31-1 {
+		panic(fmt.Sprintf("graph: vertex count %d outside [0, 2^31-1]", n))
+	}
 	return &Builder{n: n}
 }
 

@@ -111,7 +111,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 {
+	if n < 0 && maxID == 1<<31-1 {
+		return nil, fmt.Errorf("graph: line %d: vertex id %d leaves no int32 vertex count", maxLine, maxID)
+	} else if n < 0 {
 		n = int(maxID) + 1
 	} else if len(edges) > 0 && maxID >= int64(n) {
 		return nil, fmt.Errorf("graph: line %d: vertex id %d out of range, header says n=%d", maxLine, maxID, n)

@@ -19,6 +19,7 @@ func TestReadEdgeListRejects(t *testing.T) {
 		{"n not a number", "# aamgo n=many\n0 1\n", "line 1: bad n=many"},
 		{"one field", "0 1\n7\n", "line 2: want 'u v [w]'"},
 		{"id past int32", "0 2147483648\n", "line 1:"},
+		{"headerless id at int32's end", "0 1\n2147483647 0\n", "line 2: vertex id 2147483647 leaves no"},
 		{"bad weight", "0 1 -2\n", "line 1:"},
 	} {
 		g, err := ReadEdgeList(strings.NewReader(c.in))

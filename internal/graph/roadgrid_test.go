@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -86,5 +87,32 @@ func TestRoadGridAllocatesItsCSR(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(g.Adj)+8*(g.N+1)+g.N+64<<10); got > limit {
 		t.Fatalf("RoadGrid(256,256) allocated %d bytes, more than the %d its CSR and flags take", got, limit)
+	}
+}
+
+// TestVertexCountsPanicInWords: a count no int32 id numbers is refused where
+// it is given, not by make or by ids that wrap.
+func TestVertexCountsPanicInWords(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewBuilder(-5)":        func() { NewBuilder(-5) },
+		"NewBuilder(2^31)":      func() { NewBuilder(1 << 31) },
+		"ErdosRenyi(-5)":        func() { ErdosRenyi(-5, 0.5, 1) },
+		"RoadGrid(-1,5)":        func() { RoadGrid(-1, 5, 0.1, 1) },
+		"RoadGrid(5,-1)":        func() { RoadGrid(5, -1, 0.1, 1) },
+		"RoadGrid(0,-1)":        func() { RoadGrid(0, -1, 0.1, 1) },
+		"RoadGrid(46341,46341)": func() { RoadGrid(46341, 46341, 0.1, 1) },
+		"RoadGrid(2^62,2^62)":   func() { RoadGrid(1<<62, 1<<62, 0.1, 1) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "graph: ") {
+					t.Errorf("%s: want the worded panic, got %q", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
+	if g := NewBuilder(0).Build(); g.N != 0 || g.Validate() != nil {
+		t.Errorf("NewBuilder(0): %+v", g)
 	}
 }
