@@ -17,7 +17,7 @@ func BenchmarkDynNew(b *testing.B) {
 		base *graph.Graph
 	}{
 		{"kron16", graph.Kronecker(16, 16, 1)},           // unsorted segments, 40k-neighbour hub
-		{"road512", graph.RoadGrid(512, 512, 0.1, 1)},    // Dedup output: already sorted
+		{"road512", graph.RoadGrid(512, 512, 0.1, 1)},    // born sorted: adopted as it is
 		{"road1024", graph.RoadGrid(1024, 1024, 0.1, 1)}, // the benchmark's road20: a per-vertex term shows here
 	} {
 		b.Run(c.name, func(b *testing.B) {

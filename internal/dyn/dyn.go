@@ -414,8 +414,8 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 		return nil, fmt.Errorf("dyn: invalid base: %w", base.Validate())
 	}
 	// Every snapshot base carries per-vertex sorted adjacency (HasEdge and
-	// Degree binary-search it). The generators that build with Dedup
-	// (RoadGrid, Community) and compaction emit it and are adopted as they
+	// Degree binary-search it). RoadGrid, the generators that build with
+	// Dedup (Community) and compaction emit it and are adopted as they
 	// are; any other base — every Kronecker graph, a checkpoint taken with
 	// deltas outstanding — is copied and the copy sorted.
 	flat := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: base.Adj}
