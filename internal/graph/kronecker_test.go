@@ -67,8 +67,7 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 				for _, seed := range []int64{1, 7, 12345} {
 					want := kroneckerPlain(scale, ef, in.a, in.b, in.c, seed)
 					got := KroneckerABC(scale, ef, in.a, in.b, in.c, seed)
-					if got.N != want.N || got.Directed != want.Directed || got.Weights != nil || got.Ends != nil ||
-						!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) {
+					if !sameCSR(got, want) {
 						t.Fatalf("%s scale=%d ef=%d seed=%d: KroneckerABC differs from the plain loop", in.name, scale, ef, seed)
 					}
 				}
@@ -172,10 +171,7 @@ func TestRMATEdgesRedraws(t *testing.T) {
 	for _, seed := range []int64{1, 7, 12345} {
 		src := rand.NewSource(seed).(rand.Source64)
 		perm := rand.New(src).Perm(1 << scale)
-		state := make([]uint64, lfLen)
-		for i := range state {
-			state[i] = src.Uint64()
-		}
+		state := lfStream(src)[lfBlock:]
 		for i, x := range map[int]uint64{0: 1<<63 - 512, 5: 1<<63 - 1, 6: 1<<64 - 1, 7: 1<<64 - 300, 40: 1<<63 - 513, 41: 1<<63 - 512, 99: 1<<64 - 513, 606: 1<<63 - 1} {
 			state[i] = x
 		}

@@ -57,11 +57,7 @@ func TestRoadGridMatchesPlainLoop(t *testing.T) {
 // them the largest value that is kept.
 func TestRoadGridRedraws(t *testing.T) {
 	for _, seed := range []int64{1, 7, 12345} {
-		src := rand.NewSource(seed).(rand.Source64)
-		state := make([]uint64, lfLen)
-		for i := range state {
-			state[i] = src.Uint64()
-		}
+		state := lfStream(rand.NewSource(seed).(rand.Source64))[lfBlock:]
 		for i, x := range map[int]uint64{0: 1<<63 - 512, 4: 1<<63 - 1, 5: 1<<64 - 1, 8: 1<<64 - 300, 40: 1<<63 - 513, 41: 1<<63 - 512, 99: 1<<64 - 513, 606: 1<<63 - 1} {
 			state[i] = x
 		}
