@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -121,5 +122,57 @@ func TestRenderAndCSV(t *testing.T) {
 	}
 	if len(rep.FailedChecks()) != 1 {
 		t.Fatalf("failed checks = %d", len(rep.FailedChecks()))
+	}
+}
+
+// smokeIDs are the scenarios the bench-smoke CI job runs and
+// BENCH_baseline.json holds.
+var smokeIDs = []string{"sharded", "streaming", "sharded-irregular", "serving", "gblas", "net", "durability"}
+
+// TestSmokeCountsMatchBaseline holds the counts of the bench-smoke
+// scenarios to the committed baseline inside tier-1: two runs at the CI
+// job's scale and seed must agree with each other and with
+// ../../BENCH_baseline.json, so a drifted count fails go test, not only
+// the CI gate. Wall-clock metrics (".tput.", ".lat.") repeat on no host
+// and are left out.
+func TestSmokeCountsMatchBaseline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the seven smoke scenarios twice at default scale")
+	}
+	base, err := ReadCI("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, id := range smokeIDs {
+			rep, err := RunOne(id, Options{Scale: base.Scale, Seed: base.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range rep.FailedChecks() {
+				t.Errorf("%s: shape check %q failed: %s", id, c.Name, c.Detail)
+			}
+			for name, v := range rep.Metrics {
+				if !strings.Contains(name, ".tput.") && !strings.Contains(name, ".lat.") {
+					out[id+"/"+name] = v
+				}
+			}
+		}
+		return out
+	}
+	first, second := counts(), counts()
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("two runs of one seed disagree:\n%v\n%v", first, second)
+	}
+	for _, id := range smokeIDs {
+		for name, want := range base.Experiments[id].Metrics {
+			if strings.Contains(name, ".tput.") || strings.Contains(name, ".lat.") {
+				continue
+			}
+			if got, ok := first[id+"/"+name]; !ok || got != want {
+				t.Errorf("%s/%s = %v (present %t), baseline %v", id, name, got, ok, want)
+			}
+		}
 	}
 }
