@@ -22,24 +22,35 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// usageError runs aam-run on args, requires exit status 2 without a panic
+// and returns what it printed.
+func usageError(t *testing.T, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(string(out), "panic: ") {
+		t.Errorf("%v: %v, want exit status 2 and no panic\n%s", args, err, out)
+	}
+	return string(out)
+}
+
 // TestGeneratorFlagsAreUsageErrors: a -scale, -deg or -n no generator takes ends
 // aam-run with a worded usage error and status 2 before anything shifts by
-// it, allocates by it or hands it to the library — not with a panic.
+// it, allocates by it or hands it to the library — not with a panic. So does
+// -backend, the removed alias of -runtime: it is an unknown flag.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-graph", "kron", "-scale", "-1"}, {"-scale", "32"}, {"-algo", "cc", "-deg", "-1"},
 		{"-graph", "er", "-n", "-5"}, {"-graph", "road", "-n", "3000000000"}, {"-graph", "road", "-n", "2147483647"}} {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		out, err := cmd.CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%v: %v, want exit status 2\n%s", args, err, out)
+		if out, bad := usageError(t, args...), args[len(args)-2]; !strings.Contains(out, "aam-run: "+bad) {
+			t.Errorf("%v: want a message naming %s, got\n%s", args, bad, out)
 		}
-		if bad := args[len(args)-2]; strings.Contains(string(out), "panic") || !strings.Contains(string(out), "aam-run: "+bad) {
-			t.Errorf("%v: want a message naming %s and no panic, got\n%s", args, bad, out)
-		}
+	}
+	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
+		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
 	for _, ok := range []struct {
 		kind          string

@@ -8,10 +8,12 @@
 //	aam-run -algo mst -load edges.txt -mech lock
 //	aam-run -algo bfs -engine gblas -graph kron -scale 14
 //	aam-run -algo cc -engine shard -shards 8
+//	aam-run -algo bfs -runtime native -threads 4
 //
 // Algorithms: bfs, pagerank, sssp, mst, coloring, cc, stconn, maxflow.
 // Engines: aam (default), shard (sharded executor), gblas (masked-SpMV
-// engine; bfs, sssp and pagerank only).
+// engine; bfs, sssp and pagerank only). Runtimes (-runtime): sim (default;
+// deterministic, virtual time), native (goroutines, wall-clock time).
 // Graphs: kron (-scale, -deg), er (-n, -p), road (-n), ba (-n, -deg),
 // community (-n, -deg), or -load <edge-list file>.
 package main
@@ -40,7 +42,6 @@ func main() {
 		engine   = flag.String("engine", "", "aam|shard|gblas (empty = aam, or shard when -shards > 1)")
 		shards   = flag.Int("shards", 0, "shard count for the shard engine")
 		rt       = flag.String("runtime", "", "sim|native machine runtime (default sim)")
-		backend  = flag.String("backend", "", "deprecated alias for -runtime")
 		machine  = flag.String("machine", "has-c", "has-c|has-p|bgq")
 		variant  = flag.String("htm", "", "HTM variant (rtm|hle|short|long)")
 		nodes    = flag.Int("nodes", 1, "machine nodes")
@@ -71,9 +72,6 @@ func main() {
 	mechanism, err := aam.MechanismByName(*mech)
 	if err != nil {
 		fail(err)
-	}
-	if *rt == "" {
-		*rt = *backend
 	}
 	if *rt == "" {
 		*rt = "sim"
