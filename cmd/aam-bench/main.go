@@ -13,7 +13,14 @@
 // checks that encode the paper's qualitative findings. -scale adds powers
 // of two to the reduced default problem sizes (≈7 reaches the paper's).
 // -json additionally writes the machine-readable metrics of every run
-// experiment (consumed by aam-benchdiff in the bench-smoke CI gate).
+// experiment (consumed by aam-benchdiff in the bench-smoke CI gate): counts
+// and virtual times only, so two runs of one -scale and -seed write the
+// same bytes. Wall-clock questions go to benchmark/ (bash benchmark/run.sh).
+//
+// Exit status: 0 on success; 1 when a shape check failed or a report,
+// CSV, profile or -json file could not be written (what finished is still
+// written); 2 on a usage error, an unknown id in -run included — the ids
+// are checked before anything runs.
 package main
 
 import (
@@ -29,13 +36,13 @@ import (
 )
 
 // main defers to run so the profile writers (deferred) still fire on the
-// failure exits.
+// failure exits: nothing below run calls os.Exit.
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
 		list     = flag.Bool("list", false, "list experiments and exit")
-		runID    = flag.String("run", "", "run one experiment by id")
+		runID    = flag.String("run", "", "run the experiments with these comma-separated ids")
 		all      = flag.Bool("all", false, "run every experiment")
 		scale    = flag.Int("scale", 0, "problem-size shift added to reduced defaults")
 		csv      = flag.String("csv", "", "directory for per-table CSV dumps")
@@ -45,6 +52,34 @@ func run() int {
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
+
+	var ids []string
+	switch {
+	case *list:
+		for _, e := range bench.Experiments() {
+			fmt.Printf("%-22s %s\n", e.ID, e.Title)
+			fmt.Printf("%22s %s\n", "", e.Paper)
+		}
+		return 0
+	case *runID != "":
+		// Every id is checked before any runs: a typo at the end of the
+		// list is a usage error, not minutes of discarded work.
+		for _, id := range strings.Split(*runID, ",") {
+			id = strings.TrimSpace(id)
+			if _, ok := bench.ByID(id); !ok {
+				fmt.Fprintf(os.Stderr, "aam-bench: unknown experiment %q (known: %s)\n", id, strings.Join(bench.IDs(), ", "))
+				return 2
+			}
+			ids = append(ids, id)
+		}
+	case *all:
+		for _, e := range bench.Experiments() {
+			ids = append(ids, e.ID)
+		}
+	default:
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -61,43 +96,27 @@ func run() int {
 	}
 	defer writeHeapProfile(*memProf)
 
+	// What finished before a failure is still written out.
 	ci := bench.CIReport{Scale: *scale, Seed: *seed}
-
-	switch {
-	case *list:
-		for _, e := range bench.Experiments() {
-			fmt.Printf("%-22s %s\n", e.ID, e.Title)
-			fmt.Printf("%22s %s\n", "", e.Paper)
+	status, failures := 0, 0
+	for _, id := range ids {
+		failed, err := runOne(id, bench.Options{Scale: *scale, Out: os.Stdout, CSVDir: *csv, Seed: *seed}, &ci)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "aam-bench:", err)
+			status = 1
+			break
 		}
-		return 0
-
-	case *runID != "":
-		failures := 0
-		for _, id := range strings.Split(*runID, ",") {
-			failures += runOne(strings.TrimSpace(id), bench.Options{Scale: *scale, Out: os.Stdout, CSVDir: *csv, Seed: *seed}, &ci)
-		}
-		writeCI(*jsonPath, ci)
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "aam-bench: %d shape checks failed\n", failures)
-			return 1
-		}
-
-	case *all:
-		failures := 0
-		for _, e := range bench.Experiments() {
-			failures += runOne(e.ID, bench.Options{Scale: *scale, Out: os.Stdout, CSVDir: *csv, Seed: *seed}, &ci)
-		}
-		writeCI(*jsonPath, ci)
-		if failures > 0 {
-			fmt.Fprintf(os.Stderr, "aam-bench: %d shape checks failed\n", failures)
-			return 1
-		}
-
-	default:
-		flag.Usage()
-		return 2
+		failures += failed
 	}
-	return 0
+	if err := writeCI(*jsonPath, ci); err != nil {
+		fmt.Fprintln(os.Stderr, "aam-bench:", err)
+		status = 1
+	}
+	if failures > 0 {
+		fmt.Fprintf(os.Stderr, "aam-bench: %d shape checks failed\n", failures)
+		status = 1
+	}
+	return status
 }
 
 // writeHeapProfile dumps an up-to-date allocation profile (no-op when path
@@ -118,28 +137,28 @@ func writeHeapProfile(path string) {
 	}
 }
 
-func runOne(id string, o bench.Options, ci *bench.CIReport) int {
+// runOne runs and renders one experiment, records it in ci and returns the
+// number of failed shape checks.
+func runOne(id string, o bench.Options, ci *bench.CIReport) (int, error) {
 	t0 := time.Now()
 	rep, err := bench.RunOne(id, o)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "aam-bench:", err)
-		os.Exit(1)
+		return 0, err
 	}
-	elapsed := time.Since(t0)
-	ci.Add(rep, float64(elapsed.Nanoseconds())/1e6)
-	failed := rep.FailedChecks()
+	ci.Add(rep)
+	failed := len(rep.FailedChecks())
 	fmt.Printf("(%s finished in %v; %d/%d shape checks passed)\n\n",
-		id, elapsed.Round(time.Millisecond), len(rep.Checks)-len(failed), len(rep.Checks))
-	return len(failed)
+		id, time.Since(t0).Round(time.Millisecond), len(rep.Checks)-failed, len(rep.Checks))
+	return failed, nil
 }
 
-func writeCI(path string, ci bench.CIReport) {
+func writeCI(path string, ci bench.CIReport) error {
 	if path == "" {
-		return
+		return nil
 	}
 	if err := bench.WriteCI(path, ci); err != nil {
-		fmt.Fprintln(os.Stderr, "aam-bench:", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Printf("wrote metrics for %d experiment(s) to %s\n", len(ci.Experiments), path)
+	return nil
 }

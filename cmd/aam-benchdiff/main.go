@@ -1,31 +1,27 @@
 // Command aam-benchdiff is the bench-smoke regression gate: it compares a
 // fresh aam-bench -json run against a committed baseline and fails when a
-// shared metric regresses beyond the threshold.
+// shared metric differs.
 //
 // Usage:
 //
-//	aam-benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json [-threshold 0.20]
+//	aam-benchdiff -baseline BENCH_baseline.json -current BENCH_ci.json
 //
-// Metrics gate in three classes, by name: throughput metrics (containing
-// ".tput.") are higher-is-better and regress when
-// current < baseline × (1 − threshold) — the committed baseline holds
-// conservative floors for them; latency metrics (containing ".lat.") are
-// lower-is-better and regress when current > baseline × (1 + threshold) —
-// the baseline holds conservative ceilings; every other metric is a deterministic
-// count (message/batch totals, reduction ratios) for a fixed scale and
-// seed, and must match the baseline exactly — any drift, in either
-// direction, means the messaging behavior changed and the baseline needs
-// a deliberate refresh. Metric sets may be asymmetric, and the two
-// directions are deliberately not symmetric: a metric (or a whole
-// experiment) present only in the current run is reported as "new, not
-// gated" — new scenarios land before their baseline does — while a metric
-// or experiment present in the baseline but missing from the current run
-// FAILS the gate: coverage silently disappearing is exactly the
-// regression the gate exists to catch. Failed shape checks in the current
-// run always fail the gate. To refresh the baseline after an intentional
-// performance or workload change, rerun aam-bench with the same
-// -scale/-seed the CI job uses, re-relax the throughput floors, and
-// commit the new file.
+// There is one comparison rule. Every metric aam-bench writes is a count
+// or a virtual time (message/batch totals, reduction ratios, aborts,
+// simulated nanoseconds) that repeats exactly for a fixed scale and seed,
+// and must equal the baseline — any drift, in either direction, means the
+// behavior changed and the baseline needs a deliberate refresh. Nothing
+// here is a wall-clock reading; those are benchmark/'s job. Metric sets
+// may be asymmetric, and the two directions are deliberately not
+// symmetric: a metric (or a whole experiment) present only in the current
+// run is reported as "new, not gated" — new scenarios land before their
+// baseline does — while a metric or experiment present in the baseline
+// but missing from the current run FAILS the gate: coverage silently
+// disappearing is exactly the regression the gate exists to catch. Failed
+// shape checks in the current run always fail the gate. To refresh the
+// baseline after an intentional change, rerun aam-bench with the
+// -run/-scale/-seed the CI job uses and -json BENCH_baseline.json, and
+// commit the file as written.
 package main
 
 import (
@@ -35,21 +31,16 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"aamgo/internal/bench"
 )
 
 func main() {
 	var (
-		basePath  = flag.String("baseline", "BENCH_baseline.json", "committed baseline metrics")
-		curPath   = flag.String("current", "BENCH_ci.json", "freshly generated metrics")
-		threshold = flag.Float64("threshold", 0.20, "allowed fractional drop before failing")
+		basePath = flag.String("baseline", "BENCH_baseline.json", "committed baseline metrics")
+		curPath  = flag.String("current", "BENCH_ci.json", "freshly generated metrics")
 	)
 	flag.Parse()
-	if *threshold < 0 || *threshold >= 1 {
-		fatalf("threshold %v out of range [0,1)", *threshold)
-	}
 
 	base, err := bench.ReadCI(*basePath)
 	if err != nil {
@@ -65,7 +56,7 @@ func main() {
 			base.Scale, base.Seed, cur.Scale, cur.Seed)
 	}
 
-	regressions, compared := diff(os.Stdout, base, cur, *threshold)
+	regressions, compared := diff(os.Stdout, base, cur)
 	if regressions > 0 {
 		fatalf("%d regression(s) across %d compared metric(s); "+
 			"if intentional, refresh the baseline (see aam-benchdiff doc)", regressions, compared)
@@ -76,7 +67,7 @@ func main() {
 // diff compares current against baseline, writing one line per finding to
 // w, and returns the regression and compared-metric counts. Extracted
 // from main so the asymmetric-set semantics are unit-testable.
-func diff(w io.Writer, base, cur bench.CIReport, threshold float64) (regressions, compared int) {
+func diff(w io.Writer, base, cur bench.CIReport) (regressions, compared int) {
 	for _, id := range sortedKeys(cur.Experiments) {
 		ce := cur.Experiments[id]
 		if ce.ChecksFailed > 0 {
@@ -97,31 +88,8 @@ func diff(w io.Writer, base, cur bench.CIReport, threshold float64) (regressions
 				continue
 			}
 			compared++
-			if strings.Contains(name, ".lat.") {
-				ceiling := baseV * (1 + threshold)
-				status := "ok  "
-				if curV > ceiling {
-					status = "FAIL"
-					regressions++
-				}
-				fmt.Fprintf(w, "%s %s/%s: current %.4g vs baseline ceiling %.4g (%.4g + %.0f%%)\n",
-					status, id, name, curV, ceiling, baseV, threshold*100)
-				continue
-			}
-			if strings.Contains(name, ".tput.") {
-				floor := baseV * (1 - threshold)
-				status := "ok  "
-				if curV < floor {
-					status = "FAIL"
-					regressions++
-				}
-				fmt.Fprintf(w, "%s %s/%s: current %.4g vs baseline floor %.4g (%.4g − %.0f%%)\n",
-					status, id, name, curV, floor, baseV, threshold*100)
-				continue
-			}
-			// Deterministic count: exact match (tiny relative epsilon for
-			// float ratios), both directions — a drop AND a rise mean the
-			// messaging behavior changed.
+			// Exact match (tiny relative epsilon for float ratios), both
+			// directions — a drop AND a rise mean the behavior changed.
 			status := "ok  "
 			if !almostEqual(curV, baseV) {
 				status = "FAIL"

@@ -14,7 +14,7 @@ func report(exps map[string]bench.CIExperiment) bench.CIReport {
 func runDiff(t *testing.T, base, cur bench.CIReport) (string, int, int) {
 	t.Helper()
 	var sb strings.Builder
-	regressions, compared := diff(&sb, base, cur, 0.20)
+	regressions, compared := diff(&sb, base, cur)
 	return sb.String(), regressions, compared
 }
 
@@ -22,7 +22,7 @@ func TestDiffPassesOnIdenticalSets(t *testing.T) {
 	r := report(map[string]bench.CIExperiment{
 		"sharded": {Metrics: map[string]float64{
 			"bfs.remote_units.s4": 1000,
-			"bfs.tput.keps.s4":    50,
+			"bfs.batch_reduction": 78,
 		}},
 	})
 	out, regressions, compared := runDiff(t, r, r)
@@ -92,62 +92,54 @@ func TestDiffMissingBaselineMetricFails(t *testing.T) {
 	}
 }
 
+// TestDiffGatesValues: every metric gates for equality, whatever its
+// name — a name that once selected a floor (".tput.") or a ceiling
+// (".lat.") is a name like any other.
 func TestDiffGatesValues(t *testing.T) {
 	base := report(map[string]bench.CIExperiment{
 		"sharded": {Metrics: map[string]float64{
-			"bfs.remote_units.s4": 1000,
-			"bfs.tput.keps.s4":    100,
+			"bfs.remote_units.s4":   1000,
+			"x.tput.y":              100,
+			"serving.lat.p99us.bfs": 100,
+			"sssp.batch_reduction":  98.22910216718266,
 		}},
 	})
-	// Throughput above the floor and exact counts pass.
-	cur := report(map[string]bench.CIExperiment{
-		"sharded": {Metrics: map[string]float64{
-			"bfs.remote_units.s4": 1000,
-			"bfs.tput.keps.s4":    85, // floor is 80
-		}},
-	})
-	if out, regressions, _ := runDiff(t, base, cur); regressions != 0 {
-		t.Fatalf("within-threshold run failed:\n%s", out)
-	}
-	// Throughput below the floor fails; count drift fails in both
-	// directions.
-	for _, m := range []map[string]float64{
-		{"bfs.remote_units.s4": 1000, "bfs.tput.keps.s4": 79},
-		{"bfs.remote_units.s4": 999, "bfs.tput.keps.s4": 100},
-		{"bfs.remote_units.s4": 1001, "bfs.tput.keps.s4": 100},
-	} {
-		cur := report(map[string]bench.CIExperiment{"sharded": {Metrics: m}})
-		if out, regressions, _ := runDiff(t, base, cur); regressions != 1 {
-			t.Fatalf("metrics %v: regressions != 1:\n%s", m, out)
+	with := func(name string, v float64) bench.CIReport {
+		m := map[string]float64{}
+		for k, bv := range base.Experiments["sharded"].Metrics {
+			m[k] = bv
 		}
+		m[name] = v
+		return report(map[string]bench.CIExperiment{"sharded": {Metrics: m}})
 	}
-	// Latency metrics gate as ceilings: under (or within threshold of) the
-	// baseline passes, above the ceiling fails.
-	latBase := report(map[string]bench.CIExperiment{
-		"serving": {Metrics: map[string]float64{"serving.lat.p99us.bfs": 100}},
-	})
 	for _, c := range []struct {
+		name string
 		v    float64
 		want int
 	}{
-		{v: 50, want: 0},  // improvement: never gates
-		{v: 119, want: 0}, // within the +20% ceiling
-		{v: 121, want: 1}, // over the ceiling
+		{"bfs.remote_units.s4", 1000, 0},
+		{"bfs.remote_units.s4", 999, 1}, // drift fails in both directions
+		{"bfs.remote_units.s4", 1001, 1},
+		{"x.tput.y", 85, 1},  // was inside the 20% floor
+		{"x.tput.y", 150, 1}, // was an improvement
+		{"serving.lat.p99us.bfs", 50, 1},
+		{"serving.lat.p99us.bfs", 119, 1},
+		{"sssp.batch_reduction", 98.22910216718266 * (1 + 1e-12), 0}, // formatting noise only
 	} {
-		cur := report(map[string]bench.CIExperiment{
-			"serving": {Metrics: map[string]float64{"serving.lat.p99us.bfs": c.v}},
-		})
-		if out, regressions, _ := runDiff(t, latBase, cur); regressions != c.want {
-			t.Fatalf("latency %v: regressions = %d, want %d:\n%s", c.v, regressions, c.want, out)
+		out, regressions, compared := runDiff(t, base, with(c.name, c.v))
+		if regressions != c.want || compared != 4 {
+			t.Errorf("%s = %v: regressions = %d, want %d (compared %d):\n%s", c.name, c.v, regressions, c.want, compared, out)
+		}
+		if n := strings.Count(out, "(exact)"); n != 4 {
+			t.Errorf("%s = %v: %d of 4 lines read (exact):\n%s", c.name, c.v, n, out)
 		}
 	}
 
 	// Failed shape checks always gate.
-	cur = report(map[string]bench.CIExperiment{
-		"sharded": {ChecksFailed: 2, Metrics: map[string]float64{
-			"bfs.remote_units.s4": 1000, "bfs.tput.keps.s4": 100,
-		}},
-	})
+	cur := with("x.tput.y", 100)
+	e := cur.Experiments["sharded"]
+	e.ChecksFailed = 2
+	cur.Experiments["sharded"] = e
 	if out, regressions, _ := runDiff(t, base, cur); regressions != 1 {
 		t.Fatalf("failed shape checks did not gate:\n%s", out)
 	}

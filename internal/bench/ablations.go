@@ -48,9 +48,9 @@ func runAblCoarsen(o Options) *Report {
 	src := maxDegVertex(g)
 	T := prof.MaxThreads
 
-	atom := runBFS(o.Backend, prof, g, 1, T, g500Config(), src, o.Seed)
-	fine := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", 1), src, o.Seed)
-	coarse := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", 144), src, o.Seed)
+	atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
+	fine := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 1), src, o.Seed)
+	coarse := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 144), src, o.Seed)
 
 	t := rep.NewTable("BG/Q BFS, T=64: coarsening ablation",
 		"variant", "time [ms]", "transactions", "aborts")
@@ -96,8 +96,8 @@ func runAblVisited(o Options) *Report {
 	cfgOn := aamBFSConfig(&prof, "short", 144)
 	cfgOff := cfgOn
 	cfgOff.VisitedCheck = false
-	on := runBFS(o.Backend, prof, g, 1, T, cfgOn, src, o.Seed)
-	off := runBFS(o.Backend, prof, g, 1, T, cfgOff, src, o.Seed)
+	on := runBFS(prof, g, 1, T, cfgOn, src, o.Seed)
+	off := runBFS(prof, g, 1, T, cfgOff, src, o.Seed)
 
 	t := rep.NewTable("BG/Q AAM BFS: visited-check ablation",
 		"variant", "time [ms]", "operators executed")
@@ -118,8 +118,8 @@ func runAblMSelect(o Options) *Report {
 	src := maxDegVertex(g)
 	T := prof.MaxThreads
 
-	fixedGood := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", 144), src, o.Seed)
-	fixedBad := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", 1), src, o.Seed)
+	fixedGood := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 144), src, o.Seed)
+	fixedBad := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 1), src, o.Seed)
 
 	autoCfg := algo.BFSConfig{
 		Mode: algo.BFSAAM,
@@ -131,7 +131,7 @@ func runAblMSelect(o Options) *Report {
 		},
 		VisitedCheck: true,
 	}
-	auto := runBFS(o.Backend, prof, g, 1, T, autoCfg, src, o.Seed)
+	auto := runBFS(prof, g, 1, T, autoCfg, src, o.Seed)
 
 	t := rep.NewTable("BG/Q AAM BFS: online M selection",
 		"variant", "time [ms]")

@@ -51,7 +51,7 @@ func runAblMechanisms(o Options) *Report {
 			c.Engine.HTM = nil
 		}
 		cfg.name = mech.String()
-		cfg.run = runBFS(o.Backend, prof, g, 1, T, c, src, o.Seed)
+		cfg.run = runBFS(prof, g, 1, T, c, src, o.Seed)
 		return cfg
 	}
 
@@ -126,7 +126,7 @@ func runAblLower(o Options) *Report {
 			},
 		})
 		words := ops + 8
-		m := machine(o.Backend, prof, 1, T, words, rt.Handlers(nil), o.Seed)
+		m := machine(prof, 1, T, words, rt.Handlers(nil), o.Seed)
 		res := m.Run(func(ctx exec.Context) {
 			eng := aam.NewEngine(rt, ctx, aam.Config{
 				M: 1, Mechanism: mech, HTM: prof.HTMVariant("rtm"),
@@ -186,14 +186,14 @@ func runAblPredict(o Options) *Report {
 		"M", "time [ms]", "source")
 	best := 0
 	for i, m := range sweep {
-		r := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", m), src, o.Seed)
+		r := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", m), src, o.Seed)
 		times[i] = float64(r.Elapsed)
 		t.AddRow(itoa(m), fmtMS(r.Elapsed), "sweep")
 		if times[i] < times[best] {
 			best = i
 		}
 	}
-	pr := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", predicted), src, o.Seed)
+	pr := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", predicted), src, o.Seed)
 	t.AddRow(itoa(predicted), fmtMS(pr.Elapsed), "predicted")
 
 	slack := float64(pr.Elapsed) / times[best]

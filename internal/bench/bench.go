@@ -24,9 +24,6 @@ type Options struct {
 	// sizes; 7 approximates the paper's sizes. Negative values shrink
 	// further (used by unit tests).
 	Scale int
-	// Backend selects the machine backend ("sim" or "native"); the
-	// evaluation figures require "sim" (virtual time); "" means sim.
-	Backend string
 	// Out receives the human-readable report; nil discards it.
 	Out io.Writer
 	// CSVDir, when non-empty, receives one CSV file per emitted table.
@@ -41,9 +38,6 @@ func (o *Options) normalize() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 42
-	}
-	if o.Backend == "" {
-		o.Backend = "sim"
 	}
 }
 
@@ -82,9 +76,9 @@ type Report struct {
 	Checks []Check
 	// Metrics are machine-readable scalar outcomes keyed by dotted names
 	// (aam-bench -json dumps them; the bench-smoke CI gate compares them
-	// across runs). Every metric is higher-is-better; deterministic counts
-	// (message/batch totals, rounds) gate exactly, throughput figures gate
-	// within the regression threshold.
+	// across runs). Each is a count or a virtual time that repeats exactly
+	// for a scale and seed, and gates for equality: never record a
+	// wall-clock reading here (those belong to benchmark/).
 	Metrics map[string]float64
 }
 
@@ -186,19 +180,6 @@ func RunOne(id string, o Options) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// RunAll executes every experiment in registration order.
-func RunAll(o Options) ([]*Report, error) {
-	var reps []*Report
-	for _, e := range Experiments() {
-		rep, err := RunOne(e.ID, o)
-		if err != nil {
-			return reps, err
-		}
-		reps = append(reps, rep)
-	}
-	return reps, nil
 }
 
 // Render writes the report as aligned text.

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -129,12 +128,11 @@ func TestRenderAndCSV(t *testing.T) {
 // BENCH_baseline.json holds.
 var smokeIDs = []string{"sharded", "streaming", "sharded-irregular", "serving", "gblas", "net", "durability"}
 
-// TestSmokeCountsMatchBaseline holds the counts of the bench-smoke
-// scenarios to the committed baseline inside tier-1: two runs at the CI
-// job's scale and seed must agree with each other and with
-// ../../BENCH_baseline.json, so a drifted count fails go test, not only
-// the CI gate. Wall-clock metrics (".tput.", ".lat.") repeat on no host
-// and are left out.
+// TestSmokeCountsMatchBaseline holds the bench-smoke scenarios to the
+// committed baseline inside tier-1: two runs at the CI job's scale and
+// seed must produce the metrics of ../../BENCH_baseline.json — the same
+// names, the same values — so a drifted count fails go test, not only the
+// CI gate.
 func TestSmokeCountsMatchBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the seven smoke scenarios twice at default scale")
@@ -143,8 +141,10 @@ func TestSmokeCountsMatchBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := func() map[string]float64 {
-		out := map[string]float64{}
+	if len(base.Experiments) != len(smokeIDs) {
+		t.Errorf("baseline holds %d experiments, the smoke run %d", len(base.Experiments), len(smokeIDs))
+	}
+	for run := 0; run < 2; run++ {
 		for _, id := range smokeIDs {
 			rep, err := RunOne(id, Options{Scale: base.Scale, Seed: base.Seed})
 			if err != nil {
@@ -153,25 +153,16 @@ func TestSmokeCountsMatchBaseline(t *testing.T) {
 			for _, c := range rep.FailedChecks() {
 				t.Errorf("%s: shape check %q failed: %s", id, c.Name, c.Detail)
 			}
+			want := base.Experiments[id].Metrics
 			for name, v := range rep.Metrics {
-				if !strings.Contains(name, ".tput.") && !strings.Contains(name, ".lat.") {
-					out[id+"/"+name] = v
+				if w, ok := want[name]; !ok || v != w {
+					t.Errorf("run %d: %s/%s = %v, baseline %v (present %t)", run, id, name, v, w, ok)
 				}
 			}
-		}
-		return out
-	}
-	first, second := counts(), counts()
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("two runs of one seed disagree:\n%v\n%v", first, second)
-	}
-	for _, id := range smokeIDs {
-		for name, want := range base.Experiments[id].Metrics {
-			if strings.Contains(name, ".tput.") || strings.Contains(name, ".lat.") {
-				continue
-			}
-			if got, ok := first[id+"/"+name]; !ok || got != want {
-				t.Errorf("%s/%s = %v (present %t), baseline %v", id, name, got, ok, want)
+			for name := range want {
+				if _, ok := rep.Metrics[name]; !ok {
+					t.Errorf("run %d: %s/%s is in the baseline and was not produced", run, id, name)
+				}
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
@@ -16,14 +15,12 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "durability",
-		Title: "Durable write path: WAL group commit vs fsync vs off, and crash recovery",
-		Paper: "Beyond the paper's in-memory batches: the durable write path. Group " +
-			"commit must buy back most of fsync's cost (one sync retires many " +
-			"concurrent batches), recovery must replay the exact acknowledged " +
-			"history — batch counts and the component structure gate exactly — and " +
-			"a torn tail must truncate cleanly (one injected partial record, zero " +
-			"lost acknowledged batches). Mutation throughput per durability mode " +
-			"and recovery wall time gate as floors/ceilings.",
+		Title: "Durable write path: crash recovery of a group-committed WAL",
+		Paper: "Beyond the paper's in-memory batches: the durable write path. Recovery " +
+			"must replay the exact acknowledged history of concurrent group-committed " +
+			"writers — batch counts and the component structure gate exactly — a torn " +
+			"tail must truncate cleanly (one injected partial record, zero lost " +
+			"acknowledged batches), and a checkpoint must bound the replay.",
 		Run: runDurability,
 	})
 }
@@ -44,8 +41,8 @@ func durNewBase(o Options) func() (*dyn.Graph, error) {
 	}
 }
 
-// durStream pre-generates the whole mutation stream so every mode (and
-// the recovery oracle) sees identical batches.
+// durStream pre-generates the whole mutation stream so both logs see
+// identical batches.
 func durStream(o Options, n int) [][]dyn.Mutation {
 	rng := rand.New(rand.NewSource(o.Seed * 7919))
 	batches := make([][]dyn.Mutation, durBatchCount)
@@ -65,7 +62,8 @@ func durStream(o Options, n int) [][]dyn.Mutation {
 }
 
 // durApply drives the stream through g with durWriters concurrent
-// appliers (group commit needs concurrency to have anything to group).
+// appliers, so the log's commit path groups and recovery replays an
+// interleaved history.
 func durApply(g *dyn.Graph, batches [][]dyn.Mutation) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, durWriters)
@@ -88,90 +86,58 @@ func durApply(g *dyn.Graph, batches [][]dyn.Mutation) error {
 
 func runDurability(o Options) *Report {
 	rep := &Report{}
-	batchDir, n := durThroughputPart(rep, o)
-	defer os.RemoveAll(batchDir)
-	durRecoveryPart(rep, o, batchDir, n)
-	durCheckpointPart(rep, o)
+	t := rep.NewTable(fmt.Sprintf("recovery counts (%d batches × %d adds, %d writers, group commit)",
+		durBatchCount, durPerBatch, durWriters),
+		"reopen", "snapshot-epoch", "replayed", "truncated", "recovered-epoch", "components")
+	durRecoveryPart(rep, t, o)
+	durCheckpointPart(rep, t, o)
 	return rep
 }
 
-// durThroughputPart races the three durability modes over the same
-// stream, returning the batch-mode directory (kept for the recovery part)
-// and the graph size.
-func durThroughputPart(rep *Report, o Options) (string, int) {
-	t := rep.NewTable("mutation throughput by durability mode (96 batches × 16 edges, 4 writers)",
-		"mode", "batches/s", "fsyncs", "appends", "group")
-
-	var batchDir string
-	var n int
-	var batchGroup float64
-	for _, mode := range []wal.Mode{wal.ModeFsync, wal.ModeBatch, wal.ModeOff} {
-		dir, err := os.MkdirTemp("", "aam-bench-durability-*")
-		if err != nil {
-			panic(err)
-		}
-		g, l, err := wal.Open(wal.Options{Dir: dir, Mode: mode}, durNewBase(o))
-		if err != nil {
-			panic(err)
-		}
-		if n == 0 {
-			n = g.N()
-		}
-		batches := durStream(o, n)
-		t0 := time.Now()
-		if err := durApply(g, batches); err != nil {
-			panic(err)
-		}
-		if err := l.Sync(); err != nil { // off mode acks without syncing; settle before timing stops
-			panic(err)
-		}
-		wall := time.Since(t0)
-		st := l.Stats()
-		if err := l.Close(); err != nil {
-			panic(err)
-		}
-
-		bps := float64(durBatchCount) / wall.Seconds()
-		group := float64(st.Appends)
-		if st.Fsyncs > 0 {
-			group = float64(st.Appends) / float64(st.Fsyncs)
-		}
-		t.AddRow(mode.String(), fmt.Sprintf("%.0f", bps), itoa(int(st.Fsyncs)),
-			itoa(int(st.Appends)), fmt.Sprintf("%.1f", group))
-		rep.Metricf("durability.tput."+mode.String()+".bps", bps)
-		if mode == wal.ModeBatch {
-			batchDir = dir
-			batchGroup = group
-			rep.Metricf("durability.tput.batch.group", group)
-		} else {
-			os.RemoveAll(dir)
-		}
-	}
-	rep.Checkf(batchGroup > 1, "group commit groups",
-		"batch mode retired %.1f batches per fsync (must exceed 1)", batchGroup)
-	return batchDir, n
-}
-
-// durRecoveryPart reopens the batch-mode directory twice: intact, then
-// with a torn record injected at the tail. Replay counts, the truncation
-// count and the recovered component structure gate exactly; only the
-// recovery wall time is machine-dependent (ceiling).
-func durRecoveryPart(rep *Report, o Options, dir string, n int) {
-	t0 := time.Now()
+// durOpen opens (or recovers) the log in dir in the default batch mode.
+func durOpen(o Options, dir string) (*dyn.Graph, *wal.Log) {
 	g, l, err := wal.Open(wal.Options{Dir: dir}, durNewBase(o))
 	if err != nil {
 		panic(err)
 	}
-	recoverMS := float64(time.Since(t0).Nanoseconds()) / 1e6
-	rs := l.Recovery()
-	cc := g.ComponentCount()
+	return g, l
+}
+
+// durReopen recovers dir, adds the recovery counts as a table row and
+// returns them with the recovered component count.
+func durReopen(t *Table, label string, o Options, dir string) (wal.RecoveryStats, int) {
+	g, l := durOpen(o, dir)
+	rs, cc := l.Recovery(), g.ComponentCount()
+	if err := l.Close(); err != nil {
+		panic(err)
+	}
+	t.AddRow(label, utoa(rs.SnapshotEpoch), utoa(rs.ReplayedBatches), utoa(rs.TruncatedRecords),
+		utoa(rs.RecoveredEpoch), itoa(cc))
+	return rs, cc
+}
+
+// durRecoveryPart writes the stream with concurrent writers, then reopens
+// the directory twice: intact, then with a torn record injected at the
+// tail. Replay counts, the truncation count and the recovered component
+// structure gate exactly.
+func durRecoveryPart(rep *Report, t *Table, o Options) {
+	dir, err := os.MkdirTemp("", "aam-bench-durability-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	g, l := durOpen(o, dir)
+	n := g.N()
+	if err := durApply(g, durStream(o, n)); err != nil {
+		panic(err)
+	}
 	if err := l.Close(); err != nil {
 		panic(err)
 	}
 
+	rs, cc := durReopen(t, "intact", o, dir)
 	rep.Metricf("durability.recovered.batches", float64(rs.ReplayedBatches))
 	rep.Metricf("durability.recovered.cc", float64(cc))
-	rep.Metricf("durability.lat.recover.ms", recoverMS)
 	rep.Checkf(rs.RecoveredEpoch == durBatchCount,
 		"recovery replays every acknowledged batch",
 		"recovered epoch %d, acknowledged %d", rs.RecoveredEpoch, durBatchCount)
@@ -183,8 +149,7 @@ func durRecoveryPart(rep *Report, o Options, dir string, n int) {
 	if err != nil || len(segs) == 0 {
 		panic(fmt.Sprintf("no WAL segments in %s: %v", dir, err))
 	}
-	newest := segs[len(segs)-1]
-	f, err := os.OpenFile(newest, os.O_APPEND|os.O_WRONLY, 0)
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -193,15 +158,7 @@ func durRecoveryPart(rep *Report, o Options, dir string, n int) {
 	}
 	f.Close()
 
-	g2, l2, err := wal.Open(wal.Options{Dir: dir}, durNewBase(o))
-	if err != nil {
-		panic(err)
-	}
-	rs2 := l2.Recovery()
-	cc2 := g2.ComponentCount()
-	if err := l2.Close(); err != nil {
-		panic(err)
-	}
+	rs2, cc2 := durReopen(t, "torn tail", o, dir)
 	rep.Metricf("durability.truncated.records", float64(rs2.TruncatedRecords))
 	rep.Checkf(rs2.TruncatedRecords == 1 && rs2.RecoveredEpoch == durBatchCount && cc2 == cc,
 		"torn tail truncates cleanly",
@@ -214,7 +171,7 @@ func durRecoveryPart(rep *Report, o Options, dir string, n int) {
 
 // durCheckpointPart takes an explicit mid-stream checkpoint and verifies
 // recovery resumes from the snapshot, replaying only the tail.
-func durCheckpointPart(rep *Report, o Options) {
+func durCheckpointPart(rep *Report, t *Table, o Options) {
 	const head = 64 // batches before the checkpoint; the rest replay from the log
 	dir, err := os.MkdirTemp("", "aam-bench-durability-ckpt-*")
 	if err != nil {
@@ -222,21 +179,14 @@ func durCheckpointPart(rep *Report, o Options) {
 	}
 	defer os.RemoveAll(dir)
 
-	g, l, err := wal.Open(wal.Options{Dir: dir}, durNewBase(o))
-	if err != nil {
-		panic(err)
-	}
-	batches := durStream(o, g.N())
-	for i := 0; i < head; i++ {
-		if _, err := g.Apply(batches[i], dyn.TxConfig{Threads: 2}); err != nil {
-			panic(err)
+	g, l := durOpen(o, dir)
+	for i, batch := range durStream(o, g.N()) {
+		if i == head {
+			if err := l.Checkpoint(); err != nil {
+				panic(err)
+			}
 		}
-	}
-	if err := l.Checkpoint(); err != nil {
-		panic(err)
-	}
-	for i := head; i < len(batches); i++ {
-		if _, err := g.Apply(batches[i], dyn.TxConfig{Threads: 2}); err != nil {
+		if _, err := g.Apply(batch, dyn.TxConfig{Threads: 2}); err != nil {
 			panic(err)
 		}
 	}
@@ -244,15 +194,7 @@ func durCheckpointPart(rep *Report, o Options) {
 		panic(err)
 	}
 
-	g2, l2, err := wal.Open(wal.Options{Dir: dir}, durNewBase(o))
-	if err != nil {
-		panic(err)
-	}
-	rs := l2.Recovery()
-	if err := l2.Close(); err != nil {
-		panic(err)
-	}
-	_ = g2
+	rs, _ := durReopen(t, "after checkpoint", o, dir)
 	rep.Metricf("durability.snapshot.epoch", float64(rs.SnapshotEpoch))
 	rep.Metricf("durability.replayed.after.ckpt", float64(rs.ReplayedBatches))
 	rep.Checkf(rs.SnapshotEpoch == head && rs.ReplayedBatches == durBatchCount-head,

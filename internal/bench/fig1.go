@@ -24,8 +24,8 @@ func runFig1(o Options) *Report {
 	src := maxDegVertex(g)
 	T := prof.MaxThreads
 
-	atom := runBFS(o.Backend, prof, g, 1, T, g500Config(), src, o.Seed)
-	htm := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, "short", 27), src, o.Seed)
+	atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
+	htm := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 27), src, o.Seed)
 
 	t := rep.NewTable("per-phase time [ms]", "phase", "atomics", "aam-htm")
 	phases := len(atom.Levels)

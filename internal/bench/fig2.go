@@ -102,7 +102,7 @@ func fig2Point(o Options, c fig2Case, n, reps int, useHTM bool) vtime.Time {
 	// records span a line (stride 8 words).
 	const stride = 8
 	mem := n*stride + 64
-	m := machine(o.Backend, prof, 1, 1, mem, nil, o.Seed)
+	m := machine(prof, 1, 1, mem, nil, o.Seed)
 	res := m.Run(func(ctx exec.Context) {
 		for r := 0; r < reps; r++ {
 			if useHTM {

@@ -162,7 +162,7 @@ func fig3Point(o Options, mech fig3Mech, T, ops, repeat int) (vtime.Time, stats.
 	var sum vtime.Time
 	var tot stats.Total
 	for r := 0; r < repeat; r++ {
-		m := machine(o.Backend, prof, 1, T, 64, nil, o.Seed+int64(r))
+		m := machine(prof, 1, T, 64, nil, o.Seed+int64(r))
 		res := m.Run(func(ctx exec.Context) {
 			const addr = 0
 			for i := 0; i < ops; i++ {

@@ -68,15 +68,15 @@ func runFig4(o Options, prof exec.MachineProfile, fastVariant, slowVariant strin
 		scale, g.NumEdges(), prof.Name, fastVariant, slowVariant)
 
 	for _, T := range threadsFor(prof, Ts) {
-		atom := runBFS(o.Backend, prof, g, 1, T, g500Config(), src, o.Seed)
+		atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
 		t := rep.NewTable(fmt.Sprintf("T=%d runtime [ms] (atomic CAS baseline: %s)", T, fmtMS(atom.Elapsed)),
 			"M", fastVariant, slowVariant, fastVariant+"-txs", fastVariant+"-aborts",
 			fastVariant+"-capacity", fastVariant+"-serialized")
 
 		var fastTimes []float64
 		for _, M := range ms {
-			fast := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, fastVariant, M), src, o.Seed)
-			slow := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, slowVariant, M), src, o.Seed)
+			fast := runBFS(prof, g, 1, T, aamBFSConfig(&prof, fastVariant, M), src, o.Seed)
+			slow := runBFS(prof, g, 1, T, aamBFSConfig(&prof, slowVariant, M), src, o.Seed)
 			fastTimes = append(fastTimes, fast.Elapsed.Millis())
 			t.AddRow(itoa(M), fmtMS(fast.Elapsed), fmtMS(slow.Elapsed),
 				utoa(fast.Stats.TxStarted), utoa(fast.Stats.TotalAborts()),
@@ -129,7 +129,7 @@ func runFig4(o Options, prof exec.MachineProfile, fastVariant, slowVariant strin
 		"M", "transactions", "aborts", "buffer-overflows", "serialized")
 	var overflowDominated int
 	for _, M := range ms {
-		fast := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, fastVariant, M), src, o.Seed)
+		fast := runBFS(prof, g, 1, T, aamBFSConfig(&prof, fastVariant, M), src, o.Seed)
 		ev.AddRow(itoa(M), utoa(fast.Stats.TxStarted), utoa(fast.Stats.TotalAborts()),
 			utoa(fast.Stats.Aborts[stats.AbortCapacity]), utoa(fast.Stats.TxSerialized))
 		if M > 64 && fast.Stats.OverflowShare() > 0.5 {
@@ -163,7 +163,7 @@ func runFig5ab(o Options) *Report {
 		t := rep.NewTable(s.prof.Name+" abort mix at M=2 (%)",
 			"T", "conflicts", "buffer-overflows", "other", "total-aborts")
 		for _, T := range s.Ts {
-			r := runBFS(o.Backend, s.prof, g, 1, T, aamBFSConfig(&s.prof, "rtm", 2), src, o.Seed)
+			r := runBFS(s.prof, g, 1, T, aamBFSConfig(&s.prof, "rtm", 2), src, o.Seed)
 			tot := r.Stats.TotalAborts()
 			if tot == 0 {
 				t.AddRow(itoa(T), "0", "0", "0", "0")

@@ -124,7 +124,7 @@ func runRemoteAAM(o Options, prof exec.MachineProfile, nodes, ops int,
 		HTM:       prof.HTMVariant(variant),
 		Part:      part,
 	}
-	m := machine(o.Backend, prof, nodes, 1, ops+64, w.rt.Handlers(nil), o.Seed)
+	m := machine(prof, nodes, 1, ops+64, w.rt.Handlers(nil), o.Seed)
 	res := m.Run(func(ctx exec.Context) {
 		eng := aam.NewEngine(w.rt, ctx, cfg)
 		target := ctx.Nodes() - 1
@@ -143,7 +143,7 @@ func runRemoteAAM(o Options, prof exec.MachineProfile, nodes, ops int,
 // runRemoteAtomics times the PAMI/MPI-3-RMA-style one-sided baseline.
 func runRemoteAtomics(o Options, prof exec.MachineProfile, nodes, ops int, acc bool) vtime.Time {
 	var ra baseline.RemoteAtomics
-	m := machine(o.Backend, prof, nodes, 1, ops+64, ra.Handlers(nil), o.Seed)
+	m := machine(prof, nodes, 1, ops+64, ra.Handlers(nil), o.Seed)
 	res := m.Run(func(ctx exec.Context) {
 		target := ctx.Nodes() - 1
 		if ctx.NodeID() != target {
@@ -310,7 +310,7 @@ func runFig5iPoint(o Options, prof exec.MachineProfile, nodes int, sc fig5iScena
 	// stores them); handler id 2 is the writeback handler.
 	const writebackH = 2
 	mem := 2*verts + nodes + 64
-	m := machine(o.Backend, prof, nodes, 1, mem, own.Handlers(nil), o.Seed)
+	m := machine(prof, nodes, 1, mem, own.Handlers(nil), o.Seed)
 	res := m.Run(func(ctx exec.Context) {
 		rng := ctx.Rand()
 		me := ctx.NodeID()

@@ -51,8 +51,8 @@ func runFig6(o Options, prof exec.MachineProfile, variant string, M int, degs []
 			}
 			g := graph.Kronecker(scale, d, o.Seed+int64(d))
 			src := maxDegVertex(g)
-			atom := runBFS(o.Backend, prof, g, 1, T, g500Config(), src, o.Seed)
-			aamR := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, variant, M), src, o.Seed)
+			atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
+			aamR := runBFS(prof, g, 1, T, aamBFSConfig(&prof, variant, M), src, o.Seed)
 			s := speedupF(atom.Elapsed, aamR.Elapsed)
 			speedups = append(speedups, s)
 			if d >= 16 {

@@ -63,12 +63,12 @@ func runFig7Scaling(o Options, prof exec.MachineProfile, variant string, M int, 
 	var aamTimes, g5Times []float64
 	var galRatio, hamaRatio float64
 	for _, T := range threadsFor(prof, []int{1, 2, 4, 8, 16, 32, 64}) {
-		atom := runBFS(o.Backend, prof, g, 1, T, g500Config(), src, o.Seed)
-		aamR := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, variant, M), src, o.Seed)
+		atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
+		aamR := runBFS(prof, g, 1, T, aamBFSConfig(&prof, variant, M), src, o.Seed)
 		row := []string{itoa(T), fmtMS(atom.Elapsed), fmtMS(aamR.Elapsed),
 			speedup(atom.Elapsed, aamR.Elapsed)}
 		if baselines {
-			gal := runBFS(o.Backend, galProf, g, 1, T, baseline.GaloisBFSConfig(), src, o.Seed)
+			gal := runBFS(galProf, g, 1, T, baseline.GaloisBFSConfig(), src, o.Seed)
 			hama := runHAMA(o, prof, g, src)
 			row = append(row, fmtMS(gal.Elapsed), fmtMS(hama))
 			galRatio = speedupF(gal.Elapsed, aamR.Elapsed)
@@ -107,7 +107,7 @@ func runAAMPR(o Options, prof exec.MachineProfile, g *graph.Graph, nodes, T, coa
 			HTM:       prof.HTMVariant("short"),
 		},
 	})
-	m := machine(o.Backend, prof, nodes, T, pr.MemWords(), pr.Handlers(nil), o.Seed)
+	m := machine(prof, nodes, T, pr.MemWords(), pr.Handlers(nil), o.Seed)
 	res := m.Run(pr.Body())
 	return res.Elapsed
 }
@@ -116,7 +116,7 @@ func runAAMPR(o Options, prof exec.MachineProfile, g *graph.Graph, nodes, T, coa
 // per machine node (modeled as procs*nodes machine nodes).
 func runPBGLPR(o Options, prof exec.MachineProfile, g *graph.Graph, nodes, procs int) vtime.Time {
 	p := baseline.NewPBGLPageRank(g, nodes*procs, baseline.PBGLConfig{Iterations: 5})
-	m := machine(o.Backend, prof, nodes*procs, 1, p.MemWords(), p.Handlers(nil), o.Seed)
+	m := machine(prof, nodes*procs, 1, p.MemWords(), p.Handlers(nil), o.Seed)
 	res := m.Run(p.Body())
 	return res.Elapsed
 }

@@ -7,17 +7,18 @@ import (
 	"aamgo/internal/algo"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/run"
+	"aamgo/internal/sim"
 	"aamgo/internal/stats"
 	"aamgo/internal/vtime"
 )
 
-// machine constructs a machine for the given profile. The profile is
-// copied so experiments can tweak it without aliasing.
-func machine(backend string, prof exec.MachineProfile, nodes, threads, memWords int,
+// machine constructs a simulated machine (the harness's unit is virtual
+// time) for the given profile. The profile is copied so experiments can
+// tweak it without aliasing.
+func machine(prof exec.MachineProfile, nodes, threads, memWords int,
 	handlers []exec.HandlerFunc, seed int64) exec.Machine {
 	p := prof
-	return run.New(backend, exec.Config{
+	return sim.New(exec.Config{
 		Nodes:          nodes,
 		ThreadsPerNode: threads,
 		MemWords:       memWords,
@@ -48,10 +49,10 @@ type bfsRun struct {
 }
 
 // runBFS executes a BFS and returns the measurement.
-func runBFS(backend string, prof exec.MachineProfile, g *graph.Graph,
+func runBFS(prof exec.MachineProfile, g *graph.Graph,
 	nodes, threads int, cfg algo.BFSConfig, src int, seed int64) bfsRun {
 	b := algo.NewBFS(g, nodes, cfg)
-	m := machine(backend, prof, nodes, threads, b.MemWords(), b.Handlers(nil), seed)
+	m := machine(prof, nodes, threads, b.MemWords(), b.Handlers(nil), seed)
 	res := m.Run(b.Body(src))
 	return bfsRun{
 		Elapsed: res.Elapsed,

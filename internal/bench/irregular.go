@@ -27,173 +27,48 @@ func runShardedIrregular(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(11, 6)
 	g := graph.AttachSymmetricWeights(graph.Kronecker(scale, 8, o.Seed), uint64(o.Seed))
-	src := 0
-	for v := 0; v < g.N; v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
-	arcs := float64(g.NumEdges())
+	src := maxDegVertex(g)
 
 	refDist := algo.SeqSSSP(g, src)
 	refWeight := algo.SeqMSTWeight(g)
 	refColors, refUsed := algo.GreedyColoring(g)
-
-	t := rep.NewTable("wall time by shard count (workers=1, batch=64)",
-		"algo", "shards", "wall-ms", "rounds", "local-ops", "remote-units", "remote-batches")
-	type outcome struct {
-		res    shard.Result
-		rounds int
-	}
-	type runner struct {
-		name string
-		run  func(cfg shard.Config) (outcome, error)
-	}
-	var ssspBuckets int
-	runners := []runner{
-		{"sssp", func(cfg shard.Config) (outcome, error) {
+	cases := []shardCase{
+		// Distinct delta-stepping buckets processed by the flat bucket
+		// rings: a drift means the bucket structure changed behavior.
+		{name: "sssp", roundsMetric: "sssp.buckets.s4", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.SSSP(g, src, 0, cfg)
-			if err != nil {
-				return outcome{}, err
+			if err == nil && !reflect.DeepEqual(res.Dists, refDist) {
+				err = fmt.Errorf("sssp distances diverge from Dijkstra")
 			}
-			if !reflect.DeepEqual(res.Dists, refDist) {
-				return outcome{}, fmt.Errorf("sssp distances diverge from Dijkstra at %d shards", cfg.Shards)
-			}
-			ssspBuckets = res.Buckets
-			return outcome{res.Result, res.Buckets}, nil
+			return res.Result, res.Buckets, err
 		}},
-		{"mst", func(cfg shard.Config) (outcome, error) {
+		{name: "mst", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.MST(g, cfg)
-			if err != nil {
-				return outcome{}, err
+			if err == nil && res.Weight != refWeight {
+				err = fmt.Errorf("mst weight %d != Kruskal %d", res.Weight, refWeight)
 			}
-			if res.Weight != refWeight {
-				return outcome{}, fmt.Errorf("mst weight %d != Kruskal %d at %d shards", res.Weight, refWeight, cfg.Shards)
-			}
-			return outcome{res.Result, res.Rounds}, nil
+			return res.Result, res.Rounds, err
 		}},
-		{"coloring", func(cfg shard.Config) (outcome, error) {
+		{name: "coloring", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.Coloring(g, 0, cfg)
-			if err != nil {
-				return outcome{}, err
+			if err == nil && (!reflect.DeepEqual(res.Colors, refColors) || res.Used != refUsed) {
+				err = fmt.Errorf("coloring diverges from the greedy reference")
 			}
-			if !reflect.DeepEqual(res.Colors, refColors) || res.Used != refUsed {
-				return outcome{}, fmt.Errorf("coloring diverges from greedy reference at %d shards", cfg.Shards)
-			}
-			return outcome{res.Result, res.Rounds}, nil
+			return res.Result, res.Rounds, err
 		}},
 	}
 
-	identical := true
-	for _, r := range runners {
-		for _, shards := range shardCounts {
-			cfg := shard.Config{Shards: shards, BatchSize: 64}
-			out, err := r.run(cfg)
-			if err != nil {
-				identical = false
-				rep.Notef("FAILED: %v", err)
-				continue
-			}
-			// Best-of-5 wall time (scheduling noise is one-sided).
-			for rep2 := 0; rep2 < 4; rep2++ {
-				if again, err := r.run(cfg); err == nil && again.res.Elapsed < out.res.Elapsed {
-					out.res.Elapsed = again.res.Elapsed
-				}
-			}
-			tot := out.res.Totals()
-			t.AddRow(r.name, itoa(shards),
-				fmt.Sprintf("%.2f", float64(out.res.Elapsed.Nanoseconds())/1e6),
-				itoa(out.rounds),
-				utoa(tot.LocalOps), utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent))
-			if shards == 4 {
-				rep.Metricf(r.name+".remote_units.s4", float64(tot.RemoteUnitsSent))
-				rep.Metricf(r.name+".remote_batches.s4", float64(tot.RemoteBatchesSent))
-				rep.Metricf(r.name+".tput.keps.s4", arcs/out.res.Elapsed.Seconds()/1e3)
-				if r.name == "sssp" {
-					// Distinct delta-stepping buckets processed by the flat
-					// bucket rings: deterministic for a fixed seed/scale, so
-					// a drift means the bucket structure changed behavior.
-					rep.Metricf("sssp.buckets.s4", float64(ssspBuckets))
-				}
-			}
-		}
-	}
-	rep.Checkf(identical, "irregular results identical",
+	rep.Checkf(shardSweepPart(rep, cases), "irregular results identical",
 		"SSSP = Dijkstra, MST weight = Kruskal, coloring = sequential greedy across shards %v", shardCounts)
-
-	// Edge-balanced partition: identical results, gated unit counts.
-	partsOK := true
-	for _, r := range runners {
-		out, err := r.run(shard.Config{Shards: 4, BatchSize: 64, Part: shard.PartEdge})
-		if err != nil {
-			partsOK = false
-			rep.Notef("FAILED: %s under edge partition: %v", r.name, err)
-			continue
-		}
-		rep.Metricf(r.name+".remote_units.edge.s4", float64(out.res.Totals().RemoteUnitsSent))
-	}
-	rep.Checkf(partsOK, "partition schemes equivalent",
+	rep.Checkf(shardPartitionPart(rep, cases, false), "partition schemes equivalent",
 		"SSSP, MST and coloring results identical under block and edge-balanced partitions")
-
-	// Coalescing sweep for SSSP: the bucket-epoch barrier does not change
-	// the relaxation unit count, only how it is batched.
-	bt := rep.NewTable("SSSP coalescing sweep (4 shards)",
-		"policy", "batch", "wall-ms", "remote-units", "remote-batches", "units/batch")
-	type sweepPoint struct {
-		policy shard.FlushPolicy
-		batch  int
-	}
-	sweep := []sweepPoint{
-		{shard.FlushEager, 1},
-		{shard.FlushBySize, 64},
-		{shard.FlushByEpoch, 0},
-	}
-	var units, batches []uint64
-	for _, p := range sweep {
-		cfg := shard.Config{Shards: 4, BatchSize: p.batch, Flush: p.policy}
-		res, err := shard.SSSP(g, src, 0, cfg)
-		if err != nil || !reflect.DeepEqual(res.Dists, refDist) {
-			rep.Checkf(false, "sweep runs", "policy %v: err=%v", p.policy, err)
-			return rep
-		}
-		tot := res.Totals()
-		perBatch := 0.0
-		if tot.RemoteBatchesSent > 0 {
-			perBatch = float64(tot.RemoteUnitsSent) / float64(tot.RemoteBatchesSent)
-		}
-		label := p.policy.String()
-		if p.policy == shard.FlushBySize {
-			label = fmt.Sprintf("size=%d", p.batch)
-		}
-		bt.AddRow(label, itoa(p.batch),
-			fmt.Sprintf("%.2f", float64(res.Elapsed.Nanoseconds())/1e6),
-			utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent),
-			fmt.Sprintf("%.1f", perBatch))
-		units = append(units, tot.RemoteUnitsSent)
-		batches = append(batches, tot.RemoteBatchesSent)
-	}
-	unitsInvariant, batchesMonotone := true, true
-	for i := 1; i < len(sweep); i++ {
-		if units[i] != units[0] {
-			unitsInvariant = false
-		}
-		if batches[i] > batches[i-1] {
-			batchesMonotone = false
-		}
-	}
-	rep.Checkf(unitsInvariant, "units invariant under batching",
-		"every policy relaxes the same %d cross-shard units", units[0])
-	rep.Checkf(batchesMonotone, "batching collapses messages",
-		"batch count falls from %d (eager) to %d (epoch)", batches[0], batches[len(batches)-1])
-	if batches[len(batches)-1] > 0 {
-		rep.Metricf("sssp.batch_reduction", float64(batches[0])/float64(batches[len(batches)-1]))
-	}
+	// The bucket-epoch barrier does not change the relaxation unit count,
+	// only how it is batched.
+	shardCoalescePart(rep, cases[0])
 
 	rep.Notef("graph: Kronecker scale %d (%d vertices, %d arcs), src=%d, symmetric distinct weights",
 		scale, g.N, g.NumEdges(), src)
 	rep.Notef("remote_units/remote_batches/batch_reduction are deterministic for a fixed seed and scale " +
-		"(workers=1: per-shard execution is sequential, bucket lists are sorted, priorities are hashes); " +
-		"tput.keps = stored arcs / best-of-5 wall-second / 1e3 is machine-dependent and the committed " +
-		"baseline holds conservative floors for it")
+		"(workers=1: per-shard execution is sequential, bucket lists are sorted, priorities are hashes)")
 	return rep
 }

@@ -9,9 +9,9 @@ import (
 // CISchema versions the -json output; bump on incompatible change.
 const CISchema = 1
 
-// CIExperiment is one experiment's machine-readable outcome.
+// CIExperiment is one experiment's machine-readable outcome. Nothing in it
+// depends on the host: two runs of one scale and seed write the same file.
 type CIExperiment struct {
-	ElapsedMS    float64            `json:"elapsed_ms"`
 	ChecksPassed int                `json:"checks_passed"`
 	ChecksFailed int                `json:"checks_failed"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
@@ -27,13 +27,12 @@ type CIReport struct {
 }
 
 // Add records one rendered report into the CI file.
-func (c *CIReport) Add(rep *Report, elapsedMS float64) {
+func (c *CIReport) Add(rep *Report) {
 	if c.Experiments == nil {
 		c.Experiments = map[string]CIExperiment{}
 	}
 	failed := len(rep.FailedChecks())
 	c.Experiments[rep.ID] = CIExperiment{
-		ElapsedMS:    elapsedMS,
 		ChecksPassed: len(rep.Checks) - failed,
 		ChecksFailed: failed,
 		Metrics:      rep.Metrics,

@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"time"
 
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
@@ -24,15 +23,16 @@ func init() {
 			"mutations must be O(touched), not O(N+M) — the patched-CSR splice vs the " +
 			"full rebuild — and a cache keyed by (epoch, endpoint, params) with request " +
 			"collapsing must execute each distinct query once per epoch. Deterministic " +
-			"metrics (touched vertices, hits/misses/304s, collapsed computations) gate " +
-			"exactly; freeze latency and QPS gate as throughput floors.",
+			"counts (touched vertices, hits/misses/304s, collapsed computations) gate " +
+			"exactly.",
 		Run: runServing,
 	})
 }
 
-// runServing measures the two halves of the read-path overhaul and their
-// composition: incremental freeze latency after k mutations, and cached vs
-// uncached query throughput under a mixed read/write driver.
+// runServing counts the two halves of the read-path overhaul and their
+// composition: vertices an incremental freeze touches after k mutations,
+// and computations a cached vs an uncached server runs under a mixed
+// read/write driver.
 func runServing(o Options) *Report {
 	rep := &Report{}
 	servingFreezePart(rep, o)
@@ -41,16 +41,14 @@ func runServing(o Options) *Report {
 	return rep
 }
 
-// servingFreezePart: freeze-latency-after-k-mutations, incremental vs full
+// servingFreezePart: freeze after k mutations, incremental vs full
 // rebuild, with the touched-vertex counts gated exactly.
 func servingFreezePart(rep *Report, o Options) {
 	scale := o.shift(13, 8)
 	base := graph.Kronecker(scale, 8, o.Seed)
-	t := rep.NewTable("freeze latency after k mutations (incremental vs full rebuild)",
-		"k", "rounds", "touched/round", "incr-us/freeze", "full-us/rebuild", "speedup")
+	t := rep.NewTable("vertices touched by a freeze after k mutations", "k", "rounds", "touched/round")
 
 	equivalent := true
-	var incrK1, fullK1 float64
 	for _, k := range []int{1, 16, 256} {
 		g, err := dyn.New(base)
 		if err != nil {
@@ -59,7 +57,6 @@ func servingFreezePart(rep *Report, o Options) {
 		g.Freeze()
 		rng := rand.New(rand.NewSource(o.Seed))
 		rounds := 6
-		var incrNS, fullNS int64
 		before := g.FreezeStats()
 		for r := 0; r < rounds; r++ {
 			batch := make([]dyn.Mutation, 0, k)
@@ -75,13 +72,9 @@ func servingFreezePart(rep *Report, o Options) {
 				panic(err)
 			}
 			s := g.Snapshot()
-			t0 := time.Now()
 			inc := s.Freeze()
-			incrNS += time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-			full := s.FullMaterialize()
-			fullNS += time.Since(t0).Nanoseconds()
 			if r == 0 { // full equivalence audit once per k
+				full := s.FullMaterialize()
 				for v := 0; v < inc.N; v++ {
 					if !slices.Equal(inc.Neighbors(v), full.Neighbors(v)) {
 						equivalent = false
@@ -91,38 +84,21 @@ func servingFreezePart(rep *Report, o Options) {
 		}
 		after := g.FreezeStats()
 		touched := float64(after.TouchedVertices-before.TouchedVertices) / float64(rounds)
-		incrUS := float64(incrNS) / float64(rounds) / 1e3
-		fullUS := float64(fullNS) / float64(rounds) / 1e3
-		t.AddRow(itoa(k), itoa(rounds), fmt.Sprintf("%.1f", touched),
-			fmt.Sprintf("%.1f", incrUS), fmt.Sprintf("%.1f", fullUS),
-			fmt.Sprintf("%.1fx", fullUS/incrUS))
+		t.AddRow(itoa(k), itoa(rounds), fmt.Sprintf("%.1f", touched))
 		// Touched counts are a pure function of the seeded workload: exact.
 		rep.Metricf(fmt.Sprintf("freeze.touched.k%d", k), touched)
-		if k == 1 {
-			incrK1, fullK1 = incrUS, fullUS
-			rep.Metricf("freeze.incr.tput.kfps", 1e3/incrUS) // freezes per second, in thousands
-		}
 	}
 	rep.Checkf(equivalent, "incremental freeze ≡ full rebuild",
 		"patched-CSR freeze and O(N+M) rebuild produce identical per-vertex adjacency")
-	rep.Checkf(incrK1 < fullK1, "incremental freeze faster",
-		"freeze after 1 edge: %.1fus incremental vs %.1fus full rebuild", incrK1, fullK1)
 	rep.Notef("freeze workload: Kronecker scale %d (%d vertices, %d arcs); touched counts are per freeze",
 		scale, base.N, base.NumEdges())
 }
 
 // servingDriver issues the deterministic mixed read/write sequence against
 // a handler: epochs × (distinct queries × repeats), one mutation between
-// epochs, one conditional re-poll per epoch. It returns total wall time
-// and the per-(epoch,query) first bodies for byte-identity auditing.
-type servingOutcome struct {
-	wall     time.Duration
-	bodies   map[string][]byte // "epoch/path" → first body
-	replayOK bool              // every repeat byte-identical to the first
-	etag304s int
-}
-
-func servingDriver(h http.Handler, n, epochs, repeats int) servingOutcome {
+// epochs, one conditional re-poll per epoch. It reports whether every
+// repeat within an epoch returned the first answer's bytes.
+func servingDriver(h http.Handler, n, epochs, repeats int) bool {
 	queries := []string{
 		"/graph",
 		"/query/cc",
@@ -130,15 +106,10 @@ func servingDriver(h http.Handler, n, epochs, repeats int) servingOutcome {
 		"/query/bfs?src=1",
 		"/query/pagerank?iters=4&top=5",
 	}
-	out := servingOutcome{bodies: map[string][]byte{}, replayOK: true}
+	replayOK := true
+	first := map[string]string{} // "epoch/path" → first body
 	do := func(method, target, body string, hdr map[string]string) (*httptest.ResponseRecorder, []byte) {
-		var rd *strings.Reader
-		if body != "" {
-			rd = strings.NewReader(body)
-		} else {
-			rd = strings.NewReader("")
-		}
-		req := httptest.NewRequest(method, target, rd)
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
 		for k, v := range hdr {
 			req.Header.Set(k, v)
 		}
@@ -146,7 +117,6 @@ func servingDriver(h http.Handler, n, epochs, repeats int) servingOutcome {
 		h.ServeHTTP(rec, req)
 		return rec, rec.Body.Bytes()
 	}
-	t0 := time.Now()
 	for e := 0; e < epochs; e++ {
 		var lastTag string
 		for rpt := 0; rpt < repeats; rpt++ {
@@ -156,20 +126,17 @@ func servingDriver(h http.Handler, n, epochs, repeats int) servingOutcome {
 					panic(fmt.Sprintf("serving: GET %s: %d %s", q, rec.Code, body))
 				}
 				key := fmt.Sprintf("%d/%s", e, q)
-				if first, ok := out.bodies[key]; !ok {
-					out.bodies[key] = append([]byte(nil), body...)
-				} else if string(first) != string(body) {
-					out.replayOK = false
+				if want, ok := first[key]; !ok {
+					first[key] = string(body)
+				} else if want != string(body) {
+					replayOK = false
 				}
 				lastTag = rec.Header().Get("ETag")
 			}
 		}
-		// Unchanged-epoch poll: must be answered 304 with no body.
+		// Unchanged-epoch poll: answered 304 (the server counts them).
 		if lastTag != "" {
-			rec, body := do(http.MethodGet, "/query/pagerank?iters=4&top=5", "", map[string]string{"If-None-Match": lastTag})
-			if rec.Code == http.StatusNotModified && len(body) == 0 {
-				out.etag304s++
-			}
+			do(http.MethodGet, "/query/pagerank?iters=4&top=5", "", map[string]string{"If-None-Match": lastTag})
 		}
 		// Advance the epoch: one insert (deterministic in-range endpoints;
 		// a rejected duplicate still advances the epoch, which is all the
@@ -179,8 +146,7 @@ func servingDriver(h http.Handler, n, epochs, repeats int) servingOutcome {
 			panic(fmt.Sprintf("serving: POST /edges: %d %s", rec.Code, body))
 		}
 	}
-	out.wall = time.Since(t0)
-	return out
+	return replayOK
 }
 
 type servingStats struct {
@@ -191,12 +157,6 @@ type servingStats struct {
 		Misses    uint64 `json:"misses"`
 		Collapsed uint64 `json:"collapsed"`
 	} `json:"cache"`
-	Latency map[string]struct {
-		Count  uint64 `json:"count"`
-		P50NS  uint64 `json:"p50_ns"`
-		P99NS  uint64 `json:"p99_ns"`
-		P999NS uint64 `json:"p999_ns"`
-	} `json:"latency"`
 }
 
 func scrapeStats(h http.Handler) servingStats {
@@ -224,7 +184,7 @@ func servingServer(o Options, n int, cacheBytes int64) (http.Handler, *dyn.Graph
 
 // servingCachePart: the same deterministic mixed read/write sequence
 // against a cached and an uncached server. Executed-computation counts and
-// hit/miss/304 totals are exact; QPS gates as a floor.
+// hit/miss/304 totals are exact.
 func servingCachePart(rep *Report, o Options) {
 	n := 1 << o.shift(11, 7)
 	const epochs, repeats = 4, 6
@@ -232,22 +192,18 @@ func servingCachePart(rep *Report, o Options) {
 	total := epochs * (repeats*nq + 1) // + one conditional poll per epoch
 
 	cachedH, _ := servingServer(o, n, 0) // 0 → default cache size
-	cached := servingDriver(cachedH, n, epochs, repeats)
+	replayOK := servingDriver(cachedH, n, epochs, repeats)
 	cachedStats := scrapeStats(cachedH)
 
 	uncachedH, _ := servingServer(o, n, -1)
-	uncached := servingDriver(uncachedH, n, epochs, repeats)
+	servingDriver(uncachedH, n, epochs, repeats)
 	uncachedStats := scrapeStats(uncachedH)
 
 	t := rep.NewTable("cached vs uncached mixed read/write serving",
-		"path", "requests", "computed", "hits", "misses", "304s", "wall-ms", "qps")
-	qps := func(oc servingOutcome) float64 { return float64(total) / oc.wall.Seconds() }
+		"path", "requests", "computed", "hits", "misses", "304s")
 	t.AddRow("cached", itoa(total), utoa(cachedStats.Queries),
-		utoa(cachedStats.Cache.Hits), utoa(cachedStats.Cache.Misses), utoa(cachedStats.ETag304),
-		fmt.Sprintf("%.1f", float64(cached.wall.Nanoseconds())/1e6), fmt.Sprintf("%.0f", qps(cached)))
-	t.AddRow("uncached", itoa(total), utoa(uncachedStats.Queries),
-		"-", "-", utoa(uncachedStats.ETag304),
-		fmt.Sprintf("%.1f", float64(uncached.wall.Nanoseconds())/1e6), fmt.Sprintf("%.0f", qps(uncached)))
+		utoa(cachedStats.Cache.Hits), utoa(cachedStats.Cache.Misses), utoa(cachedStats.ETag304))
+	t.AddRow("uncached", itoa(total), utoa(uncachedStats.Queries), "-", "-", utoa(uncachedStats.ETag304))
 
 	// Deterministic: each of the 5 distinct queries computes once per
 	// epoch on the cached path, every repeat recomputes on the uncached
@@ -257,27 +213,6 @@ func servingCachePart(rep *Report, o Options) {
 	rep.Metricf("serving.cache.hits", float64(cachedStats.Cache.Hits))
 	rep.Metricf("serving.cache.misses", float64(cachedStats.Cache.Misses))
 	rep.Metricf("serving.etag_304", float64(cachedStats.ETag304))
-	rep.Metricf("serving.tput.qps.cached", qps(cached))
-
-	// Tail-latency ceilings from the per-endpoint histograms /stats now
-	// reports: ".lat." metrics gate as upper bounds in benchdiff, so a
-	// regression in the cached read path fails even when QPS still clears
-	// its floor.
-	lt := rep.NewTable("cached-path endpoint latency (per-endpoint histograms)",
-		"endpoint", "samples", "p50-us", "p99-us", "p999-us")
-	for _, ep := range []string{"bfs", "pagerank", "cc"} {
-		l, ok := cachedStats.Latency[ep]
-		if !ok || l.Count == 0 {
-			panic(fmt.Sprintf("serving: /stats has no latency summary for %s", ep))
-		}
-		lt.AddRow(ep, utoa(l.Count),
-			fmt.Sprintf("%.1f", float64(l.P50NS)/1e3),
-			fmt.Sprintf("%.1f", float64(l.P99NS)/1e3),
-			fmt.Sprintf("%.1f", float64(l.P999NS)/1e3))
-		if ep == "bfs" || ep == "pagerank" {
-			rep.Metricf("serving.lat.p99us."+ep, float64(l.P99NS)/1e3)
-		}
-	}
 
 	// /graph is summary metadata, not an analytics computation, so the
 	// computed-queries counter covers the other nq-1 endpoints.
@@ -289,10 +224,8 @@ func servingCachePart(rep *Report, o Options) {
 	// Byte-identity is the cached path's guarantee; the uncached path
 	// re-times every run (wall_time_ns), so only the cached driver is
 	// audited.
-	rep.Checkf(cached.replayOK, "byte-identical replays",
+	rep.Checkf(replayOK, "byte-identical replays",
 		"every repeated query within one epoch returned the first answer's bytes")
-	rep.Checkf(qps(cached) > qps(uncached), "cached path strictly faster",
-		"%.0f qps cached vs %.0f qps uncached", qps(cached), qps(uncached))
 	rep.Notef("serving workload: %d-vertex community graph; %d epochs × %d repeats × %d distinct queries + 1 conditional poll, 1-edge mutation between epochs",
 		n, epochs, repeats, nq)
 }

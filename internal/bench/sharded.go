@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"time"
+	"strings"
 
 	"aamgo/internal/algo"
 	"aamgo/internal/graph"
@@ -26,6 +26,45 @@ func init() {
 
 var shardCounts = []int{1, 2, 4, 8}
 
+// shardCase is one algorithm of the two sharded scenarios. run executes it
+// under cfg, holds the answer to its sequential reference and returns the
+// executor's counters with the algorithm's round count (epochs, buckets or
+// rounds); roundsMetric, when set, gates that count at 4 shards.
+type shardCase struct {
+	name         string
+	run          func(cfg shard.Config) (shard.Result, int, error)
+	roundsMetric string
+}
+
+// shardSweepPart runs every case at every shard count. Workers=1, so
+// per-shard execution is sequential and the traffic counts are exact.
+func shardSweepPart(rep *Report, cases []shardCase) bool {
+	t := rep.NewTable("traffic by shard count (workers=1, batch=64)",
+		"algo", "shards", "rounds", "local-ops", "remote-units", "remote-batches")
+	ok := true
+	for _, c := range cases {
+		for _, shards := range shardCounts {
+			res, rounds, err := c.run(shard.Config{Shards: shards, BatchSize: 64})
+			if err != nil {
+				ok = false
+				rep.Notef("FAILED: %s at %d shards: %v", c.name, shards, err)
+				continue
+			}
+			tot := res.Totals()
+			t.AddRow(c.name, itoa(shards), itoa(rounds),
+				utoa(tot.LocalOps), utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent))
+			if shards == 4 {
+				rep.Metricf(c.name+".remote_units.s4", float64(tot.RemoteUnitsSent))
+				rep.Metricf(c.name+".remote_batches.s4", float64(tot.RemoteBatchesSent))
+				if c.roundsMetric != "" {
+					rep.Metricf(c.roundsMetric, float64(rounds))
+				}
+			}
+		}
+	}
+	return ok
+}
+
 // shardImbalance is the load-skew figure: the busiest shard's operator
 // applications over the even share. 1.0 is perfect balance; deterministic
 // for a fixed config at workers=1.
@@ -42,6 +81,100 @@ func shardImbalance(res shard.Result) float64 {
 		return 1
 	}
 	return float64(max) * float64(len(res.PerShard)) / float64(total)
+}
+
+// shardPartitionPart compares the partition schemes at 4 shards: identical
+// results under the edge-balanced boundaries, with the per-shard operator
+// imbalance showing what the scheme buys on a skewed R-MAT graph.
+// gateImbalance also records the imbalance figures as metrics.
+func shardPartitionPart(rep *Report, cases []shardCase, gateImbalance bool) bool {
+	t := rep.NewTable("partition schemes (4 shards, workers=1, batch=64)",
+		"algo", "part", "remote-units", "remote-batches", "imbalance")
+	ok := true
+	for _, c := range cases {
+		for _, part := range []shard.PartScheme{shard.PartBlock, shard.PartEdge} {
+			res, _, err := c.run(shard.Config{Shards: 4, BatchSize: 64, Part: part})
+			if err != nil {
+				ok = false
+				rep.Notef("FAILED: %s under %v partition: %v", c.name, part, err)
+				continue
+			}
+			tot := res.Totals()
+			imb := shardImbalance(res)
+			t.AddRow(c.name, part.String(),
+				utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent), fmt.Sprintf("%.2f", imb))
+			if part == shard.PartEdge {
+				rep.Metricf(c.name+".remote_units.edge.s4", float64(tot.RemoteUnitsSent))
+			}
+			if !gateImbalance {
+				continue
+			}
+			if part == shard.PartEdge {
+				rep.Metricf(c.name+".imbalance.edge.s4", imb)
+			} else if c.name == "pagerank" {
+				// PageRank touches every arc each iteration: its block
+				// imbalance is the cleanest skew baseline to gate.
+				rep.Metricf("pagerank.imbalance.block.s4", imb)
+			}
+		}
+	}
+	return ok
+}
+
+// shardCoalescePart is the coalescing batch-size sweep of one case at 4
+// shards — the inter-shard analogue of Figure 5's C sweep. Unit counts are
+// invariant; the batch count must fall as the factor grows.
+func shardCoalescePart(rep *Report, c shardCase) {
+	t := rep.NewTable(strings.ToUpper(c.name)+" coalescing sweep (4 shards)",
+		"policy", "batch", "remote-units", "remote-batches", "units/batch")
+	sweep := []struct {
+		policy shard.FlushPolicy
+		batch  int
+	}{
+		{shard.FlushEager, 1},
+		{shard.FlushBySize, 8},
+		{shard.FlushBySize, 64},
+		{shard.FlushBySize, 512},
+		{shard.FlushByEpoch, 0},
+	}
+	var units, batches []uint64
+	for _, p := range sweep {
+		res, _, err := c.run(shard.Config{Shards: 4, BatchSize: p.batch, Flush: p.policy})
+		if err != nil {
+			rep.Checkf(false, "sweep runs", "policy %v: %v", p.policy, err)
+			return
+		}
+		tot := res.Totals()
+		perBatch := 0.0
+		if tot.RemoteBatchesSent > 0 {
+			perBatch = float64(tot.RemoteUnitsSent) / float64(tot.RemoteBatchesSent)
+		}
+		label := p.policy.String()
+		if p.policy == shard.FlushBySize {
+			label = fmt.Sprintf("size=%d", p.batch)
+		}
+		t.AddRow(label, itoa(p.batch),
+			utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent), fmt.Sprintf("%.1f", perBatch))
+		units = append(units, tot.RemoteUnitsSent)
+		batches = append(batches, tot.RemoteBatchesSent)
+	}
+	unitsInvariant, batchesMonotone := true, true
+	for i := 1; i < len(sweep); i++ {
+		if units[i] != units[0] {
+			unitsInvariant = false
+		}
+		if batches[i] > batches[i-1] {
+			batchesMonotone = false
+		}
+	}
+	last := batches[len(batches)-1]
+	rep.Checkf(unitsInvariant, "units invariant under batching",
+		"every policy sends the same %d cross-shard units", units[0])
+	rep.Checkf(batchesMonotone, "batching collapses messages",
+		"batch count falls monotonically from %d (eager) to %d (epoch)", batches[0], last)
+	if last > 0 {
+		rep.Metricf(c.name+".batch_reduction", float64(batches[0])/float64(last))
+	}
 }
 
 // measureSteadyAllocs runs the executor's canonical message-path harness
@@ -75,144 +208,50 @@ func runSharded(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(11, 6)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := 0
-	for v := 0; v < g.N; v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
-	arcs := float64(g.NumEdges())
+	src := maxDegVertex(g)
 
 	refDepth := algo.SeqBFS(g, src)
 	refCC := algo.SeqComponents(g)
 	var refPR []float64
-
-	// Part 1: shard-count sweep per algorithm. Workers=1, so the shard is
-	// the unit of parallelism; wall time is real goroutine execution.
-	t := rep.NewTable("wall time by shard count (workers=1, batch=64)",
-		"algo", "shards", "wall-ms", "speedup", "epochs", "local-ops", "remote-units", "remote-batches")
-	type runner struct {
-		name string
-		run  func(cfg shard.Config) (shard.Result, error)
-	}
-	runners := []runner{
-		{"bfs", func(cfg shard.Config) (shard.Result, error) {
+	cases := []shardCase{
+		{name: "bfs", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.BFS(g, src, cfg)
-			if err != nil {
-				return shard.Result{}, err
+			if err == nil {
+				err = algo.ValidateBFSTree(g, src, res.Parents, refDepth)
 			}
-			if err := algo.ValidateBFSTree(g, src, res.Parents, refDepth); err != nil {
-				return shard.Result{}, fmt.Errorf("at %d shards: %v", cfg.Shards, err)
-			}
-			return res.Result, nil
+			return res.Result, res.Epochs, err
 		}},
-		{"pagerank", func(cfg shard.Config) (shard.Result, error) {
+		{name: "pagerank", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.PageRank(g, 0.85, 5, cfg)
-			if err != nil {
-				return shard.Result{}, err
-			}
-			// Fixed-point accumulation is exact: every shard count must
+			// Fixed-point accumulation is exact: every configuration must
 			// produce the bit-identical rank vector.
 			if refPR == nil {
 				refPR = res.Ranks
-			} else if !reflect.DeepEqual(res.Ranks, refPR) {
-				return shard.Result{}, fmt.Errorf("pagerank ranks diverge at %d shards", cfg.Shards)
+			} else if err == nil && !reflect.DeepEqual(res.Ranks, refPR) {
+				err = fmt.Errorf("pagerank ranks diverge from the 1-shard run")
 			}
-			return res.Result, nil
+			return res.Result, res.Epochs, err
 		}},
-		{"cc", func(cfg shard.Config) (shard.Result, error) {
+		{name: "cc", run: func(cfg shard.Config) (shard.Result, int, error) {
 			res, err := shard.Components(g, cfg)
-			if err != nil {
-				return shard.Result{}, err
+			if err == nil && !reflect.DeepEqual(res.Labels, refCC) {
+				err = fmt.Errorf("cc labels diverge from the sequential reference")
 			}
-			if !reflect.DeepEqual(res.Labels, refCC) {
-				return shard.Result{}, fmt.Errorf("cc labels diverge at %d shards", cfg.Shards)
-			}
-			return res.Result, nil
+			return res.Result, res.Epochs, err
 		}},
 	}
 
-	identical := true
-	for _, r := range runners {
-		var base time.Duration
-		for _, shards := range shardCounts {
-			cfg := shard.Config{Shards: shards, BatchSize: 64}
-			res, err := r.run(cfg)
-			if err != nil {
-				identical = false
-				rep.Notef("FAILED: %v", err)
-				continue
-			}
-			// Best-of-5 wall time: goroutine scheduling noise is one-sided
-			// (slowdowns only), so the minimum is the stable estimator.
-			for rep2 := 0; rep2 < 4; rep2++ {
-				if again, err := r.run(cfg); err == nil && again.Elapsed < res.Elapsed {
-					res.Elapsed = again.Elapsed
-				}
-			}
-			if shards == 1 {
-				base = res.Elapsed
-			}
-			tot := res.Totals()
-			speedup := float64(base) / float64(res.Elapsed)
-			t.AddRow(r.name, itoa(shards),
-				fmt.Sprintf("%.2f", float64(res.Elapsed.Nanoseconds())/1e6),
-				fmt.Sprintf("%.2f", speedup), itoa(res.Epochs),
-				utoa(tot.LocalOps), utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent))
-			// Deterministic traffic metrics (exact across machines) and a
-			// throughput figure (arcs per wall-second, machine-dependent).
-			if shards == 4 {
-				rep.Metricf(r.name+".remote_units.s4", float64(tot.RemoteUnitsSent))
-				rep.Metricf(r.name+".remote_batches.s4", float64(tot.RemoteBatchesSent))
-				rep.Metricf(r.name+".tput.keps.s4",
-					arcs*float64(res.Epochs)/res.Elapsed.Seconds()/1e3)
-			}
-		}
-	}
-	rep.Checkf(identical, "sharded results identical",
+	rep.Checkf(shardSweepPart(rep, cases), "sharded results identical",
 		"BFS depths and CC labels match sequential references; PageRank ranks bit-identical across shards %v", shardCounts)
-
-	// Partition-scheme comparison at 4 shards: identical results under the
-	// edge-balanced boundaries, with the per-shard operator imbalance
-	// (max shard's applications over the even share) showing what the
-	// scheme buys on a skewed R-MAT graph.
-	pt := rep.NewTable("partition schemes (4 shards, workers=1, batch=64)",
-		"algo", "part", "remote-units", "remote-batches", "imbalance")
-	partsOK := true
-	for _, r := range runners {
-		for _, part := range []shard.PartScheme{shard.PartBlock, shard.PartEdge} {
-			cfg := shard.Config{Shards: 4, BatchSize: 64, Part: part}
-			res, err := r.run(cfg)
-			if err != nil {
-				partsOK = false
-				rep.Notef("FAILED: %s under %v partition: %v", r.name, part, err)
-				continue
-			}
-			tot := res.Totals()
-			imb := shardImbalance(res)
-			pt.AddRow(r.name, part.String(),
-				utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent),
-				fmt.Sprintf("%.2f", imb))
-			if part == shard.PartEdge {
-				rep.Metricf(r.name+".remote_units.edge.s4", float64(tot.RemoteUnitsSent))
-				rep.Metricf(r.name+".imbalance.edge.s4", imb)
-			} else if r.name == "pagerank" {
-				// PageRank touches every arc each iteration: its block
-				// imbalance is the cleanest skew baseline to gate.
-				rep.Metricf("pagerank.imbalance.block.s4", imb)
-			}
-		}
-	}
-	rep.Checkf(partsOK, "partition schemes equivalent",
+	rep.Checkf(shardPartitionPart(rep, cases, true), "partition schemes equivalent",
 		"all three algorithms produce identical results under block and edge-balanced partitions")
 
 	// Direction-optimizing BFS at 4 shards: push-only vs auto-switching.
 	// A pull level reads the CSR against the frontier bitmap and spawns no
 	// messages, so the auto traversal must cut remote units; both label
-	// the graph identically (validated inside the runner above for auto —
-	// validate push explicitly here).
+	// the graph identically.
 	dt := rep.NewTable("BFS direction optimization (4 shards)",
-		"dir", "wall-ms", "push-lvls", "pull-lvls", "remote-units")
+		"dir", "push-lvls", "pull-lvls", "remote-units")
 	var unitsByDir [2]uint64
 	dirsOK := true
 	for i, dir := range []shard.Direction{shard.DirPush, shard.DirAuto} {
@@ -225,11 +264,8 @@ func runSharded(o Options) *Report {
 			rep.Notef("FAILED: bfs dir=%v: %v", dir, err)
 			continue
 		}
-		tot := res.Totals()
-		unitsByDir[i] = tot.RemoteUnitsSent
-		dt.AddRow(dir.String(),
-			fmt.Sprintf("%.2f", float64(res.Elapsed.Nanoseconds())/1e6),
-			itoa(res.PushLevels), itoa(res.PullLevels), utoa(tot.RemoteUnitsSent))
+		unitsByDir[i] = res.Totals().RemoteUnitsSent
+		dt.AddRow(dir.String(), itoa(res.PushLevels), itoa(res.PullLevels), utoa(unitsByDir[i]))
 		if dir == shard.DirAuto {
 			rep.Metricf("bfs.push_levels.s4", float64(res.PushLevels))
 			rep.Metricf("bfs.pull_levels.s4", float64(res.PullLevels))
@@ -251,72 +287,14 @@ func runSharded(o Options) *Report {
 	rep.Checkf(steady == 0, "message path allocation-free",
 		"steady-state spawn/flush/drain cycles allocate %.1f objects (recycled buffer pool)", steady)
 
-	// Part 2: coalescing batch-size sweep at 4 shards — the inter-shard
-	// analogue of Figure 5's C sweep. Unit counts are invariant; the
-	// batch count must fall as the factor grows.
-	bt := rep.NewTable("BFS coalescing sweep (4 shards)",
-		"policy", "batch", "wall-ms", "remote-units", "remote-batches", "units/batch")
-	type sweepPoint struct {
-		policy shard.FlushPolicy
-		batch  int
-	}
-	sweep := []sweepPoint{
-		{shard.FlushEager, 1},
-		{shard.FlushBySize, 8},
-		{shard.FlushBySize, 64},
-		{shard.FlushBySize, 512},
-		{shard.FlushByEpoch, 0},
-	}
-	var units, batches []uint64
-	for _, p := range sweep {
-		cfg := shard.Config{Shards: 4, BatchSize: p.batch, Flush: p.policy}
-		res, err := shard.BFS(g, src, cfg)
-		if err != nil {
-			rep.Checkf(false, "sweep runs", "%v", err)
-			return rep
-		}
-		tot := res.Totals()
-		perBatch := 0.0
-		if tot.RemoteBatchesSent > 0 {
-			perBatch = float64(tot.RemoteUnitsSent) / float64(tot.RemoteBatchesSent)
-		}
-		label := p.policy.String()
-		if p.policy == shard.FlushBySize {
-			label = fmt.Sprintf("size=%d", p.batch)
-		}
-		bt.AddRow(label, itoa(p.batch),
-			fmt.Sprintf("%.2f", float64(res.Elapsed.Nanoseconds())/1e6),
-			utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent),
-			fmt.Sprintf("%.1f", perBatch))
-		units = append(units, tot.RemoteUnitsSent)
-		batches = append(batches, tot.RemoteBatchesSent)
-	}
-	unitsInvariant, batchesMonotone := true, true
-	for i := 1; i < len(sweep); i++ {
-		if units[i] != units[0] {
-			unitsInvariant = false
-		}
-		if batches[i] > batches[i-1] {
-			batchesMonotone = false
-		}
-	}
-	rep.Checkf(unitsInvariant, "units invariant under batching",
-		"every policy sends the same %d cross-shard units", units[0])
-	rep.Checkf(batchesMonotone, "batching collapses messages",
-		"batch count falls monotonically from %d (eager) to %d (epoch)",
-		batches[0], batches[len(batches)-1])
-	if batches[len(batches)-1] > 0 {
-		rep.Metricf("bfs.batch_reduction", float64(batches[0])/float64(batches[len(batches)-1]))
-	}
+	shardCoalescePart(rep, cases[0])
 
 	rep.Notef("graph: Kronecker scale %d (%d vertices, %d arcs), src=%d", scale, g.N, g.NumEdges(), src)
 	rep.Notef("imbalance = max per-shard operator applications / even share; BFS runs direction-optimized " +
 		"(push/pull switching) by default, so its remote-unit counts reflect push levels only")
-	rep.Notef("speedup is relative wall time vs 1 shard and is bounded by GOMAXPROCS; " +
-		"R-MAT graphs under the 1-D block partition are remote-heavy (≈(S-1)/S of arcs cross shards), " +
+	rep.Notef("R-MAT graphs under the 1-D block partition are remote-heavy (≈(S-1)/S of arcs cross shards), " +
 		"so batching — not shard count — is the lever this sweep isolates (compare the eager row)")
-	rep.Notef("tput.keps = stored arcs × epochs / best-of-5 wall-second / 1e3 (machine-dependent; " +
-		"the committed CI baseline holds conservative floors for it); " +
-		"remote_units/remote_batches/batch_reduction are deterministic for a fixed seed and scale")
+	rep.Notef("every count here is deterministic for a fixed seed and scale and gates exactly; " +
+		"what a sharded run costs in wall time is benchmark/'s shard.* metrics")
 	return rep
 }

@@ -64,17 +64,17 @@ func runTab1(o Options) *Report {
 		src := maxDegVertex(g)
 
 		// BG/Q side.
-		bAtom := runBFS(o.Backend, bgq, g, 1, bgq.MaxThreads, g500Config(), src, o.Seed)
-		bFixed := runBFS(o.Backend, bgq, g, 1, bgq.MaxThreads,
+		bAtom := runBFS(bgq, g, 1, bgq.MaxThreads, g500Config(), src, o.Seed)
+		bFixed := runBFS(bgq, g, 1, bgq.MaxThreads,
 			aamBFSConfig(&bgq, "short", 24), src, o.Seed)
 		bOptM, bOptT := searchM(o, bgq, "short", g, src, bgq.MaxThreads, tab1BGQCandidates)
 
 		// Haswell side.
-		hAtom := runBFS(o.Backend, has, g, 1, has.MaxThreads, g500Config(), src, o.Seed)
-		hFixed := runBFS(o.Backend, has, g, 1, has.MaxThreads,
+		hAtom := runBFS(has, g, 1, has.MaxThreads, g500Config(), src, o.Seed)
+		hFixed := runBFS(has, g, 1, has.MaxThreads,
 			aamBFSConfig(&has, "rtm", 2), src, o.Seed)
 		hOptM, hOptT := searchM(o, has, "rtm", g, src, has.MaxThreads, tab1HasCandidates)
-		gal := runBFS(o.Backend, galoisProf, g, 1, has.MaxThreads,
+		gal := runBFS(galoisProf, g, 1, has.MaxThreads,
 			baseline.GaloisBFSConfig(), src, o.Seed)
 		hama := runHAMA(o, has, g, src)
 
@@ -138,7 +138,7 @@ func searchM(o Options, prof exec.MachineProfile, variant string, g *graph.Graph
 	src, T int, candidates []int) (int, vtime.Time) {
 	bestM, bestT := candidates[0], vtime.Time(0)
 	for i, m := range candidates {
-		r := runBFS(o.Backend, prof, g, 1, T, aamBFSConfig(&prof, variant, m), src, o.Seed)
+		r := runBFS(prof, g, 1, T, aamBFSConfig(&prof, variant, m), src, o.Seed)
 		if i == 0 || r.Elapsed < bestT {
 			bestM, bestT = m, r.Elapsed
 		}
@@ -149,7 +149,7 @@ func searchM(o Options, prof exec.MachineProfile, variant string, g *graph.Graph
 // runHAMA times the HAMA-like BSP baseline.
 func runHAMA(o Options, prof exec.MachineProfile, g *graph.Graph, src int) vtime.Time {
 	b := baseline.NewBSPBFS(g, baseline.DefaultBSPConfig())
-	m := machine(o.Backend, prof, 1, prof.MaxThreads, b.MemWords(), nil, o.Seed)
+	m := machine(prof, 1, prof.MaxThreads, b.MemWords(), nil, o.Seed)
 	res := m.Run(b.Body(src))
 	return res.Elapsed
 }
