@@ -107,7 +107,9 @@ func BenchmarkAblationPredictM(b *testing.B) {
 	runExperiment(b, "abl-predict", -1)
 }
 
-// Streaming is the dynamic-graph extension (not a paper figure): mutation
-// throughput under all five isolation mechanisms plus mixed read/write
-// service throughput over snapshots.
+// Streaming is the dynamic-graph extension (not a paper figure): one
+// mutation stream under all five isolation mechanisms on the simulator
+// (aborts, retries, virtual machine time) and incremental CC held to a
+// recompute. Readers against a writer in wall-clock time is benchmark/'s
+// mixed phase.
 func BenchmarkStreaming(b *testing.B) { runExperiment(b, "streaming", 0) }
