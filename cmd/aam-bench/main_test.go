@@ -63,12 +63,9 @@ func TestUnknownIDIsAUsageError(t *testing.T) {
 // through the list (here fig2's CSV files cannot be created) the command
 // exits 1 with both profiles written and the JSON holding what finished.
 func TestFailedRunKeepsProfilesAndJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs fig1 and fig2 at default scale")
-	}
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "csv")
-	if _, err := bench.RunOne("fig2", bench.Options{CSVDir: csv}); err != nil {
+	if _, err := bench.RunOne("fig2", bench.Options{Scale: -4, CSVDir: csv}); err != nil {
 		t.Fatal(err)
 	}
 	files, _ := filepath.Glob(filepath.Join(csv, "fig2_*.csv"))
@@ -85,7 +82,7 @@ func TestFailedRunKeepsProfilesAndJSON(t *testing.T) {
 	}
 
 	cpu, mem, ci := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out"), filepath.Join(dir, "ci.json")
-	out, status := aamBench(t, "-run", "fig1,fig2", "-csv", csv, "-cpuprofile", cpu, "-memprofile", mem, "-json", ci)
+	out, status := aamBench(t, "-run", "fig1,fig2", "-scale", "-4", "-csv", csv, "-cpuprofile", cpu, "-memprofile", mem, "-json", ci)
 	if status != 1 {
 		t.Errorf("exit status %d, want 1:\n%s", status, out)
 	}

@@ -103,15 +103,13 @@ func shardPartitionPart(rep *Report, cases []shardCase, gateImbalance bool) bool
 			imb := shardImbalance(res)
 			t.AddRow(c.name, part.String(),
 				utoa(tot.RemoteUnitsSent), utoa(tot.RemoteBatchesSent), fmt.Sprintf("%.2f", imb))
-			if part == shard.PartEdge {
+			switch {
+			case part == shard.PartEdge:
 				rep.Metricf(c.name+".remote_units.edge.s4", float64(tot.RemoteUnitsSent))
-			}
-			if !gateImbalance {
-				continue
-			}
-			if part == shard.PartEdge {
-				rep.Metricf(c.name+".imbalance.edge.s4", imb)
-			} else if c.name == "pagerank" {
+				if gateImbalance {
+					rep.Metricf(c.name+".imbalance.edge.s4", imb)
+				}
+			case gateImbalance && c.name == "pagerank":
 				// PageRank touches every arc each iteration: its block
 				// imbalance is the cleanest skew baseline to gate.
 				rep.Metricf("pagerank.imbalance.block.s4", imb)
