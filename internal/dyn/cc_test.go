@@ -1,6 +1,7 @@
 package dyn
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -100,4 +101,124 @@ func TestSweepBaseForest(t *testing.T) {
 		t.Fatalf("one-way base: ok %t, sorted %t", ok, sorted)
 	}
 	checkForest(t, uf, []int32{0, 0, 2, 3})
+}
+
+// TestForestStatesMatchRecompute walks the forest through every state it
+// has — never asked for, built, grown by inserts and new vertices, dropped
+// by a delete, rebuilt — in random order: a stream of insert, delete and
+// add-vertex batches through Apply and Replay, with compactions, and one
+// of the three questions asked at random points (before any write on the
+// even seeds, after the first writes on the odd ones, right after a delete
+// on both). Every answer is the one a recompute of the frozen snapshot gives.
+func TestForestStatesMatchRecompute(t *testing.T) {
+	bases := map[string]func() *Graph{
+		"kron10":   func() *Graph { return mustNew(t, graph.Kronecker(10, 8, 1)) },
+		"road32":   func() *Graph { return mustNew(t, graph.RoadGrid(32, 32, 0.1, 1)) },
+		"empty50":  func() *Graph { return NewEmpty(50) },
+		"edgeless": func() *Graph { return mustNew(t, &graph.Graph{N: 70, Offsets: make([]int64, 71)}) },
+	}
+	for name, mk := range bases {
+		// How many asks found a forest a delete had dropped: right after the
+		// delete, and with further batches applied on the unbuilt forest.
+		rightAfter, later := 0, 0
+		for seed := int64(1); seed <= 20; seed++ {
+			sinceDelete := -1 // batches since an unasked-about delete; -1 without one
+			rng := rand.New(rand.NewSource(seed))
+			g := mk()
+			ask := func(when string) {
+				t.Helper()
+				switch {
+				case sinceDelete == 0:
+					rightAfter++
+				case sinceDelete > 0:
+					later++
+				}
+				sinceDelete = -1
+				want := algo.SeqComponents(g.Freeze())
+				switch rng.Intn(3) {
+				case 0:
+					comps := 0
+					for v, l := range want {
+						if int(l) == v {
+							comps++
+						}
+					}
+					if got := g.ComponentCount(); got != comps {
+						t.Fatalf("%s seed %d, %s: ComponentCount = %d, recompute %d", name, seed, when, got, comps)
+					}
+				case 1:
+					if got := g.Components(); !slices.Equal(got, want) {
+						t.Fatalf("%s seed %d, %s: Components differ from the recompute", name, seed, when)
+					}
+				default:
+					for range 32 {
+						u, v := int32(rng.Intn(len(want)+2)-1), int32(rng.Intn(len(want)+2)-1) // -1 and n are in no component
+						same := u >= 0 && v >= 0 && int(u) < len(want) && int(v) < len(want) && want[u] == want[v]
+						if got := g.SameComponent(u, v); got != same {
+							t.Fatalf("%s seed %d, %s: SameComponent(%d,%d) = %t, recompute %t", name, seed, when, u, v, got, same)
+						}
+					}
+				}
+			}
+			if seed%2 == 0 {
+				ask("before any write")
+			}
+			var nb []int32
+			for step := 0; step < 24; step++ {
+				if rng.Intn(8) == 0 {
+					g.Compact()
+					if rng.Intn(2) == 0 {
+						ask("after Compact")
+					}
+					continue
+				}
+				s, n := g.Snapshot(), g.N()
+				var batch []Mutation
+				deletes, deleted := rng.Intn(3) == 0, false // a batch that may delete; one that did
+				for range 1 + rng.Intn(10) {
+					u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+					switch k := rng.Intn(8); {
+					case k == 0:
+						batch = append(batch, AddVertex())
+						n++
+						if rng.Intn(2) == 0 {
+							batch = append(batch, AddEdge(u, int32(n-1))) // wired up in its own batch
+						}
+					case u == v:
+					case deletes && k < 4 && int(u) < s.N():
+						if nb = s.AppendNeighbors(nb[:0], int(u)); len(nb) > 0 { // an edge that exists
+							v = nb[rng.Intn(len(nb))]
+						}
+						if u != v { // the base may hold a self-loop
+							batch = append(batch, RemoveEdge(u, v))
+							deleted = deleted || s.HasEdge(u, v)
+						}
+					default:
+						batch = append(batch, AddEdge(u, v))
+					}
+				}
+				var err error
+				if rng.Intn(3) == 0 {
+					_, err = g.Replay(batch)
+				} else {
+					_, err = g.Apply(batch, TxConfig{Seed: seed, CompactFraction: 0.3})
+				}
+				if err != nil {
+					t.Fatalf("%s seed %d step %d: %v", name, seed, step, err)
+				}
+				if deleted {
+					sinceDelete = 0
+				} else if sinceDelete >= 0 {
+					sinceDelete++
+				}
+				if rng.Intn(2) == 0 {
+					ask(fmt.Sprintf("after step %d (deleted %t)", step, deleted))
+				}
+			}
+			ask("at the end")
+		}
+		if rightAfter == 0 || later == 0 {
+			t.Fatalf("%s: %d asks right after a delete, %d with writes since: the stream must make both", name, rightAfter, later)
+		}
+	}
 }
