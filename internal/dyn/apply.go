@@ -140,6 +140,9 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 	res.VerticesAdded = newN - pre.n
 
 	ns := pre.clone(newN)
+	if g.uf != nil {
+		g.uf.grow(newN)
+	}
 
 	// touched collects the vertices whose merged adjacency this batch
 	// changes, for the incremental-freeze journal.
@@ -161,8 +164,6 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 			}
 		}
 		touched = f.finish()
-	} else if newN > pre.n && !g.ccDirty {
-		g.uf.grow(newN)
 	}
 	res.Applied += res.VerticesAdded
 
@@ -210,6 +211,9 @@ func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 	res.VerticesAdded = newN - pre.n
 
 	ns := pre.clone(newN)
+	if g.uf != nil {
+		g.uf.grow(newN)
+	}
 	var touched []int32
 	if len(edgeMuts) > 0 {
 		f := newFolder(g, ns, &res)
@@ -222,8 +226,6 @@ func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 			f.fold(m)
 		}
 		touched = f.finish()
-	} else if newN > pre.n && !g.ccDirty {
-		g.uf.grow(newN)
 	}
 	res.Applied += res.VerticesAdded
 
@@ -257,8 +259,8 @@ func splitBatch(batch []Mutation, n int) (edgeMuts []Mutation, newN int, err err
 }
 
 // folder folds the committed mutations of one batch into the next
-// snapshot: intra-batch duplicates collapse to one application, deletions
-// dirty the incremental CC forest, and finish derives the touched-vertex
+// snapshot: intra-batch duplicates collapse to one application, a deletion
+// drops the incremental CC forest, and finish derives the touched-vertex
 // journal plus the union-find updates. Shared by the transactional Apply
 // path and the machine-free Replay path so both fold identically.
 type folder struct {
@@ -301,7 +303,7 @@ func (f *folder) fold(m Mutation) {
 		f.ns.deleteArc(m.U, m.V, f.cw)
 		f.ns.deleteArc(m.V, m.U, f.cw)
 		f.res.Applied++
-		f.g.ccDirty = true
+		f.g.uf = nil // union-find cannot undo: the next query builds it again
 	}
 }
 
@@ -313,12 +315,10 @@ func (f *folder) finish() (touched []int32) {
 			}
 		}
 	}
-	// Incremental CC: union committed inserts (cheap even when a delete
-	// already marked the forest dirty).
-	if !f.g.ccDirty {
-		f.g.uf.grow(f.ns.n)
+	// Incremental CC: a forest that is built takes the committed inserts.
+	if uf := f.g.uf; uf != nil {
 		for key := range f.seenAdd {
-			f.g.uf.union(int(key[0]), int(key[1]))
+			uf.union(int(key[0]), int(key[1]))
 		}
 	}
 	return touched

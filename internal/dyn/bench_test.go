@@ -3,14 +3,14 @@ package dyn
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"aamgo/internal/graph"
 )
 
 // BenchmarkDynNew times wrapping a generated base — one sweep over the arcs
-// (range check, sortedness, union-find seed), plus the copy and segment
-// sort when a segment is unsorted — and reports time and allocated bytes
-// per stored arc.
+// (range check, sortedness), plus the copy and segment sort when a segment
+// is unsorted — and reports time and allocated bytes per stored arc.
 func BenchmarkDynNew(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -33,6 +33,66 @@ func BenchmarkDynNew(b *testing.B) {
 			arcs := float64(c.base.NumEdges()) * float64(b.N)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/arcs, "ns/arc")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/arcs, "B/arc")
+		})
+	}
+}
+
+// BenchmarkDynFirstComponents times the two requests that pay for the
+// component forest: the first ComponentCount on a new graph (with the New,
+// so the sum is what boot plus the first /query/cc costs) and the first one
+// after a delete batch (ns/arc and B/vertex of the ask alone; ns/op has the
+// two batches in it). ns/arc is per stored arc of the base, B/vertex the
+// allocated bytes per vertex — the forest is 4.
+func BenchmarkDynFirstComponents(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		base *graph.Graph
+	}{
+		{"road1024", graph.RoadGrid(1024, 1024, 0.1, 1)},
+		{"kron16", graph.Kronecker(16, 16, 1)},
+	} {
+		arcs, n := float64(c.base.NumEdges()), float64(c.base.N)
+		var before, after runtime.MemStats
+		b.Run(c.name+"/new+first", func(b *testing.B) {
+			runtime.ReadMemStats(&before)
+			for b.Loop() {
+				mustNew(b, c.base).ComponentCount()
+			}
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/arcs/float64(b.N), "ns/arc")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n/float64(b.N), "B/vertex")
+		})
+		b.Run(c.name+"/after-delete", func(b *testing.B) {
+			// 16 base edges spread over the graph go and come back, so 32
+			// vertices carry deltas at every ask and the deltas stay bounded.
+			g := mustNew(b, c.base)
+			del, add := make([]Mutation, 0, 16), make([]Mutation, 0, 16)
+			for u := int32(0); len(del) < 16; u += int32(c.base.N / 16) {
+				v := u
+				for c.base.Degree(int(v)) == 0 || c.base.Neighbors(int(v))[0] == v {
+					v++
+				}
+				w := c.base.Neighbors(int(v))[0]
+				del, add = append(del, RemoveEdge(v, w)), append(add, AddEdge(v, w))
+			}
+			var ask time.Duration
+			var bytes uint64
+			for b.Loop() {
+				if res, err := g.Apply(del, TxConfig{}); err != nil || res.Applied != 16 {
+					b.Fatalf("deleted %d of 16: %v", res.Applied, err)
+				}
+				runtime.ReadMemStats(&before)
+				start := time.Now()
+				g.ComponentCount()
+				ask += time.Since(start)
+				runtime.ReadMemStats(&after)
+				bytes += after.TotalAlloc - before.TotalAlloc
+				if res, err := g.Apply(add, TxConfig{}); err != nil || res.Applied != 16 {
+					b.Fatalf("restored %d of 16: %v", res.Applied, err)
+				}
+			}
+			b.ReportMetric(float64(ask.Nanoseconds())/arcs/float64(b.N), "ns/arc")
+			b.ReportMetric(float64(bytes)/n/float64(b.N), "B/vertex")
 		})
 	}
 }

@@ -1,12 +1,14 @@
 package dyn
 
-// Incremental connected components: edge inserts union a disjoint-set
-// forest in near-constant time, vertex adds grow it, and deletions — which
-// union-find cannot undo — mark the forest dirty so the next query rebuilds
-// it from the current snapshot. This is the classic incremental-only
-// maintenance scheme; it makes the common streaming case (insert-heavy
-// workloads) O(α) per update while staying exactly as correct as a
-// from-scratch recompute.
+// Incremental connected components. The forest has two states: not built
+// (Graph.uf == nil — a new graph, and any graph since its last deletion,
+// which union-find cannot undo) and built. The first query in the unbuilt
+// state builds it from the current snapshot; while it is built edge inserts
+// union it in near-constant time and vertex adds grow it. This is the
+// classic incremental-only maintenance scheme; it makes the common streaming
+// case (insert-heavy workloads) O(α) per update while staying exactly as
+// correct as a from-scratch recompute, and a graph nobody asks about its
+// components never pays for them.
 
 // unionFind is a growable disjoint-set forest with path splitting and union
 // by size, tracking the live component count. A root holds minus the size of
@@ -63,33 +65,43 @@ func (uf *unionFind) union(a, b int) bool {
 	return merged
 }
 
-// rebuildCC reconstructs the forest from snapshot s. Caller holds g.mu.
+// rebuildCC builds the forest of snapshot s, the only place one is made.
+// Caller holds g.mu. A vertex without deltas — all of them on a new graph —
+// has its base segment read where it lies. Only ascending arcs are followed:
+// an undirected graph stores every edge from its smaller end too.
 func (g *Graph) rebuildCC(s *Snapshot) {
 	uf := newUnionFind(s.n)
 	var scratch []int32
 	for v := 0; v < s.n; v++ {
-		scratch = s.AppendNeighbors(scratch[:0], v)
-		for _, w := range scratch {
+		var nbrs []int32
+		if c := s.delta(v); len(c.adds)+len(c.dels) > 0 {
+			scratch = s.AppendNeighbors(scratch[:0], v)
+			nbrs = scratch
+		} else if v < s.base.N {
+			nbrs = s.base.Neighbors(v)
+		}
+		rv := int32(uf.find(v)) // v's root across the segment: link returns the set's next one
+		for _, w := range nbrs {
 			if int32(v) < w {
-				uf.union(v, int(w))
+				rv, _ = uf.link(rv, int32(uf.find(int(w))))
 			}
 		}
 	}
 	g.uf = uf
-	g.ccDirty = false
 }
 
-// ccView returns the up-to-date forest for the current snapshot, rebuilding
-// it after deletions. Caller must not retain it past the critical section.
+// ccView returns the forest for the current snapshot, building it when there
+// is none. Caller must not retain it past the critical section.
 func (g *Graph) ccView() *unionFind {
-	if g.ccDirty {
+	if g.uf == nil {
 		g.rebuildCC(g.Snapshot())
 	}
 	return g.uf
 }
 
 // ComponentCount returns the number of connected components, maintained
-// incrementally across edge inserts and rebuilt lazily after deletes.
+// incrementally across edge inserts and built on the first query and the
+// first after a delete.
 func (g *Graph) ComponentCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

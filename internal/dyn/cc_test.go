@@ -78,29 +78,49 @@ func TestUnionFindMatchesModel(t *testing.T) {
 	}
 }
 
-// TestSweepBaseForest: the forest New starts from has the components a
-// recompute finds, and on a base that stores an arc one way only it joins
-// what the ascending arcs join, no more.
-func TestSweepBaseForest(t *testing.T) {
+// built returns the forest rebuildCC makes of g's current snapshot.
+func built(g *Graph) *unionFind {
+	g.rebuildCC(g.Snapshot())
+	return g.uf
+}
+
+// TestRebuildCCForest: the forest the one builder makes has the components
+// a recompute finds — of a base read in place, and of a snapshot whose
+// deltas lie on both sides of a page boundary and past the base — and on a
+// base that stores an arc one way only it joins what the ascending arcs
+// join, no more.
+func TestRebuildCCForest(t *testing.T) {
 	for name, base := range map[string]*graph.Graph{
 		"kron12":   graph.Kronecker(12, 16, 1),
 		"road64":   graph.RoadGrid(64, 64, 0.1, 1),
 		"edgeless": {N: 9, Offsets: make([]int64, 10)},
 		"empty":    {Offsets: []int64{0}},
 	} {
-		uf, _, ok := sweepBase(base)
-		if !ok {
-			t.Fatalf("%s: base rejected", name)
+		g := mustNew(t, base)
+		if g.uf != nil {
+			t.Fatalf("%s: New built a forest", name)
 		}
-		checkForest(t, uf, algo.SeqComponents(base))
+		checkForest(t, built(g), algo.SeqComponents(base))
 	}
+
+	// Cells 63 and 64 are the last of one page and the first of the next.
+	g := mustNew(t, graph.RoadGrid(16, 16, 0.1, 1))
+	s := g.Snapshot()
+	batch := []Mutation{AddVertex(), AddVertex(), AddEdge(63, 200), AddEdge(64, 130), AddEdge(5, 256)}
+	for _, v := range []int32{63, 64, 65} {
+		batch = append(batch, RemoveEdge(v, s.AppendNeighbors(nil, int(v))[0]))
+	}
+	if res, err := g.Apply(batch, TxConfig{CompactFraction: -1}); err != nil || res.Applied != len(batch) {
+		t.Fatalf("applied %d of %d: %v", res.Applied, len(batch), err)
+	}
+	if s = g.Snapshot(); s.pages[0] == nil || s.pages[1] == nil || g.uf != nil {
+		t.Fatalf("pages %v %v, forest %v: want deltas in both pages and the delete to leave no forest", s.pages[0], s.pages[1], g.uf)
+	}
+	checkForest(t, built(g), algo.SeqComponents(s.FullMaterialize()))
+
 	// 0→1 counts; 3→2 is stored from its larger end only and is not followed.
 	oneWay := &graph.Graph{N: 4, Offsets: []int64{0, 1, 1, 1, 2}, Adj: []int32{1, 2}}
-	uf, sorted, ok := sweepBase(oneWay)
-	if !ok || !sorted {
-		t.Fatalf("one-way base: ok %t, sorted %t", ok, sorted)
-	}
-	checkForest(t, uf, []int32{0, 0, 2, 3})
+	checkForest(t, built(mustNew(t, oneWay)), []int32{0, 0, 2, 3})
 }
 
 // TestForestStatesMatchRecompute walks the forest through every state it

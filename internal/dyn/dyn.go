@@ -22,9 +22,10 @@
 //     the per-vertex lists in them), and Freeze materializes it into a
 //     plain *graph.Graph so the static analytics in internal/algo run
 //     unchanged against a consistent cut of the graph.
-//   - Connected components are maintained incrementally: edge inserts
-//     union a disjoint-set forest in O(α), deletions mark it dirty and the
-//     next query recomputes from the current snapshot.
+//   - Connected components are maintained incrementally: the first query
+//     builds a disjoint-set forest from the current snapshot, edge inserts
+//     union it in O(α), and a deletion drops it for the next query to build
+//     again.
 //
 // Graphs are undirected and unweighted (each logical edge is stored as two
 // arcs), matching the Graph500-style workloads of the paper's evaluation.
@@ -296,13 +297,14 @@ func (s *Snapshot) materialize() *graph.Graph {
 // serialize on an internal lock; the transactional machine inside one
 // batch provides the fine-grained concurrency).
 type Graph struct {
-	mu  sync.Mutex // serializes writers and guards uf/ccDirty/cum
+	mu  sync.Mutex // serializes writers and guards uf/cum
 	cur atomic.Pointer[Snapshot]
 
 	mat *matState // shared with every snapshot; has its own lock
 
-	uf      *unionFind
-	ccDirty bool
+	// uf is the component forest of the current snapshot, or nil when no
+	// query has asked for it since the graph was made or an edge deleted.
+	uf *unionFind
 
 	// walHook, when set, is invoked under mu immediately after each batch
 	// publishes — appends therefore arrive in strict epoch order. The wait
@@ -409,7 +411,7 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 		}
 		base = base.Flat()
 	}
-	uf, sorted, ok := sweepBase(base)
+	sorted, ok := sweepBase(base)
 	if !ok {
 		return nil, fmt.Errorf("dyn: invalid base: %w", base.Validate())
 	}
@@ -423,7 +425,7 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 		flat.Adj = slices.Clone(base.Adj)
 		sortSegments(flat)
 	}
-	g := &Graph{uf: uf, histApply: obs.NewHistogram()}
+	g := &Graph{histApply: obs.NewHistogram()}
 	snap := &Snapshot{epoch: epoch, n: base.N, base: flat, pages: newPages(base.N), arcs: int64(len(base.Adj))}
 	g.mat = newMatState(snap)
 	snap.mat = g.mat
@@ -433,37 +435,33 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 }
 
 // sweepBase walks a flat base once. It makes every check graph.Validate
-// makes of one — the offsets before any segment is sliced, each arc's range
-// before the arc reaches union — and reports ok = false where Validate
-// returns an error (the caller has Validate word it). From the same walk
-// come the union-find over the base's edges and whether every segment is
-// sorted.
-func sweepBase(base *graph.Graph) (uf *unionFind, sorted, ok bool) {
+// makes of one — the offsets before any segment is sliced, then each arc's
+// range — and reports ok = false where Validate returns an error (the
+// caller has Validate word it). The same walk finds whether every segment
+// is sorted.
+func sweepBase(base *graph.Graph) (sorted, ok bool) {
 	n, off, adj := base.N, base.Offsets, base.Adj
 	if n < 0 || len(off) != n+1 || off[0] != 0 || off[n] != int64(len(adj)) ||
 		base.Weights != nil && len(base.Weights) != len(adj) {
-		return nil, false, false
+		return false, false
 	}
 	for v := 0; v < n; v++ {
 		if off[v] > off[v+1] {
-			return nil, false, false
+			return false, false
 		}
 	}
-	uf, sorted = newUnionFind(n), true
+	sorted = true
 	for v := 0; v < n; v++ {
-		prev, rv := int32(0), int32(uf.find(v)) // v's root across the segment: link returns the set's next one
+		prev := int32(0)
 		for _, w := range adj[off[v]:off[v+1]] {
 			if uint32(w) >= uint32(n) {
-				return nil, false, false
+				return false, false
 			}
 			sorted = sorted && prev <= w
 			prev = w
-			if int32(v) < w {
-				rv, _ = uf.link(rv, int32(uf.find(int(w))))
-			}
 		}
 	}
-	return uf, sorted, true
+	return sorted, true
 }
 
 // NewEmpty returns a dynamic graph of n isolated vertices.
@@ -478,7 +476,6 @@ func NewEmpty(n int) *Graph {
 	snap.mat = g.mat
 	g.histApply = obs.NewHistogram()
 	g.cur.Store(snap)
-	g.uf = newUnionFind(n)
 	return g
 }
 

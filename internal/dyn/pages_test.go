@@ -370,7 +370,7 @@ func FuzzDynNewBase(f *testing.F) {
 			}
 		}
 		// New takes the base for undirected — every arc stored both ways —
-		// and seeds the components from the ascending arcs alone.
+		// and the forest is built from the ascending arcs alone.
 		for v := 0; v < n; v++ {
 			for _, w := range base.Neighbors(v) {
 				if !s.HasEdge(w, int32(v)) {
