@@ -172,33 +172,50 @@ func TestXCacheHeader(t *testing.T) {
 	}
 }
 
-// TestSlowlog: /debug/slowlog retains query spans, slowest first.
+// TestSlowlog: /debug/slowlog retains query spans, slowest first, and each
+// says where its time went although no request carried ?trace=1 — the
+// first /query/cc after boot, which builds the component forest, included.
 func TestSlowlog(t *testing.T) {
 	ts, _, _ := newCacheServer(t, Config{SlowlogK: 4})
+	slowest := func() []slowEntry {
+		t.Helper()
+		var out struct {
+			K       int         `json:"k"`
+			Slowest []slowEntry `json:"slowest"`
+		}
+		_, body := get(t, ts.URL+"/debug/slowlog", nil)
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.K != 4 {
+			t.Fatalf("slowlog k = %d, want 4", out.K)
+		}
+		for i, e := range out.Slowest {
+			if e.WallNS <= 0 || e.ComputeNS <= 0 || e.FreezeNS+e.ComputeNS > e.WallNS {
+				t.Errorf("entry %d (%s): wall_ns %d, freeze_ns %d, compute_ns %d: want compute > 0 and freeze + compute <= wall",
+					i, e.Endpoint, e.WallNS, e.FreezeNS, e.ComputeNS)
+			}
+		}
+		return out.Slowest
+	}
+	get(t, ts.URL+"/query/cc", nil)
+	if es := slowest(); len(es) != 1 || es[0].Endpoint != "cc" || es[0].Outcome != "computed" {
+		t.Fatalf("slowlog after the first /query/cc = %+v, want its one computed span", es)
+	}
 	for i := 0; i < 8; i++ {
 		get(t, fmt.Sprintf("%s/query/bfs?src=%d", ts.URL, i), nil)
 	}
 	get(t, ts.URL+"/stats", nil) // non-query: must not appear
-	var out struct {
-		K       int         `json:"k"`
-		Slowest []slowEntry `json:"slowest"`
+	es := slowest()
+	if len(es) != 4 {
+		t.Fatalf("slowlog len = %d, want 4", len(es))
 	}
-	_, body := get(t, ts.URL+"/debug/slowlog", nil)
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.K != 4 || len(out.Slowest) != 4 {
-		t.Fatalf("slowlog k=%d len=%d, want 4/4", out.K, len(out.Slowest))
-	}
-	for i, e := range out.Slowest {
+	for i, e := range es {
 		if e.Endpoint == "stats" || e.Endpoint == "slowlog" {
 			t.Errorf("non-query endpoint %q retained", e.Endpoint)
 		}
-		if e.WallNS <= 0 {
-			t.Errorf("entry %d wall_ns = %d", i, e.WallNS)
-		}
-		if i > 0 && e.WallNS > out.Slowest[i-1].WallNS {
-			t.Errorf("slowlog not sorted desc at %d: %d > %d", i, e.WallNS, out.Slowest[i-1].WallNS)
+		if i > 0 && e.WallNS > es[i-1].WallNS {
+			t.Errorf("slowlog not sorted desc at %d: %d > %d", i, e.WallNS, es[i-1].WallNS)
 		}
 	}
 }

@@ -706,11 +706,7 @@ func (s *Server) timedFreeze(r *http.Request, snap *dyn.Snapshot) *graph.Graph {
 // X-Cache header describes the replay itself.
 func (s *Server) writeQuery(w http.ResponseWriter, r *http.Request, out map[string]any) {
 	if r.URL.Query().Get("trace") == "1" {
-		sp := spanOf(r)
-		if wall, ok := out["wall_time_ns"].(int64); ok {
-			sp.ComputeNS = wall
-		}
-		out["trace"] = sp.traceView()
+		out["trace"] = spanOf(r).traceView()
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
@@ -892,11 +888,17 @@ func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 			return
 		}
 		out := map[string]any{"engine": eng, "n": snap.N()}
+		// The run's wall time goes into the body and into the span, traced
+		// or not: the slowlog is read when nobody asked for a trace.
 		t0 := time.Now()
+		stop := func() {
+			wall := time.Since(t0).Nanoseconds()
+			out["wall_time_ns"], spanOf(r).ComputeNS = wall, wall
+		}
 		if eng == query.EngineAAM && att.live != nil {
 			snap = att.live(s.g, out, full)
 			out["n"] = snap.N()
-			out["wall_time_ns"] = time.Since(t0).Nanoseconds()
+			stop()
 		} else if f := s.timedFreeze(r, snap); f.N == 0 && slices.Contains(att.skipEmpty, eng) {
 			att.summarise(out, 0, args, query.Result{}, false)
 		} else {
@@ -917,7 +919,7 @@ func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 			case res.Shard != nil:
 				out["sharded"] = s.shardSummary(r, scfg, *res.Shard)
 			}
-			out["wall_time_ns"] = time.Since(t0).Nanoseconds()
+			stop()
 			if cl != nil {
 				out["cluster"] = cl
 			}
