@@ -11,7 +11,7 @@ import (
 )
 
 // runMainEnv, when set, makes the test binary run main on its arguments:
-// how TestGeneratorFlagsAreUsageErrors sees the real exit status.
+// how usageError sees the real exit status.
 const runMainEnv = "AAM_TEST_RUN_MAIN"
 
 func TestMain(m *testing.M) {
@@ -22,23 +22,34 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// usageError runs aam-serve on args, requires exit status 2 without a panic
+// and returns what it printed.
+func usageError(t *testing.T, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(string(out), "panic: ") {
+		t.Errorf("%v: %v, want exit status 2 and no panic\n%s", args, err, out)
+	}
+	return string(out)
+}
+
 // TestGeneratorFlagsAreUsageErrors: a -scale or -ef no generator takes ends
 // aam-serve with a worded usage error and status 2 before anything shifts by
-// it, allocates by it or hands it to the library — not with a panic.
+// it, allocates by it or hands it to the library — not with a panic. So does
+// -backend, the old name of -runtime: it is an unknown flag.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-gen", "kron", "-scale", "-1"}, {"-scale", "31"}, {"-gen", "er", "-scale", "64"}, {"-ef", "-1"}, {"-gen", "web", "-scale", "5", "-ef", "-3"}} {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], args...)
-		cmd.Env = append(os.Environ(), runMainEnv+"=1")
-		out, err := cmd.CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%v: %v, want exit status 2\n%s", args, err, out)
+		if out, bad := usageError(t, args...), args[len(args)-2]; !strings.Contains(out, "aam-serve: "+bad) {
+			t.Errorf("%v: want a message naming %s, got\n%s", args, bad, out)
 		}
-		if bad := args[len(args)-2]; strings.Contains(string(out), "panic") || !strings.Contains(string(out), "aam-serve: "+bad) {
-			t.Errorf("%v: want a message naming %s and no panic, got\n%s", args, bad, out)
-		}
+	}
+	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
+		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
 	for _, ok := range [][2]int{{0, 0}, {30, 0}, {10, 8}} {
 		if err := checkGenFlags(ok[0], ok[1]); err != nil {

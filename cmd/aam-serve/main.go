@@ -6,7 +6,7 @@
 // Usage:
 //
 //	aam-serve [-addr :8080] [-graph file] [-gen kron -scale 12 -ef 8]
-//	          [-mech htm|atomic|lock|occ|flatcomb] [-backend sim|native]
+//	          [-mech htm|atomic|lock|occ|flatcomb] [-runtime sim|native]
 //	          [-machine has-c] [-threads 4] [-workers 8] [-pprof]
 //	          [-cache on|off] [-cache-bytes 33554432]
 //	          [-log-level info] [-slowlog 32]
@@ -77,7 +77,7 @@ func main() {
 		ef       = flag.Int("ef", 8, "generator edge factor")
 		seed     = flag.Int64("seed", 1, "generator and machine seed")
 		mech     = flag.String("mech", "htm", "isolation mechanism: htm, atomic, lock, occ, flatcomb")
-		backend  = flag.String("backend", "sim", "machine backend: sim or native")
+		rt       = flag.String("runtime", "sim", "machine runtime: sim or native")
 		machine  = flag.String("machine", "has-c", "machine profile: has-c, has-p, bgq")
 		threads  = flag.Int("threads", 4, "threads per machine run")
 		workers  = flag.Int("workers", 8, "max concurrent requests doing graph work")
@@ -168,7 +168,7 @@ func main() {
 	}
 	srv, err := serve.New(g, serve.Config{
 		Mechanism:     mechanism,
-		Backend:       *backend,
+		Runtime:       *rt,
 		Machine:       *machine,
 		Threads:       *threads,
 		M:             *coarsen,
@@ -220,7 +220,7 @@ func main() {
 		"addr", *addr,
 		"vertices", g.N(),
 		"arcs", g.NumArcs(),
-		"backend", *backend,
+		"runtime", *rt,
 		"machine", *machine,
 		"mech", mechanism.String(),
 	)

@@ -16,9 +16,9 @@ type TxConfig struct {
 	// Mechanism isolates the edge operators: HTM (default), Atomic, Lock,
 	// Optimistic or FlatCombining — the full §4.1 + conclusion set.
 	Mechanism aam.Mechanism
-	// Backend is "sim" (deterministic virtual time, the default) or
+	// Runtime is "sim" (deterministic virtual time, the default) or
 	// "native" (real goroutines with the TL2-style STM).
-	Backend string
+	Runtime string
 	// Machine is the simulated machine profile ("has-c" default).
 	Machine string
 	// HTMVariant selects the HTM implementation; empty is the machine
@@ -38,8 +38,8 @@ type TxConfig struct {
 }
 
 func (c TxConfig) resolve() (exec.MachineProfile, TxConfig, error) {
-	if c.Backend == "" {
-		c.Backend = run.Sim
+	if c.Runtime == "" {
+		c.Runtime = run.Sim
 	}
 	if c.Machine == "" {
 		c.Machine = "has-c"
@@ -417,7 +417,7 @@ func (a *applier) run(prof exec.MachineProfile, cfg TxConfig, n int) exec.Result
 		LockBase:  lockBase,
 	}
 
-	m := run.New(cfg.Backend, exec.Config{
+	m := run.New(cfg.Runtime, exec.Config{
 		Nodes:          1,
 		ThreadsPerNode: cfg.Threads,
 		MemWords:       lockBase + lockWords + 64,

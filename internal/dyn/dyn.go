@@ -602,7 +602,7 @@ type BatchResult struct {
 	// back into a fresh base CSR.
 	Compacted bool
 	// Elapsed is the machine time of the transactional phase: virtual
-	// time on the sim backend, wall time on native.
+	// time on the sim runtime, wall time on native.
 	Elapsed time.Duration
 	// Stats carries the machine counters of the transactional phase.
 	Stats stats.Total

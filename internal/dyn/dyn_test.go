@@ -126,7 +126,7 @@ func TestIntraBatchSemantics(t *testing.T) {
 }
 
 // TestMechanismsAgree applies one mutation stream under every isolation
-// mechanism and both backends; the resulting graphs, component structures
+// mechanism and both runtimes; the resulting graphs, component structures
 // and mechanism-specific counters must match expectations.
 func TestMechanismsAgree(t *testing.T) {
 	base := graph.Community(200, 8, 4, 0.1, 3)
@@ -150,14 +150,14 @@ func TestMechanismsAgree(t *testing.T) {
 
 	var wantArcs [][2]int32
 	var wantCC []int32
-	for bi, backend := range []string{"sim", "native"} {
+	for bi, rt := range []string{"sim", "native"} {
 		for _, mech := range allMechanisms {
-			name := fmt.Sprintf("%s/%s", backend, mech)
+			name := fmt.Sprintf("%s/%s", rt, mech)
 			g, err := New(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := TxConfig{Mechanism: mech, Backend: backend, Threads: 4}
+			cfg := TxConfig{Mechanism: mech, Runtime: rt, Threads: 4}
 			for _, batch := range batches {
 				if _, err := g.Apply(batch, cfg); err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -175,7 +175,7 @@ func TestMechanismsAgree(t *testing.T) {
 					t.Errorf("%s: component labels diverge", name)
 				}
 			}
-			if bi == 0 { // counter shapes are only pinned on the sim backend
+			if bi == 0 { // counter shapes are only pinned on the sim runtime
 				st := g.Stats()
 				switch mech {
 				case aam.MechHTM:

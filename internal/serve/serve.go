@@ -81,9 +81,9 @@ import (
 type Config struct {
 	// Mechanism is the default isolation mechanism for mutation batches.
 	Mechanism aam.Mechanism
-	// Backend runs batches and queries on "sim" (default, deterministic)
+	// Runtime runs batches and queries on "sim" (default, deterministic)
 	// or "native" machines.
-	Backend string
+	Runtime string
 	// Machine is the simulated machine profile (default "has-c").
 	Machine string
 	// Threads per machine run (default 4).
@@ -130,8 +130,8 @@ type Config struct {
 }
 
 func (c Config) resolve() (Config, exec.MachineProfile, error) {
-	if c.Backend == "" {
-		c.Backend = run.Sim
+	if c.Runtime == "" {
+		c.Runtime = run.Sim
 	}
 	if c.Machine == "" {
 		c.Machine = "has-c"
@@ -529,7 +529,7 @@ func (s *Server) txConfig(r *http.Request) (dyn.TxConfig, error) {
 	mech, err := s.queryMech(r.URL.Query())
 	return dyn.TxConfig{
 		Mechanism: mech,
-		Backend:   s.cfg.Backend,
+		Runtime:   s.cfg.Runtime,
 		Machine:   s.cfg.Machine,
 		Threads:   s.cfg.Threads,
 		M:         s.cfg.M,
@@ -642,7 +642,7 @@ type clusterInfo struct {
 func (s *Server) run(r *http.Request, d *query.Descriptor, eng string, g *graph.Graph, a query.Args, scfg shard.Config) (query.Result, *clusterInfo, error) {
 	prof := s.prof
 	env := query.Env{
-		Runtime: s.cfg.Backend, Profile: &prof, Nodes: 1, Threads: s.cfg.Threads, Seed: s.cfg.Seed,
+		Runtime: s.cfg.Runtime, Profile: &prof, Nodes: 1, Threads: s.cfg.Threads, Seed: s.cfg.Seed,
 		AAM:   aam.Config{M: s.cfg.M, C: s.cfg.C, Mechanism: scfg.Mechanism},
 		Shard: scfg,
 	}
