@@ -1,14 +1,12 @@
 package dyn
 
-// Incremental connected components. The forest has two states: not built
-// (Graph.uf == nil — a new graph, and any graph since its last deletion,
-// which union-find cannot undo) and built. The first query in the unbuilt
-// state builds it from the current snapshot; while it is built edge inserts
-// union it in near-constant time and vertex adds grow it. This is the
-// classic incremental-only maintenance scheme; it makes the common streaming
-// case (insert-heavy workloads) O(α) per update while staying exactly as
-// correct as a from-scratch recompute, and a graph nobody asks about its
-// components never pays for them.
+// Incremental connected components. The forest is either not built
+// (Graph.uf == nil: a new graph, and any graph since its last deletion,
+// which union-find cannot undo) or built: the first query that finds none
+// builds it from the current snapshot, and while it stands edge inserts
+// union it in near-constant time and vertex adds grow it. The common
+// streaming case (insert-heavy) is O(α) per update, every answer is that of
+// a from-scratch recompute, and a graph nobody asks never pays.
 
 // unionFind is a growable disjoint-set forest with path splitting and union
 // by size, tracking the live component count. A root holds minus the size of
@@ -65,10 +63,9 @@ func (uf *unionFind) union(a, b int) bool {
 	return merged
 }
 
-// rebuildCC builds the forest of snapshot s, the only place one is made.
-// Caller holds g.mu. A vertex without deltas — all of them on a new graph —
-// has its base segment read where it lies. Only ascending arcs are followed:
-// an undirected graph stores every edge from its smaller end too.
+// rebuildCC builds the forest of snapshot s; no other code makes one. Caller
+// holds g.mu. A vertex without deltas has its base segment read where it
+// lies; only ascending arcs are followed (every edge is stored both ways).
 func (g *Graph) rebuildCC(s *Snapshot) {
 	uf := newUnionFind(s.n)
 	var scratch []int32
@@ -99,9 +96,8 @@ func (g *Graph) ccView() *unionFind {
 	return g.uf
 }
 
-// ComponentCount returns the number of connected components, maintained
-// incrementally across edge inserts and built on the first query and the
-// first after a delete.
+// ComponentCount returns the number of connected components: the first query
+// and the first after a delete build the forest, edge inserts maintain it.
 func (g *Graph) ComponentCount() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -466,16 +466,8 @@ func sweepBase(base *graph.Graph) (sorted, ok bool) {
 
 // NewEmpty returns a dynamic graph of n isolated vertices.
 func NewEmpty(n int) *Graph {
-	if n < 0 {
-		n = 0
-	}
-	g := &Graph{}
-	base := &graph.Graph{N: n, Offsets: make([]int64, n+1)}
-	snap := &Snapshot{n: n, base: base, pages: newPages(n)}
-	g.mat = newMatState(snap)
-	snap.mat = g.mat
-	g.histApply = obs.NewHistogram()
-	g.cur.Store(snap)
+	n = max(n, 0)
+	g, _ := New(&graph.Graph{N: n, Offsets: make([]int64, n+1)}) // an edgeless base is valid
 	return g
 }
 
