@@ -434,34 +434,37 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	return g, nil
 }
 
-// sweepBase walks a flat base once. It makes every check graph.Validate
-// makes of one — the offsets before any segment is sliced, then each arc's
-// range — and reports ok = false where Validate returns an error (the
-// caller has Validate word it). The same walk finds whether every segment
-// is sorted.
+// sweepBase walks a flat base once: ok is false where graph.Validate returns
+// an error (the caller has Validate word it), sorted says whether every
+// segment is. Neither needs the vertex of an arc, so the arcs are read as one
+// array, with no loop per segment to mispredict the end of: the ids are in
+// range when the largest is, and the segments are sorted when every descent
+// adj[i-1] > adj[i] falls where one segment ends and the next begins.
 func sweepBase(base *graph.Graph) (sorted, ok bool) {
 	n, off, adj := base.N, base.Offsets, base.Adj
 	if n < 0 || len(off) != n+1 || off[0] != 0 || off[n] != int64(len(adj)) ||
 		base.Weights != nil && len(base.Weights) != len(adj) {
 		return false, false
 	}
+	hi, descents, prev := uint32(0), 0, int32(0) // hi as unsigned: a negative id is above every n
+	for _, w := range adj {
+		hi = max(hi, uint32(w))
+		descents += int(uint32(w-prev) >> 31) // w < prev, for ids in range (any count will do otherwise)
+		prev = w
+	}
+	if len(adj) > 0 && hi >= uint32(n) {
+		return false, false
+	}
 	for v := 0; v < n; v++ {
-		if off[v] > off[v+1] {
+		i := off[v+1]
+		if off[v] > i {
 			return false, false
 		}
-	}
-	sorted = true
-	for v := 0; v < n; v++ {
-		prev := int32(0)
-		for _, w := range adj[off[v]:off[v+1]] {
-			if uint32(w) >= uint32(n) {
-				return false, false
-			}
-			sorted = sorted && prev <= w
-			prev = w
+		if off[v] < i && i < int64(len(adj)) && adj[i-1] > adj[i] { // off[v] < i: a boundary not seen before, and positive
+			descents--
 		}
 	}
-	return sorted, true
+	return descents == 0, true
 }
 
 // NewEmpty returns a dynamic graph of n isolated vertices.

@@ -114,3 +114,44 @@ func TestSortIDs(t *testing.T) {
 		t.Fatalf("a short segment allocated %d ids of scratch", len(got))
 	}
 }
+
+// TestSweepBaseMatchesPerSegmentChecks: on random small bases — empty
+// segments between full ones, equal ids and descents across a boundary,
+// one swap inside a segment, one id out of range — sweepBase accepts what
+// graph.Validate accepts and calls sorted what slices.IsSorted calls sorted
+// segment by segment, in both directions (a sorted base taken for unsorted
+// would only be copied for nothing, and no other test would see it).
+func TestSweepBaseMatchesPerSegmentChecks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	verdicts := map[[2]bool]int{}
+	for range 4000 {
+		n := 1 + rng.Intn(6)
+		g := &graph.Graph{N: n, Offsets: make([]int64, n+1)}
+		for v := range n {
+			seg := make([]int32, rng.Intn(4)*rng.Intn(2))
+			for i := range seg {
+				seg[i] = int32(rng.Intn(n))
+			}
+			if rng.Intn(4) > 0 {
+				slices.Sort(seg)
+			}
+			g.Adj = append(g.Adj, seg...)
+			g.Offsets[v+1] = int64(len(g.Adj))
+		}
+		if len(g.Adj) > 0 && rng.Intn(8) == 0 {
+			g.Adj[rng.Intn(len(g.Adj))] = []int32{-1, int32(n), math.MinInt32, math.MaxInt32}[rng.Intn(4)]
+		}
+		wantOK, wantSorted := g.Validate() == nil, true
+		for v := 0; wantOK && v < n; v++ {
+			wantSorted = wantSorted && slices.IsSorted(g.Neighbors(v))
+		}
+		sorted, ok := sweepBase(g)
+		if ok != wantOK || ok && sorted != wantSorted {
+			t.Fatalf("offsets %v adj %v: sweepBase says sorted %t, ok %t; want %t, %t", g.Offsets, g.Adj, sorted, ok, wantSorted, wantOK)
+		}
+		verdicts[[2]bool{ok, ok && sorted}]++
+	}
+	if len(verdicts) != 3 {
+		t.Fatalf("verdicts seen %v: want rejected, sorted and unsorted bases", verdicts)
+	}
+}
