@@ -104,9 +104,16 @@ func TestRebuildCCForest(t *testing.T) {
 	}
 
 	// Cells 63 and 64 are the last of one page and the first of the next.
-	g := mustNew(t, graph.RoadGrid(16, 16, 0.1, 1))
+	// Recovery is NewWithEpoch and Replay: neither builds a forest.
+	g, err := NewWithEpoch(graph.RoadGrid(16, 16, 0.1, 1), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Replay([]Mutation{AddEdge(0, 255), AddVertex()}); err != nil || g.uf != nil || NewEmpty(5).uf != nil {
+		t.Fatalf("Replay: %v; forest after it %v, after NewEmpty %v: want none", err, g.uf, NewEmpty(5).uf)
+	}
 	s := g.Snapshot()
-	batch := []Mutation{AddVertex(), AddVertex(), AddEdge(63, 200), AddEdge(64, 130), AddEdge(5, 256)}
+	batch := []Mutation{AddVertex(), AddEdge(63, 200), AddEdge(64, 130), AddEdge(5, 257)}
 	for _, v := range []int32{63, 64, 65} {
 		batch = append(batch, RemoveEdge(v, s.AppendNeighbors(nil, int(v))[0]))
 	}
