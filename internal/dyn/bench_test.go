@@ -52,8 +52,8 @@ func BenchmarkDynFirstComponents(b *testing.B) {
 		{"kron16", graph.Kronecker(16, 16, 1)},
 	} {
 		arcs, n := float64(c.base.NumEdges()), float64(c.base.N)
-		var before, after runtime.MemStats
 		b.Run(c.name+"/new+first", func(b *testing.B) {
+			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for b.Loop() {
 				mustNew(b, c.base).ComponentCount()
@@ -77,6 +77,7 @@ func BenchmarkDynFirstComponents(b *testing.B) {
 			}
 			var ask time.Duration
 			var bytes uint64
+			var before, after runtime.MemStats
 			for b.Loop() {
 				if res, err := g.Apply(del, TxConfig{}); err != nil || res.Applied != 16 {
 					b.Fatalf("deleted %d of 16: %v", res.Applied, err)
