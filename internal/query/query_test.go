@@ -1,10 +1,14 @@
 package query
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 
+	"aamgo/internal/aam"
+	"aamgo/internal/algo"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
 	"aamgo/internal/shard"
@@ -163,6 +167,228 @@ func TestRunAAMOnBothRuntimes(t *testing.T) {
 			want = res.Labels
 		} else if !slices.Equal(res.Labels, want) {
 			t.Fatalf("%s labels diverge from sim's", rt)
+		}
+	}
+}
+
+// pinnedVerify is what each consumer spells by hand today (the façade
+// test's facades table, copied): the answer held to its sequential
+// reference, returning the value every engine must agree on bit for bit.
+func pinnedVerify(d *Descriptor, g *graph.Graph, a Args, res Result) (any, error) {
+	canon := func(labels []int32) []int32 {
+		min := map[int32]int32{}
+		out := make([]int32, len(labels))
+		for v, l := range labels {
+			if _, ok := min[l]; !ok {
+				min[l] = int32(v)
+			}
+			out[v] = min[l]
+		}
+		return out
+	}
+	switch d.Name {
+	case "bfs":
+		ref := algo.SeqBFS(g, a.Src)
+		if err := algo.ValidateBFSTree(g, a.Src, res.Parents, ref); err != nil {
+			return nil, err
+		}
+		depths := algo.BFSDepths(g, a.Src, res.Parents)
+		if !slices.Equal(depths, ref) {
+			return nil, errors.New("BFS levels diverge from the sequential reference")
+		}
+		return depths, nil
+	case "pagerank":
+		for v, want := range algo.SeqPageRank(g, a.Damping, a.Iters) {
+			if diff := res.Ranks[v] - want; diff > 1e-6 || diff < -1e-6 {
+				return nil, fmt.Errorf("rank[%d] = %v, sequential reference %v", v, res.Ranks[v], want)
+			}
+		}
+		return res.Ranks, nil
+	case "sssp":
+		if !slices.Equal(res.Dists, algo.SeqSSSP(g, a.Src)) {
+			return nil, errors.New("SSSP distances diverge from the sequential reference")
+		}
+		return res.Dists, nil
+	case "cc":
+		labels := canon(res.Labels)
+		if !slices.Equal(labels, algo.SeqComponents(g)) {
+			return nil, errors.New("component partition diverges from the sequential reference")
+		}
+		return labels, nil
+	case "mst":
+		if want := algo.SeqMSTWeight(g); res.Weight != want {
+			return nil, fmt.Errorf("forest weight %d, sequential reference %d", res.Weight, want)
+		}
+		if !slices.Equal(canon(res.Labels), algo.SeqComponents(g)) {
+			return nil, errors.New("forest components diverge from the sequential reference")
+		}
+		return res.Weight, nil
+	case "coloring":
+		if !algo.ValidColoring(g, res.Colors) {
+			return nil, errors.New("coloring is not proper")
+		}
+		if max := int(slices.Max(res.Colors)); max != res.Used-1 {
+			return nil, fmt.Errorf("%d colors reported, largest color is %d", res.Used, max)
+		}
+		return nil, nil
+	}
+	return nil, fmt.Errorf("no check for %q", d.Name)
+}
+
+// fault is one planted wrong answer: plant corrupts a private copy of a
+// correct Result and reports false when g offers no place to plant it.
+type fault struct {
+	algo, what string
+	plant      func(g *graph.Graph, a Args, res *Result) bool
+}
+
+func adjacent(g *graph.Graph, u, v int) bool {
+	return slices.Contains(g.Neighbors(u), int32(v))
+}
+
+// mergeLabels relabels one component with another's label.
+func mergeLabels(_ *graph.Graph, _ Args, res *Result) bool {
+	for _, from := range res.Labels {
+		if to := res.Labels[0]; from != to {
+			for i, l := range res.Labels {
+				if l == from {
+					res.Labels[i] = to
+				}
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// maxDeg returns the highest-degree vertex.
+func maxDeg(g *graph.Graph) int {
+	best := 0
+	for v := 0; v < g.N; v++ {
+		if g.Degree(v) > g.Degree(best) {
+			best = v
+		}
+	}
+	return best
+}
+
+var faults = []fault{
+	{"bfs", "a parent that is not a neighbour", func(g *graph.Graph, a Args, res *Result) bool {
+		depth := algo.SeqBFS(g, a.Src)
+		for v := range depth {
+			for p := range depth {
+				if depth[v] > 0 && depth[p] == depth[v]-1 && !adjacent(g, p, v) {
+					res.Parents[v] = int64(p)
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"bfs", "a parent one level too deep", func(g *graph.Graph, a Args, res *Result) bool {
+		depth := algo.SeqBFS(g, a.Src)
+		for v := range depth {
+			for _, w := range g.Neighbors(v) {
+				if depth[v] > 0 && int(w) != v && depth[w] == depth[v] {
+					res.Parents[v] = int64(w)
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"pagerank", "one rank off by 2^-20", func(_ *graph.Graph, _ Args, res *Result) bool {
+		res.Ranks[len(res.Ranks)/2] += 1.0 / (1 << 20)
+		return true
+	}},
+	{"sssp", "one distance +1", func(_ *graph.Graph, a Args, res *Result) bool {
+		res.Dists[a.Src]++
+		return true
+	}},
+	{"cc", "two components' labels merged", mergeLabels},
+	{"mst", "two components' labels merged", mergeLabels},
+	{"mst", "forest weight +1", func(_ *graph.Graph, _ Args, res *Result) bool {
+		res.Weight++
+		return true
+	}},
+	{"coloring", "a vertex given its neighbour's colour", func(g *graph.Graph, _ Args, res *Result) bool {
+		for v := 0; v < g.N; v++ {
+			for _, w := range g.Neighbors(v) {
+				if int(w) != v {
+					res.Colors[v] = res.Colors[w]
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"coloring", "Used off by one", func(_ *graph.Graph, _ Args, res *Result) bool {
+		res.Used++
+		return true
+	}},
+}
+
+// TestVerifyRejectsWrongAnswers: on every engine a descriptor declares the
+// correct Result passes its check and all engines agree, and every planted
+// fault fails it — a checker that always passes must not pass.
+func TestVerifyRejectsWrongAnswers(t *testing.T) {
+	prof, err := exec.ProfileByName("has-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := Env{Runtime: "sim", Profile: &prof, Nodes: 1, Threads: 2, Seed: 1,
+		AAM:   aam.Config{M: 16, C: 64, HTM: prof.HTMVariant("")},
+		Shard: shard.Config{Shards: 4, BatchSize: 16}}
+	kron := graph.AttachSymmetricWeights(graph.Kronecker(8, 8, 3), 5)
+	road := graph.AttachSymmetricWeights(graph.RoadGrid(16, 16, .1, 4), 6)
+	planted := map[string]bool{}
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+		src  int
+	}{{"kron", kron, maxDeg(kron)}, {"road", road, 0}} {
+		args := Args{Src: gc.src, Iters: 10, Damping: 0.85, Seed: 7}
+		for _, d := range Registry {
+			var want any
+			for _, eng := range Engines {
+				if d.Engines[eng] == nil {
+					continue
+				}
+				name := d.Name + "/" + gc.name + "/" + eng
+				res, err := d.Run(eng, gc.g, args, env)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				agree, err := pinnedVerify(d, gc.g, args, res)
+				if err != nil {
+					t.Fatalf("%s: the correct answer is rejected: %v", name, err)
+				}
+				if want == nil {
+					want = agree
+				} else if !reflect.DeepEqual(agree, want) {
+					t.Fatalf("%s: answer diverges from the %s engine's", name, Engines[0])
+				}
+				for _, f := range faults {
+					if f.algo != d.Name {
+						continue
+					}
+					bad := res
+					bad.Parents, bad.Ranks, bad.Dists = slices.Clone(res.Parents), slices.Clone(res.Ranks), slices.Clone(res.Dists)
+					bad.Labels, bad.Colors = slices.Clone(res.Labels), slices.Clone(res.Colors)
+					if !f.plant(gc.g, args, &bad) {
+						continue
+					}
+					planted[f.algo+": "+f.what] = true
+					if got, err := pinnedVerify(d, gc.g, args, bad); err == nil && reflect.DeepEqual(got, agree) {
+						t.Errorf("%s: %s passes", name, f.what)
+					}
+				}
+			}
+		}
+	}
+	for _, f := range faults {
+		if !planted[f.algo+": "+f.what] {
+			t.Errorf("%s: %s was planted on no graph", f.algo, f.what)
 		}
 	}
 }
