@@ -363,3 +363,58 @@ func Community(n, clusterSize, intraDeg int, interFrac float64, seed int64) *Gra
 	}
 	return bld.Dedup().Build()
 }
+
+// GenParams sizes a generator picked by name, in the terms of the flags
+// aam-run and aam-graphgen share.
+type GenParams struct {
+	Scale int     // kron: log2 of the vertex count
+	Deg   int     // kron, ba, community: average degree
+	N     int     // er, road, ba, community: vertex count
+	P     float64 // er: edge probability
+	Seed  int64
+}
+
+// CheckGenParams rejects a Scale, Deg or N no generator takes, worded for
+// the flag it came from: the generators word their own check as a panic. A
+// road grid rounds N up to a square, and 46340² is the largest that 32-bit
+// ids number.
+func CheckGenParams(kind string, p GenParams) error {
+	if p.Scale < 0 || p.Scale > 30 {
+		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", p.Scale)
+	}
+	if p.Deg < 0 {
+		return fmt.Errorf("-deg %d: want 0 or more", p.Deg)
+	}
+	limit := math.MaxInt32
+	if kind == "road" {
+		limit = 46340 * 46340
+	}
+	if p.N < 0 || p.N > limit {
+		return fmt.Errorf("-n %d: want 0 to %d (32-bit ids)", p.N, limit)
+	}
+	return nil
+}
+
+// Generate builds the graph the command-line tools call kind — kron, er,
+// road (the smallest square grid of at least N vertices, a tenth of its
+// links dropped), ba or community (clusters of 64, a twentieth of the
+// links between them) — over parameters CheckGenParams has passed.
+func Generate(kind string, p GenParams) (*Graph, error) {
+	switch kind {
+	case "kron":
+		return Kronecker(p.Scale, p.Deg, p.Seed), nil
+	case "er":
+		return ErdosRenyi(p.N, p.P, p.Seed), nil
+	case "road":
+		side := 1
+		for side*side < p.N {
+			side++
+		}
+		return RoadGrid(side, side, 0.1, p.Seed), nil
+	case "ba":
+		return BarabasiAlbert(p.N, p.Deg, p.Seed), nil
+	case "community":
+		return Community(p.N, 64, p.Deg, 0.05, p.Seed), nil
+	}
+	return nil, fmt.Errorf("unknown graph kind %q", kind)
+}

@@ -119,6 +119,20 @@ func (g *Graph) MaxDegree() int {
 	return max
 }
 
+// MaxDegreeVertex returns the smallest vertex of the largest out-degree (0
+// on the empty graph) — the conventional BFS source for power-law graphs:
+// it reaches the giant component, where a Kronecker graph's many isolated
+// vertices reach nothing.
+func (g *Graph) MaxDegreeVertex() int {
+	best := 0
+	for v := 1; v < g.N; v++ {
+		if g.Degree(v) > g.Degree(best) {
+			best = v
+		}
+	}
+	return best
+}
+
 // DegreeHistogram returns counts bucketed by floor(log2(degree+1)).
 func (g *Graph) DegreeHistogram() []int64 {
 	var hist []int64

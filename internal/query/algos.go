@@ -1,7 +1,10 @@
 package query
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 
 	"aamgo/internal/algo"
@@ -9,36 +12,43 @@ import (
 	"aamgo/internal/graph"
 )
 
-// Registry is the algorithm × engine matrix, in presentation order. Adding an algorithm is one
-// entry here (plus a job in internal/shard's wire table if it runs on the
-// cluster); adding an engine is one Engines key per algorithm it covers.
+// Registry is the algorithm × engine matrix, in presentation order, with
+// what each algorithm's answer means. Adding an algorithm is one entry
+// here, Verify and Summary included (plus a job in internal/shard's wire
+// table if it runs on the cluster); adding an engine is one Engines key
+// per algorithm it covers.
 var Registry = []*Descriptor{
 	{
 		Name: "bfs", Title: "BFS", PredictM: true,
 		Params:  []Param{paramSrc},
 		Engines: map[string]RunFunc{EngineAAM: aamBFS, EngineShard: shardBFS, EngineCluster: shardBFS, EngineGBLAS: gblasBFS},
+		Verify:  verifyBFS, Summary: summariseBFS, Vector: "parents",
 	},
 	{
 		Name: "cc", Title: "Components",
 		Params: []Param{{Name: "mech", NotOn: map[string]string{
 			EngineAAM: "mech only applies to the sharded components query (add ?shards=N)"}}},
 		Engines: map[string]RunFunc{EngineAAM: aamCC, EngineShard: shardCC, EngineCluster: shardCC},
+		Verify:  verifyCC, Summary: summariseCC, Vector: "labels",
 	},
 	{
 		Name: "pagerank", Title: "PageRank", PredictM: true,
 		Params:  []Param{paramIters, paramDamping, paramTop},
 		Engines: map[string]RunFunc{EngineAAM: aamPageRank, EngineShard: shardPageRank, EngineCluster: shardPageRank, EngineGBLAS: gblasPageRank},
+		Verify:  verifyPageRank, Summary: summarisePageRank,
 	},
 	{
 		Name: "sssp", Title: "SSSP", Weighted: true, PredictM: true,
 		Params: []Param{paramSrc, paramWSeed, uintParam("delta", func(a *Args) *uint64 { return &a.Delta },
 			map[string]string{EngineGBLAS: "delta only applies to the sharded delta-stepping SSSP"})},
 		Engines: map[string]RunFunc{EngineAAM: aamSSSP, EngineShard: shardSSSP, EngineCluster: shardSSSP, EngineGBLAS: gblasSSSP},
+		Verify:  verifySSSP, Summary: summariseSSSP, Vector: "dists",
 	},
 	{
 		Name: "mst", Title: "MST", Weighted: true,
 		Params:  []Param{paramWSeed},
 		Engines: map[string]RunFunc{EngineAAM: aamMST, EngineShard: shardMST, EngineCluster: shardMST},
+		Verify:  verifyMST, Summary: summariseMST, Vector: "labels",
 	},
 	{
 		Name: "coloring", Title: "Coloring",
@@ -47,6 +57,7 @@ var Registry = []*Descriptor{
 		Params: []Param{uintParam("seed", func(a *Args) *uint64 { return &a.Seed },
 			map[string]string{EngineAAM: "seed only applies to the sharded coloring (add ?shards=N)"})},
 		Engines: map[string]RunFunc{EngineAAM: aamColoring, EngineShard: shardColoring, EngineCluster: shardColoring},
+		Verify:  verifyColoring, Summary: summariseColoring, Vector: "per_vertex",
 	},
 }
 
@@ -193,4 +204,181 @@ func aamColoring(g *graph.Graph, _ Args, e Env) (Result, error) {
 func shardColoring(g *graph.Graph, a Args, e Env) (Result, error) {
 	res, err := e.Cluster.Coloring(g, a.Seed, e.Shard)
 	return Result{Colors: res.Colors, Used: res.Used, Steps: res.Rounds, Shard: &res.Result}, err
+}
+
+// The Verify funcs: each answer held to its sequential reference.
+
+func verifyBFS(g *graph.Graph, a Args, res Result) (any, error) {
+	ref := algo.SeqBFS(g, a.Src)
+	if err := algo.ValidateBFSTree(g, a.Src, res.Parents, ref); err != nil {
+		return nil, err
+	}
+	// Engines may legitimately pick different previous-level parents (they
+	// race benignly); the depth of every vertex is the invariant.
+	depths := algo.BFSDepths(g, a.Src, res.Parents)
+	if !slices.Equal(depths, ref) {
+		return nil, errors.New("bfs: levels diverge from the sequential reference")
+	}
+	return depths, nil
+}
+
+func verifyPageRank(g *graph.Graph, a Args, res Result) (any, error) {
+	for v, want := range algo.SeqPageRank(g, a.Damping, a.Iters) {
+		if d := res.Ranks[v] - want; d > 1e-6 || d < -1e-6 {
+			return nil, fmt.Errorf("pagerank: rank[%d] = %v, sequential reference %v", v, res.Ranks[v], want)
+		}
+	}
+	return res.Ranks, nil // Q24.40 accumulation: the rank bits are identical
+}
+
+func verifySSSP(g *graph.Graph, a Args, res Result) (any, error) {
+	if !slices.Equal(res.Dists, algo.SeqSSSP(g, a.Src)) {
+		return nil, errors.New("sssp: distances diverge from the sequential reference")
+	}
+	return res.Dists, nil
+}
+
+// canonLabels rewrites a component labeling to min-vertex-id labels, the
+// one canonical form: engines may pick different representatives (the aam
+// engine reports "a representative vertex id", the shard engine the
+// minimum), but the partition they induce is the invariant.
+func canonLabels(labels []int32) []int32 {
+	min := map[int32]int32{}
+	out := make([]int32, len(labels))
+	for v, l := range labels {
+		if _, ok := min[l]; !ok {
+			min[l] = int32(v) // the first, so the smallest, vertex carrying l
+		}
+		out[v] = min[l]
+	}
+	return out
+}
+
+func verifyCC(g *graph.Graph, _ Args, res Result) (any, error) {
+	labels := canonLabels(res.Labels)
+	if !slices.Equal(labels, algo.SeqComponents(g)) {
+		return nil, errors.New("cc: partition diverges from the sequential reference")
+	}
+	return labels, nil
+}
+
+func verifyMST(g *graph.Graph, a Args, res Result) (any, error) {
+	if want := algo.SeqMSTWeight(g); res.Weight != want {
+		return nil, fmt.Errorf("mst: forest weight %d, sequential reference %d", res.Weight, want)
+	}
+	if _, err := verifyCC(g, a, res); err != nil {
+		return nil, fmt.Errorf("mst: forest %v", err)
+	}
+	return res.Weight, nil
+}
+
+func verifyColoring(g *graph.Graph, _ Args, res Result) (any, error) {
+	if !algo.ValidColoring(g, res.Colors) {
+		return nil, errors.New("coloring: not proper")
+	}
+	largest := int32(-1)
+	for _, c := range res.Colors {
+		largest = max(largest, c)
+	}
+	if res.Used != int(largest)+1 {
+		return nil, fmt.Errorf("coloring: %d colors reported, largest color is %d", res.Used, largest)
+	}
+	return nil, nil // the aam and shard heuristics color differently
+}
+
+// The Summary funcs. Every summary but pagerank's, which has never carried
+// the vertex count, opens with n.
+
+func summariseBFS(a Args, n int, res Result) []Stat {
+	reached := 0
+	for _, p := range res.Parents {
+		if p >= 0 {
+			reached++
+		}
+	}
+	out := []Stat{{"n", n}, {"src", a.Src}, {"reached", reached}}
+	if res.AAM == nil {
+		out = append(out, Stat{"levels", res.Steps})
+	}
+	if res.GBLAS != nil {
+		out = append(out, Stat{"gblas", map[string]any{"push_steps": res.GBLAS.PushSteps, "pull_steps": res.GBLAS.PullSteps}})
+	}
+	return out
+}
+
+func summariseCC(_ Args, n int, res Result) []Stat {
+	out := []Stat{{"n", n}, {"components", distinct(res.Labels)}}
+	if res.Shard != nil {
+		out = append(out, Stat{"rounds", res.Steps})
+	}
+	return out
+}
+
+func summarisePageRank(a Args, _ int, res Result) []Stat {
+	return []Stat{{"iters", a.Iters}, {"damping", a.Damping}, {"top", topRanked(res.Ranks, a.Top)}}
+}
+
+func summariseSSSP(a Args, n int, res Result) []Stat {
+	out := []Stat{{"n", n}, {"src", a.Src}, {"wseed", a.WSeed}}
+	if res.Shard != nil {
+		out = append(out, Stat{"buckets", res.Steps}, Stat{"delta", res.Delta})
+	}
+	if res.GBLAS != nil {
+		out = append(out, Stat{"gblas", map[string]any{"rounds": res.GBLAS.Steps}})
+	}
+	reached := 0
+	for _, d := range res.Dists {
+		if d != ^uint64(0) {
+			reached++
+		}
+	}
+	return append(out, Stat{"reached", reached})
+}
+
+func summariseMST(a Args, n int, res Result) []Stat {
+	comps := distinct(res.Labels)
+	// A spanning forest, on every engine: n - components edges.
+	out := []Stat{{"n", n}, {"wseed", a.WSeed}, {"weight", res.Weight}, {"components", comps}, {"edges", n - comps}}
+	if res.Shard != nil {
+		out = append(out, Stat{"rounds", res.Steps})
+	}
+	return out
+}
+
+func summariseColoring(a Args, n int, res Result) []Stat {
+	out := []Stat{{"n", n}, {"colors", res.Used}}
+	if res.Shard != nil {
+		out = append(out, Stat{"rounds", res.Steps}, Stat{"seed", a.Seed})
+	}
+	return out
+}
+
+func distinct(labels []int32) int {
+	seen := map[int32]struct{}{}
+	for _, l := range labels {
+		seen[l] = struct{}{}
+	}
+	return len(seen)
+}
+
+type rankedVertex struct {
+	V    int     `json:"v"`
+	Rank float64 `json:"rank"`
+}
+
+// topRanked returns the top vertices by rank, descending.
+func topRanked(ranks []float64, top int) []rankedVertex {
+	idx := make([]int, len(ranks))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return ranks[idx[a]] > ranks[idx[b]] })
+	if top > len(idx) {
+		top = len(idx)
+	}
+	best := make([]rankedVertex, top)
+	for i := 0; i < top; i++ {
+		best[i] = rankedVertex{V: idx[i], Rank: ranks[idx[i]]}
+	}
+	return best
 }

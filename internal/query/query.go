@@ -1,9 +1,12 @@
 // Package query is the algorithm registry: one Descriptor per algorithm
 // the engine axis covers — name, whether it needs edge weights, typed
-// parameters with their validation, and one run func per engine returning
-// a uniform Result. The façade (package aamgo), the daemon (internal/serve)
-// and aam-worker all dispatch through it, so the algorithm × engine matrix
-// is written once, in algos.go; a missing engine is an absent map entry.
+// parameters with their validation, one run func per engine returning a
+// uniform Result, and what that Result means: the sequential reference it
+// must satisfy and the scalars that summarise it. The façade (package
+// aamgo), the daemon (internal/serve), aam-run, aam-worker, the bench
+// scenarios and the cross-engine tests all go through it, so the
+// algorithm × engine matrix is written once, in algos.go; a missing engine
+// is an absent map entry.
 package query
 
 import (
@@ -92,6 +95,33 @@ type Result struct {
 	GBLAS *gblas.EngineResult // gblas engine
 }
 
+// Vector returns the per-vertex vector a full=1 body carries under
+// Descriptor.Vector (nil for a zero Result): distances as int64, so the
+// unreachable marker MaxUint64 reads -1.
+func (r Result) Vector() any {
+	switch {
+	case r.Parents != nil:
+		return r.Parents
+	case r.Dists != nil:
+		signed := make([]int64, len(r.Dists))
+		for i, d := range r.Dists {
+			signed[i] = int64(d)
+		}
+		return signed
+	case r.Labels != nil:
+		return r.Labels
+	case r.Colors != nil:
+		return r.Colors
+	}
+	return nil
+}
+
+// Stat is one named scalar of an answer's summary.
+type Stat struct {
+	Key string
+	Val any
+}
+
 // RunFunc runs one algorithm on one engine.
 type RunFunc func(g *graph.Graph, a Args, env Env) (Result, error)
 
@@ -109,6 +139,19 @@ type Descriptor struct {
 	// Engines maps engine name → run func; shard and cluster share one,
 	// which goes distributed when Env.Cluster is set.
 	Engines map[string]RunFunc
+	// Verify holds res, an answer over g, to the algorithm's sequential
+	// reference or validity checker. agree is the value every engine,
+	// transport, shard count and partition must produce bit for bit; nil
+	// when validity is all they share.
+	Verify func(g *graph.Graph, a Args, res Result) (agree any, err error)
+	// Summary lists the scalars that summarise res over an n-vertex graph,
+	// in presentation order: the /query/<name> body keys and aam-run's
+	// line. What only some engines report appears only on their results;
+	// the zero Result summarises the empty graph.
+	Summary func(a Args, n int, res Result) []Stat
+	// Vector is the key a full=1 body carries Result.Vector under; ""
+	// when the body never lists the vector.
+	Vector string
 }
 
 // Lookup returns the named descriptor, or nil.

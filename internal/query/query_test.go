@@ -1,8 +1,6 @@
 package query
 
 import (
-	"errors"
-	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,7 +13,7 @@ import (
 )
 
 // TestRegistryShape pins what the registry's users rely on: unique names,
-// aam and shard on every entry (NotImplemented's "use aam or shard" hint),
+// Verify and Summary and aam and shard on every entry (NotImplemented's "use aam or shard" hint),
 // one shared run func behind the shard and cluster engines, and a cluster
 // column that is exactly internal/shard's wire job table.
 func TestRegistryShape(t *testing.T) {
@@ -26,6 +24,9 @@ func TestRegistryShape(t *testing.T) {
 		}
 		if d.Title == "" || d.Engines[EngineAAM] == nil || d.Engines[EngineShard] == nil {
 			t.Errorf("%s: needs a Title and the aam and shard engines", d.Name)
+		}
+		if d.Verify == nil || d.Summary == nil {
+			t.Errorf("%s: needs Verify and Summary", d.Name)
 		}
 		for eng := range d.Engines {
 			if !slices.Contains(Engines, eng) {
@@ -100,9 +101,8 @@ func TestDecodeAndCheck(t *testing.T) {
 // TestClusterMatchesShard runs every clustered entry over a real
 // one-worker loopback cluster and in-process: the uniform Results must be
 // identical field for field (engine blocks aside), which is what lets the
-// daemon fall back from one to the other mid-request. The façade's
-// TestCrossEngineEquivalence holds the shard engine to the sequential
-// references.
+// daemon fall back from one to the other mid-request, and both satisfy
+// the descriptor's Verify.
 func TestClusterMatchesShard(t *testing.T) {
 	c, err := shard.NewCluster("127.0.0.1:0", 1)
 	if err != nil {
@@ -140,11 +140,16 @@ func TestClusterMatchesShard(t *testing.T) {
 		if dist.Shard == nil || local.Shard == nil || dist.Shard.Totals().WireBatchesSent == 0 || local.Shard.Totals().WireBatchesSent != 0 {
 			t.Errorf("%s: the cluster run must cross the wire and the shard run must not", d.Name)
 		}
-		if d.Name == "bfs" { // parents race benignly; the depth is the invariant
-			dist.Parents, local.Parents = nil, nil
+		// Parents race benignly, so they are compared as what Verify says
+		// every run agrees on (the depths); the rest field for field.
+		var agree [2]any
+		for i, r := range []*Result{&dist, &local} {
+			if agree[i], err = d.Verify(g, args, *r); err != nil {
+				t.Errorf("%s: %v", d.Name, err)
+			}
+			r.Parents, r.Shard = nil, nil
 		}
-		dist.Shard, local.Shard = nil, nil
-		if !reflect.DeepEqual(dist, local) {
+		if !reflect.DeepEqual(dist, local) || !reflect.DeepEqual(agree[0], agree[1]) {
 			t.Errorf("%s: cluster and shard results differ", d.Name)
 		}
 	}
@@ -171,70 +176,6 @@ func TestRunAAMOnBothRuntimes(t *testing.T) {
 	}
 }
 
-// pinnedVerify is what each consumer spells by hand today (the façade
-// test's facades table, copied): the answer held to its sequential
-// reference, returning the value every engine must agree on bit for bit.
-func pinnedVerify(d *Descriptor, g *graph.Graph, a Args, res Result) (any, error) {
-	canon := func(labels []int32) []int32 {
-		min := map[int32]int32{}
-		out := make([]int32, len(labels))
-		for v, l := range labels {
-			if _, ok := min[l]; !ok {
-				min[l] = int32(v)
-			}
-			out[v] = min[l]
-		}
-		return out
-	}
-	switch d.Name {
-	case "bfs":
-		ref := algo.SeqBFS(g, a.Src)
-		if err := algo.ValidateBFSTree(g, a.Src, res.Parents, ref); err != nil {
-			return nil, err
-		}
-		depths := algo.BFSDepths(g, a.Src, res.Parents)
-		if !slices.Equal(depths, ref) {
-			return nil, errors.New("BFS levels diverge from the sequential reference")
-		}
-		return depths, nil
-	case "pagerank":
-		for v, want := range algo.SeqPageRank(g, a.Damping, a.Iters) {
-			if diff := res.Ranks[v] - want; diff > 1e-6 || diff < -1e-6 {
-				return nil, fmt.Errorf("rank[%d] = %v, sequential reference %v", v, res.Ranks[v], want)
-			}
-		}
-		return res.Ranks, nil
-	case "sssp":
-		if !slices.Equal(res.Dists, algo.SeqSSSP(g, a.Src)) {
-			return nil, errors.New("SSSP distances diverge from the sequential reference")
-		}
-		return res.Dists, nil
-	case "cc":
-		labels := canon(res.Labels)
-		if !slices.Equal(labels, algo.SeqComponents(g)) {
-			return nil, errors.New("component partition diverges from the sequential reference")
-		}
-		return labels, nil
-	case "mst":
-		if want := algo.SeqMSTWeight(g); res.Weight != want {
-			return nil, fmt.Errorf("forest weight %d, sequential reference %d", res.Weight, want)
-		}
-		if !slices.Equal(canon(res.Labels), algo.SeqComponents(g)) {
-			return nil, errors.New("forest components diverge from the sequential reference")
-		}
-		return res.Weight, nil
-	case "coloring":
-		if !algo.ValidColoring(g, res.Colors) {
-			return nil, errors.New("coloring is not proper")
-		}
-		if max := int(slices.Max(res.Colors)); max != res.Used-1 {
-			return nil, fmt.Errorf("%d colors reported, largest color is %d", res.Used, max)
-		}
-		return nil, nil
-	}
-	return nil, fmt.Errorf("no check for %q", d.Name)
-}
-
 // fault is one planted wrong answer: plant corrupts a private copy of a
 // correct Result and reports false when g offers no place to plant it.
 type fault struct {
@@ -259,17 +200,6 @@ func mergeLabels(_ *graph.Graph, _ Args, res *Result) bool {
 		}
 	}
 	return false
-}
-
-// maxDeg returns the highest-degree vertex.
-func maxDeg(g *graph.Graph) int {
-	best := 0
-	for v := 0; v < g.N; v++ {
-		if g.Degree(v) > g.Degree(best) {
-			best = v
-		}
-	}
-	return best
 }
 
 var faults = []fault{
@@ -346,7 +276,7 @@ func TestVerifyRejectsWrongAnswers(t *testing.T) {
 		name string
 		g    *graph.Graph
 		src  int
-	}{{"kron", kron, maxDeg(kron)}, {"road", road, 0}} {
+	}{{"kron", kron, kron.MaxDegreeVertex()}, {"road", road, 0}} {
 		args := Args{Src: gc.src, Iters: 10, Damping: 0.85, Seed: 7}
 		for _, d := range Registry {
 			var want any
@@ -359,7 +289,7 @@ func TestVerifyRejectsWrongAnswers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				agree, err := pinnedVerify(d, gc.g, args, res)
+				agree, err := d.Verify(gc.g, args, res)
 				if err != nil {
 					t.Fatalf("%s: the correct answer is rejected: %v", name, err)
 				}
@@ -379,7 +309,7 @@ func TestVerifyRejectsWrongAnswers(t *testing.T) {
 						continue
 					}
 					planted[f.algo+": "+f.what] = true
-					if got, err := pinnedVerify(d, gc.g, args, bad); err == nil && reflect.DeepEqual(got, agree) {
+					if got, err := d.Verify(gc.g, args, bad); err == nil && reflect.DeepEqual(got, agree) {
 						t.Errorf("%s: %s passes", name, f.what)
 					}
 				}
