@@ -175,8 +175,8 @@ type Config struct {
 	// identical to the single-runtime path (see the package shard docs;
 	// for MST and Coloring they are certified-equivalent: same forest
 	// weight and min-id component labels, a valid deterministic coloring);
-	// RunInfo.Stats stays empty — use shard.Config directly (ShardedConfig)
-	// for the per-shard counters.
+	// RunInfo.Stats stays empty and RunInfo.Shard carries the per-shard
+	// counters.
 	Shards int
 	// Part selects the sharded vertex distribution: PartBlock (default,
 	// equal vertex counts per shard) or PartEdge (edge-balanced prefix-sum
@@ -258,17 +258,26 @@ type RunInfo struct {
 	// native backend.
 	Elapsed time.Duration
 	Stats   Stats
+	// Shard is the sharded executor's own report — epochs and per-shard
+	// counters (operators, remote units and batches, aborts, retries) — and
+	// nil off the shard engine.
+	Shard *ShardedResult
 }
 
 func info(res *exec.Result) RunInfo {
 	return RunInfo{Elapsed: time.Duration(res.Elapsed), Stats: res.Stats}
 }
 
-// run is the one dispatch behind the registry-backed façades below:
-// validate, resolve the engine, run the named algorithm's descriptor on
-// it and report the engine's own clock (plus counters on the aam engine).
-func (c Config) run(name string, g *Graph, a query.Args) (query.Result, RunInfo, error) {
+// Run is the one dispatch behind the registry-backed façades below, for a
+// caller that has the algorithm's registry name rather than a Go call
+// (aam-run): validate, resolve the engine, run the named algorithm's
+// descriptor on it and report the engine's own clock (plus counters on
+// the aam and shard engines). The typed façades are adapters over it.
+func Run(name string, g *Graph, a query.Args, c Config) (query.Result, RunInfo, error) {
 	d := query.Lookup(name)
+	if d == nil {
+		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: unknown algorithm %q", name)
+	}
 	if d.Weighted && g.Weights == nil {
 		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: %s needs edge weights (use Builder.WithWeights)", d.Title)
 	}
@@ -307,7 +316,7 @@ func (c Config) run(name string, g *Graph, a query.Args) (query.Result, RunInfo,
 	case res.AAM != nil:
 		return res, info(res.AAM), nil
 	case res.Shard != nil:
-		return res, RunInfo{Elapsed: res.Shard.Elapsed}, nil
+		return res, RunInfo{Elapsed: res.Shard.Elapsed, Shard: res.Shard}, nil
 	default:
 		return res, RunInfo{Elapsed: res.GBLAS.Elapsed}, nil
 	}
@@ -336,7 +345,7 @@ type BFSResult struct {
 // parents may differ between engines (each picks one valid previous-level
 // parent per vertex).
 func BFS(g *Graph, src int, c Config) (BFSResult, error) {
-	res, ri, err := c.run("bfs", g, query.Args{Src: src})
+	res, ri, err := Run("bfs", g, query.Args{Src: src}, c)
 	return BFSResult{Parents: res.Parents, RunInfo: ri}, err
 }
 
@@ -345,7 +354,7 @@ func BFS(g *Graph, src int, c Config) (BFSResult, error) {
 // Q24.40 fixed point on every engine, so the vector is bit-identical
 // across engines.
 func PageRank(g *Graph, damping float64, iterations int, c Config) ([]float64, RunInfo, error) {
-	res, ri, err := c.run("pagerank", g, query.Args{Damping: damping, Iters: iterations})
+	res, ri, err := Run("pagerank", g, query.Args{Damping: damping, Iters: iterations}, c)
 	return res.Ranks, ri, err
 }
 
@@ -362,14 +371,14 @@ var AttachSymmetricWeights = graph.AttachSymmetricWeights
 // the total forest weight and per-vertex component labels. The graph must
 // carry edge weights (Builder.WithWeights).
 func MST(g *Graph, c Config) (weight uint64, components []int32, ri RunInfo, err error) {
-	res, ri, err := c.run("mst", g, query.Args{})
+	res, ri, err := Run("mst", g, query.Args{}, c)
 	return res.Weight, res.Labels, ri, err
 }
 
 // Coloring runs Boman et al.'s distributed coloring heuristic and returns
 // the per-vertex colors (0-based) and the number of colors used.
 func Coloring(g *Graph, c Config) ([]int32, int, RunInfo, error) {
-	res, ri, err := c.run("coloring", g, query.Args{})
+	res, ri, err := Run("coloring", g, query.Args{}, c)
 	return res.Colors, res.Used, ri, err
 }
 
@@ -380,7 +389,7 @@ func Coloring(g *Graph, c Config) ([]int32, int, RunInfo, error) {
 // point, hence identical) and returns the distance vector (MaxUint64 for
 // unreachable vertices).
 func SSSP(g *Graph, src int, c Config) ([]uint64, RunInfo, error) {
-	res, ri, err := c.run("sssp", g, query.Args{Src: src})
+	res, ri, err := Run("sssp", g, query.Args{Src: src}, c)
 	return res.Dists, ri, err
 }
 
@@ -419,6 +428,9 @@ func Connected(g *Graph, s, t int, c Config) (bool, RunInfo, error) {
 	if err != nil {
 		return false, RunInfo{}, err
 	}
+	if s < 0 || s >= g.N || t < 0 || t >= g.N {
+		return false, RunInfo{}, fmt.Errorf("aamgo: Connected endpoints %d,%d invalid for %d vertices", s, t, g.N)
+	}
 	if c.Engine == EngineShard || c.Engine == EngineGBLAS {
 		return false, RunInfo{}, fmt.Errorf("aamgo: engine %s does not implement Connected (use aam)", c.Engine)
 	}
@@ -430,57 +442,25 @@ func Connected(g *Graph, s, t int, c Config) (bool, RunInfo, error) {
 // Components labels connected components and returns the per-vertex label
 // vector (labels are representative vertex ids).
 func Components(g *Graph, c Config) ([]int32, RunInfo, error) {
-	res, ri, err := c.run("cc", g, query.Args{})
+	res, ri, err := Run("cc", g, query.Args{}, c)
 	return res.Labels, ri, err
 }
 
-// Sharded execution (internal/shard): BFS, PageRank, connected
-// components, delta-stepping SSSP, Borůvka MST and greedy coloring
-// across multiple graph shards on real goroutines, with cross-shard
-// active messages routed through per-destination coalescing buffers and
-// applied as batched May-Fail operators. ShardedConfig gives full
-// control (workers per shard, flush policy, heterogeneous per-shard
-// mechanisms); Config.Shards is the one-knob version.
+// Sharded execution (internal/shard): every registry algorithm across
+// multiple graph shards on real goroutines, with cross-shard active
+// messages routed through per-destination coalescing buffers and applied
+// as batched May-Fail operators. Config{Engine: EngineShard} is the way
+// in; the executor's further knobs (workers per shard, flush policy, BFS
+// direction, an explicit SSSP delta) are internal/shard's Config.
 type (
-	// ShardedConfig shapes a sharded execution (shards, workers per shard,
-	// coalescing batch size, flush policy, isolation mechanisms).
-	ShardedConfig = shard.Config
 	// ShardedStats is one shard's execution counters (local/remote
 	// operator counts, aborts, retries, serializations, combines).
 	ShardedStats = shard.Stats
 	// ShardedResult carries wall time, epoch count and per-shard stats.
 	ShardedResult = shard.Result
-	// ShardedBFSResult is the sharded BFS outcome (parents + counters).
-	ShardedBFSResult = shard.BFSResult
-	// ShardedPRResult is the sharded PageRank outcome (ranks + counters).
-	ShardedPRResult = shard.PRResult
-	// ShardedCCResult is the sharded components outcome (labels + counters).
-	ShardedCCResult = shard.CCResult
-	// ShardedSSSPResult is the sharded delta-stepping SSSP outcome
-	// (distances, bucket count + counters).
-	ShardedSSSPResult = shard.SSSPResult
-	// ShardedMSTResult is the sharded Borůvka outcome (forest weight,
-	// edges, labels + counters).
-	ShardedMSTResult = shard.MSTResult
-	// ShardedColoringResult is the sharded greedy-coloring outcome
-	// (colors, rounds + counters).
-	ShardedColoringResult = shard.ColoringResult
-	// FlushPolicy selects when coalescing buffers flush (eager, at batch
-	// size, or at the epoch barrier).
-	FlushPolicy = shard.FlushPolicy
 	// PartScheme selects the sharded vertex distribution (block or
 	// edge-balanced).
 	PartScheme = shard.PartScheme
-	// Direction selects the sharded-BFS traversal strategy (auto-switching
-	// direction optimization, push-only, or pull-only).
-	Direction = shard.Direction
-)
-
-// Coalescing-buffer flush policies.
-const (
-	FlushBySize  = shard.FlushBySize
-	FlushEager   = shard.FlushEager
-	FlushByEpoch = shard.FlushByEpoch
 )
 
 // Sharded vertex distributions.
@@ -492,69 +472,6 @@ const (
 	// boundaries over the degree array with a binary-search Owner.
 	PartEdge = shard.PartEdge
 )
-
-// Sharded-BFS traversal directions (ShardedConfig.Dir).
-const (
-	DirAuto = shard.DirAuto
-	DirPush = shard.DirPush
-	DirPull = shard.DirPull
-)
-
-// ShardedBFS runs the shard-parallel BFS from src with full per-shard
-// reporting; results are identical to BFS (see package shard).
-//
-// Deprecated: use BFS with Config{Engine: EngineShard}; this wrapper
-// remains only for the per-shard counters in ShardedBFSResult.
-func ShardedBFS(g *Graph, src int, cfg ShardedConfig) (ShardedBFSResult, error) {
-	return shard.BFS(g, src, cfg)
-}
-
-// ShardedPageRank runs the shard-parallel PageRank; the rank vector is
-// bit-identical to PageRank's (exact fixed-point accumulation).
-//
-// Deprecated: use PageRank with Config{Engine: EngineShard}.
-func ShardedPageRank(g *Graph, damping float64, iterations int, cfg ShardedConfig) (ShardedPRResult, error) {
-	return shard.PageRank(g, damping, iterations, cfg)
-}
-
-// ShardedComponents runs the shard-parallel connected components; labels
-// are identical to Components'.
-//
-// Deprecated: use Components with Config{Engine: EngineShard}.
-func ShardedComponents(g *Graph, cfg ShardedConfig) (ShardedCCResult, error) {
-	return shard.Components(g, cfg)
-}
-
-// ShardedSSSP runs the shard-parallel delta-stepping SSSP from src with
-// bucket width delta (0 auto-selects maxWeight/avgDegree); distances are
-// identical to SSSP's. The graph must carry edge weights.
-//
-// Deprecated: use SSSP with Config{Engine: EngineShard}; this wrapper
-// remains for explicit delta control and the per-shard counters.
-func ShardedSSSP(g *Graph, src int, delta uint64, cfg ShardedConfig) (ShardedSSSPResult, error) {
-	return shard.SSSP(g, src, delta, cfg)
-}
-
-// ShardedMST runs the shard-parallel Borůvka minimum spanning forest; the
-// forest weight equals MST's and labels are normalized to the minimum
-// vertex id per component. The graph must carry distinct edge weights
-// (use SymmetricWeight).
-//
-// Deprecated: use MST with Config{Engine: EngineShard}.
-func ShardedMST(g *Graph, cfg ShardedConfig) (ShardedMSTResult, error) {
-	return shard.MST(g, cfg)
-}
-
-// ShardedColoring runs the shard-parallel Luby/Jones-Plassmann greedy
-// coloring under the deterministic priority order derived from seed; seed
-// 0 is the identity order, which reproduces the sequential greedy
-// coloring exactly. The result is identical for every shard count,
-// mechanism and flush policy.
-//
-// Deprecated: use Coloring with Config{Engine: EngineShard}.
-func ShardedColoring(g *Graph, seed uint64, cfg ShardedConfig) (ShardedColoringResult, error) {
-	return shard.Coloring(g, seed, cfg)
-}
 
 // Dynamic-graph subsystem (internal/dyn): a mutable graph whose edge
 // mutations execute as transactional AAM batches under any of the five

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"aamgo"
-	"aamgo/internal/algo"
 	"aamgo/internal/query"
 )
 
@@ -44,111 +43,13 @@ func patchify(g *aamgo.Graph, slack int) *aamgo.Graph {
 	return out
 }
 
-// canonLabels rewrites a component labeling to min-vertex-id labels, the
-// one canonical form: engines may pick different representatives (the aam
-// engine reports "a representative vertex id", the shard engine the
-// minimum), but the partition they induce is the cross-engine invariant.
-func canonLabels(labels []int32) []int32 {
-	min := map[int32]int32{}
-	for v, l := range labels {
-		if _, ok := min[l]; !ok {
-			min[l] = int32(v) // first (smallest) vertex carrying the label
-		}
-	}
-	out := make([]int32, len(labels))
-	for v, l := range labels {
-		out[v] = min[l]
-	}
-	return out
-}
-
-// facades attaches, by registry name, how the test drives the typed
-// façade function and which sequential reference or validity checker its
-// answer must satisfy. check returns the value every engine must agree on
-// bit for bit (nil when validity is all the engines share).
-var facades = map[string]func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (agree any, err error){
-	"bfs": func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (any, error) {
-		res, err := aamgo.BFS(g, src, c)
-		if err != nil {
-			return nil, err
-		}
-		ref := algo.SeqBFS(g, src)
-		if err := algo.ValidateBFSTree(g, src, res.Parents, ref); err != nil {
-			t.Error(err)
-		}
-		// Engines may legitimately pick different previous-level parents, but
-		// the depth of every vertex is unique.
-		depths := algo.BFSDepths(g, src, res.Parents)
-		if !slices.Equal(depths, ref) {
-			t.Error("BFS levels diverge from the sequential reference")
-		}
-		return depths, nil
-	},
-	"pagerank": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
-		ranks, _, err := aamgo.PageRank(g, 0.85, 10, c)
-		if err != nil {
-			return nil, err
-		}
-		for v, want := range algo.SeqPageRank(g, 0.85, 10) {
-			if d := ranks[v] - want; d > 1e-6 || d < -1e-6 {
-				t.Errorf("rank[%d] = %v, sequential reference %v", v, ranks[v], want)
-				break
-			}
-		}
-		return ranks, nil // rank bits are identical across engines
-	},
-	"sssp": func(t *testing.T, g *aamgo.Graph, src int, c aamgo.Config) (any, error) {
-		dists, _, err := aamgo.SSSP(g, src, c)
-		if err == nil && !slices.Equal(dists, algo.SeqSSSP(g, src)) {
-			t.Error("SSSP distances diverge from the sequential reference")
-		}
-		return dists, err
-	},
-	"cc": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
-		labels, _, err := aamgo.Components(g, c)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Equal(canonLabels(labels), algo.SeqComponents(g)) {
-			t.Error("component partition diverges from the sequential reference")
-		}
-		return canonLabels(labels), nil
-	},
-	"mst": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
-		weight, labels, _, err := aamgo.MST(g, c)
-		if err != nil {
-			return nil, err
-		}
-		if want := algo.SeqMSTWeight(g); weight != want {
-			t.Errorf("forest weight %d, sequential reference %d", weight, want)
-		}
-		if !slices.Equal(canonLabels(labels), algo.SeqComponents(g)) {
-			t.Error("forest components diverge from the sequential reference")
-		}
-		return weight, nil
-	},
-	"coloring": func(t *testing.T, g *aamgo.Graph, _ int, c aamgo.Config) (any, error) {
-		colors, used, _, err := aamgo.Coloring(g, c)
-		if err != nil {
-			return nil, err
-		}
-		if !algo.ValidColoring(g, colors) {
-			t.Error("coloring is not proper")
-		}
-		if max := int(slices.Max(colors)); max != used-1 {
-			t.Errorf("%d colors reported, largest color is %d", used, max)
-		}
-		return nil, nil // the aam and shard heuristics color differently
-	},
-}
-
 // TestCrossEngineEquivalence is the engine contract in one matrix driven
 // by the registry: for every algorithm, engine and graph shape (including
-// the patched slack-CSR layout) the answer satisfies the sequential
-// reference or validity checker and is bit-identical across engines (BFS
-// levels, SSSP distances, PageRank rank bits, component partitions, forest
-// weight) — or the engine returns the exact not-implemented error. A new
-// descriptor without a facades entry fails the test.
+// the patched slack-CSR layout) the answer satisfies the descriptor's
+// Verify — its sequential reference or validity checker — and what Verify
+// says the engines agree on is bit-identical across them (BFS levels, SSSP
+// distances, PageRank rank bits, component partitions, forest weight) — or
+// the engine returns the exact not-implemented error.
 func TestCrossEngineEquivalence(t *testing.T) {
 	kronW := aamgo.AttachSymmetricWeights(aamgo.Kronecker(8, 8, 3), 5)
 	roadW := aamgo.AttachSymmetricWeights(aamgo.RoadGrid(16, 16, 0.1, 4), 6)
@@ -157,9 +58,9 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		g    *aamgo.Graph
 		src  int
 	}{
-		{"kron", kronW, maxDeg(kronW)},
+		{"kron", kronW, kronW.MaxDegreeVertex()},
 		{"road", roadW, 0},
-		{"kron-patched", patchify(kronW, 3), maxDeg(kronW)},
+		{"kron-patched", patchify(kronW, 3), kronW.MaxDegreeVertex()},
 	}
 	configs := map[string]aamgo.Config{
 		aamgo.EngineAAM:   {Engine: aamgo.EngineAAM},
@@ -167,12 +68,8 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		aamgo.EngineGBLAS: {Engine: aamgo.EngineGBLAS},
 	}
 	for _, d := range query.Registry {
-		call, ok := facades[d.Name]
-		if !ok {
-			t.Errorf("registry entry %q has no façade check attached", d.Name)
-			continue
-		}
 		for _, gc := range graphs {
+			args := query.Args{Src: gc.src, Damping: 0.85, Iters: 10}
 			var want any
 			for _, eng := range aamgo.Engines {
 				cfg, ok := configs[eng]
@@ -180,13 +77,17 @@ func TestCrossEngineEquivalence(t *testing.T) {
 					t.Fatalf("engine %q has no test config", eng)
 				}
 				t.Run(d.Name+"/"+gc.name+"/"+eng, func(t *testing.T) {
-					got, err := call(t, gc.g, gc.src, cfg)
+					res, _, err := aamgo.Run(d.Name, gc.g, args, cfg)
 					if d.Engines[eng] == nil {
 						if wantErr := "aamgo: " + d.NotImplemented(eng, d.Title).Error(); err == nil || err.Error() != wantErr {
 							t.Fatalf("error %v, want %q", err, wantErr)
 						}
 						return
 					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := d.Verify(gc.g, args, res)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -206,7 +107,7 @@ func TestCrossEngineEquivalence(t *testing.T) {
 // value is the deterministic simulator.
 func TestRuntimeBackendTransition(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	ref, err := aamgo.BFS(g, src, aamgo.Config{Runtime: "sim"})
 	if err != nil {
 		t.Fatal(err)

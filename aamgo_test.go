@@ -1,10 +1,12 @@
 package aamgo_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"aamgo"
+	"aamgo/internal/shard"
 )
 
 func kron(t *testing.T) *aamgo.Graph {
@@ -12,19 +14,9 @@ func kron(t *testing.T) *aamgo.Graph {
 	return aamgo.Kronecker(9, 8, 7)
 }
 
-func maxDeg(g *aamgo.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 func TestBFSFacade(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	res, err := aamgo.BFS(g, src, aamgo.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +76,7 @@ func TestPageRankFacadeSumsToOne(t *testing.T) {
 
 func TestMechanismsAgree(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	base, err := aamgo.BFS(g, src, aamgo.Config{Mechanism: aamgo.HTM, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +166,27 @@ func TestConnectedFacade(t *testing.T) {
 	}
 }
 
+// TestConnectedFacadeChecksEndpoints: an endpoint outside the graph is a
+// worded error as MaxFlow's is, on the empty graph too — not an index
+// panic inside the machine, and not a nil error over zero vertices.
+func TestConnectedFacadeChecksEndpoints(t *testing.T) {
+	pair := aamgo.NewBuilder(2)
+	pair.AddEdge(0, 1)
+	g1 := pair.Build()
+	for _, c := range []struct {
+		g    *aamgo.Graph
+		s, t int
+	}{{g1, 0, 5}, {g1, 5, 0}, {g1, -1, 1}, {g1, 0, -1}, {aamgo.NewBuilder(0).Build(), 0, 0}} {
+		_, _, err := aamgo.Connected(c.g, c.s, c.t, aamgo.Config{Threads: 2})
+		if want := fmt.Sprintf("aamgo: Connected endpoints %d,%d invalid for %d vertices", c.s, c.t, c.g.N); err == nil || err.Error() != want {
+			t.Errorf("Connected(%d vertices, %d, %d): error %v, want %q", c.g.N, c.s, c.t, err, want)
+		}
+	}
+	if ok, _, err := aamgo.Connected(g1, 1, 1, aamgo.Config{Threads: 2}); err != nil || !ok {
+		t.Errorf("a vertex is connected to itself: %v, %v", ok, err)
+	}
+}
+
 func TestComponentsFacade(t *testing.T) {
 	b := aamgo.NewBuilder(7)
 	b.AddEdge(0, 1)
@@ -206,7 +219,7 @@ func TestSSSPFacade(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	dists, _, err := aamgo.SSSP(g, src, aamgo.Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +240,7 @@ func TestSSSPFacade(t *testing.T) {
 
 func TestNativeBackendFacade(t *testing.T) {
 	g := aamgo.Kronecker(8, 6, 5)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	res, err := aamgo.BFS(g, src, aamgo.Config{Runtime: "native", Threads: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +265,7 @@ func TestNativeBackendFacade(t *testing.T) {
 
 func TestAutoMFacade(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	res, err := aamgo.BFS(g, src, aamgo.Config{Machine: "bgq", AutoM: true, M: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +286,7 @@ func TestMaxFlowFacade(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	s := maxDeg(g)
+	s := g.MaxDegreeVertex()
 	dst := (s + g.N/2) % g.N
 	if dst == s {
 		dst = (s + 1) % g.N
@@ -307,7 +320,7 @@ func TestMaxFlowFacade(t *testing.T) {
 
 func TestExtensionMechanismFacades(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	ref, err := aamgo.BFS(g, src, aamgo.Config{Threads: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +348,7 @@ func TestExtensionMechanismFacades(t *testing.T) {
 
 func TestLowerSingleFacade(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 	res, err := aamgo.BFS(g, src, aamgo.Config{Threads: 4, M: 1, LowerSingle: true, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -382,11 +395,11 @@ func TestDynGraphFacade(t *testing.T) {
 
 func TestShardedFacade(t *testing.T) {
 	g := kron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 
 	// Config.Shards routes through the sharded executor; the tree must
-	// still be rooted and the depth structure matches the dedicated
-	// sharded entry point.
+	// still be rooted, and the executor's per-shard counters ride along in
+	// RunInfo.Shard.
 	res, err := aamgo.BFS(g, src, aamgo.Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -394,16 +407,20 @@ func TestShardedFacade(t *testing.T) {
 	if res.Parents[src] != int64(src) {
 		t.Fatalf("source parent = %d", res.Parents[src])
 	}
+	if res.Shard == nil || len(res.Shard.PerShard) != 4 {
+		t.Fatalf("RunInfo.Shard = %+v, want 4 shards' counters", res.Shard)
+	}
 
-	sres, err := aamgo.ShardedBFS(g, src, aamgo.ShardedConfig{
-		Shards: 4, BatchSize: 16, Flush: aamgo.FlushBySize,
-	})
+	sres, err := aamgo.BFS(g, src, aamgo.Config{Engine: aamgo.EngineShard, Shards: 4, C: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := sres.Totals()
+	tot := sres.Shard.Totals()
 	if tot.RemoteUnitsSent == 0 || tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
 		t.Fatalf("remote units sent=%d recv=%d", tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
+	}
+	if aam, err := aamgo.BFS(g, src, aamgo.Config{}); err != nil || aam.Shard != nil {
+		t.Fatalf("RunInfo.Shard off the shard engine: %+v, %v", aam.Shard, err)
 	}
 
 	// Sharded PageRank is bit-identical to the single-runtime ranks.
@@ -446,7 +463,7 @@ func weightedKron(t *testing.T) *aamgo.Graph {
 
 func TestShardedIrregularFacade(t *testing.T) {
 	g := weightedKron(t)
-	src := maxDeg(g)
+	src := g.MaxDegreeVertex()
 
 	// Config.Shards routes SSSP through the sharded executor; distances
 	// must equal the single-runtime chaotic relaxation exactly.
@@ -463,11 +480,11 @@ func TestShardedIrregularFacade(t *testing.T) {
 			t.Fatalf("dist[%d]: sharded %d != single-runtime %d", v, sharded[v], single[v])
 		}
 	}
-	sres, err := aamgo.ShardedSSSP(g, src, 0, aamgo.ShardedConfig{Shards: 4, BatchSize: 16})
+	_, sri, err := aamgo.SSSP(g, src, aamgo.Config{Engine: aamgo.EngineShard, Shards: 4, C: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tot := sres.Totals()
+	tot := sri.Shard.Totals()
 	if tot.RemoteUnitsSent == 0 || tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
 		t.Fatalf("sssp remote units sent=%d recv=%d", tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
 	}
@@ -484,12 +501,12 @@ func TestShardedIrregularFacade(t *testing.T) {
 	if w1 != w2 {
 		t.Fatalf("sharded MST weight %d != single-runtime %d", w2, w1)
 	}
-	mres, err := aamgo.ShardedMST(g, aamgo.ShardedConfig{Shards: 4, Workers: 2})
+	mres, err := shard.MST(g, shard.Config{Shards: 4, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mres.Weight != w1 {
-		t.Fatalf("ShardedMST weight %d != %d", mres.Weight, w1)
+		t.Fatalf("shard.MST weight %d != %d", mres.Weight, w1)
 	}
 	if len(labels) != g.N || len(mres.Labels) != g.N {
 		t.Fatal("missing component labels")
@@ -511,19 +528,22 @@ func TestShardedIrregularFacade(t *testing.T) {
 			}
 		}
 	}
-	cres, err := aamgo.ShardedColoring(g, 0, aamgo.ShardedConfig{Shards: 5})
+	_, used, _, err = aamgo.Coloring(g, aamgo.Config{Engine: aamgo.EngineShard, Shards: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Used > g.MaxDegree()+1 {
-		t.Fatalf("coloring used %d colors, maxdeg+1 = %d", cres.Used, g.MaxDegree()+1)
+	if used > g.MaxDegree()+1 {
+		t.Fatalf("coloring used %d colors, maxdeg+1 = %d", used, g.MaxDegree()+1)
 	}
 
 	// The sharded SSSP path must reject bad sources and missing weights.
 	if _, _, err := aamgo.SSSP(g, g.N+7, aamgo.Config{Shards: 4}); err == nil {
 		t.Fatal("out-of-range sharded SSSP source accepted")
 	}
-	if _, err := aamgo.ShardedMST(kron(t), aamgo.ShardedConfig{Shards: 2}); err == nil {
+	if _, _, _, err := aamgo.MST(kron(t), aamgo.Config{Engine: aamgo.EngineShard}); err == nil {
 		t.Fatal("unweighted sharded MST accepted")
+	}
+	if _, err := shard.MST(kron(t), shard.Config{Shards: 2}); err == nil {
+		t.Fatal("unweighted shard.MST accepted")
 	}
 }

@@ -41,12 +41,4 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 			t.Errorf("%v: want a message naming %s and no panic, got\n%s", args, bad, out)
 		}
 	}
-	for _, ok := range []struct {
-		kind          string
-		scale, deg, n int
-	}{{"kron", 0, 0, 0}, {"kron", 30, 0, 4096}, {"er", 10, 8, 1<<31 - 1}, {"road", 10, 8, 46340 * 46340}} {
-		if err := checkGenFlags(ok.kind, ok.scale, ok.deg, ok.n); err != nil {
-			t.Errorf("%+v rejected: %v", ok, err)
-		}
-	}
 }

@@ -15,7 +15,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"aamgo"
@@ -38,7 +37,8 @@ func main() {
 		list      = flag.Bool("list", false, "list Table 1 graph ids and exit")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*kind, *scale, *deg, *n); err != nil {
+	params := graph.GenParams{Scale: *scale, Deg: *deg, N: *n, P: *p, Seed: *seed}
+	if err := graph.CheckGenParams(*kind, params); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-graphgen:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
@@ -66,20 +66,6 @@ func main() {
 
 	var g *aamgo.Graph
 	switch *kind {
-	case "kron":
-		g = aamgo.Kronecker(*scale, *deg, *seed)
-	case "er":
-		g = aamgo.ErdosRenyi(*n, *p, *seed)
-	case "road":
-		side := 1
-		for side*side < *n {
-			side++
-		}
-		g = aamgo.RoadGrid(side, side, 0.1, *seed)
-	case "ba":
-		g = aamgo.BarabasiAlbert(*n, *deg, *seed)
-	case "community":
-		g = aamgo.Community(*n, 64, *deg, 0.05, *seed)
 	case "web":
 		g = aamgo.WebGraph(*scale, *deg, *seed)
 	case "citation":
@@ -90,8 +76,11 @@ func main() {
 			fail(err)
 		}
 		g = spec.Generate(*downshift, *seed)
-	default:
-		fail(fmt.Errorf("unknown kind %q", *kind))
+	default: // the kinds aam-run generates too
+		var err error
+		if g, err = graph.Generate(*kind, params); err != nil {
+			fail(err)
+		}
 	}
 
 	describe(g)
@@ -131,26 +120,6 @@ func describe(g *aamgo.Graph) {
 	}
 	fmt.Fprintf(os.Stderr, "graph: |V|=%d |E|=%d d̄=%.2f maxdeg=%d degree-histogram-buckets=%d\n",
 		g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree(), top+1)
-}
-
-// checkGenFlags rejects a -scale, -deg or -n no generator takes: the library
-// words its own check of them as a panic. A road grid rounds -n up to a
-// square, and 46340² is the largest that 32-bit ids number.
-func checkGenFlags(kind string, scale, deg, n int) error {
-	if scale < 0 || scale > 30 {
-		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
-	}
-	if deg < 0 {
-		return fmt.Errorf("-deg %d: want 0 or more", deg)
-	}
-	limit := math.MaxInt32
-	if kind == "road" {
-		limit = 46340 * 46340
-	}
-	if n < 0 || n > limit {
-		return fmt.Errorf("-n %d: want 0 to %d (32-bit ids)", n, limit)
-	}
-	return nil
 }
 
 func fail(err error) {

@@ -52,12 +52,4 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
 		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
-	for _, ok := range []struct {
-		kind          string
-		scale, deg, n int
-	}{{"kron", 0, 0, 0}, {"kron", 30, 0, 4096}, {"er", 10, 8, 1<<31 - 1}, {"road", 10, 8, 46340 * 46340}} {
-		if err := checkGenFlags(ok.kind, ok.scale, ok.deg, ok.n); err != nil {
-			t.Errorf("%+v rejected: %v", ok, err)
-		}
-	}
 }

@@ -1,5 +1,7 @@
 // Command aam-run executes one graph algorithm through the AAM runtime on
-// a generated or loaded graph and reports timing plus execution counters.
+// a generated or loaded graph and reports the answer's summary (the
+// registry's, so the keys of a /query/<algo> body), timing and execution
+// counters.
 //
 // Usage:
 //
@@ -15,17 +17,19 @@
 // engine; bfs, sssp and pagerank only). Runtimes (-runtime): sim (default;
 // deterministic, virtual time), native (goroutines, wall-clock time).
 // Graphs: kron (-scale, -deg), er (-n, -p), road (-n), ba (-n, -deg),
-// community (-n, -deg), or -load <edge-list file>.
+// community (-n, -deg), or -load <edge-list file>; sssp, mst and maxflow
+// attach symmetric weights to a graph that has none.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"aamgo"
 	"aamgo/internal/aam"
+	"aamgo/internal/graph"
+	"aamgo/internal/query"
 )
 
 func main() {
@@ -59,20 +63,32 @@ func main() {
 		damp = flag.Float64("damping", 0.85, "pagerank damping")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*graphKind, *scale, *deg, *n); err != nil {
+	params := graph.GenParams{Scale: *scale, Deg: *deg, N: *n, P: *p, Seed: *seed}
+	if err := graph.CheckGenParams(*graphKind, params); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-run:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
-
-	g, err := buildGraph(*load, *graphKind, *scale, *deg, *n, *p, *seed, *algoName)
-	if err != nil {
-		fail(err)
+	// What needs no graph is checked before one is built.
+	d := query.Lookup(*algoName)
+	if d == nil && *algoName != "stconn" && *algoName != "maxflow" {
+		fail(fmt.Errorf("unknown algorithm %q", *algoName))
 	}
-
 	mechanism, err := aam.MechanismByName(*mech)
 	if err != nil {
 		fail(err)
 	}
+
+	g, err := loadOrGenerate(*load, *graphKind, params)
+	if err != nil {
+		fail(err)
+	}
+	// The weighted algorithms run over the same adjacency as the others,
+	// with symmetric weights attached.
+	wseed := uint64(*seed) + 3
+	if g.Weights == nil && (*algoName == "maxflow" || d != nil && d.Weighted) {
+		g = graph.AttachSymmetricWeights(g, wseed)
+	}
+
 	if *rt == "" {
 		*rt = "sim"
 	}
@@ -86,102 +102,39 @@ func main() {
 
 	source := *src
 	if source < 0 {
-		source = maxDeg(g)
+		source = g.MaxDegreeVertex()
 	}
 
 	fmt.Printf("graph: %d vertices, %d directed edges, d̄=%.1f, max deg %d\n",
 		g.N, g.NumEdges(), g.AvgDegree(), g.MaxDegree())
 
 	var ri aamgo.RunInfo
-	switch *algoName {
-	case "bfs":
-		res, err := aamgo.BFS(g, source, cfg)
-		if err != nil {
+	switch {
+	case d != nil:
+		args := query.Args{Src: source, Iters: *iter, Damping: *damp, Top: 1, WSeed: wseed}
+		var res query.Result
+		if res, ri, err = aamgo.Run(d.Name, g, args, cfg); err != nil {
 			fail(err)
 		}
-		ri = res.RunInfo
-		visited := 0
-		for _, pr := range res.Parents {
-			if pr >= 0 {
-				visited++
-			}
+		fmt.Printf("%s:", d.Name)
+		for _, st := range d.Summary(args, g.N, res) {
+			fmt.Printf(" %s=%+v", st.Key, st.Val)
 		}
-		fmt.Printf("bfs: visited %d vertices from source %d\n", visited, source)
-
-	case "pagerank":
-		ranks, info, err := aamgo.PageRank(g, *damp, *iter, cfg)
-		if err != nil {
-			fail(err)
-		}
-		ri = info
-		best, bestR := 0, 0.0
-		for v, r := range ranks {
-			if r > bestR {
-				best, bestR = v, r
-			}
-		}
-		fmt.Printf("pagerank: top vertex %d with rank %.6f\n", best, bestR)
-
-	case "sssp":
-		dists, info, err := aamgo.SSSP(g, source, cfg)
-		if err != nil {
-			fail(err)
-		}
-		ri = info
-		reach, far := 0, uint64(0)
-		for _, d := range dists {
-			if d != math.MaxUint64 {
-				reach++
-				if d > far {
-					far = d
-				}
-			}
-		}
-		fmt.Printf("sssp: %d reachable, eccentricity %d\n", reach, far)
-
-	case "mst":
-		w, comps, info, err := aamgo.MST(g, cfg)
-		if err != nil {
-			fail(err)
-		}
-		ri = info
-		fmt.Printf("mst: forest weight %d, %d components\n", w, countDistinct(comps))
-
-	case "coloring":
-		colors, used, info, err := aamgo.Coloring(g, cfg)
-		if err != nil {
-			fail(err)
-		}
-		ri = info
-		_ = colors
-		fmt.Printf("coloring: %d colors\n", used)
-
-	case "cc":
-		labels, info, err := aamgo.Components(g, cfg)
-		if err != nil {
-			fail(err)
-		}
-		ri = info
-		fmt.Printf("cc: %d components\n", countDistinct(labels))
-
-	case "maxflow":
+		fmt.Println()
+	case *algoName == "maxflow":
 		flow, info, err := aamgo.MaxFlow(g, source, *dst, cfg)
 		if err != nil {
 			fail(err)
 		}
 		ri = info
 		fmt.Printf("maxflow: %d -> %d carries %d\n", source, *dst, flow)
-
-	case "stconn":
+	default:
 		ok, info, err := aamgo.Connected(g, source, *dst, cfg)
 		if err != nil {
 			fail(err)
 		}
 		ri = info
 		fmt.Printf("stconn: %d and %d connected = %v\n", source, *dst, ok)
-
-	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algoName))
 	}
 
 	s := ri.Stats
@@ -190,92 +143,16 @@ func main() {
 		s.OpsExecuted, s.TxStarted, s.TxAttempts, s.TotalAborts(), s.TxSerialized, s.AtomicOps, s.MsgsSent)
 }
 
-func buildGraph(load, kind string, scale, deg, n int, p float64, seed int64, algoName string) (*aamgo.Graph, error) {
-	var g *aamgo.Graph
-	switch {
-	case load != "":
-		f, err := os.Open(load)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		g, err = aamgo.ReadAuto(f)
-		if err != nil {
-			return nil, err
-		}
-	case kind == "kron":
-		g = aamgo.Kronecker(scale, deg, seed)
-	case kind == "er":
-		g = aamgo.ErdosRenyi(n, p, seed)
-	case kind == "road":
-		side := intSqrt(n)
-		g = aamgo.RoadGrid(side, side, 0.1, seed)
-	case kind == "ba":
-		g = aamgo.BarabasiAlbert(n, deg, seed)
-	case kind == "community":
-		g = aamgo.Community(n, 64, deg, 0.05, seed)
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
+func loadOrGenerate(load, kind string, p graph.GenParams) (*aamgo.Graph, error) {
+	if load == "" {
+		return graph.Generate(kind, p)
 	}
-	// Weighted algorithms need weights; re-build with a weight function.
-	if (algoName == "mst" || algoName == "sssp") && g.Weights == nil {
-		b := aamgo.NewBuilder(g.N).WithWeights(aamgo.SymmetricWeight(uint64(seed) + 3))
-		for u := 0; u < g.N; u++ {
-			for _, w := range g.Neighbors(u) {
-				if int32(u) <= w {
-					b.AddEdge(int32(u), w)
-				}
-			}
-		}
-		g = b.Dedup().Build()
+	f, err := os.Open(load)
+	if err != nil {
+		return nil, err
 	}
-	return g, nil
-}
-
-func maxDeg(g *aamgo.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
-func countDistinct(labels []int32) int {
-	seen := make(map[int32]struct{})
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}
-
-func intSqrt(n int) int {
-	r := 1
-	for r*r < n {
-		r++
-	}
-	return r
-}
-
-// checkGenFlags rejects a -scale, -deg or -n no generator takes: the library
-// words its own check of them as a panic. A road grid rounds -n up to a
-// square, and 46340² is the largest that 32-bit ids number.
-func checkGenFlags(kind string, scale, deg, n int) error {
-	if scale < 0 || scale > 30 {
-		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
-	}
-	if deg < 0 {
-		return fmt.Errorf("-deg %d: want 0 or more", deg)
-	}
-	limit := math.MaxInt32
-	if kind == "road" {
-		limit = 46340 * 46340
-	}
-	if n < 0 || n > limit {
-		return fmt.Errorf("-n %d: want 0 to %d (32-bit ids)", n, limit)
-	}
-	return nil
+	defer f.Close()
+	return aamgo.ReadAuto(f)
 }
 
 func fail(err error) {

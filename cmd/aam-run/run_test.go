@@ -69,3 +69,23 @@ func TestEveryAlgoRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgoAndMechAreCheckedBeforeTheGraph: a misspelt -algo or -mech fails
+// without generating anything (no graph: line), and a weighted algorithm
+// runs over the very graph the same flags give an unweighted one.
+func TestAlgoAndMechAreCheckedBeforeTheGraph(t *testing.T) {
+	for _, args := range [][]string{{"-algo", "bogus"}, {"-mech", "bogus"}} {
+		out, status := runMain(t, append(args, "-scale", "6")...)
+		if status != 1 || strings.Contains(out, "graph:") || !strings.Contains(out, "aam-run: unknown") {
+			t.Errorf("%v: exit status %d, want 1 with a worded error and no graph: line\n%s", args, status, out)
+		}
+	}
+	graphLine := func(algo string) string {
+		out, _ := runMain(t, "-algo", algo, "-scale", "6")
+		line, _, _ := strings.Cut(out, "\n")
+		return line
+	}
+	if bfs, sssp := graphLine("bfs"), graphLine("sssp"); !strings.HasPrefix(bfs, "graph: ") || sssp != bfs {
+		t.Errorf("-algo sssp runs on another graph than -algo bfs:\n%s\n%s", sssp, bfs)
+	}
+}

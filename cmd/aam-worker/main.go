@@ -6,7 +6,8 @@
 //
 // Coordinator mode listens for -workers peers, runs the selected sharded
 // algorithms across the cluster, and (with -check) re-runs each one
-// in-process and diffs the results bit for bit:
+// in-process, holds both answers to the sequential reference and compares
+// them bit for bit in what the registry says every run agrees on:
 //
 //	aam-worker -listen 127.0.0.1:7100 -workers 2 -algos bfs,pagerank -check
 //
@@ -22,12 +23,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"slices"
 	"strings"
 	"time"
 
 	"aamgo/internal/aam"
-	"aamgo/internal/algo"
 	"aamgo/internal/graph"
 	"aamgo/internal/obs"
 	"aamgo/internal/query"
@@ -40,7 +41,7 @@ func main() {
 		listen  = flag.String("listen", "", "coordinator mode: address to listen on")
 		workers = flag.Int("workers", 2, "coordinator: worker processes to wait for")
 		algos   = flag.String("algos", "bfs,pagerank", "coordinator: comma-separated algorithms ("+strings.Join(shard.JobNames(), ",")+")")
-		check   = flag.Bool("check", false, "coordinator: re-run in-process and diff results bit for bit")
+		check   = flag.Bool("check", false, "coordinator: re-run in-process, verify both answers and compare them bit for bit")
 		metrics = flag.String("metrics", "", "serve /metrics and /healthz on this address")
 		metOut  = flag.String("metrics-out", "", "coordinator: write the final /metrics exposition to this file")
 
@@ -67,7 +68,7 @@ func main() {
 		rejoinGrace = flag.Duration("rejoin-grace", 0, "coordinator: wait this long for evicted ranks to be replaced before a retry shrinks the rank set (0 = default 2s)")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*scale, *deg); err != nil {
+	if err := graph.CheckGenParams("kron", graph.GenParams{Scale: *scale, Deg: *deg}); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-worker:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
@@ -124,7 +125,7 @@ func main() {
 	wg := graph.AttachSymmetricWeights(g, uint64(*seed))
 	source := *src
 	if source < 0 {
-		source = maxDeg(g)
+		source = g.MaxDegreeVertex()
 	}
 	fmt.Printf("graph: kron scale %d, %d vertices, %d directed edges\n", *scale, g.N, g.NumEdges())
 
@@ -163,23 +164,30 @@ func main() {
 			if d.Weighted {
 				in = wg
 			}
-			var diff string
+			differ := false
 			t0 := time.Now()
 			dres, err := d.Run(query.EngineCluster, in, args, env)
 			if err == nil && *check {
+				// Both runs are held to the sequential reference, and to
+				// each other in what the descriptor says runs agree on.
 				var sres query.Result
+				var dist, inproc any
 				if sres, err = d.Run(query.EngineShard, in, args, env); err == nil {
-					diff = diffs[name](in, source, dres, sres)
+					dist, err = d.Verify(in, args, dres)
 				}
+				if err == nil {
+					inproc, err = d.Verify(in, args, sres)
+				}
+				differ = !reflect.DeepEqual(dist, inproc)
 			}
 			elapsed := time.Since(t0)
 			switch {
 			case err != nil:
 				failed = true
 				fmt.Printf("%-9s FAIL  %v\n", name, err)
-			case diff != "":
+			case differ:
 				failed = true
-				fmt.Printf("%-9s DIFF  %s\n", name, diff)
+				fmt.Printf("%-9s DIFF  the distributed answer differs from the in-process one\n", name)
 			default:
 				status := "ok"
 				if *check {
@@ -225,64 +233,6 @@ func serveMetrics(addr string) {
 	}
 	fmt.Printf("metrics: serving on http://%s/metrics\n", ln.Addr())
 	go http.Serve(ln, mux)
-}
-
-func maxDeg(g *graph.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
-// diffs attaches the -check comparison to each job of the wire table:
-// "" when the distributed result matches the in-process one bit for bit.
-var diffs = map[string]func(g *graph.Graph, src int, dist, inproc query.Result) string{
-	"bfs": func(g *graph.Graph, src int, dist, inproc query.Result) string {
-		// Parents race benignly; depth vectors are the invariant.
-		return diffSlices("depth", algo.BFSDepths(g, src, dist.Parents), algo.BFSDepths(g, src, inproc.Parents))
-	},
-	"pagerank": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
-		return diffSlices("rank", dist.Ranks, inproc.Ranks)
-	},
-	"cc": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
-		return diffSlices("label", dist.Labels, inproc.Labels)
-	},
-	"sssp": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
-		return diffSlices("dist", dist.Dists, inproc.Dists)
-	},
-	"mst": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
-		if diff := diffSlices("label", dist.Labels, inproc.Labels); diff != "" || dist.Weight == inproc.Weight {
-			return diff
-		}
-		return fmt.Sprintf("forest weight %d vs %d in-process", dist.Weight, inproc.Weight)
-	},
-	"coloring": func(_ *graph.Graph, _ int, dist, inproc query.Result) string {
-		return diffSlices("color", dist.Colors, inproc.Colors)
-	},
-}
-
-func diffSlices[T comparable](what string, dist, inproc []T) string {
-	for v := range dist {
-		if dist[v] != inproc[v] {
-			return fmt.Sprintf("%s[%d] = %v distributed vs %v in-process", what, v, dist[v], inproc[v])
-		}
-	}
-	return ""
-}
-
-// checkGenFlags rejects a -scale or -deg no generator takes: the library
-// words its own check of them as a panic.
-func checkGenFlags(scale, deg int) error {
-	if scale < 0 || scale > 30 {
-		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
-	}
-	if deg < 0 {
-		return fmt.Errorf("-deg %d: want 0 or more", deg)
-	}
-	return nil
 }
 
 func fail(err error) {

@@ -9,6 +9,10 @@
 // MST and greedy coloring — and cross-checks them against the sequential
 // references.
 //
+// The façade's way in is Config{Engine: aamgo.EngineShard}; this example
+// sets what it does not expose (workers per shard, flush policy, BFS
+// direction), so it drives internal/shard itself.
+//
 // Run with: go run ./examples/sharded
 package main
 
@@ -17,16 +21,12 @@ import (
 	"log"
 
 	"aamgo"
+	"aamgo/internal/shard"
 )
 
 func main() {
 	g := aamgo.Kronecker(13, 8, 42)
-	src := 0
-	for v := 0; v < g.N; v++ {
-		if g.Degree(v) > g.Degree(src) {
-			src = v
-		}
-	}
+	src := g.MaxDegreeVertex()
 	fmt.Printf("graph: %d vertices, %d arcs\n\n", g.N, g.NumEdges())
 
 	// Single-runtime references.
@@ -38,7 +38,7 @@ func main() {
 	fmt.Println("shard-count sweep (BFS, workers=1, batch=64):")
 	var base float64
 	for _, shards := range []int{1, 2, 4, 8} {
-		res, err := aamgo.ShardedBFS(g, src, aamgo.ShardedConfig{
+		res, err := shard.BFS(g, src, shard.Config{
 			Shards: shards, BatchSize: 64,
 		})
 		if err != nil {
@@ -59,13 +59,13 @@ func main() {
 	fmt.Println("\ndirection + partition (BFS, 4 shards):")
 	for _, c := range []struct {
 		label string
-		cfg   aamgo.ShardedConfig
+		cfg   shard.Config
 	}{
-		{"push-only, block", aamgo.ShardedConfig{Shards: 4, Dir: aamgo.DirPush}},
-		{"auto,      block", aamgo.ShardedConfig{Shards: 4}},
-		{"auto,      edge ", aamgo.ShardedConfig{Shards: 4, Part: aamgo.PartEdge}},
+		{"push-only, block", shard.Config{Shards: 4, Dir: shard.DirPush}},
+		{"auto,      block", shard.Config{Shards: 4}},
+		{"auto,      edge ", shard.Config{Shards: 4, Part: shard.PartEdge}},
 	} {
-		res, err := aamgo.ShardedBFS(g, src, c.cfg)
+		res, err := shard.BFS(g, src, c.cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func main() {
 
 	// The sharded PageRank accumulates in the same fixed point as the
 	// single-runtime version: the rank vectors are bit-identical.
-	sres, err := aamgo.ShardedPageRank(g, 0.85, 5, aamgo.ShardedConfig{
+	sres, err := shard.PageRank(g, 0.85, 5, shard.Config{
 		Shards: 4, Workers: 2, Mechanism: aamgo.Optimistic,
 	})
 	if err != nil {
@@ -94,15 +94,15 @@ func main() {
 
 	fmt.Println("coalescing sweep (CC, 4 shards):")
 	for _, p := range []struct {
-		policy aamgo.FlushPolicy
+		policy shard.FlushPolicy
 		batch  int
 		label  string
 	}{
-		{aamgo.FlushEager, 1, "eager"},
-		{aamgo.FlushBySize, 64, "size=64"},
-		{aamgo.FlushByEpoch, 0, "epoch"},
+		{shard.FlushEager, 1, "eager"},
+		{shard.FlushBySize, 64, "size=64"},
+		{shard.FlushByEpoch, 0, "epoch"},
 	} {
-		res, err := aamgo.ShardedComponents(g, aamgo.ShardedConfig{
+		res, err := shard.Components(g, shard.Config{
 			Shards: 4, BatchSize: p.batch, Flush: p.policy,
 		})
 		if err != nil {
@@ -121,8 +121,8 @@ func main() {
 	wg := aamgo.AttachSymmetricWeights(g, 42)
 
 	fmt.Println("\nirregular trio (4 shards × 2 workers):")
-	cfg := aamgo.ShardedConfig{Shards: 4, Workers: 2, BatchSize: 64}
-	ssp, err := aamgo.ShardedSSSP(wg, src, 0, cfg)
+	cfg := shard.Config{Shards: 4, Workers: 2, BatchSize: 64}
+	ssp, err := shard.SSSP(wg, src, 0, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func main() {
 		float64(ssp.Elapsed.Nanoseconds())/1e6, ssp.Buckets, ssp.Delta, reached,
 		st.RemoteUnitsSent, st.RemoteBatchesSent)
 
-	mst, err := aamgo.ShardedMST(wg, cfg)
+	mst, err := shard.MST(wg, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func main() {
 	fmt.Printf("  mst:      %6.2f ms  weight %d over %d edges in %d rounds, %d remote units\n",
 		float64(mst.Elapsed.Nanoseconds())/1e6, mst.Weight, mst.Edges, mst.Rounds, mt.RemoteUnitsSent)
 
-	col, err := aamgo.ShardedColoring(wg, 0, cfg) // seed 0 = sequential greedy order
+	col, err := shard.Coloring(wg, 0, cfg) // seed 0 = sequential greedy order
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestSTConnSameVertex(t *testing.T) {
 
 func TestSTConnOnKronecker(t *testing.T) {
 	g := graph.Kronecker(8, 8, 21)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	// Find one reachable and one unreachable target.
 	reach, unreach := -1, -1
@@ -188,7 +188,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 		}
 	}
 	g := b.Dedup().Build()
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	want := SeqSSSP(g, src)
 	for _, nodes := range []int{1, 2} {
 		s := NewSSSP(g, nodes)

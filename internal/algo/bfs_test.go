@@ -25,21 +25,9 @@ func runBFS(t *testing.T, backend string, g *graph.Graph, nodes, threads, src in
 	return b.Parents(m), res
 }
 
-// maxDegVertex picks a well-connected source (Kronecker graphs have many
-// isolated vertices).
-func maxDegVertex(g *graph.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 func TestBFSAAMMatchesReference(t *testing.T) {
 	g := graph.Kronecker(9, 8, 3)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	for _, threads := range []int{1, 4} {
 		cfg := BFSConfig{
@@ -56,7 +44,7 @@ func TestBFSAAMMatchesReference(t *testing.T) {
 
 func TestBFSGraph500MatchesReference(t *testing.T) {
 	g := graph.Kronecker(9, 8, 4)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	cfg := BFSConfig{Mode: BFSGraph500, VisitedCheck: true}
 	parents, res := runBFS(t, run.Sim, g, 1, 4, src, cfg, exec.HaswellC())
@@ -89,7 +77,7 @@ func TestBFSMechanismsMatch(t *testing.T) {
 
 func TestBFSDistributed(t *testing.T) {
 	g := graph.Kronecker(9, 6, 7)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	for _, nodes := range []int{2, 4} {
 		cfg := BFSConfig{
@@ -109,7 +97,7 @@ func TestBFSDistributed(t *testing.T) {
 
 func TestBFSOnNativeBackend(t *testing.T) {
 	g := graph.Kronecker(8, 6, 9)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	cfg := BFSConfig{
 		Mode:         BFSAAM,
@@ -124,7 +112,7 @@ func TestBFSOnNativeBackend(t *testing.T) {
 
 func TestBFSWithoutVisitedCheck(t *testing.T) {
 	g := graph.Kronecker(8, 8, 11)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := SeqBFS(g, src)
 	cfg := BFSConfig{
 		Mode:   BFSAAM,
@@ -146,7 +134,7 @@ func TestBFSCoarseningBeatsFine(t *testing.T) {
 			Engine:       aam.Config{M: M, Mechanism: aam.MechHTM},
 			VisitedCheck: true,
 		}
-		_, res := runBFS(t, run.Sim, g, 1, 4, maxDegVertex(g), cfg, exec.BGQ())
+		_, res := runBFS(t, run.Sim, g, 1, 4, g.MaxDegreeVertex(), cfg, exec.BGQ())
 		return int64(res.Elapsed)
 	}
 	if e16, e1 := elapsed(16), elapsed(1); e16 >= e1 {
@@ -166,7 +154,7 @@ func TestBFSLevelTimesRecorded(t *testing.T) {
 		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWords(),
 		Profile: &prof, Seed: 1, Handlers: b.Handlers(nil),
 	})
-	m.Run(b.Body(maxDegVertex(g)))
+	m.Run(b.Body(g.MaxDegreeVertex()))
 	if len(b.LevelTimes) < 2 {
 		t.Fatalf("LevelTimes = %v, want >= 2 levels", b.LevelTimes)
 	}

@@ -11,19 +11,9 @@ import (
 	"aamgo/internal/sim"
 )
 
-func maxDegVertex(g *graph.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 func TestBSPBFSMatchesReference(t *testing.T) {
 	g := graph.Kronecker(9, 8, 3)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 
 	b := baseline.NewBSPBFS(g, baseline.DefaultBSPConfig())
@@ -52,7 +42,7 @@ func TestBSPOverheadScalesWithDiameter(t *testing.T) {
 			Nodes: 1, ThreadsPerNode: 8, MemWords: b.MemWords(),
 			Profile: &prof, Seed: 2,
 		})
-		res := m.Run(b.Body(maxDegVertex(g)))
+		res := m.Run(b.Body(g.MaxDegreeVertex()))
 		return res.Elapsed.Seconds(), res.Stats.Supersteps / 8
 	}
 	lowD := graph.Kronecker(10, 8, 5) // O(log n) diameter
@@ -117,7 +107,7 @@ func TestPBGLPaysPerEdgeMessaging(t *testing.T) {
 func TestGaloisConfigUsesLocks(t *testing.T) {
 	cfg := baseline.GaloisBFSConfig()
 	g := graph.Kronecker(8, 6, 1)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 
 	b := algo.NewBFS(g, 1, cfg)

@@ -45,7 +45,7 @@ func runAblCoarsen(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(14, 8)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := prof.MaxThreads
 
 	atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
@@ -90,7 +90,7 @@ func runAblVisited(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(14, 8)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := prof.MaxThreads
 
 	cfgOn := aamBFSConfig(&prof, "short", 144)
@@ -115,7 +115,7 @@ func runAblMSelect(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(14, 8)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := prof.MaxThreads
 
 	fixedGood := runBFS(prof, g, 1, T, aamBFSConfig(&prof, "short", 144), src, o.Seed)

@@ -38,7 +38,7 @@ func runAblMechanisms(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(13, 8)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := 16
 
 	mechCfg := func(mech aam.Mechanism, m int) (cfg struct {
@@ -176,7 +176,7 @@ func runAblPredict(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(14, 8)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := 16
 
 	predicted := aam.PredictM(g, &prof, "short", T, o.Seed)

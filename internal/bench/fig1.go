@@ -21,7 +21,7 @@ func runFig1(o Options) *Report {
 	prof := exec.BGQ()
 	scale := o.shift(13, 6) // paper: 2^23 vertices
 	g := graph.Kronecker(scale, 2, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	T := prof.MaxThreads
 
 	atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)

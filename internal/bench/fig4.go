@@ -61,7 +61,7 @@ func runFig4(o Options, prof exec.MachineProfile, fastVariant, slowVariant strin
 	// give 16 lines per 64-set 8-way L1.
 	scale := o.shift(14, 9) // paper: |V|=2^20, |E|=2^24
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ms := fig4Ms(o)
 
 	rep.Notef("graph: 2^%d vertices, %d edges; machine %s; variants %s/%s",
@@ -148,7 +148,7 @@ func runFig5ab(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(12, 6)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 
 	type side struct {
 		prof exec.MachineProfile

@@ -50,7 +50,7 @@ func runFig6(o Options, prof exec.MachineProfile, variant string, M int, degs []
 				break
 			}
 			g := graph.Kronecker(scale, d, o.Seed+int64(d))
-			src := maxDegVertex(g)
+			src := g.MaxDegreeVertex()
 			atom := runBFS(prof, g, 1, T, g500Config(), src, o.Seed)
 			aamR := runBFS(prof, g, 1, T, aamBFSConfig(&prof, variant, M), src, o.Seed)
 			s := speedupF(atom.Elapsed, aamR.Elapsed)

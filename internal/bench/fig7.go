@@ -52,7 +52,7 @@ func runFig7Scaling(o Options, prof exec.MachineProfile, variant string, M int, 
 	rep := &Report{}
 	scale := o.shift(14, 8) // paper: 2^21 vertices, 2^24 edges
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	cols := []string{"T", "graph500", "aam", "speedup"}
 	if baselines {
 		cols = append(cols, "galois", "hama")

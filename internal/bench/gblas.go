@@ -29,7 +29,7 @@ func runGBLAS(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(11, 6)
 	g := graph.AttachSymmetricWeights(graph.Kronecker(scale, 8, o.Seed), uint64(o.Seed))
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	const prIters = 5
 	scfg := shard.Config{Shards: 4, BatchSize: 64}
 

@@ -28,18 +28,6 @@ func machine(prof exec.MachineProfile, nodes, threads, memWords int,
 	})
 }
 
-// maxDegVertex returns the vertex of maximum degree — the conventional BFS
-// source for power-law graphs (it reaches the giant component).
-func maxDegVertex(g *graph.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 // bfsRun is one measured BFS execution.
 type bfsRun struct {
 	Elapsed vtime.Time

@@ -1,12 +1,8 @@
 package bench
 
 import (
-	"fmt"
-	"reflect"
-
-	"aamgo/internal/algo"
 	"aamgo/internal/graph"
-	"aamgo/internal/shard"
+	"aamgo/internal/query"
 )
 
 func init() {
@@ -27,39 +23,21 @@ func runShardedIrregular(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(11, 6)
 	g := graph.AttachSymmetricWeights(graph.Kronecker(scale, 8, o.Seed), uint64(o.Seed))
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 
-	refDist := algo.SeqSSSP(g, src)
-	refWeight := algo.SeqMSTWeight(g)
-	refColors, refUsed := algo.GreedyColoring(g)
-	cases := []shardCase{
-		// Distinct delta-stepping buckets processed by the flat bucket
-		// rings: a drift means the bucket structure changed behavior.
-		{name: "sssp", roundsMetric: "sssp.buckets.s4", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.SSSP(g, src, 0, cfg)
-			if err == nil && !reflect.DeepEqual(res.Dists, refDist) {
-				err = fmt.Errorf("sssp distances diverge from Dijkstra")
-			}
-			return res.Result, res.Buckets, err
-		}},
-		{name: "mst", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.MST(g, cfg)
-			if err == nil && res.Weight != refWeight {
-				err = fmt.Errorf("mst weight %d != Kruskal %d", res.Weight, refWeight)
-			}
-			return res.Result, res.Rounds, err
-		}},
-		{name: "coloring", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.Coloring(g, 0, cfg)
-			if err == nil && (!reflect.DeepEqual(res.Colors, refColors) || res.Used != refUsed) {
-				err = fmt.Errorf("coloring diverges from the greedy reference")
-			}
-			return res.Result, res.Rounds, err
-		}},
+	// SSSP takes the auto-selected delta and coloring the identity priority
+	// order (seed 0).
+	args := query.Args{Src: src}
+	var cases []shardCase
+	for _, name := range []string{"sssp", "mst", "coloring"} {
+		cases = append(cases, registryCase(name, g, args, false))
 	}
+	// Distinct delta-stepping buckets processed by the flat bucket rings: a
+	// drift means the bucket structure changed behavior.
+	cases[0].roundsMetric = "sssp.buckets.s4"
 
 	rep.Checkf(shardSweepPart(rep, cases), "irregular results identical",
-		"SSSP = Dijkstra, MST weight = Kruskal, coloring = sequential greedy across shards %v", shardCounts)
+		"SSSP = Dijkstra, MST weight = Kruskal and min-id labels, coloring proper with used = max + 1, across shards %v", shardCounts)
 	rep.Checkf(shardPartitionPart(rep, cases, false), "partition schemes equivalent",
 		"SSSP, MST and coloring results identical under block and edge-balanced partitions")
 	// The bucket-epoch barrier does not change the relaxation unit count,

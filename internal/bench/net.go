@@ -2,10 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"reflect"
 
-	"aamgo/internal/algo"
 	"aamgo/internal/graph"
+	"aamgo/internal/query"
 	"aamgo/internal/shard"
 )
 
@@ -28,7 +27,7 @@ func runNet(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(10, 6)
 	g := graph.AttachSymmetricWeights(graph.Kronecker(scale, 8, o.Seed), uint64(o.Seed))
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 
 	const clusterWorkers = 2
 	c, err := shard.NewCluster("127.0.0.1:0", clusterWorkers)
@@ -61,51 +60,34 @@ func runNet(o Options) *Report {
 	t := rep.NewTable(fmt.Sprintf("loopback cluster, 1 coordinator + %d workers (shards=4, workers=1, batch=64)", clusterWorkers),
 		"algo", "wire-batches", "wire-bytes", "remote-units", "identical")
 
-	// Each algorithm runs on the cluster and is held to the in-process
-	// engine and the sequential reference: BFS depth vectors (parents race
-	// benignly, depths are the invariant), PageRank rank bits (fixed-point
-	// arithmetic), and SSSP distance bits against Dijkstra as a third,
-	// weighted min-combine path whose bytes are not gated.
-	refDepth := algo.SeqBFS(g, src)
-	algos := []struct {
-		name, bytesMetric string
-		run               func() (shard.Result, bool, error)
-	}{
-		{"bfs", "shard.bytes_on_wire.bfs", func() (shard.Result, bool, error) {
-			d, err := c.BFS(g, src, cfg)
-			if err != nil {
-				return shard.Result{}, false, err
-			}
-			i, err := shard.BFS(g, src, cfg)
-			if err != nil {
-				return shard.Result{}, false, err
-			}
-			return d.Result, reflect.DeepEqual(algo.BFSDepths(g, src, d.Parents), refDepth) &&
-				reflect.DeepEqual(algo.BFSDepths(g, src, i.Parents), refDepth), nil
-		}},
-		{"pagerank", "shard.bytes_on_wire.pagerank", func() (shard.Result, bool, error) {
-			d, err := c.PageRank(g, 0.85, 20, cfg)
-			if err != nil {
-				return shard.Result{}, false, err
-			}
-			i, err := shard.PageRank(g, 0.85, 20, cfg)
-			return d.Result, reflect.DeepEqual(d.Ranks, i.Ranks), err
-		}},
-		{"sssp", "", func() (shard.Result, bool, error) {
-			d, err := c.SSSP(g, src, 0, cfg)
-			return d.Result, reflect.DeepEqual(d.Dists, algo.SeqSSSP(g, src)), err
-		}},
+	// Each algorithm runs on the cluster and in-process, and both answers
+	// are held to the descriptor's Verify — the sequential reference, and
+	// the value all runs agree on bit for bit: BFS depth vectors (parents
+	// race benignly, depths are the invariant), PageRank rank bits
+	// (fixed-point arithmetic), and SSSP distance bits against Dijkstra as a
+	// third, weighted min-combine path whose bytes are not gated.
+	args := query.Args{Src: src, Damping: 0.85, Iters: 20}
+	env := query.Env{Shard: cfg, Cluster: c}
+	algos := []struct{ name, bytesMetric string }{
+		{"bfs", "shard.bytes_on_wire.bfs"},
+		{"pagerank", "shard.bytes_on_wire.pagerank"},
+		{"sssp", ""},
 	}
 	identical, crossed := true, true
 	var gatedBatches uint64
 	for _, a := range algos {
-		res, same, err := a.run()
-		if err != nil {
-			rep.Checkf(false, a.name+" runs", "%v", err)
-			return rep
+		d := query.Lookup(a.name)
+		var agree any
+		res, err := verifiedRun(d, query.EngineCluster, g, args, env, &agree)
+		if err == nil {
+			_, err = verifiedRun(d, query.EngineShard, g, args, env, &agree)
+		}
+		same := err == nil
+		if !same {
+			rep.Notef("FAILED: %s: %v", a.name, err)
 		}
 		identical = identical && same
-		tot := res.Totals()
+		tot := res.Shard.Totals() // the shard run funcs report counters on failure too
 		t.AddRow(a.name, utoa(tot.WireBatchesSent), utoa(tot.WireBytesSent),
 			utoa(tot.RemoteUnitsSent), fmt.Sprintf("%v", same))
 		if a.bytesMetric != "" {

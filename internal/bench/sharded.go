@@ -6,8 +6,8 @@ import (
 	"runtime"
 	"strings"
 
-	"aamgo/internal/algo"
 	"aamgo/internal/graph"
+	"aamgo/internal/query"
 	"aamgo/internal/shard"
 )
 
@@ -34,6 +34,44 @@ type shardCase struct {
 	name         string
 	run          func(cfg shard.Config) (shard.Result, int, error)
 	roundsMetric string
+}
+
+// verifiedRun runs d on eng and holds the answer to d.Verify; what Verify
+// says every run agrees on is pinned in *agree by the first call and must
+// not change from one engine or configuration to the next.
+func verifiedRun(d *query.Descriptor, eng string, g *graph.Graph, a query.Args, env query.Env, agree *any) (query.Result, error) {
+	res, err := d.Run(eng, g, a, env)
+	if err != nil {
+		return res, err
+	}
+	got, err := d.Verify(g, a, res)
+	switch {
+	case err != nil:
+	case *agree == nil:
+		*agree = got
+	case !reflect.DeepEqual(got, *agree):
+		err = fmt.Errorf("%s answer diverges from the first run's", d.Name)
+	}
+	return res, err
+}
+
+// registryCase is the named registry algorithm on the shard engine over g.
+// epochs makes the round count the executor's Drain barriers, where the
+// algorithm's own Steps count something narrower (BFS levels) or nothing
+// (PageRank).
+func registryCase(name string, g *graph.Graph, a query.Args, epochs bool) shardCase {
+	d := query.Lookup(name)
+	var agree any
+	return shardCase{name: name, run: func(cfg shard.Config) (shard.Result, int, error) {
+		res, err := verifiedRun(d, query.EngineShard, g, a, query.Env{Shard: cfg}, &agree)
+		if err != nil {
+			return shard.Result{}, 0, err
+		}
+		if epochs {
+			return *res.Shard, res.Shard.Epochs, nil
+		}
+		return *res.Shard, res.Steps, nil
+	}}
 }
 
 // shardSweepPart runs every case at every shard count. Workers=1, so
@@ -206,41 +244,16 @@ func runSharded(o Options) *Report {
 	rep := &Report{}
 	scale := o.shift(11, 6)
 	g := graph.Kronecker(scale, 8, o.Seed)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 
-	refDepth := algo.SeqBFS(g, src)
-	refCC := algo.SeqComponents(g)
-	var refPR []float64
-	cases := []shardCase{
-		{name: "bfs", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.BFS(g, src, cfg)
-			if err == nil {
-				err = algo.ValidateBFSTree(g, src, res.Parents, refDepth)
-			}
-			return res.Result, res.Epochs, err
-		}},
-		{name: "pagerank", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.PageRank(g, 0.85, 5, cfg)
-			// Fixed-point accumulation is exact: every configuration must
-			// produce the bit-identical rank vector.
-			if refPR == nil {
-				refPR = res.Ranks
-			} else if err == nil && !reflect.DeepEqual(res.Ranks, refPR) {
-				err = fmt.Errorf("pagerank ranks diverge from the 1-shard run")
-			}
-			return res.Result, res.Epochs, err
-		}},
-		{name: "cc", run: func(cfg shard.Config) (shard.Result, int, error) {
-			res, err := shard.Components(g, cfg)
-			if err == nil && !reflect.DeepEqual(res.Labels, refCC) {
-				err = fmt.Errorf("cc labels diverge from the sequential reference")
-			}
-			return res.Result, res.Epochs, err
-		}},
+	args := query.Args{Src: src, Damping: 0.85, Iters: 5}
+	var cases []shardCase
+	for _, name := range []string{"bfs", "pagerank", "cc"} {
+		cases = append(cases, registryCase(name, g, args, true))
 	}
 
 	rep.Checkf(shardSweepPart(rep, cases), "sharded results identical",
-		"BFS depths and CC labels match sequential references; PageRank ranks bit-identical across shards %v", shardCounts)
+		"BFS depths, CC labels and PageRank ranks match the sequential references and are bit-identical across shards %v", shardCounts)
 	rep.Checkf(shardPartitionPart(rep, cases, true), "partition schemes equivalent",
 		"all three algorithms produce identical results under block and edge-balanced partitions")
 
@@ -252,10 +265,11 @@ func runSharded(o Options) *Report {
 		"dir", "push-lvls", "pull-lvls", "remote-units")
 	var unitsByDir [2]uint64
 	dirsOK := true
+	bfs := query.Lookup("bfs")
 	for i, dir := range []shard.Direction{shard.DirPush, shard.DirAuto} {
 		res, err := shard.BFS(g, src, shard.Config{Shards: 4, BatchSize: 64, Dir: dir})
 		if err == nil {
-			err = algo.ValidateBFSTree(g, src, res.Parents, refDepth)
+			_, err = bfs.Verify(g, args, query.Result{Parents: res.Parents})
 		}
 		if err != nil {
 			dirsOK = false

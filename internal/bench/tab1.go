@@ -61,7 +61,7 @@ func runTab1(o Options) *Report {
 			ds -= 3
 		}
 		g := spec.Generate(ds, o.Seed)
-		src := maxDegVertex(g)
+		src := g.MaxDegreeVertex()
 
 		// BG/Q side.
 		bAtom := runBFS(bgq, g, 1, bgq.MaxThreads, g500Config(), src, o.Seed)

@@ -47,66 +47,49 @@ func numbers[T int32 | int64](t *testing.T, v any) []T {
 	return out
 }
 
-// canonLabels rewrites a labeling to min-vertex-id labels: engines may
-// pick different representatives, the partition is the invariant.
-func canonLabels(labels []int32) []int32 {
-	min := map[int32]int32{}
-	for v, l := range labels {
-		if _, ok := min[l]; !ok {
-			min[l] = int32(v)
+// answerOf rebuilds the uniform Result from a full=1 body: the vector
+// under the descriptor's key and the scalars Verify reads.
+func answerOf(t *testing.T, d *query.Descriptor, body map[string]any) query.Result {
+	t.Helper()
+	var res query.Result
+	if w, ok := body["weight"]; ok {
+		res.Weight = uint64(w.(float64))
+	}
+	switch d.Vector {
+	case "parents":
+		res.Parents = numbers[int64](t, body[d.Vector])
+	case "dists": // MaxUint64 (unreachable) is -1 on the wire
+		for _, x := range numbers[int64](t, body[d.Vector]) {
+			res.Dists = append(res.Dists, uint64(x))
 		}
+	case "labels":
+		res.Labels = numbers[int32](t, body[d.Vector])
+	case "per_vertex":
+		res.Colors, res.Used = numbers[int32](t, body[d.Vector]), int(body["colors"].(float64))
+	default:
+		t.Fatalf("%s: no Result field for the vector key %q", d.Name, d.Vector)
 	}
-	out := make([]int32, len(labels))
-	for v, l := range labels {
-		out[v] = min[l]
-	}
-	return out
+	return res
 }
 
-// bodyChecks attaches, by registry name, the sequential reference or
-// validity checker a full=1 response body must satisfy on every engine;
-// g is the served graph (weighted with wseed=1 for the weighted entries).
-// The returned value must be identical across engines (nil: validity is
-// all they share).
-var bodyChecks = map[string]func(t *testing.T, g *graph.Graph, body map[string]any) any{
-	"bfs": func(t *testing.T, g *graph.Graph, body map[string]any) any {
-		ref := algo.SeqBFS(g, 0)
-		parents := numbers[int64](t, body["parents"])
-		if err := algo.ValidateBFSTree(g, 0, parents, ref); err != nil {
-			t.Error(err)
+func distinct(labels []int32) int {
+	slices.Sort(labels)
+	return len(slices.Compact(labels))
+}
+
+// checkBody holds a full=1 body over g (weighted with wseed=1 for the
+// weighted entries) to the descriptor's Verify and its derived scalars to
+// the sequential reference, and returns the value every engine must agree
+// on. A body that lists no vector is PageRank's: its top list is checked
+// here.
+func checkBody(t *testing.T, d *query.Descriptor, g *graph.Graph, body map[string]any) any {
+	want := func(key string, n int) {
+		t.Helper()
+		if body[key].(float64) != float64(n) {
+			t.Errorf("%s %v, want %d", key, body[key], n)
 		}
-		reached, depth := 0, int32(0)
-		for _, d := range ref {
-			if d >= 0 {
-				reached++
-			}
-			depth = max(depth, d)
-		}
-		if body["reached"].(float64) != float64(reached) {
-			t.Errorf("reached %v, want %d", body["reached"], reached)
-		}
-		// The engines that report a depth agree with the reference, and
-		// gblas's push/pull split adds up to it.
-		if lv, ok := body["levels"]; ok && lv.(float64) != float64(depth) {
-			t.Errorf("levels %v, want %d", lv, depth)
-		}
-		if steps, ok := body["gblas"].(map[string]any); ok && steps["push_steps"].(float64)+steps["pull_steps"].(float64) != float64(depth)+1 {
-			t.Errorf("gblas step split %v inconsistent with depth %d", steps, depth)
-		}
-		return algo.BFSDepths(g, 0, parents)
-	},
-	"cc": func(t *testing.T, g *graph.Graph, body map[string]any) any {
-		ref := algo.SeqComponents(g)
-		labels := canonLabels(numbers[int32](t, body["labels"]))
-		if !slices.Equal(labels, ref) {
-			t.Error("component partition diverges from the sequential reference")
-		}
-		if body["components"].(float64) != float64(distinct(ref)) {
-			t.Errorf("components %v, want %d", body["components"], distinct(ref))
-		}
-		return labels
-	},
-	"pagerank": func(t *testing.T, g *graph.Graph, body map[string]any) any {
+	}
+	if d.Vector == "" {
 		ref := algo.SeqPageRank(g, 0.85, 10)
 		top := body["top"].([]any)
 		if len(top) != 10 {
@@ -119,46 +102,45 @@ var bodyChecks = map[string]func(t *testing.T, g *graph.Graph, body map[string]a
 			}
 		}
 		return top // bit-identical ranks make the list identical too
-	},
-	"sssp": func(t *testing.T, g *graph.Graph, body map[string]any) any {
-		dists := numbers[int64](t, body["dists"])
-		reached := 0
-		for v, d := range algo.SeqSSSP(g, 0) {
-			if int64(d) != dists[v] { // MaxUint64 (unreachable) is -1 on the wire
-				t.Fatalf("dist[%d] = %d, sequential reference %d", v, dists[v], int64(d))
+	}
+	agree, err := d.Verify(g, query.Args{Iters: 10, Damping: 0.85}, answerOf(t, d, body))
+	if err != nil {
+		t.Error(err)
+	}
+	switch d.Name {
+	case "bfs":
+		reached, depth := 0, int32(0)
+		for _, d := range algo.SeqBFS(g, 0) {
+			if d >= 0 {
+				reached++
 			}
-			if dists[v] >= 0 {
+			depth = max(depth, d)
+		}
+		want("reached", reached)
+		// The engines that report a depth agree with the reference, and
+		// gblas's push/pull split adds up to it.
+		if _, ok := body["levels"]; ok {
+			want("levels", int(depth))
+		}
+		if steps, ok := body["gblas"].(map[string]any); ok && steps["push_steps"].(float64)+steps["pull_steps"].(float64) != float64(depth)+1 {
+			t.Errorf("gblas step split %v inconsistent with depth %d", steps, depth)
+		}
+	case "sssp":
+		reached := 0
+		for _, d := range algo.SeqSSSP(g, 0) {
+			if d != ^uint64(0) {
 				reached++
 			}
 		}
-		if body["reached"].(float64) != float64(reached) {
-			t.Errorf("reached %v, want %d", body["reached"], reached)
+		want("reached", reached)
+	case "cc", "mst":
+		comps := distinct(algo.SeqComponents(g))
+		want("components", comps)
+		if d.Name == "mst" {
+			want("edges", g.N-comps)
 		}
-		return dists
-	},
-	"mst": func(t *testing.T, g *graph.Graph, body map[string]any) any {
-		if want := algo.SeqMSTWeight(g); body["weight"].(float64) != float64(want) {
-			t.Errorf("forest weight %v, sequential reference %d", body["weight"], want)
-		}
-		ref := algo.SeqComponents(g)
-		if !slices.Equal(canonLabels(numbers[int32](t, body["labels"])), ref) {
-			t.Error("forest components diverge from the sequential reference")
-		}
-		if comps := distinct(ref); body["components"].(float64) != float64(comps) || body["edges"].(float64) != float64(g.N-comps) {
-			t.Errorf("components %v / edges %v, want %d / %d", body["components"], body["edges"], comps, g.N-comps)
-		}
-		return body["weight"]
-	},
-	"coloring": func(t *testing.T, g *graph.Graph, body map[string]any) any {
-		colors := numbers[int32](t, body["per_vertex"])
-		if !algo.ValidColoring(g, colors) {
-			t.Error("coloring is not proper")
-		}
-		if body["colors"].(float64) != float64(slices.Max(colors))+1 {
-			t.Errorf("%v colors reported, largest color is %d", body["colors"], slices.Max(colors))
-		}
-		return nil // the aam and shard heuristics color differently
-	},
+	}
+	return agree
 }
 
 // TestEngineParam pins the ?engine= axis end to end, driven by the
@@ -189,11 +171,6 @@ func TestEngineParam(t *testing.T) {
 	s.SetCluster(cl)
 
 	for _, d := range query.Registry {
-		check, ok := bodyChecks[d.Name]
-		if !ok {
-			t.Errorf("registry entry %q has no body check attached", d.Name)
-			continue
-		}
 		g := base
 		if d.Weighted {
 			g = weighted
@@ -217,7 +194,7 @@ func TestEngineParam(t *testing.T) {
 				if body["engine"] != eng || body["trace"].(map[string]any)["engine"] != eng {
 					t.Fatalf("engine echo: body %v, trace %v, want %s", body["engine"], body["trace"], eng)
 				}
-				got := check(t, g, body)
+				got := checkBody(t, d, g, body)
 				if want == nil {
 					want = got
 				} else if !reflect.DeepEqual(got, want) {

@@ -59,7 +59,6 @@ import (
 	"net/url"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -830,12 +829,9 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // attachment is what the daemon adds to one registry descriptor, looked
-// up by name: how a Result becomes the response body, and the two cases it
-// answers without running an engine.
+// up by name: the two cases it answers without running an engine. What a
+// Result means — the body keys — is the descriptor's own Summary.
 type attachment struct {
-	// summarise writes the algorithm's own body keys from res over an
-	// n-vertex graph; full asks for the per-vertex vector too.
-	summarise func(out map[string]any, n int, a query.Args, res query.Result, full bool)
 	// live, when set, answers the aam engine from state the dynamic graph
 	// maintains incrementally; it returns the snapshot that state is of.
 	live func(g *dyn.Graph, out map[string]any, full bool) *dyn.Snapshot
@@ -845,24 +841,18 @@ type attachment struct {
 }
 
 var attachments = map[string]attachment{
-	"bfs":      {summarise: summariseBFS},
-	"cc":       {summarise: summariseCC, live: liveCC},
-	"pagerank": {summarise: summarisePageRank},
-	"sssp":     {summarise: summariseSSSP},
-	"mst":      {summarise: summariseMST, skipEmpty: []string{query.EngineAAM, query.EngineShard, query.EngineCluster}},
+	"cc":  {live: liveCC},
+	"mst": {skipEmpty: []string{query.EngineAAM, query.EngineShard, query.EngineCluster}},
 	// The sharded executor colors the empty graph itself.
-	"coloring": {summarise: summariseColoring, skipEmpty: []string{query.EngineAAM}},
+	"coloring": {skipEmpty: []string{query.EngineAAM}},
 }
 
 // handleQuery is the one query handler: parameter decode and engine
 // selection (both before the O(V+E) freeze — invalid requests must not pay
 // it), one consistent snapshot, the run, and the body keys every algorithm
-// shares; the descriptor's attachment fills in the rest.
+// shares; the descriptor's Summary fills in the rest.
 func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
-	att, ok := attachments[d.Name]
-	if !ok {
-		panic("serve: no attachment for registry entry " + d.Name)
-	}
+	att := attachments[d.Name]
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			s.fail(w, http.StatusMethodNotAllowed, "use GET")
@@ -887,7 +877,7 @@ func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 			s.fail(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		out := map[string]any{"engine": eng, "n": snap.N()}
+		out := map[string]any{"engine": eng}
 		// The run's wall time goes into the body and into the span, traced
 		// or not: the slowlog is read when nobody asked for a trace.
 		t0 := time.Now()
@@ -899,31 +889,38 @@ func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 			snap = att.live(s.g, out, full)
 			out["n"] = snap.N()
 			stop()
-		} else if f := s.timedFreeze(r, snap); f.N == 0 && slices.Contains(att.skipEmpty, eng) {
-			att.summarise(out, 0, args, query.Result{}, false)
 		} else {
-			if d.Weighted {
-				// The dynamic graph stores no weights: the same wseed over the
-				// same epoch synthesizes the same ones, so answers reproduce.
-				f = graph.AttachSymmetricWeights(f, args.WSeed)
+			f := s.timedFreeze(r, snap)
+			var res query.Result // as it stands, the answer over the empty graph
+			if f.N > 0 || !slices.Contains(att.skipEmpty, eng) {
+				if d.Weighted {
+					// The dynamic graph stores no weights: the same wseed over the
+					// same epoch synthesizes the same ones, so answers reproduce.
+					f = graph.AttachSymmetricWeights(f, args.WSeed)
+				}
+				t0 = time.Now()
+				var cl *clusterInfo
+				if res, cl, err = s.run(r, d, eng, f, args, scfg); err != nil {
+					s.fail(w, http.StatusBadRequest, "%v", err)
+					return
+				}
+				switch {
+				case res.AAM != nil:
+					out["machine_time_ns"] = int64(res.AAM.Elapsed)
+				case res.Shard != nil:
+					out["sharded"] = s.shardSummary(r, scfg, *res.Shard)
+				}
+				stop()
+				if cl != nil {
+					out["cluster"] = cl
+				}
+				if full && d.Vector != "" {
+					out[d.Vector] = res.Vector()
+				}
 			}
-			t0 = time.Now()
-			res, cl, err := s.run(r, d, eng, f, args, scfg)
-			if err != nil {
-				s.fail(w, http.StatusBadRequest, "%v", err)
-				return
+			for _, st := range d.Summary(args, f.N, res) {
+				out[st.Key] = st.Val
 			}
-			switch {
-			case res.AAM != nil:
-				out["machine_time_ns"] = int64(res.AAM.Elapsed)
-			case res.Shard != nil:
-				out["sharded"] = s.shardSummary(r, scfg, *res.Shard)
-			}
-			stop()
-			if cl != nil {
-				out["cluster"] = cl
-			}
-			att.summarise(out, f.N, args, res, full)
 		}
 		s.queries.Add(1)
 		out["epoch"] = snap.Epoch()
@@ -941,130 +938,6 @@ func liveCC(g *dyn.Graph, out map[string]any, full bool) *dyn.Snapshot {
 		out["labels"] = labels
 	}
 	return snap
-}
-
-func summariseBFS(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
-	out["src"] = a.Src
-	reached := 0
-	for _, p := range res.Parents {
-		if p >= 0 {
-			reached++
-		}
-	}
-	out["reached"] = reached
-	if res.AAM == nil {
-		out["levels"] = res.Steps
-	}
-	if res.GBLAS != nil {
-		out["gblas"] = map[string]any{"push_steps": res.GBLAS.PushSteps, "pull_steps": res.GBLAS.PullSteps}
-	}
-	if full {
-		out["parents"] = res.Parents
-	}
-}
-
-func summariseCC(out map[string]any, _ int, _ query.Args, res query.Result, full bool) {
-	out["components"] = distinct(res.Labels)
-	if res.Shard != nil {
-		out["rounds"] = res.Steps
-	}
-	if full {
-		out["labels"] = res.Labels
-	}
-}
-
-func summarisePageRank(out map[string]any, _ int, a query.Args, res query.Result, _ bool) {
-	delete(out, "n") // the one body that has never carried the vertex count
-	out["iters"] = a.Iters
-	out["damping"] = a.Damping
-	out["top"] = topRanked(res.Ranks, a.Top)
-}
-
-func summariseSSSP(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
-	out["src"] = a.Src
-	out["wseed"] = a.WSeed
-	if res.Shard != nil {
-		out["buckets"] = res.Steps
-		out["delta"] = res.Delta
-	}
-	if res.GBLAS != nil {
-		out["gblas"] = map[string]any{"rounds": res.GBLAS.Steps}
-	}
-	reached := 0
-	for _, d := range res.Dists {
-		if d != ^uint64(0) {
-			reached++
-		}
-	}
-	out["reached"] = reached
-	if full {
-		out["dists"] = signedDists(res.Dists)
-	}
-}
-
-func summariseMST(out map[string]any, n int, a query.Args, res query.Result, full bool) {
-	out["wseed"] = a.WSeed
-	out["weight"] = res.Weight
-	comps := distinct(res.Labels)
-	out["components"] = comps
-	out["edges"] = n - comps // a spanning forest, on every engine
-	if res.Shard != nil {
-		out["rounds"] = res.Steps
-	}
-	if full {
-		out["labels"] = res.Labels
-	}
-}
-
-func summariseColoring(out map[string]any, _ int, a query.Args, res query.Result, full bool) {
-	out["colors"] = res.Used
-	if res.Shard != nil {
-		out["rounds"] = res.Steps
-		out["seed"] = a.Seed
-	}
-	if full {
-		out["per_vertex"] = res.Colors
-	}
-}
-
-func distinct(labels []int32) int {
-	seen := map[int32]struct{}{}
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}
-
-type rankedVertex struct {
-	V    int     `json:"v"`
-	Rank float64 `json:"rank"`
-}
-
-// topRanked returns the top vertices by rank, descending.
-func topRanked(ranks []float64, top int) []rankedVertex {
-	idx := make([]int, len(ranks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return ranks[idx[a]] > ranks[idx[b]] })
-	if top > len(idx) {
-		top = len(idx)
-	}
-	best := make([]rankedVertex, top)
-	for i := 0; i < top; i++ {
-		best[i] = rankedVertex{V: idx[i], Rank: ranks[idx[i]]}
-	}
-	return best
-}
-
-// signedDists maps the uint64 distance vector to JSON-friendly int64s:
-// the unreachable marker MaxUint64 wraps to -1.
-func signedDists(dists []uint64) []int64 {
-	out := make([]int64, len(dists))
-	for i, d := range dists {
-		out[i] = int64(d)
-	}
-	return out
 }
 
 type statsResponse struct {

@@ -92,12 +92,12 @@ func BenchmarkPartitionOwner(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedBFSDirection compares push-only against the
+// BenchmarkBFSDirection compares push-only against the
 // direction-optimizing traversal end to end (the README perf table's
 // source).
-func BenchmarkShardedBFSDirection(b *testing.B) {
+func BenchmarkBFSDirection(b *testing.B) {
 	g := graph.Kronecker(13, 8, 3)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	for _, tc := range []struct {
 		name string
 		dir  Direction
@@ -116,11 +116,11 @@ func BenchmarkShardedBFSDirection(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSSSPBuckets runs the full delta-stepping pass (the flat
+// BenchmarkSSSPBuckets runs the full delta-stepping pass (the flat
 // bucket rings under their real access pattern).
-func BenchmarkShardedSSSPBuckets(b *testing.B) {
+func BenchmarkSSSPBuckets(b *testing.B) {
 	g := graph.AttachSymmetricWeights(graph.Kronecker(12, 8, 3), 7)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := SSSP(g, src, 0, Config{Shards: 4}); err != nil {

@@ -202,7 +202,7 @@ type chaosRefs struct {
 func makeChaosRefs(t *testing.T) *chaosRefs {
 	g := graph.Kronecker(8, 8, 3)
 	wg := graph.AttachSymmetricWeights(g, 7)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	r := &chaosRefs{g: g, wg: wg, src: src, depth: algo.SeqBFS(g, src)}
 	cfg := chaosJobCfg()
 	pr, err := PageRank(g, 0.85, 10, cfg)

@@ -25,7 +25,7 @@ var partConfigs = []Config{
 // boundaries move, the answers may not.
 func TestPartitionSchemesEquivalent(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		src := maxDegVertex(g)
+		src := g.MaxDegreeVertex()
 		refBFS := algo.SeqBFS(g, src)
 		refCC := algo.SeqComponents(g)
 		wg := weighted(g, 5)
@@ -155,7 +155,7 @@ func TestPartitionSchemeMechanisms(t *testing.T) {
 // pull-friendly graph.
 func TestBFSDirections(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		src := maxDegVertex(g)
+		src := g.MaxDegreeVertex()
 		ref := algo.SeqBFS(g, src)
 		for _, dir := range []Direction{DirAuto, DirPush, DirPull} {
 			for _, cfg := range []Config{
@@ -211,7 +211,7 @@ func TestBFSDirectedFallsBackToPush(t *testing.T) {
 	if !g.Directed {
 		t.Fatal("fixture not directed")
 	}
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 	for _, dir := range []Direction{DirAuto, DirPull} {
 		res, err := BFS(g, src, Config{Shards: 4, Dir: dir})

@@ -32,7 +32,7 @@ var irregularConfigs = []Config{
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		wg := weighted(g, 5)
-		src := maxDegVertex(wg)
+		src := wg.MaxDegreeVertex()
 		ref := algo.SeqSSSP(wg, src)
 		maxW := uint64(0)
 		for _, w := range wg.Weights {
@@ -60,7 +60,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 // single-runtime internal/algo chaotic-relaxation SSSP on the simulator.
 func TestSSSPMatchesSingleRuntime(t *testing.T) {
 	g := weighted(graph.Kronecker(8, 8, 3), 7)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	prof := exec.HaswellC()
 	s := algo.NewSSSP(g, 1)
 	m := run.New(run.Sim, exec.Config{

@@ -60,7 +60,7 @@ func TestCrossTransportEquivalence(t *testing.T) {
 	c := startLoopbackCluster(t, 2)
 	for name, g := range graphs {
 		wg := graph.AttachSymmetricWeights(g, 7)
-		src := maxDegVertex(g)
+		src := g.MaxDegreeVertex()
 		refDepth := algo.SeqBFS(g, src)
 		refPR := algo.SeqPageRank(g, 0.85, 20)
 		refCC := algo.SeqComponents(g)
@@ -198,7 +198,7 @@ func TestWireCountersOnTCP(t *testing.T) {
 	cfg := Config{Shards: 4, Workers: 1, BatchSize: 32}
 	c := startLoopbackCluster(t, 2)
 
-	ir, err := BFS(g, maxDegVertex(g), cfg)
+	ir, err := BFS(g, g.MaxDegreeVertex(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestWireCountersOnTCP(t *testing.T) {
 		t.Fatalf("inproc run reported wire traffic: %d batches, %d bytes", tot.WireBatchesSent, tot.WireBytesSent)
 	}
 
-	tr, err := c.BFS(g, maxDegVertex(g), cfg)
+	tr, err := c.BFS(g, g.MaxDegreeVertex(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,16 +56,6 @@ func starGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-func maxDegVertex(g *graph.Graph) int {
-	best, bd := 0, -1
-	for v := 0; v < g.N; v++ {
-		if d := g.Degree(v); d > bd {
-			best, bd = v, d
-		}
-	}
-	return best
-}
-
 // depths compares via algo.BFSDepths: parents may validly differ between
 // implementations, depth vectors may not.
 func depths(g *graph.Graph, src int, parents []int64) []int32 {
@@ -74,7 +64,7 @@ func depths(g *graph.Graph, src int, parents []int64) []int32 {
 
 func TestBFSMatchesSequentialReference(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		src := maxDegVertex(g)
+		src := g.MaxDegreeVertex()
 		ref := algo.SeqBFS(g, src)
 		for _, cfg := range []Config{
 			{Shards: 1},
@@ -101,7 +91,7 @@ func TestBFSMatchesSequentialReference(t *testing.T) {
 // actual single-runtime internal/algo execution on the simulator backend.
 func TestBFSMatchesSingleRuntime(t *testing.T) {
 	g := graph.Kronecker(8, 8, 3)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	prof := exec.HaswellC()
 	b := algo.NewBFS(g, 1, algo.BFSConfig{
 		Mode:         algo.BFSAAM,
@@ -256,7 +246,7 @@ func TestMechanisms(t *testing.T) {
 // eager ≥ size ≥ epoch.
 func TestFlushPolicies(t *testing.T) {
 	g := graph.Community(500, 10, 4, 0.05, 13)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 
 	type outcome struct {
@@ -375,7 +365,7 @@ func TestConcurrentWritersReaders(t *testing.T) {
 // state).
 func TestAlgorithmsConcurrently(t *testing.T) {
 	g := graph.Community(300, 8, 4, 0.05, 17)
-	src := maxDegVertex(g)
+	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 	seq := algo.SeqComponents(g)
 	var wg sync.WaitGroup
