@@ -281,10 +281,6 @@ func Run(name string, g *Graph, a query.Args, c Config) (query.Result, RunInfo, 
 	if d.Weighted && g.Weights == nil {
 		return query.Result{}, RunInfo{}, fmt.Errorf("aamgo: %s needs edge weights (use Builder.WithWeights)", d.Title)
 	}
-	// Seed 0 (the Config zero value) selects the identity priority order
-	// of the sharded coloring, which reproduces the sequential greedy
-	// coloring exactly; any other seed is a Luby-style random order.
-	a.Seed = uint64(c.Seed)
 	prof, c, err := c.resolve()
 	if err != nil {
 		return query.Result{}, RunInfo{}, err
@@ -378,7 +374,10 @@ func MST(g *Graph, c Config) (weight uint64, components []int32, ri RunInfo, err
 // Coloring runs Boman et al.'s distributed coloring heuristic and returns
 // the per-vertex colors (0-based) and the number of colors used.
 func Coloring(g *Graph, c Config) ([]int32, int, RunInfo, error) {
-	res, ri, err := Run("coloring", g, query.Args{}, c)
+	// Seed 0 (the Config zero value) selects the identity priority order
+	// of the sharded coloring, which reproduces the sequential greedy
+	// coloring exactly; any other seed is a Luby-style random order.
+	res, ri, err := Run("coloring", g, query.Args{Seed: uint64(c.Seed)}, c)
 	return res.Colors, res.Used, ri, err
 }
 

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"os"
-	"os/exec"
 	"strings"
 	"testing"
-	"time"
 )
 
 // runMainEnv, when set, makes the test binary run main on its arguments:
@@ -26,16 +22,11 @@ func TestMain(m *testing.M) {
 // and returns what it printed.
 func usageError(t *testing.T, args ...string) string {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Contains(string(out), "panic: ") {
-		t.Errorf("%v: %v, want exit status 2 and no panic\n%s", args, err, out)
+	out, status := runMain(t, args...)
+	if status != 2 {
+		t.Errorf("%v: exit status %d, want 2\n%s", args, status, out)
 	}
-	return string(out)
+	return out
 }
 
 // TestGeneratorFlagsAreUsageErrors: a -scale, -deg or -n no generator takes ends

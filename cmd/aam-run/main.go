@@ -111,7 +111,7 @@ func main() {
 	var ri aamgo.RunInfo
 	switch {
 	case d != nil:
-		args := query.Args{Src: source, Iters: *iter, Damping: *damp, Top: 1, WSeed: wseed}
+		args := query.Args{Src: source, Iters: *iter, Damping: *damp, Top: 1, WSeed: wseed, Seed: uint64(*seed)}
 		var res query.Result
 		if res, ri, err = aamgo.Run(d.Name, g, args, cfg); err != nil {
 			fail(err)

@@ -120,9 +120,8 @@ func (g *Graph) MaxDegree() int {
 }
 
 // MaxDegreeVertex returns the smallest vertex of the largest out-degree (0
-// on the empty graph) — the conventional BFS source for power-law graphs:
-// it reaches the giant component, where a Kronecker graph's many isolated
-// vertices reach nothing.
+// on the empty graph): the conventional BFS source on a power-law graph,
+// whose giant component it reaches.
 func (g *Graph) MaxDegreeVertex() int {
 	best := 0
 	for v := 1; v < g.N; v++ {

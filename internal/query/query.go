@@ -96,7 +96,7 @@ type Result struct {
 }
 
 // Vector returns the per-vertex vector a full=1 body carries under
-// Descriptor.Vector (nil for a zero Result): distances as int64, so the
+// Descriptor.VectorKey (nil for a zero Result): distances as int64, so the
 // unreachable marker MaxUint64 reads -1.
 func (r Result) Vector() any {
 	switch {
@@ -149,9 +149,9 @@ type Descriptor struct {
 	// line. What only some engines report appears only on their results;
 	// the zero Result summarises the empty graph.
 	Summary func(a Args, n int, res Result) []Stat
-	// Vector is the key a full=1 body carries Result.Vector under; ""
+	// VectorKey is the key a full=1 body carries Result.Vector under; ""
 	// when the body never lists the vector.
-	Vector string
+	VectorKey string
 }
 
 // Lookup returns the named descriptor, or nil.

@@ -55,19 +55,19 @@ func answerOf(t *testing.T, d *query.Descriptor, body map[string]any) query.Resu
 	if w, ok := body["weight"]; ok {
 		res.Weight = uint64(w.(float64))
 	}
-	switch d.Vector {
+	switch d.VectorKey {
 	case "parents":
-		res.Parents = numbers[int64](t, body[d.Vector])
+		res.Parents = numbers[int64](t, body[d.VectorKey])
 	case "dists": // MaxUint64 (unreachable) is -1 on the wire
-		for _, x := range numbers[int64](t, body[d.Vector]) {
+		for _, x := range numbers[int64](t, body[d.VectorKey]) {
 			res.Dists = append(res.Dists, uint64(x))
 		}
 	case "labels":
-		res.Labels = numbers[int32](t, body[d.Vector])
+		res.Labels = numbers[int32](t, body[d.VectorKey])
 	case "per_vertex":
-		res.Colors, res.Used = numbers[int32](t, body[d.Vector]), int(body["colors"].(float64))
+		res.Colors, res.Used = numbers[int32](t, body[d.VectorKey]), int(body["colors"].(float64))
 	default:
-		t.Fatalf("%s: no Result field for the vector key %q", d.Name, d.Vector)
+		t.Fatalf("%s: no Result field for the vector key %q", d.Name, d.VectorKey)
 	}
 	return res
 }
@@ -89,7 +89,7 @@ func checkBody(t *testing.T, d *query.Descriptor, g *graph.Graph, body map[strin
 			t.Errorf("%s %v, want %d", key, body[key], n)
 		}
 	}
-	if d.Vector == "" {
+	if d.VectorKey == "" {
 		ref := algo.SeqPageRank(g, 0.85, 10)
 		top := body["top"].([]any)
 		if len(top) != 10 {

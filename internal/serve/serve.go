@@ -914,8 +914,8 @@ func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 				if cl != nil {
 					out["cluster"] = cl
 				}
-				if full && d.Vector != "" {
-					out[d.Vector] = res.Vector()
+				if full && d.VectorKey != "" {
+					out[d.VectorKey] = res.Vector()
 				}
 			}
 			for _, st := range d.Summary(args, f.N, res) {
