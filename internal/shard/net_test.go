@@ -2,7 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
@@ -305,6 +307,89 @@ func TestDrainDeliversLateChainedSpawnsTCP(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", mech, err)
+		}
+	}
+}
+
+func init() {
+	// test-slow-attach: one rank attaches its executor late while its peers
+	// already spawn into its shards.
+	jobRunners["test-slow-attach"] = func(g *graph.Graph, want []uint64, cfg Config) (any, error) {
+		return runSlowAttachJob(g, want, cfg)
+	}
+}
+
+// runSlowAttachJob makes rank 1 sleep before New while every rank spawns
+// one increment per owned vertex into the shards rank 1 owns (shards 2 and
+// 3 of 6 over three ranks), then returns the per-shard totals, summed
+// across ranks. With want set (the in-process run's totals) every rank
+// checks them, so a batch lost on the way to the late rank fails the job.
+func runSlowAttachJob(g *graph.Graph, want []uint64, cfg Config) ([]uint64, error) {
+	if cfg.transport != nil {
+		if rank, _ := cfg.transport.endpoints(); rank == 1 {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	ex, err := New(g, 1, cfg)
+	if err != nil {
+		return nil, err
+	}
+	add := ex.Register(&Op{
+		Name:   "slow-attach-add",
+		Addr:   func(lv int, arg uint64) int { return lv },
+		Mutate: func(c, arg uint64) (uint64, bool) { return c + arg, true },
+	})
+	lo, _ := ex.Part.Range(2)
+	_, hi := ex.Part.Range(3)
+	ex.Parallel(func(w *Worker) {
+		from, to := w.Range()
+		for v := from; v < to; v++ {
+			w.Spawn(add, lo+v%(hi-lo), uint64(v)+1)
+		}
+	})
+	ex.Drain()
+	totals := make([]uint64, len(ex.Shards()))
+	for _, s := range ex.Shards() {
+		if !ex.Owns(s.ID) {
+			continue
+		}
+		for v := s.Lo; v < s.Hi; v++ {
+			totals[s.ID] += s.Load(ex.Part.Local(v))
+		}
+	}
+	ex.AllSum(totals)
+	ex.Result()
+	if want != nil && !slices.Equal(totals, want) {
+		return nil, fmt.Errorf("slow attach: per-shard totals %v, want %v (lost batch?)", totals, want)
+	}
+	return totals, nil
+}
+
+// TestSlowAttachLosesNoBatch: rank 1 attaches its executor about 50 ms
+// after ranks 0 and 2 have started spawning into its shards — rank 0's
+// batches on its own link, rank 2's through the coordinator's relay. Every
+// one must reach rank 1's executor: the per-shard totals equal the
+// in-process run's on every rank, well inside a short JobTimeout with
+// retries off.
+func TestSlowAttachLosesNoBatch(t *testing.T) {
+	g := pathGraph(96)
+	cfg := Config{Shards: 6, Workers: 2, BatchSize: 4, JobTimeout: 3 * time.Second}
+	want, err := runSlowAttachJob(g, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startChaosCluster(t, 2, ClusterOptions{JobRetries: -1, Logf: t.Logf}, false)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		err := c.run("test-slow-attach", want, cfg, g, func(cfg Config) error {
+			_, err := runSlowAttachJob(g, want, cfg)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if took := time.Since(start); took > cfg.JobTimeout/2 {
+			t.Fatalf("job %d took %v of a %v JobTimeout", i, took, cfg.JobTimeout)
 		}
 	}
 }
