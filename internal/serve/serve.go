@@ -714,6 +714,31 @@ type edgesRequest struct {
 	Edges [][2]int32 `json:"edges"`
 }
 
+// A mutation batch holds at most maxMutationBatch edges or vertices, and
+// its body at most maxMutationBody bytes: room for 2^20 edges written out
+// in full ("[-2147483648,-2147483648]," is 26 bytes).
+const (
+	maxMutationBatch = 1 << 20
+	maxMutationBody  = 32 << 20
+)
+
+// decodeMutation decodes a mutation request body into req, answering 413
+// for a body over maxMutationBody and 400 for bad JSON before the graph is
+// touched.
+func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request, req any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutationBody)).Decode(req)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		s.fail(w, http.StatusRequestEntityTooLarge, "body over %d bytes", tooBig.Limit)
+	case err != nil:
+		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	default:
+		return true
+	}
+	return false
+}
+
 type mutateResponse struct {
 	Applied   int    `json:"applied"`
 	Rejected  int    `json:"rejected"`
@@ -738,12 +763,11 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req edgesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeMutation(w, r, &req) {
 		return
 	}
-	if len(req.Edges) == 0 {
-		s.fail(w, http.StatusBadRequest, "empty edge batch")
+	if n := len(req.Edges); n == 0 || n > maxMutationBatch {
+		s.fail(w, http.StatusBadRequest, "%d edges out of range [1, 2^20]", n)
 		return
 	}
 	cfg, err := s.txConfig(r)
@@ -784,11 +808,10 @@ func (s *Server) handleVertices(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req verticesRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, "bad JSON: %v", err)
+	if !s.decodeMutation(w, r, &req) {
 		return
 	}
-	if req.Count <= 0 || req.Count > 1<<20 {
+	if req.Count <= 0 || req.Count > maxMutationBatch {
 		s.fail(w, http.StatusBadRequest, "count %d out of range [1, 2^20]", req.Count)
 		return
 	}

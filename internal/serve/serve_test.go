@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -159,6 +160,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"vertices wrong method", "GET", "/vertices", "", 405},
 		{"vertices bad count", "POST", "/vertices", `{"count":0}`, 400},
 		{"vertices bad json", "POST", "/vertices", `]`, 400},
+		{"edges body over cap", "POST", "/edges", `{"edges":` + strings.Repeat(" ", maxMutationBody) + `[[0,1]]}`, 413},
+		{"vertices body over cap", "POST", "/vertices", `{"count":` + strings.Repeat(" ", maxMutationBody) + `1}`, 413},
+		{"edges batch over cap", "POST", "/edges", `{"edges":[` + strings.Repeat("[0,1],", maxMutationBatch) + `[0,1]]}`, 400},
 		{"bfs no src", "GET", "/query/bfs", "", 400},
 		{"bfs bad src", "GET", "/query/bfs?src=404", "", 400},
 		{"bfs neg src", "GET", "/query/bfs?src=-1", "", 400},
@@ -172,7 +176,7 @@ func TestMalformedRequests(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader([]byte(c.body)))
+			req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
 			if err != nil {
 				t.Fatal(err)
 			}

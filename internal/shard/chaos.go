@@ -132,57 +132,37 @@ type chaosLink struct {
 	frame uint64
 }
 
-// decide runs the schedule for the frame at ordinal fr. It always
+// decide runs the schedule for the frame at ordinal fr and reports
+// whether the action is a scripted (budget-exempt) trigger. It always
 // advances the PRNG by exactly one draw (determinism; see the package
 // comment), and it alone decides — budget accounting happens in write.
-func (c *chaosLink) decide(fr uint64) chaosAction {
+func (c *chaosLink) decide(fr uint64) (action chaosAction, scripted bool) {
 	p := c.plan
 	roll := c.rng.Float64()
 	if c.inc == 0 {
 		if k, ok := p.KillAt[c.rank]; ok && fr == k {
-			return chaosKill
+			return chaosKill, true
 		}
 		if w, ok := p.Partition[c.rank]; ok && fr >= w[0] && fr < w[1] {
-			return chaosDrop
+			return chaosDrop, true
 		}
 		for _, d := range p.DropAt[c.rank] {
 			if fr == d {
-				return chaosDrop
+				return chaosDrop, true
 			}
 		}
 	}
 	switch {
 	case roll < p.DropP:
-		return chaosDrop
+		return chaosDrop, false
 	case roll < p.DropP+p.DupP:
-		return chaosDup
+		return chaosDup, false
 	case roll < p.DropP+p.DupP+p.CorruptP:
-		return chaosCorrupt
+		return chaosCorrupt, false
 	case roll < p.DropP+p.DupP+p.CorruptP+p.DelayP:
-		return chaosDelay
+		return chaosDelay, false
 	}
-	return chaosPass
-}
-
-// positional reports whether fr triggers a scripted (budget-exempt)
-// fault on this link.
-func (c *chaosLink) positional(fr uint64) bool {
-	if c.inc != 0 {
-		return false
-	}
-	p := c.plan
-	if k, ok := p.KillAt[c.rank]; ok && fr == k {
-		return true
-	}
-	if w, ok := p.Partition[c.rank]; ok && fr >= w[0] && fr < w[1] {
-		return true
-	}
-	for _, d := range p.DropAt[c.rank] {
-		if fr == d {
-			return true
-		}
-	}
-	return false
+	return chaosPass, false
 }
 
 // write applies the schedule to one frame; called by link.writeFrame
@@ -194,8 +174,8 @@ func (c *chaosLink) write(l *link, ft frameType, payload []byte) error {
 	}
 	fr := c.frame
 	c.frame++
-	action := c.decide(fr)
-	if action != chaosPass && !c.positional(fr) && !c.plan.takeFault() {
+	action, scripted := c.decide(fr)
+	if action != chaosPass && !scripted && !c.plan.takeFault() {
 		action = chaosPass
 	}
 	switch action {

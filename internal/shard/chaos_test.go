@@ -109,7 +109,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 		cl := p.link(rank)
 		out := make([]chaosAction, 200)
 		for fr := range out {
-			out[fr] = cl.decide(uint64(fr))
+			out[fr], _ = cl.decide(uint64(fr))
 		}
 		return out
 	}
@@ -152,7 +152,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	if cl.inc != 1 {
 		t.Fatalf("second link incarnation = %d, want 1", cl.inc)
 	}
-	if got := cl.decide(40); got == chaosKill {
+	if got, _ := cl.decide(40); got == chaosKill {
 		t.Error("incarnation 1 replayed the scripted kill")
 	}
 }
@@ -274,9 +274,10 @@ func TestChaosEquivalenceMatrix(t *testing.T) {
 		name string
 		plan func() *ChaosPlan
 	}{
-		// Frame 0 on a worker link is its ftJob; frames 1+ are collective
-		// results and relays. Dropping frame 1 starves rank 1 inside its
-		// first collective.
+		// Frame 0 on a worker link is its ftJob and frame 1 the result of
+		// the run's opening collective; frames 2+ are collective results
+		// and relays. Dropping frame 1 starves rank 1 inside the opening
+		// collective.
 		{"drop", func() *ChaosPlan {
 			return &ChaosPlan{Seed: 42, DropAt: map[int][]uint64{1: {1}}}
 		}},
@@ -503,11 +504,12 @@ func TestHeartbeatRTTRecorded(t *testing.T) {
 	_ = c
 }
 
-// TestHostileControlFrames: control frames are length-capped at the
-// header, so a hostile peer can neither force a large allocation nor
-// wedge the read loop.
+// TestHostileControlFrames: control frames — the handshake's hello,
+// welcome and bye as well as ping, pong and abort — are length-capped at
+// the header, so a hostile peer can neither force a large allocation nor
+// wedge the read loop or a vacant rank's handshake.
 func TestHostileControlFrames(t *testing.T) {
-	for _, ft := range []frameType{ftPing, ftPong, ftAbort} {
+	for _, ft := range []frameType{ftHello, ftWelcome, ftBye, ftPing, ftPong, ftAbort} {
 		// Claimed length beyond the control cap dies at the header —
 		// before any payload allocation.
 		var h [frameHdrLen]byte
@@ -562,5 +564,33 @@ func TestHostileControlFrames(t *testing.T) {
 	}
 	if live := c.LiveWorkers(); live != 0 {
 		t.Fatalf("peer sending malformed control frames still live (%d workers)", live)
+	}
+
+	// A vacant rank's handshake refuses a hello announcing the frame cap
+	// at its header, instead of allocating 64 MiB and awaiting the payload
+	// for up to handshakeTimeout.
+	c2, err := NewClusterOpts("127.0.0.1:0", 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	go func() { acceptErr <- c2.Accept() }()
+	conn2, err := dialCoordinator(c2.Addr(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn2.Close()
+	var hello [frameHdrLen]byte
+	putFrameHeader(hello[:], ftHello, maxFrameLen)
+	if _, err := conn2.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-acceptErr:
+		if err == nil {
+			t.Fatal("oversized hello admitted")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handshake still awaiting an oversized hello's payload")
 	}
 }

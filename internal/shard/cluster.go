@@ -98,7 +98,6 @@ type jobSpec struct {
 	JobRank  int    // recipient's rank within this attempt's dense set
 	JobRanks int    // attempt rank-set size (≤ cluster size)
 	Name     string
-	Words    int // reserved (state width is the runner's business)
 	Params   []uint64
 	Cfg      Config
 	G        *graph.Graph
@@ -579,7 +578,7 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 			break
 		}
 	}
-	n.startJob(nonce, 0, jobRanks, shardOwners(cfg.Shards, jobRanks), jobLinks, cfg.CollTimeout)
+	n.startJob(nonce, 0, jobRanks, jobLinks, cfg.CollTimeout)
 	watchdog := time.AfterFunc(cfg.JobTimeout, func() {
 		n.requestAbort(fmt.Errorf("%w: job %q exceeded JobTimeout %v", errAborted, name, cfg.JobTimeout))
 	})
@@ -604,10 +603,15 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 		if failed {
 			c.abortSurvivors(nonce, jobLinks, cfg.CollTimeout)
 		}
-		n.detachExec()
+		n.setExec(nil)
 	}()
 
-	broadcastJob(jobLinks[1:], payload)
+	for r, l := range jobLinks[1:] {
+		patchJobRank(payload, r+1)
+		if err := l.writeFrame(ftJob, payload); err != nil {
+			panic(netFailure{err: fmt.Errorf("shard: job send to rank %d: %w", l.peer, err), rank: l.peer})
+		}
+	}
 	runCfg := cfg
 	tcp := &tcpTransport{node: n}
 	if c.opts.Chaos != nil {
@@ -618,29 +622,6 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 	return fn(runCfg), false
 }
 
-// broadcastJob writes the job frame to every worker of the attempt. On
-// each link it must precede the attempt's batches — a worker early-buffers
-// batches from its job frame on and drops them before it — but a fast rank
-// can have its job, start, and flush toward a peer whose job frame is
-// still unwritten, and the read loop would relay that batch ahead of it.
-// Holding every link's write lock across the broadcast makes it wait.
-func broadcastJob(links []*link, payload []byte) {
-	for _, l := range links {
-		l.wmu.Lock()
-	}
-	defer func() {
-		for _, l := range links {
-			l.wmu.Unlock()
-		}
-	}()
-	for i, l := range links {
-		patchJobRank(payload, i+1)
-		if err := l.writeHeld(ftJob, payload); err != nil {
-			panic(netFailure{err: fmt.Errorf("shard: job send to rank %d: %w", l.peer, err), rank: l.peer})
-		}
-	}
-}
-
 // abortSurvivors cancels the attempt named nonce on every rank of the
 // attempt that is still live: broadcast ftAbort, await each rank's
 // acknowledgement, then drain whatever stale collective frames the dead
@@ -649,7 +630,7 @@ func broadcastJob(links []*link, payload []byte) {
 // — no frame of this attempt can reach the next one. Ranks that fail to
 // acknowledge within the collective timeout are evicted.
 func (c *Cluster) abortSurvivors(nonce uint64, jobLinks []*link, ackTO time.Duration) {
-	c.node.detachExec() // disarm first: in-flight relays drop, not error
+	c.node.setExec(nil) // detach first: in-flight batches drop, not relay
 	var p [8]byte
 	putU64(p[:], nonce)
 	for _, l := range jobLinks[1:] {
@@ -867,13 +848,11 @@ func (n *node) runJob(payload []byte) (err error, fatal bool) {
 				fatal = true
 			}
 		}
-		n.detachExec()
+		n.setExec(nil)
 	}()
 	cfg := spec.Cfg // already normalized by the coordinator's run()
 	cfg.transport = &tcpTransport{node: n}
-	if !n.startJob(spec.Nonce, spec.JobRank, spec.JobRanks, shardOwners(cfg.Shards, spec.JobRanks), nil, cfg.CollTimeout) {
-		return nil, false // superseded by a newer job frame
-	}
+	n.startJob(spec.Nonce, spec.JobRank, spec.JobRanks, nil, cfg.CollTimeout)
 	_, err = runner(spec.G, spec.Params, cfg)
 	return err, false
 }

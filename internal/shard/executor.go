@@ -95,6 +95,8 @@ type Executor struct {
 	rank      int
 	nranks    int
 	shardRank []int
+	// opened is set by the first Parallel call's opening collective.
+	opened bool
 }
 
 // Shard owns one contiguous vertex block and its state words.
@@ -236,7 +238,18 @@ func (ex *Executor) Workers() int { return ex.cfg.Shards * ex.cfg.Workers }
 // every worker's writes, and vice versa on the next call). On a
 // multi-process transport the barrier spans every rank and refreshes the
 // non-owned state replicas, so the guarantee holds machine-wide.
+//
+// The first call opens the run with one empty collective before any
+// worker starts. A rank reaches it only after New attached its executor,
+// so once any rank is past it every rank is attached: no batch of this
+// run can reach a rank that is not. It runs after every operator is
+// registered, so the tcp check word's fingerprint covers the op registry.
+// In-process it is a no-op.
 func (ex *Executor) Parallel(fn func(w *Worker)) {
+	if !ex.opened {
+		ex.opened = true
+		ex.tr.allreduce(redSum, nil)
+	}
 	var wg sync.WaitGroup
 	for _, s := range ex.shards {
 		for _, w := range s.workers {

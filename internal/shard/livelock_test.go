@@ -9,15 +9,15 @@ import (
 )
 
 // TestClusterLivelock runs back-to-back cluster jobs on a graph small
-// enough to hit both ways a batch of job k+1 used to be lost on a worker:
-// arriving while job k had returned but not yet detached (delivered to job
-// k's executor, or dropped by its late detach — fixed by fencing routing
-// state with the attempt nonce), and arriving, relayed from a faster peer,
-// ahead of the worker's own job frame (dropped as unarmed — fixed by
-// broadcastJob). Either way job k+1's Drain never saw sent == received
-// and spun until JobTimeout, about once in 25–500 jobs on two Ps.
-// JobTimeout is a few seconds and retries are off here, so a recurrence is
-// an error, neither a hang nor a silently retried attempt.
+// enough that a batch of job k+1 reaching a worker before it attached job
+// k+1's executor — while job k's executor was still attached, or relayed
+// ahead of the worker's own job frame — would be lost, and job k+1's
+// Drain would never see sent == received and spin until JobTimeout. The
+// run's opening collective rules both out: no rank sends a batch of a job
+// before every rank has attached it. Before it, either loss happened
+// about once in 25–500 jobs on two Ps. JobTimeout is a few seconds and
+// retries are off here, so a recurrence is an error, neither a hang nor a
+// silently retried attempt.
 func TestClusterLivelock(t *testing.T) {
 	jobs := 1000
 	if testing.Short() {

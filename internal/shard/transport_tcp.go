@@ -20,7 +20,10 @@ import (
 //     in the owner's inbox exactly as a local flush would (wire.go).
 //     Topology is a star: workers hold one connection to the coordinator,
 //     which relays worker→worker frames — frames are counted once, at
-//     the origin rank, so the wire metrics are topology-independent.
+//     the origin rank, so the wire metrics are topology-independent. The
+//     run's opening collective (Executor.Parallel) orders every batch of
+//     an attempt after every rank's attach, so a batch that finds no
+//     executor attached belongs to an attempt that is over.
 //   - The barrier ending every Parallel phase allgathers owned state
 //     regions, so the quiescent cross-shard reads the algorithm drivers
 //     perform between phases (MST component lookups, coloring palettes,
@@ -97,7 +100,7 @@ func (t *tcpTransport) pending() int          { return localPending(t.ex) }
 
 func (t *tcpTransport) attach(ex *Executor) {
 	t.ex = ex
-	t.node.attachExec(ex)
+	t.node.setExec(ex)
 }
 
 // nextCheck returns the check word for the next collective. The
@@ -416,8 +419,8 @@ func combine(op redOp, acc, v []uint64) {
 }
 
 // node is one process's membership in a cluster: its session rank, its
-// links, and the per-attempt routing/quiescence state. It outlives jobs;
-// a fresh tcpTransport binds it to each executor.
+// links, and the per-attempt identity, executor and quiescence counters.
+// It outlives jobs; a fresh tcpTransport binds it to each executor.
 type node struct {
 	// rank/nranks are the session identity: the slot this process holds
 	// in the cluster membership and the cluster's full size. They never
@@ -433,9 +436,8 @@ type node struct {
 	// session holds (evicted peers, no replacement): jobRank/jobRanks
 	// are this process's place in the attempt's dense rank set, and
 	// jobLinks (coordinator only) maps attempt rank → link. Written by
-	// startJob under mu (the read loop reads them through routeBatch);
-	// the driver side reads them without locks — it runs strictly after
-	// its own startJob call.
+	// startJob; the driver side reads them without locks — it runs
+	// strictly after its own startJob call.
 	jobRank  int
 	jobRanks int
 	jobNonce uint64
@@ -444,20 +446,10 @@ type node struct {
 	// job config so all ranks share one failure-detection clock.
 	collTimeout time.Duration
 
+	// mu guards what the read loop routes batches by: the attempt's
+	// executor (nil between attempts) and, for the relay, jobLinks.
 	mu sync.Mutex
-	// routeNonce names the attempt the routing state below belongs to. A
-	// worker's read loop opens it on the job frame (arm); the driver side —
-	// possibly still unwinding the previous job — touches routing state
-	// only while routeNonce is its own jobNonce.
-	routeNonce uint64
-	ex         *Executor // current job's executor (nil between jobs)
-	owners     []int     // current job's shard→rank map (nil between jobs)
-	early      [][]byte  // batches that arrived before attachExec
-	// armed gates batch routing: set when a job attempt starts, cleared
-	// on abort/detach. Batch frames of a dead attempt that are still in
-	// flight land here disarmed and are dropped by design — the retry
-	// re-initializes all state, so they carry no information.
-	armed bool
+	ex *Executor
 
 	// Abort state. requestAbort closes abortCh so every collective wait
 	// (and the next nextCheck) unblocks into a clean job-boundary panic;
@@ -499,83 +491,26 @@ func (n *node) routeLink(r int) *link {
 	return n.links[0]
 }
 
-// startJob arms routing and quiescence accounting for one job attempt.
-// On the coordinator it must run before the job broadcast: relayable
-// frames can arrive the moment a worker has the job. On a worker the read
-// loop already opened the attempt's routing state (arm); frames held
-// early since then belong to this very attempt and are kept. It reports
-// false when a newer job frame has superseded the attempt — the
-// coordinator has moved on, so the job must not run.
-func (n *node) startJob(nonce uint64, jobRank, jobRanks int, owners []int, jobLinks []*link, collTO time.Duration) bool {
+// startJob sets the identity and quiescence accounting of one job
+// attempt.
+func (n *node) startJob(nonce uint64, jobRank, jobRanks int, jobLinks []*link, collTO time.Duration) {
 	n.mu.Lock()
-	if n.rank != 0 && n.routeNonce != nonce {
-		n.mu.Unlock()
-		return false
-	}
+	n.jobLinks = jobLinks
+	n.mu.Unlock()
 	n.jobRank = jobRank
 	n.jobRanks = jobRanks
 	n.jobNonce = nonce
-	n.jobLinks = jobLinks
 	n.collTimeout = collTO
-	n.routeNonce = nonce
-	n.owners = owners
-	n.armed = true
-	n.mu.Unlock()
 	n.sentWire.Store(0)
 	n.recvWire.Store(0)
-	return true
 }
 
-// arm opens batch routing for attempt nonce before its owners are known:
-// the worker read loop calls it on ftJob receipt, so batches of the new
-// attempt that beat runJob's startJob are early-buffered, not dropped. The
-// coordinator sends a job only once the previous one completed (or every
-// survivor acknowledged its abort) and the one coordinator link is FIFO,
-// so every frame of the previous attempt has been routed by now: its
-// routing state is retired here, not by the driver's detachExec, which may
-// run only after the new attempt's first batches arrived. A duplicated job
-// frame (nonce not newer) changes nothing.
-func (n *node) arm(nonce uint64) {
+// setExec attaches the attempt's executor, or detaches it (nil) when the
+// attempt ends; frames of the attempt still in flight are then dropped
+// on arrival.
+func (n *node) setExec(ex *Executor) {
 	n.mu.Lock()
-	if nonce > n.routeNonce {
-		n.routeNonce = nonce
-		n.ex, n.owners, n.early = nil, nil, nil
-		n.armed = true
-	}
-	n.mu.Unlock()
-}
-
-// attachExec binds the current job's executor and flushes any batches
-// that beat it through the handshake (a fast peer can start spawning
-// while this rank is still decoding the graph).
-func (n *node) attachExec(ex *Executor) {
-	n.mu.Lock()
-	if n.routeNonce != n.jobNonce { // superseded: the frames held are not ours
-		n.mu.Unlock()
-		return
-	}
 	n.ex = ex
-	early := n.early
-	n.early = nil
-	n.mu.Unlock()
-	for _, p := range early {
-		if err := n.deliverLocal(ex, n.jobRank, p); err != nil {
-			panic(netFailure{err: err, rank: -1})
-		}
-	}
-}
-
-// detachExec ends the job attempt and disarms batch routing; frames of
-// the attempt still in flight are dropped on arrival. A worker whose read
-// loop has already opened the next attempt (arm) leaves that state alone.
-func (n *node) detachExec() {
-	n.mu.Lock()
-	if n.routeNonce == n.jobNonce {
-		n.ex = nil
-		n.owners = nil
-		n.early = nil
-		n.armed = false
-	}
 	n.mu.Unlock()
 }
 
@@ -593,9 +528,8 @@ func (n *node) requestAbort(err error) {
 }
 
 // noteAbort handles an ftAbort request from the coordinator: fence the
-// nonce so stale job specs are discarded, disarm batch routing, and
-// trigger the local abort. Returns false for duplicates of an abort that
-// was already acknowledged.
+// nonce so stale job specs are discarded and trigger the local abort.
+// Returns false for duplicates of an abort that was already acknowledged.
 func (n *node) noteAbort(nonce uint64) bool {
 	n.abortMu.Lock()
 	if nonce <= n.abortDone {
@@ -611,10 +545,6 @@ func (n *node) noteAbort(nonce uint64) bool {
 		close(n.abortCh)
 	}
 	n.abortMu.Unlock()
-	n.mu.Lock()
-	n.armed = false
-	n.early = nil
-	n.mu.Unlock()
 	return true
 }
 
@@ -706,75 +636,49 @@ func drainColl(l *link) {
 }
 
 // routeBatch handles one ftBatch frame off the wire: relay if the owner
-// is another rank (coordinator only), enqueue locally otherwise. Frames
-// arriving while no attempt is armed are stale by construction (their
-// attempt was aborted) and are dropped.
+// is another rank (coordinator only), enqueue locally otherwise. A frame
+// that finds no executor attached belongs to an attempt that is over —
+// the opening collective keeps a live attempt's batches behind every
+// rank's attach — and is dropped: the retry re-initializes all state, so
+// it carries no information.
 func (n *node) routeBatch(payload []byte) error {
 	dst, err := batchDst(payload)
 	if err != nil {
 		return err
 	}
 	n.mu.Lock()
-	if !n.armed {
-		n.mu.Unlock()
-		return nil
-	}
-	owners := n.owners
-	ex := n.ex
-	jobRank := n.jobRank
-	jobLinks := n.jobLinks
-	if owners == nil {
-		if n.rank != 0 {
-			// The job frame precedes its batches on the coordinator link
-			// (FIFO), but the session layer may still be decoding the job
-			// when a fast peer's first flushes arrive: hold the frames,
-			// attachExec drains them. The coordinator never takes this
-			// path — its startJob sets owners before the job broadcast.
-			n.early = append(n.early, payload)
-			n.mu.Unlock()
-			return nil
-		}
-		n.mu.Unlock()
-		return fmt.Errorf("shard: batch for shard %d with no job active", dst)
-	}
-	if dst >= len(owners) {
-		n.mu.Unlock()
-		return fmt.Errorf("shard: batch for shard %d of %d", dst, len(owners))
-	}
-	owner := owners[dst]
-	if owner == jobRank && ex == nil {
-		// Owned but the executor isn't up yet: hold the frame.
-		n.early = append(n.early, payload)
-		n.mu.Unlock()
-		return nil
-	}
+	ex, jobLinks := n.ex, n.jobLinks
 	n.mu.Unlock()
-	if owner != jobRank {
-		if jobRank != 0 {
-			return fmt.Errorf("shard: worker rank %d asked to relay shard %d to rank %d", jobRank, dst, owner)
-		}
-		// Relay failure is the TARGET's problem, not the source's: fail
-		// that link (the coordinator will evict the target rank) and keep
-		// reading from the healthy source.
-		tl := jobLinks[owner]
-		if err := tl.writeFrame(ftBatch, payload); err != nil {
-			tl.fail(fmt.Errorf("shard: relay to rank %d: %w", owner, err))
-		}
+	if ex == nil {
 		return nil
 	}
-	return n.deliverLocal(ex, jobRank, payload)
+	if dst >= len(ex.shardRank) {
+		return fmt.Errorf("shard: batch for shard %d of %d", dst, len(ex.shardRank))
+	}
+	owner := ex.shardRank[dst]
+	if owner == ex.rank {
+		return n.deliverLocal(ex, payload)
+	}
+	if ex.rank != 0 {
+		return fmt.Errorf("shard: worker rank %d asked to relay shard %d to rank %d", ex.rank, dst, owner)
+	}
+	// Relay failure is the TARGET's problem, not the source's: fail that
+	// link (the coordinator will evict the target rank) and keep reading
+	// from the healthy source.
+	tl := jobLinks[owner]
+	if err := tl.writeFrame(ftBatch, payload); err != nil {
+		tl.fail(fmt.Errorf("shard: relay to rank %d: %w", owner, err))
+	}
+	return nil
 }
 
 // deliverLocal decodes a batch frame into the owner shard's inbox. The
 // enqueue happens before the recvWire increment — quiesced() relies on
 // that order (see the package comment).
-func (n *node) deliverLocal(ex *Executor, jobRank int, payload []byte) error {
+func (n *node) deliverLocal(ex *Executor, payload []byte) error {
 	dst, msgs, err := decodeBatchPayload(payload, ex.pool.get())
 	if err != nil {
 		return err
-	}
-	if ex.shardRank[dst] != jobRank {
-		return fmt.Errorf("shard: batch for shard %d delivered to rank %d", dst, jobRank)
 	}
 	s := ex.shards[dst]
 	s.inbox.mu.Lock()
@@ -839,11 +743,6 @@ func newLink(conn net.Conn) *link {
 func (l *link) writeFrame(ft frameType, payload []byte) error {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
-	return l.writeHeld(ft, payload)
-}
-
-// writeHeld is writeFrame for a caller that already holds wmu.
-func (l *link) writeHeld(ft frameType, payload []byte) error {
 	if l.chaos != nil {
 		return l.chaos.write(l, ft, payload)
 	}
@@ -915,12 +814,6 @@ func (n *node) readLoop(l *link) {
 		case ftColl, ftCollRes:
 			l.collCh <- payload
 		case ftJob:
-			if n.rank != 0 && len(payload) >= jobPrologueLen {
-				// Arm routing now: batches of this attempt may land before
-				// serveJobs gets to startJob (they early-buffer). A shorter
-				// payload is rejected by runJob's decode.
-				n.arm(getU64(payload))
-			}
 			select {
 			case l.jobCh <- payload:
 			default:

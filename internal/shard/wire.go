@@ -11,7 +11,8 @@ import (
 	"aamgo/internal/graph"
 )
 
-// Wire protocol of the tcp transport (version 1). Every frame is a fixed
+// Wire protocol of the tcp transport (version 2; a peer of any other
+// version is refused at its first frame). Every frame is a fixed
 // 8-byte header followed by a payload:
 //
 //	magic[2] = 0xAA 0x4D | version u8 | type u8 | length u32 LE
@@ -28,7 +29,7 @@ import (
 const (
 	wireMagic0  = 0xAA
 	wireMagic1  = 0x4D
-	wireVersion = 1
+	wireVersion = 2
 
 	frameHdrLen = 8
 	// maxFrameLen caps one frame's payload (64 MiB): far above any real
@@ -74,16 +75,17 @@ const (
 	ftAbort
 )
 
-// ctrlFrameLenCap bounds the tiny control frames (ping/pong/abort carry
-// one u64). Enforced at the header so a hostile peer can't make an idle
-// link allocate maxFrameLen bytes for a heartbeat, or wedge the read
-// loop streaming a giant payload behind a control header.
+// ctrlFrameLenCap bounds the tiny control frames (hello and bye are
+// empty, welcome carries two u32, ping/pong/abort one u64). Enforced at
+// the header so a hostile peer can't make a vacant rank's handshake or an
+// idle link allocate maxFrameLen bytes, or wedge the read loop streaming
+// a giant payload behind a control header.
 const ctrlFrameLenCap = 16
 
 // frameLenCap returns the payload cap for one frame type.
 func frameLenCap(ft frameType) uint32 {
 	switch ft {
-	case ftPing, ftPong, ftAbort:
+	case ftHello, ftWelcome, ftBye, ftPing, ftPong, ftAbort:
 		return ctrlFrameLenCap
 	}
 	return maxFrameLen
@@ -290,7 +292,7 @@ func appendStateCollPayload(buf []byte, check uint64, body []byte) []byte {
 // Job payload layout:
 //
 //	nonce u64 | jobRank u32 | jobRanks u32 |
-//	nameLen u8 | name | words u32 | nparams u32 | nparams × u64 |
+//	nameLen u8 | name | nparams u32 | nparams × u64 |
 //	cfg (encodeConfig) | graph (graph.WriteBinary)
 //
 // The nonce identifies one job attempt (strictly increasing per cluster)
@@ -317,8 +319,6 @@ func encodeJob(spec jobSpec) ([]byte, error) {
 	buf = append(buf, byte(len(spec.Name)))
 	buf = append(buf, spec.Name...)
 	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(spec.Words))
-	buf = append(buf, u32[:]...)
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(spec.Params)))
 	buf = append(buf, u32[:]...)
 	var u64 [8]byte
@@ -352,14 +352,13 @@ func decodeJob(p []byte) (jobSpec, error) {
 	p = p[jobPrologueLen:]
 	nameLen := int(p[0])
 	p = p[1:]
-	if len(p) < nameLen+8 {
+	if len(p) < nameLen+4 {
 		return spec, fmt.Errorf("shard: truncated job header")
 	}
 	spec.Name = string(p[:nameLen])
 	p = p[nameLen:]
-	spec.Words = int(binary.LittleEndian.Uint32(p[0:4]))
-	nparams := binary.LittleEndian.Uint32(p[4:8])
-	p = p[8:]
+	nparams := binary.LittleEndian.Uint32(p[0:4])
+	p = p[4:]
 	if nparams > 64 {
 		return spec, fmt.Errorf("shard: job has %d params, cap is 64", nparams)
 	}

@@ -17,6 +17,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			putFrameHeader(hdr[:], ft, len(p))
 			stream := append(append([]byte{}, hdr[:]...), p...)
 			gotFT, gotP, err := readFrame(bytes.NewReader(stream))
+			if uint32(len(p)) > frameLenCap(ft) {
+				if err == nil {
+					t.Fatalf("ft %d, %d bytes: decoded over its %d-byte cap", ft, len(p), frameLenCap(ft))
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("ft %d, %d bytes: %v", ft, len(p), err)
 			}
@@ -39,6 +45,7 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		"short":     {wireMagic0, wireMagic1},
 		"bad magic": mk(func(h []byte) { h[0] = 0x00 }),
 		"bad ver":   mk(func(h []byte) { h[2] = 99 }),
+		"v1 peer":   mk(func(h []byte) { h[2] = 1 }),
 		"zero type": mk(func(h []byte) { h[3] = 0 }),
 		"high type": mk(func(h []byte) { h[3] = byte(ftAbort) + 1 }),
 		"oversized": mk(func(h []byte) { h[4], h[5], h[6], h[7] = 0xFF, 0xFF, 0xFF, 0xFF }),
