@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -437,6 +438,7 @@ func TestBuildMatchesOracle(t *testing.T) {
 	}
 	inputs = append(inputs, loops, hub)
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, in := range inputs {
 		for mask := 0; mask < 16; mask++ {
 			b := NewBuilder(in.n)
@@ -447,13 +449,17 @@ func TestBuildMatchesOracle(t *testing.T) {
 			for _, e := range in.edges {
 				b.AddEdge(e.U, e.V)
 			}
-			want, got := buildOracle(b), b.Build()
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%s mask %04b: %v", in.name, mask, err)
-			}
-			if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
-				!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
-				t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3): Build differs from the oracle", in.name, mask)
+			want := buildOracle(b)
+			for _, p := range []int{1, 2, 3} {
+				runtime.GOMAXPROCS(p)
+				got := b.Build()
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s mask %04b GOMAXPROCS=%d: %v", in.name, mask, p, err)
+				}
+				if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
+					!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
+					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) GOMAXPROCS=%d: Build differs from the oracle", in.name, mask, p)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -61,14 +62,20 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 		{"a+b>1", 0.9, 0.3, 0.1},       // never the lower half; cNorm < 0
 		{"thresholds-at-2^-53", 0x1p-53, 0x1p-53, 1 - 0x1p-52},
 	}
+	// The graph is the seed's whatever GOMAXPROCS is: each definition is
+	// built once and compared with the generator on one, two and three Ps.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := []int{1, 2, 3}
 	for _, in := range initiators {
 		for _, scale := range []int{0, 1, 5, 8, 9, 11} { // 8|9: where an edge takes a second 8-byte word to pack
 			for _, ef := range []int{0, 1, 16} {
 				for _, seed := range []int64{1, 7, 12345} {
 					want := kroneckerPlain(scale, ef, in.a, in.b, in.c, seed)
-					got := KroneckerABC(scale, ef, in.a, in.b, in.c, seed)
-					if !sameCSR(got, want) {
-						t.Fatalf("%s scale=%d ef=%d seed=%d: KroneckerABC differs from the plain loop", in.name, scale, ef, seed)
+					for _, p := range procs {
+						runtime.GOMAXPROCS(p)
+						if got := KroneckerABC(scale, ef, in.a, in.b, in.c, seed); !sameCSR(got, want) {
+							t.Fatalf("%s scale=%d ef=%d seed=%d GOMAXPROCS=%d: KroneckerABC differs from the plain loop", in.name, scale, ef, seed, p)
+						}
 					}
 				}
 			}
@@ -76,14 +83,20 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 	}
 	// The two public shorthands are the first two initiators; 16|17 is where
 	// an edge takes a third word to pack.
-	for _, c := range []struct{ got, want *Graph }{
-		{Kronecker(9, 8, 3), kroneckerPlain(9, 8, 0.57, 0.19, 0.19, 3)},
-		{WebGraph(9, 8, 3), kroneckerPlain(9, 8, 0.65, 0.15, 0.15, 3)},
-		{Kronecker(16, 1, 3), kroneckerPlain(16, 1, 0.57, 0.19, 0.19, 3)},
-		{WebGraph(17, 1, 3), kroneckerPlain(17, 1, 0.65, 0.15, 0.15, 3)},
+	for _, c := range []struct {
+		gen  func() *Graph
+		want *Graph
+	}{
+		{func() *Graph { return Kronecker(9, 8, 3) }, kroneckerPlain(9, 8, 0.57, 0.19, 0.19, 3)},
+		{func() *Graph { return WebGraph(9, 8, 3) }, kroneckerPlain(9, 8, 0.65, 0.15, 0.15, 3)},
+		{func() *Graph { return Kronecker(16, 1, 3) }, kroneckerPlain(16, 1, 0.57, 0.19, 0.19, 3)},
+		{func() *Graph { return WebGraph(17, 1, 3) }, kroneckerPlain(17, 1, 0.65, 0.15, 0.15, 3)},
 	} {
-		if !slices.Equal(c.got.Offsets, c.want.Offsets) || !slices.Equal(c.got.Adj, c.want.Adj) {
-			t.Fatal("Kronecker or WebGraph differs from the plain loop over its initiator")
+		for _, p := range procs {
+			runtime.GOMAXPROCS(p)
+			if got := c.gen(); !slices.Equal(got.Offsets, c.want.Offsets) || !slices.Equal(got.Adj, c.want.Adj) {
+				t.Fatalf("GOMAXPROCS=%d: Kronecker or WebGraph differs from the plain loop over its initiator", p)
+			}
 		}
 	}
 }
