@@ -24,10 +24,12 @@ func TestMain(m *testing.M) {
 
 // TestGeneratorFlagsAreUsageErrors: a -scale, -deg or -n no generator takes ends
 // aam-graphgen with a worded usage error and status 2 before anything shifts by
-// it, allocates by it or hands it to the library — not with a panic.
+// it, allocates by it or hands it to the library — not with a panic, and not
+// with an edgeless graph (2^20·2^44 edges wrap to none).
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-kind", "kron", "-scale", "-1"}, {"-kind", "web", "-scale", "32"}, {"-deg", "-1"},
-		{"-kind", "er", "-n", "-5"}, {"-kind", "road", "-n", "3000000000"}, {"-kind", "road", "-n", "2147483647"}} {
+		{"-kind", "er", "-n", "-5"}, {"-kind", "road", "-n", "3000000000"}, {"-kind", "road", "-n", "2147483647"},
+		{"-kind", "kron", "-scale", "20", "-deg", "17592186044416"}, {"-kind", "web", "-scale", "20", "-deg", "8796093022209"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -35,7 +35,8 @@ func usageError(t *testing.T, args ...string) string {
 // -backend, the removed alias of -runtime: it is an unknown flag.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-graph", "kron", "-scale", "-1"}, {"-scale", "32"}, {"-algo", "cc", "-deg", "-1"},
-		{"-graph", "er", "-n", "-5"}, {"-graph", "road", "-n", "3000000000"}, {"-graph", "road", "-n", "2147483647"}} {
+		{"-graph", "er", "-n", "-5"}, {"-graph", "road", "-n", "3000000000"}, {"-graph", "road", "-n", "2147483647"},
+		{"-graph", "kron", "-scale", "20", "-deg", "17592186044416"}} {
 		if out, bad := usageError(t, args...), args[len(args)-2]; !strings.Contains(out, "aam-run: "+bad) {
 			t.Errorf("%v: want a message naming %s, got\n%s", args, bad, out)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -43,7 +44,8 @@ func usageError(t *testing.T, args ...string) string {
 // it, allocates by it or hands it to the library — not with a panic. So does
 // -backend, the old name of -runtime: it is an unknown flag.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-gen", "kron", "-scale", "-1"}, {"-scale", "31"}, {"-gen", "er", "-scale", "64"}, {"-ef", "-1"}, {"-gen", "web", "-scale", "5", "-ef", "-3"}} {
+	for _, args := range [][]string{{"-gen", "kron", "-scale", "-1"}, {"-scale", "31"}, {"-gen", "er", "-scale", "64"}, {"-ef", "-1"}, {"-gen", "web", "-scale", "5", "-ef", "-3"},
+		{"-gen", "kron", "-scale", "20", "-ef", "17592186044416"}} {
 		if out, bad := usageError(t, args...), args[len(args)-2]; !strings.Contains(out, "aam-serve: "+bad) {
 			t.Errorf("%v: want a message naming %s, got\n%s", args, bad, out)
 		}
@@ -51,7 +53,7 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
 		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
-	for _, ok := range [][2]int{{0, 0}, {30, 0}, {10, 8}} {
+	for _, ok := range [][2]int{{0, 0}, {30, 0}, {10, 8}, {20, 219902325555}, {0, math.MaxInt}} {
 		if err := checkGenFlags(ok[0], ok[1]); err != nil {
 			t.Errorf("scale %d, edge factor %d rejected: %v", ok[0], ok[1], err)
 		}

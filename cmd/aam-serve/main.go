@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -262,12 +263,11 @@ func main() {
 
 // checkGenFlags rejects a -scale or -ef no generator takes: the library
 // words its own check of them as a panic, and load shifts by scale before that.
+// The bounds are graph.CheckGenParams' for kron, whose -deg is -ef here.
 func checkGenFlags(scale, ef int) error {
-	if scale < 0 || scale > 30 {
-		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", scale)
-	}
-	if ef < 0 {
-		return fmt.Errorf("-ef %d: want 0 or more", ef)
+	err := graph.CheckGenParams("kron", graph.GenParams{Scale: scale, Deg: ef})
+	if err != nil {
+		return errors.New(strings.Replace(err.Error(), "-deg", "-ef", 1))
 	}
 	return nil
 }

@@ -26,7 +26,8 @@ func TestMain(m *testing.M) {
 // aam-worker with a worded usage error and status 2 before anything shifts by
 // it, allocates by it or hands it to the library — not with a panic.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-listen", "127.0.0.1:0", "-scale", "-1"}, {"-scale", "31"}, {"-listen", "127.0.0.1:0", "-deg", "-1"}} {
+	for _, args := range [][]string{{"-listen", "127.0.0.1:0", "-scale", "-1"}, {"-scale", "31"}, {"-listen", "127.0.0.1:0", "-deg", "-1"},
+		{"-listen", "127.0.0.1:0", "-scale", "20", "-deg", "17592186044416"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], args...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")

@@ -4,7 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Kronecker generates a Graph500-style R-MAT/Kronecker graph with 2^scale
@@ -23,8 +28,8 @@ func Kronecker(scale int, edgeFactor int, seed int64) *Graph {
 // drawn through the source, though: its next lfLen outputs are its whole
 // state (lfStream), and rmatEdges continues the stream from them.
 func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
-	if scale < 0 || scale > 30 || edgeFactor < 0 {
-		panic(fmt.Sprintf("graph: Kronecker scale %d outside [0,30] or edge factor %d negative", scale, edgeFactor))
+	if scale < 0 || scale > 30 || edgeFactor < 0 || edgeFactor > maxEdgeFactor(scale) {
+		panic(fmt.Sprintf("graph: Kronecker scale %d outside [0,30], or edge factor %d negative or so large the edges' draws overflow int", scale, edgeFactor))
 	}
 	n := 1 << uint(scale)
 	src := rand.NewSource(seed).(rand.Source64)
@@ -33,9 +38,12 @@ func KroneckerABC(scale, edgeFactor int, a, b, c float64, seed int64) *Graph {
 		perm[i] = int32(p)
 	}
 	bld := NewBuilder(n)
-	bld.edges = rmatEdges(lfStream(src), perm, scale, edgeFactor*n, a+b, a, c/(1-a-b))
+	bld.edges = rmatEdges(lfStream(src), perm, scale, edgeFactor*n, a+b, a, c/(1-a-b), 0)
 	return bld.Build()
 }
+
+// maxEdgeFactor is the largest edge factor for which edges × 2·scale is an int.
+func maxEdgeFactor(scale int) int { return math.MaxInt >> scale / max(2*scale, 1) }
 
 // math/rand's seeded source is the additive lagged-Fibonacci generator
 // x[n] = x[n-lfLen] + x[n-lfTap] mod 2^64 and returns x[n] itself, so any
@@ -63,6 +71,46 @@ func lfAdvance(vals []uint64) []uint64 {
 	return vals[:lfBlock]
 }
 
+// lfJump returns the lfStream of x[k:], x being the stream's first 2·lfLen-1
+// values: x[k+j] = Σ r[i]·x[i+j] for r = z^k mod z^lfLen - z^(lfLen-lfTap) - 1,
+// squared and multiplied up one bit of k a step from k's leading nine.
+func lfJump(x []uint64, k int) []uint64 {
+	s := max(0, bits.Len(uint(k))-9) // k>>s < 512 < lfLen
+	r, sq := make([]uint64, lfLen), make([]uint64, 2*lfLen)
+	r[k>>s] = 1
+	for s--; s >= 0; s-- {
+		clear(sq)
+		for i, ri := range r {
+			if ri != 0 {
+				sq[2*i] += ri * ri
+				t, ri2 := sq[2*i+1:i+lfLen], 2*ri
+				for j, rj := range r[i+1:] {
+					t[j] += ri2 * rj
+				}
+			}
+		}
+		top := 2*lfLen - 2
+		if k>>s&1 != 0 {
+			copy(sq[1:], sq[:top+1])
+			sq[0], top = 0, top+1
+		}
+		for d := top; d >= lfLen; d-- { // z^lfLen = z^(lfLen-lfTap) + 1
+			sq[d-lfTap] += sq[d]
+			sq[d-lfLen] += sq[d]
+		}
+		copy(r, sq)
+	}
+	vals := make([]uint64, lfBlock+lfLen)
+	for i, ri := range r {
+		if ri != 0 {
+			for j, xj := range x[i : i+lfLen] {
+				vals[lfBlock+j] += ri * xj
+			}
+		}
+	}
+	return vals
+}
+
 // floatThreshold returns the least x with float64(x)/(1<<63) >= t, or 1<<63
 // when no x below that has it (t > 1, NaN): for x < 1<<63, x >=
 // floatThreshold(t) is the comparison (*rand.Rand).Float64() >= t makes of
@@ -80,48 +128,183 @@ func floatThreshold(t float64) uint64 {
 	return x
 }
 
+const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a jump costs a quarter)
+
 // rmatEdges draws m R-MAT edges over 2^scale vertices from the stream vals
-// (an lfStream) holds and labels them through perm. A value is one step of a
-// machine whose state is one bit, second (the value is the second draw of a
-// lower-half bit), and whose output is one byte per descended bit — bit 0 the
-// half, bit 1 the side — stored always and kept by advancing: nothing the next
-// value waits for is loaded or branched on. Every scale bytes are then packed
-// into an edge, eight to a multiplication.
-func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64) []Edge {
-	// For x < 1<<63 and a bound t ≤ 1<<63, (x-t)>>63 is 1 if x < t, else 0.
-	tAB, tOne := floatThreshold(ab), floatThreshold(1)
-	tSide := [2]uint64{floatThreshold(a), floatThreshold(cNorm)}
-	edges := make([]Edge, 0, m)
-	bits := make([]uint8, scale+lfBlock+8) // the bytes of an unfinished edge, then a block's; packing reads 8 at a time
-	have, second := 0, uint64(0)
-	for {
-		done := 0
-		for ; len(edges) < m && have-done >= scale; done += scale {
-			// Bit 0 of byte i times 1<<(7·(8-i)) is bit 56+i, and no two of
-			// the 64 partial products share a bit: nothing carries into it.
-			u, v := uint64(0), uint64(0)
-			for i := 0; i < scale; i += 8 {
-				x := binary.LittleEndian.Uint64(bits[done+i:])
-				u |= x & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
-				v |= x >> 1 & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
+// (an lfStream) holds and labels them through perm, on workers goroutines (0:
+// one per rmatCut values, at most GOMAXPROCS). After a sync value, a kept one
+// in the upper half, the descent's state is always the same: worker w jumps
+// to value w·values/workers and starts after the first sync value there, and
+// worker w-1 stops on it (a range with none merges into its predecessor's).
+func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, workers int) []Edge {
+	one := floatThreshold(1)
+	proto := rmatPiece{one: one, sync: min(floatThreshold(ab), one), side: [2]uint64{floatThreshold(a), floatThreshold(cNorm)}}
+	nbits := m * scale
+	values := rmatValues(nbits, proto.sync, one)
+	if workers == 0 {
+		workers = max(1, min(runtime.GOMAXPROCS(0), values/rmatCut))
+	}
+	x := lfAdvance(slices.Clone(vals)) // the stream's first values
+	words := (nbits+lfBlock)/64 + 3    // piece 0, in place: a block past nbits, two end words, one read past
+	pieces := make([]*rmatPiece, workers)
+	parallel(workers, func(w int) {
+		p, c := proto, words
+		p.vals, p.buf = vals, make([]uint8, 64+lfBlock)
+		if w > 0 {
+			p.next, p.vals = chunk(values, workers, w), lfJump(x, chunk(values, workers, w))
+			if !p.seek(chunk(values, workers, w+1)) {
+				return
 			}
-			edges = append(edges, Edge{perm[u&(1<<scale-1)], perm[v&(1<<scale-1)]}) // less what was read of the next edge
+			c = (chunk(values, workers, w+1)-p.next+lfBlock)/64 + 2 // a value descends at most a bit
 		}
-		if len(edges) == m {
-			return edges
+		p.u, p.v = make([]uint64, 0, c), make([]uint64, 0, c)
+		pieces[w] = &p
+	})
+	pieces = slices.DeleteFunc(pieces, func(p *rmatPiece) bool { return p == nil })
+	for i, p := range pieces {
+		if p.end = values; i > 0 {
+			pieces[i-1].end = p.next
 		}
-		have = copy(bits, bits[done:have])
-		for _, x := range lfAdvance(vals) {
+	}
+	parallel(len(pieces), func(i int) { pieces[i].descend(nbits) })
+	offs := make([]int, len(pieces)+1)
+	for i, p := range pieces {
+		if i == len(pieces)-1 && offs[i]+p.len() < nbits { // the estimate fell short
+			p.end = math.MaxInt
+			p.descend(nbits - offs[i] - p.len())
+		}
+		offs[i+1] = offs[i] + p.len()
+		clear(p.buf[p.have:64]) // the bytes left make a last word; then a zero one
+		u, v := gather64(p.buf)
+		p.u, p.v = append(p.u, u, 0), append(p.v, v, 0)
+	}
+	u, v := pieces[0].u[:cap(pieces[0].u)], pieces[0].v[:cap(pieces[0].v)] // zero past piece 0
+	parallel(len(pieces), func(i int) {
+		if i > 0 && offs[i] < nbits {
+			orBits(u, offs[i], min(offs[i+1], nbits), pieces[i].u)
+			orBits(v, offs[i], min(offs[i+1], nbits), pieces[i].v)
+		}
+	})
+	edges, mask := make([]Edge, m), uint64(1)<<scale-1
+	parallel(workers, func(w int) {
+		lo, hi := chunk(m, workers, w), chunk(m, workers, w+1)
+		for e, off := lo, lo*scale; e < hi; e, off = e+1, off+scale {
+			i, sh := off/64, uint(off%64) // a shift by 64 is 0
+			edges[e] = Edge{perm[(u[i]>>sh|u[i+1]<<(64-sh))&mask], perm[(v[i]>>sh|v[i+1]<<(64-sh))&mask]}
+		}
+	})
+	return edges
+}
+
+// rmatValues is about how many values n bits take: one, and a second in the lower half.
+func rmatValues(n int, sync, one uint64) int {
+	return n + min(n, int(float64(n)*(1-float64(sync)/float64(one))))
+}
+
+// rmatPiece is one worker's stretch of the stream, to index end, and its bits:
+// bit i of u (v) is the half (side) of the i-th. From one a value is drawn
+// again, below sync it is in the upper half, and side[second] is the side.
+type rmatPiece struct {
+	one, sync, second uint64
+	side              [2]uint64
+	vals, blk         []uint64 // an lfStream, and what is unread of the block lfAdvance last returned
+	next, end, have   int      // the stream index of blk[0]; how many of buf are descended bits not yet in u and v
+	buf               []uint8
+	u, v              []uint64
+}
+
+func (p *rmatPiece) len() int { return 64*len(p.u) + p.have }
+
+// block returns the next values of the stream, up to index end (exclusive).
+func (p *rmatPiece) block(end int) []uint64 {
+	if len(p.blk) == 0 {
+		p.blk = lfAdvance(p.vals)
+	}
+	b := p.blk[:min(len(p.blk), end-p.next)]
+	p.blk, p.next = p.blk[len(b):], p.next+len(b)
+	return b
+}
+
+// seek moves p past the first sync value before index end, if there is one.
+func (p *rmatPiece) seek(end int) bool {
+	for p.next < end {
+		b := p.block(end)
+		for i, x := range b {
+			if x&(1<<63-1) < p.sync {
+				p.blk, p.next = b[i+1:len(b)+len(p.blk)], p.next-len(b)+i+1
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// descend runs the machine to p.end or until it adds need bits. Its state is
+// second (a second draw is due); per value it stores a byte (bit 0 the half,
+// bit 1 the side) and keeps it by advancing, loading and branching on nothing.
+func (p *rmatPiece) descend(need int) {
+	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0.
+	one, sync, side, need := p.one, p.sync, p.side, p.len()+need
+	for p.len() < need && p.next < p.end {
+		buf, have, second := p.buf, p.have, p.second
+		for _, x := range p.block(p.end) {
 			x &= 1<<63 - 1
-			if x >= tOne {
+			if x >= one {
 				continue // Float64 draws again on 1
 			}
-			upper := (x - tAB) >> 63
-			bits[have] = uint8(second | ((x-tSide[second])>>63^1)<<1)
+			upper := (x - sync) >> 63
+			buf[have] = uint8(second | ((x-side[second])>>63^1)<<1)
 			have += int(second | upper)
 			second = (second | upper) ^ 1
 		}
+		done := 0
+		for ; have-done >= 64; done += 64 {
+			u, v := gather64(buf[done:])
+			p.u, p.v = append(p.u, u), append(p.v, v)
+		}
+		p.have, p.second = copy(buf, buf[done:have]), second
 	}
+}
+
+// gather64 returns bits 0 and 1 of b[0:64] as two words: bit 0 of byte i times
+// 1<<(7·(8-i)) is bit 56+i, and no two of the 64 partial products share a bit.
+func gather64(b []uint8) (u, v uint64) {
+	for i := 0; i < 64; i += 8 {
+		x := binary.LittleEndian.Uint64(b[i:])
+		u |= x & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
+		v |= x >> 1 & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
+	}
+	return u, v
+}
+
+// orBits ors src into bits [lo, hi) of dst (and past hi in hi's word); a word
+// another piece shares is ored atomically.
+func orBits(dst []uint64, lo, hi int, src []uint64) {
+	sh, prev := uint(lo%64), uint64(0)
+	for q, k := lo/64, 0; q <= (hi-1)/64; q, k = q+1, k+1 {
+		w := src[k]<<sh | prev>>(64-sh)
+		if prev = src[k]; 64*q >= lo && 64*q+64 <= hi {
+			dst[q] = w
+		} else {
+			atomic.OrUint64(&dst[q], w)
+		}
+	}
+}
+
+// chunk returns where the i-th of parts near-equal chunks of n items starts.
+func chunk(n, parts, i int) int {
+	return n/parts*i + min(i, n%parts)
+}
+
+// parallel calls f(0), …, f(n-1) on n goroutines, the caller's among them.
+func parallel(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() { defer wg.Done(); f(i) }()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // ErdosRenyi generates an undirected G(n, p) graph by geometric skipping,
@@ -377,13 +560,16 @@ type GenParams struct {
 // CheckGenParams rejects a Scale, Deg or N no generator takes, worded for
 // the flag it came from: the generators word their own check as a panic. A
 // road grid rounds N up to a square, and 46340² is the largest that 32-bit
-// ids number.
+// ids number; Kronecker's -deg is bounded by maxEdgeFactor.
 func CheckGenParams(kind string, p GenParams) error {
 	if p.Scale < 0 || p.Scale > 30 {
 		return fmt.Errorf("-scale %d: want 0 to 30 (2^scale vertices, 32-bit ids)", p.Scale)
 	}
 	if p.Deg < 0 {
 		return fmt.Errorf("-deg %d: want 0 or more", p.Deg)
+	}
+	if (kind == "kron" || kind == "web") && p.Deg > maxEdgeFactor(p.Scale) {
+		return fmt.Errorf("-deg %d: want at most %d at -scale %d (the edges' draws overflow int)", p.Deg, maxEdgeFactor(p.Scale), p.Scale)
 	}
 	limit := math.MaxInt32
 	if kind == "road" {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -32,7 +33,8 @@ func TestGenerateByName(t *testing.T) {
 		kind string
 		p    GenParams
 	}{{"kron", GenParams{}}, {"kron", GenParams{Scale: 30, N: 4096}}, {"er", GenParams{Scale: 10, Deg: 8, N: 1<<31 - 1}},
-		{"road", GenParams{Scale: 10, Deg: 8, N: 46340 * 46340}}} {
+		{"road", GenParams{Scale: 10, Deg: 8, N: 46340 * 46340}}, {"kron", GenParams{Scale: 20, Deg: maxEdgeFactor(20)}},
+		{"er", GenParams{Scale: 20, Deg: 1 << 44}}} {
 		if err := CheckGenParams(ok.kind, ok.p); err != nil {
 			t.Errorf("%s %+v rejected: %v", ok.kind, ok.p, err)
 		}
@@ -45,7 +47,11 @@ func TestGenerateByName(t *testing.T) {
 		{"kron", GenParams{Scale: 31}, "-scale 31: want 0 to 30 (2^scale vertices, 32-bit ids)"},
 		{"ba", GenParams{Deg: -1}, "-deg -1: want 0 or more"},
 		{"er", GenParams{N: -5}, "-n -5: want 0 to 2147483647 (32-bit ids)"},
-		{"road", GenParams{N: 1<<31 - 1}, "-n 2147483647: want 0 to 2147395600 (32-bit ids)"}} {
+		{"road", GenParams{N: 1<<31 - 1}, "-n 2147483647: want 0 to 2147395600 (32-bit ids)"},
+		// 2^20·2^44 edges wrap to 0: an edgeless graph of a million vertices.
+		{"kron", GenParams{Scale: 20, Deg: 1 << 44}, "-deg 17592186044416: want at most 219902325555 at -scale 20 (the edges' draws overflow int)"},
+		{"web", GenParams{Scale: 20, Deg: 1<<43 + 1}, "-deg 8796093022209: want at most 219902325555 at -scale 20 (the edges' draws overflow int)"},
+		{"kron", GenParams{Scale: 30, Deg: math.MaxInt}, "-deg 9223372036854775807: want at most 143165576 at -scale 30 (the edges' draws overflow int)"}} {
 		if err := CheckGenParams(bad.kind, bad.p); err == nil || err.Error() != bad.want {
 			t.Errorf("%s %+v: error %v, want %q", bad.kind, bad.p, err, bad.want)
 		}

@@ -7,6 +7,7 @@ package graph
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 )
 
@@ -252,42 +253,54 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.edges = append(b.edges, Edge{u, v})
 }
 
-// NumAdded returns the number of edges added so far.
-func (b *Builder) NumAdded() int { return len(b.edges) }
+const buildCut = 1 << 16 // the fewest edges a worker of Build is given
 
-// Build produces the CSR graph by a counting sort of the arcs on their
+// Build produces the CSR graph by a stable counting sort of the arcs on their
 // source, straight from the edge list: an adjacency segment lists its
-// neighbours in the order the edges were added. With Dedup each segment is
-// then sorted and its repeats dropped.
+// neighbours in the order the edges were added. Each worker (per buildCut
+// edges, at most GOMAXPROCS and the edges per vertex) counts and scatters a
+// chunk. With Dedup each segment is then sorted and its repeats dropped.
 func (b *Builder) Build() *Graph {
-	g := &Graph{N: b.n, Directed: b.directed, Offsets: make([]int64, b.n+1)}
-	keep := func(e Edge) bool { return e.U != e.V || b.selfLoops }
-	for _, e := range b.edges {
-		if keep(e) {
-			g.Offsets[e.U+1]++
-			if !b.directed {
-				g.Offsets[e.V+1]++
+	return b.build(max(1, min(runtime.GOMAXPROCS(0), len(b.edges)/buildCut, len(b.edges)/max(b.n, 1))))
+}
+
+// build is Build on the given number of workers.
+func (b *Builder) build(workers int) *Graph {
+	n, m, directed, loops := b.n, len(b.edges), b.directed, b.selfLoops
+	cur := make([]int64, workers*n) // cur[w*n+v]: worker w's arcs out of v, then its cursor in v's segment
+	parallel(workers, func(w int) {
+		c := cur[w*n : w*n+n]
+		for _, e := range b.edges[chunk(m, workers, w):chunk(m, workers, w+1)] {
+			if e.U != e.V || loops {
+				c[e.U]++
+				if !directed {
+					c[e.V]++
+				}
 			}
 		}
-	}
-	for v := 0; v < b.n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	// Offsets[v] is the cursor of v's segment while the arcs are scattered
-	// and ends up at the segment's end: the start of v+1's.
-	g.Adj = make([]int32, g.Offsets[b.n])
-	for _, e := range b.edges {
-		if keep(e) {
-			g.Adj[g.Offsets[e.U]] = e.V
-			g.Offsets[e.U]++
-			if !b.directed {
-				g.Adj[g.Offsets[e.V]] = e.U
-				g.Offsets[e.V]++
-			}
+	})
+	var at int64
+	for v := range n {
+		for i := v; i < len(cur); i += n {
+			cur[i], at = at, at+cur[i]
 		}
 	}
-	copy(g.Offsets[1:], g.Offsets)
-	g.Offsets[0] = 0
+	g := &Graph{N: n, Directed: directed, Offsets: append(cur[:n:n], at)} // a copy of the segments' starts
+	adj := make([]int32, at)
+	parallel(workers, func(w int) {
+		c := cur[w*n : w*n+n]
+		for _, e := range b.edges[chunk(m, workers, w):chunk(m, workers, w+1)] {
+			if e.U != e.V || loops {
+				adj[c[e.U]] = e.V
+				c[e.U]++
+				if !directed {
+					adj[c[e.V]] = e.U
+					c[e.V]++
+				}
+			}
+		}
+	})
+	g.Adj = adj
 	if b.dedup {
 		// Segments only shrink, so packing them leftwards in place never
 		// overwrites an arc not yet read.

@@ -450,15 +450,22 @@ func TestBuildMatchesOracle(t *testing.T) {
 				b.AddEdge(e.U, e.V)
 			}
 			want := buildOracle(b)
-			for _, p := range []int{1, 2, 3} {
-				runtime.GOMAXPROCS(p)
-				got := b.Build()
+			// GOMAXPROCS 1–3 through Build, then two and five workers forced,
+			// however short the list.
+			for run, p := range []int{1, 2, 3, -2, -5} {
+				var got *Graph
+				if p > 0 {
+					runtime.GOMAXPROCS(p)
+					got = b.Build()
+				} else {
+					got = b.build(-p)
+				}
 				if err := got.Validate(); err != nil {
-					t.Fatalf("%s mask %04b GOMAXPROCS=%d: %v", in.name, mask, p, err)
+					t.Fatalf("%s mask %04b run %d: %v", in.name, mask, run, err)
 				}
 				if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
 					!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
-					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) GOMAXPROCS=%d: Build differs from the oracle", in.name, mask, p)
+					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) GOMAXPROCS or -workers %d: Build differs from the oracle", in.name, mask, p)
 				}
 			}
 		}

@@ -45,31 +45,35 @@ func plainEdges(rng *rand.Rand, perm []int, scale, m int, a, b, c float64) []Edg
 	return edges
 }
 
+// initiators are the corners of the descent: every outcome of every
+// threshold, and the two where no value is a sync value (a+b = 0, and
+// 2^-52, which one value in 2^52 reaches).
+var initiators = []struct {
+	name    string
+	a, b, c float64
+}{
+	{"graph500", 0.57, 0.19, 0.19},
+	{"webgraph", 0.65, 0.15, 0.15},
+	{"a+b=1,c=0", 0.75, 0.25, 0},   // cNorm = 0/0 = NaN
+	{"a+b=1,c>0", 0.75, 0.25, 0.1}, // cNorm = +Inf
+	{"c>1-a-b", 0.5, 0.2, 0.4},     // cNorm > 1: the lower half never goes right
+	{"a=0", 0, 0.5, 0.25},          // the upper half always goes right
+	{"a+b=0", 0, 0, 0.5},           // every bit draws twice
+	{"a+b>1", 0.9, 0.3, 0.1},       // never the lower half; cNorm < 0
+	{"thresholds-at-2^-53", 0x1p-53, 0x1p-53, 1 - 0x1p-52},
+}
+
 // TestKroneckerMatchesPlainLoop holds KroneckerABC to its definition array
 // for array, where the fingerprint file only holds it to its past output.
 func TestKroneckerMatchesPlainLoop(t *testing.T) {
-	initiators := []struct {
-		name    string
-		a, b, c float64
-	}{
-		{"graph500", 0.57, 0.19, 0.19},
-		{"webgraph", 0.65, 0.15, 0.15},
-		{"a+b=1,c=0", 0.75, 0.25, 0},   // cNorm = 0/0 = NaN
-		{"a+b=1,c>0", 0.75, 0.25, 0.1}, // cNorm = +Inf
-		{"c>1-a-b", 0.5, 0.2, 0.4},     // cNorm > 1: the lower half never goes right
-		{"a=0", 0, 0.5, 0.25},          // the upper half always goes right
-		{"a+b=0", 0, 0, 0.5},           // every bit draws twice
-		{"a+b>1", 0.9, 0.3, 0.1},       // never the lower half; cNorm < 0
-		{"thresholds-at-2^-53", 0x1p-53, 0x1p-53, 1 - 0x1p-52},
-	}
 	// The graph is the seed's whatever GOMAXPROCS is: each definition is
 	// built once and compared with the generator on one, two and three Ps.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	procs := []int{1, 2, 3}
 	for _, in := range initiators {
-		for _, scale := range []int{0, 1, 5, 8, 9, 11} { // 8|9: where an edge takes a second 8-byte word to pack
+		for _, scale := range []int{0, 1, 5, 8, 9, 10} {
 			for _, ef := range []int{0, 1, 16} {
-				for _, seed := range []int64{1, 7, 12345} {
+				for _, seed := range []int64{1, 7} {
 					want := kroneckerPlain(scale, ef, in.a, in.b, in.c, seed)
 					for _, p := range procs {
 						runtime.GOMAXPROCS(p)
@@ -81,8 +85,8 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 			}
 		}
 	}
-	// The two public shorthands are the first two initiators; 16|17 is where
-	// an edge takes a third word to pack.
+	// The two public shorthands are the first two initiators; WebGraph(17, 1)
+	// takes enough values to be split on two Ps and on three.
 	for _, c := range []struct {
 		gen  func() *Graph
 		want *Graph
@@ -197,7 +201,7 @@ func TestRMATEdgesRedraws(t *testing.T) {
 		}
 		for _, in := range [][3]float64{{0.57, 0.19, 0.19}, {0, 0, 0.5}, {0.9, 0.3, 0.1}} {
 			want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in[0], in[1], in[2])
-			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]))
+			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]), 1)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d initiator %v: rmatEdges differs from the plain loop over the same planted state", seed, in)
 			}
@@ -205,11 +209,73 @@ func TestRMATEdgesRedraws(t *testing.T) {
 	}
 }
 
+// TestLfJump: the state lfJump computes k values on is the one stepping the
+// recurrence k times reaches, from the monomials (k below lfLen) through the
+// first reductions to a jump of a million.
+func TestLfJump(t *testing.T) {
+	for _, seed := range []int64{1, 7, 12345} {
+		src := rand.NewSource(seed).(rand.Source64)
+		rand.New(src).Perm(100)
+		vals := lfStream(src)
+		var x []uint64 // the stream, stepped
+		for len(x) < 1e6+3+lfLen {
+			x = append(x, lfAdvance(vals)...)
+		}
+		for _, k := range []int{0, 1, 606, 607, 608, 2048, 1e6 + 3} {
+			if got := lfJump(x[:2*lfLen-1], k)[lfBlock:]; !slices.Equal(got, x[k:k+lfLen]) {
+				t.Fatalf("seed %d: lfJump by %d differs from stepping", seed, k)
+			}
+		}
+	}
+}
+
+// TestRMATEdgesSplits holds rmatEdges on one to five workers to the plain
+// loop over the same state, on every initiator — those with no sync value
+// merge every split into piece 0 — and with values the descent redraws
+// planted on each split point of each worker count, and one that masks to 0,
+// a sync value, right after them. Sizes run from no bits at all through
+// splits a few values apart to jumps past several blocks, where the estimate
+// of the values the edges take falls on either side of the truth.
+func TestRMATEdgesSplits(t *testing.T) {
+	for _, in := range initiators {
+		ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
+		sync := min(floatThreshold(ab), floatThreshold(1))
+		for _, size := range [][2]int{{0, 5}, {4, 0}, {1, 3}, {7, 50}, {6, 90}, {10, 1500}} {
+			scale, m := size[0], size[1]
+			values := rmatValues(m*scale, sync, floatThreshold(1))
+			for _, seed := range []int64{1, 7} {
+				src := rand.NewSource(seed).(rand.Source64)
+				perm := rand.New(src).Perm(1 << scale)
+				perm32 := make([]int32, len(perm))
+				for i, p := range perm {
+					perm32[i] = int32(p)
+				}
+				clean := lfStream(src)[lfBlock:]
+				for workers := 1; workers <= 5; workers++ {
+					state := slices.Clone(clean)
+					for w := 1; w < workers; w++ {
+						if k := chunk(values, workers, w); k+2 < lfLen && seed == 7 {
+							state[k], state[k+1], state[k+2] = 1<<63-512, 1<<64-1, 1<<63
+						}
+					}
+					want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in.a, in.b, in.c)
+					got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s scale=%d m=%d seed=%d workers=%d: rmatEdges differs from the plain loop", in.name, scale, m, seed, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKroneckerRejectsArguments: a scale that cannot be shifted by or whose
-// ids pass int32, and a negative edge factor, panic with the library's own
-// words, as AddEdge does on a bad endpoint.
+// ids pass int32, a negative edge factor and one whose edges' draws overflow
+// int — 2^20·2^44 edges wrap to none at all, 2^20·(2^43+1) to a slice
+// length make refuses — panic with the library's own words, as AddEdge does
+// on a bad endpoint.
 func TestKroneckerRejectsArguments(t *testing.T) {
-	for _, c := range [][2]int{{-1, 16}, {31, 1}, {32, 0}, {64, 1}, {4, -1}} {
+	for _, c := range [][2]int{{-1, 16}, {31, 1}, {32, 0}, {64, 1}, {4, -1}, {20, 1 << 44}, {20, 1<<43 + 1}, {20, maxEdgeFactor(20) + 1}, {30, math.MaxInt}} {
 		func() {
 			defer func() {
 				if msg, _ := recover().(string); !strings.HasPrefix(msg, "graph: Kronecker scale") {
