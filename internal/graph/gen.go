@@ -128,7 +128,7 @@ func floatThreshold(t float64) uint64 {
 	return x
 }
 
-const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a jump costs a quarter)
+const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a jump costs about a third)
 
 // rmatEdges draws m R-MAT edges over 2^scale vertices from the stream vals
 // (an lfStream) holds and labels them through perm, on workers goroutines (0:
