@@ -53,9 +53,14 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
 		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
-	for _, ok := range [][2]int{{0, 0}, {30, 0}, {10, 8}, {20, 219902325555}, {0, math.MaxInt}} {
-		if err := checkGenFlags(ok[0], ok[1]); err != nil {
-			t.Errorf("scale %d, edge factor %d rejected: %v", ok[0], ok[1], err)
+	// The Kronecker edge-factor bound is kron's and web's: a road grid takes
+	// no edge factor.
+	for _, ok := range []struct {
+		gen       string
+		scale, ef int
+	}{{"kron", 0, 0}, {"kron", 30, 0}, {"web", 10, 8}, {"kron", 20, 219902325555}, {"kron", 0, math.MaxInt}, {"road", 20, 1 << 44}} {
+		if err := checkGenFlags(ok.gen, ok.scale, ok.ef); err != nil {
+			t.Errorf("-gen %s, scale %d, edge factor %d rejected: %v", ok.gen, ok.scale, ok.ef, err)
 		}
 	}
 }

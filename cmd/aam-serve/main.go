@@ -57,7 +57,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -96,7 +95,7 @@ func main() {
 		clNum    = flag.Int("cluster-workers", 2, "worker processes to wait for on -cluster-listen")
 	)
 	flag.Parse()
-	if err := checkGenFlags(*scale, *ef); err != nil {
+	if err := checkGenFlags(*gen, *scale, *ef); err != nil {
 		fmt.Fprintln(os.Stderr, "aam-serve:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
@@ -261,15 +260,16 @@ func main() {
 	logger.Info("stopped")
 }
 
-// checkGenFlags rejects a -scale or -ef no generator takes: the library
-// words its own check of them as a panic, and load shifts by scale before that.
-// The bounds are graph.CheckGenParams' for kron, whose -deg is -ef here.
-func checkGenFlags(scale, ef int) error {
-	err := graph.CheckGenParams("kron", graph.GenParams{Scale: scale, Deg: ef})
-	if err != nil {
-		return errors.New(strings.Replace(err.Error(), "-deg", "-ef", 1))
+// checkGenFlags rejects a -scale or -ef the -gen generator does not take: the
+// library words its own check of them as a panic, and load shifts by scale
+// before that. The bounds are graph.CheckGenParams', whose -deg is -ef here,
+// so an error the edge factor alone causes names -ef before the library's words.
+func checkGenFlags(gen string, scale, ef int) error {
+	err := graph.CheckGenParams(gen, graph.GenParams{Scale: scale, Deg: ef})
+	if err != nil && graph.CheckGenParams(gen, graph.GenParams{Scale: scale}) == nil {
+		return fmt.Errorf("-ef %d is the generator's %w", ef, err)
 	}
-	return nil
+	return err
 }
 
 // load reads or generates the initial graph and wraps it as a dyn.Graph.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -438,7 +437,6 @@ func TestBuildMatchesOracle(t *testing.T) {
 	}
 	inputs = append(inputs, loops, hub)
 
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, in := range inputs {
 		for mask := 0; mask < 16; mask++ {
 			b := NewBuilder(in.n)
@@ -450,22 +448,15 @@ func TestBuildMatchesOracle(t *testing.T) {
 				b.AddEdge(e.U, e.V)
 			}
 			want := buildOracle(b)
-			// GOMAXPROCS 1–3 through Build, then two and five workers forced,
-			// however short the list.
-			for run, p := range []int{1, 2, 3, -2, -5} {
-				var got *Graph
-				if p > 0 {
-					runtime.GOMAXPROCS(p)
-					got = b.Build()
-				} else {
-					got = b.build(-p)
-				}
+			// Build, which gives these lists (all under buildCut edges) one
+			// worker, then two and five workers forced, however short the list.
+			for run, got := range []*Graph{b.Build(), b.build(2), b.build(5)} {
 				if err := got.Validate(); err != nil {
 					t.Fatalf("%s mask %04b run %d: %v", in.name, mask, run, err)
 				}
 				if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
 					!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
-					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) GOMAXPROCS or -workers %d: Build differs from the oracle", in.name, mask, p)
+					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) run %d (Build, 2 workers, 5): Build differs from the oracle", in.name, mask, run)
 				}
 			}
 		}
