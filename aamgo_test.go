@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"aamgo"
 	"aamgo/internal/shard"
@@ -390,6 +391,76 @@ func TestDynGraphFacade(t *testing.T) {
 	}
 	if !g.SameComponent(0, int32(f.N-1)) {
 		t.Fatal("incremental CC missed the new edge")
+	}
+	res, err = g.Apply([]aamgo.Mutation{aamgo.DynRemoveEdge(0, int32(f.N-1))}, aamgo.DynTxConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Applied != 1 || g.NumArcs() != before {
+		t.Fatalf("remove: applied %d, arcs %d; want 1 and %d", res.Applied, g.NumArcs(), before)
+	}
+	if g.SameComponent(0, int32(f.N-1)) {
+		t.Fatal("incremental CC kept the removed edge")
+	}
+}
+
+// TestOwnershipFacade drives the low-level re-exports the way
+// examples/disttx does: a machine built by name, the §4.3 ownership
+// protocol moving value between accounts on two nodes, and the run's
+// virtual time as a Duration.
+func TestOwnershipFacade(t *testing.T) {
+	const nodes, accounts, rounds, funds = 2, 8, 20, 100
+	o := aamgo.NewOwnership(aamgo.OwnershipLayout{MarkerBase: 0, DataBase: 1 << 6, MailboxBase: 1 << 7})
+	prof, err := aamgo.ProfileByName("has-c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := aamgo.NewMachine("sim", aamgo.MachineConfig{
+		Nodes: nodes, ThreadsPerNode: 1, MemWords: 1 << 9,
+		Profile: &prof, Handlers: o.Handlers(nil), Seed: 3,
+	})
+	for n := 0; n < nodes; n++ {
+		for a := 0; a < accounts; a++ {
+			m.Mem(n)[1<<6+a] = funds
+		}
+	}
+	// Index `accounts` on each node counts the threads that finished.
+	done := 1<<6 + accounts
+	committed := make([]int, nodes)
+	res := m.Run(func(ctx aamgo.Context) {
+		peer := 1 - ctx.NodeID()
+		for i := 0; i < rounds; i++ {
+			r := o.RunDistTx(ctx, []int{i % accounts}, []aamgo.GlobalRef{{Node: peer, Index: (i + 3) % accounts}}, nil,
+				func(tx aamgo.Tx, local []int, remote []uint64) []uint64 {
+					tx.Write(local[0], tx.Read(local[0])-1)
+					return []uint64{remote[0] + 1}
+				})
+			if r.Committed {
+				committed[ctx.NodeID()]++
+			}
+		}
+		o.RunDistTx(ctx, nil, []aamgo.GlobalRef{{Node: peer, Index: accounts}}, nil,
+			func(tx aamgo.Tx, _ []int, remote []uint64) []uint64 { return []uint64{remote[0] + 1} })
+		for ctx.Load(done) == 0 {
+			if ctx.Poll() == 0 {
+				ctx.Compute(200)
+			}
+		}
+	})
+	var total uint64
+	for n := 0; n < nodes; n++ {
+		for a := 0; a < accounts; a++ {
+			total += m.Mem(n)[1<<6+a]
+		}
+	}
+	if total != nodes*accounts*funds {
+		t.Fatalf("ledger total %d, want %d", total, nodes*accounts*funds)
+	}
+	if committed[0] != rounds || committed[1] != rounds {
+		t.Fatalf("committed transfers %v, want %d per node", committed, rounds)
+	}
+	if d := aamgo.Elapsed(res.Elapsed); d <= 0 || d != time.Duration(res.Elapsed) {
+		t.Fatalf("Elapsed(%d) = %v", res.Elapsed, d)
 	}
 }
 

@@ -1,6 +1,8 @@
 package aam
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"aamgo/internal/exec"
@@ -38,6 +40,18 @@ func incOp(base int) *Op {
 			return 0, false
 		},
 	}
+}
+
+// TestLockTxAbortPanics: the lock mechanism applies writes in place and
+// cannot roll them back, so a body that calls Tx.Abort under it is a
+// programming error, reported by a panic.
+func TestLockTxAbortPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "not supported under the lock mechanism") {
+			t.Fatalf("recovered %v, want the lock mechanism's Abort panic", r)
+		}
+	}()
+	directTx{}.Abort()
 }
 
 func TestLocalSpawnCoarsening(t *testing.T) {

@@ -138,6 +138,65 @@ func TestLowerSkipsCoarseActivities(t *testing.T) {
 	}
 }
 
+// TestLowerProbeForwardsROReadsAndAborts: the footprint recorder passes
+// read-only data reads and explicit aborts through to the live
+// transaction. A read of immutable data does not disqualify an otherwise
+// single-word operator, and an AbortOnFail operator's abort still rolls
+// its activity back.
+func TestLowerProbeForwardsROReadsAndAborts(t *testing.T) {
+	rt := aam.NewRuntime()
+	ro := rt.Register(&aam.Op{
+		Name: "ro-then-inc",
+		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
+			tx.ReadROData(16)
+			tx.Write(v, tx.Read(v)+arg)
+			return 0, false
+		},
+		BodyAtomic: func(ctx exec.Context, e *aam.Engine, v int, arg uint64) (uint64, bool) {
+			ctx.FetchAdd(v, arg)
+			return 0, false
+		},
+	})
+	veto := rt.Register(&aam.Op{
+		Name:        "veto",
+		AbortOnFail: true,
+		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
+			tx.Write(v, arg)
+			return 0, true
+		},
+	})
+	m := lowerMachine(rt, 1, 26)
+	res := m.Run(func(ctx exec.Context) {
+		eng := aam.NewEngine(rt, ctx, aam.Config{
+			M: 1, Mechanism: aam.MechHTM, LowerSingle: true,
+			Part: graph.NewPartition(512, 1),
+		})
+		for i := 0; i < 10; i++ {
+			eng.Spawn(ro, i, 1)
+		}
+		for i := 0; i < 5; i++ {
+			eng.Spawn(veto, 100+i, 7)
+		}
+		eng.Drain()
+	})
+	if res.Stats.LoweredOps != 7 {
+		t.Fatalf("lowered = %d, want 7 (10 minus 3 observations)", res.Stats.LoweredOps)
+	}
+	if res.Stats.TxUserFailed != 5 {
+		t.Fatalf("user-failed transactions = %d, want 5", res.Stats.TxUserFailed)
+	}
+	for i := 0; i < 10; i++ {
+		if got := m.Mem(0)[i]; got != 1 {
+			t.Fatalf("word %d = %d, want 1", i, got)
+		}
+	}
+	for i := 100; i < 105; i++ {
+		if got := m.Mem(0)[i]; got != 0 {
+			t.Fatalf("aborted write visible at word %d: %d", i, got)
+		}
+	}
+}
+
 func TestLowerMatchesUnloweredResults(t *testing.T) {
 	// Lowered and unlowered runs of a contended workload must agree.
 	run := func(lower bool) []uint64 {

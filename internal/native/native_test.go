@@ -1,6 +1,7 @@
 package native
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -163,6 +164,29 @@ func TestBarrierAndAllReduce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRandIsSeededPerThread: each thread's generator is a function of the
+// machine seed and the thread id, so two runs draw the same values and no
+// two threads share a stream.
+func TestRandIsSeededPerThread(t *testing.T) {
+	draw := func() []int64 {
+		m := newTestMachine(2, 2)
+		out := make([]int64, 4)
+		m.Run(func(ctx exec.Context) { out[ctx.GlobalID()] = ctx.Rand().Int63() })
+		return out
+	}
+	a, b := draw(), draw()
+	if !slices.Equal(a, b) {
+		t.Fatalf("two runs of one seed drew %v and %v", a, b)
+	}
+	seen := map[int64]bool{}
+	for gid, v := range a {
+		if seen[v] {
+			t.Fatalf("thread %d repeats another thread's draw %d: %v", gid, v, a)
+		}
+		seen[v] = true
+	}
 }
 
 func TestLockMutualExclusion(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -20,11 +21,12 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the 
 
 // goldenEntry is one recorded request/response pair.
 type goldenEntry struct {
-	Name   string `json:"name"`
-	Method string `json:"method"`
-	Path   string `json:"path"`
-	Status int    `json:"status"`
-	Body   any    `json:"body"`
+	Name    string `json:"name"`
+	Method  string `json:"method"`
+	Path    string `json:"path"`
+	Request string `json:"request,omitempty"`
+	Status  int    `json:"status"`
+	Body    any    `json:"body"`
 }
 
 // goldenCase is one request of the table; afterClose cases run once the
@@ -33,6 +35,10 @@ type goldenCase struct {
 	file, name, method, path string
 	afterClose               bool
 	empty                    bool // run against the empty-graph, cluster-less server
+	mutate                   bool // run against the server that takes the writes
+	// body is the request body; shown, when set, is what the golden file
+	// records in its place (a generated body too large to spell out).
+	body, shown string
 }
 
 // goldenGraph is the fixed query graph: a 60-vertex community graph plus
@@ -54,7 +60,8 @@ func goldenGraph() *graph.Graph {
 
 // goldenCases spells the table: every algorithm on every engine (cluster
 // live and after Close) with full=0 and full=1 under trace=1, a few
-// parameter variants per algorithm, and every 4xx a query handler emits.
+// parameter variants per algorithm, every 4xx a query handler emits, and
+// the mutation endpoints' responses.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	add := func(file, name, path string) {
@@ -195,6 +202,62 @@ func goldenCases() []goldenCase {
 	} {
 		cases = append(cases, goldenCase{file: "empty", name: e.name, method: "GET", path: e.path, empty: true})
 	}
+	return append(cases, mutationCases()...)
+}
+
+// mutationCases spells every /edges and /vertices response and error, in
+// order, against a fresh server over goldenGraph (vertices 60 and 63 are
+// isolated, so edges to them are new): applied, rejected and redundant
+// rows, each ?mech=, and every 4xx. One over-cap body (a 413) keeps the
+// table's -race time down; the per-endpoint caps are TestMalformedRequests'.
+func mutationCases() []goldenCase {
+	var cases []goldenCase
+	add := func(name, method, path, body string) {
+		cases = append(cases, goldenCase{file: "mutations", name: name, method: method, path: path, body: body, mutate: true})
+	}
+	add("add applied", "POST", "/edges", `{"edges":[[0,63],[1,63]]}`)
+	add("add rejected", "POST", "/edges", `{"edges":[[0,63]]}`)
+	add("add redundant", "POST", "/edges", `{"edges":[[2,63],[63,2]]}`)
+	add("add applied and rejected", "POST", "/edges", `{"edges":[[0,63],[3,63]]}`)
+	for i, mech := range []string{"htm", "atomic", "lock", "occ", "flatcomb"} {
+		add("add mech="+mech, "POST", "/edges?mech="+mech, fmt.Sprintf(`{"edges":[[%d,60]]}`, i))
+	}
+	add("delete applied", "DELETE", "/edges", `{"edges":[[0,63]]}`)
+	add("delete rejected", "DELETE", "/edges", `{"edges":[[0,63]]}`)
+	add("delete redundant", "DELETE", "/edges", `{"edges":[[1,63],[63,1]]}`)
+	add("delete mech=occ", "DELETE", "/edges?mech=occ", `{"edges":[[0,60]]}`)
+	add("add unknown mech", "POST", "/edges?mech=tsx", `{"edges":[[4,60]]}`)
+	add("delete unknown mech", "DELETE", "/edges?mech=tsx", `{"edges":[[1,60]]}`)
+	add("add out of range", "POST", "/edges", `{"edges":[[0,64]]}`)
+	add("add self loop", "POST", "/edges", `{"edges":[[5,5]]}`)
+	add("delete out of range", "DELETE", "/edges", `{"edges":[[-1,2]]}`)
+	add("edges wrong method", "GET", "/edges", "")
+	add("edges PUT", "PUT", "/edges", `{"edges":[[0,63]]}`)
+	add("add bad JSON", "POST", "/edges", `{nope`)
+	add("delete bad JSON", "DELETE", "/edges", `]`)
+	add("add 0 edges", "POST", "/edges", `{"edges":[]}`)
+	add("add no edges key", "POST", "/edges", `{}`)
+	add("delete 0 edges", "DELETE", "/edges", `{"edges":[]}`)
+	cases = append(cases, goldenCase{
+		file: "mutations", name: "add 2^20+1 edges", method: "POST", path: "/edges", mutate: true,
+		body:  `{"edges":[` + strings.Repeat("[0,1],", maxMutationBatch) + `[0,1]]}`,
+		shown: `{"edges":[[0,1] × 1048577]}`,
+	})
+	add("vertices applied", "POST", "/vertices", `{"count":2}`)
+	add("vertices mech=lock", "POST", "/vertices?mech=lock", `{"count":1}`)
+	add("vertices then edge", "POST", "/edges", `{"edges":[[64,66]]}`)
+	add("vertices unknown mech", "POST", "/vertices?mech=tsx", `{"count":1}`)
+	add("vertices count 0", "POST", "/vertices", `{"count":0}`)
+	add("vertices no count", "POST", "/vertices", `{}`)
+	add("vertices count -1", "POST", "/vertices", `{"count":-1}`)
+	add("vertices count over cap", "POST", "/vertices", `{"count":1048577}`)
+	add("vertices bad JSON", "POST", "/vertices", `{`)
+	add("vertices wrong method", "GET", "/vertices", "")
+	cases = append(cases, goldenCase{
+		file: "mutations", name: "vertices body over cap", method: "POST", path: "/vertices", mutate: true,
+		body:  `{"count":` + strings.Repeat(" ", maxMutationBody) + `1}`,
+		shown: `{"count":<32 MiB of spaces>1}`,
+	})
 	return cases
 }
 
@@ -220,7 +283,7 @@ func normalizeGolden(body any) {
 
 func goldenFetch(t *testing.T, base string, c goldenCase) goldenEntry {
 	t.Helper()
-	req, err := http.NewRequest(c.method, base+c.path, nil)
+	req, err := http.NewRequest(c.method, base+c.path, strings.NewReader(c.body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +303,14 @@ func goldenFetch(t *testing.T, base string, c goldenCase) goldenEntry {
 		t.Fatalf("%s %s: body is not JSON: %v: %q", c.method, c.path, err, raw)
 	}
 	normalizeGolden(body)
-	return goldenEntry{Name: c.name, Method: c.method, Path: c.path, Status: resp.StatusCode, Body: body}
+	shown := c.body
+	if c.shown != "" {
+		shown = c.shown
+	}
+	return goldenEntry{Name: c.name, Method: c.method, Path: c.path, Request: shown, Status: resp.StatusCode, Body: body}
 }
 
-// TestGoldenResponses pins the query surface byte for byte: the recorded
+// TestGoldenResponses pins the HTTP surface byte for byte: the recorded
 // status and body of every case in goldenCases must match
 // testdata/golden/<file>.json (regenerate with -update). GOMAXPROCS is
 // fixed for the run because the ?shards= bound in one error message is
@@ -254,6 +321,7 @@ func TestGoldenResponses(t *testing.T) {
 	// Cache off: the cluster and cluster-closed cases share URLs and epoch.
 	s, ts := newRawServer(t, goldenGraph(), Config{C: 8, CacheBytes: -1})
 	emptyTS, _ := newTestServer(t, graph.NewBuilder(0).Build(), Config{CacheBytes: -1})
+	mutTS, _ := newTestServer(t, goldenGraph(), Config{})
 
 	cl, err := shard.NewClusterOpts("127.0.0.1:0", 1, shard.ClusterOptions{Logf: t.Logf})
 	if err != nil {
@@ -276,8 +344,11 @@ func TestGoldenResponses(t *testing.T) {
 				continue
 			}
 			base := ts.URL
-			if c.empty {
+			switch {
+			case c.empty:
 				base = emptyTS.URL
+			case c.mutate:
+				base = mutTS.URL
 			}
 			if _, seen := got[c.file]; !seen {
 				files = append(files, c.file)

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -60,6 +62,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestLogFinalStats: the shutdown summary is one Info record carrying the
+// lifetime counters of what the server handled.
+func TestLogFinalStats(t *testing.T) {
+	var buf bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&buf, nil)) // Info: no per-request lines
+	s, ts := newRawServer(t, goldenGraph(), Config{Logger: logger})
+	doJSON(t, "POST", ts.URL+"/edges", map[string]any{"edges": [][2]int32{{0, 63}}}, 200)
+	doJSON(t, "GET", ts.URL+"/query/bfs?src=0", nil, 200)
+	doJSON(t, "GET", ts.URL+"/query/bfs?src=-1", nil, 400)
+	s.LogFinalStats()
+
+	var rec map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatalf("want one JSON record, got %q: %v", buf.Bytes(), err)
+	}
+	if rec["msg"] != "final stats" {
+		t.Fatalf("msg = %v, want final stats", rec["msg"])
+	}
+	for key, want := range map[string]float64{
+		"requests": 3, "queries": 1, "mutation_batches": 1, "bad_requests": 1,
+		"etag_304": 0, "epoch": 1, "tx_committed": 1,
+	} {
+		if got, ok := rec[key].(float64); !ok || got != want {
+			t.Errorf("%s = %v, want %v", key, rec[key], want)
 		}
 	}
 }

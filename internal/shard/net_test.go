@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -363,6 +365,54 @@ func runSlowAttachJob(g *graph.Graph, want []uint64, cfg Config) ([]uint64, erro
 		return nil, fmt.Errorf("slow attach: per-shard totals %v, want %v (lost batch?)", totals, want)
 	}
 	return totals, nil
+}
+
+func init() {
+	// test-stall: job rank 1 stalls until its attempt is aborted, so only
+	// the coordinator's JobTimeout watchdog can end the attempt.
+	jobRunners["test-stall"] = func(g *graph.Graph, _ []uint64, cfg Config) (any, error) {
+		return nil, runStallJob(g, cfg)
+	}
+}
+
+func runStallJob(g *graph.Graph, cfg Config) error {
+	if tcp, ok := cfg.transport.(*tcpTransport); ok {
+		if rank, _ := tcp.endpoints(); rank == 1 {
+			<-tcp.node.abortChan()
+		}
+	}
+	ex, err := New(g, 1, cfg)
+	if err != nil {
+		return err
+	}
+	ex.Parallel(func(*Worker) {})
+	return nil
+}
+
+// TestJobTimeoutAbortsStalledJob: rank 1 never reaches the opening
+// collective, so the coordinator's watchdog fires at JobTimeout. The run
+// fails with errAborted naming the timeout, every rank unwinds and
+// acknowledges without an eviction, and the same cluster runs its next
+// job. The stall waits on the abort itself, not on a sleep, so the
+// watchdog fires on every run.
+func TestJobTimeoutAbortsStalledJob(t *testing.T) {
+	g := pathGraph(32)
+	c := startChaosCluster(t, 2, ClusterOptions{JobRetries: -1, Logf: t.Logf}, false)
+	cfg := Config{Shards: 3, JobTimeout: 100 * time.Millisecond}
+	err := c.run("test-stall", nil, cfg, g, func(cfg Config) error { return runStallJob(g, cfg) })
+	if !errors.Is(err, errAborted) || !strings.Contains(err.Error(), "exceeded JobTimeout") {
+		t.Fatalf("stalled job returned %v, want errAborted past JobTimeout", err)
+	}
+	if live := c.LiveWorkers(); live != 2 {
+		t.Fatalf("%d live workers after the abort, want 2 (an abort evicts no one)", live)
+	}
+	res, err := c.BFS(g, 0, Config{Shards: 3})
+	if err != nil {
+		t.Fatalf("next job: %v", err)
+	}
+	if err := algo.ValidateBFSTree(g, 0, res.Parents, algo.SeqBFS(g, 0)); err != nil {
+		t.Fatalf("next job: %v", err)
+	}
 }
 
 // TestSlowAttachLosesNoBatch: rank 1 attaches its executor about 50 ms

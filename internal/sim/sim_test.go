@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -279,6 +280,27 @@ func TestBarrierAndAllReduce(t *testing.T) {
 		}
 		ctx.Barrier()
 	})
+}
+
+// TestDeadlockPanicDumpsThreads: a thread parked in a barrier that the
+// other thread never reaches leaves nothing runnable; Run panics with the
+// per-thread dump instead of hanging.
+func TestDeadlockPanicDumpsThreads(t *testing.T) {
+	m := newTestMachine(1, 2, exec.HaswellC())
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "sim: deadlock\n") ||
+			!strings.Contains(msg, "thread 0 (node 0): state=") ||
+			!strings.Contains(msg, "thread 1 (node 0): state=") {
+			t.Fatalf("recovered %q, want the deadlock panic with a dump of both threads", msg)
+		}
+	}()
+	m.Run(func(ctx exec.Context) {
+		if ctx.GlobalID() == 0 {
+			ctx.Barrier()
+		}
+	})
+	t.Fatal("Run returned from a deadlocked machine")
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -152,6 +153,19 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 		t.Fatalf("recovered epoch %d, want %d", g2.Epoch(), batches)
 	}
 	requireEqualGraphs(t, oracle(t, batches, perBatch), g2)
+}
+
+// TestParseModeRoundTrips: every mode's flag name parses back to the mode,
+// and any other name is an error naming the accepted ones.
+func TestParseModeRoundTrips(t *testing.T) {
+	for _, mode := range []Mode{ModeFsync, ModeBatch, ModeOff} {
+		if got, err := ParseMode(mode.String()); err != nil || got != mode {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", mode.String(), got, err, mode)
+		}
+	}
+	if _, err := ParseMode("sync"); err == nil || !strings.Contains(err.Error(), "want fsync, batch or off") {
+		t.Fatalf("ParseMode(\"sync\") error = %v, want the accepted names", err)
+	}
 }
 
 func TestRecoverAllModes(t *testing.T) {
