@@ -27,8 +27,8 @@
 //   - a benchmark harness that regenerates every table and figure of the
 //     paper's evaluation (internal/bench, cmd/aam-bench).
 //
-// The quickest entry points are the algorithm façades below; custom
-// operators use NewRuntime/NewEngine re-exported from the aam runtime.
+// The quickest entry points are the algorithm façades below; distributed
+// transactions on a raw machine use NewOwnership and NewMachine.
 package aamgo
 
 import (
@@ -43,7 +43,6 @@ import (
 	"aamgo/internal/graph"
 	"aamgo/internal/query"
 	"aamgo/internal/run"
-	"aamgo/internal/serve"
 	"aamgo/internal/shard"
 	"aamgo/internal/stats"
 	"aamgo/internal/vtime"
@@ -501,9 +500,6 @@ type (
 // must not be mutated afterwards.
 func NewDynGraph(base *Graph) (*DynGraph, error) { return dyn.New(base) }
 
-// NewEmptyDynGraph returns a dynamic graph of n isolated vertices.
-func NewEmptyDynGraph(n int) *DynGraph { return dyn.NewEmpty(n) }
-
 // DynAddEdge returns a mutation inserting an undirected edge.
 func DynAddEdge(u, v int32) Mutation { return dyn.AddEdge(u, v) }
 
@@ -514,39 +510,12 @@ func DynRemoveEdge(u, v int32) Mutation { return dyn.RemoveEdge(u, v) }
 // DynAddVertex returns a mutation appending one isolated vertex.
 func DynAddVertex() Mutation { return dyn.AddVertex() }
 
-// Serving layer (internal/serve): the JSON/HTTP daemon over a DynGraph —
-// transactional mutation endpoints, snapshot-consistent analytics queries,
-// and the high-QPS read path: epoch-keyed result cache with request
-// collapsing, epoch-derived ETags (If-None-Match → 304), and incremental
-// snapshot freezes. Embed it via NewServer + (*Server).Handler, or run
-// cmd/aam-serve.
+// Low-level re-exports for running code on a raw machine; see
+// examples/disttx for usage.
 type (
-	// Server is the HTTP front end over one DynGraph.
-	Server = serve.Server
-	// ServeConfig shapes the daemon (mechanism, worker pool, CacheBytes…).
-	ServeConfig = serve.Config
-	// CacheStats is the query-cache counter snapshot exported in /stats.
-	CacheStats = serve.CacheStats
-)
-
-// NewServer builds the HTTP daemon over g; use Server.Handler with any
-// net/http server (or httptest).
-func NewServer(g *DynGraph, cfg ServeConfig) (*Server, error) { return serve.New(g, cfg) }
-
-// Low-level re-exports for building custom operators on the AAM runtime;
-// see the examples directory for usage.
-type (
-	// Runtime owns the operator registry and message handlers.
-	Runtime = aam.Runtime
-	// Engine is the per-thread spawner/executor.
-	Engine = aam.Engine
-	// Op describes one operator (§3.2 taxonomy flags included).
-	Op = aam.Op
-	// EngineConfig tunes an Engine (M, C, mechanism, partition).
-	EngineConfig = aam.Config
-	// Context is the per-thread machine handle available to operators.
+	// Context is the per-thread machine handle.
 	Context = exec.Context
-	// Tx is the transactional memory view inside an activity.
+	// Tx is the transactional memory view inside a transaction.
 	Tx = exec.Tx
 	// Machine is a constructed machine instance.
 	Machine = exec.Machine
@@ -554,13 +523,6 @@ type (
 	MachineConfig = exec.Config
 	// MachineProfile is the per-architecture cost model.
 	MachineProfile = exec.MachineProfile
-	// Partition maps global vertices to owner nodes (1-D block).
-	Partition = graph.Partition
-	// EdgePartition maps global vertices to owner nodes with edge-balanced
-	// contiguous ranges.
-	EdgePartition = graph.EdgePartition
-	// Partitioner abstracts the two vertex→owner maps.
-	Partitioner = graph.Partitioner
 )
 
 // Distributed-transaction support (§4.3's ownership protocol): activities
@@ -579,20 +541,6 @@ type (
 
 // NewOwnership returns a protocol instance for the given layout.
 func NewOwnership(layout OwnershipLayout) *Ownership { return aam.NewOwnership(layout) }
-
-// NewRuntime returns an empty operator runtime.
-func NewRuntime() *Runtime { return aam.NewRuntime() }
-
-// NewEngine creates the per-thread engine inside a run body.
-func NewEngine(rt *Runtime, ctx Context, cfg EngineConfig) *Engine {
-	return aam.NewEngine(rt, ctx, cfg)
-}
-
-// NewPartition builds a 1-D block partition of n vertices over nodes.
-func NewPartition(n, nodes int) Partition { return graph.NewPartition(n, nodes) }
-
-// NewEdgePartition builds an edge-balanced partition of g over nodes.
-func NewEdgePartition(g *Graph, nodes int) EdgePartition { return graph.NewEdgePartition(g, nodes) }
 
 // NewMachine constructs a machine of the given backend ("sim"/"native").
 func NewMachine(backend string, cfg MachineConfig) Machine { return run.New(backend, cfg) }

@@ -12,9 +12,6 @@
 //	m.Run(b.Body(src))
 //	levels := b.Levels(m)
 //
-// For full control (custom semirings, weights, masks, step loops) use the
-// System type directly.
-//
 // The package also re-exports the vectorized engine entry points
 // (EngineBFS, EngineSSSP, EnginePageRank) — the same masked-SpMV loops the
 // facade runs under aamgo.Config{Engine: aamgo.EngineGBLAS}, without an
@@ -36,20 +33,12 @@ type (
 	// Semiring is a commutative monoid with a combining operator over
 	// word-encoded elements.
 	Semiring = gblas.Semiring
-	// System is a prepared GraphBLAS execution over one graph.
-	System = gblas.System
-	// Config tunes a custom System.
-	Config = gblas.Config
-	// WeightFunc maps edges to semiring elements.
-	WeightFunc = gblas.WeightFunc
 	// BFS is the or-and level-synchronous breadth-first search.
 	BFS = gblas.BFS
 	// SSSP is the min-plus chaotic Bellman-Ford.
 	SSSP = gblas.SSSP
 	// PageRank is the plus-times power iteration.
 	PageRank = gblas.PageRank
-	// Triangles is the masked wedge-closure triangle count.
-	Triangles = gblas.Triangles
 )
 
 // Standard semirings.
@@ -95,13 +84,6 @@ func (e Engine) cfg() aam.Config {
 	return aam.Config{M: m, C: c, Mechanism: e.Mechanism}
 }
 
-// New builds a custom System (advanced use; the Engine field of cfg should
-// be left zero and tuned through the eng parameter).
-func New(g *graph.Graph, nodes int, cfg Config, eng Engine) *System {
-	cfg.Engine = eng.cfg()
-	return gblas.New(g, nodes, cfg)
-}
-
 // NewBFS prepares a BFS over g distributed across nodes.
 func NewBFS(g *graph.Graph, nodes int, eng Engine) *BFS {
 	return gblas.NewBFS(g, nodes, eng.cfg())
@@ -116,14 +98,6 @@ func NewSSSP(g *graph.Graph, nodes int, eng Engine) *SSSP {
 func NewPageRank(g *graph.Graph, nodes int, damping float64, iters int, eng Engine) *PageRank {
 	return gblas.NewPageRank(g, nodes, damping, iters, eng.cfg())
 }
-
-// NewTriangles prepares the triangle-count kernel.
-func NewTriangles(g *graph.Graph, nodes int, eng Engine) *Triangles {
-	return gblas.NewTriangles(g, nodes, eng.cfg())
-}
-
-// SeqTriangles is the sequential triangle-count reference.
-var SeqTriangles = gblas.SeqTriangles
 
 // EngineResult reports one vectorized-engine execution (step counts split
 // by traversal direction, wall time).

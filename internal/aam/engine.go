@@ -100,18 +100,6 @@ func (e *Engine) Spawn(op int, globalV int, arg uint64) {
 	e.out.Add(dst, uint64(op), uint64(lv), arg)
 }
 
-// SpawnLocal issues an operator already known to be local (owner-local
-// vertex index lv).
-func (e *Engine) SpawnLocal(op int, lv int, arg uint64) {
-	e.local = append(e.local, rec{op: int32(op), v: int32(lv), arg: arg})
-	if len(e.local) >= e.curM {
-		e.flushLocal()
-	}
-}
-
-// PendingLocal returns the number of buffered local operators.
-func (e *Engine) PendingLocal() int { return len(e.local) }
-
 // flushLocal executes the buffered local operators as one activity. The
 // buffer is detached first: OnDone callbacks may spawn recursively.
 func (e *Engine) flushLocal() {
@@ -267,11 +255,6 @@ type directTx struct {
 
 func (d directTx) Read(addr int) uint64     { return d.ctx.Load(addr) }
 func (d directTx) Write(addr int, v uint64) { d.ctx.Store(addr, v) }
-func (d directTx) ReadRange(addr, n int) {
-	lines := (n + 7) / 8
-	d.ctx.Compute(vtime.Time(lines) * d.ctx.Profile().LoadCost)
-}
-
 func (d directTx) ReadROData(n int) {
 	lines := (n + 7) / 8
 	d.ctx.Compute(vtime.Time(lines) * d.ctx.Profile().LoadCost)

@@ -13,9 +13,9 @@ import "aamgo/internal/exec"
 // BodyAtomic directly, skipping transaction begin/commit.
 //
 // The analysis is conservative: a single observation outside the pattern
-// (a second word touched, a range scan, an explicit abort) disqualifies
-// the operator permanently, and coarse activities (len > 1) are never
-// lowered — coarsening is exactly the case where transactions win.
+// (a second word touched, an explicit abort) disqualifies the operator
+// permanently, and coarse activities (len > 1) are never lowered —
+// coarsening is exactly the case where transactions win.
 
 // lowerVerdict is the per-operator analysis state.
 type lowerVerdict uint8
@@ -42,7 +42,6 @@ type probeTx struct {
 	writeAddrs [2]int
 	nReads     int
 	nWrites    int
-	bulk       bool // ReadRange/ReadROData used: not a single-word pattern
 }
 
 func (p *probeTx) noteRead(addr int) {
@@ -79,11 +78,6 @@ func (p *probeTx) Write(addr int, v uint64) {
 	p.inner.Write(addr, v)
 }
 
-func (p *probeTx) ReadRange(addr, n int) {
-	p.bulk = true
-	p.inner.ReadRange(addr, n)
-}
-
 func (p *probeTx) ReadROData(n int) {
 	// Immutable data never conflicts; reading it does not widen the
 	// mutable footprint, so it does not disqualify lowering.
@@ -98,7 +92,7 @@ var _ exec.Tx = (*probeTx)(nil)
 // and written (or write-only): the shape of CAS, fetch-and-op, and plain
 // atomic stores.
 func (p *probeTx) matchesAtomic() bool {
-	if p.bulk || p.nWrites != 1 || p.nReads > 1 {
+	if p.nWrites != 1 || p.nReads > 1 {
 		return false
 	}
 	return p.nReads == 0 || p.readAddrs[0] == p.writeAddrs[0]

@@ -54,11 +54,6 @@ func (x *occTx) Write(addr int, v uint64) {
 	x.writes = append(x.writes, occWriteEntry{addr: addr, val: v})
 }
 
-func (x *occTx) ReadRange(addr, n int) {
-	lines := (n + 7) / 8
-	x.ctx.Compute(vtime.Time(lines) * x.ctx.Profile().LoadCost)
-}
-
 func (x *occTx) ReadROData(n int) {
 	lines := (n + 7) / 8
 	x.ctx.Compute(vtime.Time(lines) * x.ctx.Profile().LoadCost)

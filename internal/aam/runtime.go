@@ -40,9 +40,6 @@ func (rt *Runtime) Register(op *Op) int {
 	return len(rt.ops) - 1
 }
 
-// Op returns the operator with the given id.
-func (rt *Runtime) Op(id int) *Op { return rt.ops[id] }
-
 // Handlers appends the runtime's two handlers to existing and returns the
 // extended slice for exec.Config.Handlers.
 func (rt *Runtime) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {

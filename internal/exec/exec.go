@@ -36,10 +36,6 @@ type Tx interface {
 	Read(addr int) uint64
 	// Write buffers a speculative write, adding the line to the write set.
 	Write(addr int, v uint64)
-	// ReadRange accounts for a read-only scan of n consecutive words
-	// (e.g. an adjacency segment) without materializing the values: the
-	// covered lines join the read set and latency is charged per line.
-	ReadRange(addr, n int)
 	// ReadROData accounts for reading n words of immutable out-of-memory
 	// data (CSR adjacency) inside the transaction: the covered lines
 	// join the read set for capacity purposes and latency is charged per
@@ -96,20 +92,17 @@ type Context interface {
 
 	// Messaging. Send injects an active message to dstNode (may be the
 	// local node); delivery is asynchronous. Poll runs pending handlers
-	// on this thread and returns how many ran. WaitPoll blocks until at
-	// least one handler has run (or every thread is blocked, which is a
-	// machine deadlock).
+	// on this thread and returns how many ran; it never blocks. A thread
+	// waiting for traffic polls and joins the sum-reductions that decide
+	// termination (am.Drain).
 	Send(dstNode int, handler int, payload []uint64)
 	Poll() int
-	WaitPoll() int
 
 	// Collectives over all threads of the machine.
 	Barrier()
 	// AllReduceSum returns the sum of v over all threads; it implies a
 	// barrier on both sides.
 	AllReduceSum(v uint64) uint64
-	// AllReduceMax returns the max of v over all threads.
-	AllReduceMax(v uint64) uint64
 
 	// Utilities.
 	Rand() *rand.Rand
@@ -140,7 +133,6 @@ type Result struct {
 // Machine runs SPMD bodies: body is invoked once per thread.
 type Machine interface {
 	Run(body func(ctx Context)) Result
-	Config() Config
 	// Mem exposes a node's word memory for initialization before Run and
 	// result extraction after Run. It must not be used while Run is in
 	// progress.

@@ -23,7 +23,6 @@ type WriteEntry struct {
 
 // TxSet tracks the speculative state of one transaction attempt.
 type TxSet struct {
-	prof       *exec.HTMProfile
 	writeTrack *memmodel.Tracker
 	readTrack  *memmodel.Tracker
 	writes     []WriteEntry
@@ -35,16 +34,12 @@ type TxSet struct {
 // NewTxSet returns a reusable TxSet for HTM profile p.
 func NewTxSet(p *exec.HTMProfile) *TxSet {
 	return &TxSet{
-		prof:       p,
 		writeTrack: memmodel.NewTracker(p.WriteGeo),
 		readTrack:  memmodel.NewTracker(p.ReadGeo),
 		writeIdx:   make(map[int]int, 32),
 		readSeen:   make(map[int]struct{}, 64),
 	}
 }
-
-// Profile returns the HTM profile this set was built for.
-func (s *TxSet) Profile() *exec.HTMProfile { return s.prof }
 
 // NoteRead records a read of addr. It returns the number of new cache
 // lines the read occupied (0 or 1) and ok=false on a read-set overflow.

@@ -65,9 +65,6 @@ func NewTracker(g Geometry) *Tracker {
 	}
 }
 
-// Geometry returns the tracker's cache geometry.
-func (t *Tracker) Geometry() Geometry { return t.geo }
-
 // Len reports the number of distinct lines currently tracked.
 func (t *Tracker) Len() int { return len(t.lines) }
 

@@ -36,7 +36,6 @@ type Machine struct {
 
 	barrier *barrier
 	arSlots [2]uint64 // alternating allreduce accumulators
-	arMax   [2]uint64
 	arGen   uint32
 }
 
@@ -45,9 +44,8 @@ type node struct {
 	mem []uint64
 	stm *stmNode
 
-	inboxMu   sync.Mutex
-	inboxCond *sync.Cond
-	inbox     []nmsg
+	inboxMu sync.Mutex
+	inbox   []nmsg
 }
 
 type nmsg struct {
@@ -63,16 +61,12 @@ func New(cfg exec.Config) *Machine {
 	m.nodes = make([]*node, cfg.Nodes)
 	for i := range m.nodes {
 		n := &node{id: i, mem: make([]uint64, cfg.MemWords)}
-		n.inboxCond = sync.NewCond(&n.inboxMu)
 		n.stm = newSTMNode(n.mem)
 		m.nodes[i] = n
 	}
 	m.barrier = newBarrier(cfg.Nodes * cfg.ThreadsPerNode)
 	return m
 }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() exec.Config { return m.cfg }
 
 // Mem returns the memory of nodeID for inspection after Run completes.
 func (m *Machine) Mem(nodeID int) []uint64 { return m.nodes[nodeID].mem }
@@ -207,7 +201,6 @@ func (t *nthread) Send(dstNode int, handler int, payload []uint64) {
 	dst.inboxMu.Lock()
 	dst.inbox = append(dst.inbox, nmsg{handler: handler, src: t.nid, payload: body})
 	dst.inboxMu.Unlock()
-	dst.inboxCond.Broadcast()
 	t.st.MsgsSent++
 	t.st.MsgWords += uint64(len(payload))
 }
@@ -230,19 +223,6 @@ func (t *nthread) Poll() int {
 	return len(msgs)
 }
 
-func (t *nthread) WaitPoll() int {
-	for {
-		if n := t.Poll(); n > 0 {
-			return n
-		}
-		t.node.inboxMu.Lock()
-		for len(t.node.inbox) == 0 {
-			t.node.inboxCond.Wait()
-		}
-		t.node.inboxMu.Unlock()
-	}
-}
-
 // --- collectives ---
 
 func (t *nthread) Barrier() {
@@ -258,26 +238,6 @@ func (t *nthread) AllReduceSum(v uint64) uint64 {
 	if t.m.barrier.await() {
 		// Exactly one thread resets the used slot and flips generation.
 		atomic.StoreUint64(&t.m.arSlots[g], 0)
-		atomic.StoreUint64(&t.m.arMax[g], 0)
-		atomic.AddUint32(&t.m.arGen, 1)
-	}
-	t.m.barrier.await()
-	return out
-}
-
-func (t *nthread) AllReduceMax(v uint64) uint64 {
-	g := atomic.LoadUint32(&t.m.arGen) & 1
-	for {
-		cur := atomic.LoadUint64(&t.m.arMax[g])
-		if v <= cur || atomic.CompareAndSwapUint64(&t.m.arMax[g], cur, v) {
-			break
-		}
-	}
-	t.m.barrier.await()
-	out := atomic.LoadUint64(&t.m.arMax[g])
-	if t.m.barrier.await() {
-		atomic.StoreUint64(&t.m.arSlots[g], 0)
-		atomic.StoreUint64(&t.m.arMax[g], 0)
 		atomic.AddUint32(&t.m.arGen, 1)
 	}
 	t.m.barrier.await()

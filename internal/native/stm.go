@@ -83,11 +83,6 @@ func (x *nativeTx) Write(addr int, v uint64) {
 	x.writes = append(x.writes, htmWrite{addr: addr, val: v})
 }
 
-// ReadRange is footprint accounting for the simulator's capacity model; the
-// native STM has no capacity, and ranges are used for immutable data, so it
-// is a no-op here.
-func (x *nativeTx) ReadRange(addr, n int) {}
-
 // ReadROData is capacity accounting for the simulator; immutable data
 // needs no STM tracking on the native backend.
 func (x *nativeTx) ReadROData(n int) {}

@@ -203,14 +203,3 @@ func (c *chaosLink) write(l *link, ft frameType, payload []byte) error {
 	}
 	return l.writeFrameLocked(ft, payload, false)
 }
-
-// chaosTransport is the tcp transport under an active chaos plan: the
-// collective and batch machinery is inherited unchanged (injection
-// happens at the link layer), only the telemetry name differs so runs
-// under chaos are distinguishable in reports.
-type chaosTransport struct {
-	*tcpTransport
-	plan *ChaosPlan
-}
-
-func (t *chaosTransport) Name() string { return "tcp+chaos" }

@@ -613,12 +613,7 @@ func (c *Cluster) runAttempt(name string, params []uint64, cfg Config, g *graph.
 		}
 	}
 	runCfg := cfg
-	tcp := &tcpTransport{node: n}
-	if c.opts.Chaos != nil {
-		runCfg.transport = &chaosTransport{tcpTransport: tcp, plan: c.opts.Chaos}
-	} else {
-		runCfg.transport = tcp
-	}
+	runCfg.transport = &tcpTransport{node: n}
 	return fn(runCfg), false
 }
 

@@ -227,9 +227,6 @@ func (ex *Executor) Config() Config { return ex.cfg }
 // Shards returns the shard list (indexed by shard id).
 func (ex *Executor) Shards() []*Shard { return ex.shards }
 
-// Epochs returns the number of Drain barriers executed so far.
-func (ex *Executor) Epochs() int { return ex.epochs }
-
 // Workers returns the total worker count across shards (all processes).
 func (ex *Executor) Workers() int { return ex.cfg.Shards * ex.cfg.Workers }
 

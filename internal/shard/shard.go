@@ -55,16 +55,6 @@ func (p FlushPolicy) String() string {
 	}
 }
 
-// PolicyByName resolves the wire names of the flush policies.
-func PolicyByName(name string) (FlushPolicy, bool) {
-	for _, p := range []FlushPolicy{FlushBySize, FlushEager, FlushByEpoch} {
-		if p.String() == name {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // PartScheme selects how the vertex set is split into shard-owned ranges.
 type PartScheme int
 
@@ -129,16 +119,6 @@ func (d Direction) String() string {
 	default:
 		return "dir(?)"
 	}
-}
-
-// DirectionByName resolves the wire names of the direction policies.
-func DirectionByName(name string) (Direction, bool) {
-	for _, d := range []Direction{DirAuto, DirPush, DirPull} {
-		if d.String() == name {
-			return d, true
-		}
-	}
-	return 0, false
 }
 
 // Config shapes one sharded execution.

@@ -28,8 +28,6 @@ package shard
 // unexported because the protocol speaks in the package's internal
 // message/Stats vocabulary.
 type Transport interface {
-	// Name labels the transport in telemetry and reports.
-	Name() string
 	// endpoints returns this process's rank and the total process count.
 	endpoints() (rank, nranks int)
 	// attach binds the transport to the executor it will carry traffic
@@ -84,15 +82,6 @@ func (ex *Executor) AllOr(vals []uint64) { ex.tr.allreduce(redOr, vals) }
 // in-process transport. Non-owned shards hold state replicas (refreshed
 // at every barrier) but run no workers.
 func (ex *Executor) Owns(id int) bool { return ex.shardRank[id] == ex.rank }
-
-// Rank returns this process's rank (0 = coordinator / single process).
-func (ex *Executor) Rank() int { return ex.rank }
-
-// Ranks returns the number of peer processes executing this run.
-func (ex *Executor) Ranks() int { return ex.nranks }
-
-// Transport returns the transport carrying this executor's batches.
-func (ex *Executor) Transport() Transport { return ex.tr }
 
 // localPending counts batches sitting in this process's inboxes; shared
 // by both transports' pending implementations.

@@ -11,7 +11,6 @@ type inprocTransport struct {
 	ex *Executor
 }
 
-func (t *inprocTransport) Name() string              { return "inproc" }
 func (t *inprocTransport) endpoints() (int, int)     { return 0, 1 }
 func (t *inprocTransport) attach(ex *Executor)       { t.ex = ex }
 func (t *inprocTransport) pending() int              { return localPending(t.ex) }

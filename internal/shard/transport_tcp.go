@@ -94,7 +94,6 @@ type tcpTransport struct {
 	ord  uint64 // collective ordinal
 }
 
-func (t *tcpTransport) Name() string          { return "tcp" }
 func (t *tcpTransport) endpoints() (int, int) { return t.node.jobRank, t.node.jobRanks }
 func (t *tcpTransport) pending() int          { return localPending(t.ex) }
 
@@ -701,7 +700,7 @@ type link struct {
 	// workers, whose single link always reaches the coordinator).
 	peer int
 	// chaos, when non-nil, intercepts writeFrame for deterministic fault
-	// injection (chaos.go, tests and the chaos transport only).
+	// injection (chaos.go; tests only).
 	chaos *chaosLink
 
 	collCh chan []byte

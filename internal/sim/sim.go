@@ -55,8 +55,6 @@ func (h msgHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h msgHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x any)    { *h = append(*h, x.(message)) }
-func (h *msgHeap) Pop() any      { old := *h; n := len(old); m := old[n-1]; *h = old[:n-1]; return m }
 func (h msgHeap) peek() *message { return &h[0] }
 
 // node is one simulated compute node.
@@ -73,7 +71,6 @@ type node struct {
 	// profiles with line-granular conflict detection (Intel TSX).
 	lineMeta []wordMeta
 	inbox    msgHeap
-	waiters  []*thread // threads blocked in WaitPoll
 
 	// Fallback serialization lock for HTM (one per node, as with a
 	// global elision lock). lockBusy orders serialized sections; lockSeq
@@ -93,7 +90,6 @@ const (
 	stReady threadState = iota
 	stRunning
 	stBarrier
-	stInbox
 	stDone
 )
 
@@ -141,13 +137,11 @@ type Machine struct {
 	// Collective state.
 	colWaiting []*thread
 	colSum     uint64
-	colMax     uint64
 	colResult  uint64
 
 	msgSeq   uint64
 	applySeq uint64 // global memory-apply sequence (conflict snapshots)
 	ran      bool
-	nodeBufs map[int][]uint64 // reserved; see am package for coalescing
 }
 
 // New constructs a simulator machine from cfg.
@@ -176,9 +170,6 @@ func New(cfg exec.Config) *Machine {
 	}
 	return m
 }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() exec.Config { return m.cfg }
 
 // Node memory access for test setup/inspection between runs is provided by
 // Mem; it must not be used while Run is in progress.
@@ -221,16 +212,15 @@ func (m *Machine) readyPush(t *thread) {
 }
 
 // schedule is the central DES loop: resume min-clock ready thread, wait for
-// it to yield back, repeat; wake inbox waiters when nothing is runnable.
+// it to yield back, repeat. Only a collective parks a thread outside the
+// ready heap, so an empty heap with threads still running is a deadlock.
 func (m *Machine) schedule() {
 	for {
 		if m.ready.Len() == 0 {
 			if m.allDone() {
 				return
 			}
-			if !m.wakeEarliestWaiter() {
-				panic("sim: deadlock\n" + m.dump())
-			}
+			panic("sim: deadlock\n" + m.dump())
 		}
 		t := heap.Pop(&m.ready).(*thread)
 		t.state = stRunning
@@ -248,48 +238,6 @@ func (m *Machine) allDone() bool {
 	return true
 }
 
-// wakeEarliestWaiter unblocks the WaitPoll-blocked thread whose node has
-// the earliest pending delivery. Returns false when no progress is
-// possible.
-func (m *Machine) wakeEarliestWaiter() bool {
-	var best *thread
-	var bestAt vtime.Time
-	for _, n := range m.nodes {
-		if len(n.waiters) == 0 || n.inbox.Len() == 0 {
-			continue
-		}
-		at := n.inbox.peek().deliver
-		// Wake the waiter with the smallest clock.
-		w := n.waiters[0]
-		for _, c := range n.waiters[1:] {
-			if c.clock < w.clock {
-				w = c
-			}
-		}
-		wakeAt := vtime.Max(w.clock, at)
-		if best == nil || wakeAt < bestAt {
-			best, bestAt = w, wakeAt
-		}
-	}
-	if best == nil {
-		return false
-	}
-	m.unblockWaiter(best, bestAt)
-	return true
-}
-
-func (m *Machine) unblockWaiter(t *thread, at vtime.Time) {
-	n := t.node
-	for i, w := range n.waiters {
-		if w == t {
-			n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
-			break
-		}
-	}
-	t.clock = vtime.Max(t.clock, at)
-	m.readyPush(t)
-}
-
 // barrierLatency models a tree barrier/allreduce across all threads.
 func (m *Machine) barrierLatency() vtime.Time {
 	n := len(m.thr)
@@ -303,7 +251,7 @@ func (m *Machine) dump() string {
 		fmt.Fprintf(&b, "  thread %d (node %d): state=%d clock=%v\n", t.gid, t.nid, t.state, t.clock)
 	}
 	for _, n := range m.nodes {
-		fmt.Fprintf(&b, "  node %d: inbox=%d waiters=%d\n", n.id, n.inbox.Len(), len(n.waiters))
+		fmt.Fprintf(&b, "  node %d: inbox=%d\n", n.id, n.inbox.Len())
 	}
 	return b.String()
 }

@@ -215,21 +215,10 @@ func (t *thread) Send(dstNode int, handler int, payload []uint64) {
 	body := make([]uint64, len(payload))
 	copy(body, payload)
 	t.m.msgSeq++
-	dst := t.m.nodes[dstNode]
 	msg := message{deliver: deliver, seq: t.m.msgSeq, handler: handler, src: t.nid, payload: body}
-	dst.inbox.pushMsg(msg)
+	t.m.nodes[dstNode].inbox.pushMsg(msg)
 	t.st.MsgsSent++
 	t.st.MsgWords += uint64(len(payload))
-	// Wake a blocked receiver, if any.
-	if len(dst.waiters) > 0 {
-		w := dst.waiters[0]
-		for _, c := range dst.waiters[1:] {
-			if c.clock < w.clock {
-				w = c
-			}
-		}
-		t.m.unblockWaiter(w, deliver)
-	}
 }
 
 func (h *msgHeap) pushMsg(m message) {
@@ -285,32 +274,6 @@ func (t *thread) Poll() int {
 	return ran
 }
 
-// WaitPoll blocks until at least one handler has run.
-func (t *thread) WaitPoll() int {
-	for {
-		t.yield()
-		if t.node.inbox.Len() > 0 {
-			first := t.node.inbox.peek().deliver
-			if first > t.clock {
-				// Sleep until the earliest delivery.
-				t.clock = first
-			}
-			ran := 0
-			for t.node.inbox.Len() > 0 && t.node.inbox.peek().deliver <= t.clock {
-				msg := t.node.inbox.popMsg()
-				t.runHandler(msg)
-				ran++
-			}
-			if ran > 0 {
-				return ran
-			}
-			continue
-		}
-		t.node.waiters = append(t.node.waiters, t)
-		t.block(stInbox)
-	}
-}
-
 func (t *thread) runHandler(msg message) {
 	t.clock = vtime.Max(t.clock, msg.deliver) + t.m.prof.HandlerCost
 	h := t.m.cfg.Handlers[msg.handler]
@@ -322,26 +285,19 @@ func (t *thread) runHandler(msg message) {
 
 func (t *thread) Barrier() {
 	t.st.Barriers++
-	t.collective(0, false)
+	t.collective(0)
 }
 
 func (t *thread) AllReduceSum(v uint64) uint64 {
-	return t.collective(v, false)
-}
-
-func (t *thread) AllReduceMax(v uint64) uint64 {
-	return t.collective(v, true)
+	return t.collective(v)
 }
 
 // collective implements barrier/allreduce: all threads arrive, the last
 // arrival computes the release time (max arrival + tree latency) and the
-// result, and readies everyone.
-func (t *thread) collective(v uint64, isMax bool) uint64 {
+// sum, and readies everyone.
+func (t *thread) collective(v uint64) uint64 {
 	m := t.m
 	m.colSum += v
-	if v > m.colMax {
-		m.colMax = v
-	}
 	m.colWaiting = append(m.colWaiting, t)
 	if len(m.colWaiting) == len(m.thr) {
 		release := m.colWaiting[0].clock
@@ -351,12 +307,8 @@ func (t *thread) collective(v uint64, isMax bool) uint64 {
 			}
 		}
 		release += m.barrierLatency()
-		if isMax {
-			m.colResult = m.colMax
-		} else {
-			m.colResult = m.colSum
-		}
-		m.colSum, m.colMax = 0, 0
+		m.colResult = m.colSum
+		m.colSum = 0
 		for _, w := range m.colWaiting {
 			w.clock = release
 			m.readyPush(w)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"aamgo/internal/exec"
 	"aamgo/internal/htm"
@@ -76,17 +75,6 @@ func (x *simTx) Write(addr int, v uint64) {
 		panic(capacityAbort{at: x.clock})
 	}
 	x.smtEvict()
-}
-
-func (x *simTx) ReadRange(addr, n int) {
-	if n < 0 || addr < 0 || addr+n > len(x.t.node.mem) {
-		panic(fmt.Sprintf("sim: tx ReadRange [%d,%d) out of range", addr, addr+n))
-	}
-	nl, ok := x.set.NoteReadRange(addr, n)
-	x.clock += vtime.Time(nl) * x.prof.PerAccessCost
-	if !ok {
-		panic(capacityAbort{at: x.clock})
-	}
 }
 
 // roBase is the synthetic address region used to account read-only data
