@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"aamgo/internal/am"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
 	"aamgo/internal/vtime"
@@ -121,17 +122,7 @@ func (p *PBGLPageRank) run(ctx exec.Context) {
 				ctx.Send(owner, p.accH, []uint64{uint64(lw), arg})
 			}
 		}
-		// Drain this iteration's messages.
-		prevSent, prevHandled := ^uint64(0), ^uint64(0)
-		for {
-			ctx.Poll()
-			sent := ctx.AllReduceSum(ctx.Stats().MsgsSent)
-			handled := ctx.AllReduceSum(ctx.Stats().HandlersRun)
-			if sent == handled && sent == prevSent && handled == prevHandled {
-				break
-			}
-			prevSent, prevHandled = sent, handled
-		}
+		am.Drain(ctx) // this iteration's messages
 	}
 	ctx.Barrier()
 }
