@@ -138,6 +138,7 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 		return BatchResult{}, nil, err
 	}
 	res.VerticesAdded = newN - pre.n
+	res.N = newN
 
 	ns := pre.clone(newN)
 	if g.uf != nil {
@@ -209,6 +210,7 @@ func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 		return BatchResult{}, err
 	}
 	res.VerticesAdded = newN - pre.n
+	res.N = newN
 
 	ns := pre.clone(newN)
 	if g.uf != nil {

@@ -593,6 +593,9 @@ type BatchResult struct {
 	VerticesAdded int
 	// Epoch is the epoch the batch produced.
 	Epoch uint64
+	// N is the vertex count at Epoch. A later batch may have grown the
+	// graph by the time Apply returns, so read N here, not Graph.N.
+	N int
 	// Compacted reports whether this batch triggered a delta compaction
 	// back into a fresh base CSR.
 	Compacted bool

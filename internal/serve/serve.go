@@ -832,7 +832,7 @@ func (s *Server) handleVertices(w http.ResponseWriter, r *http.Request) {
 	s.mutations.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"added": res.VerticesAdded,
-		"n":     s.g.N(),
+		"n":     res.N,
 		"epoch": res.Epoch,
 	})
 }

@@ -127,6 +127,44 @@ func TestMutateAndQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVerticesCountBelongsToItsEpoch: a /vertices response reports the
+// vertex count at the epoch it names, even when another batch publishes
+// between its Apply and its answer. The durability hook holds batch A's
+// wait until batch B has published, which forces that interleaving.
+func TestVerticesCountBelongsToItsEpoch(t *testing.T) {
+	ts, g := newTestServer(t, nil, Config{MaxConcurrent: 2})
+	aLogged, bPublished := make(chan struct{}), make(chan struct{})
+	g.SetWALHook(func(ci dyn.CommitInfo) func() error {
+		switch ci.Epoch {
+		case 1:
+			close(aLogged)
+			return func() error { <-bPublished; return nil }
+		case 2:
+			close(bPublished)
+		}
+		return nil
+	})
+	aBody := make(chan string, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/vertices", "application/json", strings.NewReader(`{"count":1}`))
+		if err != nil {
+			aBody <- err.Error()
+			return
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		aBody <- string(raw)
+	}()
+	<-aLogged
+	b := doJSON(t, "POST", ts.URL+"/vertices", map[string]any{"count": 2}, 200)
+	if b["epoch"] != 2.0 || b["n"] != 11.0 {
+		t.Fatalf("batch B answered %v, want epoch 2 and n 11", b)
+	}
+	if a := <-aBody; a != `{"added":1,"epoch":1,"n":9}`+"\n" {
+		t.Fatalf("batch A answered %q, want epoch 1 and n 9", a)
+	}
+}
+
 func TestMechanismOverridePerRequest(t *testing.T) {
 	ts, g := newTestServer(t, nil, Config{Mechanism: aam.MechHTM})
 	for i, mech := range []string{"atomic", "lock", "occ", "flatcomb"} {
