@@ -91,6 +91,7 @@ func TestGeneratorFingerprints(t *testing.T) {
 	got["Kronecker(14,16) seed=1 frozen"] = fingerprint(frozen(t, kron))
 	got["RoadGrid(256,256,.1) seed=1 raw"] = fingerprint(road)
 	got["RoadGrid(256,256,.1) seed=1 frozen"] = fingerprint(frozen(t, road))
+	got["RoadGrid(1024,1024,.1) seed=1 raw"] = fingerprint(graph.RoadGrid(1024, 1024, 0.1, 1)) // the benchmark's road20
 
 	if *updateFingerprints {
 		out, err := json.MarshalIndent(got, "", "  ")
