@@ -351,19 +351,81 @@ func RoadGrid(w, h int, dropFrac float64, seed int64) *Graph {
 	if w < 0 || h < 0 || w > 0 && h > math.MaxInt32/w {
 		panic(fmt.Sprintf("graph: road grid %d×%d: negative side or more than 2^31-1 vertices", w, h))
 	}
-	return roadGridCSR(w, h, dropFrac, lfStream(rand.NewSource(seed).(rand.Source64)))
+	return roadGridCSR(w, h, dropFrac, lfStream(rand.NewSource(seed).(rand.Source64)), 0)
 }
 
-// roadGridCSR is RoadGrid over the stream vals (an lfStream) holds. Vertex
-// v = y·w+x has at most the neighbours v-w-1, v-w, v-1, v+1, v+w, v+w+1, each
-// through one edge, so pass one draws, keeps a cell's three bits (1 right, 2
-// down, 4 diagonal) at cells[w+1+v] and counts arcs, and pass two writes each
-// segment ascending from the bits of the cell and of those up-left, up and
-// left of it: no edge list, no sort. Off the grid those read 0: cells starts
-// with a zero row, and a last column or row never has the bit that would wrap.
-func roadGridCSR(w, h int, dropFrac float64, vals []uint64) *Graph {
-	tDrop, tDiag, tOne := floatThreshold(dropFrac), floatThreshold(0.02), floatThreshold(1)
-	var blk []uint64
+// roadGridCSR is RoadGrid over the stream vals (an lfStream) holds, in bands
+// of rows on workers goroutines (0: one per rmatCut values, at most
+// GOMAXPROCS). Vertex v = y·w+x has at most the neighbours v-w-1, v-w, v-1,
+// v+1, v+w, v+w+1, each through one edge, so pass one draws, keeps a cell's
+// three bits (1 right, 2 down, 4 diagonal) at cells[w+1+v] and counts edges,
+// and pass two writes each segment ascending from the bits of the cell and of
+// those up-left, up and left of it: no edge list, no sort. Off the grid those
+// read 0: cells starts with a zero row, and a last column or row never has the
+// bit that would wrap. Every row but the last takes 3w-2 values, so a band
+// jumps the stream to its first row's; that is exact unless a value before it
+// was drawn again, and then the bands after the first such are drawn again in
+// order, each continuing the stream where the one before it stopped.
+func roadGridCSR(w, h int, dropFrac float64, vals []uint64, workers int) *Graph {
+	if w == 0 {
+		h = 0 // no cells, so no rows to split
+	}
+	n, rowVals := w*h, 3*w-2
+	if workers == 0 {
+		workers = max(1, min(runtime.GOMAXPROCS(0), ((h-1)*rowVals+w-1)/rmatCut))
+	}
+	workers = min(workers, max(h, 1))
+	t := [3]uint64{floatThreshold(dropFrac), floatThreshold(0.02), floatThreshold(1)}
+	cells := make([]uint8, w+1+n)
+	x := lfAdvance(slices.Clone(vals)) // the stream's first values
+	bands := make([]roadBand, workers)
+	parallel(workers, func(i int) {
+		b := &bands[i]
+		b.y0, b.y1, b.vals = chunk(h, workers, i), chunk(h, workers, i+1), vals
+		if i > 0 {
+			b.vals = lfJump(x, b.y0*rowVals)
+		}
+		b.draw(cells, w, h, t)
+	})
+	for i := 1; i < workers; i++ {
+		if prev, b := &bands[i-1], &bands[i]; prev.redraws > 0 { // b jumped short of its first value
+			b.vals, b.blk, b.redraws = prev.vals, prev.blk, prev.redraws
+			b.draw(cells, w, h, t)
+		}
+	}
+	arcs, in := 0, 0 // in: the arcs of the band's first row whose edges the band before it drew
+	for i := range bands {
+		b := &bands[i]
+		b.arc, arcs, in = arcs, arcs+2*b.edges-b.cross+in, b.cross
+	}
+	offs, adj := make([]int64, n+1), make([]int32, arcs)
+	parallel(workers, func(i int) {
+		end := arcs
+		if i+1 < workers {
+			end = bands[i+1].arc
+		}
+		bands[i].write(cells, offs, adj, w, end)
+	})
+	return &Graph{N: n, Offsets: offs, Adj: adj}
+}
+
+// roadBand is one worker's rows [y0, y1) of a road grid.
+type roadBand struct {
+	y0, y1    int
+	vals, blk []uint64 // an lfStream, and what is unread of the block lfAdvance last returned
+	redraws   int      // values drawn again, here and in every band the stream ran through before
+	edges     int      // the edges of the band's cells
+	cross     int      // of those, the ones down or diagonal from its last row, into the next band
+	arc       int      // the index in Adj of the band's first arc
+}
+
+// draw is pass one over the band's rows, with the thresholds t for dropFrac,
+// the diagonal and 1: a row but the last draws right, down and diagonal for
+// each cell but its last and down for that, the last row right for each but
+// its last, 3w-2 values and w-1.
+func (b *roadBand) draw(cells []uint8, w, h int, t [3]uint64) {
+	tDrop, tDiag, tOne := t[0], t[1], t[2]
+	blk, vals, redraws := b.blk, b.vals, b.redraws
 	draw := func() uint64 { // the x behind the next Float64, which draws again on 1
 		for {
 			if len(blk) == 0 {
@@ -373,38 +435,67 @@ func roadGridCSR(w, h int, dropFrac float64, vals []uint64) *Graph {
 			if blk = blk[1:]; x < tOne {
 				return x
 			}
+			redraws++
 		}
 	}
-	n, arcs := w*h, 0
-	cells := make([]uint8, w+1+n)
-	for y, c := 0, cells[w+1:]; y < h; y, c = y+1, c[w:] {
-		for x := 0; x < w; x++ {
-			var f uint64 // (x-t)>>63 is x < t: neither passes 1<<63
-			if x+1 < w {
-				f = (draw()-tDrop)>>63 ^ 1
-			}
-			if y+1 < h {
+	edges, cross := 0, 0
+	for y, c := b.y0, cells[w+1+b.y0*w:]; y < b.y1; y, c = y+1, c[w:] {
+		cross = 0
+		if y+1 < h {
+			for x := 0; x < w-1; x++ {
+				f := (draw()-tDrop)>>63 ^ 1 // (x-t)>>63 is x < t: neither passes 1<<63
 				f |= ((draw()-tDrop)>>63 ^ 1) << 1
-			}
-			if x+1 < w && y+1 < h {
 				f |= (draw() - tDiag) >> 63 << 2
+				c[x] = uint8(f)
+				edges += int(f & 1)
+				cross += int(f>>1&1 + f>>2)
 			}
-			c[x] = uint8(f)
-			arcs += 2 * int(f&1+f>>1&1+f>>2)
+			f := (draw()-tDrop)>>63 ^ 1
+			c[w-1] = uint8(f << 1)
+			cross += int(f)
+		} else {
+			for x := 0; x < w-1; x++ {
+				f := (draw()-tDrop)>>63 ^ 1
+				c[x] = uint8(f)
+				edges += int(f)
+			}
 		}
+		edges += cross
 	}
-	offs, adj := make([]int64, n+1), make([]int32, arcs+5)
-	for v, j := 0, 0; v < n; v++ {
+	b.blk, b.redraws, b.edges, b.cross = blk, redraws, edges, cross
+}
+
+// write is pass two over the band's vertices: their arcs into adj, up to end
+// (the next band's first), and their ends into offs. A vertex stores one slot
+// past its arcs at most, and past the band's that is the next band's, so from
+// the first vertex that could reach it on the arcs go to tail and are copied
+// in after. The band's last vertex is in the last column, with four arcs at
+// most, so every band gets there.
+func (b *roadBand) write(cells []uint8, offs []int64, adj []int32, w, end int) {
+	var tail [6]int32
+	last := b.y1 * w
+	v, j := roadArcs(adj, b.arc, end-len(tail), 0, b.y0*w, last, cells, offs, w)
+	_, k := roadArcs(tail[:], 0, math.MaxInt, j, v, last, cells, offs, w)
+	copy(adj[j:], tail[:k])
+}
+
+// roadArcs writes the arcs of vertex v and those after it, up to last, from
+// a[j] on, and each vertex's end, plus off, into offs. Each arc is stored to
+// its slot and kept by advancing, so a slot that was not kept is overwritten
+// by the next store. It stops at the first vertex whose arcs start past cut,
+// and returns that vertex and where its arcs start.
+func roadArcs(a []int32, j, cut, off, v, last int, cells []uint8, offs []int64, w int) (int, int) {
+	for ; v < last && j <= cut; v++ {
 		upLeft, up, left, here := int(cells[v]), int(cells[v+1]), int(cells[v+w]), int(cells[v+w+1])
-		adj[j], j = int32(v-w-1), j+upLeft>>2 // a slot is stored to, then kept by advancing
-		adj[j], j = int32(v-w), j+up>>1&1
-		adj[j], j = int32(v-1), j+left&1
-		adj[j], j = int32(v+1), j+here&1
-		adj[j], j = int32(v+w), j+here>>1&1
-		adj[j], j = int32(v+w+1), j+here>>2
-		offs[v+1] = int64(j)
+		a[j], j = int32(v-w-1), j+upLeft>>2
+		a[j], j = int32(v-w), j+up>>1&1
+		a[j], j = int32(v-1), j+left&1
+		a[j], j = int32(v+1), j+here&1
+		a[j], j = int32(v+w), j+here>>1&1
+		a[j], j = int32(v+w+1), j+here>>2
+		offs[v+1] = int64(off + j)
 	}
-	return &Graph{N: n, Offsets: offs, Adj: adj[:arcs:arcs]}
+	return v, j
 }
 
 // BarabasiAlbert generates a social-network proxy by preferential
@@ -592,7 +683,7 @@ func Generate(kind string, p GenParams) (*Graph, error) {
 	case "er":
 		return ErdosRenyi(p.N, p.P, p.Seed), nil
 	case "road":
-		side := 1
+		side := 0
 		for side*side < p.N {
 			side++
 		}

@@ -26,6 +26,11 @@ func TestGenerateByName(t *testing.T) {
 			t.Errorf("%s: not the generator's graph (%v)", kind, err)
 		}
 	}
+	for _, kind := range []string{"er", "road", "ba", "community"} { // road used to round 0 up to a 1×1 grid
+		if g, err := Generate(kind, GenParams{Deg: 6, P: 0.05, Seed: 3}); err != nil || g.N != 0 || g.Validate() != nil {
+			t.Errorf("%s at N=0: %+v, %v; want the empty graph", kind, g, err)
+		}
+	}
 	if g, err := Generate("web", p); err == nil || g != nil || err.Error() != `unknown graph kind "web"` {
 		t.Errorf("web is not a shared kind: %v, %v", g, err)
 	}

@@ -39,12 +39,59 @@ func sameCSR(got, want *Graph) bool {
 // TestRoadGridMatchesPlainLoop holds RoadGrid to its definition array for
 // array, where the fingerprint file only holds it to its past output.
 func TestRoadGridMatchesPlainLoop(t *testing.T) {
+	// These rows take under rmatCut values, so they are one band;
+	// TestRoadGridSplits forces the splits.
 	for _, s := range [][2]int{{0, 0}, {0, 5}, {5, 0}, {1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {24, 17}, {100, 3}, {256, 256}} {
 		for _, drop := range []float64{0, 0.05, 0.1, 0.5, 1, 1.5, -1, math.NaN()} {
 			for _, seed := range []int64{1, 7, 12345} {
 				want := roadGridPlain(s[0], s[1], drop, rand.New(rand.NewSource(seed)))
 				if got := RoadGrid(s[0], s[1], drop, seed); !sameCSR(got, want) {
 					t.Fatalf("%dx%d dropFrac=%v seed=%d: RoadGrid differs from the plain loop", s[0], s[1], drop, seed)
+				}
+			}
+		}
+	}
+	// The benchmark's road20 grid takes some 3.1 M values: one band on one P,
+	// two on two and three on three.
+	want := roadGridPlain(1024, 1024, 0.1, rand.New(rand.NewSource(1)))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(p)
+		if got := RoadGrid(1024, 1024, 0.1, 1); !sameCSR(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: RoadGrid(1024,1024) differs from the plain loop", p)
+		}
+	}
+}
+
+// TestRoadGridSplits holds roadGridCSR on one to five workers to the plain
+// loop over the same state: shapes with fewer rows than workers, one column,
+// bands of one row, no columns, and a grid whose later bands jump past the
+// state and past several blocks. Values Float64 draws again on are planted,
+// twice in a row, on the first value of every band the state holds, of band 0
+// alone and of the last band alone: a band that meets one must have every
+// band after it drawn again.
+func TestRoadGridSplits(t *testing.T) {
+	redraw := [2]uint64{1<<63 - 512, 1<<64 - 1} // 1.0, and 1.0 under the mask
+	for _, s := range [][2]int{{0, 4}, {4, 0}, {1, 1}, {1, 9}, {9, 1}, {9, 3}, {9, 5}, {12, 11}, {3, 14}, {40, 30}} {
+		w, h := s[0], s[1]
+		for _, seed := range []int64{1, 7} {
+			clean := lfStream(rand.NewSource(seed).(rand.Source64))[lfBlock:]
+			for workers := 1; workers <= 5; workers++ {
+				bands := min(workers, max(h, 1))
+				first := func(b int) int { return chunk(h, bands, b) * (3*w - 2) }
+				for _, planted := range [][]int{nil, {0, 1, 2, 3, 4}, {0}, {bands - 1}} {
+					state := slices.Clone(clean)
+					for _, b := range planted {
+						if k := first(b); b < bands && w > 0 && k+1 < lfLen {
+							state[k], state[k+1] = redraw[0], redraw[1]
+						}
+					}
+					for _, drop := range []float64{0.1, 0.5} {
+						want := roadGridPlain(w, h, drop, rand.New(&lfSource{x: slices.Clone(state)}))
+						if got := roadGridCSR(w, h, drop, lfStream(&lfSource{x: slices.Clone(state)}), workers); !sameCSR(got, want) {
+							t.Fatalf("%dx%d seed=%d workers=%d redraws at the start of bands %v dropFrac=%v: roadGridCSR differs from the plain loop", w, h, seed, workers, planted, drop)
+						}
+					}
 				}
 			}
 		}
@@ -66,23 +113,28 @@ func TestRoadGridRedraws(t *testing.T) {
 		state[4+lfLen-lfTap] = 1<<63 - 511
 		for _, drop := range []float64{0, 0.1, 1} { // 40×30: more values than the state and a block after it
 			want := roadGridPlain(40, 30, drop, rand.New(&lfSource{x: slices.Clone(state)}))
-			if got := roadGridCSR(40, 30, drop, lfStream(&lfSource{x: slices.Clone(state)})); !sameCSR(got, want) {
+			if got := roadGridCSR(40, 30, drop, lfStream(&lfSource{x: slices.Clone(state)}), 1); !sameCSR(got, want) {
 				t.Fatalf("seed %d dropFrac %v: roadGridCSR differs from the plain loop over the same planted state", seed, drop)
 			}
 		}
 	}
 }
 
-// TestRoadGridAllocatesItsCSR: the arrays of the graph, a flag byte per cell
-// and 64 KB for the stream block, the flag row above the grid and headers —
-// no edge list, whose 8 bytes per edge would double this.
+// TestRoadGridAllocatesItsCSR: the arrays of the graph, a flag byte per cell,
+// per band a stream and what a jump of it takes beside it, and 48 KB for the
+// source, the values jumps start from, the flag row above the grid, headers
+// and the three arrays' rounding up to whole pages — no edge list, whose 8
+// bytes per edge would double this, and no scratch adjacency per band.
 func TestRoadGridAllocatesItsCSR(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g := RoadGrid(256, 256, 0.1, 1)
-	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(g.Adj)+8*(g.N+1)+g.N+64<<10); got > limit {
-		t.Fatalf("RoadGrid(256,256) allocated %d bytes, more than the %d its CSR and flags take", got, limit)
+	const stream, jump = 8 * (lfBlock + lfLen), 8 * 3 * lfLen
+	for _, workers := range []int{1, 3} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g := roadGridCSR(256, 256, 0.1, lfStream(rand.NewSource(1).(rand.Source64)), workers)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(g.Adj)+8*(g.N+1)+g.N+workers*(stream+jump)+48<<10); got > limit {
+			t.Fatalf("RoadGrid(256,256) on %d workers allocated %d bytes, more than the %d its CSR, flags and streams take", workers, got, limit)
+		}
 	}
 }
 
