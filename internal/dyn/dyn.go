@@ -411,7 +411,7 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 		}
 		base = base.Flat()
 	}
-	sorted, ok := sweepBase(base)
+	sorted, ok := sweepBase(base, 0)
 	if !ok {
 		return nil, fmt.Errorf("dyn: invalid base: %w", base.Validate())
 	}
@@ -434,35 +434,63 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	return g, nil
 }
 
-// sweepBase walks a flat base once: ok is false where graph.Validate returns
-// an error (the caller has Validate word it), sorted says whether every
-// segment is. Neither needs the vertex of an arc, so the arcs are read as one
-// array, with no loop per segment to mispredict the end of: the ids are in
-// range when the largest is, and the segments are sorted when every descent
-// adj[i-1] > adj[i] falls where one segment ends and the next begins.
-func sweepBase(base *graph.Graph) (sorted, ok bool) {
+// sweepBase walks a flat base once, on workers goroutines (0: one per 64k
+// arcs and vertices, at most GOMAXPROCS): ok is false where graph.Validate
+// returns an error (the caller has Validate word it), sorted says whether
+// every segment is. Neither needs the vertex of an arc, so the arcs are read
+// as one array, with no loop per segment to mispredict the end of: the ids
+// are in range when the largest is, and the segments are sorted when every
+// descent adj[i-1] > adj[i] falls where one segment ends and the next begins.
+// The workers claim 8 runs each, a run an equal share of the arcs and of the
+// offsets. A run bounds every index it takes from an offset itself: only the
+// first run has a non-decreasing prefix of offsets behind it.
+func sweepBase(base *graph.Graph, workers int) (sorted, ok bool) {
 	n, off, adj := base.N, base.Offsets, base.Adj
 	if n < 0 || len(off) != n+1 || off[0] != 0 || off[n] != int64(len(adj)) ||
 		base.Weights != nil && len(base.Weights) != len(adj) {
 		return false, false
 	}
-	hi, descents, prev := uint32(0), 0, int32(0) // hi as unsigned: a negative id is above every n
-	for _, w := range adj {
-		hi = max(hi, uint32(w))
-		descents += int(uint32(w-prev) >> 31) // w < prev, for ids in range (any count will do otherwise)
-		prev = w
+	if workers == 0 {
+		workers = min(runtime.GOMAXPROCS(0), 1+(n+len(adj))>>16)
+	}
+	type tally struct {
+		hi        uint32 // as unsigned: a negative id is above every n
+		descents  int
+		decreases bool // an offset below the one before it
+	}
+	runs := make([]tally, 8*workers)
+	claimRuns(workers, len(runs), func(_, r int) {
+		var t tally
+		lo, end, prev := r*len(adj)/len(runs), (r+1)*len(adj)/len(runs), int32(0)
+		if lo > 0 {
+			prev = adj[lo-1]
+		}
+		for _, w := range adj[lo:end] {
+			t.hi = max(t.hi, uint32(w))
+			t.descents += int(uint32(w-prev) >> 31) // w < prev, for ids in range (any count will do otherwise)
+			prev = w
+		}
+		for v, end := r*n/len(runs), (r+1)*n/len(runs); v < end; v++ {
+			i := off[v+1]
+			if off[v] > i {
+				t.decreases = true
+				break
+			}
+			if off[v] < i && 0 < i && i < int64(len(adj)) && adj[i-1] > adj[i] { // off[v] < i: a boundary not seen before
+				t.descents--
+			}
+		}
+		runs[r] = t
+	})
+	hi, descents := uint32(0), 0
+	for _, t := range runs {
+		if t.decreases {
+			return false, false
+		}
+		hi, descents = max(hi, t.hi), descents+t.descents
 	}
 	if len(adj) > 0 && hi >= uint32(n) {
 		return false, false
-	}
-	for v := 0; v < n; v++ {
-		i := off[v+1]
-		if off[v] > i {
-			return false, false
-		}
-		if off[v] < i && i < int64(len(adj)) && adj[i-1] > adj[i] { // off[v] < i: a boundary not seen before, and positive
-			descents--
-		}
 	}
 	return descents == 0, true
 }
@@ -483,27 +511,39 @@ func NewEmpty(n int) *Graph {
 // sortIDs orders them by the bits an id below g.N can have.
 func sortSegments(g *graph.Graph) {
 	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
-	runs := int64(8 * workers)
-	bound := func(r int64) int { // the first vertex at or past r/runs of the arcs
-		v, _ := slices.BinarySearch(g.Offsets, r*int64(len(g.Adj))/runs)
+	runs := 8 * workers
+	bound := func(r int) int { // the first vertex at or past r/runs of the arcs
+		v, _ := slices.BinarySearch(g.Offsets, int64(r)*int64(len(g.Adj))/int64(runs))
 		return v
 	}
+	tmp := make([][]int32, workers) // each worker's scratch
+	claimRuns(workers, runs, func(w, r int) {
+		t := tmp[w]
+		for v, hi := bound(r), bound(r+1); v < hi; v++ {
+			t = sortIDs(g.Neighbors(v), g.N, t)
+		}
+		tmp[w] = t
+	})
+}
+
+// claimRuns calls f(w, r) for every run r in [0, runs) on workers goroutines,
+// the caller's among them, w being the index of the worker that claimed r
+// from a shared counter: a worker that loses its processor for a while holds
+// up the run it is in, not a share of the work fixed in advance.
+func claimRuns(workers, runs int, f func(w, r int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	work := func() {
+	work := func(w int) {
 		defer wg.Done()
-		var tmp []int32
-		for r := next.Add(1); r <= runs; r = next.Add(1) {
-			for v, hi := bound(r-1), bound(r); v < hi; v++ {
-				tmp = sortIDs(g.Neighbors(v), g.N, tmp)
-			}
+		for r := int(next.Add(1)) - 1; r < runs; r = int(next.Add(1)) - 1 {
+			f(w, r)
 		}
 	}
 	wg.Add(workers)
 	for w := 1; w < workers; w++ {
-		go work()
+		go work(w)
 	}
-	work()
+	work(0)
 	wg.Wait()
 }
 

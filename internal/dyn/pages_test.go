@@ -332,12 +332,15 @@ func fuzzBase(n int, offs, adj []byte) *graph.Graph {
 }
 
 // FuzzDynNewBase: on any (N, offsets, adj), New fails exactly when
-// graph.Validate does, with Validate's message, and never panics; an
+// graph.Validate does, with Validate's message, and never panics, nor does
+// the sweep on one to three workers, each of which gives New's verdict; an
 // accepted base comes back with the same adjacency, sorted per vertex, and
 // the components a recompute finds.
 func FuzzDynNewBase(f *testing.F) {
 	// testdata/fuzz/FuzzDynNewBase holds more: N = -1 (Validate used to index
-	// Offsets[0] of nothing), a bad last arc, a segment past the end of adj.
+	// Offsets[0] of nothing), a bad last arc, a segment past the end of adj,
+	// an offset of 0 after a negative one (a run of the sweep that starts
+	// there must not index adj[-1]).
 	f.Add(3, []byte{0, 2, 4, 6}, []byte{2, 1, 0, 2, 1, 0}) // a triangle, first segment unsorted
 	f.Add(5, []byte{0, 1, 2, 3, 4, 4}, []byte{1, 0, 3, 2}) // two components and a singleton
 	f.Add(2, []byte{0, 2, 4}, []byte{1, 1, 0, 0})          // parallel copies
@@ -351,6 +354,15 @@ func FuzzDynNewBase(f *testing.F) {
 	f.Fuzz(func(t *testing.T, n int, offs, adj []byte) {
 		base := fuzzBase(n, offs, adj)
 		want := base.Validate()
+		wantSorted := want == nil
+		for v := 0; wantSorted && v < n; v++ {
+			wantSorted = slices.IsSorted(base.Neighbors(v))
+		}
+		for workers := 1; workers <= 3; workers++ {
+			if sorted, ok := sweepBase(base, workers); ok != (want == nil) || sorted != wantSorted {
+				t.Fatalf("sweep on %d workers: sorted %t, ok %t; Validate: %v", workers, sorted, ok, want)
+			}
+		}
 		g, err := New(base)
 		if want != nil {
 			if err == nil || err.Error() != "dyn: invalid base: "+want.Error() {

@@ -117,7 +117,8 @@ func TestSortIDs(t *testing.T) {
 
 // TestSweepBaseMatchesPerSegmentChecks: on random small bases — empty
 // segments between full ones, equal ids and descents across a boundary,
-// one swap inside a segment, one id out of range — sweepBase accepts what
+// one swap inside a segment, one id out of range, one offset negative, past
+// the arcs or out of order — sweepBase on one to five workers accepts what
 // graph.Validate accepts and calls sorted what slices.IsSorted calls sorted
 // segment by segment, in both directions (a sorted base taken for unsorted
 // would only be copied for nothing, and no other test would see it).
@@ -141,15 +142,21 @@ func TestSweepBaseMatchesPerSegmentChecks(t *testing.T) {
 		if len(g.Adj) > 0 && rng.Intn(8) == 0 {
 			g.Adj[rng.Intn(len(g.Adj))] = []int32{-1, int32(n), math.MinInt32, math.MaxInt32}[rng.Intn(4)]
 		}
+		if n > 1 && rng.Intn(8) == 0 {
+			v := 1 + rng.Intn(n-1)
+			g.Offsets[v] = []int64{-10, -1, int64(len(g.Adj)) + 3, g.Offsets[v+1] + 1, g.Offsets[v-1] - 1}[rng.Intn(5)]
+		}
 		wantOK, wantSorted := g.Validate() == nil, true
 		for v := 0; wantOK && v < n; v++ {
 			wantSorted = wantSorted && slices.IsSorted(g.Neighbors(v))
 		}
-		sorted, ok := sweepBase(g)
-		if ok != wantOK || ok && sorted != wantSorted {
-			t.Fatalf("offsets %v adj %v: sweepBase says sorted %t, ok %t; want %t, %t", g.Offsets, g.Adj, sorted, ok, wantSorted, wantOK)
+		for workers := 1; workers <= 5; workers++ {
+			sorted, ok := sweepBase(g, workers)
+			if ok != wantOK || ok && sorted != wantSorted {
+				t.Fatalf("offsets %v adj %v, %d workers: sweepBase says sorted %t, ok %t; want %t, %t", g.Offsets, g.Adj, workers, sorted, ok, wantSorted, wantOK)
+			}
 		}
-		verdicts[[2]bool{ok, ok && sorted}]++
+		verdicts[[2]bool{wantOK, wantOK && wantSorted}]++
 	}
 	if len(verdicts) != 3 {
 		t.Fatalf("verdicts seen %v: want rejected, sorted and unsorted bases", verdicts)
