@@ -398,7 +398,18 @@ func roadGridCSR(w, h int, dropFrac float64, vals []uint64, workers int) *Graph 
 		b := &bands[i]
 		b.arc, arcs, in = arcs, arcs+2*b.edges-b.cross+in, b.cross
 	}
-	offs, adj := make([]int64, n+1), make([]int32, arcs)
+	// Memory the runtime reuses, it zeroes on the goroutine that allocates
+	// it, at several times the cost of writing it: two goroutines allocate
+	// the two arrays side by side.
+	var offs []int64
+	var adj []int32
+	parallel(2, func(i int) {
+		if i == 0 {
+			adj = make([]int32, arcs)
+		} else {
+			offs = make([]int64, n+1)
+		}
+	})
 	parallel(workers, func(i int) {
 		end := arcs
 		if i+1 < workers {
