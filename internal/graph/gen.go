@@ -398,9 +398,9 @@ func roadGridCSR(w, h int, dropFrac float64, vals []uint64, workers int) *Graph 
 		b := &bands[i]
 		b.arc, arcs, in = arcs, arcs+2*b.edges-b.cross+in, b.cross
 	}
-	// Memory the runtime reuses, it zeroes on the goroutine that allocates
-	// it, at several times the cost of writing it: two goroutines allocate
-	// the two arrays side by side.
+	// The runtime zeroes memory it reuses on the goroutine that allocates
+	// it, and once that memory went back to the OS this costs several times
+	// writing it: the two arrays are allocated side by side.
 	var offs []int64
 	var adj []int32
 	parallel(2, func(i int) {
