@@ -411,11 +411,19 @@ func roadGridCSR(w, h int, dropFrac float64, vals []uint64, workers int) *Graph 
 		}
 	})
 	parallel(workers, func(i int) {
-		end := arcs
+		// Pass two. A vertex stores one slot past its arcs at most, and past
+		// the band's that is the next band's first, so from the first vertex
+		// that could reach it on, the band's arcs go to tail and are copied
+		// in after. The band's last vertex is in the last column, with four
+		// arcs at most, so every band gets there.
+		var tail [6]int32
+		b, end := &bands[i], arcs
 		if i+1 < workers {
 			end = bands[i+1].arc
 		}
-		bands[i].write(cells, offs, adj, w, end)
+		v, j := roadArcs(adj, b.arc, end-len(tail), 0, b.y0*w, b.y1*w, cells, offs, w)
+		_, k := roadArcs(tail[:], 0, math.MaxInt, j, v, b.y1*w, cells, offs, w)
+		copy(adj[j:], tail[:k])
 	})
 	return &Graph{N: n, Offsets: offs, Adj: adj}
 }
@@ -474,20 +482,6 @@ func (b *roadBand) draw(cells []uint8, w, h int, t [3]uint64) {
 		edges += cross
 	}
 	b.blk, b.redraws, b.edges, b.cross = blk, redraws, edges, cross
-}
-
-// write is pass two over the band's vertices: their arcs into adj, up to end
-// (the next band's first), and their ends into offs. A vertex stores one slot
-// past its arcs at most, and past the band's that is the next band's, so from
-// the first vertex that could reach it on the arcs go to tail and are copied
-// in after. The band's last vertex is in the last column, with four arcs at
-// most, so every band gets there.
-func (b *roadBand) write(cells []uint8, offs []int64, adj []int32, w, end int) {
-	var tail [6]int32
-	last := b.y1 * w
-	v, j := roadArcs(adj, b.arc, end-len(tail), 0, b.y0*w, last, cells, offs, w)
-	_, k := roadArcs(tail[:], 0, math.MaxInt, j, v, last, cells, offs, w)
-	copy(adj[j:], tail[:k])
 }
 
 // roadArcs writes the arcs of vertex v and those after it, up to last, from
