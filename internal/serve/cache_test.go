@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +190,60 @@ func TestRequestCollapsing(t *testing.T) {
 	}
 	if got := s.queries.Load(); got != 0 {
 		t.Fatalf("collapsed followers still ran %d computations", got)
+	}
+}
+
+// TestPanickingLeaderWakesFollowers: when the leader's computation panics
+// (a simulated thread's panic reaches the handler as the engine's own), the
+// follower collapsed on its key gets a 500 instead of waiting forever, the
+// panic still leaves the leader's handler, and the next request for the key
+// computes again.
+func TestPanickingLeaderWakesFollowers(t *testing.T) {
+	_, s, _ := newCacheServer(t, Config{})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	h := s.cachedGET(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			panic("leader panicked")
+		}
+		w.Write([]byte(`{"components":1}`))
+	})
+	serveOne := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/query/cc", nil))
+		return rec
+	}
+	leaderPanic := make(chan any)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		serveOne()
+	}()
+	<-entered
+	follower := make(chan *httptest.ResponseRecorder)
+	go func() { follower <- serveOne() }()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.cache.stats().Collapsed < 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower did not collapse: %+v", s.cache.stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if r := <-leaderPanic; r != "leader panicked" {
+		t.Fatalf("leader's handler ended with %v, want its panic", r)
+	}
+	select {
+	case rec := <-follower:
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("follower got %d, want 500", rec.Code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("follower still waits on the panicked leader's flight")
+	}
+	if rec := serveOne(); rec.Code != http.StatusOK || rec.Body.String() != `{"components":1}` || calls.Load() != 2 {
+		t.Fatalf("request after the panic got %d %q after %d computations, want a fresh 200 from the second", rec.Code, rec.Body, calls.Load())
 	}
 }
 

@@ -1,9 +1,11 @@
 // Package sim implements the exec.Machine interface as a deterministic
 // discrete-event simulator. N×T simulated threads run real algorithm code
-// as coroutines; a central scheduler always resumes the thread with the
-// smallest virtual clock, so all arbitration points (atomics, transaction
-// commits, sends, barriers) execute in nondecreasing virtual-time order and
-// runs are bit-reproducible for a fixed seed.
+// as iter.Pull coroutines, all driven from Run's goroutine: the scheduler
+// always resumes the thread with the smallest virtual clock, so all
+// arbitration points (atomics, transaction commits, sends, barriers)
+// execute in nondecreasing virtual-time order and runs are bit-reproducible
+// for a fixed seed. A panic in a thread's body is Run's panic, and Run
+// stops every thread's coroutine before it returns or unwinds.
 //
 // The memory system serializes atomics per word (exclusive-line transfer),
 // which makes contention emerge mechanically from the workload; the HTM
@@ -19,6 +21,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"math/bits"
 	"strings"
 
@@ -103,23 +106,14 @@ func (h readyHeap) Less(i, j int) bool {
 	}
 	return h[i].gid < h[j].gid
 }
-func (h readyHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *readyHeap) Push(x any) {
-	t := x.(*thread)
-	t.heapIdx = len(*h)
-	*h = append(*h, t)
-}
+func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *readyHeap) Push(x any)   { *h = append(*h, x.(*thread)) }
 func (h *readyHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
-	t.heapIdx = -1
 	return t
 }
 
@@ -131,8 +125,7 @@ type Machine struct {
 	nodes []*node
 	thr   []*thread
 
-	ready   readyHeap
-	toSched chan struct{}
+	ready readyHeap
 
 	// Collective state.
 	colWaiting []*thread
@@ -147,11 +140,7 @@ type Machine struct {
 // New constructs a simulator machine from cfg.
 func New(cfg exec.Config) *Machine {
 	cfg.Validate()
-	m := &Machine{
-		cfg:     cfg,
-		prof:    cfg.Profile,
-		toSched: make(chan struct{}),
-	}
+	m := &Machine{cfg: cfg, prof: cfg.Profile}
 	m.nodes = make([]*node, cfg.Nodes)
 	for i := range m.nodes {
 		m.nodes[i] = &node{
@@ -182,17 +171,24 @@ func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 	}
 	m.ran = true
 	for _, t := range m.thr {
-		t := t
-		go func() {
-			<-t.resume
+		t.next, t.stop = iter.Pull(func(suspend func(struct{}) bool) {
 			defer func() {
-				t.state = stDone
-				m.toSched <- struct{}{}
+				if r := recover(); r != nil && r != (released{}) {
+					panic(r)
+				}
 			}()
+			t.suspendFn = suspend
 			body(t)
-		}()
+		})
 		m.readyPush(t)
 	}
+	// A panic out of schedule (a body's own, or the deadlock) unwinds
+	// through here: stopping every thread releases the parked ones.
+	defer func() {
+		for _, t := range m.thr {
+			t.stop()
+		}
+	}()
 	m.schedule()
 
 	res := exec.Result{PerThread: make([]stats.Thread, len(m.thr))}
@@ -211,9 +207,10 @@ func (m *Machine) readyPush(t *thread) {
 	heap.Push(&m.ready, t)
 }
 
-// schedule is the central DES loop: resume min-clock ready thread, wait for
-// it to yield back, repeat. Only a collective parks a thread outside the
-// ready heap, so an empty heap with threads still running is a deadlock.
+// schedule is the central DES loop: switch to the min-clock ready thread
+// until it suspends or returns, repeat. Only a collective parks a thread
+// outside the ready heap, so an empty heap with threads still running is a
+// deadlock.
 func (m *Machine) schedule() {
 	for {
 		if m.ready.Len() == 0 {
@@ -224,8 +221,9 @@ func (m *Machine) schedule() {
 		}
 		t := heap.Pop(&m.ready).(*thread)
 		t.state = stRunning
-		t.resume <- struct{}{}
-		<-m.toSched
+		if _, ok := t.next(); !ok {
+			t.state = stDone
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,6 +307,66 @@ func TestDeadlockPanicDumpsThreads(t *testing.T) {
 		}
 	})
 	t.Fatal("Run returned from a deadlocked machine")
+}
+
+// TestBodyPanicSurfacesFromRun: a body that panics after a barrier, with
+// the other threads parked at the next one, panics out of Run with its own
+// value, where the caller can recover it.
+func TestBodyPanicSurfacesFromRun(t *testing.T) {
+	type bodyPanic struct{ gid int }
+	m := newTestMachine(1, 4, exec.HaswellC())
+	defer func() {
+		if r := recover(); r != (bodyPanic{gid: 2}) {
+			t.Fatalf("recovered %v, want the body's bodyPanic{2}", r)
+		}
+	}()
+	m.Run(func(ctx exec.Context) {
+		ctx.Barrier()
+		if ctx.GlobalID() == 2 {
+			panic(bodyPanic{gid: 2})
+		}
+		ctx.Barrier()
+	})
+	t.Fatal("Run returned after a body panicked")
+}
+
+// TestRunReleasesEveryThread: whether Run returns or panics, every
+// simulated thread's coroutine has ended when Run is over. The count may
+// fall below its start (an earlier test's goroutine can still be exiting),
+// never rise above it.
+func TestRunReleasesEveryThread(t *testing.T) {
+	cases := []struct {
+		name    string
+		threads int
+		body    func(ctx exec.Context)
+	}{
+		{"normal", 4, func(ctx exec.Context) {
+			ctx.FetchAdd(0, 1)
+			ctx.Barrier()
+		}},
+		{"deadlock", 2, func(ctx exec.Context) {
+			if ctx.GlobalID() == 0 {
+				ctx.Barrier()
+			}
+		}},
+		{"body panic", 4, func(ctx exec.Context) {
+			if ctx.GlobalID() == 3 {
+				ctx.Compute(vtime.Microsecond)
+				panic("thread 3")
+			}
+			ctx.Barrier()
+		}},
+	}
+	for _, c := range cases {
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() { recover() }()
+			newTestMachine(1, c.threads, exec.HaswellC()).Run(c.body)
+		}()
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after Run, %d before", c.name, after, before)
+		}
+	}
 }
 
 func TestBarrierSynchronizesClocks(t *testing.T) {

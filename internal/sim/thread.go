@@ -18,9 +18,13 @@ type thread struct {
 	lid   int
 	clock vtime.Time
 
-	resume  chan struct{}
-	state   threadState
-	heapIdx int
+	// next switches to the thread's coroutine until it suspends (true) or
+	// its body returns (false); suspendFn, called on the coroutine,
+	// switches back; stop ends the coroutine, unwinding a suspended body.
+	next      func() (struct{}, bool)
+	suspendFn func(struct{}) bool
+	stop      func()
+	state     threadState
 
 	rng *rand.Rand
 	st  stats.Thread
@@ -36,7 +40,6 @@ func newThread(m *Machine, gid, nid, lid int) *thread {
 		gid:    gid,
 		nid:    nid,
 		lid:    lid,
-		resume: make(chan struct{}),
 		rng:    rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(gid)*7919 + 17)),
 		txsets: make(map[*exec.HTMProfile]*txRuntime),
 	}
@@ -47,16 +50,18 @@ func newThread(m *Machine, gid, nid, lid int) *thread {
 // acting, which gives the global virtual-time ordering invariant.
 func (t *thread) yield() {
 	t.m.readyPush(t)
-	t.m.toSched <- struct{}{}
-	<-t.resume
+	t.suspend()
 }
 
-// block parks the thread without adding it to the ready heap; the caller is
-// responsible for arranging a wake-up.
-func (t *thread) block(s threadState) {
-	t.state = s
-	t.m.toSched <- struct{}{}
-	<-t.resume
+// released is the panic that unwinds a suspended body whose coroutine was
+// stopped; the coroutine's top frame recovers it.
+type released struct{}
+
+// suspend switches back to the scheduler until it resumes this thread.
+func (t *thread) suspend() {
+	if !t.suspendFn(struct{}{}) {
+		panic(released{})
+	}
 }
 
 // --- identity ---
@@ -294,11 +299,13 @@ func (t *thread) AllReduceSum(v uint64) uint64 {
 
 // collective implements barrier/allreduce: all threads arrive, the last
 // arrival computes the release time (max arrival + tree latency) and the
-// sum, and readies everyone.
+// sum, and readies everyone. Every arrival then suspends; the scheduler
+// resumes each from the ready heap.
 func (t *thread) collective(v uint64) uint64 {
 	m := t.m
 	m.colSum += v
 	m.colWaiting = append(m.colWaiting, t)
+	t.state = stBarrier
 	if len(m.colWaiting) == len(m.thr) {
 		release := m.colWaiting[0].clock
 		for _, w := range m.colWaiting[1:] {
@@ -314,13 +321,8 @@ func (t *thread) collective(v uint64) uint64 {
 			m.readyPush(w)
 		}
 		m.colWaiting = m.colWaiting[:0]
-		// t is now in the ready heap; park until the scheduler picks it.
-		t.state = stBarrier
-		m.toSched <- struct{}{}
-		<-t.resume
-		return m.colResult
 	}
-	t.block(stBarrier)
+	t.suspend()
 	return m.colResult
 }
 

@@ -19,7 +19,6 @@ type txRuntime struct {
 
 // sentinel panics used to unwind a transaction body.
 type capacityAbort struct{ at vtime.Time }
-type conflictAbort struct{ at vtime.Time }
 type userAbort struct{}
 
 // simTx implements exec.Tx for speculative attempts.
@@ -27,7 +26,6 @@ type simTx struct {
 	t     *thread
 	set   *htm.TxSet
 	prof  *exec.HTMProfile
-	start vtime.Time
 	clock vtime.Time
 	// snapSeq is the global apply-sequence value at the body's snapshot
 	// point. The body executes as one scheduler slice, so every read
@@ -37,9 +35,6 @@ type simTx struct {
 	// smt is true when SMT siblings share the transactional cache; each
 	// access then risks a sibling-induced speculative eviction.
 	smt bool
-	// serialized marks the non-speculative fallback path: it runs
-	// exclusively, so conflict and eviction checks do not apply.
-	serialized bool
 	// roNext hands out synthetic line addresses for ReadROData
 	// accounting (far beyond any real node memory).
 	roNext int
@@ -106,7 +101,6 @@ type bodyOutcome int
 const (
 	bodyOK bodyOutcome = iota
 	bodyCapacity
-	bodyConflict
 	bodyUser
 	bodyErr
 )
@@ -118,9 +112,6 @@ func runTxBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err error) 
 			case capacityAbort:
 				x.clock = a.at
 				out = bodyCapacity
-			case conflictAbort:
-				x.clock = a.at
-				out = bodyConflict
 			case userAbort:
 				out = bodyUser
 			default:
@@ -183,7 +174,7 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 			t.clock = start
 			t.yield()
 		}
-		x := &simTx{t: t, set: set, prof: p, start: t.clock, clock: t.clock + p.BeginCost,
+		x := &simTx{t: t, set: set, prof: p, clock: t.clock + p.BeginCost,
 			snapSeq: t.m.applySeq, smt: smt}
 
 		out, err := runTxBody(x, body)
@@ -231,15 +222,6 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 			t.st.Aborts[stats.AbortCapacity]++
 			t.clock = x.clock + p.AbortCost
 			if !t.retryOrSerialize(p, attempt, stats.AbortCapacity, body, rt, &res) {
-				continue
-			}
-			return res
-
-		case bodyConflict:
-			res.HWAborts++
-			t.st.Aborts[stats.AbortConflict]++
-			t.clock = x.clock + p.AbortCost
-			if !t.retryOrSerialize(p, attempt, stats.AbortConflict, body, rt, &res) {
 				continue
 			}
 			return res
@@ -343,7 +325,7 @@ func (t *thread) serialize(p *exec.HTMProfile, body func(exec.Tx) error, set *ht
 		start = vtime.Max(t.clock, n.lockBusy)
 	}
 	set.Reset()
-	x := &simTx{t: t, set: set, prof: p, start: start, clock: start, serialized: true}
+	x := &simTx{t: t, set: set, prof: p, clock: start}
 
 	out, err := runSerializedBody(x, body)
 
@@ -374,10 +356,10 @@ func runSerializedBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
-			case capacityAbort, conflictAbort:
-				// Neither capacity nor conflicts can abort the fallback
-				// path (it is non-speculative and runs exclusively);
-				// reaching here indicates a modeling bug — surface it.
+			case capacityAbort:
+				// Capacity cannot abort the fallback path (its set has
+				// no limits and it runs exclusively); reaching here
+				// indicates a modeling bug — surface it.
 				err = errSerializedOverflow
 				out = bodyErr
 			case userAbort:
