@@ -111,9 +111,14 @@ func (g *Graph) Apply(batch []Mutation, cfg TxConfig) (BatchResult, error) {
 	start := time.Now()
 	defer func() { g.histApply.RecordSince(int64(time.Since(start))) }()
 
-	g.mu.Lock()
-	res, wait, err := g.applyLocked(batch, prof, cfg)
-	g.mu.Unlock()
+	// The unlock is deferred because the transactional phase can panic: a
+	// panic in an operator body is the machine's Run's panic, and it must
+	// not leave the writer lock held for every later batch.
+	res, wait, err := func() (BatchResult, func() error, error) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.applyLocked(batch, prof, cfg)
+	}()
 	if err != nil || wait == nil {
 		return res, err
 	}

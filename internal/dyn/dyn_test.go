@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
@@ -396,6 +397,45 @@ func mustNew(tb testing.TB, base *graph.Graph) *Graph {
 		tb.Fatal(err)
 	}
 	return g
+}
+
+// TestApplyPanicReleasesWriterLock: a panic in an operator body unwinds the
+// simulated machine's Run and then Apply, on the caller's goroutine. The
+// caller recovers it, and the next batch must not wait on a writer lock
+// the panic left held. The operators panic here because the published
+// snapshot's base has lost its offsets.
+func TestApplyPanicReleasesWriterLock(t *testing.T) {
+	g := mustNew(t, graph.Community(80, 8, 4, 0.05, 5))
+	good := g.cur.Load()
+	broken := *good.base
+	broken.Offsets = nil
+	g.cur.Store(&Snapshot{epoch: good.epoch, n: good.n, base: &broken, pages: good.pages, arcs: good.arcs, mat: good.mat})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Apply over a base without offsets did not panic")
+			}
+		}()
+		g.Apply([]Mutation{{Kind: KindAddEdge, U: 0, V: 1}, {Kind: KindAddEdge, U: 2, V: 3}}, TxConfig{})
+	}()
+	g.cur.Store(good)
+
+	done := make(chan BatchResult, 1)
+	go func() {
+		res, err := g.Apply([]Mutation{{Kind: KindAddVertex}}, TxConfig{})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res.VerticesAdded != 1 || res.Epoch != good.epoch+1 {
+			t.Fatalf("batch after the panic: %+v, want one vertex at epoch %d", res, good.epoch+1)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Apply after a recovered panic is still waiting for the writer lock")
+	}
 }
 
 func mustApply(t *testing.T, g *Graph, batch []Mutation) BatchResult {
