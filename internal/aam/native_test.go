@@ -99,10 +99,7 @@ func TestNativeFlatCombiningHighContention(t *testing.T) {
 
 func TestNativeLoweringMatchesSim(t *testing.T) {
 	// The lowering pass must behave identically on the native backend:
-	// same final state, nearly everything lowered. Each thread lowers on
-	// its own schedule, and the STM does not isolate a transaction from
-	// another thread's plain atomics, so every thread counts into words of
-	// its own.
+	// same final state, nearly everything lowered.
 	w := newCounting()
 	m := nativeMachine(w, 1, 4)
 	res := m.Run(func(ctx exec.Context) {
@@ -111,7 +108,7 @@ func TestNativeLoweringMatchesSim(t *testing.T) {
 			Part: graph.NewPartition(1<<10, 1),
 		})
 		for i := 0; i < 200; i++ {
-			eng.Spawn(w.op, ctx.GlobalID()*13+i%13, 1)
+			eng.Spawn(w.op, (ctx.GlobalID()+i)%53, 1)
 		}
 		eng.Drain()
 	})

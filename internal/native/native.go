@@ -154,13 +154,18 @@ func (t *nthread) Load(addr int) uint64 {
 func (t *nthread) Store(addr int, v uint64) {
 	t.checkAddr(addr)
 	t.st.Stores++
-	atomic.StoreUint64(&t.node.mem[addr], v)
+	t.node.stm.rmw(addr, func(uint64) uint64 { return v })
 }
 
 func (t *nthread) CAS(addr int, old, new uint64) bool {
 	t.checkAddr(addr)
 	t.st.AtomicOps++
-	ok := atomic.CompareAndSwapUint64(&t.node.mem[addr], old, new)
+	ok := t.node.stm.rmw(addr, func(cur uint64) uint64 {
+		if cur == old {
+			return new
+		}
+		return cur
+	}) == old
 	if !ok {
 		t.st.CASFail++
 	}
@@ -170,7 +175,7 @@ func (t *nthread) CAS(addr int, old, new uint64) bool {
 func (t *nthread) FetchAdd(addr int, delta uint64) uint64 {
 	t.checkAddr(addr)
 	t.st.AtomicOps++
-	return atomic.AddUint64(&t.node.mem[addr], delta) - delta
+	return t.node.stm.rmw(addr, func(old uint64) uint64 { return old + delta })
 }
 
 func (t *nthread) Lock(addr int) {

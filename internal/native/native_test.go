@@ -97,6 +97,49 @@ func TestSTMMultiWordInvariant(t *testing.T) {
 	}
 }
 
+// TestAtomicsInvalidateTransactions: a Store, CAS or FetchAdd by another
+// thread between a transaction's read and its commit makes the commit fail
+// validation; the retry reads the new value, so neither update is lost.
+func TestAtomicsInvalidateTransactions(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		write func(ctx exec.Context)
+		want  uint64
+	}{
+		{"FetchAdd", func(ctx exec.Context) { ctx.FetchAdd(7, 1) }, 2},
+		{"CAS", func(ctx exec.Context) { ctx.CAS(7, 0, 5) }, 6},
+		{"Store", func(ctx exec.Context) { ctx.Store(7, 10) }, 11},
+	} {
+		read, written := make(chan struct{}), make(chan struct{})
+		m := newTestMachine(1, 2)
+		res := m.Run(func(ctx exec.Context) {
+			if ctx.GlobalID() == 1 {
+				<-read
+				c.write(ctx)
+				close(written)
+				return
+			}
+			first := true
+			ctx.Tx(nil, func(tx exec.Tx) error {
+				v := tx.Read(7)
+				if first {
+					first = false
+					close(read)
+					<-written
+				}
+				tx.Write(7, v+1)
+				return nil
+			})
+		})
+		if got := m.Mem(0)[7]; got != c.want {
+			t.Errorf("%s between a transaction's read and its commit: word = %d, want %d", c.name, got, c.want)
+		}
+		if res.Stats.Retries != 1 {
+			t.Errorf("%s: %d retries, want 1", c.name, res.Stats.Retries)
+		}
+	}
+}
+
 func TestExplicitAbortRollsBack(t *testing.T) {
 	m := newTestMachine(1, 1)
 	m.Run(func(ctx exec.Context) {

@@ -17,9 +17,11 @@ import (
 // attempts the transaction serializes under a per-node fallback mutex —
 // the same policy shape as the RTM fallback path.
 //
-// Do not mix Tx and plain atomics on the same addresses concurrently: like
-// real HTM with non-transactional accesses, isolation only holds between
-// transactions.
+// Store, CAS and FetchAdd outside a transaction are isolated from the
+// transactions, as real HTM aborts a transaction whose line another core
+// writes: each runs under its word's stripe lock and publishes a new
+// stripe version (rmw), so a transaction that read the old value fails
+// validation. Lock and Unlock stay plain spin words.
 type stmNode struct {
 	mem      []uint64
 	locks    []uint64 // version<<1 | lockbit
@@ -37,6 +39,25 @@ func newSTMNode(mem []uint64) *stmNode {
 }
 
 func (s *stmNode) stripe(addr int) int { return addr & (stmStripes - 1) }
+
+// rmw replaces the word at addr with f(old) outside any transaction and
+// returns old. It holds the word's stripe lock, and a change commits a new
+// stripe version, so a concurrent transaction that read old cannot commit.
+func (s *stmNode) rmw(addr int, f func(old uint64) uint64) uint64 {
+	lock := &s.locks[s.stripe(addr)]
+	v := atomic.LoadUint64(lock)
+	for v&1 != 0 || !atomic.CompareAndSwapUint64(lock, v, v|1) {
+		runtime.Gosched()
+		v = atomic.LoadUint64(lock)
+	}
+	old := atomic.LoadUint64(&s.mem[addr])
+	if nv := f(old); nv != old {
+		atomic.StoreUint64(&s.mem[addr], nv)
+		v = atomic.AddUint64(&s.clock, 1) << 1
+	}
+	atomic.StoreUint64(lock, v)
+	return old
+}
 
 // nativeTx implements exec.Tx for one attempt.
 type nativeTx struct {
