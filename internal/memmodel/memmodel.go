@@ -123,9 +123,10 @@ func (t *Tracker) AddRange(word, n int) (newLines int, ok bool) {
 	return newLines, true
 }
 
-// Reset clears the tracker for reuse.
+// Reset clears the tracker for reuse, allocating nothing: below 64 lines it
+// deletes the ones touched, and from there on clears both maps whole.
 func (t *Tracker) Reset() {
-	if len(t.touched) < 64 && len(t.touched)*4 < len(t.lines)*5 {
+	if len(t.touched) < 64 {
 		for _, l := range t.touched {
 			delete(t.lines, l)
 			if t.geo.Sets > 0 {
@@ -138,8 +139,8 @@ func (t *Tracker) Reset() {
 			}
 		}
 	} else {
-		t.lines = make(map[int]struct{}, 64)
-		t.perSet = make(map[int]int, 64)
+		clear(t.lines)
+		clear(t.perSet)
 	}
 	t.touched = t.touched[:0]
 }

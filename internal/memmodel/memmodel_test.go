@@ -88,6 +88,23 @@ func TestTrackerReset(t *testing.T) {
 	}
 }
 
+// TestTrackerResetAllocsNothing: a reset allocates nothing, empty or after
+// fewer or more than the 64 lines at which it stops deleting line by line.
+func TestTrackerResetAllocsNothing(t *testing.T) {
+	for _, lines := range []int{0, 1, 63, 64, 600} {
+		tr := NewTracker(HaswellPL1)
+		allocs := testing.AllocsPerRun(20, func() {
+			for l := range lines {
+				tr.AddLine(l)
+			}
+			tr.Reset()
+		})
+		if allocs != 0 || tr.Len() != 0 {
+			t.Errorf("reset after %d lines: %v allocations, %d lines left", lines, allocs, tr.Len())
+		}
+	}
+}
+
 func TestQuickTrackerNeverOverflowsUnderBudget(t *testing.T) {
 	// Property: adding at most min(MaxLines, Sets*Ways) lines that are
 	// spread round-robin over sets never overflows.
