@@ -248,8 +248,8 @@ func (b *BFS) run(ctx exec.Context, source int) {
 			if segHi <= lo || segLo >= hi {
 				continue
 			}
-			from := maxInt(lo, segLo) - segLo
-			to := minInt(hi, segHi) - segLo
+			from := max(lo, segLo) - segLo
+			to := min(hi, segHi) - segLo
 			for i := from; i < to; i++ {
 				lv := int(ctx.Load(b.qBase[cur] + j*b.segLen + i))
 				u := b.Part.Global(ctx.NodeID(), lv)
@@ -403,18 +403,4 @@ func BFSDepths(g *graph.Graph, src int, parents []int64) []int32 {
 		}
 	}
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -244,7 +244,7 @@ func (f *MaxFlow) run(ctx exec.Context, s, t int, engCfg aam.Config) {
 				if segHi <= lo || segLo >= hi {
 					continue
 				}
-				from, to := maxInt(lo, segLo)-segLo, minInt(hi, segHi)-segLo
+				from, to := max(lo, segLo)-segLo, min(hi, segHi)-segLo
 				for i := from; i < to; i++ {
 					v := int(ctx.Load(f.qBase[cur] + j*f.segLen + i))
 					f.expand(ctx, eng, v)

@@ -259,7 +259,7 @@ func (s *System) Step(ctx exec.Context, eng *aam.Engine) uint64 {
 		if segHi <= lo || segLo >= hi {
 			continue
 		}
-		from, to := maxInt(lo, segLo)-segLo, minInt(hi, segHi)-segLo
+		from, to := max(lo, segLo)-segLo, min(hi, segHi)-segLo
 		for i := from; i < to; i++ {
 			lv := int(ctx.Load(s.qBase[cur] + j*s.segLen + i))
 			ctx.Store(s.auxBase+lv, 0) // re-arm first-touch for later steps
@@ -355,17 +355,3 @@ func (s *System) AssignBase() int { return s.assignees }
 
 // ThreadSlice exposes the per-thread local vertex range.
 func (s *System) ThreadSlice(ctx exec.Context) (lo, hi int) { return s.threadSlice(ctx) }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

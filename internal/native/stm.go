@@ -256,10 +256,3 @@ func (x *nativeTx) unlockAll(locked []int, wv uint64, committed bool) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
