@@ -207,7 +207,7 @@ func rmatValues(n int, sync, one uint64) int {
 type rmatPiece struct {
 	one, sync, second uint64
 	side              [2]uint64
-	vals, blk         []uint64 // an lfStream, and what is unread of the block lfAdvance last returned
+	vals, blk         []uint64 // an lfStream, and what is unread of its block vals[:lfBlock]
 	next, end, have   int      // the stream index of blk[0]; how many of buf are descended bits not yet in u and v
 	buf               []uint8
 	u, v              []uint64
@@ -215,7 +215,8 @@ type rmatPiece struct {
 
 func (p *rmatPiece) len() int { return 64*len(p.u) + p.have }
 
-// block returns the next values of the stream, up to index end (exclusive).
+// block returns the next values of the stream, up to index end (exclusive),
+// every value of a block and the lfLen after it computed.
 func (p *rmatPiece) block(end int) []uint64 {
 	if len(p.blk) == 0 {
 		p.blk = lfAdvance(p.vals)
@@ -239,31 +240,50 @@ func (p *rmatPiece) seek(end int) bool {
 	return false
 }
 
-// descend runs the machine to p.end or until it adds need bits. Its state is
-// second (a second draw is due); per value it stores a byte (bit 0 the half,
-// bit 1 the side) and keeps it by advancing, loading and branching on nothing.
+// descend runs the machine to p.end or until it adds need bits, a block of
+// the stream at a time: the rest of the one seek left partly read, then fresh
+// ones, each started as lfAdvance starts it and computed by descendBlock.
 func (p *rmatPiece) descend(need int) {
-	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0.
-	one, sync, side, need := p.one, p.sync, p.side, p.len()+need
+	need += p.len()
 	for p.len() < need && p.next < p.end {
-		buf, have, second := p.buf, p.have, p.second
-		for _, x := range p.block(p.end) {
-			x &= 1<<63 - 1
-			if x >= one {
-				continue // Float64 draws again on 1
-			}
-			upper := (x - sync) >> 63
-			buf[have] = uint8(second | ((x-side[second])>>63^1)<<1)
-			have += int(second | upper)
-			second = (second | upper) ^ 1
+		if len(p.blk) == 0 {
+			copy(p.vals, p.vals[lfBlock:lfBlock+lfLen])
+			p.blk = p.vals[:lfBlock]
 		}
+		i, n := lfBlock-len(p.blk), min(len(p.blk), p.end-p.next)
+		have, second := descendBlock(p.vals[i:i+lfLen+n], p.buf, p.have, p.second, p.one, p.sync, p.side)
+		p.blk, p.next = p.blk[n:], p.next+n
 		done := 0
 		for ; have-done >= 64; done += 64 {
-			u, v := gather64(buf[done:])
+			u, v := gather64(p.buf[done:])
 			p.u, p.v = append(p.u, u), append(p.v, v)
 		}
-		p.have, p.second = copy(buf, buf[done:have]), second
+		p.have, p.second = copy(p.buf, p.buf[done:have]), second
 	}
+}
+
+// descendBlock runs the machine over vals[:len(vals)-lfLen], storing the
+// value lfLen on from each as it reads it, as lfAdvance would (over values
+// seek read, again: the same values). Its state is second (a second draw is
+// due); per value it stores a byte at buf[have] (bit 0 the half, bit 1 the
+// side) and keeps it by advancing, loading and branching on nothing. It is a
+// function of its own so that its loop keeps every operand in a register.
+func descendBlock(vals []uint64, buf []uint8, have int, second, one, sync uint64, side [2]uint64) (int, uint64) {
+	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0.
+	xs := vals[:len(vals)-lfLen]
+	tap, out := vals[lfLen-lfTap:][:len(xs)], vals[lfLen:][:len(xs)]
+	for j, x := range xs {
+		out[j] = x + tap[j]
+		x &= 1<<63 - 1
+		if x >= one {
+			continue // Float64 draws again on 1
+		}
+		upper := (x - sync) >> 63
+		buf[have] = uint8(second | ((x-side[second&1])>>63^1)<<1)
+		have += int(second | upper)
+		second = (second | upper) ^ 1
+	}
+	return have, second
 }
 
 // gather64 returns bits 0 and 1 of b[0:64] as two words: bit 0 of byte i times

@@ -266,6 +266,47 @@ func TestRMATEdgesSplits(t *testing.T) {
 	}
 }
 
+// TestRMATEdgesMidBlock holds rmatEdges on one to five workers to the plain
+// loop at sizes where every piece spans blocks, every piece after the first
+// starts inside a block (seek stops on a sync value in it) and every piece
+// ends inside one: the descent enters its loop both on the rest of a block
+// seek read and on a fresh one, and stops and goes on mid-block.
+func TestRMATEdgesMidBlock(t *testing.T) {
+	in := initiators[0]
+	ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
+	one := floatThreshold(1)
+	sync := min(floatThreshold(ab), one)
+	for _, size := range [][2]int{{11, 1500}, {13, 2500}} {
+		scale, m := size[0], size[1]
+		values := rmatValues(m*scale, sync, one)
+		src := rand.NewSource(3).(rand.Source64)
+		perm := rand.New(src).Perm(1 << scale)
+		perm32 := make([]int32, len(perm))
+		for i, p := range perm {
+			perm32[i] = int32(p)
+		}
+		state := lfStream(src)[lfBlock:]
+		x := lfAdvance(lfStream(&lfSource{x: slices.Clone(state)}))
+		want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in.a, in.b, in.c)
+		for workers := 1; workers <= 5; workers++ {
+			for w := 1; w < workers; w++ { // piece w starts where piece w-1 ends
+				at := chunk(values, workers, w)
+				p := rmatPiece{sync: sync, next: at, vals: lfJump(x, at)}
+				if !p.seek(chunk(values, workers, w+1)) || len(p.blk) == 0 || (p.next-chunk(values, workers, w-1))%lfBlock == 0 {
+					t.Fatalf("scale=%d m=%d workers=%d: piece %d does not start inside a block, or piece %d end on a block's boundary", scale, m, workers, w, w-1)
+				}
+				if p.next-chunk(values, workers, w-1) < lfBlock {
+					t.Fatalf("scale=%d m=%d workers=%d: piece %d spans no block", scale, m, workers, w-1)
+				}
+			}
+			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
+			if !slices.Equal(got, want) {
+				t.Fatalf("scale=%d m=%d workers=%d: rmatEdges differs from the plain loop", scale, m, workers)
+			}
+		}
+	}
+}
+
 // TestKroneckerRejectsArguments: a scale that cannot be shifted by or whose
 // ids pass int32, a negative edge factor and one whose edges' draws overflow
 // int — 2^20·2^44 edges wrap to none at all, 2^20·(2^43+1) to a slice
