@@ -419,11 +419,11 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	// Degree binary-search it). RoadGrid, the generators that build with
 	// Dedup (Community) and compaction emit it and are adopted as they
 	// are; any other base — every Kronecker graph, a checkpoint taken with
-	// deltas outstanding — is copied and the copy sorted.
+	// deltas outstanding — is copied and the copy sorted, run by run.
 	flat := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: base.Adj}
 	if !sorted {
-		flat.Adj = slices.Clone(base.Adj)
-		sortSegments(flat)
+		flat.Adj = make([]int32, len(base.Adj))
+		sortSegments(flat, base.Adj)
 	}
 	g := &Graph{histApply: obs.NewHistogram()}
 	snap := &Snapshot{epoch: epoch, n: base.N, base: flat, pages: newPages(base.N), arcs: int64(len(base.Adj))}
@@ -503,13 +503,15 @@ func NewEmpty(n int) *Graph {
 }
 
 // sortSegments sorts every adjacency segment of the flat graph g in place
-// on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph).
-// They claim runs of vertices that each hold about the same number of arcs,
-// several per worker, so neither a hub's segment nor a worker that loses
-// its processor for a while holds up the rest. The arcs must have been
-// range-checked (sweepBase, or a base that passed it plus checked deltas):
-// sortIDs orders them by the bits an id below g.N can have.
-func sortSegments(g *graph.Graph) {
+// on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph);
+// given src, a run first copies its arcs from there, and sorts them while
+// they are still in cache. The workers claim runs of vertices that each hold
+// about the same number of arcs, several per worker, so neither a hub's
+// segment nor a worker that loses its processor for a while holds up the
+// rest. The arcs must have been range-checked (sweepBase, or a base that
+// passed it plus checked deltas): sortIDs indexes its buckets by the bits an
+// id below g.N can have.
+func sortSegments(g *graph.Graph, src []int32) {
 	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
 	runs := 8 * workers
 	bound := func(r int) int { // the first vertex at or past r/runs of the arcs
@@ -518,8 +520,12 @@ func sortSegments(g *graph.Graph) {
 	}
 	tmp := make([][]int32, workers) // each worker's scratch
 	claimRuns(workers, runs, func(w, r int) {
+		lo, hi := bound(r), bound(r+1)
+		if src != nil {
+			copy(g.Adj[g.Offsets[lo]:g.Offsets[hi]], src[g.Offsets[lo]:g.Offsets[hi]])
+		}
 		t := tmp[w]
-		for v, hi := bound(r), bound(r+1); v < hi; v++ {
+		for v := lo; v < hi; v++ {
 			t = sortIDs(g.Neighbors(v), g.N, t)
 		}
 		tmp[w] = t
@@ -547,50 +553,61 @@ func claimRuns(workers, runs int, f func(w, r int)) {
 	wg.Wait()
 }
 
-// radixCut is the segment length from which counting passes beat
-// slices.Sort: below it the count tables cost more than the comparisons.
-const radixCut = 96
+// bucketCap is the most ids a bucket of sortIDs is left to the insertion pass
+// with; a fuller one, of duplicates or of ids in a narrow range, is sorted by
+// comparisons first, so no segment costs more than O(L log L).
+const bucketCap = 32
 
 // sortIDs sorts seg, ids in [0, n), and returns the scratch tmp, grown when
 // seg needed more. A sorted segment — every one a compaction did not touch —
-// costs one scan; a long one is sorted least digit first in ⌈bits(n)/11⌉
-// counting passes of equal width (two of 9 bits at n = 2^18).
+// costs one scan. Any other is sorted most digit first: one counting pass on
+// the top bits(len(seg)) bits of an id (all of them when n is smaller) deals
+// seg into more buckets than it has ids, in tmp, and an insertion pass over
+// the result finishes each bucket. Ids without a pattern — a Kronecker
+// graph's permuted labels — leave a bucket one id or none on average, and
+// the insertion pass little to move; with half as many buckets, set-up
+// measured slower.
 func sortIDs(seg []int32, n int, tmp []int32) []int32 {
-	switch {
-	case slices.IsSorted(seg):
+	if slices.IsSorted(seg) {
 		return tmp
-	case len(seg) < radixCut:
-		slices.Sort(seg)
-		return tmp
-	}
-	if len(tmp) < len(seg) {
-		tmp = make([]int32, len(seg))
 	}
 	width := bits.Len(uint(n - 1))
-	passes := (width + 10) / 11
-	digit := (width + passes - 1) / passes
-	var count [1 << 11]int32
-	from, to := seg, tmp[:len(seg)]
-	for shift := 0; shift < width; shift += digit {
-		c := count[:1<<digit]
-		clear(c)
-		for _, w := range from {
-			c[int(w)>>shift&(len(c)-1)]++
-		}
-		sum := int32(0)
-		for d, k := range c {
-			c[d], sum = sum, sum+k
-		}
-		for _, w := range from {
-			d := int(w) >> shift & (len(c) - 1)
-			to[c[d]] = w
-			c[d]++
-		}
-		from, to = to, from
+	digit := min(width, bits.Len(uint(len(seg))))
+	shift := width - digit
+	if size := len(seg) + 1<<digit; len(tmp) < size {
+		tmp = make([]int32, size)
 	}
-	if &from[0] != &seg[0] {
-		copy(seg, from)
+	out, count := tmp[:len(seg)], tmp[len(seg):len(seg)+1<<digit]
+	clear(count)
+	for _, w := range seg {
+		count[w>>shift]++
 	}
+	full, sum := false, int32(0)
+	for d, k := range count {
+		count[d], sum, full = sum, sum+k, full || k > bucketCap
+	}
+	for _, w := range seg {
+		d := w >> shift
+		out[count[d]] = w
+		count[d]++
+	}
+	if full {
+		lo := int32(0)
+		for _, hi := range count { // where the bucket ends, now
+			if hi-lo > bucketCap {
+				slices.Sort(out[lo:hi])
+			}
+			lo = hi
+		}
+	}
+	for i := 1; i < len(out); i++ {
+		w, j := out[i], i
+		for ; j > 0 && out[j-1] > w; j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = w
+	}
+	copy(seg, out)
 	return tmp
 }
 

@@ -1,7 +1,9 @@
 package dyn
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -46,14 +48,27 @@ var segmentFills = []struct {
 			seg[i] = int32((len(seg) - 1 - i) % n)
 		}
 	}},
+	{"one-bucket", func(seg []int32, n int, rng *rand.Rand) {
+		for i := range seg {
+			seg[i] = int32(rng.Intn(min(n, bucketWidth(len(seg), n))))
+		}
+	}},
+}
+
+// bucketWidth is how many ids share a bucket of sortIDs on a segment of l
+// ids below n: the ids below it all land in the first.
+func bucketWidth(l, n int) int {
+	return 1 << max(0, bits.Len(uint(n-1))-bits.Len(uint(l)))
 }
 
 // TestSortSegments compares sortSegments with slices.Sort segment by
-// segment: lengths on both sides of radixCut and a hub long enough for a
-// second worker, vertex counts that give one, two and uneven digits, every
-// fill above, on one and on two workers.
+// segment: lengths on both sides of the powers of two where sortIDs takes
+// another bit for its buckets and of bucketCap, a hub long enough for a
+// second worker, vertex counts below and above the bucket count, every fill
+// above, on one and on two workers, sorting in place (compaction) and
+// copying the arcs in from another array first (New).
 func TestSortSegments(t *testing.T) {
-	lengths := []int{0, 1, 2, radixCut - 1, radixCut, radixCut + 1, 0, 70_000, 3 * radixCut, 1}
+	lengths := []int{0, 1, 2, 3, 4, 5, bucketCap - 1, bucketCap, bucketCap + 1, 0, 70_000, 63, 64, 65, 1000, 1}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
@@ -74,9 +89,12 @@ func TestSortSegments(t *testing.T) {
 				for v := range lengths {
 					slices.Sort(want[g.Offsets[v]:g.Offsets[v+1]])
 				}
-				sortSegments(g)
-				if !slices.Equal(g.Adj, want) {
-					t.Fatalf("GOMAXPROCS %d, ids below %d, %s: segments differ from slices.Sort", procs, n, f.name)
+				src := slices.Clone(g.Adj)
+				copied := &graph.Graph{N: g.N, Offsets: g.Offsets, Adj: make([]int32, len(src))}
+				sortSegments(copied, src)
+				sortSegments(g, nil)
+				if !slices.Equal(g.Adj, want) || !slices.Equal(copied.Adj, want) {
+					t.Fatalf("GOMAXPROCS %d, ids below %d, %s: segments differ from slices.Sort (in place %t, copied %t)", procs, n, f.name, slices.Equal(g.Adj, want), slices.Equal(copied.Adj, want))
 				}
 			}
 		}
@@ -84,34 +102,53 @@ func TestSortSegments(t *testing.T) {
 }
 
 // TestSortIDs calls the segment sort directly with id ranges no test graph
-// can have (31 bits: three passes of 11) and with scratch it must grow, may
+// can have (31 bits), with fewer ids than buckets (n = 3, and a 70k hub of
+// 1000 ids), with one bucket of exactly bucketCap ids and of one more among
+// ids that leave the others one or none, and with scratch it must grow, may
 // reuse and must not read.
 func TestSortIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var tmp []int32
-	for _, n := range []int{math.MaxInt32, 1<<23 + 5, 1 << 12, 1<<11 + 1, 3} {
-		for _, l := range []int{radixCut, 1000, 5000, radixCut + 1} {
+	check := func(seg []int32, n int, what string) {
+		t.Helper()
+		want := slices.Clone(seg)
+		slices.Sort(want)
+		for i := range tmp {
+			tmp[i] = -1 // what an earlier, longer segment left behind
+		}
+		tmp = sortIDs(seg, n, tmp)
+		if !slices.Equal(seg, want) {
+			t.Fatalf("ids below %d, %d of them, %s: sortIDs differs from slices.Sort", n, len(seg), what)
+		}
+		if len(tmp) < len(seg) {
+			t.Fatalf("scratch of %d returned after a segment of %d", len(tmp), len(seg))
+		}
+	}
+	for _, n := range []int{math.MaxInt32, 1<<23 + 5, 1 << 12, 1<<11 + 1, 1000, 3} {
+		for _, l := range []int{bucketCap, 1000, 5000, bucketCap + 1, 70_000} {
 			seg := make([]int32, l)
 			for i := range seg {
 				seg[i] = int32(rng.Intn(n))
 			}
 			seg[0], seg[l-1] = int32(n-1), 0
-			want := slices.Clone(seg)
-			slices.Sort(want)
-			for i := range tmp {
-				tmp[i] = -1 // what an earlier, longer segment left behind
-			}
-			tmp = sortIDs(seg, n, tmp)
-			if !slices.Equal(seg, want) {
-				t.Fatalf("ids below %d, %d of them: sortIDs differs from slices.Sort", n, l)
-			}
-			if len(tmp) < l {
-				t.Fatalf("scratch of %d returned after a segment of %d", len(tmp), l)
-			}
+			check(seg, n, "random")
 		}
 	}
-	if got := sortIDs([]int32{2, 1}, 3, nil); got != nil {
-		t.Fatalf("a short segment allocated %d ids of scratch", len(got))
+	for _, full := range []int{bucketCap, bucketCap + 1} {
+		const n, l = 1 << 20, 1000
+		w := bucketWidth(l, n)
+		seg := make([]int32, l)
+		for i := range seg {
+			seg[i] = int32(i * (n / l)) // one id a bucket or none
+		}
+		for i := range full {
+			seg[i] = int32(5*w + rng.Intn(w)) // bucket 5, unsorted
+		}
+		rng.Shuffle(l, func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
+		check(seg, n, fmt.Sprintf("%d in one bucket", full))
+	}
+	if got := sortIDs([]int32{1, 2}, 3, nil); got != nil {
+		t.Fatalf("a sorted segment allocated %d ids of scratch", len(got))
 	}
 }
 
