@@ -138,7 +138,7 @@ const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a j
 // worker w-1 stops on it (a range with none merges into its predecessor's).
 func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, workers int) []Edge {
 	one := floatThreshold(1)
-	proto := rmatPiece{one: one, sync: min(floatThreshold(ab), one), side: [2]uint64{floatThreshold(a), floatThreshold(cNorm)}}
+	proto := rmatPiece{one: one, sync: min(floatThreshold(ab), one), side: [2]uint64{floatThreshold(a) - 1, floatThreshold(cNorm) - 1}}
 	nbits := m * scale
 	values := rmatValues(nbits, proto.sync, one)
 	if workers == 0 {
@@ -203,7 +203,8 @@ func rmatValues(n int, sync, one uint64) int {
 
 // rmatPiece is one worker's stretch of the stream, to index end, and its bits:
 // bit i of u (v) is the half (side) of the i-th. From one a value is drawn
-// again, below sync it is in the upper half, and side[second] is the side.
+// again, below sync it is in the upper half, and past side[second] (a
+// threshold less one: 0 wraps to every value) it goes to the side.
 type rmatPiece struct {
 	one, sync, second uint64
 	side              [2]uint64
@@ -269,7 +270,8 @@ func (p *rmatPiece) descend(need int) {
 // side) and keeps it by advancing, loading and branching on nothing. It is a
 // function of its own so that its loop keeps every operand in a register.
 func descendBlock(vals []uint64, buf []uint8, have int, second, one, sync uint64, side [2]uint64) (int, uint64) {
-	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0.
+	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0,
+	// and (b-1-x)>>63 is 1 if x ≥ b, else 0.
 	xs := vals[:len(vals)-lfLen]
 	tap, out := vals[lfLen-lfTap:][:len(xs)], vals[lfLen:][:len(xs)]
 	for j, x := range xs {
@@ -279,7 +281,7 @@ func descendBlock(vals []uint64, buf []uint8, have int, second, one, sync uint64
 			continue // Float64 draws again on 1
 		}
 		upper := (x - sync) >> 63
-		buf[have] = uint8(second | ((x-side[second&1])>>63^1)<<1)
+		buf[have] = uint8(second | (side[second&1]-x)>>63<<1)
 		have += int(second | upper)
 		second = (second | upper) ^ 1
 	}
