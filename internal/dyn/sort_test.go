@@ -102,8 +102,8 @@ func TestSortSegments(t *testing.T) {
 }
 
 // TestSortIDs calls the segment sort directly with id ranges no test graph
-// can have (31 bits), with fewer ids than buckets (n = 3, and a 70k hub of
-// 1000 ids), with one bucket of exactly bucketCap ids and of one more among
+// can have (31 bits), with fewer ids than buckets (n = 3, and n = 1000 under
+// a 70k hub), with one bucket of exactly bucketCap ids and of one more among
 // ids that leave the others one or none, and with scratch it must grow, may
 // reuse and must not read.
 func TestSortIDs(t *testing.T) {
