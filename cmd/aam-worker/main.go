@@ -130,7 +130,7 @@ func main() {
 	fmt.Printf("graph: kron scale %d, %d vertices, %d directed edges\n", *scale, g.N, g.NumEdges())
 
 	opts := shard.ClusterOptions{
-		Net:         shard.Config{HeartbeatEvery: *heartbeat, Liveness: *liveness, CollTimeout: *collTO},
+		Net:         shard.Config{HeartbeatEvery: *heartbeat, Liveness: *liveness},
 		JobRetries:  *retries,
 		RejoinGrace: *rejoinGrace,
 		Logf: func(format string, args ...any) {

@@ -69,15 +69,16 @@ func MechanismByName(name string) (Mechanism, error) {
 }
 
 // Op is one registered operator. Semantics flags follow §3.2: Return
-// selects Fire-and-Return (results travel back to the spawner),
-// AlwaysSucceed marks activities that must commit (possibly serialized),
-// and AbortOnFail makes an operator-level failure roll back the whole
+// selects Fire-and-Return (results travel back to the spawner), and
+// AbortOnFail makes an operator-level failure roll back the whole
 // activity (May-Fail operators with multi-word effects, e.g. Boruvka).
+// Always-Succeed activities, which must commit (possibly serialized),
+// need no flag: every mechanism retries or serializes an activity until
+// it commits, and only a Body's fail result makes an operator fail.
 type Op struct {
-	Name          string
-	Return        bool
-	AlwaysSucceed bool
-	AbortOnFail   bool
+	Name        string
+	Return      bool
+	AbortOnFail bool
 
 	// Body executes the operator on local vertex v inside an activity.
 	// fail reports a May-Fail algorithm-level failure.
@@ -117,10 +118,8 @@ type Config struct {
 
 	// AutoM enables the online selection of M (§7 future work): the
 	// engine hill-climbs the coarsening factor on operator throughput,
-	// starting from M and staying within [1, AutoMaxM].
+	// starting from M and staying within [1, autoMaxM].
 	AutoM bool
-	// AutoMaxM bounds the search (default 320, the paper's sweep limit).
-	AutoMaxM int
 
 	// LowerSingle enables the §7 "compiler pass" (here an online
 	// analysis): single-operator activities whose observed transactional
@@ -130,14 +129,14 @@ type Config struct {
 	LowerSingle bool
 }
 
+// autoMaxM bounds the AutoM search: 320 is the paper's sweep limit.
+const autoMaxM = 320
+
 func (c *Config) normalize() {
 	if c.M < 1 {
 		c.M = 1
 	}
 	if c.C < 1 {
 		c.C = 1
-	}
-	if c.AutoMaxM < 1 {
-		c.AutoMaxM = 320
 	}
 }

@@ -28,8 +28,7 @@ func testSetup(nodes, threads int, rt *Runtime, extra ...exec.HandlerFunc) *sim.
 // the given base.
 func incOp(base int) *Op {
 	return &Op{
-		Name:          "inc",
-		AlwaysSucceed: true,
+		Name: "inc",
 		Body: func(tx exec.Tx, e *Engine, v int, arg uint64) (uint64, bool) {
 			addr := base + v
 			tx.Write(addr, tx.Read(addr)+arg)

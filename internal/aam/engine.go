@@ -68,7 +68,7 @@ func NewEngine(rt *Runtime, ctx exec.Context, cfg Config) *Engine {
 		curM: cfg.M,
 	}
 	if cfg.AutoM {
-		e.tun = newTuner(1, cfg.AutoMaxM, 0)
+		e.tun = newTuner(1, autoMaxM, 0)
 	}
 	rt.register(e)
 	return e

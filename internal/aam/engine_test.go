@@ -19,8 +19,7 @@ type countingWorkload struct {
 func newCounting() *countingWorkload {
 	w := &countingWorkload{rt: aam.NewRuntime()}
 	w.op = w.rt.Register(&aam.Op{
-		Name:          "count",
-		AlwaysSucceed: true,
+		Name: "count",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			tx.Write(v, tx.Read(v)+arg)
 			return 0, false

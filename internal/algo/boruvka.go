@@ -69,8 +69,7 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 	// proposeOp (FF&AS): min-combine a candidate edge into the root's
 	// proposal slot. Two logically linked words (value packs both).
 	b.proposeOp = b.rt.Register(&aam.Op{
-		Name:          "boruvka-propose",
-		AlwaysSucceed: true,
+		Name: "boruvka-propose",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			addr := b.minBase + v
 			if arg < tx.Read(addr) {

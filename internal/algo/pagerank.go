@@ -57,8 +57,7 @@ func NewPageRank(g *graph.Graph, nodes int, cfg PRConfig) *PageRank {
 	p.rt = aam.NewRuntime()
 	// arg encodes share<<1 | nextParity.
 	p.accOp = p.rt.Register(&aam.Op{
-		Name:          "pr-acc",
-		AlwaysSucceed: true,
+		Name: "pr-acc",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			addr := p.rankBase[arg&1] + v
 			tx.Write(addr, tx.Read(addr)+(arg>>1))

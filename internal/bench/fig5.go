@@ -81,8 +81,7 @@ func newRemoteWorkload(nverts int, acc bool) *remoteWorkload {
 	w := &remoteWorkload{rt: aam.NewRuntime(), nverts: nverts}
 	if acc {
 		w.op = w.rt.Register(&aam.Op{
-			Name:          "remote-acc",
-			AlwaysSucceed: true,
+			Name: "remote-acc",
 			Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 				tx.Write(v, tx.Read(v)+arg)
 				return 0, false

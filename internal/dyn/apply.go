@@ -21,9 +21,6 @@ type TxConfig struct {
 	Runtime string
 	// Machine is the simulated machine profile ("has-c" default).
 	Machine string
-	// HTMVariant selects the HTM implementation; empty is the machine
-	// default.
-	HTMVariant string
 	// Threads shapes the machine (default 4; capped at the profile's
 	// hardware thread count).
 	Threads int
@@ -413,7 +410,7 @@ func (a *applier) run(prof exec.MachineProfile, cfg TxConfig, n int) exec.Result
 
 	var variant *exec.HTMProfile
 	if cfg.Mechanism == aam.MechHTM {
-		variant = prof.HTMVariant(cfg.HTMVariant)
+		variant = prof.HTMVariant("")
 	}
 	engCfg := aam.Config{
 		M:         cfg.M,

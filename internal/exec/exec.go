@@ -51,7 +51,6 @@ type TxResult struct {
 	Committed  bool // the region's effects are visible
 	Serialized bool // committed via the fallback serialization path
 	UserAbort  bool // body called Tx.Abort (May-Fail failure)
-	HWAborts   int  // hardware aborts encountered before the outcome
 	Err        error
 }
 

@@ -67,10 +67,6 @@ type HTMProfile struct {
 	// "lemming effect"). BG/Q serializes via an irrevocable mode that
 	// only conflicts on actual data overlap.
 	LockSubscription bool
-
-	// StatsVisible reports whether the implementation exposes abort
-	// reasons (the paper cannot collect them for HLE, §5.4/Fig. 4).
-	StatsVisible bool
 }
 
 // MachineProfile bundles the per-architecture cost model: atomics, plain
@@ -157,7 +153,6 @@ func HaswellC() MachineProfile {
 		SMTCapacityProb:  0.004,
 		LineConflicts:    true,
 		LockSubscription: true,
-		StatsVisible:     true,
 	}
 	hle := &HTMProfile{
 		Name:                "hle",
@@ -174,7 +169,6 @@ func HaswellC() MachineProfile {
 		SMTCapacityProb:     0.004,
 		LineConflicts:       true,
 		LockSubscription:    true,
-		StatsVisible:        false,
 	}
 	return MachineProfile{
 		Name:       "has-c",
@@ -257,7 +251,6 @@ func BGQ() MachineProfile {
 		SerializeCost:  1200 * vtime.Nanosecond,
 		OtherAbortProb: 0.0010,
 		ArbCost:        100 * vtime.Nanosecond,
-		StatsVisible:   true,
 	}
 	long := &HTMProfile{
 		Name:           "long",
@@ -272,7 +265,6 @@ func BGQ() MachineProfile {
 		SerializeCost:  1400 * vtime.Nanosecond,
 		OtherAbortProb: 0.0005,
 		ArbCost:        130 * vtime.Nanosecond,
-		StatsVisible:   true,
 	}
 	return MachineProfile{
 		Name:           "bgq",

@@ -110,8 +110,7 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 		},
 	})
 	s.accOp = s.rt.Register(&aam.Op{
-		Name:          "gblas-acc",
-		AlwaysSucceed: true,
+		Name: "gblas-acc",
 		Body: func(tx exec.Tx, e *aam.Engine, w int, arg uint64) (uint64, bool) {
 			tx.Write(s.yBase+w, sr.Add(tx.Read(s.yBase+w), arg))
 			return 0, false

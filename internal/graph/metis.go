@@ -183,23 +183,25 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 //	magic "AAMG" | version u32 | flags u32 (1=directed, 2=weighted)
 //	n u64 | arcs u64 | offsets (n+1)×u64 | adj arcs×u32 | weights arcs×u32
 //
-// All fields are little-endian.
+// All fields are little-endian. The arrays are written straight from the
+// graph's []int64/[]int32/[]uint32: two's complement makes those the
+// same bytes as the format's unsigned fields.
 
 const (
-	binMagic   = "AAMG"
-	binVersion = 1
+	binMagic     = "AAMG"
+	binVersion   = 1
+	binHeaderLen = 4 + 4 + 4 + 8 + 8
 
 	binFlagDirected = 1 << 0
 	binFlagWeighted = 1 << 1
+
+	// binChunk is how many array bytes ReadBinary reads per step.
+	binChunk = 64 << 10
 )
 
 // WriteBinary writes g in the binary CSR format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	g = g.Flat() // the format stores the raw flat arrays
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
 	flags := uint32(0)
 	if g.Directed {
 		flags |= binFlagDirected
@@ -207,102 +209,99 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	if g.Weights != nil {
 		flags |= binFlagWeighted
 	}
-	for _, v := range []uint32{binVersion, flags} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	arcs := uint64(len(g.Adj))
-	for _, v := range []uint64{uint64(g.N), arcs} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	offs := make([]uint64, len(g.Offsets))
-	for i, o := range g.Offsets {
-		offs[i] = uint64(o)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, offs); err != nil {
+	hdr := append(make([]byte, 0, binHeaderLen), binMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, binVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, flags)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(g.N))
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(g.Adj)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	adj := make([]uint32, len(g.Adj))
-	for i, a := range g.Adj {
-		adj[i] = uint32(a)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, adj); err != nil {
-		return err
-	}
-	if g.Weights != nil {
-		if err := binary.Write(bw, binary.LittleEndian, g.Weights); err != nil {
+	for _, arr := range []any{g.Offsets, g.Adj, g.Weights} { // nil Weights writes nothing
+		if err := binary.Write(w, binary.LittleEndian, arr); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinary parses the binary CSR format, validating structure (monotone
-// offsets, in-range adjacency).
+// offsets, in-range adjacency). The arrays grow with the bytes actually
+// read, not with the header's counts: input that claims more than it
+// holds fails at its end, having allocated at most twice what it held
+// plus one binChunk.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: binary magic: %w", err)
+	var hdr [binHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: binary header: %w", err)
 	}
-	if string(magic) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
+	if string(hdr[:4]) != binMagic {
+		return nil, fmt.Errorf("graph: bad magic %q", hdr[:4])
 	}
-	var version, flags uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != binVersion {
+	le := binary.LittleEndian
+	if version := le.Uint32(hdr[4:]); version != binVersion {
 		return nil, fmt.Errorf("graph: binary version %d unsupported", version)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &flags); err != nil {
-		return nil, err
-	}
-	var n, arcs uint64
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &arcs); err != nil {
-		return nil, err
-	}
+	flags := le.Uint32(hdr[8:])
+	n, arcs := le.Uint64(hdr[12:]), le.Uint64(hdr[20:])
 	const maxVerts = 1 << 31
 	if n > maxVerts || arcs > 1<<40 {
 		return nil, fmt.Errorf("graph: binary header implausible (n=%d, arcs=%d)", n, arcs)
 	}
 	g := &Graph{N: int(n), Directed: flags&binFlagDirected != 0}
-	offs := make([]uint64, n+1)
-	if err := binary.Read(br, binary.LittleEndian, offs); err != nil {
+	buf := make([]byte, binChunk)
+	var err error
+	if g.Offsets, err = readArray[int64](r, n+1, buf); err != nil {
 		return nil, fmt.Errorf("graph: binary offsets: %w", err)
 	}
-	g.Offsets = make([]int64, n+1)
-	for i, o := range offs {
-		if o > arcs || (i > 0 && o < offs[i-1]) {
-			return nil, fmt.Errorf("graph: binary offsets not monotone at %d", i)
+	if g.Offsets[0] != 0 {
+		return nil, fmt.Errorf("graph: binary offsets start at %d, want 0", g.Offsets[0])
+	}
+	for i, o := range g.Offsets[1:] {
+		if o < g.Offsets[i] || uint64(o) > arcs {
+			return nil, fmt.Errorf("graph: binary offsets not monotone at %d", i+1)
 		}
-		g.Offsets[i] = int64(o)
 	}
-	if offs[n] != arcs {
-		return nil, fmt.Errorf("graph: binary offsets end at %d, want %d", offs[n], arcs)
+	if end := uint64(g.Offsets[n]); end != arcs {
+		return nil, fmt.Errorf("graph: binary offsets end at %d, want %d", end, arcs)
 	}
-	adj := make([]uint32, arcs)
-	if err := binary.Read(br, binary.LittleEndian, adj); err != nil {
+	if g.Adj, err = readArray[int32](r, arcs, buf); err != nil {
 		return nil, fmt.Errorf("graph: binary adjacency: %w", err)
 	}
-	g.Adj = make([]int32, arcs)
-	for i, a := range adj {
-		if uint64(a) >= n {
-			return nil, fmt.Errorf("graph: binary adjacency %d out of range", a)
+	for _, a := range g.Adj {
+		if a < 0 || uint64(a) >= n {
+			return nil, fmt.Errorf("graph: binary adjacency %d out of range", uint32(a))
 		}
-		g.Adj[i] = int32(a)
 	}
 	if flags&binFlagWeighted != 0 {
-		g.Weights = make([]uint32, arcs)
-		if err := binary.Read(br, binary.LittleEndian, g.Weights); err != nil {
+		if g.Weights, err = readArray[uint32](r, arcs, buf); err != nil {
 			return nil, fmt.Errorf("graph: binary weights: %w", err)
 		}
 	}
 	return g, nil
+}
+
+// readArray reads count little-endian values through buf. The result
+// starts at one buf's worth and at most doubles per step, so its capacity
+// stays within twice the values read plus one buf until the last step
+// sizes it to count exactly.
+func readArray[T int32 | int64 | uint32](r io.Reader, count uint64, buf []byte) ([]T, error) {
+	size := uint64(binary.Size(T(0)))
+	step := uint64(len(buf)) / size
+	out := make([]T, 0, min(count, step))
+	for uint64(len(out)) < count {
+		have := uint64(len(out))
+		k := min(count-have, step)
+		if uint64(cap(out)) < have+k {
+			out = append(make([]T, 0, min(count, max(2*have, have+k))), out...)
+		}
+		b := buf[:k*size]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		out = out[:have+k]
+		// b holds exactly the k values the destination takes: no error.
+		_, _ = binary.Decode(b, binary.LittleEndian, out[have:])
+	}
+	return out, nil
 }

@@ -2,6 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -178,6 +182,90 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestBinaryFormatPinned pins the binary format byte for byte (the
+// digests were taken from the writer that copied every array to unsigned
+// words first) and checks that each graph reads back array for array.
+func TestBinaryFormatPinned(t *testing.T) {
+	dir := NewBuilder(5).Directed().WithWeights(SymmetricWeight(3))
+	dir.AddEdge(0, 4)
+	dir.AddEdge(4, 1)
+	for _, c := range []struct {
+		name   string
+		g      *Graph
+		size   int
+		sha256 string
+	}{
+		{"kron", Kronecker(10, 8, 1), 73100, "309b2dd750380878474c1aacce20f75567c323fc6b534959ff30f559030b3cdb"},
+		{"road", RoadGrid(32, 32, 0.1, 2), 22676, "dda138a4afa03ee9375c3efa5d2b39abc0467f864582f0a6f3724fd4c9816525"},
+		{"weighted", AttachSymmetricWeights(Kronecker(8, 8, 2), 7), 34212, "f847104c57d2951132eb81162a628690006448446ba47394eab1fc4853e87aef"},
+		{"directed", dir.Build(), 92, "95f40fcea479be143b98c9a1f7dc04fb351c209fb716b6aca7c7dc39cf21ce31"},
+		{"empty", NewBuilder(0).Build(), 36, "5832646cb071d8809627662bb25d1948c709c99cbef6c4b9c7c3a8b497cf3867"},
+	} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, c.g); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if buf.Len() != c.size || hex.EncodeToString(sum[:]) != c.sha256 {
+			t.Errorf("%s: wrote %d bytes, sha256 %x; want %d, %s", c.name, buf.Len(), sum, c.size, c.sha256)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if back.N != c.g.N || back.Directed != c.g.Directed || (back.Weights == nil) != (c.g.Weights == nil) ||
+			!slices.Equal(back.Offsets, c.g.Offsets) || !slices.Equal(back.Adj, c.g.Adj) ||
+			!slices.Equal(back.Weights, c.g.Weights) {
+			t.Errorf("%s: graph differs after a round trip", c.name)
+		}
+	}
+}
+
+// hugeBinaryHeader is a well-formed 28-byte header claiming 2^28
+// vertices and no arcs, followed by none of the arrays it promises.
+func hugeBinaryHeader() []byte {
+	return []byte("AAMG\x01\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x10\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00")
+}
+
+// TestReadBinaryAllocatesWhatItReads: a header's counts alone must not
+// size an allocation. Sized from the header, this input would take 2 GiB
+// of offsets before the first read failed.
+func TestReadBinaryAllocatesWhatItReads(t *testing.T) {
+	in := hugeBinaryHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no arrays behind it was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading %d bytes allocated %d bytes", len(in), got)
+	}
+}
+
+// FuzzReadBinary: hostile binary input gets an error, never a panic, and
+// whatever parses is a valid graph.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, AttachSymmetricWeights(Kronecker(4, 4, 1), 3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(hugeBinaryHeader())
+	f.Add([]byte("AAMG"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		g, err := ReadBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("read an invalid graph: %v", err)
+		}
+	})
 }
 
 func TestBinaryRejectsCorruption(t *testing.T) {

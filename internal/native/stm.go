@@ -152,7 +152,6 @@ func (t *nthread) Tx(p *exec.HTMProfile, body func(tx exec.Tx) error) exec.TxRes
 		case nOutConflict:
 			t.st.Aborts[stats.AbortConflict]++
 			t.st.Retries++
-			res.HWAborts++
 			// Exponential backoff with jitter to avoid livelock.
 			spins := 1 << uint(min(attempt, 10))
 			spins += t.rng.Intn(spins)

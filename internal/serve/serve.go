@@ -98,10 +98,6 @@ type Config struct {
 	// pool. 0 (the default) preserves the historical behavior: wait until
 	// a slot frees or the client goes away.
 	MaxQueueWait time.Duration
-	// Cluster, when non-nil, is the distributed worker cluster behind
-	// ?engine=cluster queries. It can also be attached later (after its
-	// workers have joined) via SetCluster.
-	Cluster *shard.Cluster
 	// CacheBytes bounds the epoch-keyed query cache (LRU by total body
 	// bytes). 0 selects the 32 MiB default; negative disables the cache
 	// (singleflight collapsing included — ETag/304 handling stays on).
@@ -233,9 +229,6 @@ func New(g *dyn.Graph, cfg Config) (*Server, error) {
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = newQueryCache(cfg.CacheBytes)
-	}
-	if cfg.Cluster != nil {
-		s.cluster.Store(cfg.Cluster)
 	}
 	s.reg = obs.NewRegistry()
 	s.slow = newSlowlog(cfg.SlowlogK)

@@ -140,9 +140,10 @@ func clusterJob[R any](c *Cluster, name string, g *graph.Graph, cfg Config, para
 // ClusterOptions tunes the coordinator's failure handling. The zero
 // value gives production defaults.
 type ClusterOptions struct {
-	// Net carries the session-level clocks: HeartbeatEvery and Liveness
-	// drive the heartbeat loop, CollTimeout bounds the abort-ack wait.
-	// Zero fields take the Config defaults (withDefaults).
+	// Net carries the session-level clocks; only its HeartbeatEvery and
+	// Liveness are read, by the heartbeat loop. Zero fields take the
+	// Config defaults (withDefaults). Each job's own Config times its
+	// collectives, its abort-ack wait and its watchdog.
 	Net Config
 	// JobRetries is how many times a failed job is retried over the
 	// surviving ranks (0 = default of 2; negative = no retries).

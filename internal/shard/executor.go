@@ -171,7 +171,7 @@ func New(g *graph.Graph, words int, cfg Config) (*Executor, error) {
 			ID:    id,
 			Lo:    lo,
 			Hi:    hi,
-			mech:  cfg.mechanism(id),
+			mech:  cfg.Mechanism,
 			state: make([]uint64, words*L),
 		}
 		// Non-owned shards are state replicas (refreshed by the transport's

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -96,9 +97,9 @@ func TestPartitionSchemesEquivalent(t *testing.T) {
 }
 
 // TestPartitionSchemeMechanisms runs the edge partition under all five
-// isolation mechanisms with intra-shard contention (the star's hub shard
-// takes every operator fight), covering the traversal, fixed-point and
-// priority-driven operator shapes.
+// isolation mechanisms at every mechShapes shape, with intra-shard
+// contention (the star's hub shard takes every operator fight), covering
+// the traversal, fixed-point and priority-driven operator shapes.
 func TestPartitionSchemeMechanisms(t *testing.T) {
 	g := starGraph(512)
 	wg := weighted(g, 17)
@@ -106,46 +107,40 @@ func TestPartitionSchemeMechanisms(t *testing.T) {
 	seq := algo.SeqComponents(g)
 	refDist := algo.SeqSSSP(wg, 0)
 	refColors, _ := algo.GreedyColoring(g)
-	for _, mech := range allMechs {
-		cfg := Config{Shards: 3, Part: PartEdge, Workers: 4, BatchSize: 8, Mechanism: mech}
-		res, err := BFS(g, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
+	for _, shape := range mechShapes {
+		for _, mech := range allMechs {
+			cfg := shape
+			cfg.Part, cfg.Mechanism = PartEdge, mech
+			name := fmt.Sprintf("%v, %d shards", mech, cfg.Shards)
+			res, err := BFS(g, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := algo.ValidateBFSTree(g, 0, res.Parents, ref); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cc, err := Components(g, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(cc.Labels, seq) {
+				t.Fatalf("%s: cc labels diverge", name)
+			}
+			sr, err := SSSP(wg, 0, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s sssp: %v", name, err)
+			}
+			if !reflect.DeepEqual(sr.Dists, refDist) {
+				t.Fatalf("%s: sssp distances diverge", name)
+			}
+			cr, err := Coloring(g, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s coloring: %v", name, err)
+			}
+			if !reflect.DeepEqual(cr.Colors, refColors) {
+				t.Fatalf("%s: coloring diverges", name)
+			}
 		}
-		if err := algo.ValidateBFSTree(g, 0, res.Parents, ref); err != nil {
-			t.Fatalf("%v: %v", mech, err)
-		}
-		cc, err := Components(g, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
-		}
-		if !reflect.DeepEqual(cc.Labels, seq) {
-			t.Fatalf("%v: cc labels diverge", mech)
-		}
-		sr, err := SSSP(wg, 0, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v sssp: %v", mech, err)
-		}
-		if !reflect.DeepEqual(sr.Dists, refDist) {
-			t.Fatalf("%v: sssp distances diverge", mech)
-		}
-		cr, err := Coloring(g, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v coloring: %v", mech, err)
-		}
-		if !reflect.DeepEqual(cr.Colors, refColors) {
-			t.Fatalf("%v: coloring diverges", mech)
-		}
-	}
-
-	// Heterogeneous mechanisms over edge-balanced ranges.
-	cfg := Config{Shards: 5, Part: PartEdge, Workers: 2, BatchSize: 4, Mechanisms: allMechs}
-	cc, err := Components(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cc.Labels, seq) {
-		t.Fatal("heterogeneous mechanisms: cc labels diverge under edge partition")
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -195,60 +196,47 @@ func TestColoringMatchesGreedyReference(t *testing.T) {
 }
 
 // TestIrregularMechanisms runs SSSP, MST and coloring under every
-// isolation mechanism — homogeneous and heterogeneous — with intra-shard
-// contention (Workers=4 on a star graph: every operator fight converges
-// on the hub's shard).
+// isolation mechanism at every mechShapes shape, with intra-shard
+// contention (a star graph: every operator fight converges on the hub's
+// shard).
 func TestIrregularMechanisms(t *testing.T) {
 	g := weighted(starGraph(512), 17)
 	src := 0
 	refDist := algo.SeqSSSP(g, src)
 	refWeight := algo.SeqMSTWeight(g)
 	refColors, _ := algo.GreedyColoring(g)
-	for _, mech := range allMechs {
-		cfg := Config{Shards: 3, Workers: 4, BatchSize: 8, Mechanism: mech}
-		sr, err := SSSP(g, src, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v sssp: %v", mech, err)
-		}
-		if !reflect.DeepEqual(sr.Dists, refDist) {
-			t.Fatalf("%v: sssp distances diverge", mech)
-		}
-		mr, err := MST(g, cfg)
-		if err != nil {
-			t.Fatalf("%v mst: %v", mech, err)
-		}
-		if mr.Weight != refWeight {
-			t.Fatalf("%v: mst weight %d, want %d", mech, mr.Weight, refWeight)
-		}
-		cr, err := Coloring(g, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v coloring: %v", mech, err)
-		}
-		if !reflect.DeepEqual(cr.Colors, refColors) {
-			t.Fatalf("%v: coloring diverges", mech)
-		}
-		for _, tot := range []Stats{sr.Totals(), mr.Totals(), cr.Totals()} {
-			if tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
-				t.Fatalf("%v: %d units sent, %d received", mech, tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
+	for _, shape := range mechShapes {
+		for _, mech := range allMechs {
+			cfg := shape
+			cfg.Mechanism = mech
+			name := fmt.Sprintf("%v, %d shards", mech, cfg.Shards)
+			sr, err := SSSP(g, src, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s sssp: %v", name, err)
+			}
+			if !reflect.DeepEqual(sr.Dists, refDist) {
+				t.Fatalf("%s: sssp distances diverge", name)
+			}
+			mr, err := MST(g, cfg)
+			if err != nil {
+				t.Fatalf("%s mst: %v", name, err)
+			}
+			if mr.Weight != refWeight {
+				t.Fatalf("%s: mst weight %d, want %d", name, mr.Weight, refWeight)
+			}
+			cr, err := Coloring(g, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s coloring: %v", name, err)
+			}
+			if !reflect.DeepEqual(cr.Colors, refColors) {
+				t.Fatalf("%s: coloring diverges", name)
+			}
+			for _, tot := range []Stats{sr.Totals(), mr.Totals(), cr.Totals()} {
+				if tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
+					t.Fatalf("%s: %d units sent, %d received", name, tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
+				}
 			}
 		}
-	}
-
-	// Heterogeneous: one mechanism per shard must still converge.
-	cfg := Config{Shards: 5, Workers: 2, BatchSize: 4, Mechanisms: allMechs}
-	sr, err := SSSP(g, src, 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sr.Dists, refDist) {
-		t.Fatal("heterogeneous mechanisms: sssp distances diverge")
-	}
-	mr, err := MST(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mr.Weight != refWeight {
-		t.Fatal("heterogeneous mechanisms: mst weight diverges")
 	}
 }
 

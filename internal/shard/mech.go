@@ -11,9 +11,9 @@ import (
 // apply executes operator op on owner-local vertex lv under the shard's
 // isolation mechanism and reports whether it committed (false = May-Fail
 // failure). Every mechanism linearizes the single-word read-modify-write,
-// so heterogeneous shard configurations still converge to the same state;
-// they differ in how conflicts surface in the counters (aborts, retries,
-// serializations, combined batches).
+// so every mechanism converges to the same state; they differ in how
+// conflicts surface in the counters (aborts, retries, serializations,
+// combined batches).
 func (s *Shard) apply(w *Worker, op, lv int, arg uint64) bool {
 	o := s.ex.ops[op]
 	switch s.mech {
@@ -51,15 +51,19 @@ func (s *Shard) applyAtomic(w *Worker, o *Op, lv int, arg uint64) bool {
 	}
 }
 
+// htmRetries bounds the emulated-HTM optimistic attempts before the
+// serialized fallback, mirroring the simulator's Haswell retry policy.
+const htmRetries = 8
+
 // applyHTM emulates the hardware-transactional path on coherent shared
 // memory: optimistic attempts whose conflicts count as aborts, then the
-// serialized fallback under the shard's fallback lock once HTMRetries is
+// serialized fallback under the shard's fallback lock once htmRetries are
 // exhausted — the same retry-then-serialize policy the simulator applies
 // to Haswell RTM. The fallback still CASes because fast-path workers keep
 // racing.
 func (s *Shard) applyHTM(w *Worker, o *Op, lv int, arg uint64) bool {
 	addr := o.Addr(lv, arg)
-	for attempt := 0; attempt < s.ex.cfg.HTMRetries; attempt++ {
+	for attempt := 0; attempt < htmRetries; attempt++ {
 		cur := s.Load(addr)
 		next, ok := o.Mutate(cur, arg)
 		if !ok {

@@ -140,14 +140,6 @@ type Config struct {
 	// The zero value is MechHTM (the paper's flagship mechanism): the
 	// emulated optimistic retry-then-serialize path.
 	Mechanism aam.Mechanism
-	// Mechanisms, when non-nil, overrides Mechanism per shard; its length
-	// must equal Shards. Heterogeneous shards are allowed — every
-	// mechanism reaches the same final state.
-	Mechanisms []aam.Mechanism
-	// HTMRetries bounds the emulated-HTM optimistic attempts before the
-	// serialized fallback path (default 8, mirroring the simulator's
-	// Haswell retry policy).
-	HTMRetries int
 	// Part selects the vertex distribution: PartBlock (default, equal
 	// vertex counts) or PartEdge (equal outgoing-arc counts — the
 	// skew-resistant boundaries). Results are identical under both; only
@@ -190,9 +182,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSize < 1 {
 		c.BatchSize = 64
 	}
-	if c.HTMRetries < 1 {
-		c.HTMRetries = 8
-	}
 	if c.CollTimeout <= 0 {
 		c.CollTimeout = 2 * time.Minute
 	}
@@ -209,9 +198,6 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Mechanisms != nil && len(c.Mechanisms) != c.Shards {
-		return fmt.Errorf("shard: Mechanisms has %d entries for %d shards", len(c.Mechanisms), c.Shards)
-	}
 	if c.Shards*c.Workers > 1<<16 {
 		return fmt.Errorf("shard: %d×%d workers exceeds the sanity bound", c.Shards, c.Workers)
 	}
@@ -219,14 +205,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("shard: %d×%d workers over %d procs is degenerate", c.Shards, c.Workers, maxProcs)
 	}
 	return nil
-}
-
-// mechanism returns shard id's isolation mechanism.
-func (c Config) mechanism(id int) aam.Mechanism {
-	if c.Mechanisms != nil {
-		return c.Mechanisms[id]
-	}
-	return c.Mechanism
 }
 
 // Stats aggregates one shard's execution counters. Cross-shard counters

@@ -17,6 +17,14 @@ var allMechs = []aam.Mechanism{
 	aam.MechHTM, aam.MechAtomic, aam.MechLock, aam.MechOptimistic, aam.MechFlatCombining,
 }
 
+// mechShapes are the shapes the mechanism tests run every mechanism at:
+// few shards with four workers fighting on each, and more shards with
+// two workers and smaller batches.
+var mechShapes = []Config{
+	{Shards: 3, Workers: 4, BatchSize: 8},
+	{Shards: 5, Workers: 2, BatchSize: 4},
+}
+
 // testGraphs returns the generated and real-world-proxy graphs the
 // correctness matrix runs over.
 func testGraphs(tb testing.TB) map[string]*graph.Graph {
@@ -192,52 +200,43 @@ func TestComponentsMatchesSingleRuntime(t *testing.T) {
 	}
 }
 
-// TestMechanisms runs every isolation mechanism — homogeneous and
-// heterogeneous across shards — under intra-shard contention (Workers=4 on
-// a star graph, where every marking fight converges on the hub's shard).
+// TestMechanisms runs every isolation mechanism at every mechShapes
+// shape under intra-shard contention (a star graph, where every marking
+// fight converges on the hub's shard).
 func TestMechanisms(t *testing.T) {
 	g := starGraph(512)
 	ref := algo.SeqBFS(g, 0)
 	seq := algo.SeqComponents(g)
-	for _, mech := range allMechs {
-		cfg := Config{Shards: 3, Workers: 4, BatchSize: 8, Mechanism: mech}
-		res, err := BFS(g, 0, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
+	for _, shape := range mechShapes {
+		for _, mech := range allMechs {
+			cfg := shape
+			cfg.Mechanism = mech
+			name := fmt.Sprintf("%v, %d shards", mech, cfg.Shards)
+			res, err := BFS(g, 0, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := algo.ValidateBFSTree(g, 0, res.Parents, ref); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cc, err := Components(g, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !reflect.DeepEqual(cc.Labels, seq) {
+				t.Fatalf("%s: cc labels diverge", name)
+			}
+			tot := cc.Totals()
+			if tot.Ops() == 0 {
+				t.Fatalf("%s: no operators recorded", name)
+			}
+			if tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
+				t.Fatalf("%s: %d units sent but %d received", name, tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
+			}
+			if tot.RemoteBatchesSent != tot.RemoteBatchesRecv {
+				t.Fatalf("%s: %d batches sent but %d received", name, tot.RemoteBatchesSent, tot.RemoteBatchesRecv)
+			}
 		}
-		if err := algo.ValidateBFSTree(g, 0, res.Parents, ref); err != nil {
-			t.Fatalf("%v: %v", mech, err)
-		}
-		cc, err := Components(g, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mech, err)
-		}
-		if !reflect.DeepEqual(cc.Labels, seq) {
-			t.Fatalf("%v: cc labels diverge", mech)
-		}
-		tot := cc.Totals()
-		if tot.Ops() == 0 {
-			t.Fatalf("%v: no operators recorded", mech)
-		}
-		if tot.RemoteUnitsSent != tot.RemoteUnitsRecv {
-			t.Fatalf("%v: %d units sent but %d received", mech, tot.RemoteUnitsSent, tot.RemoteUnitsRecv)
-		}
-		if tot.RemoteBatchesSent != tot.RemoteBatchesRecv {
-			t.Fatalf("%v: %d batches sent but %d received", mech, tot.RemoteBatchesSent, tot.RemoteBatchesRecv)
-		}
-	}
-
-	// Heterogeneous: a different mechanism per shard must still converge.
-	cfg := Config{
-		Shards: 5, Workers: 2, BatchSize: 4,
-		Mechanisms: allMechs,
-	}
-	cc, err := Components(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cc.Labels, seq) {
-		t.Fatal("heterogeneous mechanisms: cc labels diverge")
 	}
 }
 
@@ -310,10 +309,6 @@ func TestEdgeCases(t *testing.T) {
 		t.Fatal("want error for negative source")
 	}
 
-	// Mechanisms/Shards length mismatch.
-	if _, err := BFS(small, 0, Config{Shards: 2, Mechanisms: allMechs}); err == nil {
-		t.Fatal("want error for Mechanisms length mismatch")
-	}
 }
 
 // TestConcurrentWritersReaders exercises the executor under -race: within

@@ -29,7 +29,7 @@ import (
 const (
 	wireMagic0  = 0xAA
 	wireMagic1  = 0x4D
-	wireVersion = 2
+	wireVersion = 3
 
 	frameHdrLen = 8
 	// maxFrameLen caps one frame's payload (64 MiB): far above any real
@@ -375,9 +375,6 @@ func decodeJob(p []byte) (jobSpec, error) {
 		return spec, err
 	}
 	spec.Cfg = cfg
-	if err := checkGraphPayload(rest); err != nil {
-		return spec, err
-	}
 	g, err := graph.ReadBinary(bytes.NewReader(rest))
 	if err != nil {
 		return spec, fmt.Errorf("shard: job graph: %w", err)
@@ -388,27 +385,24 @@ func decodeJob(p []byte) (jobSpec, error) {
 
 // Config wire layout:
 //
-//	shards u32 | workers u32 | batch u32 | htmRetries u32 |
-//	flush u8 | part u8 | dir u8 | mech u8 | nmechs u32 | nmechs × u8 |
-//	collTimeoutNs u64 | heartbeatNs u64 | livenessNs u64 | jobTimeoutNs u64
+//	shards u32 | workers u32 | batch u32 |
+//	flush u8 | part u8 | dir u8 | mech u8 |
+//	collTimeoutNs u64 | jobTimeoutNs u64
 //
-// The trailing durations ship so every rank of an attempt runs the same
+// The two durations ship so every rank of an attempt runs the same
 // failure-detection clock — a worker with a longer collective timeout
 // than its coordinator would linger in dead collectives after eviction.
+// HeartbeatEvery and Liveness stay with the coordinator: only its
+// heartbeat loop reads them.
 func appendConfig(buf []byte, cfg Config) []byte {
 	var u32 [4]byte
-	for _, v := range []int{cfg.Shards, cfg.Workers, cfg.BatchSize, cfg.HTMRetries} {
+	for _, v := range []int{cfg.Shards, cfg.Workers, cfg.BatchSize} {
 		binary.LittleEndian.PutUint32(u32[:], uint32(v))
 		buf = append(buf, u32[:]...)
 	}
 	buf = append(buf, byte(cfg.Flush), byte(cfg.Part), byte(cfg.Dir), byte(cfg.Mechanism))
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(cfg.Mechanisms)))
-	buf = append(buf, u32[:]...)
-	for _, m := range cfg.Mechanisms {
-		buf = append(buf, byte(m))
-	}
 	var u64 [8]byte
-	for _, d := range []time.Duration{cfg.CollTimeout, cfg.HeartbeatEvery, cfg.Liveness, cfg.JobTimeout} {
+	for _, d := range []time.Duration{cfg.CollTimeout, cfg.JobTimeout} {
 		binary.LittleEndian.PutUint64(u64[:], uint64(d.Nanoseconds()))
 		buf = append(buf, u64[:]...)
 	}
@@ -417,71 +411,25 @@ func appendConfig(buf []byte, cfg Config) []byte {
 
 func decodeConfig(p []byte) (Config, []byte, error) {
 	var cfg Config
-	const fixed = 4*4 + 4 + 4
+	const fixed = 3*4 + 4 + 2*8
 	if len(p) < fixed {
 		return cfg, nil, fmt.Errorf("shard: truncated config")
 	}
 	cfg.Shards = int(binary.LittleEndian.Uint32(p[0:4]))
 	cfg.Workers = int(binary.LittleEndian.Uint32(p[4:8]))
 	cfg.BatchSize = int(binary.LittleEndian.Uint32(p[8:12]))
-	cfg.HTMRetries = int(binary.LittleEndian.Uint32(p[12:16]))
-	cfg.Flush = FlushPolicy(p[16])
-	cfg.Part = PartScheme(p[17])
-	cfg.Dir = Direction(p[18])
-	cfg.Mechanism = aam.Mechanism(p[19])
-	nmechs := binary.LittleEndian.Uint32(p[20:24])
-	p = p[fixed:]
-	if nmechs > 1<<16 {
-		return cfg, nil, fmt.Errorf("shard: config lists %d mechanisms", nmechs)
-	}
-	if uint64(len(p)) < uint64(nmechs) {
-		return cfg, nil, fmt.Errorf("shard: truncated mechanism list")
-	}
-	if nmechs > 0 {
-		cfg.Mechanisms = make([]aam.Mechanism, nmechs)
-		for i := range cfg.Mechanisms {
-			cfg.Mechanisms[i] = aam.Mechanism(p[i])
-		}
-	}
-	p = p[nmechs:]
-	if len(p) < 4*8 {
-		return cfg, nil, fmt.Errorf("shard: truncated config timeouts")
-	}
-	for i, d := range []*time.Duration{&cfg.CollTimeout, &cfg.HeartbeatEvery, &cfg.Liveness, &cfg.JobTimeout} {
-		ns := binary.LittleEndian.Uint64(p[i*8 : i*8+8])
+	cfg.Flush = FlushPolicy(p[12])
+	cfg.Part = PartScheme(p[13])
+	cfg.Dir = Direction(p[14])
+	cfg.Mechanism = aam.Mechanism(p[15])
+	for i, d := range []*time.Duration{&cfg.CollTimeout, &cfg.JobTimeout} {
+		ns := binary.LittleEndian.Uint64(p[16+i*8 : 24+i*8])
 		if ns > uint64(100*24*time.Hour) {
 			return cfg, nil, fmt.Errorf("shard: config timeout %d implausible (%d ns)", i, ns)
 		}
 		*d = time.Duration(ns)
 	}
-	return cfg, p[4*8:], nil
-}
-
-// checkGraphPayload rejects job graphs whose header promises more data
-// than the frame carries. graph.ReadBinary sizes its allocations from the
-// n/arcs header fields before reading the arrays, so a corrupt or hostile
-// frame could otherwise demand gigabytes up front; the frame-length cap
-// plus this check bound every allocation by the bytes actually present.
-func checkGraphPayload(p []byte) error {
-	// magic[4] | version u32 | flags u32 | n u64 | arcs u64
-	const hdr = 4 + 4 + 4 + 8 + 8
-	if len(p) < hdr {
-		return fmt.Errorf("shard: job graph payload %d bytes, want >= %d", len(p), hdr)
-	}
-	flags := binary.LittleEndian.Uint32(p[8:12])
-	n := binary.LittleEndian.Uint64(p[12:20])
-	arcs := binary.LittleEndian.Uint64(p[20:28])
-	if n > 1<<31 || arcs > 1<<40 {
-		return fmt.Errorf("shard: job graph header implausible (n=%d, arcs=%d)", n, arcs)
-	}
-	need := uint64(hdr) + (n+1)*8 + arcs*4
-	if flags&2 != 0 { // weighted (graph.binFlagWeighted)
-		need += arcs * 4
-	}
-	if need > uint64(len(p)) {
-		return fmt.Errorf("shard: job graph header (n=%d, arcs=%d) needs %d bytes, frame carries %d", n, arcs, need, len(p))
-	}
-	return nil
+	return cfg, p[fixed:], nil
 }
 
 // bytesWriter adapts an append-grown []byte to io.Writer for

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
+	"time"
 
 	"aamgo/internal/aam"
 	"aamgo/internal/graph"
@@ -123,15 +125,15 @@ func TestCollPayloadRoundTrip(t *testing.T) {
 
 func TestJobRoundTrip(t *testing.T) {
 	g := graph.AttachSymmetricWeights(graph.Kronecker(6, 6, 1), 5)
-	spec := jobSpec{
-		Name:   "sssp",
-		Params: []uint64{42, ^uint64(0)},
-		Cfg: Config{
-			Shards: 8, Workers: 2, BatchSize: 64, HTMRetries: 3,
-			Flush: FlushByEpoch, Mechanism: aam.MechHTM,
-			Mechanisms: []aam.Mechanism{aam.MechHTM, aam.MechAtomic},
-		},
-		G: g,
+	want := Config{
+		Shards: 8, Workers: 2, BatchSize: 64, Flush: FlushByEpoch, Part: PartEdge, Dir: DirPull,
+		Mechanism: aam.MechOptimistic, CollTimeout: 3 * time.Second, JobTimeout: time.Minute,
+	}
+	spec := jobSpec{Name: "sssp", Params: []uint64{42, ^uint64(0)}, Cfg: want, G: g}
+	// The coordinator's heartbeat clocks stay off the wire.
+	spec.Cfg.HeartbeatEvery, spec.Cfg.Liveness = time.Second, 3*time.Second
+	if n := len(appendConfig(nil, spec.Cfg)); n != 32 {
+		t.Fatalf("config encodes to %d bytes, want 32", n)
 	}
 	p, err := encodeJob(spec)
 	if err != nil {
@@ -144,11 +146,8 @@ func TestJobRoundTrip(t *testing.T) {
 	if got.Name != spec.Name || !slices.Equal(got.Params, spec.Params) {
 		t.Fatalf("name/params mismatch: %+v", got)
 	}
-	c, want := got.Cfg, spec.Cfg
-	if c.Shards != want.Shards || c.Workers != want.Workers || c.BatchSize != want.BatchSize ||
-		c.HTMRetries != want.HTMRetries || c.Flush != want.Flush || c.Mechanism != want.Mechanism ||
-		!slices.Equal(c.Mechanisms, want.Mechanisms) {
-		t.Fatalf("config mismatch: %+v vs %+v", c, want)
+	if got.Cfg != want {
+		t.Fatalf("config mismatch: %+v vs %+v", got.Cfg, want)
 	}
 	gg := got.G
 	if gg.N != g.N || gg.Directed != g.Directed ||
@@ -240,6 +239,21 @@ func FuzzJobPayload(f *testing.F) {
 	if seed, err := encodeJob(jobSpec{Name: "bfs", Params: []uint64{0}, Cfg: Config{Shards: 2}, G: g}); err == nil {
 		f.Add(seed)
 	}
+	// A well-formed job whose graph header claims 2^30 vertices and 2^31
+	// arcs with no arrays behind it: the decoder must fail at the end of
+	// the payload without allocating for the claim.
+	empty := graph.NewBuilder(0).Build()
+	var gbuf bytes.Buffer
+	if err := graph.WriteBinary(&gbuf, empty); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := encodeJob(jobSpec{Name: "bfs", Params: []uint64{0}, Cfg: Config{Shards: 2}, G: empty})
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile := append(seed[:len(seed)-gbuf.Len()], "AAMG\x01\x00\x00\x00\x00\x00\x00\x00"...)
+	hostile = binary.LittleEndian.AppendUint64(hostile, 1<<30)
+	f.Add(binary.LittleEndian.AppendUint64(hostile, 1<<31))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := decodeJob(data)
 		if err != nil {

@@ -192,7 +192,6 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 		case bodyOK:
 			// Spurious-abort lottery (interrupts etc.).
 			if p.OtherAbortProb > 0 && t.rng.Float64() < p.OtherAbortProb {
-				res.HWAborts++
 				t.st.Aborts[stats.AbortOther]++
 				t.clock = x.clock + p.AbortCost
 				if !t.retryOrSerialize(p, attempt, stats.AbortOther, body, rt, &res) {
@@ -209,7 +208,6 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 				res.Committed = true
 				return res
 			}
-			res.HWAborts++
 			t.st.Aborts[stats.AbortConflict]++
 			t.clock += p.AbortCost
 			if !t.retryOrSerialize(p, attempt, stats.AbortConflict, body, rt, &res) {
@@ -218,7 +216,6 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 			return res
 
 		case bodyCapacity:
-			res.HWAborts++
 			t.st.Aborts[stats.AbortCapacity]++
 			t.clock = x.clock + p.AbortCost
 			if !t.retryOrSerialize(p, attempt, stats.AbortCapacity, body, rt, &res) {

@@ -11,7 +11,7 @@
 // one sync. Durability modes:
 //
 //	fsync  every group is synced as soon as it is written (window 0)
-//	batch  groups are synced when they reach GroupBytes or GroupWindow
+//	batch  groups are synced when they reach groupBytes or GroupWindow
 //	       of age, whichever first (the default)
 //	off    records are written but never synced — best-effort; Apply
 //	       acknowledges immediately
@@ -39,7 +39,7 @@ import (
 type Mode uint8
 
 const (
-	// ModeBatch groups commits: fsync when the tail reaches GroupBytes
+	// ModeBatch groups commits: fsync when the tail reaches groupBytes
 	// or its oldest record is GroupWindow old. The default.
 	ModeBatch Mode = iota
 	// ModeFsync syncs every group as soon as it is written.
@@ -82,9 +82,6 @@ type Options struct {
 	Dir string
 	// Mode is the durability mode (default ModeBatch).
 	Mode Mode
-	// GroupBytes syncs a batch-mode group once the tail holds this many
-	// bytes (default 256 KiB).
-	GroupBytes int
 	// GroupWindow syncs a batch-mode group once its oldest record is
 	// this old (default 2 ms).
 	GroupWindow time.Duration
@@ -96,10 +93,10 @@ type Options struct {
 	CheckpointEvery uint64
 }
 
+// groupBytes syncs a batch-mode group once the tail holds this many bytes.
+const groupBytes = 256 << 10
+
 func (o Options) withDefaults() Options {
-	if o.GroupBytes <= 0 {
-		o.GroupBytes = 256 << 10
-	}
 	if o.GroupWindow <= 0 {
 		o.GroupWindow = 2 * time.Millisecond
 	}
@@ -261,7 +258,7 @@ func (l *Log) committer() {
 		}
 		// Batch mode: let the group fill until the byte threshold or the
 		// window expires, unless someone needs the sync now.
-		if l.opts.Mode == ModeBatch && !l.urgent && !l.closed && len(l.pending) < l.opts.GroupBytes {
+		if l.opts.Mode == ModeBatch && !l.urgent && !l.closed && len(l.pending) < groupBytes {
 			if wait := l.opts.GroupWindow - time.Since(l.pendingSince); wait > 0 {
 				l.mu.Unlock()
 				time.Sleep(wait)

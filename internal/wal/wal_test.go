@@ -1,9 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -296,6 +298,30 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 		t.Fatalf("recovered epoch %d, want %d", g2.Epoch(), batches)
 	}
 	requireEqualGraphs(t, oracle(t, batches, perBatch), g2)
+}
+
+// TestHostileSnapshotHeader: a snapshot whose header claims 2^28
+// vertices with no arrays behind it is skipped as damaged, without an
+// allocation sized from the claim; with no other base to fall back to,
+// Open returns newBase's error.
+func TestHostileSnapshotHeader(t *testing.T) {
+	dir := t.TempDir()
+	hdr := []byte("AAMG\x01\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x10\x00\x00\x00\x00" + "\x00\x00\x00\x00\x00\x00\x00\x00")
+	if err := os.WriteFile(filepath.Join(dir, snapName(5)), hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errNoBase := errors.New("no base")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Open(Options{Dir: dir}, func() (*dyn.Graph, error) { return nil, errNoBase })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errNoBase) {
+		t.Fatalf("Open over a hostile snapshot: %v, want the base's error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Open over a 28-byte snapshot allocated %d bytes", got)
+	}
 }
 
 func TestAutoCheckpoint(t *testing.T) {
