@@ -228,8 +228,7 @@ func WriteBinary(w io.Writer, g *Graph) error {
 // ReadBinary parses the binary CSR format, validating structure (monotone
 // offsets, in-range adjacency). The arrays grow with the bytes actually
 // read, not with the header's counts: input that claims more than it
-// holds fails at its end, having allocated at most twice what it held
-// plus one binChunk.
+// holds fails at its end, having allocated in proportion to what it held.
 func ReadBinary(r io.Reader) (*Graph, error) {
 	var hdr [binHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -282,9 +281,8 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 }
 
 // readArray reads count little-endian values through buf. The result
-// starts at one buf's worth and at most doubles per step, so its capacity
-// stays within twice the values read plus one buf until the last step
-// sizes it to count exactly.
+// starts at one buf's worth and at most doubles per step: its capacity
+// never exceeds count, nor twice the values read plus one buf's worth.
 func readArray[T int32 | int64 | uint32](r io.Reader, count uint64, buf []byte) ([]T, error) {
 	size := uint64(binary.Size(T(0)))
 	step := uint64(len(buf)) / size
