@@ -34,7 +34,10 @@ type TxConfig struct {
 	CompactFraction float64
 }
 
-func (c TxConfig) resolve() (exec.MachineProfile, TxConfig, error) {
+// Resolve fills in the defaults of every zero field and looks up the
+// machine profile; an unknown Machine is an error. Apply resolves its
+// config itself, so a resolved config passes through unchanged.
+func (c TxConfig) Resolve() (exec.MachineProfile, TxConfig, error) {
 	if c.Runtime == "" {
 		c.Runtime = run.Sim
 	}
@@ -100,7 +103,7 @@ const verBase = 0 // per-vertex version words live at [0, n)
 // Every mutation validates against the pre-batch snapshot: a batch is a
 // transaction, and all its operators see the state at batch start.
 func (g *Graph) Apply(batch []Mutation, cfg TxConfig) (BatchResult, error) {
-	prof, cfg, err := cfg.resolve()
+	prof, cfg, err := cfg.Resolve()
 	if err != nil {
 		return BatchResult{}, err
 	}
@@ -128,37 +131,16 @@ func (g *Graph) Apply(batch []Mutation, cfg TxConfig) (BatchResult, error) {
 	return res, nil
 }
 
-// applyLocked is the body of Apply under g.mu: validation, transactional
-// phase, fold, publish, and the durability-hook append. It returns the
-// hook's wait closure for Apply to run after unlocking.
+// applyLocked is the body of Apply under g.mu: the shared batch body with
+// the transactional phase choosing what commits, then the per-mechanism
+// counters and the durability-hook append. It returns the hook's wait
+// closure for Apply to run after unlocking.
 func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxConfig) (BatchResult, func() error, error) {
-	pre := g.cur.Load()
-
-	var res BatchResult
-	edgeMuts, newN, err := splitBatch(batch, pre.n)
-	if err != nil {
-		return BatchResult{}, nil, err
-	}
-	res.VerticesAdded = newN - pre.n
-	res.N = newN
-
-	ns := pre.clone(newN)
-	if g.uf != nil {
-		g.uf.grow(newN)
-	}
-
-	// touched collects the vertices whose merged adjacency this batch
-	// changes, for the incremental-freeze journal.
-	var touched []int32
-
-	// Transactional phase for the edge mutations.
-	if len(edgeMuts) > 0 {
+	res, err := g.batchLocked(batch, cfg.CompactFraction, func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder) {
 		a := &applier{pre: pre, muts: edgeMuts}
 		machRes := a.run(prof, cfg, newN)
 		res.Elapsed = time.Duration(machRes.Elapsed)
 		res.Stats = machRes.Stats
-
-		f := newFolder(g, ns, &res)
 		for t := range a.buckets {
 			b := &a.buckets[t]
 			res.Rejected += b.rejected
@@ -166,11 +148,10 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 				f.fold(m)
 			}
 		}
-		touched = f.finish()
+	})
+	if err != nil {
+		return BatchResult{}, nil, err
 	}
-	res.Applied += res.VerticesAdded
-
-	g.publishLocked(ns, &res, touched, cfg.CompactFraction)
 
 	g.cum.Tx.Add(&res.Stats.Thread)
 	if m := int(cfg.Mechanism); m >= 0 && m < numMechs {
@@ -185,8 +166,8 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 	if g.walHook != nil {
 		// Epoch/N/Arcs are invariant under the compaction publishLocked
 		// may have applied (compaction rewrites representation, not
-		// state), so the pre-compaction ns is the published truth.
-		wait = g.walHook(CommitInfo{Epoch: res.Epoch, N: newN, Arcs: ns.arcs, Batch: batch})
+		// state), so the published snapshot's arc count is the batch's.
+		wait = g.walHook(CommitInfo{Epoch: res.Epoch, N: res.N, Arcs: g.cur.Load().arcs, Batch: batch})
 	}
 	return res, wait, nil
 }
@@ -196,16 +177,35 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 // outcome is a pure function of the pre-batch snapshot (each edge mutation
 // commits iff its membership check against that snapshot passes, and
 // intra-batch duplicates collapse by edge key), so recovery re-derives it
-// directly and skips the abort/retry simulation. The durability hook is
-// deliberately bypassed — replayed batches came from the log. Compaction
-// runs with the default fraction; it rewrites representation, not logical
-// state or epoch, so a compaction schedule differing from the original run
-// is invisible after the per-vertex adjacency is sorted.
+// directly, in batch order, and skips the abort/retry simulation. The
+// durability hook is deliberately bypassed — replayed batches came from the
+// log — and no transaction counters accrue. Compaction runs with the
+// default fraction; it rewrites representation, not logical state or
+// epoch, so a compaction schedule differing from the original run is
+// invisible after the per-vertex adjacency is sorted.
 func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.batchLocked(batch, defaultCompactFraction, func(pre *Snapshot, edgeMuts []Mutation, _ int, res *BatchResult, f *folder) {
+		for _, m := range edgeMuts {
+			if pre.HasEdge(m.U, m.V) != (m.Kind == KindRemoveEdge) {
+				res.Rejected++
+				continue
+			}
+			f.fold(m)
+		}
+	})
+}
 
+// batchLocked is the one batch body under g.mu, shared by Apply and Replay:
+// vertex additions and endpoint validation, the copy-on-write clone, the
+// forest's growth, the fold of the committed edge mutations and the
+// publication. commit, called only when the batch holds edge mutations,
+// decides which of them commit against the pre-batch snapshot and folds
+// those into f in the caller's order — arc order reaches query answers.
+func (g *Graph) batchLocked(batch []Mutation, compactFraction float64, commit func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder)) (BatchResult, error) {
 	pre := g.cur.Load()
+
 	var res BatchResult
 	edgeMuts, newN, err := splitBatch(batch, pre.n)
 	if err != nil {
@@ -218,22 +218,18 @@ func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 	if g.uf != nil {
 		g.uf.grow(newN)
 	}
+
+	// touched collects the vertices whose merged adjacency this batch
+	// changes, for the incremental-freeze journal.
 	var touched []int32
 	if len(edgeMuts) > 0 {
 		f := newFolder(g, ns, &res)
-		for _, m := range edgeMuts {
-			wantExists := m.Kind == KindRemoveEdge
-			if pre.HasEdge(m.U, m.V) != wantExists {
-				res.Rejected++
-				continue
-			}
-			f.fold(m)
-		}
+		commit(pre, edgeMuts, newN, &res, f)
 		touched = f.finish()
 	}
 	res.Applied += res.VerticesAdded
 
-	g.publishLocked(ns, &res, touched, defaultCompactFraction)
+	g.publishLocked(ns, &res, touched, compactFraction)
 	return res, nil
 }
 
@@ -408,15 +404,10 @@ func (a *applier) run(prof exec.MachineProfile, cfg TxConfig, n int) exec.Result
 	a.delOp = a.rt.Register(a.edgeOp(KindRemoveEdge))
 	a.buckets = make([]bucket, cfg.Threads)
 
-	var variant *exec.HTMProfile
-	if cfg.Mechanism == aam.MechHTM {
-		variant = prof.HTMVariant("")
-	}
 	engCfg := aam.Config{
 		M:         cfg.M,
 		C:         cfg.C,
 		Mechanism: cfg.Mechanism,
-		HTM:       variant,
 		Part:      graph.NewPartition(n, 1),
 		LockBase:  lockBase,
 	}

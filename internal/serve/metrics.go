@@ -138,10 +138,6 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 // the worker pool — the scrape must answer exactly when the pool is
 // saturated — and is uncacheable: every scrape is a fresh read.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
 	// The per-server registry shadows Default on name clashes, so the
@@ -152,10 +148,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // handleSlowlog serves the retained top-K slowest query spans, slowest
 // first. Pool-bypassing for the same reason as /metrics.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	w.Header().Set("Cache-Control", "no-store")
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"k":       s.slow.k,

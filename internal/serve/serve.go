@@ -19,7 +19,11 @@
 //	GET    /query/mst[?wseed=S&full=1]                  Borůvka spanning forest
 //	GET    /query/coloring[?shards=N&seed=S&full=1]     greedy coloring
 //	GET    /stats                                       lifetime counters
+//	GET    /metrics                                     Prometheus exposition
+//	GET    /debug/slowlog                               slowest query spans
 //	GET    /debug/pprof/...                             profiling (Config.EnablePprof)
+//
+// Any other method on a route answers 405 naming the route's methods.
 //
 // The dynamic graph is unweighted; SSSP and MST synthesize deterministic
 // symmetric edge weights from ?wseed= (default 1) via graph.SymmetricWeight,
@@ -28,10 +32,10 @@
 // Mutation endpoints accept ?mech={htm,atomic,lock,occ,flatcomb} to
 // override the server's default isolation mechanism per request.
 //
-// Query endpoints accept ?engine={aam,shard,gblas} to pick the execution
-// engine explicitly; the effective engine is echoed in every response
-// (and its trace span), and unknown or conflicting values are rejected
-// with 400:
+// Query endpoints accept ?engine={aam,shard,gblas,cluster} to pick the
+// execution engine explicitly; the effective engine is echoed in every
+// response (and its trace span), and unknown or conflicting values are
+// rejected with 400:
 //
 //   - aam (the default): the single AAM runtime. ?mech= selects its
 //     isolation mechanism; ?shards= above 1 conflicts.
@@ -43,6 +47,10 @@
 //     edge-balanced boundaries). ?shards=N alone implies engine=shard.
 //   - gblas: the vectorized masked-SpMV engine (internal/gblas), bfs,
 //     sssp and pagerank only; ?shards=, ?mech= and ?part= do not apply.
+//   - cluster: the sharded executor on the worker cluster attached by
+//     SetCluster; requires ?shards=N (N > 1) and an attached cluster. When
+//     the cluster cannot answer, the query runs in process on the shard
+//     engine, and the body's "cluster" object says why.
 //
 // Results are identical across engines (bit-identical BFS level sets,
 // SSSP distances and PageRank ranks); responses gain engine-specific
@@ -70,7 +78,6 @@ import (
 	"aamgo/internal/graph"
 	"aamgo/internal/obs"
 	"aamgo/internal/query"
-	"aamgo/internal/run"
 	"aamgo/internal/shard"
 	"aamgo/internal/stats"
 	"aamgo/internal/wal"
@@ -124,37 +131,14 @@ type Config struct {
 	WAL *wal.Log
 }
 
-func (c Config) resolve() (Config, exec.MachineProfile, error) {
-	if c.Runtime == "" {
-		c.Runtime = run.Sim
-	}
-	if c.Machine == "" {
-		c.Machine = "has-c"
-	}
-	prof, err := exec.ProfileByName(c.Machine)
-	if err != nil {
-		return c, prof, err
-	}
-	if c.Threads <= 0 {
-		c.Threads = 4
-	}
-	if c.Threads > prof.MaxThreads {
-		c.Threads = prof.MaxThreads
-	}
-	if c.M <= 0 {
-		c.M = 16
-	}
-	if c.C <= 0 {
-		c.C = 64
-	}
+// resolve fills in the daemon's own defaults. The machine fields resolve
+// through dyn.TxConfig.Resolve, once, in New.
+func (c Config) resolve() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 8
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 32 << 20
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.SlowlogK <= 0 {
 		c.SlowlogK = 32
@@ -162,13 +146,17 @@ func (c Config) resolve() (Config, exec.MachineProfile, error) {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	return c, prof, nil
+	return c
 }
 
 // Server is the HTTP front end over one dynamic graph.
 type Server struct {
-	g    *dyn.Graph
-	cfg  Config
+	g   *dyn.Graph
+	cfg Config
+	// tx and prof are the resolved machine: every write runs tx with its
+	// own ?mech=, every query runs on the same runtime, profile, threads,
+	// M, C and seed.
+	tx   dyn.TxConfig
 	prof exec.MachineProfile
 	sem  chan struct{}
 	mux  *http.ServeMux
@@ -203,24 +191,33 @@ type Server struct {
 	draining atomic.Bool // Drain called: pool admits no new work
 }
 
-// route is one row of the daemon's route table; query marks the analytics
-// endpoints, whose spans feed the slowlog and whose percentiles surface in
-// /stats.
+// route is one row of the daemon's route table. Any method outside
+// methods answers 405 naming them. query marks the analytics endpoints:
+// they run behind the epoch-keyed cache, their spans feed the slowlog and
+// their percentiles surface in /stats. live marks the reads that bypass
+// the worker pool.
 type route struct {
 	path, name string
+	methods    []string
 	h          http.HandlerFunc
 	query      bool
+	live       bool
 }
 
 // New builds a server over g.
 func New(g *dyn.Graph, cfg Config) (*Server, error) {
-	cfg, prof, err := cfg.resolve()
+	prof, tx, err := dyn.TxConfig{
+		Mechanism: cfg.Mechanism, Runtime: cfg.Runtime, Machine: cfg.Machine,
+		Threads: cfg.Threads, M: cfg.M, C: cfg.C, Seed: cfg.Seed,
+	}.Resolve()
 	if err != nil {
 		return nil, err
 	}
+	cfg = cfg.resolve()
 	s := &Server{
 		g:    g,
 		cfg:  cfg,
+		tx:   tx,
 		prof: prof,
 		sem:  make(chan struct{}, cfg.MaxConcurrent),
 		mux:  http.NewServeMux(),
@@ -233,33 +230,21 @@ func New(g *dyn.Graph, cfg Config) (*Server, error) {
 	s.reg = obs.NewRegistry()
 	s.slow = newSlowlog(cfg.SlowlogK)
 	s.log = cfg.Logger
-	// GET endpoints whose body is a pure function of (epoch, params) — /graph
-	// plus one route per registry entry — run behind the epoch-keyed cache:
-	// ETag short-circuit, then LRU replay, then singleflight-collapsed
-	// computation inside the worker pool. /stats, /metrics and
-	// /debug/slowlog are uncacheable live reads (no ETag, Cache-Control:
-	// no-store), so a poller can never observe counters frozen behind a
-	// 304; the last two also bypass the worker pool, like pprof — they must
-	// answer exactly when every pool slot is busy.
-	routes := []route{
-		{"/edges", "edges", s.pooled(s.handleEdges), false},
-		{"/vertices", "vertices", s.pooled(s.handleVertices), false},
-		{"/graph", "graph", s.cachedGET(s.pooled(s.handleGraph)), true},
-	}
-	for _, d := range query.Registry {
-		routes = append(routes, route{"/query/" + d.Name, d.Name, s.cachedGET(s.pooled(s.handleQuery(d))), true})
-	}
-	routes = append(routes,
-		route{"/stats", "stats", s.pooled(s.handleStats), false},
-		route{"/metrics", "metrics", s.handleMetrics, false},
-		route{"/debug/slowlog", "slowlog", s.handleSlowlog, false})
+	routes := s.routes()
 	s.initMetrics(routes)
 	g.RegisterMetrics(s.reg)
 	if cfg.WAL != nil {
 		cfg.WAL.RegisterMetrics(s.reg)
 	}
 	for _, rt := range routes {
-		s.mux.HandleFunc(rt.path, s.instrumented(rt.name, rt.h))
+		h := s.allowed(rt.methods, rt.h)
+		if !rt.live {
+			h = s.pooled(h)
+		}
+		if rt.query {
+			h = s.cachedGET(h)
+		}
+		s.mux.HandleFunc(rt.path, s.instrumented(rt.name, h))
 	}
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -271,6 +256,30 @@ func New(g *dyn.Graph, cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// routes is the daemon's route table. GET endpoints whose body is a pure
+// function of (epoch, params) — /graph plus one route per registry entry —
+// run behind the epoch-keyed cache: ETag short-circuit, then LRU replay,
+// then singleflight-collapsed computation inside the worker pool. /stats,
+// /metrics and /debug/slowlog are uncacheable live reads (no ETag,
+// Cache-Control: no-store), so a poller can never observe counters frozen
+// behind a 304; the last two also bypass the worker pool, like pprof — they
+// must answer exactly when every pool slot is busy.
+func (s *Server) routes() []route {
+	get := []string{http.MethodGet}
+	var routes []route
+	for _, wr := range writes {
+		routes = append(routes, route{path: wr.path, name: wr.name, methods: wr.methods, h: s.handleMutation(wr)})
+	}
+	routes = append(routes, route{path: "/graph", name: "graph", methods: get, h: s.handleGraph, query: true})
+	for _, d := range query.Registry {
+		routes = append(routes, route{path: "/query/" + d.Name, name: d.Name, methods: get, h: s.handleQuery(d), query: true})
+	}
+	return append(routes,
+		route{path: "/stats", name: "stats", methods: get, h: s.handleStats},
+		route{path: "/metrics", name: "metrics", methods: get, h: s.handleMetrics, live: true},
+		route{path: "/debug/slowlog", name: "slowlog", methods: get, h: s.handleSlowlog, live: true})
+}
+
 // Handler returns the daemon's HTTP handler (also usable under httptest).
 func (s *Server) Handler() http.Handler { return s.mux }
 
@@ -279,6 +288,20 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the cluster once its workers have joined; until then engine=cluster
 // requests answer 400.
 func (s *Server) SetCluster(c *shard.Cluster) { s.cluster.Store(c) }
+
+// allowed answers any method outside methods with 405, naming them. It sits
+// inside the worker pool and the cache, so a wrong method is admitted and
+// drained like any other request.
+func (s *Server) allowed(methods []string, h http.HandlerFunc) http.HandlerFunc {
+	msg := "use " + strings.Join(methods, " or ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !slices.Contains(methods, r.Method) {
+			s.fail(w, http.StatusMethodNotAllowed, "%s", msg)
+			return
+		}
+		h(w, r)
+	}
+}
 
 // pooled gates h behind the bounded worker pool. A request whose client
 // goes away while queued is dropped without running. Requests that find
@@ -351,16 +374,6 @@ func (s *Server) Drain() error {
 		return s.cfg.WAL.Sync()
 	}
 	return nil
-}
-
-// mutateStatus maps an Apply error to its HTTP status: a durability
-// failure is the server's fault (503 — the batch applied in memory but
-// the log could not make it durable), everything else is a caller error.
-func mutateStatus(err error) int {
-	if errors.Is(err, dyn.ErrDurability) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
 }
 
 // etagMatch implements the If-None-Match comparison (weak comparison is
@@ -516,27 +529,13 @@ func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...
 	s.writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// txConfig derives the per-request transaction config, honoring ?mech=.
-func (s *Server) txConfig(r *http.Request) (dyn.TxConfig, error) {
-	mech, err := s.queryMech(r.URL.Query())
-	return dyn.TxConfig{
-		Mechanism: mech,
-		Runtime:   s.cfg.Runtime,
-		Machine:   s.cfg.Machine,
-		Threads:   s.cfg.Threads,
-		M:         s.cfg.M,
-		C:         s.cfg.C,
-		Seed:      s.cfg.Seed,
-	}, err
-}
-
 // queryMech resolves ?mech= against the server default. An unknown
 // mechanism is a 400 on every path — nothing falls through silently.
 func (s *Server) queryMech(q url.Values) (aam.Mechanism, error) {
 	if name := q.Get("mech"); name != "" {
 		return aam.MechanismByName(name)
 	}
-	return s.cfg.Mechanism, nil
+	return s.tx.Mechanism, nil
 }
 
 // querySel resolves the engine axis of one query request — ?engine=
@@ -565,7 +564,7 @@ func (s *Server) querySel(r *http.Request, q url.Values) (string, shard.Config, 
 		if err != nil || n < 1 || n > maxShards {
 			return "", scfg, fmt.Errorf("bad shards %q (want 1..%d on this server)", v, maxShards)
 		}
-		scfg.Shards, scfg.BatchSize = n, s.cfg.C
+		scfg.Shards, scfg.BatchSize = n, s.tx.C
 		if name := q.Get("part"); name != "" {
 			var ok bool
 			if scfg.Part, ok = shard.PartByName(name); !ok {
@@ -634,12 +633,9 @@ type clusterInfo struct {
 func (s *Server) run(r *http.Request, d *query.Descriptor, eng string, g *graph.Graph, a query.Args, scfg shard.Config) (query.Result, *clusterInfo, error) {
 	prof := s.prof
 	env := query.Env{
-		Runtime: s.cfg.Runtime, Profile: &prof, Nodes: 1, Threads: s.cfg.Threads, Seed: s.cfg.Seed,
-		AAM:   aam.Config{M: s.cfg.M, C: s.cfg.C, Mechanism: scfg.Mechanism},
+		Runtime: s.tx.Runtime, Profile: &prof, Nodes: 1, Threads: s.tx.Threads, Seed: s.tx.Seed,
+		AAM:   aam.Config{M: s.tx.M, C: s.tx.C, Mechanism: scfg.Mechanism},
 		Shard: scfg,
-	}
-	if scfg.Mechanism == aam.MechHTM {
-		env.AAM.HTM = s.prof.HTMVariant("")
 	}
 	if eng != query.EngineCluster {
 		res, err := d.Run(eng, g, a, env)
@@ -703,10 +699,6 @@ func (s *Server) writeQuery(w http.ResponseWriter, r *http.Request, out map[stri
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-type edgesRequest struct {
-	Edges [][2]int32 `json:"edges"`
-}
-
 // A mutation batch holds at most maxMutationBatch edges or vertices, and
 // its body at most maxMutationBody bytes: room for 2^20 edges written out
 // in full ("[-2147483648,-2147483648]," is 26 bytes).
@@ -714,6 +706,65 @@ const (
 	maxMutationBatch = 1 << 20
 	maxMutationBody  = 32 << 20
 )
+
+// write is one row of the write table: a mutation endpoint, the methods it
+// answers with the kind each applies (kinds[i] for methods[i]), and a fresh
+// request body to decode into.
+type write struct {
+	path, name string
+	methods    []string
+	kinds      []dyn.Kind
+	body       func() mutationBody
+}
+
+// mutationBody is the decoded body of one write: it builds the batch of a
+// kind, rejecting a size outside [1, maxMutationBatch], and words the
+// answer to the applied batch.
+type mutationBody interface {
+	batch(kind dyn.Kind) ([]dyn.Mutation, error)
+	answer(res dyn.BatchResult, mech aam.Mechanism) any
+}
+
+var writes = []write{
+	{"/edges", "edges", []string{http.MethodPost, http.MethodDelete}, []dyn.Kind{dyn.KindAddEdge, dyn.KindRemoveEdge},
+		func() mutationBody { return new(edgesRequest) }},
+	{"/vertices", "vertices", []string{http.MethodPost}, []dyn.Kind{dyn.KindAddVertex},
+		func() mutationBody { return new(verticesRequest) }},
+}
+
+// handleMutation is the one write handler. After the method check, in
+// order: decode (413 or 400), the batch's size (400), ?mech= (400), Apply
+// (503 for a durability failure — the batch applied in memory but the log
+// could not make it durable — and 400 for any other error).
+func (s *Server) handleMutation(wr write) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body := wr.body()
+		if !s.decodeMutation(w, r, body) {
+			return
+		}
+		batch, err := body.batch(wr.kinds[slices.Index(wr.methods, r.Method)])
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		cfg := s.tx
+		if cfg.Mechanism, err = s.queryMech(r.URL.Query()); err != nil {
+			s.fail(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		res, err := s.g.Apply(batch, cfg)
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, dyn.ErrDurability) {
+				status = http.StatusServiceUnavailable
+			}
+			s.fail(w, status, "%v", err)
+			return
+		}
+		s.mutations.Add(1)
+		s.writeJSON(w, http.StatusOK, body.answer(res, cfg.Mechanism))
+	}
+}
 
 // decodeMutation decodes a mutation request body into req, answering 413
 // for a body over maxMutationBody and 400 for bad JSON before the graph is
@@ -732,6 +783,21 @@ func (s *Server) decodeMutation(w http.ResponseWriter, r *http.Request, req any)
 	return false
 }
 
+type edgesRequest struct {
+	Edges [][2]int32 `json:"edges"`
+}
+
+func (req *edgesRequest) batch(kind dyn.Kind) ([]dyn.Mutation, error) {
+	if n := len(req.Edges); n == 0 || n > maxMutationBatch {
+		return nil, fmt.Errorf("%d edges out of range [1, 2^20]", n)
+	}
+	batch := make([]dyn.Mutation, len(req.Edges))
+	for i, e := range req.Edges {
+		batch[i] = dyn.Mutation{Kind: kind, U: e[0], V: e[1]}
+	}
+	return batch, nil
+}
+
 type mutateResponse struct {
 	Applied   int    `json:"applied"`
 	Rejected  int    `json:"rejected"`
@@ -744,41 +810,8 @@ type mutateResponse struct {
 	Mechanism string `json:"mechanism"`
 }
 
-func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
-	var kind dyn.Kind
-	switch r.Method {
-	case http.MethodPost:
-		kind = dyn.KindAddEdge
-	case http.MethodDelete:
-		kind = dyn.KindRemoveEdge
-	default:
-		s.fail(w, http.StatusMethodNotAllowed, "use POST or DELETE")
-		return
-	}
-	var req edgesRequest
-	if !s.decodeMutation(w, r, &req) {
-		return
-	}
-	if n := len(req.Edges); n == 0 || n > maxMutationBatch {
-		s.fail(w, http.StatusBadRequest, "%d edges out of range [1, 2^20]", n)
-		return
-	}
-	cfg, err := s.txConfig(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	batch := make([]dyn.Mutation, len(req.Edges))
-	for i, e := range req.Edges {
-		batch[i] = dyn.Mutation{Kind: kind, U: e[0], V: e[1]}
-	}
-	res, err := s.g.Apply(batch, cfg)
-	if err != nil {
-		s.fail(w, mutateStatus(err), "%v", err)
-		return
-	}
-	s.mutations.Add(1)
-	s.writeJSON(w, http.StatusOK, mutateResponse{
+func (req *edgesRequest) answer(res dyn.BatchResult, mech aam.Mechanism) any {
+	return mutateResponse{
 		Applied:   res.Applied,
 		Rejected:  res.Rejected,
 		Redundant: res.Redundant,
@@ -787,54 +820,34 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		ElapsedNS: res.Elapsed.Nanoseconds(),
 		Aborts:    res.Stats.TotalAborts(),
 		Retries:   res.Stats.Retries,
-		Mechanism: cfg.Mechanism.String(),
-	})
+		Mechanism: mech.String(),
+	}
 }
 
 type verticesRequest struct {
 	Count int `json:"count"`
 }
 
-func (s *Server) handleVertices(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.fail(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	var req verticesRequest
-	if !s.decodeMutation(w, r, &req) {
-		return
-	}
+func (req *verticesRequest) batch(kind dyn.Kind) ([]dyn.Mutation, error) {
 	if req.Count <= 0 || req.Count > maxMutationBatch {
-		s.fail(w, http.StatusBadRequest, "count %d out of range [1, 2^20]", req.Count)
-		return
-	}
-	cfg, err := s.txConfig(r)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, fmt.Errorf("count %d out of range [1, 2^20]", req.Count)
 	}
 	batch := make([]dyn.Mutation, req.Count)
 	for i := range batch {
-		batch[i] = dyn.AddVertex()
+		batch[i] = dyn.Mutation{Kind: kind}
 	}
-	res, err := s.g.Apply(batch, cfg)
-	if err != nil {
-		s.fail(w, mutateStatus(err), "%v", err)
-		return
-	}
-	s.mutations.Add(1)
-	s.writeJSON(w, http.StatusOK, map[string]any{
+	return batch, nil
+}
+
+func (req *verticesRequest) answer(res dyn.BatchResult, _ aam.Mechanism) any {
+	return map[string]any{
 		"added": res.VerticesAdded,
 		"n":     res.N,
 		"epoch": res.Epoch,
-	})
+	}
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	snap := s.g.Snapshot()
 	s.writeQuery(w, r, map[string]any{
 		"n":          snap.N(),
@@ -870,10 +883,6 @@ var attachments = map[string]attachment{
 func (s *Server) handleQuery(d *query.Descriptor) http.HandlerFunc {
 	att := attachments[d.Name]
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			s.fail(w, http.StatusMethodNotAllowed, "use GET")
-			return
-		}
 		q := r.URL.Query()
 		full := q.Get("full") == "1"
 		snap := s.g.Snapshot() // one consistent cut; writers continue concurrently
@@ -982,10 +991,6 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	// Live counters must never freeze behind a conditional GET: no ETag,
 	// and no intermediary may serve a stale copy.
 	w.Header().Set("Cache-Control", "no-store")

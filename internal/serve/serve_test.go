@@ -8,7 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +19,7 @@ import (
 	"aamgo/internal/algo"
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
+	"aamgo/internal/query"
 )
 
 func newTestServer(t *testing.T, base *graph.Graph, cfg Config) (*httptest.Server, *dyn.Graph) {
@@ -237,6 +240,108 @@ func TestMalformedRequests(t *testing.T) {
 	if st["bad_requests"].(float64) != float64(len(cases)) {
 		t.Fatalf("bad_requests = %v, want %d", st["bad_requests"], len(cases))
 	}
+}
+
+// TestWrongMethodEveryRoute sends every route of the table each method
+// outside its list: the answer is 405 with the exact body the route has
+// always given, and each one counts as a bad request.
+func TestWrongMethodEveryRoute(t *testing.T) {
+	s, ts := newRawServer(t, goldenGraph(), Config{})
+	want := map[string]string{"edges": "use POST or DELETE", "vertices": "use POST"}
+	routes := s.routes()
+	if len(routes) != len(query.Registry)+6 {
+		t.Fatalf("%d routes, want %d: the writes, /graph, one per query, /stats, /metrics, /debug/slowlog", len(routes), len(query.Registry)+6)
+	}
+	sent := 0
+	for _, rt := range routes {
+		msg, ok := want[rt.name]
+		if !ok {
+			msg = "use GET"
+		}
+		for _, method := range []string{"GET", "POST", "PUT", "DELETE", "PATCH"} {
+			if slices.Contains(rt.methods, method) {
+				continue
+			}
+			req, err := http.NewRequest(method, ts.URL+rt.path, strings.NewReader(`{"edges":[[0,1]]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if body := `{"error":"` + msg + `"}` + "\n"; resp.StatusCode != http.StatusMethodNotAllowed || string(raw) != body {
+				t.Errorf("%s %s: %d %q, want 405 %q", method, rt.path, resp.StatusCode, raw, body)
+			}
+			sent++
+		}
+	}
+	st := doJSON(t, "GET", ts.URL+"/stats", nil, 200)
+	if st["bad_requests"].(float64) != float64(sent) || st["mutation_batches"].(float64) != 0 {
+		t.Fatalf("bad_requests = %v, mutation_batches = %v after %d wrong methods", st["bad_requests"], st["mutation_batches"], sent)
+	}
+}
+
+// FuzzMutationBody sends arbitrary methods, ?mech= values and bodies to
+// /edges or /vertices of a fresh server over goldenGraph, seeded with the
+// requests the mutation goldens record. Whatever arrives, the answer is
+// 200, 400, 405, 413 or 503, every other answer than 200 is a JSON error,
+// and /stats counts one bad request exactly when the answer was a 4xx.
+func FuzzMutationBody(f *testing.F) {
+	for _, c := range mutationCases() {
+		u, err := url.Parse(c.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		body := c.body
+		if c.shown != "" {
+			body = c.shown
+		}
+		f.Add(c.method, u.Path == "/vertices", u.Query().Get("mech"), body)
+	}
+	f.Fuzz(func(t *testing.T, method string, vertices bool, mech, body string) {
+		path := "/edges"
+		if vertices {
+			path = "/vertices"
+		}
+		if mech != "" {
+			path += "?mech=" + url.QueryEscape(mech)
+		}
+		_, ts := newRawServer(t, goldenGraph(), Config{})
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			return // not a method token
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case 200, 400, 405, 413, 503:
+		default:
+			t.Fatalf("%s %s: status %d: %q", method, path, resp.StatusCode, raw)
+		}
+		var eb struct {
+			Error *string `json:"error"`
+		}
+		if resp.StatusCode != 200 && method != http.MethodHead { // a HEAD answer has no body
+			if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == nil {
+				t.Fatalf("%s %s: %d body is not a JSON error: %q", method, path, resp.StatusCode, raw)
+			}
+		}
+		bad := 0.0
+		if resp.StatusCode/100 == 4 {
+			bad = 1
+		}
+		st := doJSON(t, "GET", ts.URL+"/stats", nil, 200)
+		if st["bad_requests"].(float64) != bad {
+			t.Fatalf("%s %s: status %d, bad_requests = %v", method, path, resp.StatusCode, st["bad_requests"])
+		}
+	})
 }
 
 // TestConcurrentTraffic exercises the daemon end to end: concurrent writers

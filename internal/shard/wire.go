@@ -11,7 +11,7 @@ import (
 	"aamgo/internal/graph"
 )
 
-// Wire protocol of the tcp transport (version 2; a peer of any other
+// Wire protocol of the tcp transport (version 3; a peer of any other
 // version is refused at its first frame). Every frame is a fixed
 // 8-byte header followed by a payload:
 //
@@ -24,7 +24,7 @@ import (
 //
 // Decoding is defensive end to end: a malformed header, a truncated
 // payload, an oversized length, or an inconsistent count field returns an
-// error and never panics (fuzz-tested by wire_fuzz_test.go). The length
+// error and never panics (fuzz-tested in wire_test.go). The length
 // cap bounds what a broken or hostile peer can make us allocate.
 const (
 	wireMagic0  = 0xAA
