@@ -1,9 +1,9 @@
 // Package htm holds the backend-agnostic bookkeeping of an emulated
 // hardware transaction: the speculative read/write sets with their
-// cache-capacity accounting, and the per-ISA retry policies. The machine
-// backends (internal/sim, internal/native) drive this state machine; the
-// conflict detection itself lives in the backends because it depends on
-// their notion of time.
+// cache-capacity accounting against internal/memmodel's geometries, and
+// the per-ISA retry policies. The machine backends (internal/sim,
+// internal/native) drive this state machine; the conflict detection
+// itself lives in the backends because it depends on their notion of time.
 package htm
 
 import (
@@ -21,52 +21,109 @@ type WriteEntry struct {
 	Val  uint64
 }
 
-// TxSet tracks the speculative state of one transaction attempt.
-type TxSet struct {
-	writeTrack *memmodel.Tracker
-	readTrack  *memmodel.Tracker
-	writes     []WriteEntry
-	writeIdx   map[int]int
-	reads      []int
-	readSeen   map[int]struct{}
+// The two sides of a footprint, each bounded by its own geometry.
+const (
+	writeSide = iota
+	readSide
+)
+
+// wordState is what a transaction did to one word: write is the word's
+// index in writes plus one (0: not written), read whether it is in reads.
+type wordState struct {
+	write int32
+	read  bool
 }
 
-// NewTxSet returns a reusable TxSet for HTM profile p.
-func NewTxSet(p *exec.HTMProfile) *TxSet {
-	return &TxSet{
-		writeTrack: memmodel.NewTracker(p.WriteGeo),
-		readTrack:  memmodel.NewTracker(p.ReadGeo),
-		writeIdx:   make(map[int]int, 32),
-		readSeen:   make(map[int]struct{}, 64),
+// TxSet tracks the speculative footprint of one transaction attempt: the
+// words read and written, and the cache lines they occupy on each side,
+// checked against that side's geometry. A line-set overflow (the total
+// line budget or the ways of one cache set) is a capacity abort.
+type TxSet struct {
+	geo    [2]memmodel.Geometry
+	words  map[int]wordState
+	lines  map[int]struct{} // line<<1 | side
+	perSet [2][]int32       // lines per cache set; nil without an associativity model
+	nlines [2]int
+	// touched logs the keys of lines in insertion order, for Reset.
+	touched []int
+	writes  []WriteEntry
+	reads   []int
+}
+
+// NewTxSet returns a reusable TxSet whose write and read sets are bounded
+// by the given geometries.
+func NewTxSet(write, read memmodel.Geometry) *TxSet {
+	s := &TxSet{
+		geo:   [2]memmodel.Geometry{writeSide: write, readSide: read},
+		words: make(map[int]wordState, 64),
+		lines: make(map[int]struct{}, 64),
 	}
+	for side, g := range s.geo {
+		if g.Sets > 0 && g.Ways > 0 {
+			s.perSet[side] = make([]int32, g.Sets)
+		}
+	}
+	return s
+}
+
+// addLine records line on one side. It returns 1 new line or 0 for one
+// already held, and ok=false when the line overflows the side's total
+// budget or the ways of its set. The overflowing line is still counted,
+// so repeated probes keep failing deterministically.
+func (s *TxSet) addLine(side, line int) (newLines int, ok bool) {
+	n := len(s.lines)
+	key := line<<1 | side
+	s.lines[key] = struct{}{}
+	if len(s.lines) == n {
+		return 0, true
+	}
+	s.touched = append(s.touched, key)
+	s.nlines[side]++
+	g := &s.geo[side]
+	over := g.MaxLines > 0 && s.nlines[side] > g.MaxLines
+	if c := s.perSet[side]; c != nil {
+		// Counted even past the budget, so Reset's one decrement per
+		// logged line leaves every set at zero.
+		set := g.Set(line)
+		c[set]++
+		over = over || int(c[set]) > g.Ways
+	}
+	return 1, !over
 }
 
 // NoteRead records a read of addr. It returns the number of new cache
 // lines the read occupied (0 or 1) and ok=false on a read-set overflow.
 func (s *TxSet) NoteRead(addr int) (newLines int, ok bool) {
-	if _, dup := s.readSeen[addr]; dup {
+	w := s.words[addr]
+	if w.read {
 		return 0, true
 	}
-	s.readSeen[addr] = struct{}{}
+	w.read = true
+	s.words[addr] = w
 	s.reads = append(s.reads, addr)
-	if s.readTrack.Has(addr) {
-		return 0, true
-	}
-	if !s.readTrack.Add(addr) {
-		return 1, false
-	}
-	return 1, true
+	return s.addLine(readSide, s.geo[readSide].Line(addr))
 }
 
 // NoteReadRange records a read-only scan of n consecutive words.
 func (s *TxSet) NoteReadRange(addr, n int) (newLines int, ok bool) {
-	return s.readTrack.AddRange(addr, n)
+	if n <= 0 {
+		return 0, true
+	}
+	g := &s.geo[readSide]
+	for l, last := g.Line(addr), g.Line(addr+n-1); l <= last; l++ {
+		nl, ok := s.addLine(readSide, l)
+		newLines += nl
+		if !ok {
+			return newLines, false
+		}
+	}
+	return newLines, true
 }
 
 // LookupWrite returns the buffered value for addr, if any.
 func (s *TxSet) LookupWrite(addr int) (uint64, bool) {
-	if i, ok := s.writeIdx[addr]; ok {
-		return s.writes[i].Val, true
+	if w := s.words[addr]; w.write > 0 {
+		return s.writes[w.write-1].Val, true
 	}
 	return 0, false
 }
@@ -74,46 +131,52 @@ func (s *TxSet) LookupWrite(addr int) (uint64, bool) {
 // NoteWrite buffers a speculative write. It returns the number of new
 // write-set lines (0 or 1) and ok=false on a write-set overflow.
 func (s *TxSet) NoteWrite(addr int, v uint64) (newLines int, ok bool) {
-	if i, dup := s.writeIdx[addr]; dup {
-		s.writes[i].Val = v
+	w := s.words[addr]
+	if w.write > 0 {
+		s.writes[w.write-1].Val = v
 		return 0, true
 	}
-	s.writeIdx[addr] = len(s.writes)
 	s.writes = append(s.writes, WriteEntry{Addr: addr, Val: v})
-	if s.writeTrack.Has(addr) {
-		return 0, true
-	}
-	if !s.writeTrack.Add(addr) {
-		return 1, false
-	}
-	return 1, true
+	w.write = int32(len(s.writes))
+	s.words[addr] = w
+	return s.addLine(writeSide, s.geo[writeSide].Line(addr))
 }
 
 // Writes exposes the buffered writes in program order (last value per
 // address already folded in).
 func (s *TxSet) Writes() []WriteEntry { return s.writes }
 
-// Reads exposes the distinct read addresses.
+// Reads exposes the distinct read addresses in the order first read.
 func (s *TxSet) Reads() []int { return s.reads }
 
-// Footprint returns the number of distinct read- and write-set lines.
-func (s *TxSet) Footprint() (readLines, writeLines int) {
-	return s.readTrack.Len(), s.writeTrack.Len()
-}
-
-// Reset clears all speculative state for the next attempt.
+// Reset clears all speculative state for the next attempt, allocating
+// nothing: below 64 lines it deletes the lines and words it logged, and
+// from there on clears the maps whole (a cleared map costs its table size,
+// a deleted entry its own).
 func (s *TxSet) Reset() {
-	s.writeTrack.Reset()
-	s.readTrack.Reset()
-	s.writes = s.writes[:0]
-	for k := range s.writeIdx {
-		delete(s.writeIdx, k)
-	}
-	if len(s.readSeen) > 0 {
-		for k := range s.readSeen {
-			delete(s.readSeen, k)
+	if len(s.touched) < 64 {
+		for _, key := range s.touched {
+			delete(s.lines, key)
+			side := key & 1
+			if c := s.perSet[side]; c != nil {
+				c[s.geo[side].Set(key>>1)]--
+			}
 		}
+		for _, addr := range s.reads {
+			delete(s.words, addr)
+		}
+		for _, w := range s.writes {
+			delete(s.words, w.Addr)
+		}
+	} else {
+		clear(s.lines)
+		clear(s.words)
+		clear(s.perSet[writeSide])
+		clear(s.perSet[readSide])
 	}
+	s.nlines = [2]int{}
+	s.touched = s.touched[:0]
+	s.writes = s.writes[:0]
 	s.reads = s.reads[:0]
 }
 

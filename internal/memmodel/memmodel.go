@@ -4,7 +4,8 @@
 // Gene/Q keeps speculative state in the 16-way 32 MB shared L2. A
 // transaction whose footprint exceeds either the total capacity or the
 // associativity of a single cache set aborts with a "buffer overflow"
-// (stats.AbortCapacity).
+// (stats.AbortCapacity). The lines a transaction holds are tracked by
+// internal/htm's TxSet against these geometries.
 package memmodel
 
 // Geometry describes one cache level used to hold speculative state.
@@ -44,105 +45,6 @@ func (g Geometry) CapacityLines() int {
 		return g.Sets * g.Ways
 	}
 	return 1 << 30
-}
-
-// Tracker records the set of cache lines touched by one transaction and
-// reports overflow. It is reset and reused across attempts to avoid
-// allocation in the simulator's hot path.
-type Tracker struct {
-	geo     Geometry
-	lines   map[int]struct{}
-	perSet  map[int]int
-	touched []int // insertion log for Reset
-}
-
-// NewTracker returns a Tracker for geometry g.
-func NewTracker(g Geometry) *Tracker {
-	return &Tracker{
-		geo:    g,
-		lines:  make(map[int]struct{}, 64),
-		perSet: make(map[int]int, 64),
-	}
-}
-
-// Len reports the number of distinct lines currently tracked.
-func (t *Tracker) Len() int { return len(t.lines) }
-
-// Has reports whether the line containing word is already tracked.
-func (t *Tracker) Has(word int) bool {
-	_, ok := t.lines[t.geo.Line(word)]
-	return ok
-}
-
-// Add records the line containing word. It returns false when adding the
-// line overflows the speculative buffer: either the total line budget or
-// the associativity of the line's set is exhausted. The overflowing line is
-// still counted so that repeated probes keep failing deterministically.
-func (t *Tracker) Add(word int) bool {
-	return t.AddLine(t.geo.Line(word))
-}
-
-// AddLine records a raw line index; see Add.
-func (t *Tracker) AddLine(line int) bool {
-	if _, ok := t.lines[line]; ok {
-		return true
-	}
-	t.lines[line] = struct{}{}
-	t.touched = append(t.touched, line)
-	if t.geo.MaxLines > 0 && len(t.lines) > t.geo.MaxLines {
-		return false
-	}
-	if t.geo.Sets > 0 && t.geo.Ways > 0 {
-		s := t.geo.Set(line)
-		t.perSet[s]++
-		if t.perSet[s] > t.geo.Ways {
-			return false
-		}
-	}
-	return true
-}
-
-// AddRange records all lines covering words [word, word+n) and returns
-// false on the first overflow. It returns the number of distinct new lines
-// it touched (for latency accounting).
-func (t *Tracker) AddRange(word, n int) (newLines int, ok bool) {
-	if n <= 0 {
-		return 0, true
-	}
-	first := t.geo.Line(word)
-	last := t.geo.Line(word + n - 1)
-	for l := first; l <= last; l++ {
-		if _, dup := t.lines[l]; dup {
-			continue
-		}
-		newLines++
-		if !t.AddLine(l) {
-			return newLines, false
-		}
-	}
-	return newLines, true
-}
-
-// Reset clears the tracker for reuse, allocating nothing: below 64 lines it
-// deletes the ones touched, and from there on clears both maps whole.
-func (t *Tracker) Reset() {
-	if len(t.touched) < 64 {
-		for _, l := range t.touched {
-			delete(t.lines, l)
-			if t.geo.Sets > 0 {
-				s := t.geo.Set(l)
-				if c := t.perSet[s]; c <= 1 {
-					delete(t.perSet, s)
-				} else {
-					t.perSet[s] = c - 1
-				}
-			}
-		}
-	} else {
-		clear(t.lines)
-		clear(t.perSet)
-	}
-	t.touched = t.touched[:0]
 }
 
 // Standard geometries used by the architecture profiles. Line size is 64 B

@@ -81,7 +81,7 @@ func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 	ctxs := make([]*nthread, total)
 	for g := 0; g < total; g++ {
 		nid := g / m.cfg.ThreadsPerNode
-		ctxs[g] = &nthread{
+		c := &nthread{
 			m:    m,
 			node: m.nodes[nid],
 			gid:  g,
@@ -89,6 +89,8 @@ func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 			lid:  g % m.cfg.ThreadsPerNode,
 			rng:  rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(g)*7919 + 17)),
 		}
+		c.tx = nativeTx{t: c, s: c.node.stm, wIdx: make(map[int]int, 8), stripes: make(map[int]struct{}, 8)}
+		ctxs[g] = c
 	}
 	m.start = time.Now()
 	var wg sync.WaitGroup
@@ -122,6 +124,7 @@ type nthread struct {
 	lid  int
 	rng  *rand.Rand
 	st   stats.Thread
+	tx   nativeTx
 	inTx bool
 }
 

@@ -140,6 +140,35 @@ func TestAtomicsInvalidateTransactions(t *testing.T) {
 	}
 }
 
+// TestWarmTxAllocatesNothing: a thread reuses one transaction state, so a
+// read-write transaction that commits allocates nothing once it is warm.
+func TestWarmTxAllocatesNothing(t *testing.T) {
+	const words, runs = 16, 50
+	m := newTestMachine(1, 1)
+	var allocs float64
+	m.Run(func(ctx exec.Context) {
+		body := func(tx exec.Tx) error {
+			for a := range words {
+				tx.Write(a, tx.Read(a)+1)
+			}
+			return nil
+		}
+		allocs = testing.AllocsPerRun(runs, func() {
+			if !ctx.Tx(nil, body).Committed {
+				t.Error("transaction did not commit")
+			}
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("warm read-write transaction: %v allocations, want 0", allocs)
+	}
+	for a, v := range m.Mem(0)[:words] {
+		if v != runs+1 { // AllocsPerRun adds one warm-up run
+			t.Fatalf("word %d = %d, want %d", a, v, runs+1)
+		}
+	}
+}
+
 func TestExplicitAbortRollsBack(t *testing.T) {
 	m := newTestMachine(1, 1)
 	m.Run(func(ctx exec.Context) {

@@ -59,7 +59,8 @@ func (s *stmNode) rmw(addr int, f func(old uint64) uint64) uint64 {
 	return old
 }
 
-// nativeTx implements exec.Tx for one attempt.
+// nativeTx implements exec.Tx. Each thread owns one and resets it per
+// attempt, so a warm transaction allocates nothing.
 type nativeTx struct {
 	t      *nthread
 	s      *stmNode
@@ -67,6 +68,9 @@ type nativeTx struct {
 	reads  []int
 	writes []htmWrite
 	wIdx   map[int]int
+	// stripes and order are commit's set and sorted list of write stripes.
+	stripes map[int]struct{}
+	order   []int
 }
 
 type htmWrite struct {
@@ -172,12 +176,12 @@ const (
 )
 
 func (t *nthread) tryOnce(s *stmNode, body func(tx exec.Tx) error) (out nOutcome, err error) {
-	x := &nativeTx{
-		t:    t,
-		s:    s,
-		rv:   atomic.LoadUint64(&s.clock),
-		wIdx: make(map[int]int, 8),
+	x := &t.tx
+	for _, w := range x.writes {
+		delete(x.wIdx, w.addr)
 	}
+	x.reads, x.writes = x.reads[:0], x.writes[:0]
+	x.rv = atomic.LoadUint64(&s.clock)
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
@@ -202,15 +206,18 @@ func (t *nthread) tryOnce(s *stmNode, body func(tx exec.Tx) error) (out nOutcome
 func (x *nativeTx) commit() nOutcome {
 	s := x.s
 	// Lock write stripes in address order to avoid deadlock.
-	stripesSeen := make(map[int]struct{}, len(x.writes))
-	var order []int
+	for _, st := range x.order {
+		delete(x.stripes, st)
+	}
+	order := x.order[:0]
 	for _, w := range x.writes {
 		st := s.stripe(w.addr)
-		if _, dup := stripesSeen[st]; !dup {
-			stripesSeen[st] = struct{}{}
+		if _, dup := x.stripes[st]; !dup {
+			x.stripes[st] = struct{}{}
 			order = append(order, st)
 		}
 	}
+	x.order = order
 	sort.Ints(order)
 	locked := order[:0]
 	for _, st := range order {
@@ -229,7 +236,7 @@ func (x *nativeTx) commit() nOutcome {
 		for _, addr := range x.reads {
 			st := s.stripe(addr)
 			v := atomic.LoadUint64(&s.locks[st])
-			if _, mine := stripesSeen[st]; v&1 != 0 && !mine {
+			if _, mine := x.stripes[st]; v&1 != 0 && !mine {
 				x.unlockAll(locked, 0, false)
 				return nOutConflict
 			}

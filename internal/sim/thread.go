@@ -29,19 +29,18 @@ type thread struct {
 	rng *rand.Rand
 	st  stats.Thread
 
-	txsets map[*exec.HTMProfile]*txRuntime
+	txsets []*txRuntime
 	inTx   bool
 }
 
 func newThread(m *Machine, gid, nid, lid int) *thread {
 	return &thread{
-		m:      m,
-		node:   m.nodes[nid],
-		gid:    gid,
-		nid:    nid,
-		lid:    lid,
-		rng:    rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(gid)*7919 + 17)),
-		txsets: make(map[*exec.HTMProfile]*txRuntime),
+		m:    m,
+		node: m.nodes[nid],
+		gid:  gid,
+		nid:  nid,
+		lid:  lid,
+		rng:  rand.New(rand.NewSource(m.cfg.Seed*1_000_003 + int64(gid)*7919 + 17)),
 	}
 }
 

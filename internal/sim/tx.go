@@ -5,20 +5,22 @@ import (
 
 	"aamgo/internal/exec"
 	"aamgo/internal/htm"
+	"aamgo/internal/memmodel"
 	"aamgo/internal/stats"
 	"aamgo/internal/vtime"
 )
 
 // txRuntime is the per-(thread, profile) reusable transaction machinery.
-// serialSet has capacity limits disabled: the fallback path is
+// serialSet has no capacity limits: the fallback path is
 // non-speculative, so footprints are unbounded there.
 type txRuntime struct {
+	prof      *exec.HTMProfile
 	set       *htm.TxSet
 	serialSet *htm.TxSet
 }
 
 // sentinel panics used to unwind a transaction body.
-type capacityAbort struct{ at vtime.Time }
+type capacityAbort struct{}
 type userAbort struct{}
 
 // simTx implements exec.Tx for speculative attempts.
@@ -44,7 +46,7 @@ type simTx struct {
 func (x *simTx) smtEvict() {
 	if x.smt && x.prof.SMTCapacityProb > 0 &&
 		x.t.rng.Float64() < x.prof.SMTCapacityProb {
-		panic(capacityAbort{at: x.clock})
+		panic(capacityAbort{})
 	}
 }
 
@@ -56,7 +58,7 @@ func (x *simTx) Read(addr int) uint64 {
 	nl, ok := x.set.NoteRead(addr)
 	x.clock += vtime.Time(nl) * x.prof.PerAccessCost
 	if !ok {
-		panic(capacityAbort{at: x.clock})
+		panic(capacityAbort{})
 	}
 	x.smtEvict()
 	return x.t.node.mem[addr]
@@ -67,7 +69,7 @@ func (x *simTx) Write(addr int, v uint64) {
 	nl, ok := x.set.NoteWrite(addr, v)
 	x.clock += vtime.Time(nl) * x.prof.PerAccessCost
 	if !ok {
-		panic(capacityAbort{at: x.clock})
+		panic(capacityAbort{})
 	}
 	x.smtEvict()
 }
@@ -87,7 +89,7 @@ func (x *simTx) ReadROData(n int) {
 	x.roNext += (n + 7) &^ 7
 	x.clock += vtime.Time(nl) * x.prof.PerAccessCost
 	if !ok {
-		panic(capacityAbort{at: x.clock})
+		panic(capacityAbort{})
 	}
 }
 
@@ -105,12 +107,13 @@ const (
 	bodyErr
 )
 
-func runTxBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err error) {
+// runBody runs one attempt of body on x; x.clock is where the body got to,
+// also when it unwound.
+func runBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			switch a := r.(type) {
+			switch r.(type) {
 			case capacityAbort:
-				x.clock = a.at
 				out = bodyCapacity
 			case userAbort:
 				out = bodyUser
@@ -125,17 +128,22 @@ func runTxBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err error) 
 	return bodyOK, nil
 }
 
+// txRuntimeFor returns the thread's transaction sets for profile p,
+// making them on first use. A thread meets few profiles, so a linear
+// search finds them.
 func (t *thread) txRuntimeFor(p *exec.HTMProfile) *txRuntime {
-	rt, ok := t.txsets[p]
-	if !ok {
-		unlimited := *p
-		unlimited.WriteGeo.MaxLines = 0
-		unlimited.WriteGeo.Sets = 0
-		unlimited.ReadGeo.MaxLines = 0
-		unlimited.ReadGeo.Sets = 0
-		rt = &txRuntime{set: htm.NewTxSet(p), serialSet: htm.NewTxSet(&unlimited)}
-		t.txsets[p] = rt
+	for _, rt := range t.txsets {
+		if rt.prof == p {
+			return rt
+		}
 	}
+	w, r := p.WriteGeo, p.ReadGeo
+	rt := &txRuntime{
+		prof:      p,
+		set:       htm.NewTxSet(w, r),
+		serialSet: htm.NewTxSet(memmodel.Geometry{LineWords: w.LineWords}, memmodel.Geometry{LineWords: r.LineWords}),
+	}
+	t.txsets = append(t.txsets, rt)
 	return rt
 }
 
@@ -177,30 +185,27 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 		x := &simTx{t: t, set: set, prof: p, clock: t.clock + p.BeginCost,
 			snapSeq: t.m.applySeq, smt: smt}
 
-		out, err := runTxBody(x, body)
+		out, err := runBody(x, body)
+		t.clock = x.clock
 
-		switch out {
-		case bodyUser, bodyErr:
+		var reason stats.AbortReason
+		switch {
+		case out == bodyUser || out == bodyErr:
 			// Explicit algorithm-level abort: roll back, do not retry.
-			t.clock = x.clock + p.AbortCost
+			t.clock += p.AbortCost
 			t.st.Aborts[stats.AbortExplicit]++
 			t.st.TxUserFailed++
 			res.UserAbort = out == bodyUser
 			res.Err = err
 			return res
-
-		case bodyOK:
+		case out == bodyCapacity:
+			reason = stats.AbortCapacity
+		case p.OtherAbortProb > 0 && t.rng.Float64() < p.OtherAbortProb:
 			// Spurious-abort lottery (interrupts etc.).
-			if p.OtherAbortProb > 0 && t.rng.Float64() < p.OtherAbortProb {
-				t.st.Aborts[stats.AbortOther]++
-				t.clock = x.clock + p.AbortCost
-				if !t.retryOrSerialize(p, attempt, stats.AbortOther, body, rt, &res) {
-					continue
-				}
-				return res
-			}
+			reason = stats.AbortOther
+		default:
 			// Commit arbitration at commit time.
-			t.clock = x.clock + p.CommitCost
+			t.clock += p.CommitCost
 			t.yield()
 			if t.validate(p, set, x.snapSeq) {
 				t.applyCommit(set)
@@ -208,19 +213,11 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 				res.Committed = true
 				return res
 			}
-			t.st.Aborts[stats.AbortConflict]++
-			t.clock += p.AbortCost
-			if !t.retryOrSerialize(p, attempt, stats.AbortConflict, body, rt, &res) {
-				continue
-			}
-			return res
-
-		case bodyCapacity:
-			t.st.Aborts[stats.AbortCapacity]++
-			t.clock = x.clock + p.AbortCost
-			if !t.retryOrSerialize(p, attempt, stats.AbortCapacity, body, rt, &res) {
-				continue
-			}
+			reason = stats.AbortConflict
+		}
+		t.st.Aborts[reason]++
+		t.clock += p.AbortCost
+		if t.retryOrSerialize(p, attempt, reason, body, rt.serialSet, &res) {
 			return res
 		}
 	}
@@ -229,7 +226,7 @@ func (t *thread) Tx(p *exec.HTMProfile, body func(exec.Tx) error) exec.TxResult 
 // retryOrSerialize applies the profile's post-abort policy. It returns true
 // when the transaction has reached a final outcome (serialized), false when
 // the caller should re-attempt speculatively.
-func (t *thread) retryOrSerialize(p *exec.HTMProfile, attempt int, reason stats.AbortReason, body func(exec.Tx) error, rt *txRuntime, res *exec.TxResult) bool {
+func (t *thread) retryOrSerialize(p *exec.HTMProfile, attempt int, reason stats.AbortReason, body func(exec.Tx) error, serialSet *htm.TxSet, res *exec.TxResult) bool {
 	switch htm.NextAction(p, attempt, reason) {
 	case htm.ActRetry:
 		t.clock += p.RetryDelay
@@ -240,7 +237,7 @@ func (t *thread) retryOrSerialize(p *exec.HTMProfile, attempt int, reason stats.
 		t.st.Retries++
 		return false
 	default:
-		*res = t.serialize(p, body, rt.serialSet)
+		*res = t.serialize(p, body, serialSet)
 		return true
 	}
 }
@@ -324,7 +321,12 @@ func (t *thread) serialize(p *exec.HTMProfile, body func(exec.Tx) error, set *ht
 	set.Reset()
 	x := &simTx{t: t, set: set, prof: p, clock: start}
 
-	out, err := runSerializedBody(x, body)
+	out, err := runBody(x, body)
+	if out == bodyCapacity {
+		// The serial set has no limits and SMT eviction is off, so this
+		// is a modeling bug: surface it as the body's error.
+		out, err = bodyErr, errSerializedOverflow
+	}
 
 	end := x.clock
 	n.lockBusy = end
@@ -345,31 +347,6 @@ func (t *thread) serialize(p *exec.HTMProfile, body func(exec.Tx) error, set *ht
 		res.Committed = true
 		return res
 	}
-}
-
-// runSerializedBody executes the body with capacity limits disabled (the
-// fallback path is non-speculative); explicit aborts still unwind.
-func runSerializedBody(x *simTx, body func(exec.Tx) error) (out bodyOutcome, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch r.(type) {
-			case capacityAbort:
-				// Capacity cannot abort the fallback path (its set has
-				// no limits and it runs exclusively); reaching here
-				// indicates a modeling bug — surface it.
-				err = errSerializedOverflow
-				out = bodyErr
-			case userAbort:
-				out = bodyUser
-			default:
-				panic(r)
-			}
-		}
-	}()
-	if e := body(x); e != nil {
-		return bodyErr, e
-	}
-	return bodyOK, nil
 }
 
 var errSerializedOverflow = errors.New("sim: speculative footprint overflow while serialized")
