@@ -138,17 +138,22 @@ func writeHeapProfile(path string) {
 }
 
 // runOne runs and renders one experiment, records it in ci and returns the
-// number of failed shape checks.
+// number of failed shape checks. Its closing line gives the wall time and
+// the bytes the experiment allocated (the TotalAlloc delta, in MB).
 func runOne(id string, o bench.Options, ci *bench.CIReport) (int, error) {
-	t0 := time.Now()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t0, alloc0 := time.Now(), ms.TotalAlloc
 	rep, err := bench.RunOne(id, o)
 	if err != nil {
 		return 0, err
 	}
+	wall := time.Since(t0).Round(time.Millisecond)
+	runtime.ReadMemStats(&ms)
 	ci.Add(rep)
 	failed := len(rep.FailedChecks())
-	fmt.Printf("(%s finished in %v; %d/%d shape checks passed)\n\n",
-		id, time.Since(t0).Round(time.Millisecond), len(rep.Checks)-failed, len(rep.Checks))
+	fmt.Printf("(%s finished in %v, allocated %.2f MB; %d/%d shape checks passed)\n\n",
+		id, wall, float64(ms.TotalAlloc-alloc0)/1e6, len(rep.Checks)-failed, len(rep.Checks))
 	return failed, nil
 }
 

@@ -40,7 +40,7 @@ type bfsRun struct {
 func runBFS(prof exec.MachineProfile, g *graph.Graph,
 	nodes, threads int, cfg algo.BFSConfig, src int, seed int64) bfsRun {
 	b := algo.NewBFS(g, nodes, cfg)
-	m := machine(prof, nodes, threads, b.MemWords(), b.Handlers(nil), seed)
+	m := machine(prof, nodes, threads, b.MemWordsFor(threads), b.Handlers(nil), seed)
 	res := m.Run(b.Body(src))
 	return bfsRun{
 		Elapsed: res.Elapsed,

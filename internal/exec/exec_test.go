@@ -55,21 +55,24 @@ func TestProfilesEncodeArchitecture(t *testing.T) {
 	}
 	// BG/Q HTM lives in the shared L2 (arbitration); Haswell in per-core
 	// L1 (no arbitration, line-granular conflicts, lock subscription).
+	if bgq.LineConflicts {
+		t.Fatal("BG/Q: L2 versioning resolves conflicts finer than lines")
+	}
 	for _, v := range bgq.HTM {
 		if v.ArbCost == 0 {
 			t.Fatalf("BG/Q %s: no L2 arbitration cost", v.Name)
 		}
-		if v.LineConflicts {
-			t.Fatalf("BG/Q %s: L2 versioning resolves conflicts finer than lines", v.Name)
-		}
 	}
 	for _, prof := range []MachineProfile{has, hasp} {
+		if !prof.LineConflicts {
+			t.Fatalf("%s: TSX is line-granular", prof.Name)
+		}
 		for _, v := range prof.HTM {
 			if v.ArbCost != 0 {
 				t.Fatalf("%s/%s: per-core HTM must not arbitrate", prof.Name, v.Name)
 			}
-			if !v.LineConflicts || !v.LockSubscription {
-				t.Fatalf("%s/%s: TSX is line-granular with a subscribed fallback lock", prof.Name, v.Name)
+			if !v.LockSubscription {
+				t.Fatalf("%s/%s: TSX has a subscribed fallback lock", prof.Name, v.Name)
 			}
 		}
 	}

@@ -56,11 +56,6 @@ type HTMProfile struct {
 	// the co-resident thread's demand misses evict speculative lines.
 	SMTCapacityProb float64
 
-	// LineConflicts selects 64-byte-line conflict granularity (Intel TSX
-	// tracks read/write sets per L1 line, so neighboring words false-
-	// share). BG/Q's L2 versioning resolves conflicts at a finer grain.
-	LineConflicts bool
-
 	// LockSubscription marks implementations whose fallback path is a
 	// lock every speculative transaction subscribes to (Intel RTM/HLE):
 	// one serialized section aborts all concurrent transactions (the
@@ -81,6 +76,12 @@ type MachineProfile struct {
 	// line exclusive, so failing CAS traffic scales (BG/Q, §5.4.1).
 	// x86 lock cmpxchg always acquires the line (false for Haswell).
 	CASFailsShared bool
+
+	// LineConflicts selects 64-byte-line conflict granularity for every
+	// HTM variant (Intel TSX tracks read/write sets per L1 line, so
+	// neighboring words false-share). BG/Q's L2 versioning resolves
+	// conflicts per word.
+	LineConflicts bool
 
 	// Memory-operation latencies.
 	CASCost    vtime.Time
@@ -151,7 +152,6 @@ func HaswellC() MachineProfile {
 		SerializeCost:    120 * vtime.Nanosecond,
 		OtherAbortProb:   0.00002,
 		SMTCapacityProb:  0.004,
-		LineConflicts:    true,
 		LockSubscription: true,
 	}
 	hle := &HTMProfile{
@@ -167,13 +167,15 @@ func HaswellC() MachineProfile {
 		SerializeCost:       90 * vtime.Nanosecond, // hardware lock elision path
 		OtherAbortProb:      0.00002,
 		SMTCapacityProb:     0.004,
-		LineConflicts:       true,
 		LockSubscription:    true,
 	}
 	return MachineProfile{
 		Name:       "has-c",
 		MaxThreads: 8,
 		Cores:      4,
+
+		LineConflicts: true,
+
 		CASCost:    15 * vtime.Nanosecond,
 		FAOCost:    13 * vtime.Nanosecond,
 		LoadCost:   2 * vtime.Nanosecond,

@@ -9,9 +9,10 @@
 //
 // The memory system serializes atomics per word (exclusive-line transfer),
 // which makes contention emerge mechanically from the workload; the HTM
-// emulation (tx.go) detects conflicts by interval overlap on word-level
-// access metadata and models capacity via cache-geometry trackers. The
-// network delivers active messages after an α+β·size latency.
+// emulation (tx.go) detects conflicts by interval overlap on write stamps,
+// one per word or, on a LineConflicts machine, one per 64-byte line, and
+// models capacity via cache-geometry trackers. The network delivers active
+// messages after an α+β·size latency.
 //
 // This is the substitution for the paper's Haswell TSX and Blue Gene/Q
 // hardware (see DESIGN.md §2): algorithms and their memory footprints are
@@ -30,9 +31,10 @@ import (
 	"aamgo/internal/vtime"
 )
 
-// wordMeta is the per-word conflict metadata: the global apply-sequence
-// stamp and writer of the last committed write. A transaction aborts iff a
-// word it read was overwritten (higher wrSeq) after its body's snapshot
+// wordMeta is the conflict metadata of one conflict unit (a word, or a
+// 64-byte line on a LineConflicts machine): the global apply-sequence stamp
+// and writer of the last committed write to it. A transaction aborts iff a
+// unit it read was overwritten (higher wrSeq) after its body's snapshot
 // point — exactly a hardware read-set invalidation.
 type wordMeta struct {
 	wrSeq uint64
@@ -62,17 +64,16 @@ func (h msgHeap) peek() *message { return &h[0] }
 
 // node is one simulated compute node.
 type node struct {
-	id   int
-	mem  []uint64
+	id  int
+	mem []uint64
+	// meta holds one stamp per conflict unit: address addr is unit
+	// addr>>Machine.metaShift.
 	meta []wordMeta
 	// lineBusy serializes exclusive cache-line ownership for atomics and
 	// stores (8 words per 64-byte line): contended read-modify-writes to
 	// one line transfer it back and forth, which is the fine-grained
 	// synchronization cost the paper's AAM coarsening removes.
 	lineBusy []vtime.Time
-	// lineMeta mirrors wordMeta at cache-line granularity for HTM
-	// profiles with line-granular conflict detection (Intel TSX).
-	lineMeta []wordMeta
 	inbox    msgHeap
 
 	// Fallback serialization lock for HTM (one per node, as with a
@@ -132,23 +133,26 @@ type Machine struct {
 	colSum     uint64
 	colResult  uint64
 
-	msgSeq   uint64
-	applySeq uint64 // global memory-apply sequence (conflict snapshots)
-	ran      bool
+	msgSeq    uint64
+	applySeq  uint64 // global memory-apply sequence (conflict snapshots)
+	metaShift uint   // log2 of the words per conflict unit
+	ran       bool
 }
 
 // New constructs a simulator machine from cfg.
 func New(cfg exec.Config) *Machine {
 	cfg.Validate()
 	m := &Machine{cfg: cfg, prof: cfg.Profile}
+	if m.prof.LineConflicts {
+		m.metaShift = 3
+	}
 	m.nodes = make([]*node, cfg.Nodes)
 	for i := range m.nodes {
 		m.nodes[i] = &node{
 			id:       i,
 			mem:      make([]uint64, cfg.MemWords),
-			meta:     make([]wordMeta, cfg.MemWords),
+			meta:     make([]wordMeta, cfg.MemWords>>m.metaShift+1),
 			lineBusy: make([]vtime.Time, cfg.MemWords/8+1),
-			lineMeta: make([]wordMeta, cfg.MemWords/8+1),
 		}
 	}
 	total := cfg.Nodes * cfg.ThreadsPerNode

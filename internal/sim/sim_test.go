@@ -144,6 +144,64 @@ func TestTxConflictsAreDetected(t *testing.T) {
 	}
 }
 
+// TestFalseSharingAbortsOnlyOnLineMachines: four threads each increment
+// their own word. Haswell detects conflicts per 64-byte line, so words 0-3
+// false-share and abort. BG/Q detects them per word and shows no conflict
+// abort, and neither does Haswell when the words are 8 apart, a line each.
+func TestFalseSharingAbortsOnlyOnLineMachines(t *testing.T) {
+	const T, per = 4, 50
+	for _, c := range []struct {
+		prof   exec.MachineProfile
+		stride int
+		abort  bool
+	}{
+		{exec.HaswellC(), 1, true},
+		{exec.BGQ(), 1, false},
+		{exec.HaswellC(), 8, false},
+	} {
+		m := newTestMachine(1, T, c.prof)
+		res := m.Run(func(ctx exec.Context) {
+			addr := ctx.GlobalID() * c.stride
+			for i := 0; i < per; i++ {
+				ctx.Tx(nil, func(tx exec.Tx) error {
+					tx.Write(addr, tx.Read(addr)+1)
+					return nil
+				})
+			}
+		})
+		for g := 0; g < T; g++ {
+			if got := m.Mem(0)[g*c.stride]; got != per {
+				t.Fatalf("%s stride %d: word %d = %d, want %d", c.prof.Name, c.stride, g*c.stride, got, per)
+			}
+		}
+		if got := res.Stats.Aborts[stats.AbortConflict]; (got > 0) != c.abort {
+			t.Fatalf("%s stride %d: %d conflict aborts, want aborts: %v", c.prof.Name, c.stride, got, c.abort)
+		}
+	}
+}
+
+// TestNewAllocatesPerConflictUnit: a node holds one stamp per conflict
+// unit, a line on Haswell and a word on BG/Q, beside its memory and its
+// line-ownership clocks.
+func TestNewAllocatesPerConflictUnit(t *testing.T) {
+	const words = 1 << 16
+	for _, c := range []struct {
+		prof    exec.MachineProfile
+		perWord uint64
+	}{
+		{exec.HaswellC(), 12},
+		{exec.BGQ(), 26},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(exec.Config{Nodes: 1, ThreadsPerNode: 1, MemWords: words, Profile: &c.prof})
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.perWord*words {
+			t.Fatalf("%s: New allocated %.1f B/word, want at most %d", c.prof.Name, float64(got)/words, c.perWord)
+		}
+	}
+}
+
 func TestCapacityAbortAndSerialization(t *testing.T) {
 	// A transaction writing more lines than the Has-C L1 budget must
 	// abort with a capacity reason and then serialize (RTM policy).

@@ -110,16 +110,11 @@ func (t *thread) acquireLine(addr int, cost vtime.Time) {
 	t.clock = end
 }
 
-// stampWrite records a committed write for transactional conflict
-// detection.
+// stampWrite records a committed write to addr's conflict unit for
+// transactional conflict detection.
 func (t *thread) stampWrite(addr int) {
 	t.m.applySeq++
-	mt := &t.node.meta[addr]
-	mt.wrSeq = t.m.applySeq
-	mt.wrBy = int32(t.gid)
-	lm := &t.node.lineMeta[addr>>3]
-	lm.wrSeq = t.m.applySeq
-	lm.wrBy = int32(t.gid)
+	t.node.meta[addr>>t.m.metaShift] = wordMeta{t.m.applySeq, int32(t.gid)}
 }
 
 // Store is an ordinary (non-atomic) write; it still serializes on the

@@ -257,12 +257,7 @@ func (t *thread) validate(p *exec.HTMProfile, set *htm.TxSet, snapSeq uint64) bo
 		// effect).
 		return false
 	}
-	meta := n.meta
-	shift := uint(0)
-	if p.LineConflicts {
-		meta = n.lineMeta
-		shift = 3
-	}
+	meta, shift := n.meta, t.m.metaShift
 	for _, addr := range set.Reads() {
 		mt := &meta[addr>>shift]
 		if mt.wrSeq > snapSeq && mt.wrBy != self {
@@ -284,16 +279,9 @@ func (t *thread) validate(p *exec.HTMProfile, set *htm.TxSet, snapSeq uint64) bo
 // applyCommit publishes the write buffer and stamps the written words so
 // later validations detect the invalidation.
 func (t *thread) applyCommit(set *htm.TxSet) {
-	n := t.node
 	for _, w := range set.Writes() {
-		t.m.applySeq++
-		n.mem[w.Addr] = w.Val
-		mt := &n.meta[w.Addr]
-		mt.wrSeq = t.m.applySeq
-		mt.wrBy = int32(t.gid)
-		lm := &n.lineMeta[w.Addr>>3]
-		lm.wrSeq = t.m.applySeq
-		lm.wrBy = int32(t.gid)
+		t.stampWrite(w.Addr)
+		t.node.mem[w.Addr] = w.Val
 	}
 }
 
