@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -520,5 +522,85 @@ func TestHTMHasHigherBaseCostButAmortizes(t *testing.T) {
 	}
 	if one("htm", 64) >= one("cas", 64) {
 		t.Error("coarse HTM over 64 words should beat 64 CAS ops")
+	}
+}
+
+// TestEqualKeysPopInOrder pins how the simulator breaks ties: two messages
+// to one node with equal delivery times run in send order, a message sent
+// later but delivered earlier runs first, and threads whose clocks tie
+// resume in global-id order whatever order they were readied in.
+func TestEqualKeysPopInOrder(t *testing.T) {
+	prof := exec.BGQ()
+	prof.NetBeta = 10 * vtime.Nanosecond
+	prof.SendOverhead = 3 * prof.NetBeta
+	var order []uint64
+	cfg := exec.Config{
+		Nodes:          2,
+		ThreadsPerNode: 1,
+		MemWords:       64,
+		Profile:        &prof,
+		Seed:           1,
+		Handlers: []exec.HandlerFunc{func(ctx exec.Context, src int, payload []uint64) {
+			order = append(order, payload[0])
+		}},
+	}
+	New(cfg).Run(func(ctx exec.Context) {
+		if ctx.NodeID() == 0 {
+			// One send's overhead is three words of transfer: an 8-word
+			// message delivers when a 5-word one sent right after it does,
+			// and a 1-word one sent after that delivers before both.
+			ctx.Send(1, 0, []uint64{1, 0, 0, 0, 0, 0, 0, 0})
+			ctx.Send(1, 0, []uint64{2, 0, 0, 0, 0})
+			ctx.Send(1, 0, []uint64{3})
+			return
+		}
+		ctx.Compute(vtime.Millisecond)
+		ctx.Poll()
+	})
+	if want := []uint64{3, 1, 2}; !slices.Equal(order, want) {
+		t.Errorf("handlers ran for messages %v, want %v", order, want)
+	}
+
+	const T = 6
+	m := newTestMachine(1, T, exec.HaswellC())
+	m.Run(func(ctx exec.Context) {
+		// The highest id arrives at the barrier first and is readied
+		// first; every clock is the release time after it.
+		ctx.Compute(vtime.Time(T-ctx.GlobalID()) * vtime.Nanosecond)
+		ctx.Barrier()
+		if got := ctx.FetchAdd(0, 1); got != uint64(ctx.GlobalID()) {
+			t.Errorf("thread %d made the FetchAdd number %d", ctx.GlobalID(), got)
+		}
+	})
+}
+
+// TestSendPollAllocatesThePayload pins the cost of one message: in the
+// steady state a Send and the Poll that runs its handler allocate one
+// object, Send's copy of the payload. The fixed cost of a machine cancels
+// between two runs that differ only in their message count.
+func TestSendPollAllocatesThePayload(t *testing.T) {
+	mallocs := func(msgs int) uint64 {
+		cfg := exec.Config{
+			MemWords: 64,
+			Seed:     1,
+			Handlers: []exec.HandlerFunc{func(exec.Context, int, []uint64) {}},
+		}
+		payload := []uint64{1, 2, 3, 4}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		New(cfg).Run(func(ctx exec.Context) {
+			for i := 0; i < msgs; i++ {
+				ctx.Send(0, 0, payload)
+				ctx.Compute(vtime.Microsecond)
+				ctx.Poll()
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	const n = 1000
+	mallocs(n) // warm up: the first run pays for one-time runtime state
+	if per := float64(mallocs(2*n)-mallocs(n)) / n; math.Round(per) != 1 {
+		t.Errorf("a Send and its Poll allocate %.3f objects, want 1 (the payload copy)", per)
 	}
 }
