@@ -20,7 +20,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"math/bits"
@@ -41,26 +40,62 @@ type wordMeta struct {
 	wrBy  int32
 }
 
-// message is one in-flight active message.
-type message struct {
-	deliver vtime.Time
+// event is one entry of an event queue, ordered by (at, seq). In the ready
+// queue it is a runnable thread: at is its clock, seq and id its global id.
+// In a node's inbox it is an active message: at is its delivery time, seq
+// its send number, id its handler and src its sending node.
+type event struct {
+	at      vtime.Time
 	seq     uint64
-	handler int
-	src     int
+	id      int32
+	src     int32
 	payload []uint64
 }
 
-type msgHeap []message
-
-func (h msgHeap) Len() int { return len(h) }
-func (h msgHeap) Less(i, j int) bool {
-	if h[i].deliver != h[j].deliver {
-		return h[i].deliver < h[j].deliver
-	}
-	return h[i].seq < h[j].seq
+func (e *event) before(f *event) bool {
+	return e.at < f.at || e.at == f.at && e.seq < f.seq
 }
-func (h msgHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h msgHeap) peek() *message { return &h[0] }
+
+// events is a binary min-heap of events; h[0] is the earliest. Keys are
+// unique within each queue, so the pop order is fixed by the keys alone.
+type events []event
+
+func (h *events) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event. The vacated slot is zeroed so
+// the heap keeps no payload alive.
+func (h *events) pop() event {
+	q := *h
+	e, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{}
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && q[l].before(&q[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && q[r].before(&q[m]) {
+			m = r
+		}
+		if m == i {
+			return e
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+}
 
 // node is one simulated compute node.
 type node struct {
@@ -74,7 +109,7 @@ type node struct {
 	// one line transfer it back and forth, which is the fine-grained
 	// synchronization cost the paper's AAM coarsening removes.
 	lineBusy []vtime.Time
-	inbox    msgHeap
+	inbox    events
 
 	// Fallback serialization lock for HTM (one per node, as with a
 	// global elision lock). lockBusy orders serialized sections; lockSeq
@@ -97,27 +132,6 @@ const (
 	stDone
 )
 
-// readyHeap orders runnable threads by (clock, id).
-type readyHeap []*thread
-
-func (h readyHeap) Len() int { return len(h) }
-func (h readyHeap) Less(i, j int) bool {
-	if h[i].clock != h[j].clock {
-		return h[i].clock < h[j].clock
-	}
-	return h[i].gid < h[j].gid
-}
-func (h readyHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *readyHeap) Push(x any)   { *h = append(*h, x.(*thread)) }
-func (h *readyHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
-
 // Machine is the simulator instance. It is single-use: construct with New,
 // call Run once.
 type Machine struct {
@@ -126,7 +140,7 @@ type Machine struct {
 	nodes []*node
 	thr   []*thread
 
-	ready readyHeap
+	ready events // runnable threads, keyed by (clock, gid)
 
 	// Collective state.
 	colWaiting []*thread
@@ -208,22 +222,22 @@ func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 
 func (m *Machine) readyPush(t *thread) {
 	t.state = stReady
-	heap.Push(&m.ready, t)
+	m.ready.push(event{at: t.clock, seq: uint64(t.gid), id: int32(t.gid)})
 }
 
 // schedule is the central DES loop: switch to the min-clock ready thread
 // until it suspends or returns, repeat. Only a collective parks a thread
-// outside the ready heap, so an empty heap with threads still running is a
+// outside the ready queue, so an empty queue with threads still running is a
 // deadlock.
 func (m *Machine) schedule() {
 	for {
-		if m.ready.Len() == 0 {
+		if len(m.ready) == 0 {
 			if m.allDone() {
 				return
 			}
 			panic("sim: deadlock\n" + m.dump())
 		}
-		t := heap.Pop(&m.ready).(*thread)
+		t := m.thr[m.ready.pop().id]
 		t.state = stRunning
 		if _, ok := t.next(); !ok {
 			t.state = stDone
@@ -253,7 +267,7 @@ func (m *Machine) dump() string {
 		fmt.Fprintf(&b, "  thread %d (node %d): state=%d clock=%v\n", t.gid, t.nid, t.state, t.clock)
 	}
 	for _, n := range m.nodes {
-		fmt.Fprintf(&b, "  node %d: inbox=%d\n", n.id, n.inbox.Len())
+		fmt.Fprintf(&b, "  node %d: inbox=%d\n", n.id, len(n.inbox))
 	}
 	return b.String()
 }

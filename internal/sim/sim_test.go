@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -602,5 +604,45 @@ func TestSendPollAllocatesThePayload(t *testing.T) {
 	mallocs(n) // warm up: the first run pays for one-time runtime state
 	if per := float64(mallocs(2*n)-mallocs(n)) / n; math.Round(per) != 1 {
 		t.Errorf("a Send and its Poll allocate %.3f objects, want 1 (the payload copy)", per)
+	}
+}
+
+// TestEventsPopInKeyOrder drives the event heap with seeded random
+// interleavings of push and pop over few distinct times, so most keys tie
+// on at, and checks every pop against a sorted reference. A pop also
+// leaves no payload behind in the vacated slot.
+func TestEventsPopInKeyOrder(t *testing.T) {
+	byKey := func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var h events
+		var ref []event
+		seq := uint64(0)
+		for step := 0; step < 2000; step++ {
+			if len(h) == 0 || rng.Intn(3) > 0 {
+				seq++
+				e := event{at: vtime.Time(rng.Intn(8)), seq: seq, payload: []uint64{seq}}
+				h.push(e)
+				ref = append(ref, e)
+				continue
+			}
+			slices.SortFunc(ref, byKey)
+			got, want := h.pop(), ref[0]
+			ref = ref[1:]
+			if got.at != want.at || got.seq != want.seq || got.payload[0] != want.seq {
+				t.Fatalf("seed %d step %d: popped (%v, %d), want (%v, %d)", seed, step, got.at, got.seq, want.at, want.seq)
+			}
+			if h[:len(h)+1][len(h)].payload != nil {
+				t.Fatalf("seed %d step %d: the vacated slot still holds a payload", seed, step)
+			}
+		}
+		if len(h) != len(ref) {
+			t.Fatalf("seed %d: heap holds %d events, reference %d", seed, len(h), len(ref))
+		}
 	}
 }

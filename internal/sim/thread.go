@@ -214,70 +214,26 @@ func (t *thread) Send(dstNode int, handler int, payload []uint64) {
 	body := make([]uint64, len(payload))
 	copy(body, payload)
 	t.m.msgSeq++
-	msg := message{deliver: deliver, seq: t.m.msgSeq, handler: handler, src: t.nid, payload: body}
-	t.m.nodes[dstNode].inbox.pushMsg(msg)
+	t.m.nodes[dstNode].inbox.push(event{deliver, t.m.msgSeq, int32(handler), int32(t.nid), body})
 	t.st.MsgsSent++
 	t.st.MsgWords += uint64(len(payload))
-}
-
-func (h *msgHeap) pushMsg(m message) {
-	*h = append(*h, m)
-	// Sift up (container/heap-compatible ordering maintained manually to
-	// avoid interface boxing in the hot path).
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.Less(i, parent) {
-			break
-		}
-		h.Swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *msgHeap) popMsg() message {
-	old := *h
-	m := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).Less(l, small) {
-			small = l
-		}
-		if r < n && (*h).Less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h).Swap(i, small)
-		i = small
-	}
-	return m
 }
 
 // Poll runs every handler whose message has been delivered by now.
 func (t *thread) Poll() int {
 	t.yield()
 	ran := 0
-	for t.node.inbox.Len() > 0 && t.node.inbox.peek().deliver <= t.clock {
-		msg := t.node.inbox.popMsg()
-		t.runHandler(msg)
-		ran++
+	for in := &t.node.inbox; len(*in) > 0 && (*in)[0].at <= t.clock; ran++ {
+		t.runHandler(in.pop())
 	}
 	return ran
 }
 
-func (t *thread) runHandler(msg message) {
-	t.clock = vtime.Max(t.clock, msg.deliver) + t.m.prof.HandlerCost
-	h := t.m.cfg.Handlers[msg.handler]
+func (t *thread) runHandler(msg event) {
+	t.clock = vtime.Max(t.clock, msg.at) + t.m.prof.HandlerCost
+	h := t.m.cfg.Handlers[msg.id]
 	t.st.HandlersRun++
-	h(t, msg.src, msg.payload)
+	h(t, int(msg.src), msg.payload)
 }
 
 // --- collectives ---
@@ -294,7 +250,7 @@ func (t *thread) AllReduceSum(v uint64) uint64 {
 // collective implements barrier/allreduce: all threads arrive, the last
 // arrival computes the release time (max arrival + tree latency) and the
 // sum, and readies everyone. Every arrival then suspends; the scheduler
-// resumes each from the ready heap.
+// resumes each from the ready queue.
 func (t *thread) collective(v uint64) uint64 {
 	m := t.m
 	m.colSum += v
