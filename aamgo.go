@@ -497,7 +497,8 @@ type (
 )
 
 // NewDynGraph wraps a static undirected graph for dynamic updates; the base
-// must not be mutated afterwards.
+// must not be mutated afterwards, and NewDynGraph may reorder each adjacency
+// segment of an unweighted base's Adj in place.
 func NewDynGraph(base *Graph) (*DynGraph, error) { return dyn.New(base) }
 
 // DynAddEdge returns a mutation inserting an undirected edge.

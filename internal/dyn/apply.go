@@ -383,7 +383,7 @@ func compact(s *Snapshot) *Snapshot {
 	flat := s.materialize()
 	if flat != s.base {
 		// Fresh arrays (not shared with any published view): sort in place.
-		sortSegments(flat, nil)
+		sortSegments(flat)
 	}
 	return &Snapshot{epoch: s.epoch, n: s.n, base: flat, pages: newPages(s.n), arcs: s.arcs, mat: s.mat}
 }

@@ -387,12 +387,13 @@ func (g *Graph) SetWALHook(h WALHook) {
 }
 
 // New wraps a static base graph. The base must be undirected and is frozen
-// into the dynamic graph (callers must not mutate it afterwards); weights
-// are not carried over.
+// into the dynamic graph (callers must not mutate it afterwards); New may
+// reorder each adjacency segment of an unweighted base's Adj in place, and
+// weights are not carried over.
 func New(base *graph.Graph) (*Graph, error) { return NewWithEpoch(base, 0) }
 
-// NewWithEpoch wraps a static base graph like New but starts the epoch
-// counter at epoch instead of zero. Recovery uses it to resume from a
+// NewWithEpoch wraps a static base graph like New, reordering its segments
+// in place as New may, but starts the epoch counter at epoch instead of zero. Recovery uses it to resume from a
 // checkpoint snapshot: the loaded CSR becomes the base and subsequent WAL
 // records continue the epoch sequence where the snapshot left off.
 func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
@@ -419,11 +420,14 @@ func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	// Degree binary-search it). RoadGrid, the generators that build with
 	// Dedup (Community) and compaction emit it and are adopted as they
 	// are; any other base — every Kronecker graph, a checkpoint taken with
-	// deltas outstanding — is copied and the copy sorted, run by run.
+	// deltas outstanding — is sorted in place, run by run: New owns it. A
+	// weighted base is sorted in a copy, as its weights follow its order.
 	flat := &graph.Graph{N: base.N, Offsets: base.Offsets, Adj: base.Adj}
 	if !sorted {
-		flat.Adj = make([]int32, len(base.Adj))
-		sortSegments(flat, base.Adj)
+		if base.Weights != nil {
+			flat.Adj = slices.Clone(base.Adj)
+		}
+		sortSegments(flat)
 	}
 	g := &Graph{histApply: obs.NewHistogram()}
 	snap := &Snapshot{epoch: epoch, n: base.N, base: flat, pages: newPages(base.N), arcs: int64(len(base.Adj))}
@@ -503,15 +507,13 @@ func NewEmpty(n int) *Graph {
 }
 
 // sortSegments sorts every adjacency segment of the flat graph g in place
-// on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph);
-// given src, a run first copies its arcs from there, and sorts them while
-// they are still in cache. The workers claim runs of vertices that each hold
-// about the same number of arcs, several per worker, so neither a hub's
-// segment nor a worker that loses its processor for a while holds up the
-// rest. The arcs must have been range-checked (sweepBase, or a base that
+// on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph).
+// The workers claim runs of vertices that each hold about the same number
+// of arcs, several per worker, so neither a hub's segment nor a worker that
+// loses its processor for a while holds up the rest. The arcs must have been range-checked (sweepBase, or a base that
 // passed it plus checked deltas): sortIDs indexes its buckets by the bits an
 // id below g.N can have.
-func sortSegments(g *graph.Graph, src []int32) {
+func sortSegments(g *graph.Graph) {
 	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
 	runs := 8 * workers
 	bound := func(r int) int { // the first vertex at or past r/runs of the arcs
@@ -521,9 +523,6 @@ func sortSegments(g *graph.Graph, src []int32) {
 	tmp := make([][]int32, workers) // each worker's scratch
 	claimRuns(workers, runs, func(w, r int) {
 		lo, hi := bound(r), bound(r+1)
-		if src != nil {
-			copy(g.Adj[g.Offsets[lo]:g.Offsets[hi]], src[g.Offsets[lo]:g.Offsets[hi]])
-		}
 		t := tmp[w]
 		for v := lo; v < hi; v++ {
 			t = sortIDs(g.Neighbors(v), g.N, t)

@@ -345,7 +345,8 @@ func TestSortedBaseInvariant(t *testing.T) {
 // TestSortedBaseWorkers: on 1, 2, 3 and 8 workers New sorts every
 // segment of a skewed base — a hub holding half the arcs, so several runs
 // fall inside one segment, with isolated vertices first and last — exactly
-// as a serial pass does, and leaves the caller's arrays alone.
+// as a serial pass does. It sorts the caller's arrays in place, unless the
+// base is weighted, and a second New of the same base adopts them as they are.
 func TestSortedBaseWorkers(t *testing.T) {
 	b := graph.NewBuilder(3000)
 	rng := rand.New(rand.NewSource(3))
@@ -353,25 +354,30 @@ func TestSortedBaseWorkers(t *testing.T) {
 		b.AddEdge(1500, int32(1+rng.Intn(2998)))
 		b.AddEdge(int32(1+rng.Intn(2998)), int32(1+rng.Intn(2998)))
 	}
-	base := b.Build()
-	orig := slices.Clone(base.Adj)
-	want := slices.Clone(base.Adj)
-	for v := 0; v < base.N; v++ {
-		slices.Sort(want[base.Offsets[v]:base.Offsets[v+1]])
+	built := b.Build()
+	want := slices.Clone(built.Adj)
+	for v := 0; v < built.N; v++ {
+		slices.Sort(want[built.Offsets[v]:built.Offsets[v+1]])
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3, 8} {
 		runtime.GOMAXPROCS(procs)
+		base := &graph.Graph{N: built.N, Offsets: built.Offsets, Adj: slices.Clone(built.Adj)}
 		got := mustNew(t, base).Snapshot().base
 		if !slices.Equal(got.Adj, want) || !slices.Equal(got.Offsets, base.Offsets) {
 			t.Fatalf("GOMAXPROCS %d: segments differ from a serial sort", procs)
 		}
-		if !slices.Equal(base.Adj, orig) {
-			t.Fatalf("GOMAXPROCS %d: the caller's adjacency was sorted in place", procs)
+		if !slices.Equal(base.Adj, want) {
+			t.Fatalf("GOMAXPROCS %d: the caller's segments were not sorted in place", procs)
 		}
-		if again := mustNew(t, got).Snapshot().base; &again.Adj[0] != &got.Adj[0] {
+		if again := mustNew(t, base).Snapshot().base; &again.Adj[0] != &got.Adj[0] {
 			t.Fatalf("GOMAXPROCS %d: a sorted base was copied", procs)
 		}
+	}
+	// A weighted base keeps its order: its weights parallel it.
+	weighted := graph.AttachSymmetricWeights(&graph.Graph{N: built.N, Offsets: built.Offsets, Adj: slices.Clone(built.Adj)}, 1)
+	if got := mustNew(t, weighted).Snapshot().base; !slices.Equal(got.Adj, want) || !slices.Equal(weighted.Adj, built.Adj) {
+		t.Fatal("a weighted base was not sorted in a copy")
 	}
 }
 
