@@ -393,9 +393,10 @@ func (g *Graph) SetWALHook(h WALHook) {
 func New(base *graph.Graph) (*Graph, error) { return NewWithEpoch(base, 0) }
 
 // NewWithEpoch wraps a static base graph like New, reordering its segments
-// in place as New may, but starts the epoch counter at epoch instead of zero. Recovery uses it to resume from a
-// checkpoint snapshot: the loaded CSR becomes the base and subsequent WAL
-// records continue the epoch sequence where the snapshot left off.
+// in place as New may, but starts the epoch counter at epoch instead of
+// zero. Recovery uses it to resume from a checkpoint snapshot: the loaded
+// CSR becomes the base and subsequent WAL records continue the epoch
+// sequence where the snapshot left off.
 func NewWithEpoch(base *graph.Graph, epoch uint64) (*Graph, error) {
 	if base == nil {
 		return nil, fmt.Errorf("dyn: nil base graph")
@@ -510,9 +511,9 @@ func NewEmpty(n int) *Graph {
 // on GOMAXPROCS workers (one, the caller, per 64k arcs of a small graph).
 // The workers claim runs of vertices that each hold about the same number
 // of arcs, several per worker, so neither a hub's segment nor a worker that
-// loses its processor for a while holds up the rest. The arcs must have been range-checked (sweepBase, or a base that
-// passed it plus checked deltas): sortIDs indexes its buckets by the bits an
-// id below g.N can have.
+// loses its processor for a while holds up the rest. The arcs must have
+// been range-checked (sweepBase, or a base that passed it plus checked
+// deltas): sortIDs indexes its buckets by the bits an id below g.N can have.
 func sortSegments(g *graph.Graph) {
 	workers := min(runtime.GOMAXPROCS(0), 1+len(g.Adj)>>16)
 	runs := 8 * workers
