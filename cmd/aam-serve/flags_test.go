@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -63,4 +68,64 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 			t.Errorf("-gen %s, scale %d, edge factor %d rejected: %v", ok.gen, ok.scale, ok.ef, err)
 		}
 	}
+}
+
+// TestCacheBytesFlag: the daemon serves with the query cache by default and
+// without it at -cache-bytes 0 (its /stats then carries no "cache" object);
+// a negative bound is a usage error.
+func TestCacheBytesFlag(t *testing.T) {
+	if out := usageError(t, "-cache-bytes", "-1"); !strings.Contains(out, "aam-serve: -cache-bytes -1") {
+		t.Errorf("-cache-bytes -1: want a message naming -cache-bytes, got\n%s", out)
+	}
+	for _, tc := range []struct {
+		args  []string
+		cache bool
+	}{{nil, true}, {[]string{"-cache-bytes", "0"}, false}} {
+		if _, cache := serveStats(t, tc.args...)["cache"]; cache != tc.cache {
+			t.Errorf("%v: /stats has a cache object: %t, want %t", tc.args, cache, tc.cache)
+		}
+	}
+}
+
+// serveStats starts aam-serve on args over a small generated graph, reads
+// its /stats once it answers and stops it with SIGTERM.
+func serveStats(t *testing.T, args ...string) map[string]json.RawMessage {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], append(args, "-addr", addr, "-gen", "kron", "-scale", "4")...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("%v: %v\n%s", args, err, out.String())
+		}
+	}()
+	var stats map[string]json.RawMessage
+	for ctx.Err() == nil {
+		resp, err := http.Get("http://" + addr + "/stats")
+		if err != nil {
+			time.Sleep(20 * time.Millisecond)
+			continue
+		}
+		err = json.NewDecoder(resp.Body).Decode(&stats)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%v: /stats: %v", args, err)
+		}
+		return stats
+	}
+	t.Fatalf("%v: the daemon never answered on %s\n%s", args, addr, out.String())
+	return nil
 }

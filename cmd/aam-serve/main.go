@@ -8,7 +8,7 @@
 //	aam-serve [-addr :8080] [-graph file] [-gen kron -scale 12 -ef 8]
 //	          [-mech htm|atomic|lock|occ|flatcomb] [-runtime sim|native]
 //	          [-machine has-c] [-threads 4] [-workers 8] [-pprof]
-//	          [-cache on|off] [-cache-bytes 33554432]
+//	          [-cache-bytes 33554432 (0 turns the cache off)]
 //	          [-log-level info] [-slowlog 32]
 //	          [-data-dir dir] [-durability fsync|batch|off]
 //	          [-checkpoint-every 4096]
@@ -83,8 +83,7 @@ func main() {
 		workers  = flag.Int("workers", 8, "max concurrent requests doing graph work")
 		coarsen  = flag.Int("m", 16, "coarsening factor M (operators per transaction)")
 		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		cache    = flag.String("cache", "on", "epoch-keyed query cache: on or off")
-		cacheBy  = flag.Int64("cache-bytes", 32<<20, "query cache size bound in bytes")
+		cacheBy  = flag.Int64("cache-bytes", 32<<20, "epoch-keyed query cache size bound in bytes (0 turns the cache off)")
 		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, error (debug logs every request)")
 		slowlogK = flag.Int("slowlog", 32, "slow-query log capacity (top-K slowest, served at /debug/slowlog)")
 		dataDir  = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); empty serves in-memory only")
@@ -99,6 +98,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "aam-serve:", err)
 		os.Exit(2) // a usage error, as the flag package exits on one
 	}
+	if *cacheBy < 0 {
+		fmt.Fprintf(os.Stderr, "aam-serve: -cache-bytes %d is negative (0 turns the cache off)\n", *cacheBy)
+		os.Exit(2)
+	}
 
 	var lvl slog.Level
 	if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
@@ -111,18 +114,6 @@ func main() {
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
-	}
-
-	cacheBytes := *cacheBy
-	switch *cache {
-	case "on":
-		if cacheBytes <= 0 {
-			fatal("-cache-bytes must be positive with -cache on", "cache_bytes", cacheBytes)
-		}
-	case "off":
-		cacheBytes = -1
-	default:
-		fatal("unknown -cache value (want on or off)", "cache", *cache)
 	}
 
 	// With -data-dir the graph comes out of recovery (snapshot + WAL tail
@@ -166,16 +157,18 @@ func main() {
 	if err != nil {
 		fatal("bad -mech", "err", err)
 	}
+	cacheBytes := *cacheBy
+	if cacheBytes == 0 {
+		cacheBytes = -1 // serve.Config's "no cache"
+	}
 	srv, err := serve.New(g, serve.Config{
-		Mechanism:     mechanism,
-		Runtime:       *rt,
-		Machine:       *machine,
-		Threads:       *threads,
-		M:             *coarsen,
+		Tx: dyn.TxConfig{
+			Mechanism: mechanism, Runtime: *rt, Machine: *machine,
+			Threads: *threads, M: *coarsen, Seed: *seed,
+		},
 		MaxConcurrent: *workers,
 		MaxQueueWait:  *maxWait,
 		CacheBytes:    cacheBytes,
-		Seed:          *seed,
 		EnablePprof:   *pprofOn,
 		SlowlogK:      *slowlogK,
 		Logger:        logger,

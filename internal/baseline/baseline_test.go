@@ -16,7 +16,7 @@ func TestBSPBFSMatchesReference(t *testing.T) {
 	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
 
-	b := baseline.NewBSPBFS(g, baseline.DefaultBSPConfig())
+	b := baseline.NewBSPBFS(g)
 	prof := exec.HaswellC()
 	m := sim.New(exec.Config{
 		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWords(),
@@ -37,7 +37,7 @@ func TestBSPOverheadScalesWithDiameter(t *testing.T) {
 	// paper's explanation for HAMA's road-network runtimes (§6.1.2).
 	prof := exec.HaswellC()
 	run := func(g *graph.Graph) (float64, uint64) {
-		b := baseline.NewBSPBFS(g, baseline.DefaultBSPConfig())
+		b := baseline.NewBSPBFS(g)
 		m := sim.New(exec.Config{
 			Nodes: 1, ThreadsPerNode: 8, MemWords: b.MemWords(),
 			Profile: &prof, Seed: 2,

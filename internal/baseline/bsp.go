@@ -6,32 +6,24 @@ import (
 	"aamgo/internal/vtime"
 )
 
-// BSPConfig models a Hadoop-based BSP engine in the style of HAMA: every
+// The BSP model of a Hadoop-based engine in the style of HAMA: every
 // superstep pays a framework overhead (job coordination, JVM
 // serialization, Zookeeper sync) and every vertex-to-vertex message pays a
 // per-message cost. The paper attributes HAMA's 10²–10⁴ slowdowns to
-// exactly these two terms multiplied by the graph diameter (§6.1.2).
-type BSPConfig struct {
-	SuperstepOverhead vtime.Time
-	PerMessageCost    vtime.Time
-}
-
-// DefaultBSPConfig matches the magnitude of the paper's HAMA 0.6.4
-// observations on commodity hardware.
-func DefaultBSPConfig() BSPConfig {
-	return BSPConfig{
-		SuperstepOverhead: 3 * vtime.Millisecond,
-		PerMessageCost:    1500 * vtime.Nanosecond,
-	}
-}
+// exactly these two terms multiplied by the graph diameter (§6.1.2). Their
+// values match the magnitude of the paper's HAMA 0.6.4 observations on
+// commodity hardware.
+const (
+	bspSuperstepOverhead = 3 * vtime.Millisecond
+	bspPerMessageCost    = 1500 * vtime.Nanosecond
+)
 
 // BSPBFS runs a Pregel/HAMA-style vertex-centric BFS: in superstep s every
 // frontier vertex messages its neighbors; messaged unvisited vertices join
 // the next frontier. Single node (the paper evaluates HAMA on the Haswell
 // box); parallel threads, level-synchronized supersteps.
 type BSPBFS struct {
-	G   *graph.Graph
-	Cfg BSPConfig
+	G *graph.Graph
 
 	L int
 	// Layout mirrors algo.BFS: parent+1 (0 = unvisited), two queues,
@@ -42,8 +34,8 @@ type BSPBFS struct {
 }
 
 // NewBSPBFS prepares a BSP BFS over g.
-func NewBSPBFS(g *graph.Graph, cfg BSPConfig) *BSPBFS {
-	b := &BSPBFS{G: g, Cfg: cfg, L: g.N}
+func NewBSPBFS(g *graph.Graph) *BSPBFS {
+	b := &BSPBFS{G: g, L: g.N}
 	b.parentBase = 0
 	b.qBase[0] = g.N
 	b.qBase[1] = 2 * g.N
@@ -74,7 +66,7 @@ func (b *BSPBFS) run(ctx exec.Context, source int) {
 
 	for step := 0; ; step++ {
 		// Superstep entry: framework coordination overhead.
-		ctx.Compute(b.Cfg.SuperstepOverhead)
+		ctx.Compute(bspSuperstepOverhead)
 		ctx.Stats().Supersteps++
 
 		cur := step & 1
@@ -86,7 +78,7 @@ func (b *BSPBFS) run(ctx exec.Context, source int) {
 			for _, wv := range b.G.Neighbors(u) {
 				w := int(wv)
 				// Vertex message: serialize, route, deserialize.
-				ctx.Compute(b.Cfg.PerMessageCost)
+				ctx.Compute(bspPerMessageCost)
 				ctx.Stats().MsgsSent++
 				if ctx.Load(b.parentBase+w) != 0 {
 					continue

@@ -175,7 +175,7 @@ func servingServer(o Options, n int, cacheBytes int64) (http.Handler, *dyn.Graph
 	if err != nil {
 		panic(err)
 	}
-	srv, err := serve.New(g, serve.Config{CacheBytes: cacheBytes, Seed: o.Seed})
+	srv, err := serve.New(g, serve.Config{Tx: dyn.TxConfig{Seed: o.Seed}, CacheBytes: cacheBytes})
 	if err != nil {
 		panic(err)
 	}

@@ -148,7 +148,7 @@ func searchM(o Options, prof exec.MachineProfile, variant string, g *graph.Graph
 
 // runHAMA times the HAMA-like BSP baseline.
 func runHAMA(o Options, prof exec.MachineProfile, g *graph.Graph, src int) vtime.Time {
-	b := baseline.NewBSPBFS(g, baseline.DefaultBSPConfig())
+	b := baseline.NewBSPBFS(g)
 	m := machine(prof, 1, prof.MaxThreads, b.MemWords(), nil, o.Seed)
 	res := m.Run(b.Body(src))
 	return res.Elapsed

@@ -28,10 +28,6 @@ type TxConfig struct {
 	M, C int
 	// Seed fixes machine randomness (default 1).
 	Seed int64
-	// CompactFraction triggers delta compaction when
-	// DeltaArcs > CompactFraction × base arcs (default 0.5; negative
-	// disables compaction).
-	CompactFraction float64
 }
 
 // Resolve fills in the defaults of every zero field and looks up the
@@ -63,14 +59,13 @@ func (c TxConfig) Resolve() (exec.MachineProfile, TxConfig, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.CompactFraction == 0 {
-		c.CompactFraction = defaultCompactFraction
-	}
 	return prof, c, nil
 }
 
-// defaultCompactFraction is the compaction trigger used when TxConfig
-// leaves CompactFraction zero, and by Replay (which has no TxConfig).
+// defaultCompactFraction is the compaction trigger of Apply and Replay
+// alike: a batch compacts once DeltaArcs > defaultCompactFraction × base
+// arcs, so a recovery compacts where the live run did. Graph.compactFraction
+// overrides it for this package's tests.
 const defaultCompactFraction = 0.5
 
 // applier carries the shared state of one transactional batch: the
@@ -136,7 +131,7 @@ func (g *Graph) Apply(batch []Mutation, cfg TxConfig) (BatchResult, error) {
 // counters and the durability-hook append. It returns the hook's wait
 // closure for Apply to run after unlocking.
 func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxConfig) (BatchResult, func() error, error) {
-	res, err := g.batchLocked(batch, cfg.CompactFraction, func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder) {
+	res, err := g.batchLocked(batch, func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder) {
 		a := &applier{pre: pre, muts: edgeMuts}
 		machRes := a.run(prof, cfg, newN)
 		res.Elapsed = time.Duration(machRes.Elapsed)
@@ -179,14 +174,13 @@ func (g *Graph) applyLocked(batch []Mutation, prof exec.MachineProfile, cfg TxCo
 // intra-batch duplicates collapse by edge key), so recovery re-derives it
 // directly, in batch order, and skips the abort/retry simulation. The
 // durability hook is deliberately bypassed — replayed batches came from the
-// log — and no transaction counters accrue. Compaction runs with the
-// default fraction; it rewrites representation, not logical state or
-// epoch, so a compaction schedule differing from the original run is
-// invisible after the per-vertex adjacency is sorted.
+// log — and no transaction counters accrue. Compaction runs at Apply's
+// trigger, so the recovered representation compacts where the live run's
+// did.
 func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.batchLocked(batch, defaultCompactFraction, func(pre *Snapshot, edgeMuts []Mutation, _ int, res *BatchResult, f *folder) {
+	return g.batchLocked(batch, func(pre *Snapshot, edgeMuts []Mutation, _ int, res *BatchResult, f *folder) {
 		for _, m := range edgeMuts {
 			if pre.HasEdge(m.U, m.V) != (m.Kind == KindRemoveEdge) {
 				res.Rejected++
@@ -203,7 +197,7 @@ func (g *Graph) Replay(batch []Mutation) (BatchResult, error) {
 // publication. commit, called only when the batch holds edge mutations,
 // decides which of them commit against the pre-batch snapshot and folds
 // those into f in the caller's order — arc order reaches query answers.
-func (g *Graph) batchLocked(batch []Mutation, compactFraction float64, commit func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder)) (BatchResult, error) {
+func (g *Graph) batchLocked(batch []Mutation, commit func(pre *Snapshot, edgeMuts []Mutation, newN int, res *BatchResult, f *folder)) (BatchResult, error) {
 	pre := g.cur.Load()
 
 	var res BatchResult
@@ -229,7 +223,7 @@ func (g *Graph) batchLocked(batch []Mutation, compactFraction float64, commit fu
 	}
 	res.Applied += res.VerticesAdded
 
-	g.publishLocked(ns, &res, touched, compactFraction)
+	g.publishLocked(ns, &res, touched)
 	return res, nil
 }
 
@@ -327,9 +321,13 @@ func (f *folder) finish() (touched []int32) {
 // publishLocked runs the shared tail of a batch under g.mu: the compaction
 // check, the incremental-freeze bookkeeping, snapshot publication and the
 // lifetime counters.
-func (g *Graph) publishLocked(ns *Snapshot, res *BatchResult, touched []int32, compactFraction float64) {
+func (g *Graph) publishLocked(ns *Snapshot, res *BatchResult, touched []int32) {
 	// Compaction: fold the deltas back into a fresh base CSR when they
-	// outgrow the configured fraction of it.
+	// outgrow the trigger fraction of it.
+	compactFraction := g.compactFraction
+	if compactFraction == 0 {
+		compactFraction = defaultCompactFraction
+	}
 	if compactFraction >= 0 {
 		baseArcs := int64(len(ns.base.Adj))
 		if ns.DeltaArcs() > int64(float64(baseArcs)*compactFraction) && ns.DeltaArcs() > 0 {

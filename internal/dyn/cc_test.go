@@ -117,7 +117,8 @@ func TestRebuildCCForest(t *testing.T) {
 	for _, v := range []int32{63, 64, 65} {
 		batch = append(batch, RemoveEdge(v, s.AppendNeighbors(nil, int(v))[0]))
 	}
-	if res, err := g.Apply(batch, TxConfig{CompactFraction: -1}); err != nil || res.Applied != len(batch) {
+	g.compactFraction = -1
+	if res, err := g.Apply(batch, TxConfig{}); err != nil || res.Applied != len(batch) {
 		t.Fatalf("applied %d of %d: %v", res.Applied, len(batch), err)
 	}
 	if s = g.Snapshot(); s.pages[0] == nil || s.pages[1] == nil || g.uf != nil {
@@ -152,6 +153,7 @@ func TestForestStatesMatchRecompute(t *testing.T) {
 			sinceDelete := -1 // batches since an unasked-about delete; -1 without one
 			rng := rand.New(rand.NewSource(seed))
 			g := mk()
+			g.compactFraction = 0.3
 			ask := func(when string) {
 				t.Helper()
 				switch {
@@ -228,7 +230,7 @@ func TestForestStatesMatchRecompute(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					_, err = g.Replay(batch)
 				} else {
-					_, err = g.Apply(batch, TxConfig{Seed: seed, CompactFraction: 0.3})
+					_, err = g.Apply(batch, TxConfig{Seed: seed})
 				}
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: %v", name, seed, step, err)

@@ -9,7 +9,7 @@
 //
 //   - Graph wraps a frozen CSR "base" with per-vertex adjacency deltas
 //     (added and deleted arcs). Mutations are applied in transactional
-//     batches; when the deltas grow past a configurable fraction of the
+//     batches; when the deltas grow past a fixed fraction of the
 //     base, the graph is compacted back into a fresh CSR.
 //   - Batches of AddEdge/RemoveEdge mutations execute as AAM operators on
 //     an abstract machine, so they run under all five isolation mechanisms
@@ -312,6 +312,11 @@ type Graph struct {
 	// callers block on durability together (group commit) without
 	// serializing the fsync behind the writer lock.
 	walHook WALHook
+
+	// compactFraction, when non-zero, replaces defaultCompactFraction as
+	// the compaction trigger (negative disables compaction). Only this
+	// package's tests set it.
+	compactFraction float64
 
 	cum CumStats
 

@@ -227,12 +227,12 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestCompaction(t *testing.T) {
 	g := NewEmpty(50)
-	cfg := TxConfig{CompactFraction: 0.01}
+	g.compactFraction = 0.01
 	var batch []Mutation
 	for v := int32(1); v < 50; v++ {
 		batch = append(batch, AddEdge(0, v))
 	}
-	res, err := g.Apply(batch, cfg)
+	res, err := g.Apply(batch, TxConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func TestIncrementalFreezeEquivalence(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(11))
 	// Aggressive compaction so the stream crosses several boundaries.
-	cfg := TxConfig{CompactFraction: 0.1}
+	g.compactFraction = 0.1
 	for round := 0; round < 40; round++ {
 		n := g.N()
 		var batch []Mutation
@@ -83,7 +83,7 @@ func TestIncrementalFreezeEquivalence(t *testing.T) {
 		if round%7 == 3 {
 			batch = append(batch, AddVertex())
 		}
-		res, err := g.Apply(batch, cfg)
+		res, err := g.Apply(batch, TxConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

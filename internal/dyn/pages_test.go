@@ -143,6 +143,7 @@ func TestDeltaTableMatchesModel(t *testing.T) {
 			}
 			base := b.Build()
 			g := mustNew(t, base)
+			g.compactFraction = 0.2
 
 			var mu sync.Mutex // guards snaps against the readers
 			snaps := []*Snapshot{g.Snapshot()}
@@ -204,7 +205,7 @@ func TestDeltaTableMatchesModel(t *testing.T) {
 					}
 				}
 				next, applied, rejected, redundant := cur.apply(batch)
-				res, err := g.Apply(batch, TxConfig{Mechanism: mech, Seed: int64(i + 1), CompactFraction: 0.2})
+				res, err := g.Apply(batch, TxConfig{Mechanism: mech, Seed: int64(i + 1)})
 				if err != nil {
 					t.Fatal(err)
 				}

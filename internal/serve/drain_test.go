@@ -36,7 +36,7 @@ func sortedAdj(g *dyn.Graph) *graph.Graph {
 // the pre-shutdown state exactly, so nothing was half-applied.
 func TestDrainDurableShutdown(t *testing.T) {
 	dir := t.TempDir()
-	opts := wal.Options{Dir: dir, Mode: wal.ModeBatch, GroupWindow: time.Millisecond}
+	opts := wal.Options{Dir: dir, Mode: wal.ModeBatch}
 	newBase := func() (*dyn.Graph, error) {
 		return dyn.New(graph.Community(128, 8, 4, 0.05, 3))
 	}

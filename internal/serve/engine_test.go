@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"aamgo/internal/algo"
+	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
 	"aamgo/internal/query"
 	"aamgo/internal/shard"
@@ -152,7 +153,7 @@ func checkBody(t *testing.T, d *query.Descriptor, g *graph.Graph, body map[strin
 func TestEngineParam(t *testing.T) {
 	base := graph.Community(200, 10, 4, 0.05, 9)
 	weighted := graph.AttachSymmetricWeights(base, 1)
-	s, ts := newRawServer(t, base, Config{C: 8})
+	s, ts := newRawServer(t, base, Config{Tx: dyn.TxConfig{C: 8}})
 	cl, err := shard.NewClusterOpts("127.0.0.1:0", 1, shard.ClusterOptions{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
 	"aamgo/internal/shard"
 )
@@ -319,7 +320,7 @@ func TestGoldenResponses(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 
 	// Cache off: the cluster and cluster-closed cases share URLs and epoch.
-	s, ts := newRawServer(t, goldenGraph(), Config{C: 8, CacheBytes: -1})
+	s, ts := newRawServer(t, goldenGraph(), Config{Tx: dyn.TxConfig{C: 8}, CacheBytes: -1})
 	emptyTS, _ := newTestServer(t, graph.NewBuilder(0).Build(), Config{CacheBytes: -1})
 	mutTS, _ := newTestServer(t, goldenGraph(), Config{})
 

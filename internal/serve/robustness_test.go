@@ -104,7 +104,7 @@ func TestClusterEngineAndFallback(t *testing.T) {
 	base := graph.Community(200, 10, 4, 0.05, 9)
 	// Cache off: the pre- and post-failure queries share URLs and epoch,
 	// and a cache hit would mask the fallback path.
-	s, ts := newRawServer(t, base, Config{C: 8, CacheBytes: -1})
+	s, ts := newRawServer(t, base, Config{Tx: dyn.TxConfig{C: 8}, CacheBytes: -1})
 
 	// No cluster attached: engine=cluster is a config error, not a 500.
 	doJSON(t, "GET", ts.URL+"/query/bfs?src=0&engine=cluster&shards=4", nil, 400)

@@ -85,17 +85,11 @@ import (
 
 // Config shapes the daemon.
 type Config struct {
-	// Mechanism is the default isolation mechanism for mutation batches.
-	Mechanism aam.Mechanism
-	// Runtime runs batches and queries on "sim" (default, deterministic)
-	// or "native" machines.
-	Runtime string
-	// Machine is the simulated machine profile (default "has-c").
-	Machine string
-	// Threads per machine run (default 4).
-	Threads int
-	// M and C are the AAM coarsening/coalescing factors (defaults 16/64).
-	M, C int
+	// Tx is the machine every write and every query runs on: its
+	// Mechanism is the writes' default isolation mechanism (a request's
+	// ?mech= overrides it), and queries share its runtime, profile,
+	// threads, M, C and seed. Zero fields take dyn.TxConfig's defaults.
+	Tx dyn.TxConfig
 	// MaxConcurrent bounds the worker pool: at most this many requests
 	// execute graph work at once; further requests wait (default 8).
 	MaxConcurrent int
@@ -109,8 +103,6 @@ type Config struct {
 	// bytes). 0 selects the 32 MiB default; negative disables the cache
 	// (singleflight collapsing included — ETag/304 handling stays on).
 	CacheBytes int64
-	// Seed fixes machine randomness (default 1).
-	Seed int64
 	// EnablePprof registers the net/http/pprof handlers under
 	// /debug/pprof/ (off by default: the profiling surface is opt-in via
 	// aam-serve's -pprof flag). Profile handlers bypass the worker pool —
@@ -131,8 +123,8 @@ type Config struct {
 	WAL *wal.Log
 }
 
-// resolve fills in the daemon's own defaults. The machine fields resolve
-// through dyn.TxConfig.Resolve, once, in New.
+// resolve fills in the daemon's own defaults. Tx resolves through
+// dyn.TxConfig.Resolve, once, in New.
 func (c Config) resolve() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 8
@@ -206,10 +198,7 @@ type route struct {
 
 // New builds a server over g.
 func New(g *dyn.Graph, cfg Config) (*Server, error) {
-	prof, tx, err := dyn.TxConfig{
-		Mechanism: cfg.Mechanism, Runtime: cfg.Runtime, Machine: cfg.Machine,
-		Threads: cfg.Threads, M: cfg.M, C: cfg.C, Seed: cfg.Seed,
-	}.Resolve()
+	prof, tx, err := cfg.Tx.Resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -169,7 +169,7 @@ func TestVerticesCountBelongsToItsEpoch(t *testing.T) {
 }
 
 func TestMechanismOverridePerRequest(t *testing.T) {
-	ts, g := newTestServer(t, nil, Config{Mechanism: aam.MechHTM})
+	ts, g := newTestServer(t, nil, Config{Tx: dyn.TxConfig{Mechanism: aam.MechHTM}})
 	for i, mech := range []string{"atomic", "lock", "occ", "flatcomb"} {
 		u, v := int32(i), int32(i+1)
 		res := doJSON(t, "POST", ts.URL+"/edges?mech="+mech, map[string]any{
@@ -426,7 +426,7 @@ func TestConcurrentTraffic(t *testing.T) {
 
 func TestShardedQueries(t *testing.T) {
 	base := graph.Community(200, 10, 4, 0.05, 9)
-	ts, g := newTestServer(t, base, Config{C: 8})
+	ts, g := newTestServer(t, base, Config{Tx: dyn.TxConfig{C: 8}})
 
 	// Sharded BFS must reach the same vertex set as the single-runtime
 	// path and report the messaging counters.
@@ -480,7 +480,7 @@ func TestShardedQueries(t *testing.T) {
 // each other and the sequential references.
 func TestIrregularQueries(t *testing.T) {
 	base := graph.Community(150, 8, 4, 0.05, 9)
-	ts, g := newTestServer(t, base, Config{C: 8})
+	ts, g := newTestServer(t, base, Config{Tx: dyn.TxConfig{C: 8}})
 
 	// SSSP: the sharded and single-runtime distance vectors must agree
 	// (same synthesized weights: same epoch, same wseed).
@@ -595,7 +595,7 @@ func TestQueryValidationRegressions(t *testing.T) {
 // and misuse is a 400.
 func TestPartitionParam(t *testing.T) {
 	base := graph.Community(200, 10, 4, 0.05, 9)
-	ts, _ := newTestServer(t, base, Config{C: 8})
+	ts, _ := newTestServer(t, base, Config{Tx: dyn.TxConfig{C: 8}})
 
 	block := doJSON(t, "GET", ts.URL+"/query/bfs?src=0&full=1&shards=4&part=block", nil, 200)
 	edge := doJSON(t, "GET", ts.URL+"/query/bfs?src=0&full=1&shards=4&part=edge", nil, 200)

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// Deterministic chaos injection for the cluster layer. A ChaosPlan
+// Deterministic chaos injection for the cluster layer. A chaosPlan
 // installs a chaosLink on every coordinator-side worker link; the
 // chaosLink intercepts writeFrame under the link's write mutex and
 // decides, per frame, whether to pass it through, drop it, duplicate
@@ -22,7 +22,7 @@ import (
 //   - The PRNG draws exactly one variate per intercepted frame, whether
 //     or not a fault fires, so the stream position depends only on the
 //     frame ordinal.
-//   - Positional triggers (KillAt, DropAt, Partition) fire on the first
+//   - Positional triggers (killAt, dropAt, partition) fire on the first
 //     incarnation of a rank's link only — a rejoined replacement gets a
 //     clean link, so a kill schedule cannot re-kill the replacement.
 //
@@ -37,39 +37,39 @@ import (
 // makes W's read loop fail the link — the coordinator observes each as
 // a dead or silent rank, evicts, and retries.
 
-// ChaosPlan describes a deterministic fault schedule. The zero value
+// chaosPlan describes a deterministic fault schedule. The zero value
 // injects nothing. Plans are safe for concurrent use by many links.
-type ChaosPlan struct {
-	// Seed roots every per-link PRNG (mixed with rank and incarnation).
-	Seed int64
+type chaosPlan struct {
+	// seed roots every per-link PRNG (mixed with rank and incarnation).
+	seed int64
 
 	// Per-frame probabilities of the four probabilistic faults; one
 	// uniform draw per frame selects among them (cumulative thresholds),
 	// so their sum must stay ≤ 1.
-	DropP    float64
-	DupP     float64
-	CorruptP float64
-	DelayP   float64
-	// Delay is how long a delayed frame stalls (default 2ms). The link's
+	dropP    float64
+	dupP     float64
+	corruptP float64
+	delayP   float64
+	// delay is how long a delayed frame stalls (default 2ms). The link's
 	// write mutex is held throughout, so a delay stalls every writer of
 	// that link — exactly what a congested path does.
-	Delay time.Duration
+	delay time.Duration
 
-	// DropAt drops the listed frame ordinals (0-based, counted per link,
+	// dropAt drops the listed frame ordinals (0-based, counted per link,
 	// protected frames excluded) of each rank's first link incarnation.
-	DropAt map[int][]uint64
-	// KillAt closes rank's connection at the given frame ordinal: the
+	dropAt map[int][]uint64
+	// killAt closes rank's connection at the given frame ordinal: the
 	// frame is not written and the link dies mid-session, as a SIGKILLed
 	// peer would appear.
-	KillAt map[int]uint64
-	// Partition drops every frame of rank's first incarnation whose
+	killAt map[int]uint64
+	// partition drops every frame of rank's first incarnation whose
 	// ordinal falls in [from, to) — a one-way link blackout that heals.
-	Partition map[int][2]uint64
+	partition map[int][2]uint64
 
-	// MaxFaults caps how many probabilistic faults fire plan-wide
+	// maxFaults caps how many probabilistic faults fire plan-wide
 	// (0 = unlimited). Positional triggers are exempt: they are part of
 	// the scripted scenario, not background noise.
-	MaxFaults int
+	maxFaults int
 
 	mu           sync.Mutex
 	incarnations map[int]int
@@ -77,7 +77,7 @@ type ChaosPlan struct {
 }
 
 // link mints the chaos interceptor for rank's next link incarnation.
-func (p *ChaosPlan) link(rank int) *chaosLink {
+func (p *chaosPlan) link(rank int) *chaosLink {
 	p.mu.Lock()
 	if p.incarnations == nil {
 		p.incarnations = make(map[int]int)
@@ -85,7 +85,7 @@ func (p *ChaosPlan) link(rank int) *chaosLink {
 	inc := p.incarnations[rank]
 	p.incarnations[rank]++
 	p.mu.Unlock()
-	seed := p.Seed ^ int64(rank)*0x9E3779B9 ^ int64(inc)*0x85EBCA6B
+	seed := p.seed ^ int64(rank)*0x9E3779B9 ^ int64(inc)*0x85EBCA6B
 	return &chaosLink{
 		plan: p,
 		rank: rank,
@@ -96,13 +96,13 @@ func (p *ChaosPlan) link(rank int) *chaosLink {
 
 // takeFault consumes one unit of the plan-wide probabilistic-fault
 // budget; false means the budget is spent and the frame passes clean.
-func (p *ChaosPlan) takeFault() bool {
-	if p.MaxFaults <= 0 {
+func (p *chaosPlan) takeFault() bool {
+	if p.maxFaults <= 0 {
 		return true
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.faults >= p.MaxFaults {
+	if p.faults >= p.maxFaults {
 		return false
 	}
 	p.faults++
@@ -125,7 +125,7 @@ const (
 // by the owning link's write mutex — writeFrame calls write() with wmu
 // held — so the PRNG and frame counter need no locking of their own.
 type chaosLink struct {
-	plan  *ChaosPlan
+	plan  *chaosPlan
 	rank  int
 	inc   int
 	rng   *rand.Rand
@@ -140,26 +140,26 @@ func (c *chaosLink) decide(fr uint64) (action chaosAction, scripted bool) {
 	p := c.plan
 	roll := c.rng.Float64()
 	if c.inc == 0 {
-		if k, ok := p.KillAt[c.rank]; ok && fr == k {
+		if k, ok := p.killAt[c.rank]; ok && fr == k {
 			return chaosKill, true
 		}
-		if w, ok := p.Partition[c.rank]; ok && fr >= w[0] && fr < w[1] {
+		if w, ok := p.partition[c.rank]; ok && fr >= w[0] && fr < w[1] {
 			return chaosDrop, true
 		}
-		for _, d := range p.DropAt[c.rank] {
+		for _, d := range p.dropAt[c.rank] {
 			if fr == d {
 				return chaosDrop, true
 			}
 		}
 	}
 	switch {
-	case roll < p.DropP:
+	case roll < p.dropP:
 		return chaosDrop, false
-	case roll < p.DropP+p.DupP:
+	case roll < p.dropP+p.dupP:
 		return chaosDup, false
-	case roll < p.DropP+p.DupP+p.CorruptP:
+	case roll < p.dropP+p.dupP+p.corruptP:
 		return chaosCorrupt, false
-	case roll < p.DropP+p.DupP+p.CorruptP+p.DelayP:
+	case roll < p.dropP+p.dupP+p.corruptP+p.delayP:
 		return chaosDelay, false
 	}
 	return chaosPass, false
@@ -191,7 +191,7 @@ func (c *chaosLink) write(l *link, ft frameType, payload []byte) error {
 	case chaosCorrupt:
 		return l.writeFrameLocked(ft, payload, true)
 	case chaosDelay:
-		d := c.plan.Delay
+		d := c.plan.delay
 		if d <= 0 {
 			d = 2 * time.Millisecond
 		}

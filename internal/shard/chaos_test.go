@@ -15,13 +15,13 @@ import (
 // heartbeat: a live worker's read loop pongs every probe, so only a
 // genuinely dead peer accumulates ten silent intervals even under -race
 // scheduling jitter.
-func chaosNetOpts(plan *ChaosPlan, t *testing.T) ClusterOptions {
+func chaosNetOpts(plan *chaosPlan, t *testing.T) ClusterOptions {
 	return ClusterOptions{
 		Net:          Config{HeartbeatEvery: 50 * time.Millisecond, Liveness: 500 * time.Millisecond},
 		JobRetries:   3,
-		RetryBackoff: 20 * time.Millisecond,
 		RejoinGrace:  1500 * time.Millisecond,
-		Chaos:        plan,
+		retryBackoff: 20 * time.Millisecond,
+		chaos:        plan,
 		Logf:         t.Logf,
 	}
 }
@@ -93,19 +93,19 @@ func startChaosCluster(t *testing.T, workers int, opts ClusterOptions, rejoin bo
 // ordinal). Identical plans must produce identical per-frame decisions;
 // a different seed must diverge.
 func TestChaosScheduleDeterministic(t *testing.T) {
-	mk := func(seed int64) *ChaosPlan {
-		return &ChaosPlan{
-			Seed:      seed,
-			DropP:     0.08,
-			DupP:      0.08,
-			CorruptP:  0.08,
-			DelayP:    0.08,
-			DropAt:    map[int][]uint64{1: {5, 9}},
-			KillAt:    map[int]uint64{1: 40},
-			Partition: map[int][2]uint64{1: {20, 25}},
+	mk := func(seed int64) *chaosPlan {
+		return &chaosPlan{
+			seed:      seed,
+			dropP:     0.08,
+			dupP:      0.08,
+			corruptP:  0.08,
+			delayP:    0.08,
+			dropAt:    map[int][]uint64{1: {5, 9}},
+			killAt:    map[int]uint64{1: 40},
+			partition: map[int][2]uint64{1: {20, 25}},
 		}
 	}
-	schedule := func(p *ChaosPlan, rank int) []chaosAction {
+	schedule := func(p *chaosPlan, rank int) []chaosAction {
 		cl := p.link(rank)
 		out := make([]chaosAction, 200)
 		for fr := range out {
@@ -176,9 +176,6 @@ func TestClusterOptionDefaultsPinned(t *testing.T) {
 	o := ClusterOptions{}.withDefaults()
 	if o.JobRetries != 2 {
 		t.Errorf("JobRetries default = %d, want 2", o.JobRetries)
-	}
-	if o.RetryBackoff != 100*time.Millisecond {
-		t.Errorf("RetryBackoff default = %v, want 100ms", o.RetryBackoff)
 	}
 	if o.RejoinGrace != 2*time.Second {
 		t.Errorf("RejoinGrace default = %v, want 2s", o.RejoinGrace)
@@ -272,40 +269,40 @@ func TestChaosEquivalenceMatrix(t *testing.T) {
 	refs := makeChaosRefs(t)
 	modes := []struct {
 		name string
-		plan func() *ChaosPlan
+		plan func() *chaosPlan
 	}{
 		// Frame 0 on a worker link is its ftJob and frame 1 the result of
 		// the run's opening collective; frames 2+ are collective results
 		// and relays. Dropping frame 1 starves rank 1 inside the opening
 		// collective.
-		{"drop", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 42, DropAt: map[int][]uint64{1: {1}}}
+		{"drop", func() *chaosPlan {
+			return &chaosPlan{seed: 42, dropAt: map[int][]uint64{1: {1}}}
 		}},
 		// Delays reorder nothing (per-link FIFO) and lose nothing: the
 		// run must succeed on the first attempt, schedule active.
-		{"delay", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 7, DelayP: 0.25, Delay: 2 * time.Millisecond}
+		{"delay", func() *chaosPlan {
+			return &chaosPlan{seed: 7, delayP: 0.25, delay: 2 * time.Millisecond}
 		}},
 		// One duplicated frame: a dup'd job spec is fenced by nonce, a
 		// dup'd collective result trips the stale-frame check — either
 		// way eviction and retry, never wrong bits.
-		{"duplicate", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 11, DupP: 1, MaxFaults: 1}
+		{"duplicate", func() *chaosPlan {
+			return &chaosPlan{seed: 11, dupP: 1, maxFaults: 1}
 		}},
 		// One corrupted header: the receiver rejects the frame at the
 		// magic check and fails the link.
-		{"corrupt", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 13, CorruptP: 1, MaxFaults: 1}
+		{"corrupt", func() *chaosPlan {
+			return &chaosPlan{seed: 13, corruptP: 1, maxFaults: 1}
 		}},
 		// A one-way blackout of rank 1's link for frames 1-3, healing
 		// afterwards.
-		{"partition", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 17, Partition: map[int][2]uint64{1: {1, 4}}}
+		{"partition", func() *chaosPlan {
+			return &chaosPlan{seed: 17, partition: map[int][2]uint64{1: {1, 4}}}
 		}},
 		// Hard kill of rank 1's connection mid-job — the SIGKILL twin.
 		// The rejoin loop brings the worker back for the retry.
-		{"kill", func() *ChaosPlan {
-			return &ChaosPlan{Seed: 23, KillAt: map[int]uint64{1: 2}}
+		{"kill", func() *chaosPlan {
+			return &chaosPlan{seed: 23, killAt: map[int]uint64{1: 2}}
 		}},
 	}
 	algos := []string{"bfs", "pagerank", "sssp"}
@@ -333,7 +330,7 @@ func TestChaosKillThenRejoin(t *testing.T) {
 	refs := makeChaosRefs(t)
 	rejoins := metClusterRejoins.Value()
 	evictions := metClusterEvictions.Value()
-	c := startChaosCluster(t, 2, chaosNetOpts(&ChaosPlan{Seed: 5, KillAt: map[int]uint64{1: 2}}, t), true)
+	c := startChaosCluster(t, 2, chaosNetOpts(&chaosPlan{seed: 5, killAt: map[int]uint64{1: 2}}, t), true)
 	runChaosAlgo(t, c, refs, "bfs")
 	if metClusterEvictions.Value() == evictions {
 		t.Error("kill produced no eviction")
@@ -358,7 +355,7 @@ func TestChaosKillThenRejoin(t *testing.T) {
 // window — degraded, not dead.
 func TestClusterShrinksWithoutReplacement(t *testing.T) {
 	refs := makeChaosRefs(t)
-	opts := chaosNetOpts(&ChaosPlan{Seed: 3, KillAt: map[int]uint64{2: 2}}, t)
+	opts := chaosNetOpts(&chaosPlan{seed: 3, killAt: map[int]uint64{2: 2}}, t)
 	opts.RejoinGrace = 200 * time.Millisecond
 	c := startChaosCluster(t, 2, opts, false) // no rejoin loop
 	runChaosAlgo(t, c, refs, "sssp")
@@ -375,7 +372,7 @@ func TestClusterShrinksWithoutReplacement(t *testing.T) {
 func TestClusterRetriesExhaust(t *testing.T) {
 	refs := makeChaosRefs(t)
 	// Unlimited probabilistic drops starve every attempt somewhere.
-	opts := chaosNetOpts(&ChaosPlan{Seed: 29, DropP: 0.5}, t)
+	opts := chaosNetOpts(&chaosPlan{seed: 29, dropP: 0.5}, t)
 	opts.JobRetries = 1
 	opts.RejoinGrace = 200 * time.Millisecond
 	c := startChaosCluster(t, 2, opts, true)

@@ -67,8 +67,12 @@ const (
 	joinBackoffCap   = 2 * time.Second
 )
 
-// retryBackoffCap bounds the doubling job-retry backoff.
-const retryBackoffCap = 2 * time.Second
+// retryBackoff is the base of the jittered, doubling backoff between a
+// job's attempts; retryBackoffCap bounds it.
+const (
+	retryBackoff    = 100 * time.Millisecond
+	retryBackoffCap = 2 * time.Second
+)
 
 // dialCoordinator dials addr with bounded, jittered exponential backoff.
 // Jitter (uniform over the upper half of each window) keeps a fleet of
@@ -148,17 +152,18 @@ type ClusterOptions struct {
 	// JobRetries is how many times a failed job is retried over the
 	// surviving ranks (0 = default of 2; negative = no retries).
 	JobRetries int
-	// RetryBackoff is the base of the jittered, doubling backoff between
-	// attempts (default 100ms, capped at 2s).
-	RetryBackoff time.Duration
 	// RejoinGrace is how long a retry waits for evicted ranks to be
 	// replaced before shrinking the attempt's rank set (default 2s).
 	RejoinGrace time.Duration
-	// Chaos, when non-nil, injects deterministic frame-level faults on
-	// every worker link (tests only; see chaos.go).
-	Chaos *ChaosPlan
 	// Logf, when non-nil, receives eviction/rejoin/retry log lines.
 	Logf func(format string, args ...any)
+
+	// retryBackoff, when positive, replaces the retryBackoff constant,
+	// and chaos, when non-nil, injects deterministic frame-level faults
+	// on every worker link (see chaos.go). Only this package's tests set
+	// them.
+	retryBackoff time.Duration
+	chaos        *chaosPlan
 }
 
 func (o ClusterOptions) withDefaults() ClusterOptions {
@@ -168,8 +173,8 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 	} else if o.JobRetries < 0 {
 		o.JobRetries = 0
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Millisecond
+	if o.retryBackoff <= 0 {
+		o.retryBackoff = retryBackoff
 	}
 	if o.RejoinGrace <= 0 {
 		o.RejoinGrace = 2 * time.Second
@@ -270,8 +275,8 @@ func (c *Cluster) Accept() error {
 func (c *Cluster) admit(conn net.Conn, r int) (*link, error) {
 	l := newLink(conn)
 	l.peer = r
-	if c.opts.Chaos != nil {
-		l.chaos = c.opts.Chaos.link(r)
+	if c.opts.chaos != nil {
+		l.chaos = c.opts.chaos.link(r)
 	}
 	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	ft, _, err := readFrame(l.br)
@@ -520,7 +525,7 @@ func (c *Cluster) run(name string, params []uint64, cfg Config, g *graph.Graph, 
 	cfg.transport = nil // never ship a transport; each rank plugs its own
 
 	maxAttempts := 1 + c.opts.JobRetries
-	backoff := c.opts.RetryBackoff
+	backoff := c.opts.retryBackoff
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
@@ -37,7 +36,6 @@ func killOpts(dir string) Options {
 	return Options{
 		Dir:             dir,
 		Mode:            ModeBatch,
-		GroupWindow:     time.Millisecond,
 		CheckpointEvery: 25, // exercise snapshot+tail recovery under fire
 	}
 }

@@ -11,7 +11,7 @@
 // one sync. Durability modes:
 //
 //	fsync  every group is synced as soon as it is written (window 0)
-//	batch  groups are synced when they reach groupBytes or GroupWindow
+//	batch  groups are synced when they reach groupBytes or groupWindow
 //	       of age, whichever first (the default)
 //	off    records are written but never synced — best-effort; Apply
 //	       acknowledges immediately
@@ -40,7 +40,7 @@ type Mode uint8
 
 const (
 	// ModeBatch groups commits: fsync when the tail reaches groupBytes
-	// or its oldest record is GroupWindow old. The default.
+	// or its oldest record is groupWindow old. The default.
 	ModeBatch Mode = iota
 	// ModeFsync syncs every group as soon as it is written.
 	ModeFsync
@@ -82,26 +82,32 @@ type Options struct {
 	Dir string
 	// Mode is the durability mode (default ModeBatch).
 	Mode Mode
-	// GroupWindow syncs a batch-mode group once its oldest record is
-	// this old (default 2 ms).
-	GroupWindow time.Duration
-	// SegmentBytes rolls the active segment past this size (default 64 MiB).
-	SegmentBytes int64
 	// CheckpointEvery takes an automatic checkpoint each time this many
 	// epochs accumulate past the last one; 0 disables automatic
 	// checkpoints (explicit Checkpoint calls still work).
 	CheckpointEvery uint64
+
+	// groupWindow and segmentBytes, when positive, replace the constants
+	// of the same name. Only this package's tests set them.
+	groupWindow  time.Duration
+	segmentBytes int64
 }
 
-// groupBytes syncs a batch-mode group once the tail holds this many bytes.
-const groupBytes = 256 << 10
+const (
+	// groupBytes syncs a batch-mode group once the tail holds this many bytes.
+	groupBytes = 256 << 10
+	// groupWindow syncs a batch-mode group once its oldest record is this old.
+	groupWindow = 2 * time.Millisecond
+	// segmentBytes rolls the active segment past this size.
+	segmentBytes = 64 << 20
+)
 
 func (o Options) withDefaults() Options {
-	if o.GroupWindow <= 0 {
-		o.GroupWindow = 2 * time.Millisecond
+	if o.groupWindow <= 0 {
+		o.groupWindow = groupWindow
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = segmentBytes
 	}
 	return o
 }
@@ -259,7 +265,7 @@ func (l *Log) committer() {
 		// Batch mode: let the group fill until the byte threshold or the
 		// window expires, unless someone needs the sync now.
 		if l.opts.Mode == ModeBatch && !l.urgent && !l.closed && len(l.pending) < groupBytes {
-			if wait := l.opts.GroupWindow - time.Since(l.pendingSince); wait > 0 {
+			if wait := l.opts.groupWindow - time.Since(l.pendingSince); wait > 0 {
 				l.mu.Unlock()
 				time.Sleep(wait)
 				l.mu.Lock()
@@ -293,7 +299,7 @@ func (l *Log) committer() {
 }
 
 // commit writes one group to the active segment, syncs it (unless mode is
-// off) and rolls the segment when it outgrows SegmentBytes.
+// off) and rolls the segment when it outgrows segmentBytes.
 func (l *Log) commit(buf []byte, lastEpoch uint64) error {
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
@@ -308,7 +314,7 @@ func (l *Log) commit(buf []byte, lastEpoch uint64) error {
 		}
 		l.fsyncs.Add(1)
 	}
-	if l.segSize >= l.opts.SegmentBytes {
+	if l.segSize >= l.opts.segmentBytes {
 		return l.rollLocked()
 	}
 	return nil

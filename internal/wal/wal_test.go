@@ -123,7 +123,7 @@ func TestRecordRoundTrip(t *testing.T) {
 func TestRecoverNoCheckpoint(t *testing.T) {
 	const batches, perBatch = 12, 24
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Mode: ModeBatch, GroupWindow: time.Millisecond}
+	opts := Options{Dir: dir, Mode: ModeBatch}
 
 	g, l, err := Open(opts, testBase)
 	if err != nil {
@@ -157,6 +157,64 @@ func TestRecoverNoCheckpoint(t *testing.T) {
 	requireEqualGraphs(t, oracle(t, batches, perBatch), g2)
 }
 
+// TestRecoveryCompactsWhereTheLiveRunDid: Apply and Replay share one
+// compaction trigger, so a log replayed from its first batch rebuilds the
+// live run's representation, not only its logical state: the same number of
+// compactions, the same delta arcs and the same base. The stream only adds,
+// so no base arc is ever deleted and a graph's base holds NumArcs −
+// DeltaArcs arcs.
+func TestRecoveryCompactsWhereTheLiveRunDid(t *testing.T) {
+	const batches, perBatch = 48, 64
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Mode: ModeBatch}
+	g, l, err := Open(opts, testBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.N()
+	var liveBase int64 // the base after the live run's last compaction
+	for i := 1; i <= batches; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		batch := make([]dyn.Mutation, perBatch)
+		for j := range batch {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n-1))
+			if v >= u {
+				v++
+			}
+			batch[j] = dyn.AddEdge(u, v)
+		}
+		res, err := g.Apply(batch, dyn.TxConfig{})
+		if err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+		if res.Compacted {
+			liveBase = g.NumArcs()
+		}
+	}
+	live, liveDelta, liveArcs := g.Stats().Compactions, g.Snapshot().DeltaArcs(), g.NumArcs()
+	if live < 2 || liveArcs-liveDelta != liveBase {
+		t.Fatalf("live run: %d compactions, base of %d arcs (last compaction left %d): want two or more, and the base to be NumArcs − DeltaArcs",
+			live, liveArcs-liveDelta, liveBase)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2, l2, err := Open(opts, testBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if rs := l2.Recovery(); rs.ReplayedBatches != batches {
+		t.Fatalf("replayed %d batches, want %d", rs.ReplayedBatches, batches)
+	}
+	got, gotDelta := g2.Stats().Compactions, g2.Snapshot().DeltaArcs()
+	if got != live || gotDelta != liveDelta || g2.NumArcs()-gotDelta != liveBase {
+		t.Fatalf("recovered %d compactions, %d delta arcs, base of %d arcs; the live run %d, %d, %d",
+			got, gotDelta, g2.NumArcs()-gotDelta, live, liveDelta, liveBase)
+	}
+}
+
 // TestParseModeRoundTrips: every mode's flag name parses back to the mode,
 // and any other name is an error naming the accepted ones.
 func TestParseModeRoundTrips(t *testing.T) {
@@ -175,7 +233,7 @@ func TestRecoverAllModes(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			const batches, perBatch = 6, 16
 			dir := t.TempDir()
-			opts := Options{Dir: dir, Mode: mode, GroupWindow: time.Millisecond}
+			opts := Options{Dir: dir, Mode: mode}
 			g, l, err := Open(opts, testBase)
 			if err != nil {
 				t.Fatal(err)
@@ -205,7 +263,7 @@ func TestRecoverAllModes(t *testing.T) {
 
 func TestGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Mode: ModeBatch, GroupWindow: 20 * time.Millisecond}
+	opts := Options{Dir: dir, Mode: ModeBatch, groupWindow: 20 * time.Millisecond}
 	g, l, err := Open(opts, testBase)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +304,7 @@ func TestCheckpointTruncatesAndRecovers(t *testing.T) {
 	const batches, perBatch = 20, 24
 	dir := t.TempDir()
 	// Tiny segments force rolls, so the checkpoint has something to delete.
-	opts := Options{Dir: dir, Mode: ModeBatch, GroupWindow: time.Millisecond, SegmentBytes: 2048}
+	opts := Options{Dir: dir, Mode: ModeBatch, segmentBytes: 2048}
 
 	g, l, err := Open(opts, testBase)
 	if err != nil {
@@ -326,7 +384,7 @@ func TestHostileSnapshotHeader(t *testing.T) {
 
 func TestAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Mode: ModeBatch, GroupWindow: time.Millisecond, CheckpointEvery: 5}
+	opts := Options{Dir: dir, Mode: ModeBatch, CheckpointEvery: 5}
 	g, l, err := Open(opts, testBase)
 	if err != nil {
 		t.Fatal(err)
