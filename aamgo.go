@@ -147,7 +147,8 @@ type Config struct {
 	// hardware thread count).
 	Nodes   int
 	Threads int
-	// Mechanism isolates activities: HTM (default), Atomic, or Lock.
+	// Mechanism isolates activities: HTM (default), Atomic, Lock,
+	// Optimistic or FlatCombining.
 	Mechanism Mechanism
 	// M is the coarsening factor: operators per transaction (default 16).
 	M int

@@ -3,10 +3,12 @@ package aamgo_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"aamgo"
+	"aamgo/internal/algo"
 	"aamgo/internal/shard"
 )
 
@@ -616,5 +618,80 @@ func TestShardedIrregularFacade(t *testing.T) {
 	}
 	if _, err := shard.MST(kron(t), shard.Config{Shards: 2}); err == nil {
 		t.Fatal("unweighted shard.MST accepted")
+	}
+}
+
+// TestFlatCombiningOnSmallGraphs runs every aam-engine façade call under
+// FlatCombining on a graph with fewer vertices than the combining
+// structure has words (1+2T at LockBase): each program's node memory must
+// reserve the lock region for the machine's T, not only one word per
+// vertex. Answers are held to the same call under HTM, and the coloring,
+// which is only valid and not unique, to the sequential check.
+func TestFlatCombiningOnSmallGraphs(t *testing.T) {
+	b := aamgo.NewBuilder(6).WithWeights(func(u, v int32) uint32 { return uint32(u+v) + 1 })
+	for v := int32(0); v < 5; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.Build()
+	calls := []struct {
+		name string
+		run  func(c aamgo.Config) (any, error)
+	}{
+		{"BFS", func(c aamgo.Config) (any, error) {
+			res, err := aamgo.BFS(g, 0, c)
+			return res.Parents, err
+		}},
+		{"PageRank", func(c aamgo.Config) (any, error) {
+			ranks, _, err := aamgo.PageRank(g, 0.85, 5, c)
+			return ranks, err
+		}},
+		{"Components", func(c aamgo.Config) (any, error) {
+			labels, _, err := aamgo.Components(g, c)
+			return labels, err
+		}},
+		{"SSSP", func(c aamgo.Config) (any, error) {
+			dists, _, err := aamgo.SSSP(g, 0, c)
+			return dists, err
+		}},
+		{"MST", func(c aamgo.Config) (any, error) {
+			weight, labels, _, err := aamgo.MST(g, c)
+			return fmt.Sprint(weight, labels), err
+		}},
+		{"Connected", func(c aamgo.Config) (any, error) {
+			ok, _, err := aamgo.Connected(g, 0, 5, c)
+			return ok, err
+		}},
+		{"MaxFlow", func(c aamgo.Config) (any, error) {
+			flow, _, err := aamgo.MaxFlow(g, 0, 5, c)
+			return flow, err
+		}},
+	}
+	for _, shape := range []struct {
+		machine string
+		threads int
+	}{{"has-c", 1}, {"has-c", 8}, {"bgq", 64}} {
+		cfg := aamgo.Config{Engine: aamgo.EngineAAM, Machine: shape.machine, Threads: shape.threads, Seed: 5}
+		fc := cfg
+		fc.Mechanism = aamgo.FlatCombining
+		for _, call := range calls {
+			want, err := call.run(cfg)
+			if err != nil {
+				t.Fatalf("%s %s T=%d HTM: %v", call.name, shape.machine, shape.threads, err)
+			}
+			got, err := call.run(fc)
+			if err != nil {
+				t.Fatalf("%s %s T=%d: %v", call.name, shape.machine, shape.threads, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s T=%d: flat combining %v, HTM %v", call.name, shape.machine, shape.threads, got, want)
+			}
+		}
+		colors, _, _, err := aamgo.Coloring(g, fc)
+		if err != nil {
+			t.Fatalf("Coloring %s T=%d: %v", shape.machine, shape.threads, err)
+		}
+		if !algo.ValidColoring(g, colors) {
+			t.Errorf("Coloring %s T=%d: improper coloring %v", shape.machine, shape.threads, colors)
+		}
 	}
 }

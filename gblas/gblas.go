@@ -116,12 +116,12 @@ var (
 	EnginePageRank = gblas.EnginePageRank
 )
 
-// Machine constructs a machine sized for the system sys on the named
-// backend ("sim" or "native") and machine profile ("bgq", "has-c",
-// "has-p").
+// Machine constructs a machine sized with sys.MemWordsFor(threads) on the
+// named backend ("sim" or "native") and machine profile ("bgq", "has-c",
+// "has-p"); threads <= 0 means the profile's hardware thread count.
 func Machine(sys interface {
 	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
-	MemWords() int
+	MemWordsFor(T int) int
 }, backend, machine string, nodes, threads int, seed int64) (exec.Machine, error) {
 	prof, err := exec.ProfileByName(machine)
 	if err != nil {
@@ -131,7 +131,7 @@ func Machine(sys interface {
 		threads = prof.MaxThreads
 	}
 	return run.New(backend, exec.Config{
-		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWords(),
+		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWordsFor(threads),
 		Profile: &prof, Handlers: sys.Handlers(nil), Seed: seed,
 	}), nil
 }

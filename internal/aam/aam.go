@@ -112,8 +112,8 @@ type Config struct {
 	HTM *exec.HTMProfile
 	// Part maps global vertices to owner nodes (1-D distribution).
 	Part graph.Partition
-	// LockBase is the node-memory base of the per-vertex lock region
-	// (MechLock only).
+	// LockBase is the node-memory base of the lock region (MechLock,
+	// MechOptimistic and MechFlatCombining), LockWords words long.
 	LockBase int
 
 	// AutoM enables the online selection of M (§7 future work): the

@@ -54,6 +54,12 @@ func (f *fcNode) doneAddr(t int) int  { return f.base + 1 + f.T + t }
 // T threads.
 func fcWords(T int) int { return 1 + 2*T }
 
+// LockWords returns the size of the lock region at Config.LockBase for a
+// node that owns L vertices and runs T threads: one word per vertex for
+// MechLock and MechOptimistic, and the combining structure for
+// MechFlatCombining. A program's memory ends there.
+func LockWords(L, T int) int { return max(L, fcWords(T)) }
+
 // fcFor returns (creating on first use) the combining structure of ctx's
 // node. Engines of one node share one fcNode; the runtime mutex guards only
 // creation.

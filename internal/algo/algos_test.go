@@ -9,14 +9,17 @@ import (
 	"aamgo/internal/run"
 )
 
-func simFor(memWords, nodes, threads int, handlers []exec.HandlerFunc, prof exec.MachineProfile) exec.Machine {
+func simFor(p interface {
+	MemWordsFor(T int) int
+	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
+}, nodes, threads int, prof exec.MachineProfile) exec.Machine {
 	return run.New(run.Sim, exec.Config{
 		Nodes:          nodes,
 		ThreadsPerNode: threads,
-		MemWords:       memWords,
+		MemWords:       p.MemWordsFor(threads),
 		Profile:        &prof,
 		Seed:           3,
-		Handlers:       handlers,
+		Handlers:       p.Handlers(nil),
 	})
 }
 
@@ -40,7 +43,7 @@ func TestBoruvkaMatchesKruskal(t *testing.T) {
 		g := weightedGraph(seed)
 		want := SeqMSTWeight(g)
 		bo := NewBoruvka(g)
-		m := simFor(bo.MemWords(), 1, 4, bo.Handlers(nil), exec.HaswellC())
+		m := simFor(bo, 1, 4, exec.HaswellC())
 		m.Run(bo.Body(aam.Config{M: 1, Mechanism: aam.MechHTM}))
 		if got := bo.Weight(m); got != want {
 			t.Fatalf("seed %d: MST weight = %d, want %d", seed, got, want)
@@ -65,7 +68,7 @@ func TestBoruvkaCoarsened(t *testing.T) {
 	g := weightedGraph(7)
 	want := SeqMSTWeight(g)
 	bo := NewBoruvka(g)
-	m := simFor(bo.MemWords(), 1, 2, bo.Handlers(nil), exec.BGQ())
+	m := simFor(bo, 1, 2, exec.BGQ())
 	res := m.Run(bo.Body(aam.Config{M: 4, Mechanism: aam.MechHTM}))
 	if got := bo.Weight(m); got != want {
 		t.Fatalf("MST weight = %d, want %d", got, want)
@@ -89,7 +92,7 @@ func TestSTConnConnectedAndNot(t *testing.T) {
 	g := b.Build()
 	check := func(s, d int, want bool, nodes, threads int) {
 		sc := NewSTConn(g, nodes)
-		m := simFor(sc.MemWords(), nodes, threads, sc.Handlers(nil), exec.HaswellC())
+		m := simFor(sc, nodes, threads, exec.HaswellC())
 		m.Run(sc.Body(s, d, aam.Config{M: 4, C: 8, Mechanism: aam.MechHTM}))
 		if got := sc.Connected(m); got != want {
 			t.Fatalf("connected(%d,%d) = %v, want %v", s, d, got, want)
@@ -107,7 +110,7 @@ func TestSTConnConnectedAndNot(t *testing.T) {
 func TestSTConnSameVertex(t *testing.T) {
 	g := graph.Kronecker(6, 4, 3)
 	sc := NewSTConn(g, 1)
-	m := simFor(sc.MemWords(), 1, 2, sc.Handlers(nil), exec.HaswellC())
+	m := simFor(sc, 1, 2, exec.HaswellC())
 	m.Run(sc.Body(5, 5, aam.Config{M: 2, Mechanism: aam.MechHTM}))
 	if !sc.Connected(m) {
 		t.Fatal("vertex must be connected to itself")
@@ -139,7 +142,7 @@ func TestSTConnOnKronecker(t *testing.T) {
 			continue
 		}
 		sc := NewSTConn(g, 1)
-		m := simFor(sc.MemWords(), 1, 4, sc.Handlers(nil), exec.BGQ())
+		m := simFor(sc, 1, 4, exec.BGQ())
 		m.Run(sc.Body(src, tc.dst, aam.Config{M: 8, Mechanism: aam.MechHTM}))
 		if got := sc.Connected(m); got != tc.want {
 			t.Fatalf("connected(%d,%d) = %v, want %v", src, tc.dst, got, tc.want)
@@ -153,7 +156,7 @@ func TestColoringIsProper(t *testing.T) {
 	for _, seed := range []int64{1, 9} {
 		g := graph.Kronecker(8, 6, seed)
 		c := NewColoring(g)
-		m := simFor(c.MemWords(), 1, 4, c.Handlers(nil), exec.HaswellC())
+		m := simFor(c, 1, 4, exec.HaswellC())
 		m.Run(c.Body(aam.Config{M: 4, Mechanism: aam.MechHTM}, 0))
 		colors, used := c.Colors(m)
 		for v := range colors {
@@ -192,7 +195,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	want := SeqSSSP(g, src)
 	for _, nodes := range []int{1, 2} {
 		s := NewSSSP(g, nodes)
-		m := simFor(s.MemWords(), nodes, 2, s.Handlers(nil), exec.HaswellC())
+		m := simFor(s, nodes, 2, exec.HaswellC())
 		m.Run(s.Body(src, aam.Config{M: 4, C: 8, Mechanism: aam.MechHTM}))
 		got := s.Dists(m)
 		for v := range want {
@@ -210,7 +213,7 @@ func TestCCMatchesReference(t *testing.T) {
 	want := SeqComponents(g)
 	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
 		c := NewCC(g, 2)
-		m := simFor(c.MemWords(), 2, 2, c.Handlers(nil), exec.BGQ())
+		m := simFor(c, 2, 2, exec.BGQ())
 		m.Run(c.Body(aam.Config{M: 8, C: 16, Mechanism: mech}))
 		got := c.Labels(m)
 		for v := range want {

@@ -34,8 +34,8 @@ type BFSConfig struct {
 }
 
 // BFS is a prepared breadth-first search: construct with NewBFS, splice
-// Handlers into the machine config, size memory with MemWords, run Body
-// SPMD, then read results with Parents.
+// Handlers into the machine config, size memory with MemWordsFor(T), run
+// Body SPMD, then read results with Parents.
 //
 // The algorithm is level-synchronized. Each node owns a contiguous vertex
 // block (1-D partition); frontier queues are segmented per thread — as in
@@ -52,16 +52,8 @@ type BFS struct {
 	markOp     int
 	markFastOp int
 
-	L      int // per-node vertex block size
-	segLen int // frontier segment words per thread (L plus duplicate slack)
-	T      int // threads per node
-
-	// Node-memory layout (per node).
-	parentBase int    // L words: parent+1, 0 = unvisited
-	qBase      [2]int // T segments of L words each
-	tailBase   [2]int // T per-thread tails
-	parityAddr int
-	lockBase   int // MechLock region
+	L int // per-node vertex block size
+	bfsLayout
 
 	// LevelTimes records the per-level durations observed by thread 0
 	// (Figure 1). Written only by global thread 0.
@@ -157,19 +149,28 @@ func (b *BFS) txPush(tx exec.Tx, ctx exec.Context, lv int) {
 // do not false-share.
 const tailStride = 8
 
-// layout computes the memory map once the thread count is known. Frontier
+// bfsLayout is the per-node memory map, which depends on the thread count.
+type bfsLayout struct {
+	segLen     int    // frontier segment words per thread (L plus duplicate slack)
+	parentBase int    // L words: parent+1, 0 = unvisited
+	qBase      [2]int // T segments of segLen words each
+	tailBase   [2]int // T per-thread tails
+	parityAddr int
+	lockBase   int // the engine's lock region, aam.LockWords(L, T) words
+}
+
+// layout computes the memory map for T threads per node. Frontier
 // segments carry 1/8 slack for duplicate pushes from stale visited checks.
-func (b *BFS) layout(T int) {
-	b.T = T
-	b.segLen = b.L + b.L/8 + 16
-	b.parentBase = 0
-	b.qBase[0] = b.L
-	b.qBase[1] = b.L + T*b.segLen
-	b.tailBase[0] = b.L + 2*T*b.segLen
-	b.tailBase[1] = b.tailBase[0] + T*tailStride
-	b.parityAddr = b.tailBase[1] + T*tailStride
-	b.lockBase = b.parityAddr + 8
-	b.Cfg.Engine.LockBase = b.lockBase
+func (b *BFS) layout(T int) bfsLayout {
+	var l bfsLayout
+	l.segLen = b.L + b.L/8 + 16
+	l.parentBase = 0
+	l.qBase = [2]int{b.L, b.L + T*l.segLen}
+	l.tailBase[0] = b.L + 2*T*l.segLen
+	l.tailBase[1] = l.tailBase[0] + T*tailStride
+	l.parityAddr = l.tailBase[1] + T*tailStride
+	l.lockBase = l.parityAddr + 8
+	return l
 }
 
 // push appends a local vertex to this thread's segment of queue parity q.
@@ -184,14 +185,12 @@ func (b *BFS) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return b.rt.Handlers(existing)
 }
 
-// MemWordsFor returns the node memory size for T threads per node.
-func (b *BFS) MemWordsFor(T int) int {
-	seg := b.L + b.L/8 + 16
-	return b.L + 2*T*seg + 2*T*tailStride + 8 + 8 + b.L
-}
+// MemWordsFor returns the node memory size for T threads per node: the
+// layout up to its lock region, then the region itself.
+func (b *BFS) MemWordsFor(T int) int { return b.layout(T).lockBase + aam.LockWords(b.L, T) }
 
-// MemWords returns the node memory size assuming the profile's maximum
-// thread count (safe upper bound for any T at the same graph size).
+// MemWords returns MemWordsFor(64), the largest thread count of any
+// profile. Only the benchmark module's trace sizes with it.
 func (b *BFS) MemWords() int { return b.MemWordsFor(64) }
 
 // Body returns the SPMD run body for the given source vertex.
@@ -203,7 +202,8 @@ func (b *BFS) run(ctx exec.Context, source int) {
 	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	if lid == 0 && ctx.NodeID() == 0 {
-		b.layout(T)
+		b.bfsLayout = b.layout(T)
+		b.Cfg.Engine.LockBase = b.lockBase
 	}
 	ctx.Barrier() // publish layout (host-side, free)
 	var eng *aam.Engine

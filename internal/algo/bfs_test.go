@@ -15,7 +15,7 @@ func runBFS(t *testing.T, backend string, g *graph.Graph, nodes, threads, src in
 	mcfg := exec.Config{
 		Nodes:          nodes,
 		ThreadsPerNode: threads,
-		MemWords:       b.MemWords(),
+		MemWords:       b.MemWordsFor(threads),
 		Profile:        &prof,
 		Seed:           1,
 		Handlers:       b.Handlers(nil),
@@ -150,6 +150,7 @@ func TestBFSLevelTimesRecorded(t *testing.T) {
 		VisitedCheck: true,
 	})
 	prof := exec.BGQ()
+	// Sized with MemWords(), as the benchmark module's trace sizes it.
 	m := run.New(run.Sim, exec.Config{
 		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWords(),
 		Profile: &prof, Seed: 1, Handlers: b.Handlers(nil),

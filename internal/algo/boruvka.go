@@ -43,6 +43,7 @@ type Boruvka struct {
 	weightAddr int // accumulated MST weight
 	mergesAddr int // merges this round
 	failsAddr  int // merge failures this round (retried next round)
+	lockBase   int // the engine's lock region
 }
 
 // NewBoruvka prepares a Boruvka MST run over g (single node).
@@ -57,6 +58,7 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 	b.weightAddr = 2 * L
 	b.mergesAddr = 2*L + 1
 	b.failsAddr = 2*L + 2
+	b.lockBase = 2*L + 64
 
 	b.edgeSrc = make([]int32, len(g.Adj))
 	for v := 0; v < g.N; v++ {
@@ -155,13 +157,13 @@ func (b *Boruvka) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return b.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size Boruvka needs.
-func (b *Boruvka) MemWords() int { return 2*b.L + 64 + b.L } // + lock region
+// MemWordsFor returns the node memory size for T threads.
+func (b *Boruvka) MemWordsFor(T int) int { return b.lockBase + aam.LockWords(b.L, T) }
 
 // Body returns the SPMD body; cfg tunes the engine (single node).
 func (b *Boruvka) Body(engineCfg aam.Config) func(ctx exec.Context) {
 	engineCfg.Part = graph.NewPartition(b.G.N, 1)
-	engineCfg.LockBase = 2*b.L + 64
+	engineCfg.LockBase = b.lockBase
 	return func(ctx exec.Context) { b.run(ctx, engineCfg) }
 }
 

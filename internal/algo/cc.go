@@ -22,6 +22,7 @@ type CC struct {
 	L           int
 	labelBase   int
 	changedAddr int
+	lockBase    int
 }
 
 // NewCC prepares a connected-components run over g distributed across
@@ -31,6 +32,7 @@ func NewCC(g *graph.Graph, nodes int) *CC {
 	c := &CC{G: g, Part: part, L: part.MaxLocal()}
 	c.labelBase = 0
 	c.changedAddr = c.L
+	c.lockBase = c.L + 64
 
 	c.rt = aam.NewRuntime()
 	c.minOp = c.rt.Register(&aam.Op{
@@ -70,13 +72,13 @@ func (c *CC) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return c.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size CC needs.
-func (c *CC) MemWords() int { return c.L + 64 + c.L }
+// MemWordsFor returns the node memory size for T threads per node.
+func (c *CC) MemWordsFor(T int) int { return c.lockBase + aam.LockWords(c.L, T) }
 
 // Body returns the SPMD body.
 func (c *CC) Body(engineCfg aam.Config) func(ctx exec.Context) {
 	engineCfg.Part = c.Part
-	engineCfg.LockBase = c.L + 64
+	engineCfg.LockBase = c.lockBase
 	return func(ctx exec.Context) { c.run(ctx, engineCfg) }
 }
 

@@ -23,11 +23,13 @@ type Coloring struct {
 	colorOp int
 
 	L int
-	// Layout: colors, double-buffered work queues + tails, parity.
+	// Layout: colors, double-buffered work queues + tails, parity, the
+	// engine's lock region.
 	colorBase  int
 	qBase      [2]int
 	tailAddr   [2]int
 	parityAddr int
+	lockBase   int
 }
 
 // noVertex mirrors the paper's NO_VERTEX_ID.
@@ -38,11 +40,10 @@ func NewColoring(g *graph.Graph) *Coloring {
 	L := g.N
 	c := &Coloring{G: g, L: L}
 	c.colorBase = 0
-	c.qBase[0] = L
-	c.qBase[1] = 2 * L
-	c.tailAddr[0] = 3 * L
-	c.tailAddr[1] = 3*L + 1
+	c.qBase = [2]int{L, 2 * L}
+	c.tailAddr = [2]int{3 * L, 3*L + 1}
 	c.parityAddr = 3*L + 2
+	c.lockBase = 4*L + 64
 
 	c.rt = aam.NewRuntime()
 	c.colorOp = c.rt.Register(&aam.Op{
@@ -94,13 +95,13 @@ func (c *Coloring) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return c.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size Coloring needs.
-func (c *Coloring) MemWords() int { return 4*c.L + 64 + c.L }
+// MemWordsFor returns the node memory size for T threads.
+func (c *Coloring) MemWordsFor(T int) int { return c.lockBase + aam.LockWords(c.L, T) }
 
 // Body returns the SPMD body. maxRounds bounds the repair iterations.
 func (c *Coloring) Body(engineCfg aam.Config, maxRounds int) func(ctx exec.Context) {
 	engineCfg.Part = graph.NewPartition(c.G.N, 1)
-	engineCfg.LockBase = 4*c.L + 64
+	engineCfg.LockBase = c.lockBase
 	if maxRounds <= 0 {
 		maxRounds = 200
 	}

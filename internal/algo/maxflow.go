@@ -22,8 +22,8 @@ import (
 // one arc frees capacity on its reverse).
 
 // MaxFlow is a prepared max-flow computation: construct with NewMaxFlow,
-// splice Handlers, size memory with MemWords, run Body SPMD, read the
-// result with Value. Single node (augmentation is a serial path walk);
+// splice Handlers, size memory with MemWordsFor(T), run Body SPMD, read
+// the result with Value. Single node (augmentation is a serial path walk);
 // the BFS phases use all T threads.
 type MaxFlow struct {
 	G *graph.Graph
@@ -36,12 +36,14 @@ type MaxFlow struct {
 	rt     *aam.Runtime
 	markOp int
 
-	N      int
-	A      int // number of arcs
-	segLen int
-	T      int
+	N int
+	A int // number of arcs
+	mfLayout
+}
 
-	// Node-memory layout.
+// mfLayout is the node-memory map, which depends on the thread count.
+type mfLayout struct {
+	segLen     int
 	resBase    int // A words: residual capacities
 	parentBase int // N words: arc id + 1 that discovered the vertex, 0 = unvisited
 	qBase      [2]int
@@ -49,7 +51,7 @@ type MaxFlow struct {
 	parityAddr int
 	flowAddr   int // accumulated flow value
 	doneAddr   int // 1 when no augmenting path remains
-	lockBase   int
+	lockBase   int // the engine's lock region, aam.LockWords(N, T) words
 }
 
 // NewMaxFlow prepares the computation over g's weights as capacities.
@@ -131,29 +133,25 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 
 const mfTailStride = 8
 
-func (f *MaxFlow) layout(T int) {
-	f.T = T
-	f.segLen = f.N + f.N/8 + 16
-	f.resBase = 0
-	f.parentBase = f.A
-	f.qBase[0] = f.A + f.N
-	f.qBase[1] = f.qBase[0] + T*f.segLen
-	f.tailBase[0] = f.qBase[1] + T*f.segLen
-	f.tailBase[1] = f.tailBase[0] + T*mfTailStride
-	f.parityAddr = f.tailBase[1] + T*mfTailStride
-	f.flowAddr = f.parityAddr + 8
-	f.doneAddr = f.flowAddr + 8
-	f.lockBase = f.doneAddr + 8
+func (f *MaxFlow) layout(T int) mfLayout {
+	var l mfLayout
+	l.segLen = f.N + f.N/8 + 16
+	l.resBase = 0
+	l.parentBase = f.A
+	l.qBase[0] = f.A + f.N
+	l.qBase[1] = l.qBase[0] + T*l.segLen
+	l.tailBase[0] = l.qBase[1] + T*l.segLen
+	l.tailBase[1] = l.tailBase[0] + T*mfTailStride
+	l.parityAddr = l.tailBase[1] + T*mfTailStride
+	l.flowAddr = l.parityAddr + 8
+	l.doneAddr = l.flowAddr + 8
+	l.lockBase = l.doneAddr + 8
+	return l
 }
 
-// MemWordsFor returns the node-memory size for T threads.
-func (f *MaxFlow) MemWordsFor(T int) int {
-	seg := f.N + f.N/8 + 16
-	return f.A + f.N + 2*T*seg + 2*T*mfTailStride + 24 + f.N
-}
-
-// MemWords sizes memory for up to 64 threads.
-func (f *MaxFlow) MemWords() int { return f.MemWordsFor(64) }
+// MemWordsFor returns the node-memory size for T threads: the layout up
+// to its lock region, then the region itself.
+func (f *MaxFlow) MemWordsFor(T int) int { return f.layout(T).lockBase + aam.LockWords(f.N, T) }
 
 // Handlers splices the runtime handlers into existing.
 func (f *MaxFlow) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
@@ -187,7 +185,7 @@ func (f *MaxFlow) run(ctx exec.Context, s, t int, engCfg aam.Config) {
 	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	if lid == 0 {
-		f.layout(T)
+		f.mfLayout = f.layout(T)
 	}
 	ctx.Barrier()
 	engCfg.Part = graph.NewPartition(f.N, 1)

@@ -36,7 +36,7 @@ func runMaxFlow(t *testing.T, g *graph.Graph, s, dst, threads int, cfg aam.Confi
 	f := NewMaxFlow(g)
 	prof := exec.BGQ()
 	m := sim.New(exec.Config{
-		Nodes: 1, ThreadsPerNode: threads, MemWords: f.MemWords(),
+		Nodes: 1, ThreadsPerNode: threads, MemWords: f.MemWordsFor(threads),
 		Profile: &prof, Handlers: f.Handlers(nil), Seed: 3,
 	})
 	m.Run(f.Body(s, dst, cfg))

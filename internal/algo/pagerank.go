@@ -49,8 +49,7 @@ func NewPageRank(g *graph.Graph, nodes int, cfg PRConfig) *PageRank {
 	part := graph.NewPartition(g.N, nodes)
 	L := part.MaxLocal()
 	p := &PageRank{G: g, Part: part, Cfg: cfg, L: L}
-	p.rankBase[0] = 0
-	p.rankBase[1] = L
+	p.rankBase = [2]int{0, L}
 	p.Cfg.Engine.Part = part
 	p.Cfg.Engine.LockBase = 2*L + 8
 
@@ -76,8 +75,8 @@ func (p *PageRank) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return p.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size PageRank needs.
-func (p *PageRank) MemWords() int { return 2*p.L + p.L + 64 } // ranks + lock region
+// MemWordsFor returns the node memory size for T threads per node.
+func (p *PageRank) MemWordsFor(T int) int { return p.Cfg.Engine.LockBase + aam.LockWords(p.L, T) }
 
 // Body returns the SPMD run body.
 func (p *PageRank) Body() func(ctx exec.Context) {

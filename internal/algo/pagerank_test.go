@@ -16,7 +16,7 @@ func runPR(t *testing.T, backend string, g *graph.Graph, nodes, threads int, cfg
 	m := run.New(backend, exec.Config{
 		Nodes:          nodes,
 		ThreadsPerNode: threads,
-		MemWords:       p.MemWords(),
+		MemWords:       p.MemWordsFor(threads),
 		Profile:        &prof,
 		Seed:           2,
 		Handlers:       p.Handlers(nil),

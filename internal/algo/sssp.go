@@ -25,6 +25,7 @@ type SSSP struct {
 
 	L        int
 	distBase int
+	lockBase int
 }
 
 // NewSSSP prepares an SSSP run over g distributed across nodes.
@@ -35,6 +36,7 @@ func NewSSSP(g *graph.Graph, nodes int) *SSSP {
 	part := graph.NewPartition(g.N, nodes)
 	s := &SSSP{G: g, Part: part, L: part.MaxLocal()}
 	s.distBase = 0
+	s.lockBase = s.L + 64
 
 	s.rt = aam.NewRuntime()
 	s.relaxOp = s.rt.Register(&aam.Op{
@@ -82,13 +84,13 @@ func (s *SSSP) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return s.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size SSSP needs.
-func (s *SSSP) MemWords() int { return s.L + 64 + s.L }
+// MemWordsFor returns the node memory size for T threads per node.
+func (s *SSSP) MemWordsFor(T int) int { return s.lockBase + aam.LockWords(s.L, T) }
 
 // Body returns the SPMD body relaxing from src.
 func (s *SSSP) Body(src int, engineCfg aam.Config) func(ctx exec.Context) {
 	engineCfg.Part = s.Part
-	engineCfg.LockBase = s.L + 64
+	engineCfg.LockBase = s.lockBase
 	return func(ctx exec.Context) { s.run(ctx, src, engineCfg) }
 }
 

@@ -21,12 +21,13 @@ type STConn struct {
 
 	L int
 	// Layout: colors, double-buffered frontier of packed (v<<2|color),
-	// tails, parity, found flag.
+	// tails, parity, found flag, the engine's lock region.
 	colorBase  int
 	qBase      [2]int
 	tailAddr   [2]int
 	parityAddr int
 	foundAddr  int
+	lockBase   int
 }
 
 // Colors.
@@ -43,12 +44,11 @@ func NewSTConn(g *graph.Graph, nodes int) *STConn {
 	L := part.MaxLocal()
 	s := &STConn{G: g, Part: part, L: L}
 	s.colorBase = 0
-	s.qBase[0] = L
-	s.qBase[1] = 2 * L
-	s.tailAddr[0] = 3 * L
-	s.tailAddr[1] = 3*L + 1
+	s.qBase = [2]int{L, 2 * L}
+	s.tailAddr = [2]int{3 * L, 3*L + 1}
 	s.parityAddr = 3*L + 2
 	s.foundAddr = 3*L + 3
+	s.lockBase = 4*L + 64
 
 	s.rt = aam.NewRuntime()
 	s.visitOp = s.rt.Register(&aam.Op{
@@ -109,13 +109,13 @@ func (s *STConn) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return s.rt.Handlers(existing)
 }
 
-// MemWords returns the node memory size STConn needs.
-func (s *STConn) MemWords() int { return 4*s.L + 64 + s.L }
+// MemWordsFor returns the node memory size for T threads per node.
+func (s *STConn) MemWordsFor(T int) int { return s.lockBase + aam.LockWords(s.L, T) }
 
 // Body returns the SPMD body deciding whether src and dst are connected.
 func (s *STConn) Body(src, dst int, engineCfg aam.Config) func(ctx exec.Context) {
 	engineCfg.Part = s.Part
-	engineCfg.LockBase = 4*s.L + 64
+	engineCfg.LockBase = s.lockBase
 	return func(ctx exec.Context) { s.run(ctx, src, dst, engineCfg) }
 }
 

@@ -56,14 +56,14 @@ func runFig1(o Options) *Report {
 		scale, g.NumEdges(), g.AvgDegree())
 	rep.Notef("AAM aborts: %d (%.1f%% of %d transactions)",
 		htm.Stats.TotalAborts(),
-		100*float64(htm.Stats.TotalAborts())/float64(max64(htm.Stats.TxStarted, 1)),
+		100*float64(htm.Stats.TotalAborts())/float64(max(htm.Stats.TxStarted, 1)),
 		htm.Stats.TxStarted)
 
 	// Shape: the bulk of the work is in the early phases of a power-law
 	// graph, and AAM wins overall and on the heavy phases.
 	rep.Checkf(phases >= 4 && firstA > sumA/2,
 		"power-law phase skew", "first 3 of %d atomics phases carry %.0f%% of the time",
-		phases, 100*float64(firstA)/float64(max64(int64(sumA), 1)))
+		phases, 100*float64(firstA)/float64(max(int64(sumA), 1)))
 	rep.Checkf(sumH < sumA, "aam beats atomics",
 		"total %s vs %s ms (speedup %.2f)", fmtMS(sumH), fmtMS(sumA), speedupF(sumA, sumH))
 	rep.Checkf(firstH < firstA, "aam wins heavy phases",

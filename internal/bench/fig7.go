@@ -107,7 +107,7 @@ func runAAMPR(o Options, prof exec.MachineProfile, g *graph.Graph, nodes, T, coa
 			HTM:       prof.HTMVariant("short"),
 		},
 	})
-	m := machine(prof, nodes, T, pr.MemWords(), pr.Handlers(nil), o.Seed)
+	m := machine(prof, nodes, T, pr.MemWordsFor(T), pr.Handlers(nil), o.Seed)
 	res := m.Run(pr.Body())
 	return res.Elapsed
 }

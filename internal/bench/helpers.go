@@ -133,11 +133,3 @@ func utoa(u uint64) string { return fmt.Sprintf("%d", u) }
 
 // ftoa formats a float with 3 decimals.
 func ftoa(f float64) string { return fmt.Sprintf("%.3f", f) }
-
-// max64 returns the larger of two values, accepting common integer types.
-func max64[T ~int64 | ~uint64](a, b T) T {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -388,15 +388,11 @@ func compact(s *Snapshot) *Snapshot {
 
 // run executes the edge mutations on a single-node abstract machine and
 // returns the machine result. Memory layout: [0,n) per-vertex version
-// words, then a 64-word pad, then the lock region (per-vertex locks for
-// MechLock/MechOptimistic, the combining structure for MechFlatCombining).
+// words, then a 64-word pad, then the aam.LockWords lock region
+// (per-vertex locks for MechLock/MechOptimistic, the combining structure
+// for MechFlatCombining).
 func (a *applier) run(prof exec.MachineProfile, cfg TxConfig, n int) exec.Result {
 	lockBase := n + 64
-	lockWords := n
-	if fc := 1 + 2*cfg.Threads; fc > lockWords {
-		lockWords = fc
-	}
-
 	a.rt = aam.NewRuntime()
 	a.addOp = a.rt.Register(a.edgeOp(KindAddEdge))
 	a.delOp = a.rt.Register(a.edgeOp(KindRemoveEdge))
@@ -413,7 +409,7 @@ func (a *applier) run(prof exec.MachineProfile, cfg TxConfig, n int) exec.Result
 	m := run.New(cfg.Runtime, exec.Config{
 		Nodes:          1,
 		ThreadsPerNode: cfg.Threads,
-		MemWords:       lockBase + lockWords + 64,
+		MemWords:       lockBase + aam.LockWords(n, cfg.Threads) + 64,
 		Profile:        &prof,
 		Handlers:       a.rt.Handlers(nil),
 		Seed:           cfg.Seed,

@@ -37,11 +37,11 @@ func htmEngine() aam.Config {
 
 func machineFor(sys interface {
 	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
-	MemWords() int
+	MemWordsFor(T int) int
 }, nodes, threads int, seed int64) exec.Machine {
 	prof := exec.BGQ()
 	return run.New(run.Sim, exec.Config{
-		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWords(),
+		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWordsFor(threads),
 		Profile: &prof, Handlers: sys.Handlers(nil), Seed: seed,
 	})
 }

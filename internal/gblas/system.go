@@ -21,7 +21,7 @@ func EdgeWeights(g *graph.Graph, v, i int, w int32) uint64 {
 type Config struct {
 	Semiring Semiring
 	// Engine is the AAM engine configuration (mechanism, M, C, HTM
-	// variant). Part and LockBase are filled in by New.
+	// variant). Part is filled in by New, LockBase by NewEngine.
 	Engine aam.Config
 	// Weight supplies a(v,w); nil means Semiring.One for every edge.
 	Weight WeightFunc
@@ -34,8 +34,8 @@ type Config struct {
 // accumulator vector y, an assignment vector, a touched bitmap, and
 // per-thread frontier segments, all in node memory, with the accumulation
 // operator registered on an AAM runtime. Construct with New, splice
-// Handlers into the machine config, size node memory with MemWords, then
-// drive steps from an SPMD body via NewEngine/Step (or use the prepared
+// Handlers into the machine config, size node memory with MemWordsFor(T),
+// then drive steps from an SPMD body via NewEngine/Step (or use the prepared
 // algorithms in this package).
 type System struct {
 	G    *graph.Graph
@@ -46,10 +46,13 @@ type System struct {
 	accPushOp int // FF&MF: accumulate, push on first touch
 	accOp     int // FF&AS: accumulate only (PageRank)
 
-	L      int
-	segLen int
-	T      int
+	L int
+	sysLayout
+}
 
+// sysLayout is the node-memory map, which depends on the thread count.
+type sysLayout struct {
+	segLen    int
 	yBase     int
 	auxBase   int // touched-this-run flags
 	assignees int // assignment vector (levels)
@@ -57,7 +60,7 @@ type System struct {
 	tailBase  [2]int
 	parityPos int
 	stepPos   int
-	lockBase  int
+	lockBase  int // the engine's lock region, aam.LockWords(L, T) words
 }
 
 const tailStride = 8
@@ -146,30 +149,24 @@ func (s *System) push(ctx exec.Context, q int, lv uint64) {
 }
 
 // layout computes the node-memory map for T threads.
-func (s *System) layout(T int) {
-	s.T = T
-	s.segLen = s.L + s.L/4 + 16
-	s.yBase = 0
-	s.auxBase = s.L
-	s.assignees = 2 * s.L
-	s.qBase[0] = 3 * s.L
-	s.qBase[1] = s.qBase[0] + T*s.segLen
-	s.tailBase[0] = s.qBase[1] + T*s.segLen
-	s.tailBase[1] = s.tailBase[0] + T*tailStride
-	s.parityPos = s.tailBase[1] + T*tailStride
-	s.stepPos = s.parityPos + 8
-	s.lockBase = s.stepPos + 8
-	s.Cfg.Engine.LockBase = s.lockBase
+func (s *System) layout(T int) sysLayout {
+	var l sysLayout
+	l.segLen = s.L + s.L/4 + 16
+	l.yBase = 0
+	l.auxBase = s.L
+	l.assignees = 2 * s.L
+	l.qBase = [2]int{3 * s.L, 3*s.L + T*l.segLen}
+	l.tailBase[0] = l.qBase[1] + T*l.segLen
+	l.tailBase[1] = l.tailBase[0] + T*tailStride
+	l.parityPos = l.tailBase[1] + T*tailStride
+	l.stepPos = l.parityPos + 8
+	l.lockBase = l.stepPos + 8
+	return l
 }
 
-// MemWordsFor returns the node-memory size for T threads per node.
-func (s *System) MemWordsFor(T int) int {
-	seg := s.L + s.L/4 + 16
-	return 3*s.L + 2*T*seg + 2*T*tailStride + 16 + s.L
-}
-
-// MemWords sizes node memory for the maximum supported thread count.
-func (s *System) MemWords() int { return s.MemWordsFor(64) }
+// MemWordsFor returns the node-memory size for T threads per node: the
+// layout up to its lock region, then the region itself.
+func (s *System) MemWordsFor(T int) int { return s.layout(T).lockBase + aam.LockWords(s.L, T) }
 
 // Handlers splices the system's AAM handlers into existing.
 func (s *System) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
@@ -180,7 +177,8 @@ func (s *System) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 // the SPMD body before Init/Step.
 func (s *System) NewEngine(ctx exec.Context) *aam.Engine {
 	if ctx.GlobalID() == 0 {
-		s.layout(ctx.ThreadsPerNode())
+		s.sysLayout = s.layout(ctx.ThreadsPerNode())
+		s.Cfg.Engine.LockBase = s.lockBase
 	}
 	ctx.Barrier() // publish layout (host-side, free)
 	return aam.NewEngine(s.rt, ctx, s.Cfg.Engine)
@@ -198,7 +196,7 @@ func (s *System) Init(ctx exec.Context, seeds []int, vals []uint64) {
 		ctx.Store(s.assignees+lv, 0)
 	}
 	if ctx.LocalID() == 0 {
-		for i := 0; i < s.T; i++ {
+		for i := range ctx.ThreadsPerNode() {
 			ctx.Store(s.tailBase[0]+i*tailStride, 0)
 			ctx.Store(s.tailBase[1]+i*tailStride, 0)
 		}

@@ -219,16 +219,17 @@ func (d *Descriptor) Run(eng string, g *graph.Graph, a Args, env Env) (Result, e
 
 // program is the shape every internal/algo AAM formulation shares.
 type program interface {
-	MemWords() int
+	MemWordsFor(T int) int
 	Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc
 }
 
 // RunAAM is the one "size the machine for the program → run.New → Run"
-// stanza of every aam path; the caller extracts results from the machine.
+// stanza of every aam path: each node holds p.MemWordsFor(e.Threads)
+// words. The caller extracts results from the machine.
 func (e Env) RunAAM(nodes int, p program, body func(exec.Context)) (exec.Machine, *exec.Result) {
 	m := run.New(e.Runtime, exec.Config{
 		Nodes: nodes, ThreadsPerNode: e.Threads,
-		MemWords: p.MemWords(), Profile: e.Profile,
+		MemWords: p.MemWordsFor(e.Threads), Profile: e.Profile,
 		Handlers: p.Handlers(nil), Seed: e.Seed,
 	})
 	res := m.Run(body)

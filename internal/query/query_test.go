@@ -322,3 +322,55 @@ func TestVerifyRejectsWrongAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAAMSizesForItsThreads pins the machine RunAAM builds for each aam
+// program: every node holds exactly p.MemWordsFor(e.Threads) words, and
+// the program runs in them under flat combining at a T whose combining
+// structure (1+2T words) outgrows a node's vertex block.
+func TestRunAAMSizesForItsThreads(t *testing.T) {
+	g := graph.AttachSymmetricWeights(graph.Kronecker(6, 4, 1), 3)
+	prof := exec.BGQ()
+	e := Env{Runtime: "sim", Profile: &prof, Nodes: 2, Threads: 16, Seed: 1,
+		AAM: aam.Config{M: 4, Mechanism: aam.MechFlatCombining}}
+	type aamRun struct {
+		nodes int
+		p     program
+		body  func(exec.Context)
+	}
+	// One row per aam cell of Registry, built as the cell builds it, plus
+	// the two programs the aamgo façade runs through RunAAM directly.
+	programs := map[string]func() aamRun{
+		"bfs": func() aamRun {
+			b := algo.NewBFS(g, e.Nodes, algo.BFSConfig{Mode: algo.BFSAAM, Engine: e.AAM, VisitedCheck: true})
+			return aamRun{e.Nodes, b, b.Body(0)}
+		},
+		"cc": func() aamRun { c := algo.NewCC(g, e.Nodes); return aamRun{e.Nodes, c, c.Body(e.AAM)} },
+		"pagerank": func() aamRun {
+			p := algo.NewPageRank(g, e.Nodes, algo.PRConfig{Engine: e.AAM})
+			return aamRun{e.Nodes, p, p.Body()}
+		},
+		"sssp":     func() aamRun { s := algo.NewSSSP(g, e.Nodes); return aamRun{e.Nodes, s, s.Body(0, e.AAM)} },
+		"mst":      func() aamRun { b := algo.NewBoruvka(g); return aamRun{1, b, b.Body(e.AAM)} },
+		"coloring": func() aamRun { c := algo.NewColoring(g); return aamRun{1, c, c.Body(e.AAM, 0)} },
+		"maxflow":  func() aamRun { f := algo.NewMaxFlow(g); return aamRun{1, f, f.Body(0, g.N-1, e.AAM)} },
+		"stconn": func() aamRun {
+			s := algo.NewSTConn(g, e.Nodes)
+			return aamRun{e.Nodes, s, s.Body(0, g.N-1, e.AAM)}
+		},
+	}
+	for _, d := range Registry {
+		if d.Engines[EngineAAM] != nil && programs[d.Name] == nil {
+			t.Errorf("%s: an aam cell with no row here", d.Name)
+		}
+	}
+	for name, mk := range programs {
+		r := mk()
+		m, _ := e.RunAAM(r.nodes, r.p, r.body)
+		want := r.p.MemWordsFor(e.Threads)
+		for n := range r.nodes {
+			if got := len(m.Mem(n)); got != want {
+				t.Errorf("%s: node %d holds %d words, MemWordsFor(%d) = %d", name, n, got, e.Threads, want)
+			}
+		}
+	}
+}

@@ -65,7 +65,7 @@ func TestSSSPMatchesSingleRuntime(t *testing.T) {
 	prof := exec.HaswellC()
 	s := algo.NewSSSP(g, 1)
 	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: s.MemWords(),
+		Nodes: 1, ThreadsPerNode: 4, MemWords: s.MemWordsFor(4),
 		Profile: &prof, Handlers: s.Handlers(nil), Seed: 1,
 	})
 	m.Run(s.Body(src, aam.Config{M: 8, Mechanism: aam.MechHTM}))
@@ -143,7 +143,7 @@ func TestMSTMatchesSingleRuntime(t *testing.T) {
 	prof := exec.HaswellC()
 	b := algo.NewBoruvka(g)
 	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWords(),
+		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWordsFor(4),
 		Profile: &prof, Handlers: b.Handlers(nil), Seed: 1,
 	})
 	m.Run(b.Body(aam.Config{M: 8, Mechanism: aam.MechHTM}))

@@ -107,7 +107,7 @@ func TestBFSMatchesSingleRuntime(t *testing.T) {
 		VisitedCheck: true,
 	})
 	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWords(),
+		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWordsFor(4),
 		Profile: &prof, Handlers: b.Handlers(nil), Seed: 1,
 	})
 	m.Run(b.Body(src))
@@ -131,7 +131,7 @@ func TestPageRankMatchesSingleRuntime(t *testing.T) {
 			Engine: aam.Config{M: 8, Mechanism: aam.MechAtomic},
 		})
 		m := run.New(run.Sim, exec.Config{
-			Nodes: 1, ThreadsPerNode: 2, MemWords: p.MemWords(),
+			Nodes: 1, ThreadsPerNode: 2, MemWords: p.MemWordsFor(2),
 			Profile: &prof, Handlers: p.Handlers(nil), Seed: 1,
 		})
 		m.Run(p.Body())
@@ -185,7 +185,7 @@ func TestComponentsMatchesSingleRuntime(t *testing.T) {
 	prof := exec.HaswellC()
 	c := algo.NewCC(g, 1)
 	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: c.MemWords(),
+		Nodes: 1, ThreadsPerNode: 4, MemWords: c.MemWordsFor(4),
 		Profile: &prof, Handlers: c.Handlers(nil), Seed: 1,
 	})
 	m.Run(c.Body(aam.Config{M: 8, Mechanism: aam.MechHTM}))
