@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Kronecker generates a Graph500-style R-MAT/Kronecker graph with 2^scale
@@ -136,6 +135,7 @@ const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a j
 // in the upper half, the descent's state is always the same: worker w jumps
 // to value w·values/workers and starts after the first sync value there, and
 // worker w-1 stops on it (a range with none merges into its predecessor's).
+// Each piece then packs the edges that start in its bits.
 func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, workers int) []Edge {
 	one := floatThreshold(1)
 	proto := rmatPiece{one: one, sync: min(floatThreshold(ab), one), side: [2]uint64{floatThreshold(a) - 1, floatThreshold(cNorm) - 1}}
@@ -145,18 +145,19 @@ func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, 
 		workers = max(1, min(runtime.GOMAXPROCS(0), values/rmatCut))
 	}
 	x := lfAdvance(slices.Clone(vals)) // the stream's first values
-	words := (nbits+lfBlock)/64 + 3    // piece 0, in place: a block past nbits, two end words, one read past
 	pieces := make([]*rmatPiece, workers)
 	parallel(workers, func(w int) {
-		p, c := proto, words
+		p := proto
 		p.vals, p.buf = vals, make([]uint8, 64+lfBlock)
 		if w > 0 {
 			p.next, p.vals = chunk(values, workers, w), lfJump(x, chunk(values, workers, w))
 			if !p.seek(chunk(values, workers, w+1)) {
 				return
 			}
-			c = (chunk(values, workers, w+1)-p.next+lfBlock)/64 + 2 // a value descends at most a bit
 		}
+		// A value descends at most a bit, and the descent stops a block past
+		// nbits; then come two end words.
+		c := (min(chunk(values, workers, w+1)-p.next, nbits)+lfBlock)/64 + 2
 		p.u, p.v = make([]uint64, 0, c), make([]uint64, 0, c)
 		pieces[w] = &p
 	})
@@ -178,19 +179,25 @@ func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, 
 		u, v := gather64(p.buf)
 		p.u, p.v = append(p.u, u, 0), append(p.v, v, 0)
 	}
-	u, v := pieces[0].u[:cap(pieces[0].u)], pieces[0].v[:cap(pieces[0].v)] // zero past piece 0
+	// An edge that starts in a piece can end in the pieces after it: from the
+	// last back, each piece takes the next one's first scale bits, which hold
+	// the pieces after that already, past its own. A second piece means
+	// values > 0, so scale > 0.
+	mask, first := uint64(1)<<scale-1, make([]int, len(pieces)+1) // first[i]: piece i's first edge
+	first[len(pieces)] = m
+	for i := len(pieces) - 2; i >= 0; i-- {
+		p, q, at := pieces[i], pieces[i+1], offs[i+1]-offs[i]
+		k, sh := at/64, uint(at%64) // a shift by 64 is 0
+		p.u[k], p.u[k+1] = p.u[k]|q.u[0]&mask<<sh, p.u[k+1]|q.u[0]&mask>>(64-sh)
+		p.v[k], p.v[k+1] = p.v[k]|q.v[0]&mask<<sh, p.v[k+1]|q.v[0]&mask>>(64-sh)
+		first[i+1] = min(m, (offs[i+1]+scale-1)/scale)
+	}
+	edges := make([]Edge, m)
 	parallel(len(pieces), func(i int) {
-		if i > 0 && offs[i] < nbits {
-			orBits(u, offs[i], min(offs[i+1], nbits), pieces[i].u)
-			orBits(v, offs[i], min(offs[i+1], nbits), pieces[i].v)
-		}
-	})
-	edges, mask := make([]Edge, m), uint64(1)<<scale-1
-	parallel(workers, func(w int) {
-		lo, hi := chunk(m, workers, w), chunk(m, workers, w+1)
-		for e, off := lo, lo*scale; e < hi; e, off = e+1, off+scale {
-			i, sh := off/64, uint(off%64) // a shift by 64 is 0
-			edges[e] = Edge{perm[(u[i]>>sh|u[i+1]<<(64-sh))&mask], perm[(v[i]>>sh|v[i+1]<<(64-sh))&mask]}
+		p := pieces[i]
+		for e, off := first[i], first[i]*scale-offs[i]; e < first[i+1]; e, off = e+1, off+scale {
+			k, sh := off/64, uint(off%64)
+			edges[e] = Edge{perm[(p.u[k]>>sh|p.u[k+1]<<(64-sh))&mask], perm[(p.v[k]>>sh|p.v[k+1]<<(64-sh))&mask]}
 		}
 	})
 	return edges
@@ -297,20 +304,6 @@ func gather64(b []uint8) (u, v uint64) {
 		v |= x >> 1 & 0x0101010101010101 * 0x0102040810204080 >> 56 << i
 	}
 	return u, v
-}
-
-// orBits ors src into bits [lo, hi) of dst (and past hi in hi's word); a word
-// another piece shares is ored atomically.
-func orBits(dst []uint64, lo, hi int, src []uint64) {
-	sh, prev := uint(lo%64), uint64(0)
-	for q, k := lo/64, 0; q <= (hi-1)/64; q, k = q+1, k+1 {
-		w := src[k]<<sh | prev>>(64-sh)
-		if prev = src[k]; 64*q >= lo && 64*q+64 <= hi {
-			dst[q] = w
-		} else {
-			atomic.OrUint64(&dst[q], w)
-		}
-	}
 }
 
 // chunk returns where the i-th of parts near-equal chunks of n items starts.

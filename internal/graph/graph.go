@@ -216,13 +216,12 @@ type Builder struct {
 	edges      []Edge
 	directed   bool
 	dedup      bool
-	selfLoops  bool
 	withWeight func(u, v int32) uint32
 }
 
 // NewBuilder returns a Builder for n vertices (it panics unless int32 ids can
 // number them). By default the graph is undirected (each edge stored both
-// ways), self-loops are dropped, and parallel edges are kept (as in Graph500).
+// ways) and parallel edges are kept (as in Graph500); self-loops are dropped.
 func NewBuilder(n int) *Builder {
 	if n < 0 || n > 1<<31-1 {
 		panic(fmt.Sprintf("graph: vertex count %d outside [0, 2^31-1]", n))
@@ -235,9 +234,6 @@ func (b *Builder) Directed() *Builder { b.directed = true; return b }
 
 // Dedup removes parallel edges during Build.
 func (b *Builder) Dedup() *Builder { b.dedup = true; return b }
-
-// KeepSelfLoops retains self-loops (dropped by default).
-func (b *Builder) KeepSelfLoops() *Builder { b.selfLoops = true; return b }
 
 // WithWeights attaches a deterministic weight function evaluated per arc.
 func (b *Builder) WithWeights(f func(u, v int32) uint32) *Builder {
@@ -266,12 +262,12 @@ func (b *Builder) Build() *Graph {
 
 // build is Build on the given number of workers.
 func (b *Builder) build(workers int) *Graph {
-	n, m, directed, loops := b.n, len(b.edges), b.directed, b.selfLoops
+	n, m, directed := b.n, len(b.edges), b.directed
 	cur := make([]int64, workers*n) // cur[w*n+v]: worker w's arcs out of v, then its cursor in v's segment
 	parallel(workers, func(w int) {
 		c := cur[w*n : w*n+n]
 		for _, e := range b.edges[chunk(m, workers, w):chunk(m, workers, w+1)] {
-			if e.U != e.V || loops {
+			if e.U != e.V {
 				c[e.U]++
 				if !directed {
 					c[e.V]++
@@ -290,7 +286,7 @@ func (b *Builder) build(workers int) *Graph {
 	parallel(workers, func(w int) {
 		c := cur[w*n : w*n+n]
 		for _, e := range b.edges[chunk(m, workers, w):chunk(m, workers, w+1)] {
-			if e.U != e.V || loops {
+			if e.U != e.V {
 				adj[c[e.U]] = e.V
 				c[e.U]++
 				if !directed {

@@ -43,11 +43,6 @@ func TestBuilderDirectedAndSelfLoops(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("arcs = %d, want 1", g.NumEdges())
 	}
-	b2 := NewBuilder(3).Directed().KeepSelfLoops()
-	b2.AddEdge(1, 1)
-	if g2 := b2.Build(); g2.NumEdges() != 1 {
-		t.Fatalf("self-loop not kept")
-	}
 }
 
 func TestBuilderDedup(t *testing.T) {
@@ -355,7 +350,7 @@ func buildOracle(b *Builder) *Graph {
 	type arc struct{ u, v int32 }
 	arcs := make([]arc, 0, len(b.edges)*2)
 	for _, e := range b.edges {
-		if e.U == e.V && !b.selfLoops {
+		if e.U == e.V {
 			continue
 		}
 		arcs = append(arcs, arc{e.U, e.V})
@@ -438,10 +433,10 @@ func TestBuildMatchesOracle(t *testing.T) {
 	inputs = append(inputs, loops, hub)
 
 	for _, in := range inputs {
-		for mask := 0; mask < 16; mask++ {
+		for mask := 0; mask < 8; mask++ {
 			b := NewBuilder(in.n)
-			b.directed, b.dedup, b.selfLoops = mask&1 != 0, mask&2 != 0, mask&4 != 0
-			if mask&8 != 0 {
+			b.directed, b.dedup = mask&1 != 0, mask&2 != 0
+			if mask&4 != 0 {
 				b.WithWeights(SymmetricWeight(5))
 			}
 			for _, e := range in.edges {
@@ -452,11 +447,11 @@ func TestBuildMatchesOracle(t *testing.T) {
 			// worker, then two and five workers forced, however short the list.
 			for run, got := range []*Graph{b.Build(), b.build(2), b.build(5)} {
 				if err := got.Validate(); err != nil {
-					t.Fatalf("%s mask %04b run %d: %v", in.name, mask, run, err)
+					t.Fatalf("%s mask %03b run %d: %v", in.name, mask, run, err)
 				}
 				if got.N != want.N || got.Directed != want.Directed || !slices.Equal(got.Offsets, want.Offsets) ||
 					!slices.Equal(got.Adj, want.Adj) || !slices.Equal(got.Weights, want.Weights) || (got.Weights == nil) != (want.Weights == nil) {
-					t.Fatalf("%s mask %04b (directed|dedup<<1|selfLoops<<2|weights<<3) run %d (Build, 2 workers, 5): Build differs from the oracle", in.name, mask, run)
+					t.Fatalf("%s mask %03b (directed|dedup<<1|weights<<2) run %d (Build, 2 workers, 5): Build differs from the oracle", in.name, mask, run)
 				}
 			}
 		}

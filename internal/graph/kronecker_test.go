@@ -307,6 +307,34 @@ func TestRMATEdgesMidBlock(t *testing.T) {
 	}
 }
 
+// TestRMATEdgesTinyPieces holds rmatEdges on two to five workers to one
+// worker at sizes where a piece can be shorter than an edge: an edge that
+// starts in one piece then takes bits from two or more after it, so a piece
+// must take the next one's bits with those it took from the pieces after it.
+func TestRMATEdgesTinyPieces(t *testing.T) {
+	in := initiators[0]
+	ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
+	for _, scale := range []int{1, 2, 3, 5} {
+		for m := 1; m <= 12; m++ {
+			for seed := int64(1); seed <= 20; seed++ {
+				src := rand.NewSource(seed).(rand.Source64)
+				perm := make([]int32, 1<<scale)
+				for i, p := range rand.New(src).Perm(1 << scale) {
+					perm[i] = int32(p)
+				}
+				state := lfStream(src)[lfBlock:]
+				want := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm, scale, m, ab, in.a, cNorm, 1)
+				for workers := 2; workers <= 5; workers++ {
+					got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm, scale, m, ab, in.a, cNorm, workers)
+					if !slices.Equal(got, want) {
+						t.Fatalf("scale=%d m=%d seed=%d workers=%d: rmatEdges differs from one worker", scale, m, seed, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestKroneckerRejectsArguments: a scale that cannot be shifted by or whose
 // ids pass int32, a negative edge factor and one whose edges' draws overflow
 // int — 2^20·2^44 edges wrap to none at all, 2^20·(2^43+1) to a slice
