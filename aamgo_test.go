@@ -407,7 +407,7 @@ func TestDynGraphFacade(t *testing.T) {
 }
 
 // TestOwnershipFacade drives the low-level re-exports the way
-// examples/disttx does: a machine built by name, the §4.3 ownership
+// ExampleOwnership does: a machine built by name, the §4.3 ownership
 // protocol moving value between accounts on two nodes, and the run's
 // virtual time as a Duration.
 func TestOwnershipFacade(t *testing.T) {
