@@ -127,7 +127,10 @@ func floatThreshold(t float64) uint64 {
 	return x
 }
 
-const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a jump costs about a third)
+// rmatCut is the fewest values a worker of rmatEdges descends. A jump costs
+// about half of descending them with descendBlock, and one to three times
+// descending them with descendWords; cuts of 2²¹ and 2²² measured no faster.
+const rmatCut = 1 << 20
 
 // rmatEdges draws m R-MAT edges over 2^scale vertices from the stream vals
 // (an lfStream) holds and labels them through perm, on workers goroutines (0:
@@ -138,9 +141,9 @@ const rmatCut = 1 << 20 // the fewest values a worker of rmatEdges descends (a j
 // Each piece then packs the edges that start in its bits.
 func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, workers int) []Edge {
 	one := floatThreshold(1)
-	proto := rmatPiece{one: one, sync: min(floatThreshold(ab), one), side: [2]uint64{floatThreshold(a) - 1, floatThreshold(cNorm) - 1}}
+	proto := rmatPiece{th: [4]uint64{min(floatThreshold(ab), one), min(floatThreshold(a), one), min(floatThreshold(cNorm), one), one}}
 	nbits := m * scale
-	values := rmatValues(nbits, proto.sync, one)
+	values := rmatValues(nbits, proto.th[0], one)
 	if workers == 0 {
 		workers = max(1, min(runtime.GOMAXPROCS(0), values/rmatCut))
 	}
@@ -175,9 +178,7 @@ func rmatEdges(vals []uint64, perm []int32, scale, m int, ab, a, cNorm float64, 
 			p.descend(nbits - offs[i] - p.len())
 		}
 		offs[i+1] = offs[i] + p.len()
-		clear(p.buf[p.have:64]) // the bytes left make a last word; then a zero one
-		u, v := gather64(p.buf)
-		p.u, p.v = append(p.u, u, 0), append(p.v, v, 0)
+		p.u, p.v = append(p.u, p.pu, 0), append(p.v, p.pv, 0) // the bits left make a last word; then a zero one
 	}
 	// An edge that starts in a piece can end in the pieces after it: from the
 	// last back, each piece takes the next one's first scale bits, which hold
@@ -209,19 +210,31 @@ func rmatValues(n int, sync, one uint64) int {
 }
 
 // rmatPiece is one worker's stretch of the stream, to index end, and its bits:
-// bit i of u (v) is the half (side) of the i-th. From one a value is drawn
-// again, below sync it is in the upper half, and past side[second] (a
-// threshold less one: 0 wraps to every value) it goes to the side.
+// bit i of u (v) is the half (side) of the i-th. From th[3] = one a value is
+// drawn again, below th[0] = sync it is in the upper half, and from
+// th[1+second] it goes to the side; each is at most one.
 type rmatPiece struct {
-	one, sync, second uint64
-	side              [2]uint64
-	vals, blk         []uint64 // an lfStream, and what is unread of its block vals[:lfBlock]
-	next, end, have   int      // the stream index of blk[0]; how many of buf are descended bits not yet in u and v
-	buf               []uint8
-	u, v              []uint64
+	th        [4]uint64
+	second    uint64   // a second draw is due
+	vals, blk []uint64 // an lfStream, and what is unread of its block vals[:lfBlock]
+	next, end int      // the stream index of blk[0]
+	pu, pv    uint64   // the last k bits, not yet a word of u and v
+	k         int
+	buf       []uint8 // descendBlock's bytes
+	u, v      []uint64
 }
 
-func (p *rmatPiece) len() int { return 64*len(p.u) + p.have }
+func (p *rmatPiece) len() int { return 64*len(p.u) + p.k }
+
+// put appends the k low bits of u and v, the rest of each zero, to the bits.
+func (p *rmatPiece) put(u, v uint64, k int) {
+	p.pu, p.pv = p.pu|u<<p.k, p.pv|v<<p.k
+	if p.k += k; p.k >= 64 {
+		p.k -= 64
+		p.u, p.v = append(p.u, p.pu), append(p.v, p.pv)
+		p.pu, p.pv = u>>(k-p.k), v>>(k-p.k) // a shift by 64 is 0
+	}
+}
 
 // block returns the next values of the stream, up to index end (exclusive),
 // every value of a block and the lfLen after it computed.
@@ -239,7 +252,7 @@ func (p *rmatPiece) seek(end int) bool {
 	for p.next < end {
 		b := p.block(end)
 		for i, x := range b {
-			if x&(1<<63-1) < p.sync {
+			if x&(1<<63-1) < p.th[0] {
 				p.blk, p.next = b[i+1:len(b)+len(p.blk)], p.next-len(b)+i+1
 				return true
 			}
@@ -248,10 +261,17 @@ func (p *rmatPiece) seek(end int) bool {
 	return false
 }
 
+// descendKernel is whether descend hands whole chunks to descendWords; tests
+// clear it to run descendBlock alone.
+var descendKernel = hasDescendWords()
+
 // descend runs the machine to p.end or until it adds need bits, a block of
 // the stream at a time: the rest of the one seek left partly read, then fresh
-// ones, each started as lfAdvance starts it and computed by descendBlock.
+// ones, each started as lfAdvance starts it. descendWords takes what chunks
+// of 64 values it can, and descendBlock the rest: all of a block without the
+// kernel, else a chunk with a value drawn again or the values short of one.
 func (p *rmatPiece) descend(need int) {
+	var out [3 * lfBlock / 64]uint64
 	need += p.len()
 	for p.len() < need && p.next < p.end {
 		if len(p.blk) == 0 {
@@ -259,14 +279,26 @@ func (p *rmatPiece) descend(need int) {
 			p.blk = p.vals[:lfBlock]
 		}
 		i, n := lfBlock-len(p.blk), min(len(p.blk), p.end-p.next)
-		have, second := descendBlock(p.vals[i:i+lfLen+n], p.buf, p.have, p.second, p.one, p.sync, p.side)
 		p.blk, p.next = p.blk[n:], p.next+n
-		done := 0
-		for ; have-done >= 64; done += 64 {
-			u, v := gather64(p.buf[done:])
-			p.u, p.v = append(p.u, u), append(p.v, v)
+		for vals := p.vals[i : i+lfLen+n]; len(vals) > lfLen; {
+			m := len(vals) - lfLen // the values descendBlock takes
+			if descendKernel {
+				c, second := descendWords(vals, out[:], p.second, &p.th)
+				for w := out[:3*c/64]; len(w) > 0; w = w[3:] {
+					p.put(w[0], w[1], int(w[2]))
+				}
+				if vals, p.second, m = vals[c:], second, min(64, m-c); m == 0 {
+					break
+				}
+			}
+			have, second := descendBlock(vals[:lfLen+m], p.buf, p.second, p.th[3], p.th[0], [2]uint64{p.th[1] - 1, p.th[2] - 1})
+			clear(p.buf[have : (have+63)&^63])
+			for done := 0; done < have; done += 64 {
+				u, v := gather64(p.buf[done:])
+				p.put(u, v, min(64, have-done))
+			}
+			vals, p.second = vals[m:], second
 		}
-		p.have, p.second = copy(p.buf, p.buf[done:have]), second
 	}
 }
 
@@ -274,12 +306,14 @@ func (p *rmatPiece) descend(need int) {
 // value lfLen on from each as it reads it, as lfAdvance would (over values
 // seek read, again: the same values). Its state is second (a second draw is
 // due); per value it stores a byte at buf[have] (bit 0 the half, bit 1 the
-// side) and keeps it by advancing, loading and branching on nothing. It is a
-// function of its own so that its loop keeps every operand in a register.
-func descendBlock(vals []uint64, buf []uint8, have int, second, one, sync uint64, side [2]uint64) (int, uint64) {
+// side) and keeps it by advancing have, loading and branching on nothing, and
+// it returns have and second. It is a function of its own so that its loop
+// keeps every operand in a register. side holds the side thresholds less one
+// (0 wraps to every value).
+func descendBlock(vals []uint64, buf []uint8, second, one, sync uint64, side [2]uint64) (int, uint64) {
 	// For x < 1<<63 and a bound b ≤ 1<<63, (x-b)>>63 is 1 if x < b, else 0,
 	// and (b-1-x)>>63 is 1 if x ≥ b, else 0.
-	xs := vals[:len(vals)-lfLen]
+	have, xs := 0, vals[:len(vals)-lfLen]
 	tap, out := vals[lfLen-lfTap:][:len(xs)], vals[lfLen:][:len(xs)]
 	for j, x := range xs {
 		out[j] = x + tap[j]
@@ -297,6 +331,7 @@ func descendBlock(vals []uint64, buf []uint8, have int, second, one, sync uint64
 
 // gather64 returns bits 0 and 1 of b[0:64] as two words: bit 0 of byte i times
 // 1<<(7·(8-i)) is bit 56+i, and no two of the 64 partial products share a bit.
+// descend gathers descendBlock's bytes with it and puts them in the bits.
 func gather64(b []uint8) (u, v uint64) {
 	for i := 0; i < 64; i += 8 {
 		x := binary.LittleEndian.Uint64(b[i:])

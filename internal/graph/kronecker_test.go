@@ -64,8 +64,10 @@ var initiators = []struct {
 }
 
 // TestKroneckerMatchesPlainLoop holds KroneckerABC to its definition array
-// for array, where the fingerprint file only holds it to its past output.
+// for array, where the fingerprint file only holds it to its past output, on
+// each descent (descents).
 func TestKroneckerMatchesPlainLoop(t *testing.T) {
+	paths := descents(t)
 	// These rows take under rmatCut values, so the draw is one worker's;
 	// TestRMATEdgesSplits forces the splits.
 	for _, in := range initiators {
@@ -73,8 +75,10 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 			for _, ef := range []int{0, 1, 16} {
 				for _, seed := range []int64{1, 7, 12345} {
 					want := kroneckerPlain(scale, ef, in.a, in.b, in.c, seed)
-					if got := KroneckerABC(scale, ef, in.a, in.b, in.c, seed); !sameCSR(got, want) {
-						t.Fatalf("%s scale=%d ef=%d seed=%d: KroneckerABC differs from the plain loop", in.name, scale, ef, seed)
+					for _, descendKernel = range paths {
+						if got := KroneckerABC(scale, ef, in.a, in.b, in.c, seed); !sameCSR(got, want) {
+							t.Fatalf("%s scale=%d ef=%d seed=%d descendWords=%v: KroneckerABC differs from the plain loop", in.name, scale, ef, seed, descendKernel)
+						}
 					}
 				}
 			}
@@ -95,8 +99,10 @@ func TestKroneckerMatchesPlainLoop(t *testing.T) {
 	} {
 		for _, p := range []int{1, 2, 3} {
 			runtime.GOMAXPROCS(p)
-			if got := c.gen(); !slices.Equal(got.Offsets, c.want.Offsets) || !slices.Equal(got.Adj, c.want.Adj) {
-				t.Fatalf("GOMAXPROCS=%d: Kronecker or WebGraph differs from the plain loop over its initiator", p)
+			for _, descendKernel = range paths {
+				if got := c.gen(); !slices.Equal(got.Offsets, c.want.Offsets) || !slices.Equal(got.Adj, c.want.Adj) {
+					t.Fatalf("GOMAXPROCS=%d descendWords=%v: Kronecker or WebGraph differs from the plain loop over its initiator", p, descendKernel)
+				}
 			}
 		}
 	}
@@ -179,8 +185,9 @@ func TestFloatThreshold(t *testing.T) {
 // TestRMATEdgesRedraws plants, in the state rmatEdges starts from, values
 // that convert to 1.0 — Float64 draws again on those — as a first draw, as
 // a second draw, twice in a row and with bit 63 set, and next to them the
-// largest value that is kept.
+// largest value that is kept; on each descent.
 func TestRMATEdgesRedraws(t *testing.T) {
+	paths := descents(t)
 	const scale, m = 7, 400 // some 3500 values: the state and more than a block past it
 	for _, seed := range []int64{1, 7, 12345} {
 		src := rand.NewSource(seed).(rand.Source64)
@@ -198,9 +205,11 @@ func TestRMATEdgesRedraws(t *testing.T) {
 		}
 		for _, in := range [][3]float64{{0.57, 0.19, 0.19}, {0, 0, 0.5}, {0.9, 0.3, 0.1}} {
 			want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in[0], in[1], in[2])
-			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]), 1)
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d initiator %v: rmatEdges differs from the plain loop over the same planted state", seed, in)
+			for _, descendKernel = range paths {
+				got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, in[0]+in[1], in[0], in[2]/(1-in[0]-in[1]), 1)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d initiator %v descendWords=%v: rmatEdges differs from the plain loop over the same planted state", seed, in, descendKernel)
+				}
 			}
 		}
 	}
@@ -226,14 +235,16 @@ func TestLfJump(t *testing.T) {
 	}
 }
 
-// TestRMATEdgesSplits holds rmatEdges on one to five workers to the plain
-// loop over the same state, on every initiator — those with no sync value
-// merge every split into piece 0 — and with values the descent redraws
-// planted on each split point of each worker count, and one that masks to 0,
-// a sync value, right after them. Sizes run from no bits at all through
-// splits a few values apart to jumps past several blocks, where the estimate
-// of the values the edges take falls on either side of the truth.
+// TestRMATEdgesSplits holds rmatEdges on one to five workers and each
+// descent to the plain loop over the same state, on every initiator — those
+// with no sync value merge every split into piece 0 — and with values the
+// descent redraws planted on each split point of each worker count, and one
+// that masks to 0, a sync value, right after them. Sizes run from no bits at
+// all through splits a few values apart to jumps past several blocks, where
+// the estimate of the values the edges take falls on either side of the
+// truth.
 func TestRMATEdgesSplits(t *testing.T) {
+	paths := descents(t)
 	for _, in := range initiators {
 		ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
 		sync := min(floatThreshold(ab), floatThreshold(1))
@@ -256,9 +267,11 @@ func TestRMATEdgesSplits(t *testing.T) {
 						}
 					}
 					want := plainEdges(rand.New(&lfSource{x: slices.Clone(state)}), perm, scale, m, in.a, in.b, in.c)
-					got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s scale=%d m=%d seed=%d workers=%d: rmatEdges differs from the plain loop", in.name, scale, m, seed, workers)
+					for _, descendKernel = range paths {
+						got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
+						if !slices.Equal(got, want) {
+							t.Fatalf("%s scale=%d m=%d seed=%d workers=%d descendWords=%v: rmatEdges differs from the plain loop", in.name, scale, m, seed, workers, descendKernel)
+						}
 					}
 				}
 			}
@@ -266,12 +279,14 @@ func TestRMATEdgesSplits(t *testing.T) {
 	}
 }
 
-// TestRMATEdgesMidBlock holds rmatEdges on one to five workers to the plain
-// loop at sizes where every piece spans blocks, every piece after the first
-// starts inside a block (seek stops on a sync value in it) and every piece
-// ends inside one: the descent enters its loop both on the rest of a block
-// seek read and on a fresh one, and stops and goes on mid-block.
+// TestRMATEdgesMidBlock holds rmatEdges on one to five workers and each
+// descent to the plain loop at sizes where every piece spans blocks, every
+// piece after the first starts inside a block (seek stops on a sync value in
+// it) and every piece ends inside one: the descent enters its loop both on
+// the rest of a block seek read and on a fresh one, and stops and goes on
+// mid-block.
 func TestRMATEdgesMidBlock(t *testing.T) {
+	paths := descents(t)
 	in := initiators[0]
 	ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
 	one := floatThreshold(1)
@@ -291,7 +306,7 @@ func TestRMATEdgesMidBlock(t *testing.T) {
 		for workers := 1; workers <= 5; workers++ {
 			for w := 1; w < workers; w++ { // piece w starts where piece w-1 ends
 				at := chunk(values, workers, w)
-				p := rmatPiece{sync: sync, next: at, vals: lfJump(x, at)}
+				p := rmatPiece{th: [4]uint64{sync}, next: at, vals: lfJump(x, at)}
 				if !p.seek(chunk(values, workers, w+1)) || len(p.blk) == 0 || (p.next-chunk(values, workers, w-1))%lfBlock == 0 {
 					t.Fatalf("scale=%d m=%d workers=%d: piece %d does not start inside a block, or piece %d end on a block's boundary", scale, m, workers, w, w-1)
 				}
@@ -299,19 +314,23 @@ func TestRMATEdgesMidBlock(t *testing.T) {
 					t.Fatalf("scale=%d m=%d workers=%d: piece %d spans no block", scale, m, workers, w-1)
 				}
 			}
-			got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
-			if !slices.Equal(got, want) {
-				t.Fatalf("scale=%d m=%d workers=%d: rmatEdges differs from the plain loop", scale, m, workers)
+			for _, descendKernel = range paths {
+				got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm32, scale, m, ab, in.a, cNorm, workers)
+				if !slices.Equal(got, want) {
+					t.Fatalf("scale=%d m=%d workers=%d descendWords=%v: rmatEdges differs from the plain loop", scale, m, workers, descendKernel)
+				}
 			}
 		}
 	}
 }
 
-// TestRMATEdgesTinyPieces holds rmatEdges on two to five workers to one
-// worker at sizes where a piece can be shorter than an edge: an edge that
-// starts in one piece then takes bits from two or more after it, so a piece
-// must take the next one's bits with those it took from the pieces after it.
+// TestRMATEdgesTinyPieces holds rmatEdges on one to five workers, on each
+// descent, to one worker on descendBlock alone at sizes where a piece can be
+// shorter than an edge: an edge that starts in one piece then takes bits
+// from two or more after it, so a piece must take the next one's bits with
+// those it took from the pieces after it.
 func TestRMATEdgesTinyPieces(t *testing.T) {
+	paths := descents(t)
 	in := initiators[0]
 	ab, cNorm := in.a+in.b, in.c/(1-in.a-in.b)
 	for _, scale := range []int{1, 2, 3, 5} {
@@ -323,11 +342,14 @@ func TestRMATEdgesTinyPieces(t *testing.T) {
 					perm[i] = int32(p)
 				}
 				state := lfStream(src)[lfBlock:]
+				descendKernel = false
 				want := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm, scale, m, ab, in.a, cNorm, 1)
-				for workers := 2; workers <= 5; workers++ {
-					got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm, scale, m, ab, in.a, cNorm, workers)
-					if !slices.Equal(got, want) {
-						t.Fatalf("scale=%d m=%d seed=%d workers=%d: rmatEdges differs from one worker", scale, m, seed, workers)
+				for _, descendKernel = range paths {
+					for workers := 1; workers <= 5; workers++ {
+						got := rmatEdges(lfStream(&lfSource{x: slices.Clone(state)}), perm, scale, m, ab, in.a, cNorm, workers)
+						if !slices.Equal(got, want) {
+							t.Fatalf("scale=%d m=%d seed=%d workers=%d descendWords=%v: rmatEdges differs from one worker on descendBlock alone", scale, m, seed, workers, descendKernel)
+						}
 					}
 				}
 			}
