@@ -89,15 +89,14 @@ func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
 				return 0, true
 			}
 			tx.Write(b.parentBase+v, arg+1)
-			b.txPush(tx, e.Ctx(), v)
+			b.fr.TxPush(tx, e.Ctx(), v)
 			return 0, false
 		},
 		BodyAtomic: func(ctx exec.Context, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			if !ctx.CAS(b.parentBase+v, 0, arg+1) {
 				return 0, true
 			}
-			next := int(ctx.Load(b.parityAddr)) ^ 1
-			b.push(ctx, next, uint64(v))
+			b.fr.PushNext(ctx, v)
 			return 0, false
 		},
 	})
@@ -112,7 +111,7 @@ func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
 				return 0, true // already visited: May-Fail failure
 			}
 			tx.Write(addr, arg+1)
-			b.txPush(tx, e.Ctx(), v)
+			b.fr.TxPush(tx, e.Ctx(), v)
 			return 0, false
 		},
 		BodyAtomic: func(ctx exec.Context, e *aam.Engine, v int, arg uint64) (uint64, bool) {
@@ -123,61 +122,26 @@ func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
 			if !ctx.CAS(addr, 0, arg+1) {
 				return 0, true
 			}
-			next := int(ctx.Load(b.parityAddr)) ^ 1
-			b.push(ctx, next, uint64(v))
+			b.fr.PushNext(ctx, v)
 			return 0, false
 		},
 	})
 	return b
 }
 
-// txPush appends local vertex lv to the executing thread's segment of the
-// next-level frontier, transactionally: the tail counter and slot join the
-// activity's write set and roll back with it. Segments are per thread, so
-// the only cross-thread word in the footprint is the (read-only within a
-// level) parity cell.
-func (b *BFS) txPush(tx exec.Tx, ctx exec.Context, lv int) {
-	next := int(tx.Read(b.parityAddr)) ^ 1
-	lid := ctx.LocalID()
-	ta := b.tailBase[next] + lid*tailStride
-	idx := int(tx.Read(ta))
-	tx.Write(ta, uint64(idx)+1)
-	tx.Write(b.qBase[next]+lid*b.segLen+idx, uint64(lv))
-}
-
-// tailStride pads per-thread tail counters to one per cache line so they
-// do not false-share.
-const tailStride = 8
-
 // bfsLayout is the per-node memory map, which depends on the thread count.
 type bfsLayout struct {
-	segLen     int    // frontier segment words per thread (L plus duplicate slack)
-	parentBase int    // L words: parent+1, 0 = unvisited
-	qBase      [2]int // T segments of segLen words each
-	tailBase   [2]int // T per-thread tails
-	parityAddr int
-	lockBase   int // the engine's lock region, aam.LockWords(L, T) words
+	parentBase int          // L words: parent+1, 0 = unvisited
+	fr         aam.Frontier // from word L
+	lockBase   int          // fr.End(): the engine's lock region, aam.LockWords(L, T) words
 }
 
-// layout computes the memory map for T threads per node. Frontier
-// segments carry 1/8 slack for duplicate pushes from stale visited checks.
+// layout computes the memory map for T threads per node: one frontier
+// segment per thread, each with 1/8 slack for duplicate pushes from stale
+// visited checks.
 func (b *BFS) layout(T int) bfsLayout {
-	var l bfsLayout
-	l.segLen = b.L + b.L/8 + 16
-	l.parentBase = 0
-	l.qBase = [2]int{b.L, b.L + T*l.segLen}
-	l.tailBase[0] = b.L + 2*T*l.segLen
-	l.tailBase[1] = l.tailBase[0] + T*tailStride
-	l.parityAddr = l.tailBase[1] + T*tailStride
-	l.lockBase = l.parityAddr + 8
-	return l
-}
-
-// push appends a local vertex to this thread's segment of queue parity q.
-func (b *BFS) push(ctx exec.Context, q int, lv uint64) {
-	lid := ctx.LocalID()
-	idx := ctx.FetchAdd(b.tailBase[q]+lid*tailStride, 1)
-	ctx.Store(b.qBase[q]+lid*b.segLen+int(idx), lv)
+	fr := aam.Frontier{Base: b.L, Segs: T, SegLen: b.L + b.L/8 + 16, Stride: 8}
+	return bfsLayout{parentBase: 0, fr: fr, lockBase: fr.End()}
 }
 
 // Handlers splices the BFS runtime handlers into existing.
@@ -217,45 +181,22 @@ func (b *BFS) run(ctx exec.Context, source int) {
 	if ctx.NodeID() == b.Part.Owner(source) && lid == 0 {
 		ls := b.Part.Local(source)
 		ctx.Store(b.parentBase+ls, uint64(source)+1)
-		ctx.Store(b.qBase[0], uint64(ls))
-		ctx.Store(b.tailBase[0], 1)
+		ctx.Store(b.fr.Queue(0), uint64(ls))
+		ctx.Store(b.fr.Tail(0, 0), 1)
 	}
 	if lid == 0 {
-		ctx.Store(b.parityAddr, 0)
+		ctx.Store(b.fr.Parity(), 0)
 	}
 	ctx.Barrier()
 
-	// tails and offs are host-side scratch reused across levels.
-	tails := make([]int, T)
+	tails := make([]int, T) // host-side scratch reused across levels
 	level := 0
 	levelStart := ctx.Now()
 	for {
 		cur := level & 1
-
-		// Gather per-segment counts and process a balanced global slice.
-		count := 0
-		for j := 0; j < T; j++ {
-			tails[j] = int(ctx.Load(b.tailBase[cur] + j*tailStride))
-			count += tails[j]
-		}
-		lo := lid * count / T
-		hi := (lid + 1) * count / T
-		// Walk segments covering [lo, hi).
-		pos := 0
-		for j := 0; j < T && pos < hi; j++ {
-			segLo, segHi := pos, pos+tails[j]
-			pos = segHi
-			if segHi <= lo || segLo >= hi {
-				continue
-			}
-			from := max(lo, segLo) - segLo
-			to := min(hi, segHi) - segLo
-			for i := from; i < to; i++ {
-				lv := int(ctx.Load(b.qBase[cur] + j*b.segLen + i))
-				u := b.Part.Global(ctx.NodeID(), lv)
-				b.expand(ctx, eng, u)
-			}
-		}
+		b.fr.Walk(ctx, cur, tails, func(lv int) {
+			b.expand(ctx, eng, b.Part.Global(ctx.NodeID(), lv))
+		})
 
 		// Quiesce: all marks (local and remote) applied.
 		if eng != nil {
@@ -264,13 +205,7 @@ func (b *BFS) run(ctx exec.Context, source int) {
 			ctx.Barrier()
 		}
 
-		nextLocal := uint64(0)
-		if lid == 0 {
-			for j := 0; j < T; j++ {
-				nextLocal += ctx.Load(b.tailBase[cur^1] + j*tailStride)
-			}
-		}
-		total := ctx.AllReduceSum(nextLocal)
+		total := ctx.AllReduceSum(b.fr.Len(ctx, cur^1))
 
 		if ctx.GlobalID() == 0 {
 			now := ctx.Now()
@@ -279,10 +214,7 @@ func (b *BFS) run(ctx exec.Context, source int) {
 		}
 
 		// Recycle the old frontier and flip parity for OnDone.
-		ctx.Store(b.tailBase[cur]+lid*tailStride, 0)
-		if lid == 0 {
-			ctx.Store(b.parityAddr, uint64(cur^1))
-		}
+		b.fr.Flip(ctx, cur)
 		ctx.Barrier()
 		if total == 0 {
 			return
@@ -295,9 +227,7 @@ func (b *BFS) run(ctx exec.Context, source int) {
 func (b *BFS) expand(ctx exec.Context, eng *aam.Engine, u int) {
 	me := ctx.NodeID()
 	neigh := b.G.Neighbors(u)
-	// Scanning the adjacency costs one load per edge word; charge it in
-	// bulk (immutable CSR data is not in the simulated word memory).
-	ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+	ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 	op := b.markOp
 	if b.Cfg.VisitedCheck {
 		op = b.markFastOp
@@ -313,8 +243,7 @@ func (b *BFS) expand(ctx exec.Context, eng *aam.Engine, u int) {
 		if b.Cfg.Mode == BFSGraph500 {
 			lw := b.Part.Local(w)
 			if ctx.CAS(b.parentBase+lw, 0, uint64(u)+1) {
-				next := int(ctx.Load(b.parityAddr)) ^ 1
-				b.push(ctx, next, uint64(lw))
+				b.fr.PushNext(ctx, lw)
 			}
 			continue
 		}

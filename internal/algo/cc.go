@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // CC computes connected components by min-label propagation (an extension
@@ -105,7 +104,7 @@ func (c *CC) run(ctx exec.Context, engineCfg aam.Config) {
 		for v := clo; v < chi; v++ {
 			label := ctx.Load(c.labelBase+c.Part.Local(v)) - 1
 			neigh := c.G.Neighbors(v)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			for _, w := range neigh {
 				eng.Spawn(c.minOp, int(w), label)
 			}

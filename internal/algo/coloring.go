@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // Coloring implements Boman et al.'s distributed-memory graph coloring
@@ -23,13 +22,11 @@ type Coloring struct {
 	colorOp int
 
 	L int
-	// Layout: colors, double-buffered work queues + tails, parity, the
-	// engine's lock region.
-	colorBase  int
-	qBase      [2]int
-	tailAddr   [2]int
-	parityAddr int
-	lockBase   int
+	// Layout: colors, the work queue (one shared segment), the engine's
+	// lock region.
+	colorBase int
+	fr        aam.Frontier
+	lockBase  int
 }
 
 // noVertex mirrors the paper's NO_VERTEX_ID.
@@ -40,9 +37,7 @@ func NewColoring(g *graph.Graph) *Coloring {
 	L := g.N
 	c := &Coloring{G: g, L: L}
 	c.colorBase = 0
-	c.qBase = [2]int{L, 2 * L}
-	c.tailAddr = [2]int{3 * L, 3*L + 1}
-	c.parityAddr = 3*L + 2
+	c.fr = aam.Frontier{Base: L, Segs: 1, SegLen: L, Stride: 1}
 	c.lockBase = 4*L + 64
 
 	c.rt = aam.NewRuntime()
@@ -81,10 +76,7 @@ func NewColoring(g *graph.Graph) *Coloring {
 			}
 			// Failure handler: schedule the collision vertex for the
 			// next round.
-			ctx := e.Ctx()
-			next := int(ctx.Load(c.parityAddr)) ^ 1
-			idx := ctx.FetchAdd(c.tailAddr[next], 1)
-			ctx.Store(c.qBase[next]+int(idx), ret)
+			c.fr.PushNext(e.Ctx(), int(ret))
 		},
 	})
 	return c
@@ -118,25 +110,22 @@ func (c *Coloring) run(ctx exec.Context, engineCfg aam.Config, maxRounds int) {
 	clo := lid * n / T
 	chi := (lid + 1) * n / T
 	for v := clo; v < chi; v++ {
-		ctx.Store(c.qBase[0]+v, uint64(v))
+		ctx.Store(c.fr.Queue(0)+v, uint64(v))
 	}
 	if lid == 0 {
-		ctx.Store(c.tailAddr[0], uint64(n))
-		ctx.Store(c.parityAddr, 0)
+		ctx.Store(c.fr.Tail(0, 0), uint64(n))
+		ctx.Store(c.fr.Parity(), 0)
 	}
 	ctx.Barrier()
 
+	tails := make([]int, 1)
 	for round := 0; round < maxRounds; round++ {
 		cur := round & 1
-		count := int(ctx.Load(c.tailAddr[cur]))
-		lo := lid * count / T
-		hi := (lid + 1) * count / T
-		for i := lo; i < hi; i++ {
-			v := int(ctx.Load(c.qBase[cur] + i))
+		c.fr.Walk(ctx, cur, tails, func(v int) {
 			// Pick the smallest color unused by the neighborhood
 			// (plain reads; collisions are repaired by the operator).
 			neigh := c.G.Neighbors(v)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			var used uint64 // bitmask of low 64 colors
 			for _, w := range neigh {
 				if cw := ctx.Load(c.colorBase + int(w)); cw > 0 && cw <= 64 {
@@ -148,18 +137,11 @@ func (c *Coloring) run(ctx exec.Context, engineCfg aam.Config, maxRounds int) {
 				color++
 			}
 			eng.Spawn(c.colorOp, v, color)
-		}
+		})
 		eng.Drain()
 
-		nextLocal := uint64(0)
-		if lid == 0 {
-			nextLocal = ctx.Load(c.tailAddr[cur^1])
-		}
-		total := ctx.AllReduceSum(nextLocal)
-		if lid == 0 {
-			ctx.Store(c.tailAddr[cur], 0)
-			ctx.Store(c.parityAddr, uint64(cur^1))
-		}
+		total := ctx.AllReduceSum(c.fr.Len(ctx, cur^1))
+		c.fr.Flip(ctx, cur)
 		ctx.Barrier()
 		if total == 0 {
 			return

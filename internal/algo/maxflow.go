@@ -6,7 +6,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // Maximum flow via Edmonds-Karp, with each augmenting-path search running
@@ -43,13 +42,10 @@ type MaxFlow struct {
 
 // mfLayout is the node-memory map, which depends on the thread count.
 type mfLayout struct {
-	segLen     int
 	resBase    int // A words: residual capacities
 	parentBase int // N words: arc id + 1 that discovered the vertex, 0 = unvisited
-	qBase      [2]int
-	tailBase   [2]int
-	parityAddr int
-	flowAddr   int // accumulated flow value
+	fr         aam.Frontier
+	flowAddr   int // fr.End(): accumulated flow value
 	doneAddr   int // 1 when no augmenting path remains
 	lockBase   int // the engine's lock region, aam.LockWords(N, T) words
 }
@@ -116,37 +112,26 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 				return 0, true
 			}
 			tx.Write(f.parentBase+w, arg+1)
-			f.txPush(tx, e.Ctx(), w)
+			f.fr.TxPush(tx, e.Ctx(), w)
 			return 0, false
 		},
 		BodyAtomic: func(ctx exec.Context, e *aam.Engine, w int, arg uint64) (uint64, bool) {
 			if !ctx.CAS(f.parentBase+w, 0, arg+1) {
 				return 0, true
 			}
-			next := int(ctx.Load(f.parityAddr)) ^ 1
-			f.push(ctx, next, uint64(w))
+			f.fr.PushNext(ctx, w)
 			return 0, false
 		},
 	})
 	return f
 }
 
-const mfTailStride = 8
-
+// layout computes the memory map for T threads: one frontier segment per
+// thread.
 func (f *MaxFlow) layout(T int) mfLayout {
-	var l mfLayout
-	l.segLen = f.N + f.N/8 + 16
-	l.resBase = 0
-	l.parentBase = f.A
-	l.qBase[0] = f.A + f.N
-	l.qBase[1] = l.qBase[0] + T*l.segLen
-	l.tailBase[0] = l.qBase[1] + T*l.segLen
-	l.tailBase[1] = l.tailBase[0] + T*mfTailStride
-	l.parityAddr = l.tailBase[1] + T*mfTailStride
-	l.flowAddr = l.parityAddr + 8
-	l.doneAddr = l.flowAddr + 8
-	l.lockBase = l.doneAddr + 8
-	return l
+	fr := aam.Frontier{Base: f.A + f.N, Segs: T, SegLen: f.N + f.N/8 + 16, Stride: 8}
+	flow := fr.End()
+	return mfLayout{resBase: 0, parentBase: f.A, fr: fr, flowAddr: flow, doneAddr: flow + 8, lockBase: flow + 16}
 }
 
 // MemWordsFor returns the node-memory size for T threads: the layout up
@@ -156,21 +141,6 @@ func (f *MaxFlow) MemWordsFor(T int) int { return f.layout(T).lockBase + aam.Loc
 // Handlers splices the runtime handlers into existing.
 func (f *MaxFlow) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
 	return f.rt.Handlers(existing)
-}
-
-func (f *MaxFlow) txPush(tx exec.Tx, ctx exec.Context, v int) {
-	next := int(tx.Read(f.parityAddr)) ^ 1
-	lid := ctx.LocalID()
-	ta := f.tailBase[next] + lid*mfTailStride
-	idx := int(tx.Read(ta))
-	tx.Write(ta, uint64(idx)+1)
-	tx.Write(f.qBase[next]+lid*f.segLen+idx, uint64(v))
-}
-
-func (f *MaxFlow) push(ctx exec.Context, q int, v uint64) {
-	lid := ctx.LocalID()
-	idx := ctx.FetchAdd(f.tailBase[q]+lid*mfTailStride, 1)
-	ctx.Store(f.qBase[q]+lid*f.segLen+int(idx), v)
 }
 
 // Body returns the SPMD body computing the s→t max flow.
@@ -215,52 +185,21 @@ func (f *MaxFlow) run(ctx exec.Context, s, t int, engCfg aam.Config) {
 			ctx.Store(f.parentBase+v, 0)
 		}
 		if lid == 0 {
-			for j := 0; j < T; j++ {
-				ctx.Store(f.tailBase[0]+j*mfTailStride, 0)
-				ctx.Store(f.tailBase[1]+j*mfTailStride, 0)
-			}
-			ctx.Store(f.parityAddr, 0)
+			f.fr.Reset(ctx)
 			ctx.Store(f.parentBase+s, uint64(f.A)+1) // sentinel arc: source
-			ctx.Store(f.qBase[0], uint64(s))
-			ctx.Store(f.tailBase[0], 1)
+			ctx.Store(f.fr.Queue(0), uint64(s))
+			ctx.Store(f.fr.Tail(0, 0), 1)
 		}
 		ctx.Barrier()
 
 		tails := make([]int, T)
 		for {
-			cur := int(ctx.Load(f.parityAddr))
-			count := 0
-			for j := 0; j < T; j++ {
-				tails[j] = int(ctx.Load(f.tailBase[cur] + j*mfTailStride))
-				count += tails[j]
-			}
-			lo, hi := lid*count/T, (lid+1)*count/T
-			pos := 0
-			for j := 0; j < T && pos < hi; j++ {
-				segLo, segHi := pos, pos+tails[j]
-				pos = segHi
-				if segHi <= lo || segLo >= hi {
-					continue
-				}
-				from, to := max(lo, segLo)-segLo, min(hi, segHi)-segLo
-				for i := from; i < to; i++ {
-					v := int(ctx.Load(f.qBase[cur] + j*f.segLen + i))
-					f.expand(ctx, eng, v)
-				}
-			}
+			cur := int(ctx.Load(f.fr.Parity()))
+			f.fr.Walk(ctx, cur, tails, func(v int) { f.expand(ctx, eng, v) })
 			eng.Drain()
 
-			nextLocal := uint64(0)
-			if lid == 0 {
-				for j := 0; j < T; j++ {
-					nextLocal += ctx.Load(f.tailBase[cur^1] + j*mfTailStride)
-				}
-			}
-			total := ctx.AllReduceSum(nextLocal)
-			ctx.Store(f.tailBase[cur]+lid*mfTailStride, 0)
-			if lid == 0 {
-				ctx.Store(f.parityAddr, uint64(cur^1))
-			}
+			total := ctx.AllReduceSum(f.fr.Len(ctx, cur^1))
+			f.fr.Flip(ctx, cur)
 			ctx.Barrier()
 			if total == 0 || ctx.Load(f.parentBase+t) != 0 {
 				break
@@ -306,7 +245,7 @@ func (f *MaxFlow) arcTail(a int) int { return int(f.arcHead[f.arcRev[a]]) }
 func (f *MaxFlow) expand(ctx exec.Context, eng *aam.Engine, v int) {
 	base := int(f.arcOff[v])
 	n := int(f.arcOff[v+1]) - base
-	ctx.Compute(vtime.Time(n/2+1) * ctx.Profile().LoadCost)
+	ctx.Compute(ctx.Profile().ScanCost(n))
 	for i := 0; i < n; i++ {
 		a := base + i
 		w := int(f.arcHead[a])

@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // PageRank rank values live in node memory as Q24.40 fixed point: the rank
@@ -122,7 +121,7 @@ func (p *PageRank) run(ctx exec.Context) {
 				continue
 			}
 			neigh := p.G.Neighbors(v)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			arg := share<<1 | uint64(next)
 			for _, w := range neigh {
 				eng.Spawn(p.accOp, int(w), arg)

@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // SSSP computes single-source shortest paths by asynchronous chaotic
@@ -70,7 +69,7 @@ func NewSSSP(g *graph.Graph, nodes int) *SSSP {
 			ctx := e.Ctx()
 			ws := s.G.EdgeWeights(vGlobal)
 			neigh := s.G.Neighbors(vGlobal)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			for i, w := range neigh {
 				e.Spawn(s.relaxOp, int(w), ret+uint64(ws[i]))
 			}

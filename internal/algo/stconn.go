@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // STConn decides s–t connectivity with the paper's FR&AS operator (§3.3.4,
@@ -20,14 +19,12 @@ type STConn struct {
 	visitOp int
 
 	L int
-	// Layout: colors, double-buffered frontier of packed (v<<2|color),
-	// tails, parity, found flag, the engine's lock region.
-	colorBase  int
-	qBase      [2]int
-	tailAddr   [2]int
-	parityAddr int
-	foundAddr  int
-	lockBase   int
+	// Layout: colors, the frontier of packed (v<<2|color) in one shared
+	// segment, the found flag at its end, the engine's lock region.
+	colorBase int
+	fr        aam.Frontier
+	foundAddr int
+	lockBase  int
 }
 
 // Colors.
@@ -44,10 +41,8 @@ func NewSTConn(g *graph.Graph, nodes int) *STConn {
 	L := part.MaxLocal()
 	s := &STConn{G: g, Part: part, L: L}
 	s.colorBase = 0
-	s.qBase = [2]int{L, 2 * L}
-	s.tailAddr = [2]int{3 * L, 3*L + 1}
-	s.parityAddr = 3*L + 2
-	s.foundAddr = 3*L + 3
+	s.fr = aam.Frontier{Base: L, Segs: 1, SegLen: L, Stride: 1}
+	s.foundAddr = s.fr.End()
 	s.lockBase = 4*L + 64
 
 	s.rt = aam.NewRuntime()
@@ -89,10 +84,7 @@ func NewSTConn(g *graph.Graph, nodes int) *STConn {
 				ctx.Store(s.foundAddr, 1)
 				return
 			}
-			next := int(ctx.Load(s.parityAddr)) ^ 1
-			idx := ctx.FetchAdd(s.tailAddr[next], 1)
-			packed := uint64(s.Part.Local(vGlobal))<<2 | ret
-			ctx.Store(s.qBase[next]+int(idx), packed)
+			s.fr.PushNext(ctx, s.Part.Local(vGlobal)<<2|int(ret))
 		},
 		OnReturn: func(e *aam.Engine, vGlobal int, ret uint64, fail bool) {
 			// Failure handler: terminate when the waves met (§3.3.4).
@@ -121,7 +113,6 @@ func (s *STConn) Body(src, dst int, engineCfg aam.Config) func(ctx exec.Context)
 
 func (s *STConn) run(ctx exec.Context, src, dst int, engineCfg aam.Config) {
 	eng := aam.NewEngine(s.rt, ctx, engineCfg)
-	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	me := ctx.NodeID()
 
@@ -136,52 +127,42 @@ func (s *STConn) run(ctx exec.Context, src, dst int, engineCfg aam.Config) {
 	if me == s.Part.Owner(src) && lid == 0 {
 		ls := s.Part.Local(src)
 		ctx.Store(s.colorBase+ls, stGrey)
-		idx := ctx.FetchAdd(s.tailAddr[0], 1)
-		ctx.Store(s.qBase[0]+int(idx), uint64(ls)<<2|stGrey)
+		s.fr.Push(ctx, 0, ls<<2|stGrey)
 	}
 	if me == s.Part.Owner(dst) && lid == 0 {
 		ld := s.Part.Local(dst)
 		ctx.Store(s.colorBase+ld, stGreen)
-		idx := ctx.FetchAdd(s.tailAddr[0], 1)
-		ctx.Store(s.qBase[0]+int(idx), uint64(ld)<<2|stGreen)
+		s.fr.Push(ctx, 0, ld<<2|stGreen)
 	}
 	if lid == 0 {
-		ctx.Store(s.parityAddr, 0)
+		ctx.Store(s.fr.Parity(), 0)
 	}
 	ctx.Barrier()
 
+	tails := make([]int, 1)
 	for level := 0; ; level++ {
 		cur := level & 1
-		count := int(ctx.Load(s.tailAddr[cur]))
-		lo := lid * count / T
-		hi := (lid + 1) * count / T
-		for i := lo; i < hi; i++ {
-			packed := ctx.Load(s.qBase[cur] + i)
-			lv := int(packed >> 2)
-			color := packed & 3
-			u := s.Part.Global(me, lv)
+		s.fr.Walk(ctx, cur, tails, func(packed int) {
+			color := uint64(packed & 3)
+			u := s.Part.Global(me, packed>>2)
 			neigh := s.G.Neighbors(u)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			for _, w := range neigh {
 				eng.Spawn(s.visitOp, int(w), color)
 			}
-		}
+		})
 		eng.Drain()
 
 		foundLocal := uint64(0)
-		nextLocal := uint64(0)
 		if lid == 0 {
 			foundLocal = ctx.Load(s.foundAddr)
-			nextLocal = ctx.Load(s.tailAddr[cur^1])
 		}
+		nextLocal := s.fr.Len(ctx, cur^1)
 		found := ctx.AllReduceSum(foundLocal)
 		total := ctx.AllReduceSum(nextLocal)
-		if lid == 0 {
-			ctx.Store(s.tailAddr[cur], 0)
-			ctx.Store(s.parityAddr, uint64(cur^1))
-			if found > 0 {
-				ctx.Store(s.foundAddr, 1) // propagate to every node
-			}
+		s.fr.Flip(ctx, cur)
+		if lid == 0 && found > 0 {
+			ctx.Store(s.foundAddr, 1) // propagate to every node
 		}
 		ctx.Barrier()
 		if found > 0 || total == 0 {

@@ -26,8 +26,11 @@ type BSPBFS struct {
 	G *graph.Graph
 
 	L int
-	// Layout mirrors algo.BFS: parent+1 (0 = unvisited), two queues,
-	// tails.
+	// Layout: parent+1 (0 = unvisited), two queues of one shared segment
+	// each, their tails, and no parity word. The queue is not an
+	// aam.Frontier: the baseline models HAMA without the AAM runtime, and it
+	// empties the old queue's tail before the reduction, where Frontier.Flip
+	// would come after it.
 	parentBase int
 	qBase      [2]int
 	tailAddr   [2]int

@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/am"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // PBGLPageRank models the Parallel Boost Graph Library PageRank the paper
@@ -107,7 +106,7 @@ func (p *PBGLPageRank) run(ctx exec.Context) {
 				continue
 			}
 			neigh := p.G.Neighbors(v)
-			ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+			ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 			arg := share<<1 | uint64(next)
 			for _, wv := range neigh {
 				w := int(wv)

@@ -118,6 +118,14 @@ type MachineProfile struct {
 	DefaultHTM string
 }
 
+// ScanCost is the charge for scanning an adjacency of n neighbors: one
+// LoadCost per word of 32-bit neighbor ids, plus one. The CSR is immutable
+// and lives outside the simulated word memory, so a program charges its
+// scan in bulk with Context.Compute.
+func (m *MachineProfile) ScanCost(n int) vtime.Time {
+	return vtime.Time(n/2+1) * m.LoadCost
+}
+
 // HTMVariant returns the named HTM profile, or the default for "".
 func (m *MachineProfile) HTMVariant(name string) *HTMProfile {
 	if name == "" {

@@ -98,8 +98,8 @@ func (p *PageRank) Body() func(ctx exec.Context) {
 	return func(ctx exec.Context) {
 		eng := p.NewEngine(ctx)
 		n := float64(p.G.N)
-		xBase, yBase := p.AssignBase(), p.YBase()
-		lo, hi := p.ThreadSlice(ctx)
+		xBase, yBase := p.assignees, p.yBase
+		lo, hi := p.threadSlice(ctx)
 		// x := 1/N, y := teleport.
 		teleport := F64((1 - p.Damping) / n)
 		for lv := lo; lv < hi; lv++ {

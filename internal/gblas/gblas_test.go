@@ -176,6 +176,29 @@ func TestGBLASBFSAcrossMechanisms(t *testing.T) {
 	}
 }
 
+// TestGBLASBFSOnNative runs the system's frontier on goroutines: two
+// nodes of two threads each, pushing transactionally and atomically.
+func TestGBLASBFSOnNative(t *testing.T) {
+	g := graph.Kronecker(8, 6, 9)
+	src := g.MaxDegreeVertex()
+	ref := algo.SeqBFS(g, src)
+	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
+		b := gblas.NewBFS(g, 2, aam.Config{M: 4, C: 8, Mechanism: mech})
+		prof := exec.HaswellC()
+		m := run.New(run.Native, exec.Config{
+			Nodes: 2, ThreadsPerNode: 2, MemWords: b.MemWordsFor(2),
+			Profile: &prof, Handlers: b.Handlers(nil), Seed: 9,
+		})
+		m.Run(b.Body(src))
+		levels := b.Levels(m)
+		for v := 0; v < g.N; v++ {
+			if int64(ref[v]) != levels[v] {
+				t.Fatalf("%v: vertex %d level %d, reference %d", mech, v, levels[v], ref[v])
+			}
+		}
+	}
+}
+
 // --- SSSP over min-plus ---
 
 func TestGBLASSSSPMatchesDijkstra(t *testing.T) {

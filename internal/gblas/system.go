@@ -4,7 +4,6 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/vtime"
 )
 
 // WeightFunc maps the i-th edge of vertex v (leading to w) to a semiring
@@ -52,18 +51,13 @@ type System struct {
 
 // sysLayout is the node-memory map, which depends on the thread count.
 type sysLayout struct {
-	segLen    int
 	yBase     int
 	auxBase   int // touched-this-run flags
 	assignees int // assignment vector (levels)
-	qBase     [2]int
-	tailBase  [2]int
-	parityPos int
-	stepPos   int
+	fr        aam.Frontier
+	stepPos   int // fr.End()
 	lockBase  int // the engine's lock region, aam.LockWords(L, T) words
 }
-
-const tailStride = 8
 
 // New prepares a System for g distributed over nodes.
 func New(g *graph.Graph, nodes int, cfg Config) *System {
@@ -87,7 +81,7 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 				if s.Cfg.RecordStep {
 					tx.Write(s.assignees+w, tx.Read(s.stepPos))
 				}
-				s.txPush(tx, e.Ctx(), w)
+				s.fr.TxPush(tx, e.Ctx(), w)
 			}
 			return 0, false
 		},
@@ -106,8 +100,7 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 				if s.Cfg.RecordStep {
 					ctx.Store(s.assignees+w, ctx.Load(s.stepPos))
 				}
-				next := int(ctx.Load(s.parityPos)) ^ 1
-				s.push(ctx, next, uint64(w))
+				s.fr.PushNext(ctx, w)
 			}
 			return 0, false
 		},
@@ -130,38 +123,12 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 	return s
 }
 
-// txPush appends local vertex lv to this thread's next-frontier segment
-// inside the activity (rolls back with it).
-func (s *System) txPush(tx exec.Tx, ctx exec.Context, lv int) {
-	next := int(tx.Read(s.parityPos)) ^ 1
-	lid := ctx.LocalID()
-	ta := s.tailBase[next] + lid*tailStride
-	idx := int(tx.Read(ta))
-	tx.Write(ta, uint64(idx)+1)
-	tx.Write(s.qBase[next]+lid*s.segLen+idx, uint64(lv))
-}
-
-// push is the committed-state variant used by the atomic body.
-func (s *System) push(ctx exec.Context, q int, lv uint64) {
-	lid := ctx.LocalID()
-	idx := ctx.FetchAdd(s.tailBase[q]+lid*tailStride, 1)
-	ctx.Store(s.qBase[q]+lid*s.segLen+int(idx), lv)
-}
-
-// layout computes the node-memory map for T threads.
+// layout computes the node-memory map for T threads: one frontier segment
+// per thread.
 func (s *System) layout(T int) sysLayout {
-	var l sysLayout
-	l.segLen = s.L + s.L/4 + 16
-	l.yBase = 0
-	l.auxBase = s.L
-	l.assignees = 2 * s.L
-	l.qBase = [2]int{3 * s.L, 3*s.L + T*l.segLen}
-	l.tailBase[0] = l.qBase[1] + T*l.segLen
-	l.tailBase[1] = l.tailBase[0] + T*tailStride
-	l.parityPos = l.tailBase[1] + T*tailStride
-	l.stepPos = l.parityPos + 8
-	l.lockBase = l.stepPos + 8
-	return l
+	fr := aam.Frontier{Base: 3 * s.L, Segs: T, SegLen: s.L + s.L/4 + 16, Stride: 8}
+	step := fr.End()
+	return sysLayout{yBase: 0, auxBase: s.L, assignees: 2 * s.L, fr: fr, stepPos: step, lockBase: step + 8}
 }
 
 // MemWordsFor returns the node-memory size for T threads per node: the
@@ -196,11 +163,7 @@ func (s *System) Init(ctx exec.Context, seeds []int, vals []uint64) {
 		ctx.Store(s.assignees+lv, 0)
 	}
 	if ctx.LocalID() == 0 {
-		for i := range ctx.ThreadsPerNode() {
-			ctx.Store(s.tailBase[0]+i*tailStride, 0)
-			ctx.Store(s.tailBase[1]+i*tailStride, 0)
-		}
-		ctx.Store(s.parityPos, 0)
+		s.fr.Reset(ctx)
 		// The assignment vector stores level+1 (0 = untouched); vertices
 		// discovered by the first Step are at level 1, raw 2.
 		ctx.Store(s.stepPos, 2)
@@ -216,7 +179,7 @@ func (s *System) Init(ctx exec.Context, seeds []int, vals []uint64) {
 			if s.Cfg.RecordStep {
 				ctx.Store(s.assignees+lv, 1) // step 0, stored +1
 			}
-			s.push(ctx, 0, uint64(lv))
+			s.fr.Push(ctx, 0, lv)
 		}
 	}
 	ctx.Barrier()
@@ -238,46 +201,20 @@ func (s *System) threadSlice(ctx exec.Context) (lo, hi int) {
 // benefit from — seeing same-step improvements).
 func (s *System) Step(ctx exec.Context, eng *aam.Engine) uint64 {
 	sr := s.Cfg.Semiring
-	T := ctx.ThreadsPerNode()
-	lid := ctx.LocalID()
-	cur := int(ctx.Load(s.parityPos))
-
-	tails := make([]int, T)
-	count := 0
-	for j := 0; j < T; j++ {
-		tails[j] = int(ctx.Load(s.tailBase[cur] + j*tailStride))
-		count += tails[j]
-	}
-	lo, hi := lid*count/T, (lid+1)*count/T
-	pos := 0
-	for j := 0; j < T && pos < hi; j++ {
-		segLo, segHi := pos, pos+tails[j]
-		pos = segHi
-		if segHi <= lo || segLo >= hi {
-			continue
-		}
-		from, to := max(lo, segLo)-segLo, min(hi, segHi)-segLo
-		for i := from; i < to; i++ {
-			lv := int(ctx.Load(s.qBase[cur] + j*s.segLen + i))
-			ctx.Store(s.auxBase+lv, 0) // re-arm first-touch for later steps
-			v := s.Part.Global(ctx.NodeID(), lv)
-			s.expand(ctx, eng, v, ctx.Load(s.yBase+lv), sr)
-		}
-	}
+	cur := int(ctx.Load(s.fr.Parity()))
+	tails := make([]int, s.fr.Segs)
+	s.fr.Walk(ctx, cur, tails, func(lv int) {
+		ctx.Store(s.auxBase+lv, 0) // re-arm first-touch for later steps
+		v := s.Part.Global(ctx.NodeID(), lv)
+		s.expand(ctx, eng, v, ctx.Load(s.yBase+lv), sr)
+	})
 	eng.Drain()
 
-	nextLocal := uint64(0)
-	if lid == 0 {
-		for j := 0; j < T; j++ {
-			nextLocal += ctx.Load(s.tailBase[cur^1] + j*tailStride)
-		}
-	}
-	total := ctx.AllReduceSum(nextLocal)
+	total := ctx.AllReduceSum(s.fr.Len(ctx, cur^1))
 
 	// Recycle and flip.
-	ctx.Store(s.tailBase[cur]+lid*tailStride, 0)
-	if lid == 0 {
-		ctx.Store(s.parityPos, uint64(cur^1))
+	s.fr.Flip(ctx, cur)
+	if ctx.LocalID() == 0 {
 		ctx.FetchAdd(s.stepPos, 1)
 	}
 	ctx.Barrier()
@@ -287,7 +224,7 @@ func (s *System) Step(ctx exec.Context, eng *aam.Engine) uint64 {
 // expand spawns the accumulate-push operator for every neighbor of v.
 func (s *System) expand(ctx exec.Context, eng *aam.Engine, v int, xv uint64, sr Semiring) {
 	neigh := s.G.Neighbors(v)
-	ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+	ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 	for i, wv := range neigh {
 		aw := sr.One
 		if s.Cfg.Weight != nil {
@@ -311,7 +248,7 @@ func (s *System) AccumulateAll(ctx exec.Context, eng *aam.Engine, xf func(lv, v 
 			continue
 		}
 		neigh := s.G.Neighbors(v)
-		ctx.Compute(vtime.Time(len(neigh)/2+1) * ctx.Profile().LoadCost)
+		ctx.Compute(ctx.Profile().ScanCost(len(neigh)))
 		for i, wv := range neigh {
 			aw := sr.One
 			if s.Cfg.Weight != nil {
@@ -342,13 +279,3 @@ func (s *System) Assignments(m exec.Machine) []int64 {
 	}
 	return out
 }
-
-// YBase exposes the accumulator region base for drivers that rewrite x/y
-// between iterations (PageRank).
-func (s *System) YBase() int { return s.yBase }
-
-// AssignBase exposes the assignment region base.
-func (s *System) AssignBase() int { return s.assignees }
-
-// ThreadSlice exposes the per-thread local vertex range.
-func (s *System) ThreadSlice(ctx exec.Context) (lo, hi int) { return s.threadSlice(ctx) }
