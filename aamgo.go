@@ -382,13 +382,11 @@ func Coloring(g *Graph, c Config) ([]int32, int, RunInfo, error) {
 }
 
 // SSSP runs single-source shortest paths over the graph's edge weights on
-// the engine Config.Engine selects (chaotic relaxation on aam,
-// delta-stepping with an auto-selected delta on shard, min-plus frontier
-// rounds on gblas — the distance vector is the unique Bellman fixed
-// point, hence identical) and returns the distance vector (MaxUint64 for
-// unreachable vertices). On power-law graphs the aam engine's chaotic
-// relaxation can commit about 96 transactions per arc, and gblas and shard
-// return the same distances much faster.
+// the engine Config.Engine selects (the GraphBLAS system's min-plus
+// frontier rounds as AAM activities on aam, delta-stepping with an
+// auto-selected delta on shard, the vectorized min-plus product on gblas —
+// the distance vector is the unique Bellman fixed point, hence identical)
+// and returns the distance vector (MaxUint64 for unreachable vertices).
 func SSSP(g *Graph, src int, c Config) ([]uint64, RunInfo, error) {
 	res, ri, err := Run("sssp", g, query.Args{Src: src}, c)
 	return res.Dists, ri, err

@@ -539,7 +539,7 @@ func TestShardedIrregularFacade(t *testing.T) {
 	src := g.MaxDegreeVertex()
 
 	// Config.Shards routes SSSP through the sharded executor; distances
-	// must equal the single-runtime chaotic relaxation exactly.
+	// must equal the single runtime's min-plus frontier rounds exactly.
 	single, _, err := aamgo.SSSP(g, src, aamgo.Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -488,9 +488,7 @@ func Example_sharded() {
 	}
 	fmt.Printf("  coloring: %d colors, proper: %v\n", col.Used, algo.ValidColoring(wg, col.Colors))
 
-	// SSSP is checked on the GraphBLAS engine: the aam simulator's chaotic
-	// relaxation commits about 96 transactions an arc on this graph.
-	dists, _, err := aamgo.SSSP(wg, src, aamgo.Config{Engine: aamgo.EngineGBLAS})
+	dists, _, err := aamgo.SSSP(wg, src, aamgo.Config{})
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -500,7 +498,7 @@ func Example_sharded() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("sssp distances against gblas: %s\n", compare(ssp.Dists, dists))
+	fmt.Printf("sssp distances against the aam engine: %s\n", compare(ssp.Dists, dists))
 	fmt.Printf("mst weight %d, the single runtime's %d\n", mst.Weight, weight)
 	// Output:
 	// graph: 2048 vertices, 32590 arcs
@@ -522,7 +520,7 @@ func Example_sharded() {
 	//   sssp:     20 buckets, 1573 reached
 	//   mst:      weight 1510536288713 over 1573 edges
 	//   coloring: 28 colors, proper: true
-	// sssp distances against gblas: identical
+	// sssp distances against the aam engine: identical
 	// mst weight 1510536288713, the single runtime's 1510536288713
 }
 

@@ -35,7 +35,7 @@ type (
 	Semiring = gblas.Semiring
 	// BFS is the or-and level-synchronous breadth-first search.
 	BFS = gblas.BFS
-	// SSSP is the min-plus chaotic Bellman-Ford.
+	// SSSP is the min-plus Bellman-Ford in frontier rounds.
 	SSSP = gblas.SSSP
 	// PageRank is the plus-times power iteration.
 	PageRank = gblas.PageRank

@@ -39,6 +39,37 @@ func TestOCCProducesSameStateAsHTM(t *testing.T) {
 	}
 }
 
+// TestOCCRemoteBatchesUnderContention sends every operator to the other
+// node onto a few hot words: an activity's validation then fails often,
+// and its backoff polls and runs further packets on the same engine
+// before the first one is done. Each operator must still be applied
+// exactly once.
+func TestOCCRemoteBatchesUnderContention(t *testing.T) {
+	w := newCounting()
+	m := engineMachine(t, w, 2, 4, 13)
+	part := graph.NewPartition(1<<10, 2)
+	m.Run(func(ctx exec.Context) {
+		eng := aam.NewEngine(w.rt, ctx, aam.Config{
+			M: 2, C: 2, Mechanism: aam.MechOptimistic,
+			Part: part, LockBase: 1 << 11,
+		})
+		other := 1 - ctx.NodeID()
+		for i := 0; i < 200; i++ {
+			eng.Spawn(w.op, other*512+i%5, 1)
+		}
+		eng.Drain()
+	})
+	for node := range 2 {
+		sum := uint64(0)
+		for i := 0; i < 5; i++ {
+			sum += m.Mem(node)[i]
+		}
+		if sum != 800 {
+			t.Fatalf("node %d: applied sum = %d, want 800", node, sum)
+		}
+	}
+}
+
 func TestOCCCountsValidationConflicts(t *testing.T) {
 	// All threads hammer a single vertex: validation failures must be
 	// visible as conflict aborts with retries.

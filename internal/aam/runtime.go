@@ -82,6 +82,7 @@ func (rt *Runtime) handleExec(ctx exec.Context, src int, payload []uint64) {
 	e := rt.engineFor(ctx)
 	n := len(payload) / 3
 	recs := e.recScratch[:0]
+	e.recScratch = nil // detach: a poll inside runBatch may re-enter here
 	for i := 0; i < n; i++ {
 		recs = append(recs, rec{
 			op:  int32(payload[3*i]),

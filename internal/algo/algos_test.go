@@ -175,37 +175,6 @@ func TestColoringIsProper(t *testing.T) {
 	}
 }
 
-// --- SSSP ---
-
-func TestSSSPMatchesDijkstra(t *testing.T) {
-	b := graph.NewBuilder(300).WithWeights(func(u, v int32) uint32 {
-		w := graph.SymmetricWeight(5)(u, v)
-		return w%100 + 1 // small weights: fewer re-relaxations
-	})
-	kg := graph.Kronecker(8, 5, 11)
-	for u := 0; u < kg.N; u++ {
-		for _, v := range kg.Neighbors(u) {
-			if int32(u) < v {
-				b.AddEdge(int32(u)%300, v%300)
-			}
-		}
-	}
-	g := b.Dedup().Build()
-	src := g.MaxDegreeVertex()
-	want := SeqSSSP(g, src)
-	for _, nodes := range []int{1, 2} {
-		s := NewSSSP(g, nodes)
-		m := simFor(s, nodes, 2, exec.HaswellC())
-		m.Run(s.Body(src, aam.Config{M: 4, C: 8, Mechanism: aam.MechHTM}))
-		got := s.Dists(m)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("nodes=%d: dist[%d] = %d, want %d", nodes, v, got[v], want[v])
-			}
-		}
-	}
-}
-
 // --- Connected components ---
 
 func TestCCMatchesReference(t *testing.T) {

@@ -41,9 +41,10 @@ func (b *BFS) Body(src int) func(ctx exec.Context) {
 // Levels gathers the level vector after the run (-1 unreached).
 func (b *BFS) Levels(m exec.Machine) []int64 { return b.Assignments(m) }
 
-// SSSP prepares min-plus single-source shortest paths (chaotic
-// Bellman-Ford: a vertex re-enters the frontier whenever its distance
-// improves). The graph must carry edge weights.
+// SSSP prepares min-plus single-source shortest paths: Bellman-Ford in
+// frontier rounds, each round relaxing the out-arcs of the vertices whose
+// distance improved in the one before, to the fixed point. The graph must
+// carry edge weights. It is the default aam engine's SSSP.
 type SSSP struct {
 	*System
 }

@@ -2,6 +2,7 @@ package gblas_test
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,18 +178,25 @@ func TestGBLASBFSAcrossMechanisms(t *testing.T) {
 }
 
 // TestGBLASBFSOnNative runs the system's frontier on goroutines: two
-// nodes of two threads each, pushing transactionally and atomically.
+// nodes of two threads each, pushing transactionally and atomically, for
+// BFS and for SSSP (the aam engine's SSSP).
 func TestGBLASBFSOnNative(t *testing.T) {
 	g := graph.Kronecker(8, 6, 9)
+	wg := graph.AttachSymmetricWeights(g, 9)
 	src := g.MaxDegreeVertex()
 	ref := algo.SeqBFS(g, src)
-	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
-		b := gblas.NewBFS(g, 2, aam.Config{M: 4, C: 8, Mechanism: mech})
-		prof := exec.HaswellC()
-		m := run.New(run.Native, exec.Config{
-			Nodes: 2, ThreadsPerNode: 2, MemWords: b.MemWordsFor(2),
-			Profile: &prof, Handlers: b.Handlers(nil), Seed: 9,
+	refDists := algo.SeqSSSP(wg, src)
+	prof := exec.HaswellC()
+	native := func(sys *gblas.System) exec.Machine {
+		return run.New(run.Native, exec.Config{
+			Nodes: 2, ThreadsPerNode: 2, MemWords: sys.MemWordsFor(2),
+			Profile: &prof, Handlers: sys.Handlers(nil), Seed: 9,
 		})
+	}
+	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
+		cfg := aam.Config{M: 4, C: 8, Mechanism: mech}
+		b := gblas.NewBFS(g, 2, cfg)
+		m := native(b.System)
 		m.Run(b.Body(src))
 		levels := b.Levels(m)
 		for v := 0; v < g.N; v++ {
@@ -196,41 +204,57 @@ func TestGBLASBFSOnNative(t *testing.T) {
 				t.Fatalf("%v: vertex %d level %d, reference %d", mech, v, levels[v], ref[v])
 			}
 		}
+		s := gblas.NewSSSP(wg, 2, cfg)
+		m = native(s.System)
+		m.Run(s.Body(src))
+		if !slices.Equal(s.Dists(m), refDists) {
+			t.Fatalf("%v: SSSP distances diverge from Dijkstra", mech)
+		}
 	}
 }
 
 // --- SSSP over min-plus ---
 
+// TestGBLASSSSPMatchesDijkstra holds the min-plus rounds to Dijkstra on
+// every mechanism, on one node and on two.
 func TestGBLASSSSPMatchesDijkstra(t *testing.T) {
-	g := weightedGraph(10)
-	src := 0
-	ref := algo.SeqSSSP(g, src)
-
-	s := gblas.NewSSSP(g, 1, htmEngine())
-	m := machineFor(s, 1, 8, 10)
-	m.Run(s.Body(src))
-	dists := s.Dists(m)
-
-	for v := 0; v < g.N; v++ {
-		if ref[v] != dists[v] {
-			t.Fatalf("vertex %d: gblas dist %d, Dijkstra %d", v, dists[v], ref[v])
+	// Small weights on few vertices: many equal-length paths.
+	b := graph.NewBuilder(300).WithWeights(func(u, v int32) uint32 {
+		return graph.SymmetricWeight(5)(u, v)%100 + 1
+	})
+	kg := graph.Kronecker(8, 5, 11)
+	for u := 0; u < kg.N; u++ {
+		for _, v := range kg.Neighbors(u) {
+			if int32(u) < v {
+				b.AddEdge(int32(u)%300, v%300)
+			}
 		}
 	}
-}
-
-func TestGBLASSSSPDistributed(t *testing.T) {
-	g := weightedGraph(11)
-	src := 5
-	ref := algo.SeqSSSP(g, src)
-
-	s := gblas.NewSSSP(g, 2, htmEngine())
-	m := machineFor(s, 2, 4, 11)
-	m.Run(s.Body(src))
-	dists := s.Dists(m)
-
-	for v := 0; v < g.N; v++ {
-		if ref[v] != dists[v] {
-			t.Fatalf("vertex %d: gblas dist %d, Dijkstra %d", v, dists[v], ref[v])
+	small := b.Dedup().Build()
+	kron := graph.AttachSymmetricWeights(graph.Kronecker(10, 8, 42), 42)
+	road := graph.AttachSymmetricWeights(graph.RoadGrid(32, 32, .1, 7), 7)
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		src  int
+	}{
+		{"small-weights", small, small.MaxDegreeVertex()},
+		{"kron9-folded-10", weightedGraph(10), 0},
+		{"kron9-folded-11", weightedGraph(11), 5},
+		{"kron10", kron, kron.MaxDegreeVertex()},
+		{"road32", road, 0},
+	}
+	for _, c := range cases {
+		ref := algo.SeqSSSP(c.g, c.src)
+		for mech := aam.MechHTM; mech <= aam.MechFlatCombining; mech++ {
+			for nodes := 1; nodes <= 2; nodes++ {
+				s := gblas.NewSSSP(c.g, nodes, aam.Config{M: 8, Mechanism: mech})
+				m := machineFor(s, nodes, 4, 10)
+				m.Run(s.Body(c.src))
+				if dists := s.Dists(m); !slices.Equal(dists, ref) {
+					t.Fatalf("%s %v nodes=%d: distances diverge from Dijkstra", c.name, mech, nodes)
+				}
+			}
 		}
 	}
 }

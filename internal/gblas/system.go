@@ -30,8 +30,8 @@ type Config struct {
 }
 
 // System is a prepared GraphBLAS execution over one graph: a persistent
-// accumulator vector y, an assignment vector, a touched bitmap, and
-// per-thread frontier segments, all in node memory, with the accumulation
+// accumulator vector y, an assignment vector, push tags, and per-thread
+// frontier segments, all in node memory, with the accumulation
 // operator registered on an AAM runtime. Construct with New, splice
 // Handlers into the machine config, size node memory with MemWordsFor(T),
 // then drive steps from an SPMD body via NewEngine/Step (or use the prepared
@@ -52,7 +52,7 @@ type System struct {
 // sysLayout is the node-memory map, which depends on the thread count.
 type sysLayout struct {
 	yBase     int
-	auxBase   int // touched-this-run flags
+	tagBase   int // per entry, the stepPos value of the step that last pushed it
 	assignees int // assignment vector (levels)
 	fr        aam.Frontier
 	stepPos   int // fr.End()
@@ -76,10 +76,10 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 				return 0, true // no improvement: May-Fail failure
 			}
 			tx.Write(s.yBase+w, nv)
-			if tx.Read(s.auxBase+w) == 0 {
-				tx.Write(s.auxBase+w, 1)
+			if step := tx.Read(s.stepPos); tx.Read(s.tagBase+w) != step {
+				tx.Write(s.tagBase+w, step)
 				if s.Cfg.RecordStep {
-					tx.Write(s.assignees+w, tx.Read(s.stepPos))
+					tx.Write(s.assignees+w, step)
 				}
 				s.fr.TxPush(tx, e.Ctx(), w)
 			}
@@ -96,9 +96,12 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 					break
 				}
 			}
-			if ctx.CAS(s.auxBase+w, 0, 1) {
+			// Every write of a tag within a step stores that step's
+			// value, so one CAS decides which operator pushes w.
+			step := ctx.Load(s.stepPos)
+			if tag := ctx.Load(s.tagBase + w); tag != step && ctx.CAS(s.tagBase+w, tag, step) {
 				if s.Cfg.RecordStep {
-					ctx.Store(s.assignees+w, ctx.Load(s.stepPos))
+					ctx.Store(s.assignees+w, step)
 				}
 				s.fr.PushNext(ctx, w)
 			}
@@ -128,7 +131,7 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 func (s *System) layout(T int) sysLayout {
 	fr := aam.Frontier{Base: 3 * s.L, Segs: T, SegLen: s.L + s.L/4 + 16, Stride: 8}
 	step := fr.End()
-	return sysLayout{yBase: 0, auxBase: s.L, assignees: 2 * s.L, fr: fr, stepPos: step, lockBase: step + 8}
+	return sysLayout{yBase: 0, tagBase: s.L, assignees: 2 * s.L, fr: fr, stepPos: step, lockBase: step + 8}
 }
 
 // MemWordsFor returns the node-memory size for T threads per node: the
@@ -159,7 +162,7 @@ func (s *System) Init(ctx exec.Context, seeds []int, vals []uint64) {
 	lo, hi := s.threadSlice(ctx)
 	for lv := lo; lv < hi; lv++ {
 		ctx.Store(s.yBase+lv, sr.Zero)
-		ctx.Store(s.auxBase+lv, 0)
+		ctx.Store(s.tagBase+lv, 0)
 		ctx.Store(s.assignees+lv, 0)
 	}
 	if ctx.LocalID() == 0 {
@@ -199,12 +202,23 @@ func (s *System) threadSlice(ctx exec.Context) (lo, hi int) {
 // and returns the global size of the next frontier. Collective. x[v] is
 // read from y at expansion time (monotone semirings tolerate — and
 // benefit from — seeing same-step improvements).
+//
+// An operator that improves y[w] pushes w unless this step already has:
+// w's tag holds the step that last pushed it. Only operators write tags,
+// so the push decision is isolated under every mechanism: a plain store
+// by the walk would race an optimistic operator, which reads the tag
+// before the walk and writes y[w] after it. An entry of this frontier
+// that is already in the next one is skipped: next step expands it with
+// a value at least as good.
 func (s *System) Step(ctx exec.Context, eng *aam.Engine) uint64 {
 	sr := s.Cfg.Semiring
 	cur := int(ctx.Load(s.fr.Parity()))
 	tails := make([]int, s.fr.Segs)
+	step := ctx.Load(s.stepPos)
 	s.fr.Walk(ctx, cur, tails, func(lv int) {
-		ctx.Store(s.auxBase+lv, 0) // re-arm first-touch for later steps
+		if ctx.Load(s.tagBase+lv) == step {
+			return
+		}
 		v := s.Part.Global(ctx.NodeID(), lv)
 		s.expand(ctx, eng, v, ctx.Load(s.yBase+lv), sr)
 	})

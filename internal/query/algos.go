@@ -40,7 +40,7 @@ var Registry = []*Descriptor{
 	{
 		Name: "sssp", Title: "SSSP", Weighted: true, PredictM: true,
 		Params: []Param{paramSrc, paramWSeed, uintParam("delta", func(a *Args) *uint64 { return &a.Delta },
-			map[string]string{EngineGBLAS: "delta only applies to the sharded delta-stepping SSSP"})},
+			map[string]string{EngineAAM: deltaShardOnly, EngineGBLAS: deltaShardOnly})},
 		Engines: map[string]RunFunc{EngineAAM: aamSSSP, EngineShard: shardSSSP, EngineCluster: shardSSSP, EngineGBLAS: gblasSSSP},
 		Verify:  verifySSSP, Summary: summariseSSSP, VectorKey: "dists",
 	},
@@ -60,6 +60,8 @@ var Registry = []*Descriptor{
 		Verify:  verifyColoring, Summary: summariseColoring, VectorKey: "per_vertex",
 	},
 }
+
+const deltaShardOnly = "delta only applies to the sharded delta-stepping SSSP"
 
 func badParam(name, v string) error { return fmt.Errorf("bad %s %q", name, v) }
 
@@ -167,8 +169,8 @@ func gblasPageRank(g *graph.Graph, a Args, _ Env) (Result, error) {
 }
 
 func aamSSSP(g *graph.Graph, a Args, e Env) (Result, error) {
-	s := algo.NewSSSP(g, e.Nodes)
-	m, res := e.RunAAM(e.Nodes, s, s.Body(a.Src, e.AAM))
+	s := gblas.NewSSSP(g, e.Nodes, e.AAM)
+	m, res := e.RunAAM(e.Nodes, s, s.Body(a.Src))
 	return Result{Dists: s.Dists(m), AAM: res}, nil
 }
 

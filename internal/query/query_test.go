@@ -8,6 +8,7 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
 	"aamgo/internal/exec"
+	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
 	"aamgo/internal/shard"
 )
@@ -349,7 +350,7 @@ func TestRunAAMSizesForItsThreads(t *testing.T) {
 			p := algo.NewPageRank(g, e.Nodes, algo.PRConfig{Engine: e.AAM})
 			return aamRun{e.Nodes, p, p.Body()}
 		},
-		"sssp":     func() aamRun { s := algo.NewSSSP(g, e.Nodes); return aamRun{e.Nodes, s, s.Body(0, e.AAM)} },
+		"sssp":     func() aamRun { s := gblas.NewSSSP(g, e.Nodes, e.AAM); return aamRun{e.Nodes, s, s.Body(0)} },
 		"mst":      func() aamRun { b := algo.NewBoruvka(g); return aamRun{1, b, b.Body(e.AAM)} },
 		"coloring": func() aamRun { c := algo.NewColoring(g); return aamRun{1, c, c.Body(e.AAM, 0)} },
 		"maxflow":  func() aamRun { f := algo.NewMaxFlow(g); return aamRun{1, f, f.Body(0, g.N-1, e.AAM)} },

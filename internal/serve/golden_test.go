@@ -140,6 +140,7 @@ func goldenCases() []goldenCase {
 		{"sssp bad delta", "/query/sssp?src=0&delta=x"},
 		{"sssp bad delta beats gblas delta", "/query/sssp?src=0&delta=x&engine=gblas"},
 		{"sssp gblas delta", "/query/sssp?src=0&delta=4&engine=gblas"},
+		{"sssp aam delta", "/query/sssp?src=0&delta=4"},
 		{"sssp bad wseed beats bad engine", "/query/sssp?src=0&wseed=q&engine=spark"},
 		{"pagerank bad iters", "/query/pagerank?iters=abc"},
 		{"pagerank zero iters", "/query/pagerank?iters=0"},

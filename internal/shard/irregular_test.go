@@ -9,6 +9,7 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
 	"aamgo/internal/exec"
+	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
 	"aamgo/internal/run"
 )
@@ -57,18 +58,19 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	}
 }
 
-// TestSSSPMatchesSingleRuntime cross-checks against the actual
-// single-runtime internal/algo chaotic-relaxation SSSP on the simulator.
+// TestSSSPMatchesSingleRuntime cross-checks against the single-runtime
+// SSSP of the default aam engine, the GraphBLAS system's min-plus frontier
+// rounds, on the simulator.
 func TestSSSPMatchesSingleRuntime(t *testing.T) {
 	g := weighted(graph.Kronecker(8, 8, 3), 7)
 	src := g.MaxDegreeVertex()
 	prof := exec.HaswellC()
-	s := algo.NewSSSP(g, 1)
+	s := gblas.NewSSSP(g, 1, aam.Config{M: 8, Mechanism: aam.MechHTM})
 	m := run.New(run.Sim, exec.Config{
 		Nodes: 1, ThreadsPerNode: 4, MemWords: s.MemWordsFor(4),
 		Profile: &prof, Handlers: s.Handlers(nil), Seed: 1,
 	})
-	m.Run(s.Body(src, aam.Config{M: 8, Mechanism: aam.MechHTM}))
+	m.Run(s.Body(src))
 	single := s.Dists(m)
 
 	res, err := SSSP(g, src, 0, Config{Shards: 4, BatchSize: 8})
@@ -76,7 +78,7 @@ func TestSSSPMatchesSingleRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Dists, single) {
-		t.Fatal("sharded SSSP distances diverge from single-runtime internal/algo SSSP")
+		t.Fatal("sharded SSSP distances diverge from the single-runtime min-plus SSSP")
 	}
 }
 

@@ -124,12 +124,12 @@ func autoDelta(g *graph.Graph, maxW uint64) uint64 {
 
 // SSSP runs delta-stepping single-source shortest paths from src across
 // cfg.Shards shards. The relax operator is the same FF&MF min-combine as
-// the single-runtime internal/algo SSSP (§5.4.1): one activity improves a
-// vertex's distance word, losers fail benignly, and cross-shard
-// relaxations travel as coalesced May-Fail batches. Where the
-// single-runtime version relaxes chaotically under the AAM quiescence
-// protocol, the sharded version layers a shared bucket-epoch barrier on
-// Drain(): vertices are bucketed by floor(dist/delta) in per-worker flat
+// the single-runtime min-plus SSSP of internal/gblas (§5.4.1, §7): one
+// activity improves a vertex's distance word, losers fail benignly, and
+// cross-shard relaxations travel as coalesced May-Fail batches. Where the
+// single-runtime version relaxes in Bellman-Ford frontier rounds, the
+// sharded version layers a shared bucket-epoch barrier on Drain():
+// vertices are bucketed by floor(dist/delta) in per-worker flat
 // bucket rings, the coordinator advances a monotone cursor to the
 // smallest non-empty bucket between barriers, and a bucket is
 // re-processed until it stops refilling (its own relaxations may land
