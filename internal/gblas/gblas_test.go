@@ -215,6 +215,23 @@ func TestGBLASBFSOnNative(t *testing.T) {
 
 // --- SSSP over min-plus ---
 
+func TestGBLASSSSPDistributed(t *testing.T) {
+	g := weightedGraph(11)
+	src := 5
+	ref := algo.SeqSSSP(g, src)
+
+	s := gblas.NewSSSP(g, 2, htmEngine())
+	m := machineFor(s, 2, 4, 11)
+	m.Run(s.Body(src))
+	dists := s.Dists(m)
+
+	for v := 0; v < g.N; v++ {
+		if ref[v] != dists[v] {
+			t.Fatalf("vertex %d: gblas dist %d, Dijkstra %d", v, dists[v], ref[v])
+		}
+	}
+}
+
 // TestGBLASSSSPMatchesDijkstra holds the min-plus rounds to Dijkstra on
 // every mechanism, on one node and on two.
 func TestGBLASSSSPMatchesDijkstra(t *testing.T) {
