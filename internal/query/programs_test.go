@@ -44,8 +44,8 @@ func memHash(m exec.Machine, nodes int) uint64 {
 }
 
 // TestProgramFingerprints pins every simulated operation of the
-// level-synchronous AAM programs (algo.BFS in its three modes, MaxFlow,
-// Coloring, STConn on a near and a far pair, and gblas.System's BFS, SSSP
+// AAM programs (algo.BFS in its three modes, MaxFlow, Coloring, STConn on
+// a near and a far pair, PageRank, Boruvka, and gblas.System's BFS, SSSP
 // and PageRank): one line per run holds the virtual time, the merged
 // stats.Total counters and a hash of every node's memory after the run, on
 // has-c and bgq, under every mechanism the program supports, on one node
@@ -90,6 +90,14 @@ func TestProgramFingerprints(t *testing.T) {
 			c := algo.NewColoring(g)
 			return c, c.Body(cfg, 0)
 		}},
+		{"mst", 1, func(_ int, cfg aam.Config) (program, func(exec.Context)) {
+			b := algo.NewBoruvka(wg)
+			return b, b.Body(cfg)
+		}},
+		{"pagerank", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+			p := algo.NewPageRank(g, nodes, algo.PRConfig{Damping: 0.85, Iterations: 3, Engine: cfg})
+			return p, p.Body()
+		}},
 		{"stconn-near", 2, stconn(near)},
 		{"stconn-far", 2, stconn(far)},
 		{"gblas-bfs", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
@@ -110,9 +118,9 @@ func TestProgramFingerprints(t *testing.T) {
 	for _, prof := range []exec.MachineProfile{exec.HaswellC(), exec.BGQ()} {
 		for _, r := range runs {
 			for mech := aam.MechHTM; mech <= aam.MechFlatCombining; mech++ {
-				// Boman coloring has no atomic body, and the Graph500
-				// baseline runs no engine at all.
-				if r.name == "coloring" && mech == aam.MechAtomic ||
+				// Boman coloring and Boruvka have no atomic body, and
+				// the Graph500 baseline runs no engine at all.
+				if (r.name == "coloring" || r.name == "mst") && mech == aam.MechAtomic ||
 					r.name == "bfs-graph500" && mech != aam.MechHTM {
 					continue
 				}
