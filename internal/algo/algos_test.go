@@ -175,24 +175,6 @@ func TestColoringIsProper(t *testing.T) {
 	}
 }
 
-// --- Connected components ---
-
-func TestCCMatchesReference(t *testing.T) {
-	g := graph.Kronecker(8, 4, 13)
-	want := SeqComponents(g)
-	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
-		c := NewCC(g, 2)
-		m := simFor(c, 2, 2, exec.BGQ())
-		m.Run(c.Body(aam.Config{M: 8, C: 16, Mechanism: mech}))
-		got := c.Labels(m)
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("%v: label[%d] = %d, want %d", mech, v, got[v], want[v])
-			}
-		}
-	}
-}
-
 // --- sequential reference sanity ---
 
 func TestUnionFind(t *testing.T) {

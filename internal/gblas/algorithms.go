@@ -11,7 +11,8 @@ import (
 // The classic GraphBLAS algorithm triptych, each a few lines over the
 // System primitives — the point of the abstraction (§7): BFS is repeated
 // masked or-and products, SSSP is min-plus Bellman-Ford, PageRank is
-// plus-times power iteration.
+// plus-times power iteration. Connected components reuse the SSSP rounds
+// with every edge weighing One.
 
 // BFS prepares a level-synchronous BFS over the or-and semiring. Results:
 // Assignments(m) holds levels (-1 unreached).
@@ -70,6 +71,51 @@ func (s *SSSP) Body(src int) func(ctx exec.Context) {
 
 // Dists gathers the distance vector (math.MaxUint64 unreachable).
 func (s *SSSP) Dists(m exec.Machine) []uint64 { return s.Values(m) }
+
+// CC prepares connected components by min-label propagation: min-plus
+// with a(v,w) = One = 0, every vertex seeded with its own id, frontier
+// rounds to the fixed point. Each vertex ends labelled with the smallest
+// id of its component. It is the aam engine's components query.
+type CC struct {
+	*System
+}
+
+// NewCC builds the CC system for g over nodes.
+func NewCC(g *graph.Graph, nodes int, eng aam.Config) *CC {
+	return &CC{System: New(g, nodes, Config{Semiring: MinPlus(), Engine: eng})}
+}
+
+// Body returns the SPMD body running CC to fixpoint. Every vertex is a
+// seed, so each thread stores and pushes its own slice of the node's
+// block into its own frontier segment (Init's seed list is walked by one
+// thread).
+func (c *CC) Body() func(ctx exec.Context) {
+	return func(ctx exec.Context) {
+		eng := c.NewEngine(ctx)
+		if ctx.LocalID() == 0 {
+			ctx.Store(c.stepPos, 2) // tags start at 0: no vertex is pushed yet
+		}
+		me := ctx.NodeID()
+		lo, hi := c.threadSlice(ctx)
+		for lv := lo; lv < hi; lv++ {
+			ctx.Store(c.yBase+lv, uint64(c.Part.Global(me, lv)))
+			c.fr.Push(ctx, 0, lv)
+		}
+		ctx.Barrier()
+		for c.Step(ctx, eng) > 0 {
+		}
+	}
+}
+
+// Labels gathers the component labels after the run.
+func (c *CC) Labels(m exec.Machine) []int32 {
+	vals := c.Values(m)
+	out := make([]int32, len(vals))
+	for v, l := range vals {
+		out[v] = int32(l)
+	}
+	return out
+}
 
 // PageRank prepares plus-times power iteration: rank = (1-d)/N + d·A^T·
 // (rank/outdeg), k iterations with stale ranks (§3.3.1's formulation).

@@ -142,9 +142,9 @@ func gblasBFS(g *graph.Graph, a Args, _ Env) (Result, error) {
 }
 
 func aamCC(g *graph.Graph, _ Args, e Env) (Result, error) {
-	cc := algo.NewCC(g, e.Nodes)
-	m, res := e.RunAAM(e.Nodes, cc, cc.Body(e.AAM))
-	return Result{Labels: cc.Labels(m), AAM: res}, nil
+	c := gblas.NewCC(g, e.Nodes, e.AAM)
+	m, res := e.RunAAM(e.Nodes, c, c.Body())
+	return Result{Labels: c.Labels(m), AAM: res}, nil
 }
 
 func shardCC(g *graph.Graph, _ Args, e Env) (Result, error) {

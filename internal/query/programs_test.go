@@ -45,8 +45,8 @@ func memHash(m exec.Machine, nodes int) uint64 {
 
 // TestProgramFingerprints pins every simulated operation of the
 // AAM programs (algo.BFS in its three modes, MaxFlow, Coloring, STConn on
-// a near and a far pair, PageRank, Boruvka, and gblas.System's BFS, SSSP
-// and PageRank): one line per run holds the virtual time, the merged
+// a near and a far pair, PageRank, Boruvka, and gblas.System's BFS, SSSP,
+// PageRank and CC): one line per run holds the virtual time, the merged
 // stats.Total counters and a hash of every node's memory after the run, on
 // has-c and bgq, under every mechanism the program supports, on one node
 // and, for the distributed programs, on two. The simulator is
@@ -111,6 +111,10 @@ func TestProgramFingerprints(t *testing.T) {
 		{"gblas-pagerank", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
 			p := gblas.NewPageRank(g, nodes, 0.85, 3, cfg)
 			return p, p.Body()
+		}},
+		{"gblas-cc", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+			c := gblas.NewCC(g, nodes, cfg)
+			return c, c.Body()
 		}},
 	}
 

@@ -345,7 +345,7 @@ func TestRunAAMSizesForItsThreads(t *testing.T) {
 			b := algo.NewBFS(g, e.Nodes, algo.BFSConfig{Mode: algo.BFSAAM, Engine: e.AAM, VisitedCheck: true})
 			return aamRun{e.Nodes, b, b.Body(0)}
 		},
-		"cc": func() aamRun { c := algo.NewCC(g, e.Nodes); return aamRun{e.Nodes, c, c.Body(e.AAM)} },
+		"cc": func() aamRun { c := gblas.NewCC(g, e.Nodes, e.AAM); return aamRun{e.Nodes, c, c.Body()} },
 		"pagerank": func() aamRun {
 			p := algo.NewPageRank(g, e.Nodes, algo.PRConfig{Engine: e.AAM})
 			return aamRun{e.Nodes, p, p.Body()}

@@ -9,6 +9,7 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/algo"
 	"aamgo/internal/exec"
+	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
 	"aamgo/internal/run"
 )
@@ -177,18 +178,18 @@ func TestComponentsMatchesReferences(t *testing.T) {
 	}
 }
 
-// TestComponentsMatchesSingleRuntime cross-checks against the actual
-// internal/algo CC execution (min-label fixed point, so labels must be
-// identical, not merely partition-equivalent).
+// TestComponentsMatchesSingleRuntime cross-checks against the aam
+// engine's components, gblas.CC's min-label rounds (a fixed point, so
+// labels must be identical, not merely partition-equivalent).
 func TestComponentsMatchesSingleRuntime(t *testing.T) {
 	g := graph.Community(300, 10, 4, 0.05, 11)
 	prof := exec.HaswellC()
-	c := algo.NewCC(g, 1)
+	c := gblas.NewCC(g, 1, aam.Config{M: 8, Mechanism: aam.MechHTM})
 	m := run.New(run.Sim, exec.Config{
 		Nodes: 1, ThreadsPerNode: 4, MemWords: c.MemWordsFor(4),
 		Profile: &prof, Handlers: c.Handlers(nil), Seed: 1,
 	})
-	m.Run(c.Body(aam.Config{M: 8, Mechanism: aam.MechHTM}))
+	m.Run(c.Body())
 	single := c.Labels(m)
 
 	res, err := Components(g, Config{Shards: 4, BatchSize: 16})
@@ -196,7 +197,7 @@ func TestComponentsMatchesSingleRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Labels, single) {
-		t.Fatal("sharded CC labels diverge from single-runtime internal/algo CC")
+		t.Fatal("sharded CC labels diverge from the aam engine's gblas CC")
 	}
 }
 
