@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -126,6 +127,11 @@ func TestMSTFacade(t *testing.T) {
 			t.Fatalf("vertex %d in component %d, want %d", v, c, root)
 		}
 	}
+	// Boruvka's merge has no atomic body: an error, not a panic.
+	if _, _, _, err := aamgo.MST(g, aamgo.Config{Threads: 2, Mechanism: aamgo.Atomic}); err == nil ||
+		!strings.Contains(err.Error(), "mech atomic does not apply to the aam mst") {
+		t.Fatalf("atomic MST: error %v", err)
+	}
 }
 
 func TestColoringFacadeIsProper(t *testing.T) {
@@ -136,6 +142,10 @@ func TestColoringFacadeIsProper(t *testing.T) {
 	}
 	if used <= 0 {
 		t.Fatal("no colors used")
+	}
+	if _, _, _, err := aamgo.Coloring(g, aamgo.Config{Threads: 4, M: 4, Mechanism: aamgo.Atomic}); err == nil ||
+		!strings.Contains(err.Error(), "mech atomic does not apply to the aam coloring") {
+		t.Fatalf("atomic Coloring: error %v", err)
 	}
 	for v := 0; v < g.N; v++ {
 		for _, w := range g.Neighbors(v) {
@@ -593,6 +603,10 @@ func TestShardedIrregularFacade(t *testing.T) {
 	}
 	if used <= 0 {
 		t.Fatal("no colors used")
+	}
+	if _, _, _, err := aamgo.Coloring(g, aamgo.Config{Threads: 4, M: 4, Mechanism: aamgo.Atomic}); err == nil ||
+		!strings.Contains(err.Error(), "mech atomic does not apply to the aam coloring") {
+		t.Fatalf("atomic Coloring: error %v", err)
 	}
 	for v := 0; v < g.N; v++ {
 		for _, w := range g.Neighbors(v) {

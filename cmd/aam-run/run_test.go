@@ -36,8 +36,9 @@ func runMain(t *testing.T, args ...string) (string, int) {
 
 // TestEveryAlgoRuns: every algorithm the usage line advertises runs on a
 // generated graph on every engine it declares and prints its own line; an
-// engine it lacks is exit status 1 with the descriptor's error, and so is
-// an endpoint outside the graph.
+// engine it lacks is exit status 1 with the descriptor's error, and so are
+// an endpoint outside the graph and -mech atomic on the aam cells whose
+// operators have no atomic body.
 func TestEveryAlgoRuns(t *testing.T) {
 	runs := func(algo string, args ...string) {
 		t.Helper()
@@ -66,6 +67,12 @@ func TestEveryAlgoRuns(t *testing.T) {
 		out, status := runMain(t, "-algo", algo, "-scale", "6", "-dst", "99999")
 		if status != 1 || !strings.Contains(out, "99999 invalid for 64 vertices") {
 			t.Errorf("%s -dst 99999: exit status %d, want 1 and a worded range error\n%s", algo, status, out)
+		}
+	}
+	for _, algo := range []string{"mst", "coloring"} {
+		out, status := runMain(t, "-algo", algo, "-scale", "6", "-mech", "atomic")
+		if status != 1 || !strings.Contains(out, "aam-run: mech atomic does not apply to the aam "+algo) {
+			t.Errorf("%s -mech atomic: exit status %d, want 1 and a worded error\n%s", algo, status, out)
 		}
 	}
 }

@@ -114,12 +114,25 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 			if ru == rx {
 				return 0, true // became intra-component: drop edge
 			}
+			// Lock and OCC isolate only the declared footprint: v and
+			// x's root at the start of the round. A walk that ends at
+			// another root met one a merge moved this round; writing it
+			// unisolated could link one root twice, so the merge fails
+			// and the next round re-proposes.
+			if m := e.Cfg().Mechanism; (m == aam.MechLock || m == aam.MechOptimistic) &&
+				(ru != v || rx != b.startRoot(tx.Read, x)) {
+				return 0, true
+			}
 			lo, hi := ru, rx
 			if lo > hi {
 				lo, hi = hi, lo
 			}
 			tx.Write(b.compBase+hi, uint64(lo))
 			return w, false
+		},
+		LockAddrs: func(e *aam.Engine, v int, arg uint64) []int {
+			x := int(b.G.Adj[arg&0xFFFFFFFF])
+			return []int{b.lockBase + v, b.lockBase + b.startRoot(e.Ctx().Load, x)}
 		},
 		OnDone: func(e *aam.Engine, vGlobal int, ret uint64, fail bool) {
 			ctx := e.Ctx()
@@ -136,6 +149,18 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 		},
 	})
 	return b
+}
+
+// startRoot returns x's root as it was when the round's merges began:
+// x itself if it carries a proposal (only roots do, and every root at the
+// far end of a proposed edge does), else the root its flattened pointer
+// names. Merges write no proposal and no non-root's pointer, so every
+// read within the round agrees.
+func (b *Boruvka) startRoot(load func(addr int) uint64, x int) int {
+	if load(b.minBase+x) != math.MaxUint64 {
+		return x
+	}
+	return int(load(b.compBase + x))
 }
 
 // txRoot walks the component pointers inside the transaction, putting the

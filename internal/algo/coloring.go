@@ -70,6 +70,19 @@ func NewColoring(g *graph.Graph) *Coloring {
 			}
 			return uint64(v), false
 		},
+		// The body reads every neighbour's colour, so under lock and OCC
+		// the footprint is v and its neighbourhood: two neighbours
+		// coloured at once then conflict instead of both committing
+		// unseen.
+		LockAddrs: func(e *aam.Engine, v int, _ uint64) []int {
+			neigh := c.G.Neighbors(v)
+			addrs := make([]int, 0, len(neigh)+1)
+			addrs = append(addrs, c.lockBase+v)
+			for _, w := range neigh {
+				addrs = append(addrs, c.lockBase+int(w))
+			}
+			return addrs
+		},
 		OnReturn: func(e *aam.Engine, vGlobal int, ret uint64, fail bool) {
 			if fail || ret == noVertex {
 				return

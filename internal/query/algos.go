@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 
+	"aamgo/internal/aam"
 	"aamgo/internal/algo"
 	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
@@ -184,8 +185,17 @@ func gblasSSSP(g *graph.Graph, a Args, _ Env) (Result, error) {
 	return Result{Dists: dists, GBLAS: &res}, err
 }
 
+// errNoAtomic answers the aam cells whose operator spans several words
+// and so has no atomic body: Boruvka's merge and Boman's colour.
+func errNoAtomic(name string) error {
+	return fmt.Errorf("mech atomic does not apply to the aam %s (its operator spans several words; use htm, lock, occ or flatcomb)", name)
+}
+
 // Boruvka and the Boman coloring are single-node formulations.
 func aamMST(g *graph.Graph, _ Args, e Env) (Result, error) {
+	if e.AAM.Mechanism == aam.MechAtomic {
+		return Result{}, errNoAtomic("mst")
+	}
 	b := algo.NewBoruvka(g)
 	m, res := e.RunAAM(1, b, b.Body(e.AAM))
 	return Result{Weight: b.Weight(m), Labels: b.Components(m), AAM: res}, nil
@@ -197,6 +207,9 @@ func shardMST(g *graph.Graph, _ Args, e Env) (Result, error) {
 }
 
 func aamColoring(g *graph.Graph, _ Args, e Env) (Result, error) {
+	if e.AAM.Mechanism == aam.MechAtomic {
+		return Result{}, errNoAtomic("coloring")
+	}
 	c := algo.NewColoring(g)
 	m, res := e.RunAAM(1, c, c.Body(e.AAM, 0))
 	colors, used := c.Colors(m)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"aamgo/internal/exec"
 	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
+	"aamgo/internal/run"
 	"aamgo/internal/shard"
 )
 
@@ -173,6 +175,40 @@ func TestRunAAMOnBothRuntimes(t *testing.T) {
 			want = res.Labels
 		} else if !slices.Equal(res.Labels, want) {
 			t.Fatalf("%s labels diverge from sim's", rt)
+		}
+	}
+}
+
+// TestAAMCellsUnderEveryMechanism runs every aam cell of Registry under
+// every isolation mechanism on one and two nodes and holds each answer to
+// the cell's Verify. Atomic is an error, not a run, for the cells whose
+// operators have no atomic body.
+func TestAAMCellsUnderEveryMechanism(t *testing.T) {
+	prof := exec.HaswellC()
+	for _, seed := range []int64{3, 5, 8} {
+		g := graph.AttachSymmetricWeights(graph.Kronecker(9, 8, seed), uint64(seed))
+		args := Args{Src: g.MaxDegreeVertex(), Iters: 5, Damping: 0.85}
+		for _, d := range Registry {
+			for mech := aam.MechHTM; mech <= aam.MechFlatCombining; mech++ {
+				for nodes := 1; nodes <= 2; nodes++ {
+					name := fmt.Sprintf("%s s=%d %v nodes=%d", d.Name, seed, mech, nodes)
+					env := Env{Runtime: run.Sim, Profile: &prof, Nodes: nodes, Threads: 4, Seed: 7,
+						AAM: aam.Config{M: 4, C: 8, Mechanism: mech}}
+					res, err := d.Run(EngineAAM, g, args, env)
+					if mech == aam.MechAtomic && (d.Name == "mst" || d.Name == "coloring") {
+						if want := errNoAtomic(d.Name); err == nil || err.Error() != want.Error() {
+							t.Errorf("%s: error %v, want %v", name, err, want)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if _, err := d.Verify(g, args, res); err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -162,6 +162,8 @@ func goldenCases() []goldenCase {
 		{"coloring seed unsharded", "/query/coloring?seed=3"},
 		{"coloring seed with shards=1", "/query/coloring?seed=3&shards=1"},
 		{"coloring gblas beats seed unsharded", "/query/coloring?seed=3&engine=gblas"},
+		{"mst aam atomic", "/query/mst?mech=atomic"},
+		{"coloring aam atomic", "/query/coloring?mech=atomic"},
 		{"cc mech unsharded", "/query/cc?mech=occ"},
 		{"cc bad mech beats gblas", "/query/cc?engine=gblas&mech=tsx"},
 		{"unknown engine", "/query/bfs?src=0&engine=spark"},
