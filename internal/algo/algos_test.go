@@ -64,6 +64,31 @@ func TestBoruvkaMatchesKruskal(t *testing.T) {
 	}
 }
 
+// TestBoruvkaUnderLockAndOCC holds the forest to Kruskal under the two
+// mechanisms that isolate only a merge's declared footprint, on graphs
+// where a merge that wrote a root outside it (one another merge moved
+// earlier in the round) linked that root twice and overcounted the weight.
+func TestBoruvkaUnderLockAndOCC(t *testing.T) {
+	for _, seed := range []int64{2, 7, 10} {
+		for _, g := range []*graph.Graph{graph.Kronecker(7, 16, seed), graph.RoadGrid(24, 24, .1, seed)} {
+			g = graph.AttachSymmetricWeights(g, uint64(seed))
+			want := SeqMSTWeight(g)
+			for _, mech := range []aam.Mechanism{aam.MechLock, aam.MechOptimistic} {
+				for _, M := range []int{1, 4} {
+					bo := NewBoruvka(g)
+					prof := exec.HaswellC()
+					m := run.New(run.Sim, exec.Config{Nodes: 1, ThreadsPerNode: 8, MemWords: bo.MemWordsFor(8),
+						Profile: &prof, Handlers: bo.Handlers(nil), Seed: seed})
+					m.Run(bo.Body(aam.Config{M: M, C: 8, Mechanism: mech}))
+					if got := bo.Weight(m); got != want {
+						t.Errorf("seed %d n=%d %v M=%d: MST weight %d, want %d", seed, g.N, mech, M, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBoruvkaCoarsened(t *testing.T) {
 	g := weightedGraph(7)
 	want := SeqMSTWeight(g)
