@@ -284,7 +284,7 @@ func TestGBLASSSSPMatchesDijkstra(t *testing.T) {
 // then a Kronecker and a road-grid graph under every mechanism on one and
 // two nodes.
 func TestGBLASCCMatchesReference(t *testing.T) {
-	run := func(name string, g *graph.Graph, nodes, threads int, cfg aam.Config) {
+	check := func(name string, g *graph.Graph, nodes, threads int, cfg aam.Config) {
 		t.Helper()
 		c := gblas.NewCC(g, nodes, cfg)
 		m := machineFor(c, nodes, threads, 13)
@@ -294,13 +294,13 @@ func TestGBLASCCMatchesReference(t *testing.T) {
 		}
 	}
 	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
-		run("kron8", graph.Kronecker(8, 4, 13), 2, 2, aam.Config{M: 8, C: 16, Mechanism: mech})
+		check("kron8", graph.Kronecker(8, 4, 13), 2, 2, aam.Config{M: 8, C: 16, Mechanism: mech})
 	}
 	kron, road := graph.Kronecker(10, 8, 42), graph.RoadGrid(32, 32, .1, 7)
 	for mech := aam.MechHTM; mech <= aam.MechFlatCombining; mech++ {
 		for nodes := 1; nodes <= 2; nodes++ {
-			run("kron10", kron, nodes, 4, aam.Config{M: 16, C: 64, Mechanism: mech})
-			run("road32", road, nodes, 4, aam.Config{M: 16, C: 64, Mechanism: mech})
+			check("kron10", kron, nodes, 4, aam.Config{M: 16, C: 64, Mechanism: mech})
+			check("road32", road, nodes, 4, aam.Config{M: 16, C: 64, Mechanism: mech})
 		}
 	}
 }
