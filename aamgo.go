@@ -439,7 +439,9 @@ func Connected(g *Graph, s, t int, c Config) (bool, RunInfo, error) {
 }
 
 // Components labels connected components and returns the per-vertex label
-// vector (labels are representative vertex ids).
+// vector: each vertex carries the smallest vertex id of its component. On
+// the aam engine it is min-label propagation in gblas.System's min-plus
+// frontier rounds.
 func Components(g *Graph, c Config) ([]int32, RunInfo, error) {
 	res, ri, err := Run("cc", g, query.Args{}, c)
 	return res.Labels, ri, err

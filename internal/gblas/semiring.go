@@ -11,7 +11,7 @@
 // (IEEE-754 bits for the real field, saturating integers for tropical
 // min-plus, 0/1 for Boolean). The three standard semirings cover the
 // package's algorithm layer: Boolean or-and (BFS), tropical min-plus
-// (SSSP), and real plus-times (PageRank).
+// (SSSP and CC), and real plus-times (PageRank).
 package gblas
 
 import "math"
