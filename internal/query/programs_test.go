@@ -139,6 +139,39 @@ func TestProgramFingerprints(t *testing.T) {
 		}
 	}
 
+	// The aam.Config fields the matrix above leaves zero, on the runs that
+	// set them elsewhere: AutoM and LowerSingle on the checked BFS, and
+	// fig7's explicit HTM variant ("short" on bgq) on PageRank.
+	for _, prof := range []exec.MachineProfile{exec.HaswellC(), exec.BGQ()} {
+		extras := []struct {
+			run, tag string
+			cfg      aam.Config
+		}{
+			{"bfs-checked", "autom", aam.Config{M: 4, C: 8, AutoM: true}},
+			{"bfs-checked", "lower", aam.Config{M: 4, C: 8, LowerSingle: true}},
+		}
+		if prof.Name == "bgq" {
+			extras = append(extras, struct {
+				run, tag string
+				cfg      aam.Config
+			}{"pagerank", "short", aam.Config{M: 4, C: 8, HTM: prof.HTMVariant("short")}})
+		}
+		for _, x := range extras {
+			for _, r := range runs {
+				if r.name != x.run {
+					continue
+				}
+				for nodes := 1; nodes <= r.nodes; nodes++ {
+					env := Env{Runtime: run.Sim, Profile: &prof, Threads: 4, Seed: 7}
+					p, body := r.build(nodes, x.cfg)
+					m, res := env.RunAAM(nodes, p, body)
+					fmt.Fprintf(&out, "%s %s+%s %s nodes=%d elapsed=%d mem=%016x %+v\n",
+						prof.Name, r.name, x.tag, x.cfg.Mechanism, nodes, res.Elapsed, memHash(m, nodes), res.Stats.Thread)
+				}
+			}
+		}
+	}
+
 	path := filepath.Join("testdata", "programs.golden")
 	if *updatePrograms {
 		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
