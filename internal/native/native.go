@@ -14,6 +14,7 @@
 package native
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -37,6 +38,25 @@ type Machine struct {
 	barrier *barrier
 	arSlots [2]uint64 // alternating allreduce accumulators
 	arGen   uint32
+
+	// A body's panic: the first value, re-panicked from Run, and the flag
+	// that unwinds every thread parked in a barrier, spinning in Lock or
+	// looping through Poll.
+	panicOnce sync.Once
+	panicVal  any
+	aborted   atomic.Bool
+}
+
+// errAborted unwinds a thread whose run another thread's panic ended.
+var errAborted = errors.New("native: run aborted by a panicking body")
+
+// abort records the first panic value and releases every parked thread.
+func (m *Machine) abort(r any) {
+	m.panicOnce.Do(func() {
+		m.panicVal = r
+		m.aborted.Store(true)
+		m.barrier.abort()
+	})
 }
 
 type node struct {
@@ -71,7 +91,10 @@ func New(cfg exec.Config) *Machine {
 // Mem returns the memory of nodeID for inspection after Run completes.
 func (m *Machine) Mem(nodeID int) []uint64 { return m.nodes[nodeID].mem }
 
-// Run executes body once per thread and waits for completion.
+// Run executes body once per thread and waits for completion. A body
+// that panics ends the run: the other threads unwind at their next
+// barrier, Lock spin or Poll, and once every thread has ended, Run
+// panics with the body's value on the caller's goroutine.
 func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 	if m.ran {
 		panic("native: Machine.Run called twice (machines are single-use)")
@@ -99,10 +122,18 @@ func (m *Machine) Run(body func(ctx exec.Context)) exec.Result {
 		c := c
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil && r != errAborted {
+					m.abort(r)
+				}
+			}()
 			body(c)
 		}()
 	}
 	wg.Wait()
+	if m.aborted.Load() {
+		panic(m.panicVal)
+	}
 
 	res := exec.Result{
 		Elapsed:   vtime.Time(time.Since(m.start).Nanoseconds()),
@@ -184,6 +215,9 @@ func (t *nthread) FetchAdd(addr int, delta uint64) uint64 {
 func (t *nthread) Lock(addr int) {
 	t.checkAddr(addr)
 	for !atomic.CompareAndSwapUint64(&t.node.mem[addr], 0, 1) {
+		if t.m.aborted.Load() {
+			panic(errAborted)
+		}
 		runtime.Gosched()
 	}
 	t.st.LockAcqs++
@@ -223,6 +257,9 @@ func (t *nthread) drain() []nmsg {
 }
 
 func (t *nthread) Poll() int {
+	if t.m.aborted.Load() {
+		panic(errAborted)
+	}
 	msgs := t.drain()
 	for _, msg := range msgs {
 		t.st.HandlersRun++
@@ -259,11 +296,12 @@ func (t *nthread) Profile() *exec.MachineProfile { return t.m.cfg.Profile }
 // barrier is a reusable generation-counting barrier. await returns true for
 // exactly one thread per generation (the last arriver).
 type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   uint64
+	mu      sync.Mutex
+	cond    *sync.Cond
+	n       int
+	count   int
+	gen     uint64
+	aborted bool // set by abort: every await, parked or to come, panics
 }
 
 func newBarrier(n int) *barrier {
@@ -283,11 +321,23 @@ func (b *barrier) await() bool {
 		b.cond.Broadcast()
 		return true
 	}
-	for b.gen == gen {
+	for b.gen == gen && !b.aborted {
 		b.cond.Wait()
 	}
+	aborted := b.aborted
 	b.mu.Unlock()
+	if aborted {
+		panic(errAborted)
+	}
 	return false
+}
+
+// abort releases every thread parked in await, and every later one.
+func (b *barrier) abort() {
+	b.mu.Lock()
+	b.aborted = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
 var (

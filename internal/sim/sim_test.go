@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"aamgo/internal/exec"
+	"aamgo/internal/native"
 	"aamgo/internal/stats"
 	"aamgo/internal/vtime"
 )
@@ -372,24 +374,49 @@ func TestDeadlockPanicDumpsThreads(t *testing.T) {
 }
 
 // TestBodyPanicSurfacesFromRun: a body that panics after a barrier, with
-// the other threads parked at the next one, panics out of Run with its own
-// value, where the caller can recover it.
+// the other threads parked at the next one, spinning on a lock that is
+// never released or polling forever, panics out of Run with its own value,
+// where the caller can recover it, on the sim and the native runtime
+// alike; every thread the run started ends.
 func TestBodyPanicSurfacesFromRun(t *testing.T) {
 	type bodyPanic struct{ gid int }
-	m := newTestMachine(1, 4, exec.HaswellC())
-	defer func() {
-		if r := recover(); r != (bodyPanic{gid: 2}) {
-			t.Fatalf("recovered %v, want the body's bodyPanic{2}", r)
+	body := func(ctx exec.Context) {
+		if ctx.GlobalID() == 0 {
+			ctx.Lock(0)
 		}
-	}()
-	m.Run(func(ctx exec.Context) {
 		ctx.Barrier()
-		if ctx.GlobalID() == 2 {
+		switch ctx.GlobalID() {
+		case 1:
+			ctx.Lock(0)
+		case 2:
 			panic(bodyPanic{gid: 2})
+		case 3:
+			for {
+				ctx.Poll()
+			}
 		}
 		ctx.Barrier()
-	})
-	t.Fatal("Run returned after a body panicked")
+	}
+	prof := exec.HaswellC()
+	cfg := exec.Config{Nodes: 1, ThreadsPerNode: 4, MemWords: 64, Profile: &prof, Seed: 42}
+	for name, m := range map[string]exec.Machine{"sim": New(cfg), "native": native.New(cfg)} {
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if r := recover(); r != (bodyPanic{gid: 2}) {
+					t.Errorf("%s: recovered %v, want the body's bodyPanic{2}", name, r)
+				}
+			}()
+			m.Run(body)
+			t.Errorf("%s: Run returned after a body panicked", name)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d goroutines 5 s after Run, %d before", name, runtime.NumGoroutine(), before)
+				break
+			}
+		}
+	}
 }
 
 // TestRunReleasesEveryThread: whether Run returns or panics, every
