@@ -9,18 +9,8 @@ import (
 	"aamgo/internal/run"
 )
 
-func simFor(p interface {
-	MemWordsFor(T int) int
-	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
-}, nodes, threads int, prof exec.MachineProfile) exec.Machine {
-	return run.New(run.Sim, exec.Config{
-		Nodes:          nodes,
-		ThreadsPerNode: threads,
-		MemWords:       p.MemWordsFor(threads),
-		Profile:        &prof,
-		Seed:           3,
-		Handlers:       p.Handlers(nil),
-	})
+func simFor(p aam.Sizer, nodes, threads int, prof exec.MachineProfile) exec.Machine {
+	return aam.NewMachine(p, run.Sim, nodes, threads, &prof, 3)
 }
 
 // --- Boruvka ---
@@ -77,8 +67,7 @@ func TestBoruvkaUnderLockAndOCC(t *testing.T) {
 				for _, M := range []int{1, 4} {
 					bo := NewBoruvka(g)
 					prof := exec.HaswellC()
-					m := run.New(run.Sim, exec.Config{Nodes: 1, ThreadsPerNode: 8, MemWords: bo.MemWordsFor(8),
-						Profile: &prof, Handlers: bo.Handlers(nil), Seed: seed})
+					m := aam.NewMachine(bo, run.Sim, 1, 8, &prof, seed)
 					m.Run(bo.Body(aam.Config{M: M, C: 8, Mechanism: mech}))
 					if got := bo.Weight(m); got != want {
 						t.Errorf("seed %d n=%d %v M=%d: MST weight %d, want %d", seed, g.N, mech, M, got, want)

@@ -26,16 +26,17 @@ const (
 // BFSConfig configures one BFS execution.
 type BFSConfig struct {
 	Mode BFSMode
-	// AAM engine settings (BFSAAM only). Part is filled in by NewBFS.
+	// AAM engine settings (BFSAAM only). Part and LockBase are filled
+	// in by the program.
 	Engine aam.Config
 	// VisitedCheck enables the "verify the vertex has not been visited
 	// before spawning" optimization (§4.2); the ablation turns it off.
 	VisitedCheck bool
 }
 
-// BFS is a prepared breadth-first search: construct with NewBFS, splice
-// Handlers into the machine config, size memory with MemWordsFor(T), run
-// Body SPMD, then read results with Parents.
+// BFS is a prepared breadth-first search: construct with NewBFS, build a
+// machine for it with aam.NewMachine, run Body SPMD, then read results
+// with Parents.
 //
 // The algorithm is level-synchronized. Each node owns a contiguous vertex
 // block (1-D partition); frontier queues are segmented per thread — as in
@@ -44,15 +45,12 @@ type BFSConfig struct {
 // the paper's FF&MF operator (Listing 4): concurrent activities updating
 // one vertex conflict, exactly one wins, nothing flows back to the spawner.
 type BFS struct {
-	G    *graph.Graph
-	Part graph.Partition
-	Cfg  BFSConfig
+	aam.Program
+	G   *graph.Graph
+	Cfg BFSConfig
 
-	rt         *aam.Runtime
 	markOp     int
 	markFastOp int
-
-	L int // per-node vertex block size
 	bfsLayout
 
 	// LevelTimes records the per-level durations observed by thread 0
@@ -63,12 +61,8 @@ type BFS struct {
 // NewBFS prepares a BFS over g distributed across nodes with T threads per
 // node.
 func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
-	part := graph.NewPartition(g.N, nodes)
-	L := part.MaxLocal()
-	b := &BFS{G: g, Part: part, Cfg: cfg, L: L}
-	b.Cfg.Engine.Part = part
-
-	b.rt = aam.NewRuntime()
+	b := &BFS{G: g, Cfg: cfg}
+	b.Program = aam.NewProgram(g.N, nodes, func(T int) int { return b.layout(T).lockBase })
 	// markFastOp is the checked-spawn operator: the spawner verified the
 	// vertex was unvisited with a plain load (§4.2's optimization, as the
 	// Graph500 baseline does before its CAS), so the transaction writes
@@ -78,7 +72,7 @@ func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
 	// parent with another same-level parent, which keeps the BFS tree
 	// valid; the duplicate queue entry is benign (re-expansion finds all
 	// neighbors visited) and the segments carry slack for it.
-	b.markFastOp = b.rt.Register(&aam.Op{
+	b.markFastOp = b.Register(&aam.Op{
 		Name: "bfs-mark-fast",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			// Re-test inside the transaction: a duplicate mark that lost
@@ -103,7 +97,7 @@ func NewBFS(g *graph.Graph, nodes int, cfg BFSConfig) *BFS {
 	// markOp is the unchecked variant (VisitedCheck off): the operator
 	// must test inside the activity, which puts the parent word in the
 	// read set as well.
-	b.markOp = b.rt.Register(&aam.Op{
+	b.markOp = b.Register(&aam.Op{
 		Name: "bfs-mark",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			addr := b.parentBase + v
@@ -144,15 +138,6 @@ func (b *BFS) layout(T int) bfsLayout {
 	return bfsLayout{parentBase: 0, fr: fr, lockBase: fr.End()}
 }
 
-// Handlers splices the BFS runtime handlers into existing.
-func (b *BFS) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return b.rt.Handlers(existing)
-}
-
-// MemWordsFor returns the node memory size for T threads per node: the
-// layout up to its lock region, then the region itself.
-func (b *BFS) MemWordsFor(T int) int { return b.layout(T).lockBase + aam.LockWords(b.L, T) }
-
 // MemWords returns MemWordsFor(64), the largest thread count of any
 // profile. Only the benchmark module's trace sizes with it.
 func (b *BFS) MemWords() int { return b.MemWordsFor(64) }
@@ -167,12 +152,11 @@ func (b *BFS) run(ctx exec.Context, source int) {
 	lid := ctx.LocalID()
 	if lid == 0 && ctx.NodeID() == 0 {
 		b.bfsLayout = b.layout(T)
-		b.Cfg.Engine.LockBase = b.lockBase
 	}
 	ctx.Barrier() // publish layout (host-side, free)
 	var eng *aam.Engine
 	if b.Cfg.Mode == BFSAAM {
-		eng = aam.NewEngine(b.rt, ctx, b.Cfg.Engine)
+		eng = b.NewEngine(ctx, b.Cfg.Engine)
 	} else if ctx.Nodes() > 1 {
 		panic("algo: BFSGraph500 baseline is single-node only")
 	}
@@ -261,10 +245,8 @@ func (b *BFS) expand(ctx exec.Context, eng *aam.Engine, u int) {
 // parent id, or -1 for unvisited vertices; parent[source] == source.
 func (b *BFS) Parents(m exec.Machine) []int64 {
 	out := make([]int64, b.G.N)
-	for v := 0; v < b.G.N; v++ {
-		node := b.Part.Owner(v)
-		raw := m.Mem(node)[b.parentBase+b.Part.Local(v)]
-		out[v] = int64(raw) - 1
+	for v := range out {
+		out[v] = int64(b.Word(m, b.parentBase, v)) - 1
 	}
 	return out
 }

@@ -12,15 +12,7 @@ import (
 func runBFS(t *testing.T, backend string, g *graph.Graph, nodes, threads, src int, cfg BFSConfig, prof exec.MachineProfile) ([]int64, exec.Result) {
 	t.Helper()
 	b := NewBFS(g, nodes, cfg)
-	mcfg := exec.Config{
-		Nodes:          nodes,
-		ThreadsPerNode: threads,
-		MemWords:       b.MemWordsFor(threads),
-		Profile:        &prof,
-		Seed:           1,
-		Handlers:       b.Handlers(nil),
-	}
-	m := run.New(backend, mcfg)
+	m := aam.NewMachine(b, backend, nodes, threads, &prof, 1)
 	res := m.Run(b.Body(src))
 	return b.Parents(m), res
 }

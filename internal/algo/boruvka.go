@@ -27,23 +27,21 @@ import (
 // Single-node (intra-node parallel) like the paper's case study; the graph
 // must carry distinct weights (use graph.SymmetricWeight).
 type Boruvka struct {
+	aam.Program
 	G *graph.Graph
 
-	rt        *aam.Runtime
 	proposeOp int
 	mergeOp   int
 
 	// edgeSrc[pos] is the source vertex of arc pos (CSR inverse).
 	edgeSrc []int32
 
-	L int
-	// Layout.
+	// Layout; the engine's lock region starts at 2L+64.
 	compBase   int // component pointer (vertex id)
 	minBase    int // proposal: weight<<32 | arcPos
 	weightAddr int // accumulated MST weight
 	mergesAddr int // merges this round
 	failsAddr  int // merge failures this round (retried next round)
-	lockBase   int // the engine's lock region
 }
 
 // NewBoruvka prepares a Boruvka MST run over g (single node).
@@ -52,13 +50,12 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 		panic("algo: Boruvka needs edge weights")
 	}
 	L := g.N
-	b := &Boruvka{G: g, L: L}
+	b := &Boruvka{G: g, Program: aam.NewProgram(L, 1, func(int) int { return 2*L + 64 })}
 	b.compBase = 0
 	b.minBase = L
 	b.weightAddr = 2 * L
 	b.mergesAddr = 2*L + 1
 	b.failsAddr = 2*L + 2
-	b.lockBase = 2*L + 64
 
 	b.edgeSrc = make([]int32, len(g.Adj))
 	for v := 0; v < g.N; v++ {
@@ -67,10 +64,9 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 		}
 	}
 
-	b.rt = aam.NewRuntime()
 	// proposeOp (FF&AS): min-combine a candidate edge into the root's
 	// proposal slot. Two logically linked words (value packs both).
-	b.proposeOp = b.rt.Register(&aam.Op{
+	b.proposeOp = b.Register(&aam.Op{
 		Name: "boruvka-propose",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			addr := b.minBase + v
@@ -98,7 +94,7 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 	// operator fails without needing a rollback and the next round
 	// simply does not re-propose the edge (the spawner-side retry of
 	// §3.3.3 is the round structure itself).
-	b.mergeOp = b.rt.Register(&aam.Op{
+	b.mergeOp = b.Register(&aam.Op{
 		Name:   "boruvka-merge",
 		Return: true,
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
@@ -132,7 +128,8 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 		},
 		LockAddrs: func(e *aam.Engine, v int, arg uint64) []int {
 			x := int(b.G.Adj[arg&0xFFFFFFFF])
-			return []int{b.lockBase + v, b.lockBase + b.startRoot(e.Ctx().Load, x)}
+			lockBase := e.Cfg().LockBase
+			return []int{lockBase + v, lockBase + b.startRoot(e.Ctx().Load, x)}
 		},
 		OnDone: func(e *aam.Engine, vGlobal int, ret uint64, fail bool) {
 			ctx := e.Ctx()
@@ -177,23 +174,13 @@ func (b *Boruvka) txRoot(tx exec.Tx, v int) int {
 	}
 }
 
-// Handlers splices the Boruvka handlers into existing.
-func (b *Boruvka) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return b.rt.Handlers(existing)
-}
-
-// MemWordsFor returns the node memory size for T threads.
-func (b *Boruvka) MemWordsFor(T int) int { return b.lockBase + aam.LockWords(b.L, T) }
-
 // Body returns the SPMD body; cfg tunes the engine (single node).
 func (b *Boruvka) Body(engineCfg aam.Config) func(ctx exec.Context) {
-	engineCfg.Part = graph.NewPartition(b.G.N, 1)
-	engineCfg.LockBase = b.lockBase
 	return func(ctx exec.Context) { b.run(ctx, engineCfg) }
 }
 
 func (b *Boruvka) run(ctx exec.Context, engineCfg aam.Config) {
-	eng := aam.NewEngine(b.rt, ctx, engineCfg)
+	eng := b.NewEngine(ctx, engineCfg)
 	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	n := b.G.N

@@ -16,17 +16,15 @@ import (
 // Colors are stored as color+1 (0 = uncolored). Single node, as in the
 // paper's intra-node case studies.
 type Coloring struct {
+	aam.Program
 	G *graph.Graph
 
-	rt      *aam.Runtime
 	colorOp int
 
-	L int
-	// Layout: colors, the work queue (one shared segment), the engine's
-	// lock region.
+	// Layout: colors, the work queue (one shared segment); the engine's
+	// lock region starts at 4L+64.
 	colorBase int
 	fr        aam.Frontier
-	lockBase  int
 }
 
 // noVertex mirrors the paper's NO_VERTEX_ID.
@@ -35,13 +33,11 @@ const noVertex = ^uint64(0) >> 1
 // NewColoring prepares a coloring run over g.
 func NewColoring(g *graph.Graph) *Coloring {
 	L := g.N
-	c := &Coloring{G: g, L: L}
+	c := &Coloring{G: g, Program: aam.NewProgram(L, 1, func(int) int { return 4*L + 64 })}
 	c.colorBase = 0
 	c.fr = aam.Frontier{Base: L, Segs: 1, SegLen: L, Stride: 1}
-	c.lockBase = 4*L + 64
 
-	c.rt = aam.NewRuntime()
-	c.colorOp = c.rt.Register(&aam.Op{
+	c.colorOp = c.Register(&aam.Op{
 		Name:   "boman-color",
 		Return: true,
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
@@ -76,10 +72,11 @@ func NewColoring(g *graph.Graph) *Coloring {
 		// unseen.
 		LockAddrs: func(e *aam.Engine, v int, _ uint64) []int {
 			neigh := c.G.Neighbors(v)
+			lockBase := e.Cfg().LockBase
 			addrs := make([]int, 0, len(neigh)+1)
-			addrs = append(addrs, c.lockBase+v)
+			addrs = append(addrs, lockBase+v)
 			for _, w := range neigh {
-				addrs = append(addrs, c.lockBase+int(w))
+				addrs = append(addrs, lockBase+int(w))
 			}
 			return addrs
 		},
@@ -95,18 +92,8 @@ func NewColoring(g *graph.Graph) *Coloring {
 	return c
 }
 
-// Handlers splices the runtime handlers into existing.
-func (c *Coloring) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return c.rt.Handlers(existing)
-}
-
-// MemWordsFor returns the node memory size for T threads.
-func (c *Coloring) MemWordsFor(T int) int { return c.lockBase + aam.LockWords(c.L, T) }
-
 // Body returns the SPMD body. maxRounds bounds the repair iterations.
 func (c *Coloring) Body(engineCfg aam.Config, maxRounds int) func(ctx exec.Context) {
-	engineCfg.Part = graph.NewPartition(c.G.N, 1)
-	engineCfg.LockBase = c.lockBase
 	if maxRounds <= 0 {
 		maxRounds = 200
 	}
@@ -114,7 +101,7 @@ func (c *Coloring) Body(engineCfg aam.Config, maxRounds int) func(ctx exec.Conte
 }
 
 func (c *Coloring) run(ctx exec.Context, engineCfg aam.Config, maxRounds int) {
-	eng := aam.NewEngine(c.rt, ctx, engineCfg)
+	eng := c.NewEngine(ctx, engineCfg)
 	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	n := c.G.N
@@ -167,7 +154,7 @@ func (c *Coloring) Colors(m exec.Machine) ([]int32, int) {
 	out := make([]int32, c.G.N)
 	maxc := 0
 	for v := range out {
-		raw := m.Mem(0)[c.colorBase+v]
+		raw := c.Word(m, c.colorBase, v)
 		out[v] = int32(raw) - 1
 		if int(raw) > maxc {
 			maxc = int(raw)

@@ -21,10 +21,11 @@ import (
 // one arc frees capacity on its reverse).
 
 // MaxFlow is a prepared max-flow computation: construct with NewMaxFlow,
-// splice Handlers, size memory with MemWordsFor(T), run Body SPMD, read
-// the result with Value. Single node (augmentation is a serial path walk);
+// build a machine for it with aam.NewMachine, run Body SPMD, read the
+// result with Value. Single node (augmentation is a serial path walk);
 // the BFS phases use all T threads.
 type MaxFlow struct {
+	aam.Program
 	G *graph.Graph
 
 	// Arc arrays (host-side, immutable after construction).
@@ -32,10 +33,8 @@ type MaxFlow struct {
 	arcRev  []int32 // arc -> reverse arc
 	arcOff  []int32 // vertex -> first arc (CSR)
 
-	rt     *aam.Runtime
 	markOp int
 
-	N int
 	A int // number of arcs
 	mfLayout
 }
@@ -47,7 +46,7 @@ type mfLayout struct {
 	fr         aam.Frontier
 	flowAddr   int // fr.End(): accumulated flow value
 	doneAddr   int // 1 when no augmenting path remains
-	lockBase   int // the engine's lock region, aam.LockWords(N, T) words
+	lockBase   int // the engine's lock region, aam.LockWords(L, T) words
 }
 
 // NewMaxFlow prepares the computation over g's weights as capacities.
@@ -55,7 +54,8 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 	if g.Weights == nil {
 		panic("algo: MaxFlow needs edge weights (capacities)")
 	}
-	f := &MaxFlow{G: g, N: g.N}
+	f := &MaxFlow{G: g}
+	f.Program = aam.NewProgram(g.N, 1, func(T int) int { return f.layout(T).lockBase })
 	// Build the arc arrays: two directed arcs per undirected edge.
 	f.arcOff = make([]int32, g.N+1)
 	total := 0
@@ -101,11 +101,10 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 		}
 	}
 
-	f.rt = aam.NewRuntime()
 	// The BFS mark operator over the residual network (FF&MF): arg is the
 	// arc that discovered w; the spawner checked residual and visited
 	// state, the transaction re-tests visited and records the parent arc.
-	f.markOp = f.rt.Register(&aam.Op{
+	f.markOp = f.Register(&aam.Op{
 		Name: "maxflow-mark",
 		Body: func(tx exec.Tx, e *aam.Engine, w int, arg uint64) (uint64, bool) {
 			if tx.Read(f.parentBase+w) != 0 {
@@ -129,18 +128,9 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 // layout computes the memory map for T threads: one frontier segment per
 // thread.
 func (f *MaxFlow) layout(T int) mfLayout {
-	fr := aam.Frontier{Base: f.A + f.N, Segs: T, SegLen: f.N + f.N/8 + 16, Stride: 8}
+	fr := aam.Frontier{Base: f.A + f.L, Segs: T, SegLen: f.L + f.L/8 + 16, Stride: 8}
 	flow := fr.End()
 	return mfLayout{resBase: 0, parentBase: f.A, fr: fr, flowAddr: flow, doneAddr: flow + 8, lockBase: flow + 16}
-}
-
-// MemWordsFor returns the node-memory size for T threads: the layout up
-// to its lock region, then the region itself.
-func (f *MaxFlow) MemWordsFor(T int) int { return f.layout(T).lockBase + aam.LockWords(f.N, T) }
-
-// Handlers splices the runtime handlers into existing.
-func (f *MaxFlow) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return f.rt.Handlers(existing)
 }
 
 // Body returns the SPMD body computing the s→t max flow.
@@ -158,13 +148,11 @@ func (f *MaxFlow) run(ctx exec.Context, s, t int, engCfg aam.Config) {
 		f.mfLayout = f.layout(T)
 	}
 	ctx.Barrier()
-	engCfg.Part = graph.NewPartition(f.N, 1)
-	engCfg.LockBase = f.lockBase
-	eng := aam.NewEngine(f.rt, ctx, engCfg)
+	eng := f.NewEngine(ctx, engCfg)
 
 	// Initialize residuals from capacities (parallel over arcs).
 	aLo, aHi := lid*f.A/T, (lid+1)*f.A/T
-	for v := 0; v < f.N; v++ {
+	for v := 0; v < f.G.N; v++ {
 		base, ws := int(f.arcOff[v]), f.G.EdgeWeights(v)
 		if base+len(ws) <= aLo || base >= aHi {
 			continue
@@ -180,7 +168,7 @@ func (f *MaxFlow) run(ctx exec.Context, s, t int, engCfg aam.Config) {
 
 	for {
 		// --- BFS phase over the residual network ---
-		nLo, nHi := lid*f.N/T, (lid+1)*f.N/T
+		nLo, nHi := lid*f.G.N/T, (lid+1)*f.G.N/T
 		for v := nLo; v < nHi; v++ {
 			ctx.Store(f.parentBase+v, 0)
 		}

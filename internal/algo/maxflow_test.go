@@ -6,7 +6,7 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
-	"aamgo/internal/sim"
+	"aamgo/internal/run"
 )
 
 // buildFlowGraph builds a small weighted graph from explicit edges.
@@ -35,10 +35,7 @@ func runMaxFlow(t *testing.T, g *graph.Graph, s, dst, threads int, cfg aam.Confi
 	t.Helper()
 	f := NewMaxFlow(g)
 	prof := exec.BGQ()
-	m := sim.New(exec.Config{
-		Nodes: 1, ThreadsPerNode: threads, MemWords: f.MemWordsFor(threads),
-		Profile: &prof, Handlers: f.Handlers(nil), Seed: 3,
-	})
+	m := aam.NewMachine(f, run.Sim, 1, threads, &prof, 3)
 	m.Run(f.Body(s, dst, cfg))
 	return f.Value(m)
 }

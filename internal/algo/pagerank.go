@@ -26,14 +26,11 @@ type PRConfig struct {
 // concurrent increments of one vertex conflict and retry (or serialize),
 // which is exactly the HTM-ACC behaviour studied in §5.4.2.
 type PageRank struct {
-	G    *graph.Graph
-	Part graph.Partition
-	Cfg  PRConfig
+	aam.Program
+	G   *graph.Graph
+	Cfg PRConfig
 
-	rt    *aam.Runtime
-	accOp int
-
-	L        int
+	accOp    int
 	rankBase [2]int
 }
 
@@ -45,16 +42,11 @@ func NewPageRank(g *graph.Graph, nodes int, cfg PRConfig) *PageRank {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 10
 	}
-	part := graph.NewPartition(g.N, nodes)
-	L := part.MaxLocal()
-	p := &PageRank{G: g, Part: part, Cfg: cfg, L: L}
-	p.rankBase = [2]int{0, L}
-	p.Cfg.Engine.Part = part
-	p.Cfg.Engine.LockBase = 2*L + 8
-
-	p.rt = aam.NewRuntime()
+	p := &PageRank{G: g, Cfg: cfg}
+	p.Program = aam.NewProgram(g.N, nodes, func(int) int { return 2*p.L + 8 })
+	p.rankBase = [2]int{0, p.L}
 	// arg encodes share<<1 | nextParity.
-	p.accOp = p.rt.Register(&aam.Op{
+	p.accOp = p.Register(&aam.Op{
 		Name: "pr-acc",
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
 			addr := p.rankBase[arg&1] + v
@@ -69,21 +61,13 @@ func NewPageRank(g *graph.Graph, nodes int, cfg PRConfig) *PageRank {
 	return p
 }
 
-// Handlers splices the PageRank handlers into existing.
-func (p *PageRank) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return p.rt.Handlers(existing)
-}
-
-// MemWordsFor returns the node memory size for T threads per node.
-func (p *PageRank) MemWordsFor(T int) int { return p.Cfg.Engine.LockBase + aam.LockWords(p.L, T) }
-
 // Body returns the SPMD run body.
 func (p *PageRank) Body() func(ctx exec.Context) {
 	return func(ctx exec.Context) { p.run(ctx) }
 }
 
 func (p *PageRank) run(ctx exec.Context) {
-	eng := aam.NewEngine(p.rt, ctx, p.Cfg.Engine)
+	eng := p.NewEngine(ctx, p.Cfg.Engine)
 	T := ctx.ThreadsPerNode()
 	lid := ctx.LocalID()
 	me := ctx.NodeID()
@@ -136,9 +120,8 @@ func (p *PageRank) run(ctx exec.Context) {
 func (p *PageRank) Ranks(m exec.Machine) []float64 {
 	finalBase := p.rankBase[p.Cfg.Iterations&1]
 	out := make([]float64, p.G.N)
-	for v := 0; v < p.G.N; v++ {
-		node := p.Part.Owner(v)
-		out[v] = float64(m.Mem(node)[finalBase+p.Part.Local(v)]) / prScale
+	for v := range out {
+		out[v] = float64(p.Word(m, finalBase, v)) / prScale
 	}
 	return out
 }

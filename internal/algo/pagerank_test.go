@@ -13,14 +13,7 @@ import (
 func runPR(t *testing.T, backend string, g *graph.Graph, nodes, threads int, cfg PRConfig, prof exec.MachineProfile) ([]float64, exec.Result) {
 	t.Helper()
 	p := NewPageRank(g, nodes, cfg)
-	m := run.New(backend, exec.Config{
-		Nodes:          nodes,
-		ThreadsPerNode: threads,
-		MemWords:       p.MemWordsFor(threads),
-		Profile:        &prof,
-		Seed:           2,
-		Handlers:       p.Handlers(nil),
-	})
+	m := aam.NewMachine(p, backend, nodes, threads, &prof, 2)
 	res := m.Run(p.Body())
 	return p.Ranks(m), res
 }

@@ -12,19 +12,17 @@ import (
 // other wave's color, upon which the failure handler at the spawner
 // terminates the algorithm.
 type STConn struct {
-	G    *graph.Graph
-	Part graph.Partition
+	aam.Program
+	G *graph.Graph
 
-	rt      *aam.Runtime
 	visitOp int
 
-	L int
 	// Layout: colors, the frontier of packed (v<<2|color) in one shared
-	// segment, the found flag at its end, the engine's lock region.
+	// segment, the found flag at its end; the engine's lock region starts
+	// at 4L+64.
 	colorBase int
 	fr        aam.Frontier
 	foundAddr int
-	lockBase  int
 }
 
 // Colors.
@@ -37,16 +35,13 @@ const (
 // NewSTConn prepares an s–t connectivity run over g distributed across
 // nodes.
 func NewSTConn(g *graph.Graph, nodes int) *STConn {
-	part := graph.NewPartition(g.N, nodes)
-	L := part.MaxLocal()
-	s := &STConn{G: g, Part: part, L: L}
+	s := &STConn{G: g}
+	s.Program = aam.NewProgram(g.N, nodes, func(int) int { return 4*s.L + 64 })
 	s.colorBase = 0
-	s.fr = aam.Frontier{Base: L, Segs: 1, SegLen: L, Stride: 1}
+	s.fr = aam.Frontier{Base: s.L, Segs: 1, SegLen: s.L, Stride: 1}
 	s.foundAddr = s.fr.End()
-	s.lockBase = 4*L + 64
 
-	s.rt = aam.NewRuntime()
-	s.visitOp = s.rt.Register(&aam.Op{
+	s.visitOp = s.Register(&aam.Op{
 		Name:   "stconn-visit",
 		Return: true,
 		Body: func(tx exec.Tx, e *aam.Engine, v int, arg uint64) (uint64, bool) {
@@ -96,23 +91,13 @@ func NewSTConn(g *graph.Graph, nodes int) *STConn {
 	return s
 }
 
-// Handlers splices the runtime handlers into existing.
-func (s *STConn) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return s.rt.Handlers(existing)
-}
-
-// MemWordsFor returns the node memory size for T threads per node.
-func (s *STConn) MemWordsFor(T int) int { return s.lockBase + aam.LockWords(s.L, T) }
-
 // Body returns the SPMD body deciding whether src and dst are connected.
 func (s *STConn) Body(src, dst int, engineCfg aam.Config) func(ctx exec.Context) {
-	engineCfg.Part = s.Part
-	engineCfg.LockBase = s.lockBase
 	return func(ctx exec.Context) { s.run(ctx, src, dst, engineCfg) }
 }
 
 func (s *STConn) run(ctx exec.Context, src, dst int, engineCfg aam.Config) {
-	eng := aam.NewEngine(s.rt, ctx, engineCfg)
+	eng := s.NewEngine(ctx, engineCfg)
 	lid := ctx.LocalID()
 	me := ctx.NodeID()
 

@@ -8,6 +8,7 @@ import (
 	"aamgo/internal/baseline"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
+	"aamgo/internal/run"
 	"aamgo/internal/vtime"
 )
 
@@ -107,7 +108,7 @@ func runAAMPR(o Options, prof exec.MachineProfile, g *graph.Graph, nodes, T, coa
 			HTM:       prof.HTMVariant("short"),
 		},
 	})
-	m := machine(prof, nodes, T, pr.MemWordsFor(T), pr.Handlers(nil), o.Seed)
+	m := aam.NewMachine(pr, run.Sim, nodes, T, &prof, o.Seed)
 	res := m.Run(pr.Body())
 	return res.Elapsed
 }

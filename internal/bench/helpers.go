@@ -7,6 +7,7 @@ import (
 	"aamgo/internal/algo"
 	"aamgo/internal/exec"
 	"aamgo/internal/graph"
+	"aamgo/internal/run"
 	"aamgo/internal/sim"
 	"aamgo/internal/stats"
 	"aamgo/internal/vtime"
@@ -40,7 +41,7 @@ type bfsRun struct {
 func runBFS(prof exec.MachineProfile, g *graph.Graph,
 	nodes, threads int, cfg algo.BFSConfig, src int, seed int64) bfsRun {
 	b := algo.NewBFS(g, nodes, cfg)
-	m := machine(prof, nodes, threads, b.MemWordsFor(threads), b.Handlers(nil), seed)
+	m := aam.NewMachine(b, run.Sim, nodes, threads, &prof, seed)
 	res := m.Run(b.Body(src))
 	return bfsRun{
 		Elapsed: res.Elapsed,

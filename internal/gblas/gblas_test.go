@@ -36,15 +36,9 @@ func htmEngine() aam.Config {
 	return aam.Config{M: 8, Mechanism: aam.MechHTM}
 }
 
-func machineFor(sys interface {
-	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
-	MemWordsFor(T int) int
-}, nodes, threads int, seed int64) exec.Machine {
+func machineFor(sys aam.Sizer, nodes, threads int, seed int64) exec.Machine {
 	prof := exec.BGQ()
-	return run.New(run.Sim, exec.Config{
-		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWordsFor(threads),
-		Profile: &prof, Handlers: sys.Handlers(nil), Seed: seed,
-	})
+	return aam.NewMachine(sys, run.Sim, nodes, threads, &prof, seed)
 }
 
 // --- semiring laws (testing/quick) ---
@@ -187,12 +181,7 @@ func TestGBLASBFSOnNative(t *testing.T) {
 	ref := algo.SeqBFS(g, src)
 	refDists := algo.SeqSSSP(wg, src)
 	prof := exec.HaswellC()
-	native := func(sys *gblas.System) exec.Machine {
-		return run.New(run.Native, exec.Config{
-			Nodes: 2, ThreadsPerNode: 2, MemWords: sys.MemWordsFor(2),
-			Profile: &prof, Handlers: sys.Handlers(nil), Seed: 9,
-		})
-	}
+	native := func(sys *gblas.System) exec.Machine { return aam.NewMachine(sys, run.Native, 2, 2, &prof, 9) }
 	for _, mech := range []aam.Mechanism{aam.MechHTM, aam.MechAtomic} {
 		cfg := aam.Config{M: 4, C: 8, Mechanism: mech}
 		b := gblas.NewBFS(g, 2, cfg)

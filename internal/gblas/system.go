@@ -20,7 +20,7 @@ func EdgeWeights(g *graph.Graph, v, i int, w int32) uint64 {
 type Config struct {
 	Semiring Semiring
 	// Engine is the AAM engine configuration (mechanism, M, C, HTM
-	// variant). Part is filled in by New, LockBase by NewEngine.
+	// variant). Part and LockBase are filled in by NewEngine.
 	Engine aam.Config
 	// Weight supplies a(v,w); nil means Semiring.One for every edge.
 	Weight WeightFunc
@@ -32,20 +32,16 @@ type Config struct {
 // System is a prepared GraphBLAS execution over one graph: a persistent
 // accumulator vector y, an assignment vector, push tags, and per-thread
 // frontier segments, all in node memory, with the accumulation
-// operator registered on an AAM runtime. Construct with New, splice
-// Handlers into the machine config, size node memory with MemWordsFor(T),
-// then drive steps from an SPMD body via NewEngine/Step (or use the prepared
-// algorithms in this package).
+// operator registered on an AAM runtime. Construct with New, build a
+// machine for it with aam.NewMachine, then drive steps from an SPMD body
+// via NewEngine/Step (or use the prepared algorithms in this package).
 type System struct {
-	G    *graph.Graph
-	Part graph.Partition
-	Cfg  Config
+	aam.Program
+	G   *graph.Graph
+	Cfg Config
 
-	rt        *aam.Runtime
 	accPushOp int // FF&MF: accumulate, push on first touch
 	accOp     int // FF&AS: accumulate only (PageRank)
-
-	L int
 	sysLayout
 }
 
@@ -61,13 +57,11 @@ type sysLayout struct {
 
 // New prepares a System for g distributed over nodes.
 func New(g *graph.Graph, nodes int, cfg Config) *System {
-	part := graph.NewPartition(g.N, nodes)
-	s := &System{G: g, Part: part, Cfg: cfg, L: part.MaxLocal()}
-	s.Cfg.Engine.Part = part
+	s := &System{G: g, Cfg: cfg}
+	s.Program = aam.NewProgram(g.N, nodes, func(T int) int { return s.layout(T).lockBase })
 	sr := cfg.Semiring
 
-	s.rt = aam.NewRuntime()
-	s.accPushOp = s.rt.Register(&aam.Op{
+	s.accPushOp = s.Register(&aam.Op{
 		Name: "gblas-acc-push",
 		Body: func(tx exec.Tx, e *aam.Engine, w int, arg uint64) (uint64, bool) {
 			old := tx.Read(s.yBase + w)
@@ -108,7 +102,7 @@ func New(g *graph.Graph, nodes int, cfg Config) *System {
 			return 0, false
 		},
 	})
-	s.accOp = s.rt.Register(&aam.Op{
+	s.accOp = s.Register(&aam.Op{
 		Name: "gblas-acc",
 		Body: func(tx exec.Tx, e *aam.Engine, w int, arg uint64) (uint64, bool) {
 			tx.Write(s.yBase+w, sr.Add(tx.Read(s.yBase+w), arg))
@@ -134,24 +128,14 @@ func (s *System) layout(T int) sysLayout {
 	return sysLayout{yBase: 0, tagBase: s.L, assignees: 2 * s.L, fr: fr, stepPos: step, lockBase: step + 8}
 }
 
-// MemWordsFor returns the node-memory size for T threads per node: the
-// layout up to its lock region, then the region itself.
-func (s *System) MemWordsFor(T int) int { return s.layout(T).lockBase + aam.LockWords(s.L, T) }
-
-// Handlers splices the system's AAM handlers into existing.
-func (s *System) Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc {
-	return s.rt.Handlers(existing)
-}
-
 // NewEngine creates this thread's AAM engine; call once per thread inside
 // the SPMD body before Init/Step.
 func (s *System) NewEngine(ctx exec.Context) *aam.Engine {
 	if ctx.GlobalID() == 0 {
 		s.sysLayout = s.layout(ctx.ThreadsPerNode())
-		s.Cfg.Engine.LockBase = s.lockBase
 	}
 	ctx.Barrier() // publish layout (host-side, free)
-	return aam.NewEngine(s.rt, ctx, s.Cfg.Engine)
+	return s.Program.NewEngine(ctx, s.Cfg.Engine)
 }
 
 // Init seeds the vectors: y := Zero everywhere except the given entries;
@@ -277,8 +261,8 @@ func (s *System) AccumulateAll(ctx exec.Context, eng *aam.Engine, xf func(lv, v 
 // Values gathers the accumulator vector after the run.
 func (s *System) Values(m exec.Machine) []uint64 {
 	out := make([]uint64, s.G.N)
-	for v := 0; v < s.G.N; v++ {
-		out[v] = m.Mem(s.Part.Owner(v))[s.yBase+s.Part.Local(v)]
+	for v := range out {
+		out[v] = s.Word(m, s.yBase, v)
 	}
 	return out
 }
@@ -287,9 +271,8 @@ func (s *System) Values(m exec.Machine) []uint64 {
 // touched.
 func (s *System) Assignments(m exec.Machine) []int64 {
 	out := make([]int64, s.G.N)
-	for v := 0; v < s.G.N; v++ {
-		raw := m.Mem(s.Part.Owner(v))[s.assignees+s.Part.Local(v)]
-		out[v] = int64(raw) - 1
+	for v := range out {
+		out[v] = int64(s.Word(m, s.assignees, v)) - 1
 	}
 	return out
 }

@@ -26,7 +26,7 @@ var updatePrograms = flag.Bool("update", false, "rewrite testdata/programs.golde
 type programRun struct {
 	name  string
 	nodes int
-	build func(nodes int, cfg aam.Config) (program, func(exec.Context))
+	build func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context))
 }
 
 // memHash is FNV-64a over every word of every node's memory, little-endian.
@@ -66,14 +66,14 @@ func TestProgramFingerprints(t *testing.T) {
 			far = v
 		}
 	}
-	bfs := func(mode algo.BFSMode, check bool) func(int, aam.Config) (program, func(exec.Context)) {
-		return func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+	bfs := func(mode algo.BFSMode, check bool) func(int, aam.Config) (aam.Sizer, func(exec.Context)) {
+		return func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			b := algo.NewBFS(g, nodes, algo.BFSConfig{Mode: mode, Engine: cfg, VisitedCheck: check})
 			return b, b.Body(src)
 		}
 	}
-	stconn := func(dst int) func(int, aam.Config) (program, func(exec.Context)) {
-		return func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+	stconn := func(dst int) func(int, aam.Config) (aam.Sizer, func(exec.Context)) {
+		return func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			s := algo.NewSTConn(g, nodes)
 			return s, s.Body(src, dst, cfg)
 		}
@@ -82,37 +82,37 @@ func TestProgramFingerprints(t *testing.T) {
 		{"bfs-checked", 2, bfs(algo.BFSAAM, true)},
 		{"bfs-unchecked", 2, bfs(algo.BFSAAM, false)},
 		{"bfs-graph500", 1, bfs(algo.BFSGraph500, true)},
-		{"maxflow", 1, func(_ int, cfg aam.Config) (program, func(exec.Context)) {
+		{"maxflow", 1, func(_ int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			f := algo.NewMaxFlow(wg)
 			return f, f.Body(src, far, cfg)
 		}},
-		{"coloring", 1, func(_ int, cfg aam.Config) (program, func(exec.Context)) {
+		{"coloring", 1, func(_ int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			c := algo.NewColoring(g)
 			return c, c.Body(cfg, 0)
 		}},
-		{"mst", 1, func(_ int, cfg aam.Config) (program, func(exec.Context)) {
+		{"mst", 1, func(_ int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			b := algo.NewBoruvka(wg)
 			return b, b.Body(cfg)
 		}},
-		{"pagerank", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+		{"pagerank", 2, func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			p := algo.NewPageRank(g, nodes, algo.PRConfig{Damping: 0.85, Iterations: 3, Engine: cfg})
 			return p, p.Body()
 		}},
 		{"stconn-near", 2, stconn(near)},
 		{"stconn-far", 2, stconn(far)},
-		{"gblas-bfs", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+		{"gblas-bfs", 2, func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			b := gblas.NewBFS(g, nodes, cfg)
 			return b, b.Body(src)
 		}},
-		{"gblas-sssp", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+		{"gblas-sssp", 2, func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			s := gblas.NewSSSP(wg, nodes, cfg)
 			return s, s.Body(src)
 		}},
-		{"gblas-pagerank", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+		{"gblas-pagerank", 2, func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			p := gblas.NewPageRank(g, nodes, 0.85, 3, cfg)
 			return p, p.Body()
 		}},
-		{"gblas-cc", 2, func(nodes int, cfg aam.Config) (program, func(exec.Context)) {
+		{"gblas-cc", 2, func(nodes int, cfg aam.Config) (aam.Sizer, func(exec.Context)) {
 			c := gblas.NewCC(g, nodes, cfg)
 			return c, c.Body()
 		}},

@@ -16,7 +16,6 @@ import (
 	"aamgo/internal/exec"
 	"aamgo/internal/gblas"
 	"aamgo/internal/graph"
-	"aamgo/internal/run"
 	"aamgo/internal/shard"
 )
 
@@ -217,21 +216,11 @@ func (d *Descriptor) Run(eng string, g *graph.Graph, a Args, env Env) (Result, e
 	return f(g, a, env)
 }
 
-// program is the shape every internal/algo AAM formulation shares.
-type program interface {
-	MemWordsFor(T int) int
-	Handlers(existing []exec.HandlerFunc) []exec.HandlerFunc
-}
-
-// RunAAM is the one "size the machine for the program → run.New → Run"
-// stanza of every aam path: each node holds p.MemWordsFor(e.Threads)
-// words. The caller extracts results from the machine.
-func (e Env) RunAAM(nodes int, p program, body func(exec.Context)) (exec.Machine, *exec.Result) {
-	m := run.New(e.Runtime, exec.Config{
-		Nodes: nodes, ThreadsPerNode: e.Threads,
-		MemWords: p.MemWordsFor(e.Threads), Profile: e.Profile,
-		Handlers: p.Handlers(nil), Seed: e.Seed,
-	})
+// RunAAM runs body on a machine of e's runtime, profile, threads and
+// seed built for p by aam.NewMachine. The caller extracts results from
+// the machine.
+func (e Env) RunAAM(nodes int, p aam.Sizer, body func(exec.Context)) (exec.Machine, *exec.Result) {
+	m := aam.NewMachine(p, e.Runtime, nodes, e.Threads, e.Profile, e.Seed)
 	res := m.Run(body)
 	return m, &res
 }

@@ -372,7 +372,7 @@ func TestRunAAMSizesForItsThreads(t *testing.T) {
 		AAM: aam.Config{M: 4, Mechanism: aam.MechFlatCombining}}
 	type aamRun struct {
 		nodes int
-		p     program
+		p     aam.Sizer
 		body  func(exec.Context)
 	}
 	// One row per aam cell of Registry, built as the cell builds it, plus

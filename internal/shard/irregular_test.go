@@ -66,10 +66,7 @@ func TestSSSPMatchesSingleRuntime(t *testing.T) {
 	src := g.MaxDegreeVertex()
 	prof := exec.HaswellC()
 	s := gblas.NewSSSP(g, 1, aam.Config{M: 8, Mechanism: aam.MechHTM})
-	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: s.MemWordsFor(4),
-		Profile: &prof, Handlers: s.Handlers(nil), Seed: 1,
-	})
+	m := aam.NewMachine(s, run.Sim, 1, 4, &prof, 1)
 	m.Run(s.Body(src))
 	single := s.Dists(m)
 
@@ -144,10 +141,7 @@ func TestMSTMatchesSingleRuntime(t *testing.T) {
 	g := weighted(graph.Community(300, 10, 4, 0.05, 11), 13)
 	prof := exec.HaswellC()
 	b := algo.NewBoruvka(g)
-	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWordsFor(4),
-		Profile: &prof, Handlers: b.Handlers(nil), Seed: 1,
-	})
+	m := aam.NewMachine(b, run.Sim, 1, 4, &prof, 1)
 	m.Run(b.Body(aam.Config{M: 8, Mechanism: aam.MechHTM}))
 	single := b.Weight(m)
 

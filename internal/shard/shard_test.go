@@ -107,10 +107,7 @@ func TestBFSMatchesSingleRuntime(t *testing.T) {
 		Engine:       aam.Config{M: 8, Mechanism: aam.MechHTM},
 		VisitedCheck: true,
 	})
-	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: b.MemWordsFor(4),
-		Profile: &prof, Handlers: b.Handlers(nil), Seed: 1,
-	})
+	m := aam.NewMachine(b, run.Sim, 1, 4, &prof, 1)
 	m.Run(b.Body(src))
 	single := depths(g, src, b.Parents(m))
 
@@ -131,10 +128,7 @@ func TestPageRankMatchesSingleRuntime(t *testing.T) {
 			Damping: 0.85, Iterations: 5,
 			Engine: aam.Config{M: 8, Mechanism: aam.MechAtomic},
 		})
-		m := run.New(run.Sim, exec.Config{
-			Nodes: 1, ThreadsPerNode: 2, MemWords: p.MemWordsFor(2),
-			Profile: &prof, Handlers: p.Handlers(nil), Seed: 1,
-		})
+		m := aam.NewMachine(p, run.Sim, 1, 2, &prof, 1)
 		m.Run(p.Body())
 		single := p.Ranks(m)
 
@@ -185,10 +179,7 @@ func TestComponentsMatchesSingleRuntime(t *testing.T) {
 	g := graph.Community(300, 10, 4, 0.05, 11)
 	prof := exec.HaswellC()
 	c := gblas.NewCC(g, 1, aam.Config{M: 8, Mechanism: aam.MechHTM})
-	m := run.New(run.Sim, exec.Config{
-		Nodes: 1, ThreadsPerNode: 4, MemWords: c.MemWordsFor(4),
-		Profile: &prof, Handlers: c.Handlers(nil), Seed: 1,
-	})
+	m := aam.NewMachine(c, run.Sim, 1, 4, &prof, 1)
 	m.Run(c.Body())
 	single := c.Labels(m)
 
