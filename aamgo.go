@@ -189,6 +189,9 @@ func (c Config) resolve() (exec.MachineProfile, Config, error) {
 	if c.Runtime == "" {
 		c.Runtime = run.Sim
 	}
+	if err := run.Check(c.Runtime); err != nil {
+		return exec.MachineProfile{}, c, fmt.Errorf("aamgo: %w", err)
+	}
 	switch c.Engine {
 	case "", EngineAAM, EngineShard, EngineGBLAS:
 	default:

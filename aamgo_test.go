@@ -53,6 +53,9 @@ func TestBFSFacadeRejectsBadSource(t *testing.T) {
 	if _, err := aamgo.BFS(g, 0, aamgo.Config{Machine: "cray"}); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
+	if _, err := aamgo.BFS(g, 0, aamgo.Config{Runtime: "gpu"}); err == nil {
+		t.Fatal("unknown runtime accepted")
+	}
 }
 
 func TestPageRankFacadeSumsToOne(t *testing.T) {

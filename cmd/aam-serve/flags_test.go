@@ -70,6 +70,14 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownRuntimeIsAUsageError: a -runtime no machine is built on ends
+// aam-serve with status 2 before it loads a graph or listens.
+func TestUnknownRuntimeIsAUsageError(t *testing.T) {
+	if out := usageError(t, "-runtime", "gpu"); !strings.Contains(out, `aam-serve: -runtime: unknown runtime "gpu"`) {
+		t.Errorf("-runtime gpu: want a message naming -runtime, got\n%s", out)
+	}
+}
+
 // TestCacheBytesFlag: the daemon serves with the query cache by default and
 // without it at -cache-bytes 0 (its /stats then carries no "cache" object);
 // a negative bound is a usage error.

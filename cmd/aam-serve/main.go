@@ -63,6 +63,7 @@ import (
 	"aamgo/internal/aam"
 	"aamgo/internal/dyn"
 	"aamgo/internal/graph"
+	"aamgo/internal/run"
 	"aamgo/internal/serve"
 	"aamgo/internal/shard"
 	"aamgo/internal/wal"
@@ -100,6 +101,10 @@ func main() {
 	}
 	if *cacheBy < 0 {
 		fmt.Fprintf(os.Stderr, "aam-serve: -cache-bytes %d is negative (0 turns the cache off)\n", *cacheBy)
+		os.Exit(2)
+	}
+	if err := run.Check(*rt); err != nil {
+		fmt.Fprintf(os.Stderr, "aam-serve: -runtime: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -20,6 +20,8 @@
 package gblas
 
 import (
+	"fmt"
+
 	"aamgo/internal/aam"
 	"aamgo/internal/exec"
 	"aamgo/internal/gblas"
@@ -116,13 +118,14 @@ var (
 	EnginePageRank = gblas.EnginePageRank
 )
 
-// Machine constructs a machine sized with sys.MemWordsFor(threads) on the
-// named backend ("sim" or "native") and machine profile ("bgq", "has-c",
-// "has-p"); threads <= 0 means the profile's hardware thread count.
-func Machine(sys interface {
-	Handlers([]exec.HandlerFunc) []exec.HandlerFunc
-	MemWordsFor(T int) int
-}, backend, machine string, nodes, threads int, seed int64) (exec.Machine, error) {
+// Machine constructs a machine for sys on the named backend ("sim" or
+// "native") and machine profile ("bgq", "has-c", "has-p"); threads <= 0
+// means the profile's hardware thread count. An unknown backend or
+// profile is an error.
+func Machine(sys aam.Sizer, backend, machine string, nodes, threads int, seed int64) (exec.Machine, error) {
+	if err := run.Check(backend); err != nil {
+		return nil, fmt.Errorf("gblas: %w", err)
+	}
 	prof, err := exec.ProfileByName(machine)
 	if err != nil {
 		return nil, err
@@ -130,8 +133,5 @@ func Machine(sys interface {
 	if threads <= 0 {
 		threads = prof.MaxThreads
 	}
-	return run.New(backend, exec.Config{
-		Nodes: nodes, ThreadsPerNode: threads, MemWords: sys.MemWordsFor(threads),
-		Profile: &prof, Handlers: sys.Handlers(nil), Seed: seed,
-	}), nil
+	return aam.NewMachine(sys, backend, nodes, threads, &prof, seed), nil
 }

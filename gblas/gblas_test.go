@@ -98,4 +98,7 @@ func TestPublicMachineRejectsUnknownProfile(t *testing.T) {
 	if _, err := gblas.Machine(b, "sim", "cray-xc40", 1, 4, 1); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
+	if _, err := gblas.Machine(b, "gpu", "has-c", 1, 4, 1); err == nil {
+		t.Fatal("unknown runtime accepted")
+	}
 }

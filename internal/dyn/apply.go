@@ -31,11 +31,15 @@ type TxConfig struct {
 }
 
 // Resolve fills in the defaults of every zero field and looks up the
-// machine profile; an unknown Machine is an error. Apply resolves its
-// config itself, so a resolved config passes through unchanged.
+// machine profile; an unknown Runtime or Machine is an error. Apply
+// resolves its config itself, so a resolved config passes through
+// unchanged.
 func (c TxConfig) Resolve() (exec.MachineProfile, TxConfig, error) {
 	if c.Runtime == "" {
 		c.Runtime = run.Sim
+	}
+	if err := run.Check(c.Runtime); err != nil {
+		return exec.MachineProfile{}, c, fmt.Errorf("dyn: %w", err)
 	}
 	if c.Machine == "" {
 		c.Machine = "has-c"

@@ -91,6 +91,9 @@ func TestApplyValidation(t *testing.T) {
 	if _, err := g.Apply([]Mutation{AddEdge(0, 1)}, TxConfig{Machine: "cray"}); err == nil {
 		t.Fatal("unknown machine accepted")
 	}
+	if _, err := g.Apply([]Mutation{AddEdge(0, 1)}, TxConfig{Runtime: "gpu"}); err == nil {
+		t.Fatal("unknown runtime accepted")
+	}
 	if _, err := g.Apply([]Mutation{{Kind: 99}}, TxConfig{}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}

@@ -16,14 +16,23 @@ const (
 	Native = "native"
 )
 
-// New returns a fresh single-use machine of the given backend.
-func New(backend string, cfg exec.Config) exec.Machine {
+// Check returns an error unless New knows backend ("" is Sim).
+func Check(backend string) error {
 	switch backend {
-	case Sim, "":
-		return sim.New(cfg)
-	case Native:
-		return native.New(cfg)
-	default:
-		panic(fmt.Sprintf("run: unknown backend %q (want %q or %q)", backend, Sim, Native))
+	case Sim, Native, "":
+		return nil
 	}
+	return fmt.Errorf("unknown runtime %q (want %q or %q)", backend, Sim, Native)
+}
+
+// New returns a fresh single-use machine of the given backend; an unknown
+// one panics with Check's error.
+func New(backend string, cfg exec.Config) exec.Machine {
+	if err := Check(backend); err != nil {
+		panic("run: " + err.Error())
+	}
+	if backend == Native {
+		return native.New(cfg)
+	}
+	return sim.New(cfg)
 }

@@ -168,6 +168,18 @@ func TestVerticesCountBelongsToItsEpoch(t *testing.T) {
 	}
 }
 
+// TestNewRejectsUnknownRuntime: a runtime no machine is built on fails
+// New, rather than every later query inside its handler.
+func TestNewRejectsUnknownRuntime(t *testing.T) {
+	g, err := dyn.New(graph.Kronecker(4, 4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(g, Config{Tx: dyn.TxConfig{Runtime: "gpu"}}); err == nil || !strings.Contains(err.Error(), `unknown runtime "gpu"`) {
+		t.Fatalf("New with runtime gpu: err = %v, want the unknown-runtime error", err)
+	}
+}
+
 func TestMechanismOverridePerRequest(t *testing.T) {
 	ts, g := newTestServer(t, nil, Config{Tx: dyn.TxConfig{Mechanism: aam.MechHTM}})
 	for i, mech := range []string{"atomic", "lock", "occ", "flatcomb"} {
