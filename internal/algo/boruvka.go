@@ -105,8 +105,8 @@ func NewBoruvka(g *graph.Graph) *Boruvka {
 			// Re-derive both roots transactionally; merging is only
 			// valid while both are still roots (§3.3.3: concurrent
 			// activities conflict and one of them fails).
-			ru := b.txRoot(tx, u)
-			rx := b.txRoot(tx, x)
+			ru := b.root(tx.Read, u)
+			rx := b.root(tx.Read, x)
 			if ru == rx {
 				return 0, true // became intra-component: drop edge
 			}
@@ -160,17 +160,16 @@ func (b *Boruvka) startRoot(load func(addr int) uint64, x int) int {
 	return int(load(b.compBase + x))
 }
 
-// txRoot walks the component pointers inside the transaction, putting the
-// whole chain into the read set (bounded by the forest depth, which path
-// compression keeps small).
-func (b *Boruvka) txRoot(tx exec.Tx, v int) int {
-	r := v
+// root walks the component pointers from v through load. Inside a
+// transaction (tx.Read) the whole chain joins the read set, bounded by the
+// forest depth, which path compression keeps small.
+func (b *Boruvka) root(load func(addr int) uint64, v int) int {
 	for {
-		p := int(tx.Read(b.compBase + r))
-		if p == r {
-			return r
+		p := int(load(b.compBase + v))
+		if p == v {
+			return v
 		}
-		r = p
+		v = p
 	}
 }
 
@@ -198,12 +197,12 @@ func (b *Boruvka) run(ctx exec.Context, engineCfg aam.Config) {
 		// Phase 1: propose the min outgoing edge of each component.
 		proposals := uint64(0)
 		for v := clo; v < chi; v++ {
-			r := b.loadRoot(ctx, v)
+			r := b.root(ctx.Load, v)
 			ws := b.G.EdgeWeights(v)
 			neigh := b.G.Neighbors(v)
 			ctx.Compute(vtime.Time(len(neigh)/4+1) * ctx.Profile().LoadCost)
 			for i, wv := range neigh {
-				if b.loadRoot(ctx, int(wv)) == r {
+				if b.root(ctx.Load, int(wv)) == r {
 					continue
 				}
 				pos := b.G.Offsets[v] + int64(i)
@@ -259,17 +258,6 @@ func (b *Boruvka) run(ctx exec.Context, engineCfg aam.Config) {
 	}
 }
 
-func (b *Boruvka) loadRoot(ctx exec.Context, v int) int {
-	r := v
-	for {
-		p := int(ctx.Load(b.compBase + r))
-		if p == r {
-			return r
-		}
-		r = p
-	}
-}
-
 // Weight returns the accumulated forest weight after the run.
 func (b *Boruvka) Weight(m exec.Machine) uint64 {
 	return m.Mem(0)[b.weightAddr]
@@ -280,11 +268,7 @@ func (b *Boruvka) Components(m exec.Machine) []int32 {
 	out := make([]int32, b.G.N)
 	mem := m.Mem(0)
 	for v := range out {
-		r := v
-		for int(mem[b.compBase+r]) != r {
-			r = int(mem[b.compBase+r])
-		}
-		out[v] = int32(r)
+		out[v] = int32(b.root(func(addr int) uint64 { return mem[addr] }, v))
 	}
 	return out
 }

@@ -56,50 +56,8 @@ func NewMaxFlow(g *graph.Graph) *MaxFlow {
 	}
 	f := &MaxFlow{G: g}
 	f.Program = aam.NewProgram(g.N, 1, func(T int) int { return f.layout(T).lockBase })
-	// Build the arc arrays: two directed arcs per undirected edge.
-	f.arcOff = make([]int32, g.N+1)
-	total := 0
-	for v := 0; v < g.N; v++ {
-		f.arcOff[v] = int32(total)
-		total += len(g.Neighbors(v))
-	}
-	f.arcOff[g.N] = int32(total)
-	f.A = total
-	f.arcHead = make([]int32, total)
-	f.arcRev = make([]int32, total)
-
-	// Pair each arc with its reverse. Arc i of vertex v is (v -> nb[i]);
-	// its reverse is the arc of nb[i] pointing back at v. Multi-edges are
-	// paired positionally (k-th copy with k-th copy).
-	type vw struct{ v, w int32 }
-	nthBack := make(map[vw]int32)
-	for v := 0; v < g.N; v++ {
-		base := f.arcOff[v]
-		for i, w := range g.Neighbors(v) {
-			f.arcHead[base+int32(i)] = w
-		}
-	}
-	for v := int32(0); v < int32(g.N); v++ {
-		base := f.arcOff[v]
-		for i, w := range g.Neighbors(int(v)) {
-			a := base + int32(i)
-			// Find the nth arc w->v not yet paired.
-			k := nthBack[vw{w, v}]
-			nthBack[vw{w, v}] = k + 1
-			wBase := f.arcOff[w]
-			// Scan w's neighbors for the (k+1)-th occurrence of v.
-			seen := int32(0)
-			for j, x := range g.Neighbors(int(w)) {
-				if x == v {
-					if seen == k {
-						f.arcRev[a] = wBase + int32(j)
-						break
-					}
-					seen++
-				}
-			}
-		}
-	}
+	f.arcOff, f.arcHead, f.arcRev = residualArcs(g)
+	f.A = len(f.arcHead)
 
 	// The BFS mark operator over the residual network (FF&MF): arg is the
 	// arc that discovered w; the spawner checked residual and visited
@@ -252,6 +210,40 @@ func (f *MaxFlow) Value(m exec.Machine) uint64 {
 	return m.Mem(0)[f.flowAddr]
 }
 
+// residualArcs builds the flow network's arc arrays, two directed arcs
+// per undirected edge: vertex v's arcs are off[v] to off[v+1], arc
+// off[v]+i leads to its i-th neighbour head[off[v]+i], and rev[a] is the
+// arc pointing back. Multi-edges are paired positionally (k-th copy with
+// k-th copy).
+func residualArcs(g *graph.Graph) (off, head, rev []int32) {
+	off = make([]int32, g.N+1)
+	for v := 0; v < g.N; v++ {
+		off[v+1] = off[v] + int32(len(g.Neighbors(v)))
+	}
+	head = make([]int32, off[g.N])
+	rev = make([]int32, off[g.N])
+	type vw struct{ v, w int32 }
+	nth := make(map[vw]int32)
+	for v := int32(0); v < int32(g.N); v++ {
+		copy(head[off[v]:], g.Neighbors(int(v)))
+		for i, w := range g.Neighbors(int(v)) {
+			// Pair with the (k+1)-th arc w->v, k the copies already paired.
+			k := nth[vw{w, v}]
+			nth[vw{w, v}] = k + 1
+			for j, x := range g.Neighbors(int(w)) {
+				if x == v {
+					if k == 0 {
+						rev[off[v]+int32(i)] = off[w] + int32(j)
+						break
+					}
+					k--
+				}
+			}
+		}
+	}
+	return off, head, rev
+}
+
 // SeqMaxFlow is the sequential Edmonds-Karp reference over the same
 // undirected-capacity construction.
 func SeqMaxFlow(g *graph.Graph, s, t int) uint64 {
@@ -259,41 +251,11 @@ func SeqMaxFlow(g *graph.Graph, s, t int) uint64 {
 		panic("algo: SeqMaxFlow needs edge weights")
 	}
 	n := g.N
-	// Arc arrays mirroring NewMaxFlow.
-	off := make([]int, n+1)
-	total := 0
+	off, head, rev := residualArcs(g)
+	res := make([]uint64, len(head))
 	for v := 0; v < n; v++ {
-		off[v] = total
-		total += len(g.Neighbors(v))
-	}
-	off[n] = total
-	head := make([]int32, total)
-	res := make([]uint64, total)
-	rev := make([]int32, total)
-	type vw struct{ v, w int32 }
-	nth := make(map[vw]int32)
-	for v := 0; v < n; v++ {
-		ws := g.EdgeWeights(v)
-		for i, w := range g.Neighbors(v) {
-			head[off[v]+i] = w
-			res[off[v]+i] = uint64(ws[i])
-		}
-	}
-	for v := int32(0); v < int32(n); v++ {
-		for i, w := range g.Neighbors(int(v)) {
-			a := off[v] + i
-			k := nth[vw{w, v}]
-			nth[vw{w, v}] = k + 1
-			seen := int32(0)
-			for j, x := range g.Neighbors(int(w)) {
-				if x == v {
-					if seen == k {
-						rev[a] = int32(off[w] + j)
-						break
-					}
-					seen++
-				}
-			}
+		for i, w := range g.EdgeWeights(v) {
+			res[int(off[v])+i] = uint64(w)
 		}
 	}
 
@@ -304,7 +266,7 @@ func SeqMaxFlow(g *graph.Graph, s, t int) uint64 {
 		for i := range parent {
 			parent[i] = 0
 		}
-		parent[s] = int32(total) + 1
+		parent[s] = int32(len(head)) + 1
 		queue = append(queue[:0], int32(s))
 		found := false
 		for qi := 0; qi < len(queue) && !found; qi++ {
@@ -317,7 +279,7 @@ func SeqMaxFlow(g *graph.Graph, s, t int) uint64 {
 				if parent[w] != 0 {
 					continue
 				}
-				parent[w] = int32(i) + 1
+				parent[w] = i + 1
 				if int(w) == t {
 					found = true
 					break
