@@ -47,7 +47,8 @@ func usageError(t *testing.T, args ...string) string {
 // TestGeneratorFlagsAreUsageErrors: a -scale or -ef no generator takes ends
 // aam-serve with a worded usage error and status 2 before anything shifts by
 // it, allocates by it or hands it to the library — not with a panic. So does
-// -backend, the old name of -runtime: it is an unknown flag.
+// -backend, the old name of -runtime: it is an unknown flag. So does a
+// -runtime no machine is built on, before a graph loads or a port opens.
 func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{{"-gen", "kron", "-scale", "-1"}, {"-scale", "31"}, {"-gen", "er", "-scale", "64"}, {"-ef", "-1"}, {"-gen", "web", "-scale", "5", "-ef", "-3"},
 		{"-gen", "kron", "-scale", "20", "-ef", "17592186044416"}} {
@@ -58,6 +59,9 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 	if out := usageError(t, "-backend", "sim"); !strings.Contains(out, "flag provided but not defined: -backend") {
 		t.Errorf("-backend sim: want an unknown-flag error, got\n%s", out)
 	}
+	if out := usageError(t, "-runtime", "gpu"); !strings.Contains(out, `aam-serve: -runtime: unknown runtime "gpu"`) {
+		t.Errorf("-runtime gpu: want a message naming -runtime, got\n%s", out)
+	}
 	// The Kronecker edge-factor bound is kron's and web's: a road grid takes
 	// no edge factor.
 	for _, ok := range []struct {
@@ -67,14 +71,6 @@ func TestGeneratorFlagsAreUsageErrors(t *testing.T) {
 		if err := checkGenFlags(ok.gen, ok.scale, ok.ef); err != nil {
 			t.Errorf("-gen %s, scale %d, edge factor %d rejected: %v", ok.gen, ok.scale, ok.ef, err)
 		}
-	}
-}
-
-// TestUnknownRuntimeIsAUsageError: a -runtime no machine is built on ends
-// aam-serve with status 2 before it loads a graph or listens.
-func TestUnknownRuntimeIsAUsageError(t *testing.T) {
-	if out := usageError(t, "-runtime", "gpu"); !strings.Contains(out, `aam-serve: -runtime: unknown runtime "gpu"`) {
-		t.Errorf("-runtime gpu: want a message naming -runtime, got\n%s", out)
 	}
 }
 

@@ -16,8 +16,8 @@ type CCResult struct {
 }
 
 // Components labels connected components by min-label propagation across
-// cfg.Shards shards (the same FF&MF min-combine operator as the
-// single-runtime internal/algo version): every round each shard pushes its
+// cfg.Shards shards (the min-label fixed point the aam engine reaches in
+// gblas.NewCC's min-plus frontier rounds): every round each shard pushes its
 // vertices' labels to all neighbors, cross-shard pushes travel as
 // coalesced batches, and the run ends when a round commits no update
 // anywhere. The fixed point — the minimum vertex id flooding each
